@@ -188,6 +188,92 @@ let test_pinned_edge_digest () =
   Alcotest.(check string) "run digest" "3aaee12c3814a68"
     (Printf.sprintf "%x" (Net.run_digest r.Net.r_second))
 
+(* The Borůvka and component-labelling kernels, pinned the same way:
+   their traffic is what a rewrite of their per-node state must keep
+   word-for-word. *)
+
+let check_pinned r ~rounds ~messages ~words ~digest =
+  let t = r.Net.r_second in
+  Alcotest.(check bool) "deterministic" true (Net.deterministic r);
+  Alcotest.(check int) "rounds" rounds t.Net.t_rounds;
+  Alcotest.(check int) "messages" messages t.Net.t_messages;
+  Alcotest.(check int) "words" words t.Net.t_words;
+  Alcotest.(check string) "run digest" digest
+    (Printf.sprintf "%x" (Net.run_digest t))
+
+let pinned_weight u v =
+  let u, v = (min u v, max u v) in
+  ((u * 7) + (v * 13)) mod 61
+
+(* order-sensitive fingerprints of a kernel's output *)
+let edges_checksum =
+  List.fold_left
+    (fun acc (u, v) -> ((acc * 1000003) + (u * 64) + v) land 0xFFFFFFF)
+    0
+
+let labels_checksum =
+  Array.fold_left (fun acc l -> ((acc * 1000003) + l + 1) land 0xFFFFFFF) 0
+
+let pinned_edge_active u v = (min u v + (2 * max u v)) mod 5 <> 0
+
+let test_pinned_mst_on_digest () =
+  let net = vnet (pinned_er_graph ()) in
+  let forest = ref [] in
+  let r =
+    Net.replay_check net (fun net ->
+        forest :=
+          Congest.Dist_mst.minimum_spanning_forest_on net
+            ~active:(fun v -> v mod 7 <> 3)
+            ~edge_active:pinned_edge_active ~weight:pinned_weight)
+  in
+  Alcotest.(check int) "forest edges" 54 (List.length !forest);
+  Alcotest.(check int) "forest checksum" 142307865 (edges_checksum !forest);
+  check_pinned r ~rounds:60 ~messages:28309 ~words:63341
+    ~digest:"30063c7cd578104"
+
+let test_pinned_mst_hybrid_digest () =
+  let net = vnet (pinned_er_graph ()) in
+  let forest = ref [] in
+  let r =
+    Net.replay_check net (fun net ->
+        forest :=
+          Congest.Dist_mst.minimum_spanning_forest_hybrid ~cap:3 net
+            ~weight:pinned_weight)
+  in
+  Alcotest.(check int) "forest edges" 63 (List.length !forest);
+  Alcotest.(check int) "forest checksum" 191918173 (edges_checksum !forest);
+  check_pinned r ~rounds:219 ~messages:67660 ~words:132674
+    ~digest:"3df93de90f5ce2b"
+
+let test_pinned_identify_hybrid_digest () =
+  let net = vnet (pinned_er_graph ()) in
+  let labels = ref [||] in
+  let r =
+    Net.replay_check net (fun net ->
+        labels :=
+          Congest.Components.identify_hybrid ~cap:2 ~seed:5 net
+            ~active:(fun v -> v mod 9 <> 4)
+            ~edge_active:(fun u v -> (u * v) mod 4 = 1))
+  in
+  Alcotest.(check int) "labels checksum" 4351268 (labels_checksum !labels);
+  check_pinned r ~rounds:16 ~messages:3994 ~words:6894
+    ~digest:"2aa0ff9eb93969"
+
+let test_pinned_spantree_digest () =
+  let rng = Random.State.make [| 0xD16; 24 |] in
+  let g = Gen.random_lambda_edge_connected rng ~n:24 ~lambda:4 ~extra:8 in
+  let net = Net.create Congest.Model.E_congest g in
+  let size = ref 0. in
+  let r =
+    Net.replay_check net (fun net ->
+        let res = Spantree.Dist_packing.run_sampled ~seed:3 net ~lambda:4 in
+        size := Spantree.Spacking.size res.Spantree.Dist_packing.packing)
+  in
+  Alcotest.(check string) "packing size" "0x1.15546e5a700a1p+1"
+    (Printf.sprintf "%h" !size);
+  check_pinned r ~rounds:5070 ~messages:417969 ~words:929107
+    ~digest:"17375ab4478ba5d"
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: same seed => bit-identical telemetry, per graph family *)
 
@@ -270,6 +356,14 @@ let () =
             test_pinned_broadcast_digest;
           Alcotest.test_case "edge engine traffic" `Quick
             test_pinned_edge_digest;
+          Alcotest.test_case "Dist_mst on a subgraph" `Quick
+            test_pinned_mst_on_digest;
+          Alcotest.test_case "Dist_mst hybrid" `Quick
+            test_pinned_mst_hybrid_digest;
+          Alcotest.test_case "Components.identify_hybrid" `Quick
+            test_pinned_identify_hybrid_digest;
+          Alcotest.test_case "Dist_packing.run_sampled" `Quick
+            test_pinned_spantree_digest;
         ] );
       qsuite "qcheck"
         [
