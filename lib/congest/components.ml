@@ -1,50 +1,64 @@
 module Graph = Graphs.Graph
 
+type marks = { nodes : bool array; edges : bool array }
+
+let marks net ~active ~edge_active =
+  let g = Net.graph net in
+  let nodes = Array.init (Graph.n g) active in
+  let eu, ev = Graph.csr_endpoints g in
+  let edges =
+    Array.init (Graph.m g) (fun e ->
+        let u = eu.(e) and v = ev.(e) in
+        nodes.(u) && nodes.(v) && edge_active u v && edge_active v u)
+  in
+  { nodes; edges }
+
 (* Min-pair flooding restricted to the marked subgraph. Each round every
-   active node broadcasts its current best (value, id); neighbors joined
-   by an active edge adopt smaller pairs. Stops one round after global
-   stabilization (the simulator detects quiescence; a real execution
-   would detect it with a constant-factor doubling horizon). *)
-let flood_pairs net ~active ~edge_active ~init =
-  let n = Net.n net in
-  let best = Array.init n init in
-  let changed = ref true in
-  while !changed do
+   marked node broadcasts its current best (value, id); neighbors joined
+   by a marked edge adopt lexicographically smaller pairs. With no [cap]
+   it stops one round after global stabilization (the simulator detects
+   quiescence; a real execution would detect it with a constant-factor
+   doubling horizon); with [cap] it runs exactly [cap] rounds. The pair
+   lives in two int arrays by vertex, updated in place. *)
+let flood_pairs ?cap net sub value id =
+  let changed = ref true and rounds = ref 0 in
+  let deliver v _ e (m : Net.msg) =
+    let x = m.(0) and i = m.(1) in
+    if sub.edges.(e) && (x < value.(v) || (x = value.(v) && i < id.(v)))
+    then begin
+      value.(v) <- x;
+      id.(v) <- i;
+      changed := true
+    end
+  in
+  let more () = match cap with Some c -> !rounds < c | None -> !changed in
+  while more () do
+    incr rounds;
     changed := false;
     let inboxes =
       Net.broadcast_round net (fun u ->
-          if active u then
-            let value, id = best.(u) in
-            Some [| value; id |]
-          else None)
+          if sub.nodes.(u) then Some [| value.(u); id.(u) |] else None)
     in
-    for v = 0 to n - 1 do
-      if active v then
-        List.iter
-          (fun (sender, m) ->
-            if edge_active sender v && edge_active v sender then begin
-              let pair = (m.(0), m.(1)) in
-              if pair < best.(v) then begin
-                best.(v) <- pair;
-                changed := true
-              end
-            end)
-          inboxes.(v)
-    done
-  done;
-  best
+    Primitives.iter_deliveries net inboxes deliver
+  done
+
+let mask sub a = Array.mapi (fun v x -> if sub.nodes.(v) then x else -1) a
+
+let label net sub =
+  let n = Net.n net in
+  let id = Array.init n Fun.id in
+  flood_pairs net sub (Array.init n Fun.id) id;
+  mask sub id
 
 let identify net ~active ~edge_active =
-  let best = flood_pairs net ~active ~edge_active ~init:(fun u -> (u, u)) in
-  Array.mapi (fun v (_, id) -> if active v then id else -1) best
+  label net (marks net ~active ~edge_active)
 
 let identify_min_value net ~active ~edge_active ~value =
-  let best =
-    flood_pairs net ~active ~edge_active ~init:(fun u -> (value u, u))
-  in
-  let values = Array.mapi (fun v (x, _) -> if active v then x else -1) best in
-  let ids = Array.mapi (fun v (_, id) -> if active v then id else -1) best in
-  (values, ids)
+  let sub = marks net ~active ~edge_active in
+  let n = Net.n net in
+  let values = Array.init n value and ids = Array.init n Fun.id in
+  flood_pairs net sub values ids;
+  (mask sub values, mask sub ids)
 
 (* Capped flooding of (random rank, id) pairs for exactly [cap] rounds.
    Every node adopts the id of the smallest rank within its cap-radius
@@ -54,7 +68,7 @@ let identify_min_value net ~active ~edge_active ~value =
    need not be connected, but any two labels joined by a subgraph edge
    belong to one true component, so contracting labels preserves the
    component structure and the global merge below is exact. *)
-let capped_flood net ~active ~edge_active ~cap ~seed =
+let capped_flood net sub ~cap ~seed =
   let n = Net.n net in
   let rng = Random.State.make [| seed; n; cap |] in
   let rank = Array.init n (fun i -> i) in
@@ -64,29 +78,32 @@ let capped_flood net ~active ~edge_active ~cap ~seed =
     rank.(i) <- rank.(j);
     rank.(j) <- tmp
   done;
-  let best = Array.init n (fun u -> (rank.(u), u)) in
-  for _ = 1 to cap do
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          if active u then
-            let r, id = best.(u) in
-            Some [| r; id |]
-          else None)
-    in
-    for v = 0 to n - 1 do
-      if active v then
-        List.iter
-          (fun (sender, m) ->
-            if edge_active sender v && edge_active v sender then begin
-              let pair = (m.(0), m.(1)) in
-              if pair < best.(v) then best.(v) <- pair
-            end)
-          inboxes.(v)
-    done
-  done;
-  Array.mapi (fun v (_, id) -> if active v then id else -1) best
+  let id = Array.init n Fun.id in
+  flood_pairs ~cap net sub rank id;
+  mask sub id
 
-let identify_hybrid ?cap ?(seed = 1) net ~active ~edge_active =
+(* A node's spanning-forest filter over fragment labels: a union-find
+   keyed by the labels that node has actually seen (an absent label is
+   its own root), so its size is the node's upcast traffic, not n. *)
+module Labels = Hashtbl.Make (Int)
+
+let rec find parent l =
+  match Labels.find parent l with
+  | exception Not_found -> l
+  | p ->
+    let r = find parent p in
+    if r <> p then Labels.replace parent l r;
+    r
+
+let union parent a b =
+  let ra = find parent a and rb = find parent b in
+  if ra = rb then false
+  else begin
+    Labels.replace parent rb ra;
+    true
+  end
+
+let label_hybrid ?cap ?(seed = 1) net sub =
   let n = Net.n net in
   let cap =
     match cap with
@@ -94,75 +111,61 @@ let identify_hybrid ?cap ?(seed = 1) net ~active ~edge_active =
     | None -> int_of_float (ceil (sqrt (float_of_int (max 1 n))))
   in
   (* phase 1: fragments by capped flooding of random ranks *)
-  let frag = capped_flood net ~active ~edge_active ~cap ~seed in
+  let frag = capped_flood net sub ~cap ~seed in
   (* one round: everyone announces its fragment label so crossing edges
-     can be seen locally *)
+     can be seen locally; each node keeps its distinct (min, max) label
+     pairs, newest first *)
   let inboxes =
     Net.broadcast_round net (fun u ->
-        if active u then Some [| frag.(u) |] else None)
+        if sub.nodes.(u) then Some [| frag.(u) |] else None)
   in
   let crossing = Array.make n [] in
-  for v = 0 to n - 1 do
-    if active v then
-      List.iter
-        (fun (sender, m) ->
-          if
-            edge_active sender v && edge_active v sender
-            && m.(0) >= 0 && m.(0) <> frag.(v)
-          then begin
-            let pair = (min m.(0) frag.(v), max m.(0) frag.(v)) in
-            if not (List.mem pair crossing.(v)) then
-              crossing.(v) <- pair :: crossing.(v)
-          end)
-        inboxes.(v)
-  done;
+  Primitives.iter_deliveries net inboxes (fun v _ e m ->
+      let l = m.(0) and f = frag.(v) in
+      if sub.edges.(e) && l >= 0 && l <> f then begin
+        let a = Int.min l f and b = Int.max l f in
+        if
+          not
+            (List.exists
+               (fun (p : Net.msg) -> p.(0) = a && p.(1) = b)
+               crossing.(v))
+        then crossing.(v) <- [| a; b |] :: crossing.(v)
+      end);
   (* phase 2: Kutten-Peleg pipelined upcast of the fragment graph through
      per-node spanning-forest filters *)
   let tree = Primitives.bfs_tree net ~root:0 in
-  let filters = Array.init n (fun _ -> Graphs.Union_find.create n) in
+  let filters = Array.init n (fun _ -> Labels.create 1) in
   let surviving =
     Primitives.pipelined_upcast net tree
-      ~items:(fun u -> List.map (fun (a, b) -> [| a; b |]) crossing.(u))
-      ~filter:(fun v m -> Graphs.Union_find.union filters.(v) m.(0) m.(1))
+      ~items:(fun u -> crossing.(u))
+      ~filter:(fun v m -> union filters.(v) m.(0) m.(1))
   in
-  (* the root solves the fragment components *)
+  (* the root solves the fragment components; the final label of an
+     involved fragment is the minimum fragment label of its class *)
   let root_uf = Graphs.Union_find.create n in
-  List.iter (fun m -> ignore (Graphs.Union_find.union root_uf m.(0) m.(1)))
-    surviving;
-  let involved = Hashtbl.create 64 in
+  let involved = Array.make n false in
   List.iter
-    (fun m ->
-      Hashtbl.replace involved m.(0) ();
-      Hashtbl.replace involved m.(1) ())
+    (fun (m : Net.msg) ->
+      ignore (Graphs.Union_find.union root_uf m.(0) m.(1));
+      involved.(m.(0)) <- true;
+      involved.(m.(1)) <- true)
     surviving;
-  (* final label of an involved fragment = min fragment label of its class *)
-  let class_min = Hashtbl.create 64 in
-  (* lint: allow hashtbl-order — commutative min per class, order-free *)
-  Hashtbl.iter
-    (fun l () ->
+  let class_min = Array.make n max_int and remap = Array.init n Fun.id in
+  for l = 0 to n - 1 do
+    if involved.(l) then begin
       let r = Graphs.Union_find.find root_uf l in
-      match Hashtbl.find_opt class_min r with
-      | Some m when m <= l -> ()
-      | _ -> Hashtbl.replace class_min r l)
-    involved;
-  let mapping =
-    Hashtbl.fold
-      (fun l () acc ->
-        let final = Hashtbl.find class_min (Graphs.Union_find.find root_uf l) in
-        [| l; final |] :: acc)
-      involved []
-    |> List.sort (fun (a : Net.msg) b ->
-           match Int.compare a.(0) b.(0) with
-           | 0 -> Int.compare a.(1) b.(1)
-           | c -> c)
-  in
-  (* phase 3: pipelined downcast of the mapping; fragments not involved in
-     any crossing edge already carry their component's minimum *)
-  Primitives.pipelined_downcast net tree mapping;
-  let remap = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace remap m.(0) m.(1)) mapping;
-  Array.map
-    (fun l ->
-      if l < 0 then -1
-      else match Hashtbl.find_opt remap l with Some f -> f | None -> l)
-    frag
+      if class_min.(r) = max_int then class_min.(r) <- l;
+      remap.(l) <- class_min.(r)
+    end
+  done;
+  (* phase 3: pipelined downcast of the mapping (ascending label);
+     fragments not involved in any crossing edge already carry their
+     component's minimum *)
+  Primitives.pipelined_downcast net tree
+    (List.filter_map
+       (fun l -> if involved.(l) then Some [| l; remap.(l) |] else None)
+       (List.init n Fun.id));
+  Array.map (fun l -> if l < 0 then -1 else remap.(l)) frag
+
+let identify_hybrid ?cap ?seed net ~active ~edge_active =
+  label_hybrid ?cap ?seed net (marks net ~active ~edge_active)

@@ -15,6 +15,27 @@
       any node), the root solves the fragment components, and the
       label mapping is downcast pipelined. *)
 
+(** A marked subgraph as flat tables: [nodes.(v)] by vertex and
+    [edges.(e)] by edge id ({!Graphs.Graph.edge_index}). An edge is
+    marked only if both its endpoints are. Protocol kernels that run many
+    labellings over one subgraph (the Borůvka phases of {!Dist_mst})
+    build these once and update [edges] in place. *)
+type marks = { nodes : bool array; edges : bool array }
+
+(** [marks net ~active ~edge_active] tabulates the predicates: edge
+    [{u, v}] is marked iff [u] and [v] are active and [edge_active] holds
+    in both directions ([edge_active] is only queried on edges whose two
+    endpoints are active). *)
+val marks :
+  Net.t -> active:(int -> bool) -> edge_active:(int -> int -> bool) -> marks
+
+(** [label net sub] is {!identify} on the marked subgraph. *)
+val label : Net.t -> marks -> int array
+
+(** [label_hybrid ?cap ?seed net sub] is {!identify_hybrid} on the
+    marked subgraph. *)
+val label_hybrid : ?cap:int -> ?seed:int -> Net.t -> marks -> int array
+
 (** [identify net ~active ~edge_active] labels every active node with the
     minimum id of its component in the subgraph of active nodes and
     edges [e] with [edge_active u v = true] (only queried on edges whose
@@ -39,7 +60,9 @@ val identify_min_value :
     assumption, not necessarily the minimum id) in
     O(cap + D + #fragments) rounds, [cap] defaulting to ⌈√n⌉. On
     subgraphs with large strong diameter (long paths) this is
-    asymptotically faster than flooding. *)
+    asymptotically faster than flooding. Each node's spanning-forest
+    filter holds only the fragment labels it has relayed, so memory is
+    O(n + upcast traffic), not Θ(n²). *)
 val identify_hybrid :
   ?cap:int ->
   ?seed:int ->

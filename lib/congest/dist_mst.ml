@@ -1,118 +1,125 @@
 module Graph = Graphs.Graph
 
-let no_edge = (max_int, max_int, max_int)
-let is_no_edge w a b = w = max_int && a = max_int && b = max_int
+(* Kernel state is flat: per-node arrays by vertex, and per-edge arrays
+   by edge id. Edge ids follow the canonical (min, max) lexicographic
+   order, so a candidate (w, min u v, max u v) orders exactly like the
+   int pair (w, edge id); the forest is one bool per edge, and scanning
+   it by id yields the sorted edge list. *)
 
-(* Forest edges are canonical (min, max) int pairs; compare them without
-   caml_compare. Ordering matches polymorphic compare on (int * int). *)
-let compare_edge (u1, v1) (u2, v2) =
-  match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
+let none = -1
+
+let lighter (w1 : int) (e1 : int) w2 e2 = w1 < w2 || (w1 = w2 && e1 < e2)
+
+(* [weight u v] once per marked edge, [u < v]; the kernels read weights
+   from this table only *)
+let edge_weights net (sub : Components.marks) weight =
+  let eu, ev = Graph.csr_endpoints (Net.graph net) in
+  Array.mapi (fun e on -> if on then weight eu.(e) ev.(e) else 0) sub.edges
+
+let forest_edges net forest =
+  let eu, ev = Graph.csr_endpoints (Net.graph net) in
+  let acc = ref [] in
+  for e = Array.length forest - 1 downto 0 do
+    if forest.(e) then acc := (eu.(e), ev.(e)) :: !acc
+  done;
+  !acc
+
+(* One round: every marked node announces its fragment label, and each
+   learns its lightest outgoing marked edge, [none] if it has none. *)
+let local_best net (sub : Components.marks) weights labels =
+  let inboxes =
+    Net.broadcast_round net (fun u ->
+        if sub.nodes.(u) then Some [| labels.(u) |] else None)
+  in
+  let best = Array.make (Net.n net) none in
+  Primitives.iter_deliveries net inboxes (fun v _ e m ->
+      let l = m.(0) in
+      if sub.edges.(e) && l >= 0 && l <> labels.(v) then begin
+        let b = best.(v) in
+        if b = none || lighter weights.(e) e weights.(b) b then best.(v) <- e
+      end);
+  best
 
 (* Flood minimum (w, a, b) triples inside fragments (over forest edges)
-   until stable; one round past stabilization, as in Components. *)
-let flood_triples net ~active ~in_fragment ~init =
-  let n = Net.n net in
-  let best = Array.init n init in
+   until stable; one round past stabilization, as in Components. A node
+   with no candidate holds [max_int] in all three and stays silent. *)
+let flood_triples net ~forest bw ba bb =
   let changed = ref true in
+  let deliver v _ e (m : Net.msg) =
+    let w = m.(0) and a = m.(1) and b = m.(2) in
+    if
+      forest.(e)
+      && (w < bw.(v)
+         || (w = bw.(v) && (a < ba.(v) || (a = ba.(v) && b < bb.(v)))))
+    then begin
+      bw.(v) <- w;
+      ba.(v) <- a;
+      bb.(v) <- b;
+      changed := true
+    end
+  in
   while !changed do
     changed := false;
     let inboxes =
       Net.broadcast_round net (fun u ->
-          if active u then
-            let w, a, b = best.(u) in
-            if is_no_edge w a b then None else Some [| w; a; b |]
-          else None)
+          if ba.(u) = max_int then None else Some [| bw.(u); ba.(u); bb.(u) |])
     in
-    for v = 0 to n - 1 do
-      if active v then
-        List.iter
-          (fun (sender, m) ->
-            if in_fragment sender v then begin
-              let t = (m.(0), m.(1), m.(2)) in
-              if t < best.(v) then begin
-                best.(v) <- t;
-                changed := true
-              end
-            end)
-          inboxes.(v)
-    done
+    Primitives.iter_deliveries net inboxes deliver
+  done
+
+(* One Borůvka merge over fragment [labels]: local candidates, the
+   fragment-wide minimum by intra-fragment flooding, then the endpoint
+   whose candidate won declares it and the other endpoint hears the
+   declaration. Returns whether the forest grew. *)
+let merge_phase net sub weights ~forest labels =
+  let n = Net.n net in
+  let eu, ev = Graph.csr_endpoints (Net.graph net) in
+  let cand = local_best net sub weights labels in
+  let bw = Array.make n max_int in
+  let ba = Array.make n max_int and bb = Array.make n max_int in
+  Array.iteri
+    (fun u e ->
+      if e <> none then begin
+        bw.(u) <- weights.(e);
+        ba.(u) <- eu.(e);
+        bb.(u) <- ev.(e)
+      end)
+    cand;
+  flood_triples net ~forest bw ba bb;
+  let declares =
+    Array.init n (fun u ->
+        let e = cand.(u) in
+        e <> none && weights.(e) = bw.(u) && eu.(e) = ba.(u) && ev.(e) = bb.(u))
+  in
+  let inboxes =
+    Net.broadcast_round net (fun u ->
+        if declares.(u) then Some [| bw.(u); ba.(u); bb.(u) |] else None)
+  in
+  let merged = ref false in
+  let add e =
+    if not forest.(e) then begin
+      forest.(e) <- true;
+      merged := true
+    end
+  in
+  for v = 0 to n - 1 do
+    if declares.(v) then add cand.(v)
   done;
-  best
+  (* a declaration names an edge of its sender, so when the receiver is
+     the other endpoint the edge is the one it arrived on *)
+  Primitives.iter_deliveries net inboxes (fun v _ e m ->
+      if v = m.(1) || v = m.(2) then add e);
+  !merged
 
 let minimum_spanning_forest_on net ~active ~edge_active ~weight =
-  let n = Net.n net in
-  let forest = Hashtbl.create 64 in
-  let forest_mem u v =
-    Hashtbl.mem forest (min u v, max u v)
-  in
-  let forest_add u v = Hashtbl.replace forest (min u v, max u v) () in
-  let continue = ref true in
-  while !continue do
-    (* 1. fragment labels over the current forest *)
-    let labels = Components.identify net ~active ~edge_active:forest_mem in
-    (* 2. all nodes announce labels so neighbors can spot outgoing edges *)
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          if active u then Some [| labels.(u) |] else None)
-    in
-    let neighbor_label = Array.make n [] in
-    for v = 0 to n - 1 do
-      neighbor_label.(v) <-
-        List.map (fun (sender, m) -> (sender, m.(0))) inboxes.(v)
-    done;
-    (* 3. local best outgoing edge per node *)
-    let local_best u =
-      if not (active u) then no_edge
-      else
-        List.fold_left
-          (fun acc (v, lv) ->
-            if lv >= 0 && lv <> labels.(u) && edge_active u v && edge_active v u
-            then begin
-              let cand = (weight u v, min u v, max u v) in
-              if cand < acc then cand else acc
-            end
-            else acc)
-          no_edge neighbor_label.(u)
-    in
-    (* 4. fragment-wide minimum by intra-fragment flooding *)
-    let best =
-      flood_triples net ~active ~in_fragment:forest_mem ~init:local_best
-    in
-    (* 5. an endpoint whose local candidate equals its fragment's best
-          declares the merge; the other endpoint hears the declaration *)
-    let declares u =
-      active u && best.(u) <> no_edge && local_best u = best.(u)
-    in
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          if declares u then
-            let w, a, b = best.(u) in
-            Some [| w; a; b |]
-          else None)
-    in
-    let merged = ref false in
-    for v = 0 to n - 1 do
-      if declares v then begin
-        let _, a, b = best.(v) in
-        if v = a || v = b then begin
-          if not (forest_mem a b) then merged := true;
-          forest_add a b
-        end
-      end;
-      List.iter
-        (fun (_, m) ->
-          let a = m.(1) and b = m.(2) in
-          if v = a || v = b then begin
-            if not (forest_mem a b) then merged := true;
-            forest_add a b
-          end)
-        inboxes.(v)
-    done;
-    (* termination: no fragment found an outgoing edge *)
-    if not !merged then continue := false
+  let sub = Components.marks net ~active ~edge_active in
+  let weights = edge_weights net sub weight in
+  let forest = Array.make (Array.length sub.edges) false in
+  let fragments = { sub with Components.edges = forest } in
+  while merge_phase net sub weights ~forest (Components.label net fragments) do
+    ()
   done;
-  Hashtbl.fold (fun (u, v) () acc -> (u, v) :: acc) forest []
-  |> List.sort compare_edge
+  forest_edges net forest
 
 let minimum_spanning_forest net ~weight =
   minimum_spanning_forest_on net
@@ -130,136 +137,63 @@ let minimum_spanning_forest net ~weight =
    global BFS tree (height + #fragments rounds per phase). A one-bit
    "did the flood stabilize" convergecast is charged per local phase. *)
 let minimum_spanning_forest_hybrid ?cap net ~weight =
-  let n = Net.n net in
+  let g = Net.graph net in
+  let n = Graph.n g in
   let cap =
     match cap with
     | Some c -> c
     | None -> int_of_float (ceil (sqrt (float_of_int (max 1 n))))
   in
   let tree = Primitives.bfs_tree net ~root:0 in
-  let forest = Hashtbl.create 64 in
-  let forest_mem u v = Hashtbl.mem forest (min u v, max u v) in
-  let forest_add u v = Hashtbl.replace forest (min u v, max u v) () in
-  let continue = ref true in
-  let global_mode = ref false in
-  let phase = ref 0 in
+  let sub =
+    Components.marks net ~active:(fun _ -> true) ~edge_active:(fun _ _ -> true)
+  in
+  let weights = edge_weights net sub weight in
+  let forest = Array.make (Graph.m g) false in
+  let fragments = { sub with Components.edges = forest } in
+  let eu, ev = Graph.csr_endpoints g in
+  let off = Graph.csr_offsets g in
+  let adj = Graph.csr_neighbors g and ids = Graph.csr_edge_ids g in
 
   (* capped min-id flood over forest edges; returns (labels, stable) *)
   let capped_labels () =
-    let best = Array.init n (fun u -> u) in
+    let best = Array.init n Fun.id in
     for _ = 1 to cap do
-      let inboxes =
-        Net.broadcast_round net (fun u -> Some [| best.(u) |])
-      in
-      for v = 0 to n - 1 do
-        List.iter
-          (fun (sender, m) ->
-            if forest_mem sender v && m.(0) < best.(v) then best.(v) <- m.(0))
-          inboxes.(v)
-      done
+      let inboxes = Net.broadcast_round net (fun u -> Some [| best.(u) |]) in
+      Primitives.iter_deliveries net inboxes (fun v _ e m ->
+          if forest.(e) && m.(0) < best.(v) then best.(v) <- m.(0))
     done;
     (* stability: would one more sweep change anything? (the real protocol
        learns this with a one-bit convergecast, charged below) *)
     let stable = ref true in
     for v = 0 to n - 1 do
-      Array.iter
-        (fun u ->
-          if forest_mem u v && best.(u) < best.(v) then stable := false)
-        (Graph.neighbors (Net.graph net) v)
+      for s = off.(v) to off.(v + 1) - 1 do
+        if forest.(ids.(s)) && best.(adj.(s)) < best.(v) then stable := false
+      done
     done;
     Net.silent_rounds net ((2 * tree.height) + 1);
     (best, !stable)
   in
 
+  let continue = ref true in
+  let global_mode = ref false in
+  let phase = ref 0 in
   while !continue do
     incr phase;
     if not !global_mode then begin
       (* LOCAL phase *)
       let labels, stable = capped_labels () in
       if not stable then global_mode := true
-      else begin
-        let inboxes =
-          Net.broadcast_round net (fun u -> Some [| labels.(u) |])
-        in
-        (* drain the inbox arena now: [local_best] is consulted again
-           (via [declares]) after [flood_triples] and the declaration
-           round have both overwritten it *)
-        let neighbor_label =
-          Array.init n (fun u ->
-              List.map (fun (s, (m : Net.msg)) -> (s, m.(0))) inboxes.(u))
-        in
-        let local_best u =
-          List.fold_left
-            (fun acc (v, lv) ->
-              if lv <> labels.(u) then begin
-                let cand = (weight u v, min u v, max u v) in
-                match acc with Some b when b <= cand -> acc | _ -> Some cand
-              end
-              else acc)
-            None neighbor_label.(u)
-        in
-        let init u =
-          match local_best u with Some t -> t | None -> no_edge
-        in
-        let best =
-          flood_triples net ~active:(fun _ -> true) ~in_fragment:forest_mem
-            ~init
-        in
-        (* declaring endpoints add their fragment's winning edge *)
-        let declares u = best.(u) <> no_edge && init u = best.(u) in
-        let inboxes2 =
-          Net.broadcast_round net (fun u ->
-              if declares u then
-                let w, a, b = best.(u) in
-                Some [| w; a; b |]
-              else None)
-        in
-        let merged = ref false in
-        for v = 0 to n - 1 do
-          if declares v then begin
-            let _, a, b = best.(v) in
-            if v = a || v = b then begin
-              if not (forest_mem a b) then merged := true;
-              forest_add a b
-            end
-          end;
-          List.iter
-            (fun (_, (m : Net.msg)) ->
-              let a = m.(1) and b = m.(2) in
-              if v = a || v = b then begin
-                if not (forest_mem a b) then merged := true;
-                forest_add a b
-              end)
-            inboxes2.(v)
-        done;
-        if not !merged then continue := false
-      end
+      else continue := merge_phase net sub weights ~forest labels
     end
     else begin
       (* GLOBAL phase *)
-      let labels =
-        Components.identify_hybrid ~cap ~seed:!phase net
-          ~active:(fun _ -> true) ~edge_active:forest_mem
-      in
-      let inboxes =
-        Net.broadcast_round net (fun u -> Some [| labels.(u) |])
-      in
-      let local_best = Array.make n None in
-      for u = 0 to n - 1 do
-        List.iter
-          (fun (v, (m : Net.msg)) ->
-            if m.(0) <> labels.(u) then begin
-              let cand = (weight u v, min u v, max u v) in
-              match local_best.(u) with
-              | Some best when best <= cand -> ()
-              | _ -> local_best.(u) <- Some cand
-            end)
-          inboxes.(u)
-      done;
+      let labels = Components.label_hybrid ~cap ~seed:!phase net fragments in
+      let cand = local_best net sub weights labels in
       let values u =
-        match local_best.(u) with
-        | Some (w, a, b) -> [ (labels.(u), [| w; a; b |]) ]
-        | None -> []
+        let e = cand.(u) in
+        if e = none then []
+        else [ (labels.(u), [| weights.(e); eu.(e); ev.(e) |]) ]
       in
       let better (x : Net.msg) (y : Net.msg) =
         if x.(0) <> y.(0) then x.(0) < y.(0)
@@ -268,16 +202,15 @@ let minimum_spanning_forest_hybrid ?cap net ~weight =
       in
       let winners = Primitives.pipelined_converge net tree ~values ~better in
       let edges =
-        List.map (fun (_, m) -> (m.(1), m.(2))) winners
-        |> List.sort_uniq compare_edge
+        List.map (fun (_, (m : Net.msg)) -> Graph.edge_index g m.(1) m.(2)) winners
+        |> List.sort_uniq Int.compare
       in
       if edges = [] then continue := false
       else begin
         Primitives.pipelined_downcast net tree
-          (List.map (fun (a, b) -> [| a; b |]) edges);
-        List.iter (fun (a, b) -> forest_add a b) edges
+          (List.map (fun e -> [| eu.(e); ev.(e) |]) edges);
+        List.iter (fun e -> forest.(e) <- true) edges
       end
     end
   done;
-  Hashtbl.fold (fun (u, v) () acc -> (u, v) :: acc) forest []
-  |> List.sort compare_edge
+  forest_edges net forest

@@ -9,7 +9,9 @@
 (** [minimum_spanning_forest net ~weight] returns the forest edges as
     [(u, v)] pairs with [u < v]. [weight u v] must be a symmetric
     non-negative integer fitting in a word; ties are broken by endpoint
-    ids, so the forest is unique and deterministic. *)
+    ids, so the forest is unique and deterministic. Every variant calls
+    [weight u v] once per (subgraph) edge, with [u < v], before its first
+    round; the edge list comes back sorted. *)
 val minimum_spanning_forest :
   Net.t -> weight:(int -> int -> int) -> (int * int) list
 

@@ -165,7 +165,8 @@ let hottest_live_edge t =
         | None -> Some (e, w)
         | Some (be, bw) ->
           (* deterministic tie-break on the smaller edge id *)
-          if w > bw || (w = bw && e < be) then Some (e, w) else best)
+          if w > bw || (w = bw && compare_pair e be < 0) then Some (e, w)
+          else best)
     t.traffic None
 
 let on_round_start t r =

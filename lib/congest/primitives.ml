@@ -154,43 +154,53 @@ let preprocess net =
   let _ = broadcast_int net tree d_bound in
   (tree, count, d_bound)
 
+(* Inbox senders ascend, and so does [v]'s CSR slice: one forward walk
+   from [v]'s first slot finds every sender's slot, hence its edge id. *)
+let rec walk_inbox adj ids f v s = function
+  | [] -> ()
+  | (sender, m) :: rest as inbox ->
+    if adj.(s) = sender then begin
+      f v sender ids.(s) m;
+      walk_inbox adj ids f v (s + 1) rest
+    end
+    else walk_inbox adj ids f v (s + 1) inbox
+
+let iter_deliveries net inboxes f =
+  let g = Net.graph net in
+  let off = Graph.csr_offsets g in
+  let adj = Graph.csr_neighbors g and ids = Graph.csr_edge_ids g in
+  for v = 0 to Graph.n g - 1 do
+    walk_inbox adj ids f v off.(v) inboxes.(v)
+  done
+
 let pipelined_upcast net tree ~items ~filter =
   let n = Net.n net in
-  let queues = Array.make n [] in
+  let queues = Array.init n (fun _ -> Queue.create ()) in
   for u = 0 to n - 1 do
     (* locally originating items also pass the local filter *)
-    queues.(u) <- List.filter (fun it -> filter u it) (items u)
+    List.iter (fun it -> if filter u it then Queue.add it queues.(u)) (items u)
   done;
   let root_received = ref [] in
-  let pending () = Array.exists (fun q -> q <> []) queues in
+  let pending () = Array.exists (fun q -> not (Queue.is_empty q)) queues in
   while pending () do
-    let heads = Array.make n None in
-    for u = 0 to n - 1 do
-      match queues.(u) with
-      | it :: rest when u <> tree.root ->
-        heads.(u) <- Some it;
-        queues.(u) <- rest
-      | it :: rest when u = tree.root ->
-        (* root consumes its own queue without sending *)
-        ignore it;
-        ignore rest
-      | _ -> ()
-    done;
-    (* the root absorbs its queued items directly *)
-    List.iter (fun it -> root_received := it :: !root_received)
-      (List.rev queues.(tree.root));
-    queues.(tree.root) <- [];
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          match heads.(u) with Some it -> Some it | None -> None)
+    let heads =
+      Array.mapi
+        (fun u q -> if u = tree.root then None else Queue.take_opt q)
+        queues
     in
+    (* the root absorbs its own queued items without sending; they lead
+       the result, latest first *)
+    let own = queues.(tree.root) in
+    root_received := List.of_seq (Queue.to_seq own) @ !root_received;
+    Queue.clear own;
+    let inboxes = Net.broadcast_round net (fun u -> heads.(u)) in
     for v = 0 to n - 1 do
       List.iter
         (fun (sender, m) ->
           if tree.parent.(sender) = v then
             if filter v m then
               if v = tree.root then root_received := m :: !root_received
-              else queues.(v) <- queues.(v) @ [ m ])
+              else Queue.add m queues.(v))
         inboxes.(v)
     done
   done;

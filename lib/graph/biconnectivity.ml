@@ -17,7 +17,7 @@ let run_dfs g ~on_articulation ~on_bridge ~on_component =
     while !continue && not (Stack.is_empty edge_stack) do
       let e = Stack.pop edge_stack in
       comp := e :: !comp;
-      if e = until then continue := false
+      if compare_pair e until = 0 then continue := false
     done;
     if !comp <> [] then on_component (List.sort compare_pair !comp)
   in

@@ -190,6 +190,7 @@ let edge_endpoints g i = (g.eu.(i), g.ev.(i))
 let csr_offsets g = g.off
 let csr_neighbors g = g.adj
 let csr_edge_ids g = g.slot_edge
+let csr_endpoints g = (g.eu, g.ev)
 
 let iter_incident g u f =
   for s = g.off.(u) to g.off.(u + 1) - 1 do

@@ -87,6 +87,11 @@ val csr_neighbors : t -> int array
     undirected edge in [edges g]. *)
 val csr_edge_ids : t -> int array
 
+(** [csr_endpoints g] is [(us, vs)], both of length [m g]: edge [i] is
+    [(us.(i), vs.(i))] with [us.(i) < vs.(i)], as [edge_endpoints g i]
+    returns it. *)
+val csr_endpoints : t -> int array * int array
+
 (** [iter_incident g u f] calls [f v ei] for every neighbor [v] of [u]
     in ascending order, where [ei = edge_index g u v] — without the
     O(log deg) lookup. *)

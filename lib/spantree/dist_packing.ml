@@ -75,9 +75,11 @@ let run_single ?(mst = `Flooding) net tree0 ~edge_in ~lambda ~eps
         done;
         !best
       in
-      let int_weight u v =
-        int_of_float (Float.round (z_of (Graph.edge_index g u v) *. float_of_int n))
+      let int_z =
+        Array.init m (fun i ->
+            int_of_float (Float.round (z_of i *. float_of_int n)))
       in
+      let int_weight u v = int_z.(Graph.edge_index g u v) in
       let mst = solve_mst int_weight in
       (* leader decision (convergecast + broadcast, charged above) *)
       let cost i = exp (alpha *. (z_of i -. zmax)) in

@@ -617,6 +617,40 @@ let test_identify_hybrid_isolated_fragments () =
   Alcotest.(check bool) "arc {3,4}" true (labels.(3) = labels.(4));
   Alcotest.(check bool) "arcs distinct" true (labels.(0) <> labels.(3))
 
+(* Each node's upcast filter holds only the fragment labels it relays:
+   one identification at n = 4096 must allocate far less than the n²
+   words of per-node n-slot union-finds (3n² with ranks and sizes). *)
+let test_identify_hybrid_memory () =
+  let n = 4096 in
+  let g = Gen.random_connected (rng ()) ~n ~extra:n in
+  let edge_active u v = (u + v) mod 3 <> 0 in
+  let net = vnet g in
+  let _, _, major0 = Gc.counters () in
+  let labels =
+    Congest.Components.identify_hybrid net ~active:(fun _ -> true)
+      ~edge_active
+  in
+  let _, _, major1 = Gc.counters () in
+  let major = major1 -. major0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "major words %.0f < n^2 = %d" major (n * n))
+    true
+    (major < float_of_int (n * n));
+  (* and the labelling is the subgraph's component partition *)
+  let sub = Graph.spanning_subgraph g edge_active in
+  let components, _ = Traversal.components sub in
+  Graph.iter_edges
+    (fun u v ->
+      Alcotest.(check int) "endpoints share a label" labels.(u) labels.(v))
+    sub;
+  let sorted = Array.copy labels in
+  Array.sort Int.compare sorted;
+  let distinct = ref 0 in
+  Array.iteri
+    (fun i l -> if i = 0 || sorted.(i - 1) <> l then incr distinct)
+    sorted;
+  Alcotest.(check int) "one label per component" components !distinct
+
 let prop_hybrid_matches_flooding =
   QCheck.Test.make
     ~name:"hybrid component id = flooding component id" ~count:20
@@ -758,6 +792,44 @@ let prop_dist_mst_weight =
       let cw = List.fold_left (fun a (u, v) -> a + weight u v) 0 central in
       Mst.is_spanning_tree ~n forest && dw = cw)
 
+(* Differential: on a random marked subgraph, the distributed forest is
+   exactly centralized Kruskal's. Kruskal sees the subgraph's edges in
+   canonical (min, max) order and breaks weight ties by input position,
+   so both break ties by (w, min u v, max u v). Small weights force
+   ties. *)
+let prop_dist_mst_matches_kruskal =
+  QCheck.Test.make ~name:"Dist_mst on a subgraph = Kruskal edge list"
+    ~count:40
+    QCheck.(triple (int_range 2 24) (int_range 0 30) (int_range 0 9999))
+    (fun (n, extra, seed) ->
+      let rng = Random.State.make [| seed; n; extra |] in
+      let g = Gen.random_connected rng ~n ~extra in
+      let active = Array.init n (fun _ -> Random.State.int rng 5 > 0) in
+      let keep = Array.init (Graph.m g) (fun _ -> Random.State.int rng 4 > 0) in
+      let wt = Array.init (Graph.m g) (fun _ -> Random.State.int rng 4) in
+      let edge_active u v = keep.(Graph.edge_index g u v) in
+      let weight u v = wt.(Graph.edge_index g u v) in
+      let forest =
+        Congest.Dist_mst.minimum_spanning_forest_on (vnet g)
+          ~active:(fun v -> active.(v)) ~edge_active ~weight
+      in
+      let sub_edges =
+        Graph.fold_edges
+          (fun acc u v ->
+            if active.(u) && active.(v) && edge_active u v then
+              { Mst.u; v; w = float_of_int (weight u v) } :: acc
+            else acc)
+          [] g
+        |> List.rev
+      in
+      let kruskal =
+        Mst.kruskal ~n sub_edges
+        |> List.map (fun e -> (e.Mst.u, e.Mst.v))
+        |> List.sort (fun (a1, b1) (a2, b2) ->
+               match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c)
+      in
+      List.equal (fun (a1, b1) (a2, b2) -> a1 = a2 && b1 = b2) forest kruskal)
+
 (* ------------------------------------------------------------------ *)
 
 let prop_words_accounting =
@@ -846,6 +918,8 @@ let () =
             test_identify_hybrid_beats_flooding_on_paths;
           Alcotest.test_case "isolated fragments" `Quick
             test_identify_hybrid_isolated_fragments;
+          Alcotest.test_case "memory below n^2 at n = 4096" `Quick
+            test_identify_hybrid_memory;
         ] );
       ( "knowledge",
         [
@@ -872,5 +946,10 @@ let () =
           Alcotest.test_case "matches flooding MST" `Quick
             test_hybrid_mst_matches;
         ] );
-      qsuite "dist_mst.props" [ prop_dist_mst_weight; prop_hybrid_mst_matches ];
+      qsuite "dist_mst.props"
+        [
+          prop_dist_mst_weight;
+          prop_hybrid_mst_matches;
+          prop_dist_mst_matches_kruskal;
+        ];
     ]

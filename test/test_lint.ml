@@ -388,6 +388,17 @@ let typed_good_sorted_fold =
 
 let typed_bad_fold = "let keys h = Hashtbl.fold (fun k _ acc -> k :: acc) h []\n"
 
+(* polymorphic-compare by operand type: no literal in sight *)
+let typed_tuple_operand = "let f (p : int * int) q = p < q\n"
+
+let typed_tuple_abbrev =
+  "type edge = int * int\nlet same (a : edge) b = a = b\n"
+
+let typed_tuple_array_cell =
+  "let better best v (pair : int * int) = pair < best.(v)\n"
+
+let typed_int_operand = "let f (x : int) y = x < y\n"
+
 (* --- typecheck-error ----------------------------------------------- *)
 
 let test_typecheck_error () =
@@ -802,6 +813,14 @@ let () =
           typed_fires "hashtbl-order" typed_bad_fold "bare fold (typed)";
           typed_silent_on "hashtbl-order" typed_good_sorted_fold
             "piped sort sanctions (typed)";
+          typed_fires "polymorphic-compare" typed_tuple_operand
+            "(<) on a tuple-typed operand";
+          typed_fires "polymorphic-compare" typed_tuple_abbrev
+            "(=) on a tuple abbreviation";
+          typed_fires "polymorphic-compare" typed_tuple_array_cell
+            "(<) against a tuple array cell";
+          typed_silent_on "polymorphic-compare" typed_int_operand
+            "(<) on int operands";
           Alcotest.test_case "ill-typed fixture reported" `Quick
             test_typecheck_error;
         ] );

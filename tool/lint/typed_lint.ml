@@ -478,6 +478,17 @@ let budget_walk ctx region =
 
 (* --- typed ports of the parsetree rules ---------------------------- *)
 
+(* An operand whose type is a tuple once abbreviations are expanded
+   ([let pair = (a, b) in pair < best.(v)], or a [type edge = int * int]
+   value): comparing it is caml_compare over boxed fields, whatever its
+   spelling. A .cmt keeps only the summary of each environment, so it is
+   rebuilt from the unit's load path; if that fails the type is read
+   unexpanded. *)
+let tuple_typed (e : Typedtree.expression) =
+  let env = try Envaux.env_of_only_summary e.exp_env with _ -> e.exp_env in
+  let ty = try Ctype.expand_head env e.exp_type with _ -> e.exp_type in
+  match Types.get_desc ty with Ttuple _ -> true | _ -> false
+
 let typed_rules_walk ctx root =
   (* Hashtbl.fold/iter already wrapped in an order normalizer, keyed by
      source position (mirrors the parsetree sanctioning). *)
@@ -498,7 +509,7 @@ let typed_rules_walk ctx root =
     | Texp_tuple _ | Texp_array _ | Texp_record _ -> true
     | Texp_construct (_, cd, args) -> cd.cstr_arity > 0 && args <> []
     | Texp_variant (_, Some _) -> true
-    | _ -> false
+    | _ -> tuple_typed e
   in
   let ident_rule loc = function
     | [ "Obj"; _ ] ->
@@ -796,10 +807,34 @@ let cross_findings units =
 (* ------------------------------------------------------------------ *)
 (* Loading .cmt files *)
 
+(* Every directory a loaded unit was compiled against joins the load
+   path [tuple_typed] rebuilds environments in. Dune records a
+   placeholder build directory, so a relative entry that does not exist
+   under it is taken relative to the working directory, the build
+   context the lint runs in. *)
+let load_dirs = Hashtbl.create 16
+
+let add_load_path (cmt : Cmt_format.cmt_infos) =
+  if Hashtbl.length load_dirs = 0 then Compmisc.init_path ();
+  List.iter
+    (fun d ->
+      let d =
+        if Filename.is_relative d then
+          let under_builddir = Filename.concat cmt.cmt_builddir d in
+          if Sys.file_exists under_builddir then under_builddir else d
+        else d
+      in
+      if not (Hashtbl.mem load_dirs d) then begin
+        Hashtbl.replace load_dirs d ();
+        Load_path.add_dir d
+      end)
+    cmt.cmt_loadpath
+
 let read_cmt path =
   match Cmt_format.read_cmt path with
   | exception _ -> None
   | cmt -> (
+    add_load_path cmt;
     match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
     | Cmt_format.Implementation str, Some source ->
       Some (source, cmt.Cmt_format.cmt_modname, str)
