@@ -274,6 +274,119 @@ let test_pinned_spantree_digest () =
   check_pinned r ~rounds:5070 ~messages:417969 ~words:929107
     ~digest:"17375ab4478ba5d"
 
+(* Fault and boundary nets, pinned the same way: the broadcast and edge
+   protocols above under each adversary kind. Beside the traffic these
+   pin the losses, both load maxima and the adversary's own event log,
+   so a change in the order the engine consults [node_alive]/[deliver]
+   (the drop RNG draws once per consulted message; the greedy killer
+   reads the traffic it has been shown) flips a constant. *)
+
+let events_checksum evs =
+  List.fold_left
+    (fun acc ev ->
+      let fields =
+        match ev with
+        | Congest.Faults.Crash { round; node } -> [ 1; round; node ]
+        | Congest.Faults.Drop { round; src; dst; words } ->
+          [ 2; round; src; dst; words ]
+        | Congest.Faults.Edge_kill { round; u; v } -> [ 3; round; u; v ]
+      in
+      List.fold_left (fun a x -> ((a * 1000003) + x + 1) land 0xFFFFFFF) acc
+        fields)
+    0 evs
+
+let fault_summary r faults =
+  let t = r.Net.r_second in
+  let evs = Congest.Faults.events faults in
+  Printf.sprintf
+    "deterministic %b, rounds %d, messages %d, words %d, lost %d/%d, loads \
+     %d/%d, digest %x, events %d/%d"
+    (Net.deterministic r) t.Net.t_rounds t.Net.t_messages t.Net.t_words
+    t.Net.t_messages_lost t.Net.t_words_lost t.Net.t_max_node_load
+    t.Net.t_max_edge_load (Net.run_digest t) (List.length evs)
+    (events_checksum evs)
+
+let pinned_fault_specs g =
+  let e i = (Graph.edges g).(i) in
+  [
+    ( "drop+crash",
+      [
+        Congest.Faults.Drop_bernoulli 0.2;
+        Congest.Faults.Crash_at [ (2, 5); (4, 17) ];
+      ] );
+    ( "crash storm",
+      [
+        Congest.Faults.Crash_storm
+          { from_round = 1; per_round = 2; storm_rounds = 4; universe = 64 };
+      ] );
+    ( "edge kills",
+      [ Congest.Faults.Kill_edges_at [ (1, e 0); (1, e 40); (3, e 99) ] ] );
+    ( "greedy edge kill",
+      [
+        Congest.Faults.Greedy_edge_kill
+          { budget = 4; period = 2; from_round = 1 };
+      ] );
+  ]
+
+let run_fault_pinned model protocol specs =
+  let net = Net.create model (pinned_er_graph ()) in
+  let faults = Congest.Faults.create ~seed:9 specs in
+  Congest.Faults.install net faults;
+  let r = Net.replay_check net protocol in
+  fault_summary r faults
+
+let pinned_fault_cases ~driver model protocol expected =
+  List.map2
+    (fun (name, specs) want ->
+      Alcotest.test_case (Printf.sprintf "%s under %s" driver name) `Quick
+        (fun () ->
+          Alcotest.(check string) "fault run" want
+            (run_fault_pinned model protocol specs)))
+    (pinned_fault_specs (pinned_er_graph ()))
+    expected
+
+let pinned_broadcast_fault_cases =
+  pinned_fault_cases ~driver:"broadcast" Congest.Model.V_congest
+    pinned_broadcast_protocol
+    [
+      "deterministic true, rounds 20, messages 6947, words 10431, lost \
+       2024/3039, loads 24/4, digest 2a91ea6be4349d5, events 1761/253377366";
+      "deterministic true, rounds 20, messages 7711, words 11646, lost \
+       768/1112, loads 24/4, digest 17ddc50dd325118, events 6/226486468";
+      "deterministic true, rounds 20, messages 9159, words 13742, lost \
+       89/130, loads 24/4, digest 1fa2a898819f12d, events 92/15909972";
+      "deterministic true, rounds 20, messages 9144, words 13728, lost \
+       104/144, loads 24/4, digest 225ccc1487710ad, events 108/9718018";
+    ]
+
+let pinned_edge_fault_cases =
+  pinned_fault_cases ~driver:"edge" Congest.Model.E_congest
+    pinned_edge_protocol
+    [
+      "deterministic true, rounds 8, messages 3514, words 3514, lost \
+       1012/1012, loads 16/2, digest 229e793cc04c713, events 916/110023130";
+      "deterministic true, rounds 8, messages 4016, words 4016, lost \
+       304/304, loads 16/2, digest 20116ac85e7f884, events 6/226486468";
+      "deterministic true, rounds 8, messages 4586, words 4586, lost 38/38, \
+       loads 16/2, digest 3edf64593d7b81c, events 41/21113484";
+      "deterministic true, rounds 8, messages 4592, words 4592, lost 32/32, \
+       loads 16/2, digest 3e63b5aac468438, events 36/51570562";
+    ]
+
+(* the Appendix G distinguisher runs the vc-approx pipeline with the
+   Alice/Bob midline installed as the net's boundary predicate *)
+let test_pinned_boundary_words () =
+  let r = Random.State.make [| 0xB0; 3 |] in
+  let inst = Lowerbound.Disjointness.random_intersecting r ~h:3 ~density:0.7 in
+  let c = Lowerbound.Construction.build inst ~ell:1 ~w:4 in
+  let rep = Lowerbound.Simulation.distinguish_via_packing ~seed:3 c in
+  Alcotest.(check string) "boundary run"
+    "rounds 1306, boundary bits 12295368, estimate 6"
+    (Printf.sprintf "rounds %d, boundary bits %d, estimate %d"
+       rep.Lowerbound.Simulation.measured_rounds
+       rep.Lowerbound.Simulation.boundary_bits
+       rep.Lowerbound.Simulation.estimate)
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: same seed => bit-identical telemetry, per graph family *)
 
@@ -365,6 +478,12 @@ let () =
           Alcotest.test_case "Dist_packing.run_sampled" `Quick
             test_pinned_spantree_digest;
         ] );
+      ( "pinned fault runs",
+        pinned_broadcast_fault_cases @ pinned_edge_fault_cases
+        @ [
+            Alcotest.test_case "boundary words" `Quick
+              test_pinned_boundary_words;
+          ] );
       qsuite "qcheck"
         [
           prop_erdos_renyi;
