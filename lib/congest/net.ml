@@ -44,7 +44,7 @@ type fault_hook = {
    mutex) happen once in [make_obs]; the per-round path only touches
    atomics. Metrics feed from the same counters the replay digests
    certify but are written out-of-band — attaching or detaching obs
-   cannot change [round_digest] or any telemetry field, so
+   cannot change a round digest or any telemetry field, so
    [replay_check] is oblivious to it by construction. *)
 type obs = {
   o_rounds : Obs.Metrics.counter;
@@ -57,60 +57,38 @@ type obs = {
   o_spans : Obs.Span.t;
 }
 
-(* Per-round per-edge received-word loads. Each direction carries at
-   most [words_budget] words per round, so a whole edge carries at most
-   [2 * words_budget]: when that fits a byte (every default — the
-   budget is the O(log n)-word constant 8), loads pack into a Bytes of
-   one byte per edge instead of a word per edge, an 8x density win that
-   keeps the per-edge bookkeeping cache-resident at m ~ 4M. *)
-type edge_loads = Packed of Bytes.t | Wide of int array
+(* Per-shard tallies of the receive phase: shard k writes only
+   [tally.(k * n_tallies + i)], and the caller folds them into the net's
+   counters in shard order (sums and maxima, so the fold is exact at
+   every width). *)
+let t_messages = 0
+let t_words = 1
+let t_messages_lost = 2
+let t_words_lost = 3
+let t_node_max = 4
+let t_edge_max = 5
+let t_boundary = 6
+let n_tallies = 7
 
-(* Per-net sharding state: a persistent domain team plus the per-shard
-   scratch the two round engines hand out. Present iff the net was
-   created with [domains > 1].
-
-   Shard-merge determinism (DESIGN.md §15): shard k owns the contiguous
-   vertex range [st_bounds.(k), st_bounds.(k+1)) — as senders in phase
-   1, as receivers in phase 2 — and writes only slots indexed by its
-   own vertices or by k itself. Every cross-shard quantity is merged on
-   the calling domain in shard-index order after the team barrier, and
-   the order-sensitive FNV digest fold is not sharded at all: it runs
-   sequentially on the calling domain, overlapped with phase 2. *)
-type shard_state = {
-  st_team : Team.t;
-  st_width : int;
-  st_bounds : int array;  (* width+1 partition bounds over [0, n] *)
-  st_sent : msg option array;  (* broadcast phase 1: per-sender message *)
-  st_fail_u : int array;  (* per shard: sender of first violation, -1 *)
-  st_fail : exn array;  (* per shard: that violation (dummy Not_found) *)
-  st_edge_max : int array;  (* per shard: this round's max edge load *)
-  (* per-shard metrics registries; phase 2 counts deliveries into them
-     and round end merges the snapshots in shard order — the exactness
-     of congest_*_total under sharding rides on [Obs.Metrics.merge]
-     being associative *)
-  st_metrics : Obs.Metrics.t array;
-  st_msg_c : Obs.Metrics.counter array;
-  st_word_c : Obs.Metrics.counter array;
-  mutable st_prev_messages : int;  (* merged counter values, last merge *)
-  mutable st_prev_words : int;
-  (* E-CONGEST arenas, sized 2m lazily on the first sharded edge_round *)
-  mutable st_edge_ready : bool;
-  mutable st_outs : (int * msg) list array;  (* phase 1: per-sender outs *)
-  mutable st_out_msg : msg array;  (* sender-slot -> message this round *)
-  mutable st_out_stamp : int array;  (* sender-slot -> st_tag when sent *)
-  mutable st_mirror : int array;  (* slot (u lists v) -> slot (v lists u) *)
-  mutable st_tag : int;  (* one fresh stamp per sharded edge round *)
+(* Sender-slot arenas, sized 2m on the first round that needs them (any
+   edge round, or a broadcast round under a fault hook). Sender u's
+   traffic to v lives at u's CSR slot for v; the receive phase reads
+   direction (u -> v) from v's own slice through [mirror]. *)
+type arenas = {
+  mirror : int array;  (* slot (u lists v) -> slot (v lists u) *)
+  out_msg : msg array;  (* sender slot -> its edge-round message *)
+  fate : int array;
+      (* sender slot -> [tag] if its message was delivered in round
+         [tag], [-tag] if the fault hook destroyed it; any other value
+         means no message on that slot this round *)
 }
 
 type t = {
   graph : Graph.t;
-  (* CSR views of [graph], captured once: the round loops walk adjacency
-     slots directly, and [csr_ids.(s)] hands each message its edge index
-     without the per-message binary search the seed implementation paid
-     in [account]. *)
+  (* CSR views of [graph], captured once: the round phases walk
+     adjacency slots directly *)
   csr_off : int array;
   csr_adj : int array;
-  csr_ids : int array;
   model : Model.t;
   words_budget : int;
   max_word : int;
@@ -121,25 +99,30 @@ type t = {
   mutable words_lost : int;
   mutable max_node_load : int;
   mutable max_edge_load : int;
-  node_load : int array; (* scratch: words received this round *)
-  edge_load : edge_loads; (* scratch: words over each edge this round *)
   inboxes : (int * msg) list array;
-      (* scratch arena returned by broadcast_round/edge_round; refilled
-         at the start of every round, so its contents are valid only
-         until the next round on the same net *)
-  stamp : int array; (* scratch: duplicate-edge-direction check *)
-  mutable stamp_token : int;
-      (* one fresh token per sender per round; [stamp.(v) = token] iff
-         this sender already loaded edge direction (u,v) this round —
-         the per-node Hashtbl of the seed implementation, flattened *)
+      (* scratch arena returned by broadcast_round/edge_round; every
+         receiver's slot is rewritten each round, so its contents are
+         valid only until the next round on the same net *)
+  sent : msg option array;  (* broadcast send phase: per-sender message *)
+  mutable outs : (int * msg) list array;  (* edge send phase: per sender *)
+  mutable arenas : arenas option;
+  mutable tag : int;  (* one fresh stamp per round *)
+  (* The round engine's domain team (width 1 = no worker domains) and
+     its shard geometry. Shard k owns the contiguous vertex range
+     [bounds.(k), bounds.(k+1)) — as senders in the send phase, as
+     receivers in the receive phase — and writes only slots indexed by
+     its own vertices or by k itself (DESIGN.md §15). *)
+  mutable team : Team.t;
+  bounds : int array;  (* team width + 1 partition bounds over [0, n] *)
+  whole : int array;  (* [| 0; n |]: the width-1 partition *)
+  fail_u : int array;  (* per shard: sender of first violation, -1 *)
+  fail : exn array;  (* per shard: that violation (dummy Not_found) *)
+  tally : int array;  (* per shard: receive-phase tallies, above *)
   mutable boundary : (int -> bool) option;
       (* Alice/Bob side predicate for two-party simulation accounting *)
   mutable boundary_words : int;
   mutable faults : fault_hook option;
-  mutable round_digest : int;
-      (* running hash of this round's delivered and destroyed traffic *)
   mutable digests_rev : int list; (* one digest per message round *)
-  mutable shard : shard_state option;
   mutable obs : obs option;
   (* counter values as of the previous end_round, so obs counters get
      per-round deltas and survive [reset_stats] without double-counting *)
@@ -149,14 +132,14 @@ type t = {
   mutable obs_round_tok : Obs.Span.token option;
 }
 
-let make_shard_state g width =
+(* Degree-weighted contiguous partition: shard k starts at the first
+   vertex whose adjacency begins at or after slot k/width of 2m, so
+   shards carry comparable edge work even on skewed degree profiles
+   (lollipop: the clique core spreads across shards). *)
+let partition g width =
   let n = Graph.n g in
   let off = Graph.csr_offsets g in
   let slots = Array.length (Graph.csr_neighbors g) in
-  (* degree-weighted contiguous partition: shard k starts at the first
-     vertex whose adjacency begins at or after slot k/width of 2m, so
-     shards carry comparable edge work even on skewed degree profiles
-     (lollipop: the clique core spreads across shards) *)
   let bounds = Array.make (width + 1) 0 in
   bounds.(width) <- n;
   let v = ref 0 in
@@ -167,29 +150,7 @@ let make_shard_state g width =
     done;
     bounds.(k) <- !v
   done;
-  let metrics = Array.init width (fun _ -> Obs.Metrics.create ()) in
-  {
-    st_team = Team.create ~width;
-    st_width = width;
-    st_bounds = bounds;
-    st_sent = Array.make n None;
-    st_fail_u = Array.make width (-1);
-    st_fail = Array.make width Not_found;
-    st_edge_max = Array.make width 0;
-    st_metrics = metrics;
-    st_msg_c =
-      Array.map (fun r -> Obs.Metrics.counter r "congest_messages_total") metrics;
-    st_word_c =
-      Array.map (fun r -> Obs.Metrics.counter r "congest_words_total") metrics;
-    st_prev_messages = 0;
-    st_prev_words = 0;
-    st_edge_ready = false;
-    st_outs = [||];
-    st_out_msg = [||];
-    st_out_stamp = [||];
-    st_mirror = [||];
-    st_tag = 0;
-  }
+  bounds
 
 let create ?words_budget ?domains model g =
   let n = Graph.n g in
@@ -209,7 +170,6 @@ let create ?words_budget ?domains model g =
     graph = g;
     csr_off = Graph.csr_offsets g;
     csr_adj = Graph.csr_neighbors g;
-    csr_ids = Graph.csr_edge_ids g;
     model;
     words_budget = budget;
     max_word = Model.max_word ~n;
@@ -220,19 +180,21 @@ let create ?words_budget ?domains model g =
     words_lost = 0;
     max_node_load = 0;
     max_edge_load = 0;
-    node_load = Array.make n 0;
-    edge_load =
-      (if 2 * budget <= 255 then Packed (Bytes.make (Graph.m g) '\000')
-       else Wide (Array.make (Graph.m g) 0));
     inboxes = Array.make n [];
-    stamp = Array.make n 0;
-    stamp_token = 0;
+    sent = Array.make n None;
+    outs = Array.make n [];
+    arenas = None;
+    tag = 0;
+    team = Team.create ~width;
+    bounds = partition g width;
+    whole = [| 0; n |];
+    fail_u = Array.make width (-1);
+    fail = Array.make width Not_found;
+    tally = Array.make (width * n_tallies) 0;
     boundary = None;
     boundary_words = 0;
     faults = None;
-    round_digest = 0;
     digests_rev = [];
-    shard = (if width > 1 then Some (make_shard_state g width) else None);
     obs = None;
     obs_prev_messages = 0;
     obs_prev_words = 0;
@@ -240,15 +202,13 @@ let create ?words_budget ?domains model g =
     obs_round_tok = None;
   }
 
-let domains net =
-  match net.shard with Some st -> st.st_width | None -> 1
+let domains net = Team.width net.team
 
 let shutdown net =
-  match net.shard with
-  | Some st ->
-    net.shard <- None;
-    Team.shutdown st.st_team
-  | None -> ()
+  if Team.width net.team > 1 then begin
+    Team.shutdown net.team;
+    net.team <- Team.create ~width:1
+  end
 
 let make_obs ?(spans = Obs.Span.disabled) metrics =
   {
@@ -285,32 +245,56 @@ let violate ?node ?edge ?budget net detail =
          v_detail = detail;
        })
 
-let check_msg ?node net m =
-  if Array.length m > net.words_budget then
-    violate ?node net ~budget:net.words_budget
-      (Printf.sprintf "message of %d words exceeds budget" (Array.length m));
-  Array.iter
-    (fun w ->
-      if abs w > net.max_word then
-        violate ?node net ~budget:net.max_word
-          (Printf.sprintf "word %d exceeds O(log n) width bound" w))
-    m
+let check_msg net ~node m =
+  let len = Array.length m in
+  if len > net.words_budget then
+    violate ~node net ~budget:net.words_budget
+      (Printf.sprintf "message of %d words exceeds budget" len);
+  for i = 0 to len - 1 do
+    let w = m.(i) in
+    if abs w > net.max_word then
+      violate ~node net ~budget:net.max_word
+        (Printf.sprintf "word %d exceeds O(log n) width bound" w)
+  done
 
 let install_faults net hook = net.faults <- Some hook
 let clear_faults net = net.faults <- None
-let has_faults net = net.faults <> None
+let has_faults net = Option.is_some net.faults
 
-(* [fill] is false on sharded rounds: phase 2 stores (rather than
-   accumulates) every node's load and inbox, and the per-edge array is
-   bypassed entirely in favor of per-shard running maxima. *)
-let begin_round ?(fill = true) net =
-  if fill then begin
-    Array.fill net.node_load 0 (Array.length net.node_load) 0;
-    match net.edge_load with
-    | Packed b -> Bytes.fill b 0 (Bytes.length b) '\000'
-    | Wide a -> Array.fill a 0 (Array.length a) 0
-  end;
-  net.round_digest <- 0;
+(* Fault hooks and boundary predicates are stateful sequential oracles
+   (adversary RNG, cross-cut accounting) whose consultation order is
+   part of the certified semantics: rounds under either run at width 1,
+   where the send phase walks every sender in that one order. *)
+let round_width net =
+  if Option.is_none net.faults && Option.is_none net.boundary then
+    Team.width net.team
+  else 1
+
+let arenas net =
+  match net.arenas with
+  | Some a -> a
+  | None ->
+    let ids = Graph.csr_edge_ids net.graph in
+    let slots = Array.length ids in
+    let mirror = Array.make slots 0 in
+    (* the two slots of each undirected edge point at each other *)
+    let first = Array.make (Graph.m net.graph) (-1) in
+    for s = 0 to slots - 1 do
+      let ei = ids.(s) in
+      if first.(ei) < 0 then first.(ei) <- s
+      else begin
+        mirror.(s) <- first.(ei);
+        mirror.(first.(ei)) <- s
+      end
+    done;
+    let a =
+      { mirror; out_msg = Array.make slots [||]; fate = Array.make slots 0 }
+    in
+    net.arenas <- Some a;
+    a
+
+let begin_round net =
+  net.tag <- net.tag + 1;
   (match net.obs with
   | None -> ()
   | Some o ->
@@ -320,23 +304,36 @@ let begin_round ?(fill = true) net =
   | Some h -> h.on_round_start net.rounds
   | None -> ()
 
-let end_round ?(edge_scan = true) net =
+(* Re-raise the recorded violation of the highest offending sender —
+   the first one a walk over all senders descending meets. Nothing has
+   been counted yet, so the net's counters stay as they were when the
+   round began. *)
+let reraise_failure net width =
+  let worst = ref (-1) and worst_k = ref (-1) in
+  for k = 0 to width - 1 do
+    if net.fail_u.(k) > !worst then begin
+      worst := net.fail_u.(k);
+      worst_k := k
+    end
+  done;
+  if !worst >= 0 then raise net.fail.(!worst_k)
+
+(* Fold the per-shard tallies into the net's counters in shard order,
+   then close the round. *)
+let end_round net ~width ~digest =
+  let tally = net.tally in
+  for k = 0 to width - 1 do
+    let b = k * n_tallies in
+    net.messages <- net.messages + tally.(b + t_messages);
+    net.words <- net.words + tally.(b + t_words);
+    net.messages_lost <- net.messages_lost + tally.(b + t_messages_lost);
+    net.words_lost <- net.words_lost + tally.(b + t_words_lost);
+    net.boundary_words <- net.boundary_words + tally.(b + t_boundary);
+    net.max_node_load <- max net.max_node_load tally.(b + t_node_max);
+    net.max_edge_load <- max net.max_edge_load tally.(b + t_edge_max)
+  done;
   net.rounds <- net.rounds + 1;
-  net.digests_rev <- net.round_digest :: net.digests_rev;
-  Array.iter (fun l -> if l > net.max_node_load then net.max_node_load <- l)
-    net.node_load;
-  if edge_scan then begin
-    match net.edge_load with
-    | Packed b ->
-      for i = 0 to Bytes.length b - 1 do
-        let l = Bytes.get_uint8 b i in
-        if l > net.max_edge_load then net.max_edge_load <- l
-      done
-    | Wide a ->
-      Array.iter
-        (fun l -> if l > net.max_edge_load then net.max_edge_load <- l)
-        a
-  end;
+  net.digests_rev <- digest :: net.digests_rev;
   match net.obs with
   | None -> ()
   | Some o ->
@@ -361,246 +358,140 @@ let end_round ?(edge_scan = true) net =
    fault outcome. *)
 let mix h x = ((h lxor x) * 0x01000193) land 0x3FFFFFFFFFFFFFF
 
-let digest_msg net ~tag ~src ~dst m =
-  let h = mix (mix (mix net.round_digest tag) src) dst in
-  net.round_digest <- Array.fold_left mix h m
+let digest_msg h ~tag ~src ~dst m =
+  Array.fold_left mix (mix (mix (mix h tag) src) dst) m
 
-let alive net u =
-  match net.faults with None -> true | Some h -> h.node_alive u
+(* One V-CONGEST round, in phases over the shard geometry (width 1 runs
+   them inline, one shard covering every node):
 
-let delivered net ~src ~dst m =
-  match net.faults with
-  | None -> true
-  | Some h -> h.deliver ~src ~dst m
+   1. send (sender-sharded): shard k walks its senders descending,
+      validates each message and stores it in [sent]. Under a fault
+      hook (width 1 only) a crashed sender is not asked, and [deliver]
+      decides each outgoing copy in neighbour order, its fate recorded
+      in the sender's slot. The first violation is recorded per shard,
+      and the highest-sender one is re-raised after the barrier, before
+      anything is counted.
+   2. receive (receiver-sharded): shard k assembles each of its inboxes
+      by walking the receiver's CSR slice descending (cons yields
+      senders ascending), and tallies deliveries, losses, the largest
+      node load, the owner-rule (u > v) edge loads and boundary words.
+   3. merge: the caller folds the per-shard tallies in shard order.
 
-(* [ei] is the message's edge index, read off the CSR slot table by the
-   round loops — the seed implementation recomputed it here with an
-   O(log m) polymorphic binary search per message. *)
-let account net ~src ~dst ~ei m =
-  let len = Array.length m in
-  digest_msg net ~tag:1 ~src ~dst m;
-  net.messages <- net.messages + 1;
-  net.words <- net.words + len;
-  net.node_load.(dst) <- net.node_load.(dst) + len;
-  (match net.boundary with
-  | Some side -> if side src <> side dst then
-      net.boundary_words <- net.boundary_words + len
-  | None -> ());
-  match net.edge_load with
-  | Packed b -> Bytes.set_uint8 b ei (Bytes.get_uint8 b ei + len)
-  | Wide a -> a.(ei) <- a.(ei) + len
-
-let lose net ~src ~dst m =
-  digest_msg net ~tag:2 ~src ~dst m;
-  net.messages_lost <- net.messages_lost + 1;
-  net.words_lost <- net.words_lost + Array.length m
-
-(* Both round engines reuse [net.inboxes] as the result arena: refilled
-   with [] here, cons'd into during the sweep, returned to the caller.
-   Valid until the next round on the same net (documented in the .mli);
-   every protocol layer drains its inboxes before the next round.
-
-   Iteration order — senders [nn-1 downto 0], each sender's neighbors
-   ascending — is the seed implementation's order exactly: it is what
-   makes inboxes list senders increasing, and what the round digests
-   (folded per message, in delivery order) certify byte-for-byte. *)
-let fresh_inboxes net =
-  let inboxes = net.inboxes in
-  Array.fill inboxes 0 (Array.length inboxes) [];
-  inboxes
-
-(* The sharded engines take over only when no fault hook and no boundary
-   predicate is installed: both are stateful sequential oracles
-   (adversary RNG, cross-cut accounting) whose consultation order is
-   part of the certified semantics, so rounds under them run the
-   sequential engine — on every width, which keeps domains=N trivially
-   byte-identical to domains=1 there too. *)
-let shard_ready net =
-  match net.shard with
-  | Some _ when net.faults = None && net.boundary = None -> net.shard
-  | _ -> None
-
-(* Re-raise the recorded violation of the highest offending sender —
-   exactly the one the sequential engine (senders swept descending)
-   would have raised first. *)
-let reraise_shard_failure st =
-  let width = st.st_width in
-  let worst = ref (-1) and worst_k = ref (-1) in
-  for k = 0 to width - 1 do
-    if st.st_fail_u.(k) > !worst then begin
-      worst := st.st_fail_u.(k);
-      worst_k := k
-    end
-  done;
-  if !worst >= 0 then raise st.st_fail.(!worst_k)
-
-(* Merge the per-shard delivery counters into the net totals, in shard
-   order, through [Obs.Metrics.merge] — the associative merge is what
-   keeps messages/words exact (and the obs feed in [end_round] then
-   sees ordinary deltas, identical to the sequential engine's). *)
-let merge_shard_counters net st =
-  let merged =
-    Array.fold_left
-      (fun acc reg -> Obs.Metrics.merge acc (Obs.Metrics.snapshot reg))
-      Obs.Metrics.empty st.st_metrics
+   The round digest replays the sends in the order senders descending,
+   neighbours ascending, on the calling domain (overlapped with phase
+   2); it reads only what phase 1 wrote. *)
+let broadcast_round net send =
+  let hook = net.faults in
+  let width = round_width net in
+  let bounds = if width = 1 then net.whole else net.bounds in
+  let mirror, fate =
+    match hook with
+    | None -> ([||], [||])
+    | Some _ ->
+      let a = arenas net in
+      (a.mirror, a.fate)
   in
-  let total name =
-    match Obs.Metrics.find_counter merged name with Some v -> v | None -> 0
+  begin_round net;
+  let tag = net.tag in
+  let faulty = Option.is_some hook in
+  let bounded, side =
+    match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
-  let tm = total "congest_messages_total" in
-  let tw = total "congest_words_total" in
-  net.messages <- net.messages + tm - st.st_prev_messages;
-  net.words <- net.words + tw - st.st_prev_words;
-  st.st_prev_messages <- tm;
-  st.st_prev_words <- tw;
-  for k = 0 to st.st_width - 1 do
-    if st.st_edge_max.(k) > net.max_edge_load then
-      net.max_edge_load <- st.st_edge_max.(k)
-  done
-
-(* One sharded V-CONGEST round. Three phases against the shard-merge
-   determinism boundary:
-
-   1. (parallel) shard k sweeps its senders descending, validates each
-      message and stores it in [st_sent] — per-sender slots, disjoint
-      across shards. First violation is recorded per shard, and the
-      highest-sender one is re-raised after the barrier: the same
-      exception the sequential sweep raises, before any accounting.
-   2. (parallel) shard k sweeps its receivers, assembling each inbox by
-      walking the CSR slice descending (cons yields the ascending
-      sender order the sequential engine produces), storing per-node
-      loads, counting deliveries into its own metrics registry, and
-      tracking the max load over the edges it owns (min endpoint).
-   3. (sequential, overlapped with 2) the calling domain replays the
-      sends in exactly the sequential order — senders descending,
-      neighbors ascending — through the order-sensitive FNV digest
-      fold. The fold reads only [st_sent], so it commutes with 2.
-
-   The merge (shard order, [merge_shard_counters]) then reproduces the
-   sequential counters exactly; no shard result depends on which domain
-   ran which shard. *)
-let broadcast_round_sharded net st send =
-  begin_round ~fill:false net;
   let nn = n net in
   let off = net.csr_off and adj = net.csr_adj in
-  let inboxes = net.inboxes in
-  let node_load = net.node_load in
-  let bounds = st.st_bounds in
-  let sent = st.st_sent in
-  let fail_u = st.st_fail_u and fail = st.st_fail in
-  let edge_max = st.st_edge_max in
-  let msg_c = st.st_msg_c and word_c = st.st_word_c in
+  let inboxes = net.inboxes and sent = net.sent in
+  let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
   let phase_send k =
     fail_u.(k) <- -1;
-    let lo = bounds.(k) and hi = bounds.(k + 1) in
-    let u = ref (hi - 1) in
-    let stopped = ref false in
-    while (not !stopped) && !u >= lo do
+    let lo = bounds.(k) in
+    let u = ref (bounds.(k + 1) - 1) in
+    while !u >= lo do
       let uu = !u in
       (try
-         match send uu with
-         | None -> sent.(uu) <- None
-         | Some m ->
-           check_msg ~node:uu net m;
-           sent.(uu) <- Some m
+         let out =
+           match hook with
+           | Some h when not (h.node_alive uu) -> None
+           | _ -> send uu
+         in
+         sent.(uu) <- out;
+         match (out, hook) with
+         | None, _ -> ()
+         | Some m, None -> check_msg net ~node:uu m
+         | Some m, Some h ->
+           check_msg net ~node:uu m;
+           for s = off.(uu) to off.(uu + 1) - 1 do
+             fate.(s) <- (if h.deliver ~src:uu ~dst:adj.(s) m then tag else -tag)
+           done
        with e ->
          fail_u.(k) <- uu;
          fail.(k) <- e;
-         sent.(uu) <- None;
-         stopped := true);
+         u := lo);
       decr u
     done
   in
   let phase_receive k =
-    let lo = bounds.(k) and hi = bounds.(k + 1) in
-    let msgs = ref 0 and words = ref 0 and emax = ref 0 in
-    for v = lo to hi - 1 do
+    let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
+    let nmax = ref 0 and emax = ref 0 and cross = ref 0 in
+    for v = bounds.(k) to bounds.(k + 1) - 1 do
       let len_v =
         match sent.(v) with Some m -> Array.length m | None -> 0
       in
-      let acc = ref [] and w_in = ref 0 and c_in = ref 0 in
-      for s = off.(v + 1) - 1 downto off.(v) do
-        let u = adj.(s) in
-        (match sent.(u) with
-        | Some m ->
-          let len = Array.length m in
-          acc := (u, m) :: !acc;
-          incr c_in;
-          w_in := !w_in + len;
-          if u > v then begin
-            let tot = len + len_v in
-            if tot > !emax then emax := tot
-          end
-        | None -> if u > v && len_v > !emax then emax := len_v)
+      let acc = ref [] and w_in = ref 0 in
+      for s' = off.(v + 1) - 1 downto off.(v) do
+        let u = adj.(s') in
+        let len_in =
+          match sent.(u) with
+          | None -> 0
+          | Some m ->
+            let len = Array.length m in
+            if faulty && fate.(mirror.(s')) <> tag then begin
+              incr lost;
+              wlost := !wlost + len;
+              0
+            end
+            else begin
+              acc := (u, m) :: !acc;
+              incr msgs;
+              w_in := !w_in + len;
+              if bounded && side u <> side v then cross := !cross + len;
+              len
+            end
+        in
+        if u > v then begin
+          let len_out = if faulty && fate.(s') <> tag then 0 else len_v in
+          if len_in + len_out > !emax then emax := len_in + len_out
+        end
       done;
       inboxes.(v) <- !acc;
-      node_load.(v) <- !w_in;
-      msgs := !msgs + !c_in;
-      words := !words + !w_in
+      words := !words + !w_in;
+      if !w_in > !nmax then nmax := !w_in
     done;
-    edge_max.(k) <- !emax;
-    Obs.Metrics.add msg_c.(k) !msgs;
-    Obs.Metrics.add word_c.(k) !words
+    let b = k * n_tallies in
+    tally.(b + t_messages) <- !msgs;
+    tally.(b + t_words) <- !words;
+    tally.(b + t_messages_lost) <- !lost;
+    tally.(b + t_words_lost) <- !wlost;
+    tally.(b + t_node_max) <- !nmax;
+    tally.(b + t_edge_max) <- !emax;
+    tally.(b + t_boundary) <- !cross
   in
+  let h = ref 0 in
   let digest () =
     for u = nn - 1 downto 0 do
       match sent.(u) with
       | None -> ()
       | Some m ->
         for s = off.(u) to off.(u + 1) - 1 do
-          digest_msg net ~tag:1 ~src:u ~dst:adj.(s) m
+          let t = if faulty && fate.(s) <> tag then 2 else 1 in
+          h := digest_msg !h ~tag:t ~src:u ~dst:adj.(s) m
         done
     done
   in
-  Team.run st.st_team ~shards:st.st_width phase_send;
-  reraise_shard_failure st;
-  Team.run st.st_team ~main:digest ~shards:st.st_width phase_receive;
-  merge_shard_counters net st;
-  end_round ~edge_scan:false net;
+  Team.run net.team ~shards:width phase_send;
+  reraise_failure net width;
+  Team.run net.team ~main:digest ~shards:width phase_receive;
+  end_round net ~width ~digest:!h;
   inboxes
-
-let broadcast_round_seq net send =
-  begin_round net;
-  let nn = n net in
-  let inboxes = fresh_inboxes net in
-  let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
-  (match net.faults with
-  | None ->
-    (* fault-free fast path: no liveness or delivery consultation *)
-    for u = nn - 1 downto 0 do
-      match send u with
-      | None -> ()
-      | Some m ->
-        check_msg ~node:u net m;
-        for s = off.(u) to off.(u + 1) - 1 do
-          let v = adj.(s) in
-          account net ~src:u ~dst:v ~ei:ids.(s) m;
-          inboxes.(v) <- (u, m) :: inboxes.(v)
-        done
-    done
-  | Some h ->
-    for u = nn - 1 downto 0 do
-      if h.node_alive u then
-        match send u with
-        | None -> ()
-        | Some m ->
-          check_msg ~node:u net m;
-          for s = off.(u) to off.(u + 1) - 1 do
-            let v = adj.(s) in
-            if h.deliver ~src:u ~dst:v m then begin
-              account net ~src:u ~dst:v ~ei:ids.(s) m;
-              inboxes.(v) <- (u, m) :: inboxes.(v)
-            end
-            else lose net ~src:u ~dst:v m
-          done
-    done);
-  end_round net;
-  inboxes
-
-let broadcast_round net send =
-  match shard_ready net with
-  | Some st -> broadcast_round_sharded net st send
-  | None -> broadcast_round_seq net send
 
 (* binary search for [v] in [u]'s sorted CSR slice; -1 when absent *)
 let slot_in off adj u v =
@@ -613,168 +504,127 @@ let slot_in off adj u v =
   done;
   !found
 
-let ensure_edge_arenas net st =
-  if not st.st_edge_ready then begin
-    let slots = Array.length net.csr_adj in
-    let ids = net.csr_ids in
-    let mirror = Array.make slots 0 in
-    (* the two slots of each undirected edge point at each other *)
-    let first = Array.make (Graph.m net.graph) (-1) in
-    for s = 0 to slots - 1 do
-      let ei = ids.(s) in
-      if first.(ei) < 0 then first.(ei) <- s
-      else begin
-        mirror.(s) <- first.(ei);
-        mirror.(first.(ei)) <- s
-      end
-    done;
-    st.st_outs <- Array.make (n net) [];
-    st.st_out_msg <- Array.make slots [||];
-    st.st_out_stamp <- Array.make slots 0;
-    st.st_mirror <- mirror;
-    st.st_edge_ready <- true
-  end
-
-(* One sharded E-CONGEST round; same three phases as the broadcast
-   engine, with the per-direction traffic staged in sender-slot arenas:
-   sender u's message to v lives at u's CSR slot for v, stamped with
-   this round's tag, so phase 2 reads direction (u -> v) through
-   [st_mirror] and the duplicate-direction check is one stamp probe. *)
-let edge_round_sharded net st send =
-  ensure_edge_arenas net st;
-  begin_round ~fill:false net;
+(* One E-CONGEST round; the same phases as [broadcast_round], with each
+   message staged at its sender slot: the slot's [fate] stamp doubles as
+   the duplicate-direction check, and under a fault hook [deliver] is
+   consulted right after each message validates, in list order. *)
+let edge_round net send =
+  if net.model = Model.V_congest then
+    violate net "edge_round: per-edge messages illegal in V-CONGEST";
+  let hook = net.faults in
+  let width = round_width net in
+  let bounds = if width = 1 then net.whole else net.bounds in
+  let { mirror; out_msg; fate } = arenas net in
+  begin_round net;
+  let tag = net.tag in
+  let faulty = Option.is_some hook in
+  let bounded, side =
+    match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
+  in
   let nn = n net in
   let off = net.csr_off and adj = net.csr_adj in
-  let inboxes = net.inboxes in
-  let node_load = net.node_load in
-  let bounds = st.st_bounds in
-  let outs_arr = st.st_outs in
-  let out_msg = st.st_out_msg and out_stamp = st.st_out_stamp in
-  let mirror = st.st_mirror in
-  let fail_u = st.st_fail_u and fail = st.st_fail in
-  let edge_max = st.st_edge_max in
-  let msg_c = st.st_msg_c and word_c = st.st_word_c in
-  st.st_tag <- st.st_tag + 1;
-  let tag = st.st_tag in
+  let inboxes = net.inboxes and outs = net.outs in
+  let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
+  let rec stage u = function
+    | [] -> ()
+    | (v, m) :: rest ->
+      let s = slot_in off adj u v in
+      if s < 0 then
+        violate net ~node:u ~edge:(u, v) "edge_round: message along a non-edge";
+      if abs fate.(s) = tag then
+        violate net ~node:u ~edge:(u, v)
+          "edge_round: two messages on one edge direction";
+      fate.(s) <- tag;
+      check_msg net ~node:u m;
+      out_msg.(s) <- m;
+      (match hook with
+      | Some h when not (h.deliver ~src:u ~dst:v m) -> fate.(s) <- -tag
+      | _ -> ());
+      stage u rest
+  in
   let phase_send k =
     fail_u.(k) <- -1;
-    let lo = bounds.(k) and hi = bounds.(k + 1) in
-    let u = ref (hi - 1) in
-    let stopped = ref false in
-    while (not !stopped) && !u >= lo do
+    let lo = bounds.(k) in
+    let u = ref (bounds.(k + 1) - 1) in
+    while !u >= lo do
       let uu = !u in
       (try
-         let outs = send uu in
-         outs_arr.(uu) <- outs;
-         List.iter
-           (fun (v, m) ->
-             let s = slot_in off adj uu v in
-             if s < 0 then
-               violate net ~node:uu ~edge:(uu, v)
-                 "edge_round: message along a non-edge";
-             if out_stamp.(s) = tag then
-               violate net ~node:uu ~edge:(uu, v)
-                 "edge_round: two messages on one edge direction";
-             out_stamp.(s) <- tag;
-             check_msg ~node:uu net m;
-             out_msg.(s) <- m)
-           outs
+         let l =
+           match hook with
+           | Some h when not (h.node_alive uu) -> []
+           | _ -> send uu
+         in
+         outs.(uu) <- l;
+         stage uu l
        with e ->
          fail_u.(k) <- uu;
          fail.(k) <- e;
-         outs_arr.(uu) <- [];
-         stopped := true);
+         u := lo);
       decr u
     done
   in
   let phase_receive k =
-    let lo = bounds.(k) and hi = bounds.(k + 1) in
-    let msgs = ref 0 and words = ref 0 and emax = ref 0 in
-    for v = lo to hi - 1 do
-      let acc = ref [] and w_in = ref 0 and c_in = ref 0 in
+    let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
+    let nmax = ref 0 and emax = ref 0 and cross = ref 0 in
+    for v = bounds.(k) to bounds.(k + 1) - 1 do
+      let acc = ref [] and w_in = ref 0 in
       for s' = off.(v + 1) - 1 downto off.(v) do
         let u = adj.(s') in
         let s = mirror.(s') in
-        if out_stamp.(s) = tag then begin
-          let m = out_msg.(s) in
-          acc := (u, m) :: !acc;
-          incr c_in;
-          w_in := !w_in + Array.length m
-        end;
+        let st = fate.(s) in
+        let len_in =
+          if st = tag then begin
+            let m = out_msg.(s) in
+            let len = Array.length m in
+            acc := (u, m) :: !acc;
+            incr msgs;
+            w_in := !w_in + len;
+            if bounded && side u <> side v then cross := !cross + len;
+            len
+          end
+          else begin
+            if st = -tag then begin
+              incr lost;
+              wlost := !wlost + Array.length out_msg.(s)
+            end;
+            0
+          end
+        in
         if u > v then begin
-          let tot =
-            (if out_stamp.(s) = tag then Array.length out_msg.(s) else 0)
-            + (if out_stamp.(s') = tag then Array.length out_msg.(s') else 0)
+          let len_out =
+            if fate.(s') = tag then Array.length out_msg.(s') else 0
           in
-          if tot > !emax then emax := tot
+          if len_in + len_out > !emax then emax := len_in + len_out
         end
       done;
       inboxes.(v) <- !acc;
-      node_load.(v) <- !w_in;
-      msgs := !msgs + !c_in;
-      words := !words + !w_in
+      words := !words + !w_in;
+      if !w_in > !nmax then nmax := !w_in
     done;
-    edge_max.(k) <- !emax;
-    Obs.Metrics.add msg_c.(k) !msgs;
-    Obs.Metrics.add word_c.(k) !words
+    let b = k * n_tallies in
+    tally.(b + t_messages) <- !msgs;
+    tally.(b + t_words) <- !words;
+    tally.(b + t_messages_lost) <- !lost;
+    tally.(b + t_words_lost) <- !wlost;
+    tally.(b + t_node_max) <- !nmax;
+    tally.(b + t_edge_max) <- !emax;
+    tally.(b + t_boundary) <- !cross
   in
+  let h = ref 0 in
   let digest () =
     for u = nn - 1 downto 0 do
       List.iter
-        (fun (v, m) -> digest_msg net ~tag:1 ~src:u ~dst:v m)
-        outs_arr.(u)
+        (fun (v, m) ->
+          let t = if faulty && fate.(slot_in off adj u v) <> tag then 2 else 1 in
+          h := digest_msg !h ~tag:t ~src:u ~dst:v m)
+        outs.(u)
     done
   in
-  Team.run st.st_team ~shards:st.st_width phase_send;
-  reraise_shard_failure st;
-  Team.run st.st_team ~main:digest ~shards:st.st_width phase_receive;
-  merge_shard_counters net st;
-  end_round ~edge_scan:false net;
+  Team.run net.team ~shards:width phase_send;
+  reraise_failure net width;
+  Team.run net.team ~main:digest ~shards:width phase_receive;
+  end_round net ~width ~digest:!h;
   inboxes
-
-let edge_round_seq net send =
-  begin_round net;
-  let nn = n net in
-  let inboxes = fresh_inboxes net in
-  let stamp = net.stamp in
-  for u = nn - 1 downto 0 do
-    if alive net u then begin
-      let outs = send u in
-      net.stamp_token <- net.stamp_token + 1;
-      let token = net.stamp_token in
-      List.iter
-        (fun (v, m) ->
-          (* one edge_index search yields both the non-edge check and
-             the edge id the seed recomputed later in [account] *)
-          let ei =
-            match Graph.edge_index net.graph u v with
-            | ei -> ei
-            | exception Not_found ->
-              violate net ~node:u ~edge:(u, v)
-                "edge_round: message along a non-edge"
-          in
-          if stamp.(v) = token then
-            violate net ~node:u ~edge:(u, v)
-              "edge_round: two messages on one edge direction";
-          stamp.(v) <- token;
-          check_msg ~node:u net m;
-          if delivered net ~src:u ~dst:v m then begin
-            account net ~src:u ~dst:v ~ei m;
-            inboxes.(v) <- (u, m) :: inboxes.(v)
-          end
-          else lose net ~src:u ~dst:v m)
-        outs
-    end
-  done;
-  end_round net;
-  inboxes
-
-let edge_round net send =
-  if net.model = Model.V_congest then
-    violate net "edge_round: per-edge messages illegal in V-CONGEST";
-  match shard_ready net with
-  | Some st -> edge_round_sharded net st send
-  | None -> edge_round_seq net send
 
 let silent_rounds net k =
   if k < 0 then invalid_arg "Congest.silent_rounds: negative";
@@ -797,12 +647,8 @@ let reset_stats net =
   net.max_node_load <- 0;
   net.max_edge_load <- 0;
   net.boundary_words <- 0;
-  net.round_digest <- 0;
   net.digests_rev <- [];
-  (* obs counters are cumulative across resets: re-base the deltas.
-     The per-shard registries are likewise cumulative (their counters
-     never rewind), so their [st_prev_*] bases are left alone — the
-     next sharded round still merges an exact per-round delta. *)
+  (* obs counters are cumulative across resets: re-base the deltas *)
   net.obs_prev_messages <- 0;
   net.obs_prev_words <- 0;
   net.obs_prev_words_lost <- 0
@@ -816,7 +662,8 @@ type checkpoint = int
 let checkpoint net = net.rounds
 let rounds_since net cp = net.rounds - cp
 
-let node_alive net u = alive net u
+let node_alive net u =
+  match net.faults with None -> true | Some h -> h.node_alive u
 
 (* ------------------------------------------------------------------ *)
 (* Barriers: full-state snapshots for deterministic rollback *)
@@ -830,7 +677,6 @@ type barrier = {
   b_max_node_load : int;
   b_max_edge_load : int;
   b_boundary_words : int;
-  b_round_digest : int;
   b_digests_rev : int list;
   b_restore_faults : (unit -> unit) option;
 }
@@ -845,7 +691,6 @@ let barrier net =
     b_max_node_load = net.max_node_load;
     b_max_edge_load = net.max_edge_load;
     b_boundary_words = net.boundary_words;
-    b_round_digest = net.round_digest;
     b_digests_rev = net.digests_rev;
     b_restore_faults = Option.map (fun h -> h.save ()) net.faults;
   }
@@ -859,7 +704,6 @@ let rollback net b =
   net.max_node_load <- b.b_max_node_load;
   net.max_edge_load <- b.b_max_edge_load;
   net.boundary_words <- b.b_boundary_words;
-  net.round_digest <- b.b_round_digest;
   net.digests_rev <- b.b_digests_rev;
   match b.b_restore_faults with Some restore -> restore () | None -> ()
 

@@ -46,35 +46,35 @@ type t
 (** [create ?words_budget ?domains model g] wraps graph [g].
 
     [domains] (default {!Par.net_domains}, itself 1 unless the CLI's
-    [--domains] raised it) sizes the net's round engine: with
-    [domains > 1] a persistent {!Team} of worker domains is spawned once
-    and every fault-free, boundary-free round is sharded across it —
-    nodes are partitioned into degree-weighted contiguous shards,
-    per-shard scratch results are merged in shard-index order, and the
-    order-sensitive digest fold runs sequentially on the calling domain
-    (overlapped with inbox assembly). The merge discipline makes every
-    observable — inboxes, telemetry, round digests, {!replay_check}
-    verdicts — byte-identical across domain counts: [domains = n]
-    produces exactly the output of [domains = 1].
+    [--domains] raised it) sizes the net's round engine. Every round runs
+    in phases — a send phase over senders, a receive phase over
+    receivers, a merge in shard order — over a partition of the nodes
+    into degree-weighted contiguous shards. With [domains > 1] a
+    persistent {!Team} of worker domains is spawned once and runs the
+    shards of every fault-free, boundary-free round in parallel. The
+    merge discipline makes every observable — inboxes, telemetry, round
+    digests, {!replay_check} verdicts — byte-identical across domain
+    counts: [domains = n] produces exactly the output of [domains = 1].
 
-    Rounds with a fault hook or boundary predicate installed always run
-    the sequential engine (both are stateful sequential oracles whose
-    consultation order is part of the certified semantics). A net
-    created inside an [Exec.Pool] worker or another net's shard clamps
-    to [domains = 1] — outer parallelism wins; see DESIGN.md §15. *)
+    Rounds with a fault hook or boundary predicate installed run at
+    width 1 (both are stateful sequential oracles whose consultation
+    order is part of the certified semantics). A net created inside an
+    [Exec.Pool] worker or another net's shard clamps to [domains = 1] —
+    outer parallelism wins; see DESIGN.md §15. *)
 val create : ?words_budget:int -> ?domains:int -> Model.t -> Graphs.Graph.t -> t
 
 val graph : t -> Graphs.Graph.t
 val model : t -> Model.t
 val n : t -> int
 
-(** Effective domain count of the round engine ([1] = sequential). May
+(** Effective domain count of the round engine ([1] = no worker
+    domains). May
     be less than the [?domains] requested: clamped by node count and by
     the nested-parallelism guard. *)
 val domains : t -> int
 
 (** [shutdown net] joins the net's worker domains, if any; the net stays
-    usable and all subsequent rounds run sequentially. Idempotent.
+    usable and all subsequent rounds run at width 1. Idempotent.
     Without it, teams are joined by an [at_exit] hook — call it eagerly
     when creating many sharded nets in one process. *)
 val shutdown : t -> unit
@@ -127,7 +127,15 @@ val has_faults : t -> bool
     threading the adversary itself. *)
 val node_alive : t -> int -> bool
 
-(** {1 Rounds} *)
+(** {1 Rounds}
+
+    Every message of a round is validated before any is delivered. A
+    round that raises [Protocol_violation] therefore counts nothing:
+    rounds, messages, words, losses, load maxima, boundary words and the
+    digest trace are exactly as they were when the round began. (An
+    installed fault hook has still seen [on_round_start] and the
+    [deliver] calls for the senders validated before the offending
+    one.) *)
 
 (** [broadcast_round net send] performs one round in which node [u]
     locally broadcasts [send u] (or stays silent on [None]).

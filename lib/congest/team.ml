@@ -128,7 +128,7 @@ let run t ?main ~shards fn =
   if shards < 0 then invalid_arg "Congest.Team.run: negative shard count";
   if t.joined && t.width > 1 then
     invalid_arg "Congest.Team.run: team is shut down";
-  if t.width = 1 then begin
+  if t.width = 1 || shards <= 1 then begin
     (match main with Some f -> f () | None -> ());
     for k = 0 to shards - 1 do
       fn k

@@ -33,7 +33,9 @@ val run : t -> ?main:(unit -> unit) -> shards:int -> (int -> unit) -> unit
     [k in 0 .. shards-1] across the team, and [main ()] (default nothing)
     exactly once on the calling domain, concurrently with the shard
     work — the slot used for sequential per-round work (the FNV digest
-    fold) that must not interleave with anything. Returns when all of
+    fold) that must not interleave with anything. With [shards <= 1]
+    (or a width-1 team) everything runs inline on the caller, with no
+    synchronization at all. Returns when all of
     it has finished: every write made by a shard body
     happens-before the return (mutex handshake). If shard bodies raise,
     the exception of the lowest shard index is re-raised here — but the

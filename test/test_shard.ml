@@ -1,10 +1,10 @@
 (* Sharded round engine tests: a net created with [domains > 1] must be
-   byte-identical to the sequential engine — same inboxes (hence same
+   byte-identical to one with [domains = 1] — same inboxes (hence same
    protocol results), same telemetry, same per-round FNV digests, same
    violations — across graph families, models, fault adversaries,
    barriers/rollback, and replay_check. Plus the composition guards:
-   nets created inside Exec.Pool workers clamp to sequential, and the
-   per-shard Obs.Metrics registries merge to exact global counters. *)
+   nets created inside Exec.Pool workers clamp to one domain, and the
+   per-shard tallies merge to exact global counters. *)
 
 open Graphs
 module Net = Congest.Net
@@ -80,8 +80,8 @@ let mixed_protocol net =
 (* ------------------------------------------------------------------ *)
 (* Unit tests *)
 
-(* The pinned seed-implementation digests (test_determinism.ml) must
-   come out of the sharded engine too: domains=4 is the same machine. *)
+(* The pinned digests (test_determinism.ml) must come out at domains=4
+   too: the width changes who runs a shard, never what it computes. *)
 
 let pinned_er_graph () =
   let rng = Random.State.make [| 0xD16; 64 |] in
@@ -128,7 +128,7 @@ let test_pinned_edge_digest_sharded () =
   Net.shutdown net
 
 let test_domains_clamped () =
-  (* requests are clamped by node count; shutdown degrades to sequential
+  (* requests are clamped by node count; shutdown drops to one domain
      but changes nothing observable *)
   let g = Gen.cycle 3 in
   let net = Net.create ~domains:64 Congest.Model.V_congest g in
@@ -136,7 +136,7 @@ let test_domains_clamped () =
   let a = broadcast_phase net 4 in
   let t_sharded = Net.telemetry net in
   Net.shutdown net;
-  Alcotest.(check int) "sequential after shutdown" 1 (Net.domains net);
+  Alcotest.(check int) "one domain after shutdown" 1 (Net.domains net);
   Net.reset_stats net;
   let b = broadcast_phase net 4 in
   Alcotest.(check (list int)) "same result after shutdown" (Array.to_list a)
@@ -147,8 +147,8 @@ let test_domains_clamped () =
   Net.shutdown net
 
 let test_violation_equivalence () =
-  (* the sequential engine raises the violation of the highest offending
-     sender (senders swept descending); the sharded merge must pick the
+  (* the engine raises the violation of the highest offending sender
+     (the first a descending walk meets); the shard merge must pick the
      same one even when offenders land in different shards *)
   let g = Gen.clique 24 in
   let probe domains =
@@ -174,9 +174,9 @@ let test_violation_equivalence () =
   | _ -> Alcotest.fail "expected both engines to raise"
 
 let test_faults_fall_back_identically () =
-  (* with an adversary installed the sharded net must take the
-     sequential path — and therefore agree with domains=1 on every
-     observable, including losses *)
+  (* with an adversary installed a sharded net runs its rounds at width
+     1 — and therefore agrees with domains=1 on every observable,
+     including losses *)
   let g = Gen.harary ~k:4 ~n:24 in
   let faults () =
     Congest.Faults.create ~seed:11
@@ -192,9 +192,9 @@ let test_faults_fall_back_identically () =
   Alcotest.(check (list int)) "identical results" a.o_result b.o_result
 
 let test_faults_toggle_midrun () =
-  (* installing faults mid-run flips a sharded net to the sequential
-     engine for exactly those rounds; clearing them flips it back. The
-     whole interleaving must equal the domains=1 run. *)
+  (* installing faults mid-run drops a sharded net to width 1 for
+     exactly those rounds; clearing them widens it again. The whole
+     interleaving must equal the domains=1 run. *)
   let g = Gen.harary ~k:4 ~n:24 in
   let proto net =
     let a = broadcast_phase net 5 in
@@ -237,8 +237,8 @@ let test_barrier_rollback_sharded () =
     (Net.diff_telemetry straight.o_telemetry t)
 
 let test_obs_counters_exact_under_sharding () =
-  (* the per-shard registries must merge to the exact global counts the
-     obs bundle then re-exports: counter == messages_sent, words too *)
+  (* the per-shard tallies must merge to the exact global counts the obs
+     bundle then re-exports: counter == messages_sent, words too *)
   let g = Gen.harary ~k:6 ~n:32 in
   let metrics = Obs.Metrics.create () in
   let net = Net.create ~domains:4 Congest.Model.E_congest g in
@@ -259,7 +259,7 @@ let test_obs_counters_exact_under_sharding () =
   Net.shutdown net
 
 let test_pool_clamps_nested_nets () =
-  (* a net created inside an Exec.Pool task must clamp to sequential —
+  (* a net created inside an Exec.Pool task must clamp to one domain —
      outer parallelism wins — and still produce identical output *)
   let g = Gen.harary ~k:4 ~n:20 in
   let outside = run_outcome ~model:Congest.Model.V_congest ~domains:1 g
@@ -278,7 +278,7 @@ let test_pool_clamps_nested_nets () =
              (r, d)))
   in
   Array.iter
-    (fun w -> Alcotest.(check int) "nested net is sequential" 1 w)
+    (fun w -> Alcotest.(check int) "nested net has one domain" 1 w)
     widths;
   Array.iter
     (function
@@ -291,9 +291,8 @@ let test_pool_clamps_nested_nets () =
     report.Exec.Pool.results
 
 let test_reset_stats_keeps_merge_exact () =
-  (* reset_stats rebases the counters; the per-shard registries are
-     cumulative, so post-reset sharded rounds must still merge exact
-     per-round deltas (regression for the st_prev_* bookkeeping) *)
+  (* reset_stats zeroes the counters; post-reset sharded rounds must
+     still merge exact per-round tallies *)
   let g = Gen.harary ~k:4 ~n:24 in
   let net = Net.create ~domains:4 Congest.Model.V_congest g in
   ignore (broadcast_phase net 5);
@@ -308,6 +307,52 @@ let test_reset_stats_keeps_merge_exact () =
   Alcotest.(check (pair int int)) "post-reset counters exact"
     (Net.messages_sent seq, Net.words_sent seq)
     after
+
+let counters net =
+  [
+    Net.rounds net; Net.messages_sent net; Net.words_sent net;
+    Net.messages_lost net; Net.words_lost net; Net.max_node_load net;
+    Net.max_edge_load net; Net.boundary_words net;
+  ]
+
+let test_violation_leaves_counters () =
+  (* a round that raises Protocol_violation counts nothing: every
+     counter and the digest trace stay as they were when it began, for
+     both primitives, at every width, and with a fault hook and a
+     boundary predicate installed *)
+  let g = Gen.harary ~k:4 ~n:24 in
+  let probe ~domains ~oracles bad_round =
+    let net = Net.create ~domains Congest.Model.E_congest g in
+    if oracles then begin
+      Congest.Faults.install net
+        (Congest.Faults.create ~seed:4 [ Congest.Faults.Drop_bernoulli 0.3 ]);
+      Net.set_boundary net (fun v -> v < 12)
+    end;
+    ignore (mixed_protocol net);
+    let before = counters net in
+    let trace = (Net.telemetry net).Net.t_digests in
+    (match bad_round net with
+    | _ -> Alcotest.fail "expected a protocol violation"
+    | exception Net.Protocol_violation _ -> ());
+    Alcotest.(check (list int)) "counters unchanged" before (counters net);
+    Alcotest.(check (array int)) "digest trace unchanged" trace
+      (Net.telemetry net).Net.t_digests;
+    Net.shutdown net
+  in
+  let oversized_broadcast net =
+    Net.broadcast_round net (fun u ->
+        if u = 3 then Some (Array.make 99 0) else Some [| u |])
+  in
+  let duplicate_edge net =
+    Net.edge_round net (fun u ->
+        let v = (Graph.neighbors (Net.graph net) u).(0) in
+        if u = 5 then [ (v, [| 1 |]); (v, [| 2 |]) ] else [ (v, [| u |]) ])
+  in
+  List.iter
+    (fun (domains, oracles) ->
+      probe ~domains ~oracles oversized_broadcast;
+      probe ~domains ~oracles duplicate_edge)
+    [ (1, false); (4, false); (1, true); (4, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: domains=1 vs domains=4 byte-identity across families *)
@@ -375,6 +420,38 @@ let prop_under_adversary =
       a.o_result = b.o_result && a.o_digest = b.o_digest
       && Net.diff_telemetry a.o_telemetry b.o_telemetry = [])
 
+let prop_mixed_under_adversary =
+  QCheck.Test.make
+    ~name:"shard identity of the E-CONGEST mix under fault adversaries"
+    ~count:9
+    QCheck.(pair (int_range 0 999) (int_range 0 2))
+    (fun (seed, which) ->
+      let rng = Random.State.make [| seed; 29 |] in
+      let g = Gen.erdos_renyi rng ~n:24 ~p:0.3 in
+      QCheck.assume (Traversal.is_connected g);
+      let specs =
+        match which with
+        | 0 -> [ Congest.Faults.Drop_bernoulli 0.25 ]
+        | 1 ->
+          [ Congest.Faults.Crash_at [ (2, seed mod 24); (11, (seed / 7) mod 24) ] ]
+        | _ ->
+          [
+            Congest.Faults.Greedy_edge_kill
+              { budget = 3; period = 3; from_round = 2 };
+          ]
+      in
+      let faults () = Congest.Faults.create ~seed specs in
+      let a =
+        run_outcome ~faults ~model:Congest.Model.E_congest ~domains:1 g
+          mixed_protocol
+      in
+      let b =
+        run_outcome ~faults ~model:Congest.Model.E_congest ~domains:4 g
+          mixed_protocol
+      in
+      a.o_result = b.o_result && a.o_digest = b.o_digest
+      && Net.diff_telemetry a.o_telemetry b.o_telemetry = [])
+
 let () =
   Alcotest.run "shard"
     [
@@ -391,6 +468,8 @@ let () =
             test_domains_clamped;
           Alcotest.test_case "violation picks the highest sender" `Quick
             test_violation_equivalence;
+          Alcotest.test_case "violation leaves the counters" `Quick
+            test_violation_leaves_counters;
           Alcotest.test_case "faults fall back identically" `Quick
             test_faults_fall_back_identically;
           Alcotest.test_case "faults toggling mid-run" `Quick
@@ -411,6 +490,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_erdos_renyi; prop_random_regular; prop_lollipop;
-            prop_under_adversary;
+            prop_under_adversary; prop_mixed_under_adversary;
           ] );
     ]
