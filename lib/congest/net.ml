@@ -77,6 +77,7 @@ let n_tallies = 7
 type arenas = {
   mirror : int array;  (* slot (u lists v) -> slot (v lists u) *)
   out_msg : msg array;  (* sender slot -> its edge-round message *)
+  out_hash : int array;  (* sender slot -> that message's payload hash *)
   fate : int array;
       (* sender slot -> [tag] if its message was delivered in round
          [tag], [-tag] if the fault hook destroyed it; any other value
@@ -103,8 +104,12 @@ type t = {
       (* scratch arena returned by broadcast_round/edge_round; every
          receiver's slot is rewritten each round, so its contents are
          valid only until the next round on the same net *)
-  sent : msg option array;  (* broadcast send phase: per-sender message *)
-  mutable outs : (int * msg) list array;  (* edge send phase: per sender *)
+  (* broadcast send phase, per sender: its message, that message's
+     length (-1 = silent this round) and payload hash *)
+  sent : msg array;
+  sent_len : int array;
+  sent_hash : int array;
+  rdig : int array;  (* receive phase: per-receiver traffic hash *)
   mutable arenas : arenas option;
   mutable tag : int;  (* one fresh stamp per round *)
   (* The round engine's domain team (width 1 = no worker domains) and
@@ -181,8 +186,10 @@ let create ?words_budget ?domains model g =
     max_node_load = 0;
     max_edge_load = 0;
     inboxes = Array.make n [];
-    sent = Array.make n None;
-    outs = Array.make n [];
+    sent = Array.make n [||];
+    sent_len = Array.make n (-1);
+    sent_hash = Array.make n 0;
+    rdig = Array.make n 0;
     arenas = None;
     tag = 0;
     team = Team.create ~width;
@@ -245,17 +252,36 @@ let violate ?node ?edge ?budget net detail =
          v_detail = detail;
        })
 
-let check_msg net ~node m =
+(* FNV-style mix. The round digest is built per receiver: the receive
+   phase folds each receiver's in-traffic — for each message, in the
+   order it walks the receiver's slice (senders descending), the tag
+   (1 delivered, 2 destroyed), the sender and the payload hash — into a
+   hash seeded with the receiver's id, and the caller folds those
+   hashes in receiver order. Two executions agree on a round's digest
+   iff they moved bit-identical traffic with an identical fault outcome
+   (DESIGN.md §7). *)
+let mix h x = ((h lxor x) * 0x01000193) land 0x3FFFFFFFFFFFFFF
+
+let digest_in h ~tag ~src hm = mix (mix (mix h tag) src) hm
+
+(* [validate net ~node m] checks [m] against the word budget and width
+   bound and returns its payload hash, the FNV fold of its words: each
+   payload is read once, by its sender's shard, and the receive phase
+   hashes only ints. *)
+let validate net ~node m =
   let len = Array.length m in
   if len > net.words_budget then
     violate ~node net ~budget:net.words_budget
       (Printf.sprintf "message of %d words exceeds budget" len);
+  let h = ref 0 in
   for i = 0 to len - 1 do
     let w = m.(i) in
     if abs w > net.max_word then
       violate ~node net ~budget:net.max_word
-        (Printf.sprintf "word %d exceeds O(log n) width bound" w)
-  done
+        (Printf.sprintf "word %d exceeds O(log n) width bound" w);
+    h := mix !h w
+  done;
+  !h
 
 let install_faults net hook = net.faults <- Some hook
 let clear_faults net = net.faults <- None
@@ -288,10 +314,23 @@ let arenas net =
       end
     done;
     let a =
-      { mirror; out_msg = Array.make slots [||]; fate = Array.make slots 0 }
+      {
+        mirror;
+        out_msg = Array.make slots [||];
+        out_hash = Array.make slots 0;
+        fate = Array.make slots 0;
+      }
     in
     net.arenas <- Some a;
     a
+
+let round_digest net =
+  let rdig = net.rdig in
+  let h = ref 0 in
+  for v = 0 to Array.length rdig - 1 do
+    h := mix !h rdig.(v)
+  done;
+  !h
 
 let begin_round net =
   net.tag <- net.tag + 1;
@@ -320,7 +359,7 @@ let reraise_failure net width =
 
 (* Fold the per-shard tallies into the net's counters in shard order,
    then close the round. *)
-let end_round net ~width ~digest =
+let end_round net ~width =
   let tally = net.tally in
   for k = 0 to width - 1 do
     let b = k * n_tallies in
@@ -333,7 +372,7 @@ let end_round net ~width ~digest =
     net.max_edge_load <- max net.max_edge_load tally.(b + t_edge_max)
   done;
   net.rounds <- net.rounds + 1;
-  net.digests_rev <- digest :: net.digests_rev;
+  net.digests_rev <- round_digest net :: net.digests_rev;
   match net.obs with
   | None -> ()
   | Some o ->
@@ -352,15 +391,6 @@ let end_round net ~width ~digest =
       Obs.Span.finish o.o_spans tok
     | None -> ())
 
-(* FNV-style mix; folded over (src, dst, payload) of every message the
-   round moves — delivered or destroyed — so two executions agree on a
-   round's digest iff they moved bit-identical traffic with an identical
-   fault outcome. *)
-let mix h x = ((h lxor x) * 0x01000193) land 0x3FFFFFFFFFFFFFF
-
-let digest_msg h ~tag ~src ~dst m =
-  Array.fold_left mix (mix (mix (mix h tag) src) dst) m
-
 (* One V-CONGEST round, in phases over the shard geometry (width 1 runs
    them inline, one shard covering every node):
 
@@ -373,13 +403,11 @@ let digest_msg h ~tag ~src ~dst m =
       anything is counted.
    2. receive (receiver-sharded): shard k assembles each of its inboxes
       by walking the receiver's CSR slice descending (cons yields
-      senders ascending), and tallies deliveries, losses, the largest
-      node load, the owner-rule (u > v) edge loads and boundary words.
-   3. merge: the caller folds the per-shard tallies in shard order.
-
-   The round digest replays the sends in the order senders descending,
-   neighbours ascending, on the calling domain (overlapped with phase
-   2); it reads only what phase 1 wrote. *)
+      senders ascending), hashes the receiver's in-traffic, and tallies
+      deliveries, losses, the largest node load, the owner-rule (u > v)
+      edge loads and boundary words.
+   3. merge: the caller folds the per-shard tallies in shard order and
+      the per-receiver hashes in receiver order. *)
 let broadcast_round net send =
   let hook = net.faults in
   let width = round_width net in
@@ -397,9 +425,10 @@ let broadcast_round net send =
   let bounded, side =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
-  let nn = n net in
   let off = net.csr_off and adj = net.csr_adj in
-  let inboxes = net.inboxes and sent = net.sent in
+  let inboxes = net.inboxes and rdig = net.rdig in
+  let sent = net.sent and sent_len = net.sent_len
+  and sent_hash = net.sent_hash in
   let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
   let phase_send k =
     fail_u.(k) <- -1;
@@ -413,15 +442,19 @@ let broadcast_round net send =
            | Some h when not (h.node_alive uu) -> None
            | _ -> send uu
          in
-         sent.(uu) <- out;
-         match (out, hook) with
-         | None, _ -> ()
-         | Some m, None -> check_msg net ~node:uu m
-         | Some m, Some h ->
-           check_msg net ~node:uu m;
-           for s = off.(uu) to off.(uu + 1) - 1 do
-             fate.(s) <- (if h.deliver ~src:uu ~dst:adj.(s) m then tag else -tag)
-           done
+         match out with
+         | None -> sent_len.(uu) <- -1
+         | Some m ->
+           sent_hash.(uu) <- validate net ~node:uu m;
+           sent.(uu) <- m;
+           sent_len.(uu) <- Array.length m;
+           (match hook with
+           | None -> ()
+           | Some h ->
+             for s = off.(uu) to off.(uu + 1) - 1 do
+               fate.(s) <-
+                 (if h.deliver ~src:uu ~dst:adj.(s) m then tag else -tag)
+             done)
        with e ->
          fail_u.(k) <- uu;
          fail.(k) <- e;
@@ -433,29 +466,27 @@ let broadcast_round net send =
     let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
     let nmax = ref 0 and emax = ref 0 and cross = ref 0 in
     for v = bounds.(k) to bounds.(k + 1) - 1 do
-      let len_v =
-        match sent.(v) with Some m -> Array.length m | None -> 0
-      in
-      let acc = ref [] and w_in = ref 0 in
+      let len_v = max 0 sent_len.(v) in
+      let acc = ref [] and w_in = ref 0 and h = ref v in
       for s' = off.(v + 1) - 1 downto off.(v) do
         let u = adj.(s') in
+        let len = sent_len.(u) in
         let len_in =
-          match sent.(u) with
-          | None -> 0
-          | Some m ->
-            let len = Array.length m in
-            if faulty && fate.(mirror.(s')) <> tag then begin
-              incr lost;
-              wlost := !wlost + len;
-              0
-            end
-            else begin
-              acc := (u, m) :: !acc;
-              incr msgs;
-              w_in := !w_in + len;
-              if bounded && side u <> side v then cross := !cross + len;
-              len
-            end
+          if len < 0 then 0
+          else if faulty && fate.(mirror.(s')) <> tag then begin
+            h := digest_in !h ~tag:2 ~src:u sent_hash.(u);
+            incr lost;
+            wlost := !wlost + len;
+            0
+          end
+          else begin
+            h := digest_in !h ~tag:1 ~src:u sent_hash.(u);
+            acc := (u, sent.(u)) :: !acc;
+            incr msgs;
+            w_in := !w_in + len;
+            if bounded && side u <> side v then cross := !cross + len;
+            len
+          end
         in
         if u > v then begin
           let len_out = if faulty && fate.(s') <> tag then 0 else len_v in
@@ -463,6 +494,7 @@ let broadcast_round net send =
         end
       done;
       inboxes.(v) <- !acc;
+      rdig.(v) <- !h;
       words := !words + !w_in;
       if !w_in > !nmax then nmax := !w_in
     done;
@@ -475,22 +507,10 @@ let broadcast_round net send =
     tally.(b + t_edge_max) <- !emax;
     tally.(b + t_boundary) <- !cross
   in
-  let h = ref 0 in
-  let digest () =
-    for u = nn - 1 downto 0 do
-      match sent.(u) with
-      | None -> ()
-      | Some m ->
-        for s = off.(u) to off.(u + 1) - 1 do
-          let t = if faulty && fate.(s) <> tag then 2 else 1 in
-          h := digest_msg !h ~tag:t ~src:u ~dst:adj.(s) m
-        done
-    done
-  in
   Team.run net.team ~shards:width phase_send;
   reraise_failure net width;
-  Team.run net.team ~main:digest ~shards:width phase_receive;
-  end_round net ~width ~digest:!h;
+  Team.run net.team ~shards:width phase_receive;
+  end_round net ~width;
   inboxes
 
 (* binary search for [v] in [u]'s sorted CSR slice; -1 when absent *)
@@ -514,16 +534,14 @@ let edge_round net send =
   let hook = net.faults in
   let width = round_width net in
   let bounds = if width = 1 then net.whole else net.bounds in
-  let { mirror; out_msg; fate } = arenas net in
+  let { mirror; out_msg; out_hash; fate } = arenas net in
   begin_round net;
   let tag = net.tag in
-  let faulty = Option.is_some hook in
   let bounded, side =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
-  let nn = n net in
   let off = net.csr_off and adj = net.csr_adj in
-  let inboxes = net.inboxes and outs = net.outs in
+  let inboxes = net.inboxes and rdig = net.rdig in
   let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
   let rec stage u = function
     | [] -> ()
@@ -535,7 +553,7 @@ let edge_round net send =
         violate net ~node:u ~edge:(u, v)
           "edge_round: two messages on one edge direction";
       fate.(s) <- tag;
-      check_msg net ~node:u m;
+      out_hash.(s) <- validate net ~node:u m;
       out_msg.(s) <- m;
       (match hook with
       | Some h when not (h.deliver ~src:u ~dst:v m) -> fate.(s) <- -tag
@@ -554,7 +572,6 @@ let edge_round net send =
            | Some h when not (h.node_alive uu) -> []
            | _ -> send uu
          in
-         outs.(uu) <- l;
          stage uu l
        with e ->
          fail_u.(k) <- uu;
@@ -567,7 +584,7 @@ let edge_round net send =
     let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
     let nmax = ref 0 and emax = ref 0 and cross = ref 0 in
     for v = bounds.(k) to bounds.(k + 1) - 1 do
-      let acc = ref [] and w_in = ref 0 in
+      let acc = ref [] and w_in = ref 0 and h = ref v in
       for s' = off.(v + 1) - 1 downto off.(v) do
         let u = adj.(s') in
         let s = mirror.(s') in
@@ -576,6 +593,7 @@ let edge_round net send =
           if st = tag then begin
             let m = out_msg.(s) in
             let len = Array.length m in
+            h := digest_in !h ~tag:1 ~src:u out_hash.(s);
             acc := (u, m) :: !acc;
             incr msgs;
             w_in := !w_in + len;
@@ -584,6 +602,7 @@ let edge_round net send =
           end
           else begin
             if st = -tag then begin
+              h := digest_in !h ~tag:2 ~src:u out_hash.(s);
               incr lost;
               wlost := !wlost + Array.length out_msg.(s)
             end;
@@ -598,6 +617,7 @@ let edge_round net send =
         end
       done;
       inboxes.(v) <- !acc;
+      rdig.(v) <- !h;
       words := !words + !w_in;
       if !w_in > !nmax then nmax := !w_in
     done;
@@ -610,20 +630,10 @@ let edge_round net send =
     tally.(b + t_edge_max) <- !emax;
     tally.(b + t_boundary) <- !cross
   in
-  let h = ref 0 in
-  let digest () =
-    for u = nn - 1 downto 0 do
-      List.iter
-        (fun (v, m) ->
-          let t = if faulty && fate.(slot_in off adj u v) <> tag then 2 else 1 in
-          h := digest_msg !h ~tag:t ~src:u ~dst:v m)
-        outs.(u)
-    done
-  in
   Team.run net.team ~shards:width phase_send;
   reraise_failure net width;
-  Team.run net.team ~main:digest ~shards:width phase_receive;
-  end_round net ~width ~digest:!h;
+  Team.run net.team ~shards:width phase_receive;
+  end_round net ~width;
   inboxes
 
 let silent_rounds net k =

@@ -27,7 +27,7 @@ let nop (_ : int) = ()
 
 (* Claim and execute shards until the cursor is exhausted. Called with
    [mu] held; returns with [mu] held. Runs on workers and on the caller
-   (which joins in after [?main]) alike. *)
+   alike. *)
 let rec drain t =
   if t.next_shard < t.total_shards then begin
     let k = t.next_shard in
@@ -124,12 +124,11 @@ let create ~width =
   end;
   t
 
-let run t ?main ~shards fn =
+let run t ~shards fn =
   if shards < 0 then invalid_arg "Congest.Team.run: negative shard count";
   if t.joined && t.width > 1 then
     invalid_arg "Congest.Team.run: team is shut down";
   if t.width = 1 || shards <= 1 then begin
-    (match main with Some f -> f () | None -> ());
     for k = 0 to shards - 1 do
       fn k
     done
@@ -141,9 +140,6 @@ let run t ?main ~shards fn =
     t.total_shards <- shards;
     t.next_shard <- 0;
     Condition.broadcast t.work;
-    Mutex.unlock t.mu;
-    (match main with Some f -> f () | None -> ());
-    Mutex.lock t.mu;
     drain t;
     while not (t.next_shard >= t.total_shards && t.active = 0) do
       Condition.wait t.finished t.mu

@@ -28,21 +28,18 @@ val create : width:int -> t
 
 val width : t -> int
 
-val run : t -> ?main:(unit -> unit) -> shards:int -> (int -> unit) -> unit
-(** [run t ?main ~shards fn] executes [fn k] once for every
-    [k in 0 .. shards-1] across the team, and [main ()] (default nothing)
-    exactly once on the calling domain, concurrently with the shard
-    work — the slot used for sequential per-round work (the FNV digest
-    fold) that must not interleave with anything. With [shards <= 1]
-    (or a width-1 team) everything runs inline on the caller, with no
-    synchronization at all. Returns when all of
-    it has finished: every write made by a shard body
-    happens-before the return (mutex handshake). If shard bodies raise,
-    the exception of the lowest shard index is re-raised here — but the
-    round engines record violations per shard and merge them
-    themselves, so in [Net] this path means a bug, not a protocol
-    violation. Not reentrant: one [run] per team at a time; shard
-    bodies must not call [run] on their own team. *)
+val run : t -> shards:int -> (int -> unit) -> unit
+(** [run t ~shards fn] executes [fn k] once for every
+    [k in 0 .. shards-1] across the team, the calling domain included.
+    With [shards <= 1] (or a width-1 team) the shards run inline on the
+    caller, with no synchronization at all. Returns when all of them
+    have finished: every write made by a shard body happens-before the
+    return (mutex handshake). If shard bodies raise, the exception of
+    the lowest shard index is re-raised here — but the round engine
+    records violations per shard and merges them itself, so in [Net]
+    this path means a bug, not a protocol violation. Not reentrant: one
+    [run] per team at a time; shard bodies must not call [run] on their
+    own team. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent. Forgetting to call it

@@ -104,7 +104,7 @@ let test_pinned_broadcast_digest_sharded () =
              ~rounds:8))
   in
   Alcotest.(check bool) "deterministic" true (Net.deterministic r);
-  Alcotest.(check string) "pinned digest" "1b2a4ab14466792"
+  Alcotest.(check string) "pinned digest" "3ae42f461a0db5a"
     (Printf.sprintf "%x" (Net.run_digest r.Net.r_second));
   Net.shutdown net
 
@@ -123,7 +123,7 @@ let test_pinned_edge_digest_sharded () =
         done)
   in
   Alcotest.(check bool) "deterministic" true (Net.deterministic r);
-  Alcotest.(check string) "pinned digest" "3aaee12c3814a68"
+  Alcotest.(check string) "pinned digest" "3e917f6b5943490"
     (Printf.sprintf "%x" (Net.run_digest r.Net.r_second));
   Net.shutdown net
 
