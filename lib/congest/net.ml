@@ -101,9 +101,9 @@ type t = {
   mutable max_node_load : int;
   mutable max_edge_load : int;
   inboxes : (int * msg) list array;
-      (* scratch arena returned by broadcast_round/edge_round; every
-         receiver's slot is rewritten each round, so its contents are
-         valid only until the next round on the same net *)
+      (* scratch arena returned by broadcast_round/edge_round; cleared
+         and refilled every round, so its contents are valid only until
+         the next round on the same net *)
   (* broadcast send phase, per sender: its message, that message's
      length (-1 = silent this round) and payload hash *)
   sent : msg array;
@@ -334,6 +334,9 @@ let round_digest net =
 
 let begin_round net =
   net.tag <- net.tag + 1;
+  (* drop last round's inboxes now: a minor collection during this
+     round would otherwise promote every list still reachable *)
+  Array.fill net.inboxes 0 (Array.length net.inboxes) [];
   (match net.obs with
   | None -> ()
   | Some o ->
@@ -543,10 +546,16 @@ let edge_round net send =
   let off = net.csr_off and adj = net.csr_adj in
   let inboxes = net.inboxes and rdig = net.rdig in
   let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
-  let rec stage u = function
+  (* [next] is the slot after the previous target's: protocols list
+     targets in neighbour order, so it is usually the slot sought and
+     the binary search is skipped *)
+  let rec stage u next = function
     | [] -> ()
     | (v, m) :: rest ->
-      let s = slot_in off adj u v in
+      let s =
+        if next < off.(u + 1) && adj.(next) = v then next
+        else slot_in off adj u v
+      in
       if s < 0 then
         violate net ~node:u ~edge:(u, v) "edge_round: message along a non-edge";
       if abs fate.(s) = tag then
@@ -558,7 +567,7 @@ let edge_round net send =
       (match hook with
       | Some h when not (h.deliver ~src:u ~dst:v m) -> fate.(s) <- -tag
       | _ -> ());
-      stage u rest
+      stage u (s + 1) rest
   in
   let phase_send k =
     fail_u.(k) <- -1;
@@ -572,7 +581,7 @@ let edge_round net send =
            | Some h when not (h.node_alive uu) -> []
            | _ -> send uu
          in
-         stage uu l
+         stage uu off.(uu) l
        with e ->
          fail_u.(k) <- uu;
          fail.(k) <- e;
