@@ -281,8 +281,7 @@ let race_pool_entry =
    body — the last unlabelled argument — executes on worker domains *)
 let team_prelude =
   "module Team = struct\n\
-  \  let run _t ?main ~shards fn =\n\
-  \    (match main with Some f -> f () | None -> ());\n\
+  \  let run _t ~shards fn =\n\
   \    for k = 0 to shards - 1 do fn k done\n\
    end\n"
 
@@ -302,14 +301,15 @@ let good_team_slotted =
     \  Team.run t ~shards:n (fun k -> slots.(k) <- k);\n\
     \  slots\n"
 
-(* the labelled ~main thunk stays on the calling domain (the sequential
-   digest slot) and must not be treated as cross-domain *)
-let good_team_main_thunk =
+(* the caller's merge after Team.run returns runs on the calling
+   domain and must not be treated as cross-domain *)
+let good_team_caller_merge =
   team_prelude
   ^ "let f t =\n\
-    \  let h = ref 0 in\n\
-    \  Team.run t ~main:(fun () -> h := !h + 1) ~shards:2 (fun _ -> ());\n\
-    \  !h\n"
+    \  let slots = Array.make 2 0 and total = ref 0 in\n\
+    \  Team.run t ~shards:2 (fun k -> slots.(k) <- k);\n\
+    \  Array.iter (fun x -> total := !total + x) slots;\n\
+    \  !total\n"
 
 let good_atomic =
   "let f () =\n\
@@ -786,8 +786,8 @@ let () =
           typed_fires "domain-race" race_team_entry "Team.run shard body";
           typed_silent_on "domain-race" good_team_slotted
             "shard-owned slots in Team.run";
-          typed_silent_on "domain-race" good_team_main_thunk
-            "~main thunk stays on the caller";
+          typed_silent_on "domain-race" good_team_caller_merge
+            "shard merge stays on the caller";
           typed_silent_on "domain-race" good_atomic "Atomic discipline";
           typed_silent_on "domain-race" good_index_slot "per-domain slot";
           typed_silent_on "domain-race" good_closure_local "closure-local ref";

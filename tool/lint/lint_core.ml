@@ -26,11 +26,12 @@
                        physically canonical
      [silenced-warning] [@warning "-..."] / [@@@warning "-..."] attributes
    L4 — parallelism containment:
-     [domain-spawn]    Domain.spawn anywhere but the lib/exec pool: the
-                       CONGEST simulator and every protocol layer must
-                       stay single-domain deterministic; multicore
-                       sharding happens one whole simulation per domain,
-                       never inside one
+     [domain-spawn]    Domain.spawn anywhere but the lib/exec pool: every
+                       protocol layer stays single-domain; multicore runs
+                       either one whole simulation per pool domain, or
+                       the round engine's own team (Congest.Team, one
+                       audited allow) shards a round behind the
+                       shard-merge boundary
    L5 — hot-path hygiene (enforced in lib/graph and lib/congest only,
         via the driver's scope restriction):
      [polymorphic-compare]  bare [compare] passed as a comparator, or a

@@ -326,9 +326,8 @@ let spawn_heads = [ [ "Domain"; "spawn" ] ]
 let pool_entries =
   [ ([ "Pool"; "run" ], 0); ([ "Exec"; "Pool"; "run" ], 0);
     ([ "Job"; "make" ], -1); ([ "Exec"; "Job"; "make" ], -1);
-    (* the sharded round engine's team: the shard body (last unlabelled
-       argument) runs on worker domains. The labelled ~main thunk stays
-       on the caller and is deliberately not walked. *)
+    (* the round engine's team: the shard body (last argument) runs on
+       worker domains *)
     ([ "Team"; "run" ], -1); ([ "Congest"; "Team"; "run" ], -1) ]
 
 let order_normalizer = function
