@@ -68,9 +68,8 @@ val model : t -> Model.t
 val n : t -> int
 
 (** Effective domain count of the round engine ([1] = no worker
-    domains). May
-    be less than the [?domains] requested: clamped by node count and by
-    the nested-parallelism guard. *)
+    domains). May be less than the [?domains] requested: clamped by node
+    count and by the nested-parallelism guard. *)
 val domains : t -> int
 
 (** [shutdown net] joins the net's worker domains, if any; the net stays

@@ -357,23 +357,20 @@ let test_violation_leaves_counters () =
 (* ------------------------------------------------------------------ *)
 (* QCheck: domains=1 vs domains=4 byte-identity across families *)
 
+(* domains=1 and domains=4 agree on every observable *)
+let same_at_widths ?faults ~model g protocol =
+  let a = run_outcome ?faults ~model ~domains:1 g protocol in
+  let b = run_outcome ?faults ~model ~domains:4 g protocol in
+  a.o_result = b.o_result && a.o_digest = b.o_digest
+  && Net.diff_telemetry a.o_telemetry b.o_telemetry = []
+
 let prop_family name ~count gen_graph =
   QCheck.Test.make ~name ~count
     QCheck.(int_range 0 999)
     (fun seed ->
       match gen_graph seed with
       | None -> QCheck.assume_fail ()
-      | Some g ->
-        let a =
-          run_outcome ~model:Congest.Model.E_congest ~domains:1 g
-            mixed_protocol
-        in
-        let b =
-          run_outcome ~model:Congest.Model.E_congest ~domains:4 g
-            mixed_protocol
-        in
-        a.o_result = b.o_result && a.o_digest = b.o_digest
-        && Net.diff_telemetry a.o_telemetry b.o_telemetry = [])
+      | Some g -> same_at_widths ~model:Congest.Model.E_congest g mixed_protocol)
 
 let prop_erdos_renyi =
   prop_family "shard identity on Erdos-Renyi" ~count:8 (fun seed ->
@@ -410,15 +407,8 @@ let prop_under_adversary =
               { from_round = 2; per_round = 1; storm_rounds = 3; universe = 24 } ]
       in
       let faults () = Congest.Faults.create ~seed specs in
-      let proto net = Array.to_list (broadcast_phase net 8) in
-      let a =
-        run_outcome ~faults ~model:Congest.Model.V_congest ~domains:1 g proto
-      in
-      let b =
-        run_outcome ~faults ~model:Congest.Model.V_congest ~domains:4 g proto
-      in
-      a.o_result = b.o_result && a.o_digest = b.o_digest
-      && Net.diff_telemetry a.o_telemetry b.o_telemetry = [])
+      same_at_widths ~faults ~model:Congest.Model.V_congest g (fun net ->
+          Array.to_list (broadcast_phase net 8)))
 
 let prop_mixed_under_adversary =
   QCheck.Test.make
@@ -441,16 +431,7 @@ let prop_mixed_under_adversary =
           ]
       in
       let faults () = Congest.Faults.create ~seed specs in
-      let a =
-        run_outcome ~faults ~model:Congest.Model.E_congest ~domains:1 g
-          mixed_protocol
-      in
-      let b =
-        run_outcome ~faults ~model:Congest.Model.E_congest ~domains:4 g
-          mixed_protocol
-      in
-      a.o_result = b.o_result && a.o_digest = b.o_digest
-      && Net.diff_telemetry a.o_telemetry b.o_telemetry = [])
+      same_at_widths ~faults ~model:Congest.Model.E_congest g mixed_protocol)
 
 let () =
   Alcotest.run "shard"
