@@ -335,10 +335,10 @@ let run_fault_pinned model protocol specs =
   let r = Net.replay_check net protocol in
   fault_summary r faults
 
-let pinned_fault_cases ~driver model protocol expected =
+let pinned_fault_cases ~primitive model protocol expected =
   List.map2
     (fun (name, specs) want ->
-      Alcotest.test_case (Printf.sprintf "%s under %s" driver name) `Quick
+      Alcotest.test_case (Printf.sprintf "%s under %s" primitive name) `Quick
         (fun () ->
           Alcotest.(check string) "fault run" want
             (run_fault_pinned model protocol specs)))
@@ -346,7 +346,7 @@ let pinned_fault_cases ~driver model protocol expected =
     expected
 
 let pinned_broadcast_fault_cases =
-  pinned_fault_cases ~driver:"broadcast" Congest.Model.V_congest
+  pinned_fault_cases ~primitive:"broadcast" Congest.Model.V_congest
     pinned_broadcast_protocol
     [
       "deterministic true, rounds 20, messages 6947, words 10431, lost \
@@ -360,7 +360,7 @@ let pinned_broadcast_fault_cases =
     ]
 
 let pinned_edge_fault_cases =
-  pinned_fault_cases ~driver:"edge" Congest.Model.E_congest
+  pinned_fault_cases ~primitive:"edge" Congest.Model.E_congest
     pinned_edge_protocol
     [
       "deterministic true, rounds 8, messages 3514, words 3514, lost \
