@@ -478,7 +478,7 @@ let () =
           Alcotest.test_case "Dist_packing.run_sampled" `Quick
             test_pinned_spantree_digest;
         ] );
-      ( "pinned fault runs",
+      ( "pinned faults",
         pinned_broadcast_fault_cases @ pinned_edge_fault_cases
         @ [
             Alcotest.test_case "boundary words" `Quick
