@@ -1,198 +1,87 @@
-(* Benchmark entry point.
+(* Benchmark entry point:
 
-   Running `dune exec bench/main.exe` produces:
-   1. the experiment tables E1..E15 (DESIGN.md §3) — the paper's
-      quantitative claims, paper-reference vs measured;
-   2. a bechamel microbenchmark suite over the hot kernels behind each
-      experiment family (one Test.make per family).
+     dune exec bench/main.exe -- [MODE] [SIZE...] [-j N] [--no-cache]
 
-   `dune exec bench/main.exe -- tables` / `-- micro` runs one half;
-   `-- csv` emits the headline series in machine-readable form;
-   `-- failures` / `-- chaos` run the fault sweeps.
+   MODE is `tables` (the experiment tables E1..E15, DESIGN.md §3),
+   `failures` / `chaos` (the fault sweeps), `perf` / `obs` (round-engine
+   timing), `serve` / `recovery` (the daemon), or `all` (the default:
+   tables, then the failure sweep). SIZE overrides a mode's scale for
+   CI smokes, e.g. `failures 48 12`.
 
-   Every sweep (everything except `micro`, which is timing-sensitive and
-   stays sequential) executes its grid on the lib/exec domain pool:
+   `tables`, `failures`, `chaos` and `all` execute their grids on the
+   lib/exec domain pool: `-j N` sets the worker domains (default:
+   recommended_domain_count - 1), `--no-cache` bypasses the _cache/
+   memo store. Each sweep also writes a BENCH_<sweep>.json run report
+   (wall clock, jobs, cache hits, estimated speedup vs -j 1); see
+   DESIGN.md §9. *)
 
-     -j N | --jobs N | --jobs=N   worker domains
-                                  (default: recommended_domain_count - 1)
-     --no-cache                   bypass the _cache/ memo store
+open Cmdliner
 
-   Each sweep also writes a BENCH_<sweep>.json run report (wall clock,
-   jobs, cache hits, estimated speedup vs -j 1); see DESIGN.md §9. *)
-
-open Bechamel
-open Toolkit
-
-let kernel_tests =
-  let graph_k8 = Graphs.Gen.harary ~k:8 ~n:64 in
-  let graph_big = Graphs.Gen.harary ~k:8 ~n:128 in
-  [
-    (* E1/E2 family: the CDS packing itself *)
-    Test.make ~name:"cds_packing n=64 k=8"
-      (Staged.stage (fun () ->
-           ignore (Domtree.Cds_packing.pack ~seed:1 graph_k8 ~k:8)));
-    (* E3/E4 family: one multiplicative-weights packing *)
-    Test.make ~name:"lagrangian n=64 lambda=8"
-      (Staged.stage (fun () ->
-           ignore
-             (Spantree.Lagrangian.run ~max_iterations:60 graph_k8 ~lambda:8)));
-    (* E7 family: exact connectivity baselines *)
-    Test.make ~name:"stoer_wagner n=128"
-      (Staged.stage (fun () ->
-           ignore (Graphs.Connectivity.edge_connectivity graph_big)));
-    Test.make ~name:"vertex_connectivity n=64"
-      (Staged.stage (fun () ->
-           ignore (Graphs.Connectivity.vertex_connectivity graph_k8)));
-    (* E9 family: the connector-path flow *)
-    Test.make ~name:"connector max_disjoint"
-      (Staged.stage (fun () ->
-           let g = Graphs.Gen.clique_path ~k:6 ~len:8 in
-           let in_class v = v < 6 || v >= 42 in
-           let in_component v = v < 6 in
-           ignore (Domtree.Connector.max_disjoint g ~in_class ~in_component)));
-    (* E10 family: the tester *)
-    Test.make ~name:"tester (centralized) n=64"
-      (Staged.stage (fun () ->
-           ignore
-             (Domtree.Tester.run_centralized graph_k8
-                ~memberships:(fun v -> [ v mod 2 ])
-                ~classes:2 ~detection_rounds:16)));
-    (* E11 family: building the lower-bound graph *)
-    Test.make ~name:"lowerbound build h=6"
-      (Staged.stage (fun () ->
-           let rng = Random.State.make [| 1 |] in
-           let inst =
-             Lowerbound.Disjointness.random_intersecting rng ~h:6 ~density:0.5
-           in
-           ignore (Lowerbound.Construction.build inst ~ell:1 ~w:5)));
-    (* substrate: max-flow and MST *)
-    Test.make ~name:"dinic vertex pair n=64"
-      (Staged.stage (fun () ->
-           ignore (Graphs.Maxflow.vertex_connectivity_pair graph_k8 0 32)));
-    Test.make ~name:"distributed MST n=64"
-      (Staged.stage (fun () ->
-           let net = Congest.Net.create Congest.Model.V_congest graph_k8 in
-           ignore
-             (Congest.Dist_mst.minimum_spanning_forest net
-                ~weight:(fun u v -> (u * 7) + (v * 13)))));
-  ]
-
-let run_micro () =
-  Format.printf "@.== bechamel microbenchmarks (monotonic clock) ==@.";
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 500) () in
-  let instances = Instance.[ monotonic_clock ] in
-  let analyze = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let rows =
-        Hashtbl.fold (fun name wall acc -> (name, wall) :: acc) results []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      List.iter
-        (fun (name, wall) ->
-          match Analyze.one analyze Instance.monotonic_clock wall with
-          | ols -> (
-            match Analyze.OLS.estimates ols with
-            | Some [ est ] ->
-              Format.printf "%-32s %12.0f ns/run@." name est
-            | _ -> Format.printf "%-32s (no estimate)@." name)
-          | exception _ -> Format.printf "%-32s (failed)@." name)
-        rows)
-    (List.map (fun t -> Test.make_grouped ~name:"" [ t ]) kernel_tests)
-
-(* CLI: flags (-j N / --jobs N / --jobs=N / --no-cache) may appear
-   anywhere; the remaining positionals are [mode [n [k]]]. *)
-type cli = { mode : string; pos : int list; jobs : int option; cache : bool }
-
-let usage () =
-  prerr_endline
-    "usage: main.exe \
-     [all|tables|micro|csv|failures|chaos|perf|serve|recovery|obs] [n [k]] [-j \
-     N | --jobs N] [--no-cache]";
-  exit 2
-
-let parse_cli argv =
-  let cli = ref { mode = "all"; pos = []; jobs = None; cache = true } in
-  let set_jobs s =
-    match int_of_string_opt s with
-    | Some j when j >= 1 -> cli := { !cli with jobs = Some j }
-    | _ -> usage ()
+let run mode sizes jobs no_cache =
+  let cache =
+    if no_cache then None else Some (Exec.Cache.open_dir Exec.Cache.default_dir)
   in
-  let rec go = function
-    | [] -> ()
-    | "--no-cache" :: rest ->
-      cli := { !cli with cache = false };
-      go rest
-    | ("-j" | "--jobs") :: v :: rest ->
-      set_jobs v;
-      go rest
-    | [ ("-j" | "--jobs") ] -> usage ()
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-      set_jobs (String.sub a 7 (String.length a - 7));
-      go rest
-    | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" ->
-      set_jobs (String.sub a 2 (String.length a - 2));
-      go rest
-    | a :: rest -> (
-      match int_of_string_opt a with
-      | Some p ->
-        cli := { !cli with pos = !cli.pos @ [ p ] };
-        go rest
-      | None ->
-        if !cli.mode <> "all" && !cli.mode <> a then usage ();
-        cli := { !cli with mode = a };
-        go rest)
+  let size i default = Option.value (List.nth_opt sizes i) ~default in
+  let first = List.nth_opt sizes 0 in
+  match mode with
+  | `Tables -> Sweeps.Experiments.all ?jobs ?cache ()
+  | `Failures ->
+    Sweeps.Failure_sweep.all ~n:(size 0 96) ~k:(size 1 24) ~csv:"failures.csv"
+      ?jobs ?cache ()
+  | `Chaos ->
+    Sweeps.Chaos_sweep.all ~n:(size 0 48) ~k:(size 1 8) ~csv:"chaos.csv" ?jobs
+      ?cache ()
+  (* The timing and daemon sweeps are never cached. `obs` is never
+     parallel either: it interleaves metrics-off and metrics-on runs. *)
+  | `Perf -> Sweeps.Perf_sweep.all ?n_cap:first ?jobs ()
+  | `Serve -> Sweeps.Serve_sweep.all ?requests:first ()
+  | `Obs -> Sweeps.Obs_sweep.all ?n:first ()
+  | `Recovery -> Sweeps.Recovery_sweep.all ?kills:first ()
+  | `All ->
+    Sweeps.Experiments.all ?jobs ?cache ();
+    Sweeps.Failure_sweep.all ?jobs ?cache ()
+
+let mode_arg =
+  let modes =
+    [
+      ("all", `All);
+      ("tables", `Tables);
+      ("failures", `Failures);
+      ("chaos", `Chaos);
+      ("perf", `Perf);
+      ("serve", `Serve);
+      ("recovery", `Recovery);
+      ("obs", `Obs);
+    ]
   in
-  go (List.tl (Array.to_list argv));
-  !cli
+  Arg.(value & pos 0 (enum modes) `All & info [] ~docv:"MODE"
+         ~doc:(Printf.sprintf "Benchmark to run: %s." (doc_alts_enum modes)))
+
+let sizes_arg =
+  Arg.(value & pos_right 0 int [] & info [] ~docv:"SIZE"
+         ~doc:"Scale overrides: $(b,failures)/$(b,chaos) take [n [k]], \
+               $(b,perf) a size cap, $(b,serve) a request count, \
+               $(b,recovery) a kill-point count, $(b,obs) a graph size.")
+
+let jobs_arg =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some j when j >= 1 -> Ok j
+      | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+    in
+    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt (some positive) None & info [ "j"; "jobs" ] ~docv:"N"
+         ~doc:"Worker domains (default: recommended domain count - 1).")
+
+let no_cache_arg =
+  Arg.(value & flag & info [ "no-cache" ] ~doc:"Bypass the _cache/ memo store.")
 
 let () =
-  let cli = parse_cli Sys.argv in
-  let jobs = cli.jobs in
-  let cache =
-    if cli.cache then Some (Exec.Cache.open_dir Exec.Cache.default_dir)
-    else None
+  let cmd =
+    Cmd.v
+      (Cmd.info "main.exe" ~doc:"Experiment tables and sweeps")
+      Term.(const run $ mode_arg $ sizes_arg $ jobs_arg $ no_cache_arg)
   in
-  let pos i default =
-    match List.nth_opt cli.pos i with Some v -> v | None -> default
-  in
-  match cli.mode with
-  | "csv" -> Sweeps.Csv_export.all ?jobs ?cache ()
-  | "failures" ->
-    (* optional small-n override for CI smoke: `-- failures 48 12` *)
-    Sweeps.Failure_sweep.all ~n:(pos 0 96) ~k:(pos 1 24) ~csv:"failures.csv"
-      ?jobs ?cache ()
-  | "chaos" ->
-    (* optional small-n override for CI smoke: `-- chaos 32 6` *)
-    Sweeps.Chaos_sweep.all ~n:(pos 0 48) ~k:(pos 1 8) ~csv:"chaos.csv" ?jobs
-      ?cache ()
-  | "perf" ->
-    (* optional size cap for CI smoke: `-- perf 256`. Timings are never
-       cached (the sweep ignores _cache/ by construction). *)
-    ignore cache;
-    Sweeps.Perf_sweep.all ?n_cap:(List.nth_opt cli.pos 0) ?jobs ()
-  | "serve" ->
-    (* optional request-count override for CI smoke: `-- serve 500`.
-       Drives the daemon over its real socket; never cached. *)
-    ignore cache;
-    Sweeps.Serve_sweep.all ?requests:(List.nth_opt cli.pos 0) ()
-  | "obs" ->
-    (* optional size override: `-- obs 512`. Interleaved metrics-off vs
-       metrics-on timing of the round engine; never cached, never
-       parallel (it is a timing sweep). *)
-    ignore cache;
-    Sweeps.Obs_sweep.all ?n:(List.nth_opt cli.pos 0) ()
-  | "recovery" ->
-    (* optional kill-point count: `-- recovery 3`. Drives a real
-       out-of-process daemon through SIGKILL/corruption/starvation;
-       never cached. *)
-    ignore cache;
-    Sweeps.Recovery_sweep.all ?kills:(List.nth_opt cli.pos 0) ()
-  | "tables" | "experiments" -> Sweeps.Experiments.all ?jobs ?cache ()
-  | "micro" -> run_micro ()
-  | "all" ->
-    Sweeps.Experiments.all ?jobs ?cache ();
-    run_micro ();
-    Sweeps.Failure_sweep.all ?jobs ?cache ()
-  | _ -> usage ()
+  exit (Cmd.eval ~catch:false cmd)

@@ -136,9 +136,6 @@ let reset t =
   t.drops <- 0;
   t.words_lost <- 0
 
-let is_null t =
-  t.p_drop = 0. && t.crash_sched = [] && t.kill_sched = [] && t.greedy = None
-
 let record t ev = t.events <- ev :: t.events
 
 let crash t ~round node =
@@ -302,7 +299,6 @@ let drops t = t.drops
 let words_lost t = t.words_lost
 let crashes t = Hashtbl.length t.crashed
 let edges_killed t = Hashtbl.length t.killed
-let drop_probability t = t.p_drop
 
 let pp_summary ppf t =
   Format.fprintf ppf

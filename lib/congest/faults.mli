@@ -63,8 +63,6 @@ val create : ?seed:int -> spec list -> t
     bit-identical to the fault-free runtime. *)
 val none : unit -> t
 
-val is_null : t -> bool
-
 (** [install net t] attaches the adversary to [net]; [uninstall net]
     detaches whatever hook is installed. An adversary keeps its state
     (crashed nodes, killed edges, telemetry) across installs. *)
@@ -95,7 +93,6 @@ val crashed : t -> int -> bool
 val crashed_nodes : t -> int list
 val killed_edges : t -> (int * int) list
 val edge_killed : t -> int * int -> bool
-val drop_probability : t -> float
 
 (** {1 Telemetry} *)
 

@@ -116,9 +116,6 @@ let build g ~classes ~members ~class1 ~class3 =
   in
   { components; edges }
 
-let degree_of_component t ~cls ~id =
-  List.length (List.filter (fun (_, (i, c)) -> i = cls && c = id) t.edges)
-
 let greedy_matching t =
   let taken_node = Hashtbl.create 16 in
   let taken_comp = Hashtbl.create 16 in

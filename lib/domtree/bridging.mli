@@ -43,10 +43,6 @@ val build :
   class3:int array ->
   t
 
-(** [degree_of_component t ~cls ~id] — how many type-2 nodes can serve
-    this component. *)
-val degree_of_component : t -> cls:int -> id:int -> int
-
 (** [greedy_matching t] — a maximal matching, for illustration; returns
     (type-2 node, (class, component id)) pairs. *)
 val greedy_matching : t -> (int * (int * int)) list

@@ -54,10 +54,6 @@ let of_cds_packing (result : Cds_packing.t) =
     weights = List.map (fun _ -> w) trees;
   }
 
-let fractional_size result =
-  let p = of_cds_packing result in
-  Packing.size p
-
 let integral_subpacking (p : Packing.t) =
   let n = Graph.n p.Packing.graph in
   let used = Array.make n false in

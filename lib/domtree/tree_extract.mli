@@ -10,10 +10,6 @@
     vertex. The result is always a valid fractional packing. *)
 val of_cds_packing : Cds_packing.t -> Packing.t
 
-(** [fractional_size result] is the packing size [of_cds_packing] will
-    achieve: (number of valid classes) / μ. *)
-val fractional_size : Cds_packing.t -> float
-
 (** [integral_subpacking p] greedily selects pairwise vertex-disjoint
     trees from a fractional packing (first-fit) — the simple route to an
     integral dominating-tree packing used for E12. *)

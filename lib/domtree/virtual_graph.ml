@@ -29,5 +29,3 @@ let type_of _vg id = (id mod 3) + 1
 let adjacent vg a b =
   let ra = real_of vg a and rb = real_of vg b in
   (ra = rb && a <> b) || Graph.mem_edge vg.base ra rb
-
-let meta_round_cost vg = 3 * vg.layers

@@ -33,7 +33,3 @@ val type_of : t -> int -> int
 (** [adjacent vg a b] is virtual adjacency: same real node, or
     G-adjacent real nodes. *)
 val adjacent : t -> int -> int -> bool
-
-(** [meta_round_cost vg] is the number of base-graph rounds one virtual
-    round costs, [Θ(layers)] = Θ(log n). *)
-val meta_round_cost : t -> int

@@ -12,26 +12,22 @@ let write_atomic ~path content =
 
 let write ~path content = write_atomic ~path content
 
-let with_file ?path f =
-  match path with
-  | None -> f (fun _ -> ())
-  | Some path ->
-    let b = Buffer.create 4096 in
-    let result =
-      f (fun line ->
-          Buffer.add_string b line;
-          Buffer.add_char b '\n')
-    in
-    (* buffered until success: an exception above leaves no artifact *)
-    write_atomic ~path (Buffer.contents b);
-    (* announce on stderr: stdout is the sweep's document (csv mode is
-       redirected with `> results.csv`) *)
-    Format.eprintf "csv artifact: %s@." path;
-    result
+let with_file ~path f =
+  let b = Buffer.create 4096 in
+  let result =
+    f (fun line ->
+        Buffer.add_string b line;
+        Buffer.add_char b '\n')
+  in
+  (* buffered until success: an exception above leaves no artifact *)
+  write_atomic ~path (Buffer.contents b);
+  (* announce on stderr: stdout is the sweep's document *)
+  Format.eprintf "csv artifact: %s@." path;
+  result
 
-let with_csv ?path ~header f =
-  with_file ?path (fun emit ->
-      (match path with Some _ -> emit header | None -> ());
+let with_csv ~path ~header f =
+  with_file ~path (fun emit ->
+      emit header;
       f emit)
 
 (* ------------------------------------------------------------------ *)

@@ -4,20 +4,19 @@
     its destination and renamed into place only on success, so a killed
     or crashing sweep never leaves a truncated [chaos.csv] or
     [BENCH_*.json] — the previous complete artifact (if any) survives
-    instead. This is the single writer behind both the sweeps' CSV
-    emission ([Csv_export.with_artifact] delegates here) and the
-    engine's benchmark JSON. *)
+    instead. This is the single writer behind the sweeps' CSV sink
+    ({!Sweep.run}'s [?csv]), the sweep engine's benchmark JSON and the
+    daemon's metrics dump. *)
 
-(** [with_file ?path f] hands [f] an [emit] function appending one line
-    per call. With [path = None], [emit] is a no-op (table-only runs).
-    On normal return the file is atomically renamed into place and
-    announced on stdout; if [f] raises, the temporary is removed and
-    nothing is (over)written. *)
-val with_file : ?path:string -> ((string -> unit) -> 'a) -> 'a
+(** [with_file ~path f] hands [f] an [emit] function appending one line
+    per call. On normal return the file is atomically renamed into
+    place and announced on stderr; if [f] raises, the temporary is
+    removed and nothing is (over)written. *)
+val with_file : path:string -> ((string -> unit) -> 'a) -> 'a
 
-(** [with_csv ?path ~header f] is {!with_file} with [header] emitted
+(** [with_csv ~path ~header f] is {!with_file} with [header] emitted
     first. *)
-val with_csv : ?path:string -> header:string -> ((string -> unit) -> 'a) -> 'a
+val with_csv : path:string -> header:string -> ((string -> unit) -> 'a) -> 'a
 
 (** [write ~path content] writes [content] atomically (tmp + rename),
     without announcing. *)

@@ -17,11 +17,11 @@
    Edge endpoints are stored as two flat unboxed int arrays [eu]/[ev]
    rather than a [(int * int) array]: at n = 2^20 (m ~ 4m edges) the
    tuple array costs three words per edge plus a pointer chase per
-   access, which dominated [iter_edges]-shaped scans. The historical
-   tuple view ([edges]) and the per-vertex [nbr] views ([neighbors]'s
-   "same physical array every call" contract) are materialized lazily,
-   published once through an [Atomic] so concurrent first calls from
-   shard domains agree on one physical array. *)
+   access, which dominated [iter_edges]-shaped scans. The per-vertex
+   [nbr] views ([neighbors]'s "same physical array every call"
+   contract) are materialized lazily, published once through an
+   [Atomic] so concurrent first calls from shard domains agree on one
+   physical array. *)
 
 type t = {
   n : int;
@@ -33,22 +33,7 @@ type t = {
   ev : int array;  (* edge i -> larger endpoint *)
   nbr : int array array option Atomic.t;
       (* lazy per-vertex neighbor views (copies of adj slices) *)
-  tup : (int * int) array option Atomic.t;  (* lazy tuple edge view *)
 }
-
-(* Publish-once lazy view: the first caller to install wins; losers
-   re-read so every caller returns the same physical array. *)
-let force holder make =
-  match Atomic.get holder with
-  | Some v -> v
-  | None ->
-    let v = make () in
-    if Atomic.compare_and_set holder None (Some v) then v
-    else begin
-      match Atomic.get holder with
-      | Some v -> v
-      | None -> assert false
-    end
 
 let validate n u v =
   if u = v then invalid_arg "Graph: self-loop";
@@ -105,17 +90,7 @@ let build_sorted_keys ~n keys =
   for i = 0 to m - 1 do
     put eu.(i) ev.(i) i
   done;
-  {
-    n;
-    m;
-    off;
-    adj;
-    slot_edge;
-    eu;
-    ev;
-    nbr = Atomic.make None;
-    tup = Atomic.make None;
-  }
+  { n; m; off; adj; slot_edge; eu; ev; nbr = Atomic.make None }
 
 let build ~n pairs =
   (* validate in list order, with the seed's exact messages *)
@@ -127,7 +102,6 @@ let build ~n pairs =
   build_sorted_keys ~n keys
 
 let of_edges ~n edges = build ~n edges
-let of_edge_array ~n edges = build ~n (Array.to_list edges)
 
 let of_endpoints ~n us vs =
   let len = Array.length us in
@@ -145,9 +119,17 @@ let of_endpoints ~n us vs =
 let n g = g.n
 let m g = g.m
 
+(* Publish-once lazy view: the first caller to install wins; losers
+   re-read so every caller returns the same physical array. *)
 let force_nbr g =
-  force g.nbr (fun () ->
-      Array.init g.n (fun u -> Array.sub g.adj g.off.(u) (g.off.(u + 1) - g.off.(u))))
+  match Atomic.get g.nbr with
+  | Some v -> v
+  | None -> (
+    let v =
+      Array.init g.n (fun u -> Array.sub g.adj g.off.(u) (g.off.(u + 1) - g.off.(u)))
+    in
+    if Atomic.compare_and_set g.nbr None (Some v) then v
+    else match Atomic.get g.nbr with Some v -> v | None -> assert false)
 
 let neighbors g u = (force_nbr g).(u)
 let degree g u = g.off.(u + 1) - g.off.(u)
@@ -177,8 +159,6 @@ let slot_of g u v =
 let mem_edge g u v =
   if u = v || u < 0 || v < 0 || u >= g.n || v >= g.n then false
   else slot_of g u v >= 0
-
-let edges g = force g.tup (fun () -> Array.init g.m (fun i -> (g.eu.(i), g.ev.(i))))
 
 let edge_index g u v =
   if u = v || u < 0 || v < 0 || u >= g.n || v >= g.n then raise Not_found;

@@ -16,9 +16,6 @@ type t
     @raise Invalid_argument on self-loops or out-of-range endpoints. *)
 val of_edges : n:int -> (int * int) list -> t
 
-(** [of_edge_array ~n edges] is [of_edges] on an array. *)
-val of_edge_array : n:int -> (int * int) array -> t
-
 (** [of_endpoints ~n us vs] builds from two parallel endpoint arrays
     ([us.(i), vs.(i)] is an edge, either orientation, any order,
     duplicates collapsed) without materializing tuples — the
@@ -52,20 +49,13 @@ val min_degree : t -> int
 (** [mem_edge g u v] tests edge presence in O(log deg). *)
 val mem_edge : t -> int -> int -> bool
 
-(** [edges g] is the canonical edge array, each edge once as [(u, v)],
-    [u < v], in lexicographic order. Owned by the graph; do not mutate.
-    The tuple array is materialized lazily on the first call (published
-    atomically); every call returns the same physical array. Prefer
-    [iter_edges] / [fold_edges] / [edge_endpoints], which read the
-    unboxed endpoint storage directly. *)
-val edges : t -> (int * int) array
-
-(** [edge_index g u v] is the index of edge [{u,v}] in [edges g].
-    @raise Not_found if absent. *)
+(** [edge_index g u v] is the index of edge [{u,v}] in the canonical
+    edge order. @raise Not_found if absent. *)
 val edge_index : t -> int -> int -> int
 
 (** [edge_endpoints g i] is the [i]-th canonical edge as [(u, v)],
-    [u < v], without materializing the tuple view. *)
+    [u < v]. Edges [0 .. m g - 1] in index order are each undirected
+    edge once, in lexicographic order. *)
 val edge_endpoints : t -> int -> int * int
 
 (** {1 CSR access}
@@ -84,7 +74,7 @@ val csr_offsets : t -> int array
 val csr_neighbors : t -> int array
 
 (** [csr_edge_ids g] maps each adjacency slot to the index of its
-    undirected edge in [edges g]. *)
+    undirected edge in the canonical edge order. *)
 val csr_edge_ids : t -> int array
 
 (** [csr_endpoints g] is [(us, vs)], both of length [m g]: edge [i] is

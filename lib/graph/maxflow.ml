@@ -205,16 +205,6 @@ let decompose_paths net ~src ~sink ~node_of =
   done;
   List.rev !paths
 
-let disjoint_paths g u v =
-  let net = create (Graph.n g) in
-  Graph.iter_edges
-    (fun a b ->
-      add_edge net a b 1;
-      add_edge net b a 1)
-    g;
-  let _ = max_flow net ~src:u ~sink:v in
-  decompose_paths net ~src:u ~sink:v ~node_of:(fun x -> x)
-
 let vertex_disjoint_paths g u v =
   if u = v then invalid_arg "Maxflow.vertex_disjoint_paths: u = v";
   if Graph.mem_edge g u v then

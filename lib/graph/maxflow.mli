@@ -35,11 +35,6 @@ val edge_connectivity_pair : Graph.t -> int -> int -> int
     @raise Invalid_argument if [u = v] or if [u] and [v] are adjacent. *)
 val vertex_connectivity_pair : Graph.t -> int -> int -> int
 
-(** [disjoint_paths g u v] extracts a maximum family of edge-disjoint
-    [u]-[v] paths (each path as the vertex list from [u] to [v]) by flow
-    decomposition. *)
-val disjoint_paths : Graph.t -> int -> int -> int list list
-
 (** [vertex_disjoint_paths g u v] extracts a maximum family of internally
     vertex-disjoint [u]-[v] paths between non-adjacent [u], [v]. *)
 val vertex_disjoint_paths : Graph.t -> int -> int -> int list list

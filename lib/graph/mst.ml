@@ -76,10 +76,6 @@ let minimum_spanning_tree g ~weight =
   |> List.sort (fun (a1, b1) (a2, b2) ->
          match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c)
 
-let spanning_tree_cost g ~weight =
-  minimum_spanning_tree g ~weight
-  |> List.fold_left (fun acc (u, v) -> acc +. weight u v) 0.
-
 let is_spanning_tree ~n edges =
   List.length edges = n - 1
   &&

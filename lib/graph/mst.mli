@@ -20,11 +20,6 @@ val tree_edges_of_parents : int array -> (int * int) list
 (** Sum of weights. *)
 val total_weight : edge list -> float
 
-(** [spanning_tree_cost g ~weight] is the total cost of a minimum
-    spanning tree of connected [g].
-    @raise Invalid_argument if [g] is disconnected. *)
-val spanning_tree_cost : Graph.t -> weight:(int -> int -> float) -> float
-
 (** [minimum_spanning_tree g ~weight] is the MST of connected [g] as a
     canonical edge list [(u, v)] with [u < v].
     @raise Invalid_argument if [g] is disconnected. *)

@@ -65,14 +65,6 @@ let is_connected g =
   let count, _ = components g in
   count <= 1
 
-let component_of g ~src =
-  let dist = bfs g src in
-  let acc = ref [] in
-  for v = Graph.n g - 1 downto 0 do
-    if dist.(v) >= 0 then acc := v :: !acc
-  done;
-  !acc
-
 let eccentricity g u =
   let dist = bfs g u in
   Array.fold_left

@@ -17,9 +17,6 @@ val components : Graph.t -> int * int array
     and single-vertex graphs are connected). *)
 val is_connected : Graph.t -> bool
 
-(** [component_of g ~src] is the list of vertices reachable from [src]. *)
-val component_of : Graph.t -> src:int -> int list
-
 (** [eccentricity g u] is the maximum finite BFS distance from [u].
     @raise Invalid_argument if [g] is disconnected. *)
 val eccentricity : Graph.t -> int -> int

@@ -208,5 +208,4 @@ let quantile h q =
   end
 
 let find_counter s name = List.assoc_opt name s.s_counters
-let find_gauge s name = List.assoc_opt name s.s_gauges
 let find_hist s name = List.assoc_opt name s.s_hists

@@ -92,5 +92,4 @@ val quantile : hist -> float -> int
     histogram. Over-estimates by at most one sub-bucket width. *)
 
 val find_counter : snapshot -> string -> int option
-val find_gauge : snapshot -> string -> int option
 val find_hist : snapshot -> string -> hist option

@@ -27,12 +27,11 @@ let run ?(eps = 0.15) ?max_iterations ?capacity g ~lambda =
     match capacity with
     | None -> Array.make m 1.
     | Some f ->
-      Array.map
-        (fun (u, v) ->
+      Array.init m (fun i ->
+          let u, v = Graph.edge_endpoints g i in
           let c = f u v in
           if c <= 0. then invalid_arg "Lagrangian.run: capacity <= 0";
           c)
-        (Graph.edges g)
   in
   let tgt = float_of_int (target ~lambda) in
   let alpha = Float.max 2. (log (float_of_int (max 2 n))) in

@@ -79,7 +79,7 @@ let verify ?(tolerance = 1e-9) p =
   Array.iteri
     (fun i l ->
       if l > 1. +. tolerance then
-        violations := Overloaded_edge ((Graph.edges g).(i), l) :: !violations)
+        violations := Overloaded_edge (Graph.edge_endpoints g i, l) :: !violations)
     loads;
   List.rev !violations
 

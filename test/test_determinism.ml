@@ -307,7 +307,7 @@ let fault_summary r faults =
     (events_checksum evs)
 
 let pinned_fault_specs g =
-  let e i = (Graph.edges g).(i) in
+  let e = Graph.edge_endpoints g in
   [
     ( "drop+crash",
       [

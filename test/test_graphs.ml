@@ -100,7 +100,7 @@ let test_graph_edge_index () =
     (fun u v ->
       let i = Graph.edge_index g u v in
       Alcotest.(check (pair int int)) "edge_index roundtrip" (u, v)
-        (Graph.edges g).(i))
+        (Graph.edge_endpoints g i))
     g
 
 let test_spanning_subgraph () =
@@ -147,6 +147,9 @@ module Tuple_model = struct
     go 0 t.edges
 end
 
+(* the canonical edge list, in index order *)
+let edge_list g = List.init (Graph.m g) (Graph.edge_endpoints g)
+
 (* (n, raw pair list) -> simple-graph edge list over [0..n-1] *)
 let mk_pairs n raw =
   List.filter_map
@@ -165,7 +168,12 @@ let prop_csr_matches_model_queries =
       let g = Graph.of_edges ~n pairs in
       let m = Tuple_model.build ~n pairs in
       List.length m.Tuple_model.edges = Graph.m g
-      && Array.to_list (Graph.edges g) = m.Tuple_model.edges
+      && edge_list g = m.Tuple_model.edges
+      && List.for_all
+           (fun i ->
+             let u, v = Graph.edge_endpoints g i in
+             Graph.edge_index g u v = i)
+           (List.init (Graph.m g) Fun.id)
       && List.for_all
            (fun u ->
              Array.to_list (Graph.neighbors g u) = Tuple_model.neighbors m u
@@ -230,7 +238,7 @@ let prop_induced_matches_model =
       in
       Graph.n gi = List.length kept
       && Array.to_list mapping = kept
-      && Array.to_list (Graph.edges gi) = expected)
+      && edge_list gi = expected)
 
 let prop_spanning_subgraph_matches_model =
   QCheck.Test.make ~name:"spanning_subgraph = model filter" ~count:200
@@ -244,7 +252,7 @@ let prop_spanning_subgraph_matches_model =
       let expected =
         List.filter (fun (u, v) -> pred u v) m.Tuple_model.edges
       in
-      Graph.n sub = n && Array.to_list (Graph.edges sub) = expected)
+      Graph.n sub = n && edge_list sub = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Traversal *)
