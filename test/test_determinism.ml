@@ -387,6 +387,82 @@ let test_pinned_boundary_words () =
        rep.Lowerbound.Simulation.boundary_bits
        rep.Lowerbound.Simulation.estimate)
 
+(* Tree-parallel broadcast, pinned the same way: both tree shapes, fault
+   free and under one drop+crash adversary, over one graph and packing.
+   Beside the engine's counts these pin every field the schedulers
+   return, so a scheduler rewrite must keep every relay in place. *)
+
+module B = Routing.Broadcast
+
+let pinned_routing_sources = List.init 36 (fun v -> (v, 1 + (v mod 3)))
+
+let routing_result (r : B.result) =
+  Printf.sprintf "rounds %d, messages %d, throughput %.17g, congestion %d/%d"
+    r.B.rounds r.B.messages r.B.throughput r.B.max_vertex_congestion
+    r.B.max_edge_congestion
+
+let routing_ft_result (r : B.ft_result) =
+  Printf.sprintf
+    "rounds %d, messages %d, delivered %d, throughput %.17g, coverage \
+     %.17g, survivors %d, dead trees %d, converged %b"
+    r.B.ft_rounds r.B.ft_messages r.B.ft_delivered r.B.ft_throughput
+    r.B.ft_coverage r.B.ft_survivors r.B.ft_dead_trees r.B.ft_converged
+
+let run_routing_pinned ~faulty run =
+  let g = Gen.harary ~k:12 ~n:36 in
+  let p =
+    Domtree.Tree_extract.of_cds_packing
+      (Domtree.Cds_packing.run ~seed:1 g ~classes:8 ~layers:2)
+  in
+  let net = vnet g in
+  let faults =
+    Congest.Faults.create ~seed:9
+      [
+        Congest.Faults.Drop_bernoulli 0.1;
+        Congest.Faults.Crash_at [ (3, 5); (6, 20) ];
+      ]
+  in
+  if faulty then Congest.Faults.install net faults;
+  let r = run net faults p ~sources:pinned_routing_sources in
+  Printf.sprintf "%s; net rounds %d, messages %d, digest %x" r (Net.rounds net)
+    (Net.messages_sent net)
+    (Net.run_digest (Net.telemetry net))
+
+let pinned_routing_cases =
+  List.map
+    (fun (name, faulty, run, want) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) "routing run" want
+            (run_routing_pinned ~faulty run)))
+    [
+      ( "packing",
+        false,
+        (fun net _ p ~sources ->
+          routing_result (B.via_dominating_trees ~seed:3 net p ~sources)),
+        "rounds 53, messages 72, throughput 1.3584905660377358, congestion \
+         53/106; net rounds 53, messages 17220, digest 12a0abd9abcf3ab" );
+      ( "single tree",
+        false,
+        (fun net _ _ ~sources -> routing_result (B.naive_single_tree net ~sources)),
+        "rounds 74, messages 72, throughput 0.97297297297297303, congestion \
+         72/144; net rounds 78, messages 31464, digest ff647d9e58b026" );
+      ( "packing under drop+crash",
+        true,
+        (fun net faults p ~sources ->
+          routing_ft_result
+            (B.via_dominating_trees_ft ~seed:3 net faults p ~sources)),
+        "rounds 170, messages 72, delivered 71, throughput 0.41764705882352943, \
+         coverage 0.98611111111111116, survivors 34, dead trees 6, converged \
+         true; net rounds 170, messages 37985, digest 1dfd54a8e9a01cd" );
+      ( "single tree under drop+crash",
+        true,
+        (fun net faults _ ~sources ->
+          routing_ft_result (B.naive_single_tree_ft net faults ~sources)),
+        "rounds 2360, messages 72, delivered 0, throughput 0, coverage \
+         0.81004901960784315, survivors 34, dead trees 1, converged false; \
+         net rounds 2364, messages 122298, digest 3168f753b2b315c" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: same seed => bit-identical telemetry, per graph family *)
 
@@ -484,6 +560,7 @@ let () =
             Alcotest.test_case "boundary words" `Quick
               test_pinned_boundary_words;
           ] );
+      ("pinned routing", pinned_routing_cases);
       qsuite "qcheck"
         [
           prop_erdos_renyi;
