@@ -40,6 +40,3 @@ val pack : ?seed:int -> Congest.Net.t -> k:int -> Cds_packing.t
     Returns the same fractional packing {!Tree_extract.of_cds_packing}
     builds centrally. *)
 val extract_trees : Congest.Net.t -> Cds_packing.t -> Packing.t
-
-(** Number of matching stages per layer, Θ(log n). *)
-val matching_stages : n:int -> int

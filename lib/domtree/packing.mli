@@ -23,9 +23,6 @@ val size : t -> float
 (** Number of trees. *)
 val count : t -> int
 
-(** [node_load p v] is Σ of weights of trees containing [v]. *)
-val node_load : t -> int -> float
-
 (** [max_node_load p] over all vertices. *)
 val max_node_load : t -> float
 

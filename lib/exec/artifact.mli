@@ -37,8 +37,6 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-val json_to_string : json -> string
-
 (** [write_json ~path j] pretty-prints [j] and writes it atomically,
     announcing the artifact on stdout.
 

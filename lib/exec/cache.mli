@@ -22,17 +22,14 @@ type t
 (** The default cache root, [_cache/] (gitignored). *)
 val default_dir : string
 
-(** The engine's entry-format version. Bump when {!Job.payload} or the
-    entry encoding changes shape. *)
-val format_version : int
-
 (** [open_dir ?version ?metrics dir] creates [<dir>/v<version>/] if
     needed, and sweeps stale write temporaries ([<key>.tmp.<domain>]
     files a crashed writer left behind — nothing ever reads them, so at
     open time, which precedes every pool write of this process, they are
-    garbage). [version] defaults to {!format_version}. With [metrics],
-    the hit/miss/quarantine counters are mirrored into that registry as
-    [exec_cache_{hits,misses,quarantined}_total]. *)
+    garbage). [version] defaults to the engine's entry-format version,
+    bumped when {!Job.payload} or the entry encoding changes shape. With
+    [metrics], the hit/miss/quarantine counters are mirrored into that
+    registry as [exec_cache_{hits,misses,quarantined}_total]. *)
 val open_dir : ?version:int -> ?metrics:Obs.Metrics.t -> string -> t
 
 val dir : t -> string

@@ -45,13 +45,10 @@ type stats = {
           real content even for sweeps whose jobs emit no CSV rows *)
 }
 
-(** Default domain count for the [-j] flag:
-    [Domain.recommended_domain_count () - 1], at least 1. *)
-val default_jobs : unit -> int
-
 (** [run ~name items] executes the sweep.
 
-    @param jobs pool width; default {!default_jobs} ([-j 1] = inline)
+    @param jobs pool width; default
+    [Domain.recommended_domain_count () - 1], at least 1 ([-j 1] = inline)
     @param cache consult/populate this cache (absent = always compute)
     @param csv CSV artifact path (with [csv_header])
     @param bench_json path for the benchmark JSON artifact

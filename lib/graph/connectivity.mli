@@ -10,10 +10,6 @@
     by the Stoer–Wagner minimum-cut algorithm. *)
 val edge_connectivity : Graph.t -> int
 
-(** [min_edge_cut g] is [(lambda, side)] where [side] is one shore of a
-    minimum edge cut. *)
-val min_edge_cut : Graph.t -> int * bool array
-
 (** [edge_connectivity_sparsified g] computes λ exactly but first
     replaces [g] by its (min-degree+1)-sparse certificate
     ({!Certificate}), which preserves λ; on dense graphs this makes the

@@ -5,16 +5,10 @@
     [1 + max id] unless a [# n <count>] header names a larger one
     (allowing isolated trailing vertices). *)
 
-(** [read_edge_list ic] parses a channel.
+(** [load path] reads a file ([-] = stdin).
     @raise Failure on malformed lines. *)
-val read_edge_list : in_channel -> Graph.t
-
-(** [load path] reads a file ([-] = stdin). *)
 val load : string -> Graph.t
 
-(** [write_edge_list oc g] writes the canonical edge list with a
-    [# n <count>] header. *)
-val write_edge_list : out_channel -> Graph.t -> unit
-
-(** [save path g] writes a file ([-] = stdout). *)
+(** [save path g] writes the canonical edge list with a [# n <count>]
+    header to a file ([-] = stdout). *)
 val save : string -> Graph.t -> unit

@@ -13,10 +13,6 @@ val kruskal : n:int -> edge list -> edge list
     [parent.(v)] is [v]'s tree parent otherwise. *)
 val prim : Graph.t -> weight:(int -> int -> float) -> int array
 
-(** [tree_edges_of_parents parent] lists the [(child, parent)] pairs,
-    skipping roots. *)
-val tree_edges_of_parents : int array -> (int * int) list
-
 (** Sum of weights. *)
 val total_weight : edge list -> float
 

@@ -16,10 +16,6 @@ val edge_partition : Random.State.t -> Graph.t -> eta:int -> Graph.t array
     connectivity); 1 when λ is already that small. *)
 val suggested_eta : lambda:int -> n:int -> eps:float -> int
 
-(** [vertex_sample rng g ~p] marks each vertex independently with
-    probability [p]; returns the membership array. *)
-val vertex_sample : Random.State.t -> Graph.t -> p:float -> bool array
-
 (** [sampled_connectivity rng g ~trials] estimates κ: the minimum, over
     [trials] half-density vertex samples, of the vertex connectivity of
     the subgraph induced by sampled vertices (0 if a sample is

@@ -1,5 +1,6 @@
 module Graph = Graphs.Graph
 module Net = Congest.Net
+module Faults = Congest.Faults
 
 type result = {
   rounds : int;
@@ -42,152 +43,6 @@ let finish net start ~messages ~relays ~edge_crossings =
     max_vertex_congestion = Array.fold_left max 0 relays;
     max_edge_congestion = Array.fold_left max 0 edge_crossings;
   }
-
-(* ------------------------------------------------------------------ *)
-(* V-CONGEST: dominating-tree packing *)
-
-let via_dominating_trees ?(seed = 42) ?(schedule = `Round_robin) net
-    (packing : Domtree.Packing.t) ~sources =
-  let trees = Array.of_list packing.Domtree.Packing.trees in
-  let tcount = Array.length trees in
-  if tcount = 0 then
-    invalid_arg "Broadcast.via_dominating_trees: empty packing";
-  let g = Net.graph net in
-  let n = Graph.n g in
-  let rng = Random.State.make [| seed; n; tcount |] in
-  let weights = Array.of_list packing.Domtree.Packing.weights in
-  let wsum = Array.fold_left ( +. ) 0. weights in
-  (* time-sharing: under `Weighted, a node serves tree i with probability
-     proportional to x_i — the literal fractional-packing semantics of
-     §1.1; `Round_robin is the uniform-weight special case *)
-  let pick_weighted () =
-    let x = Random.State.float rng wsum in
-    let acc = ref 0. in
-    let chosen = ref (tcount - 1) in
-    (try
-       Array.iteri
-         (fun i w ->
-           acc := !acc +. w;
-           if !acc >= x then begin
-             chosen := i;
-             raise Exit
-           end)
-         weights
-     with Exit -> ());
-    !chosen
-  in
-  let msgs, total = expand_sources sources in
-  (* assignment: message -> random tree *)
-  let tree_of_msg = Array.init total (fun _ -> Random.State.int rng tcount) in
-  (* membership and tree adjacency *)
-  let member = Array.make_matrix tcount n false in
-  let tree_edge = Hashtbl.create 256 in
-  Array.iteri
-    (fun i tr ->
-      Array.iter (fun v -> member.(i).(v) <- true) tr.Domtree.Packing.vertices;
-      List.iter
-        (fun (u, v) -> Hashtbl.replace tree_edge (i, min u v, max u v) ())
-        tr.Domtree.Packing.edges)
-    trees;
-  let is_tree_edge i u v = Hashtbl.mem tree_edge (i, min u v, max u v) in
-  (* per-node state *)
-  let heard = Array.init n (fun _ -> Hashtbl.create 16) in
-  let heard_count = Array.make n 0 in
-  let hear v msg =
-    if not (Hashtbl.mem heard.(v) msg) then begin
-      Hashtbl.replace heard.(v) msg ();
-      heard_count.(v) <- heard_count.(v) + 1
-    end
-  in
-  (* relay queues: per node, per tree, fifo of message ids to rebroadcast *)
-  let queues = Array.init n (fun _ -> Array.init tcount (fun _ -> Queue.create ())) in
-  let relayed = Array.init n (fun _ -> Hashtbl.create 16) in
-  let adopt v i msg =
-    (* member v will relay msg of tree i exactly once *)
-    if member.(i).(v) && not (Hashtbl.mem relayed.(v) (i, msg)) then begin
-      Hashtbl.replace relayed.(v) (i, msg) ();
-      Queue.add msg queues.(v).(i)
-    end
-  in
-  (* injection queues at origins *)
-  let inject = Array.init n (fun _ -> Queue.create ()) in
-  List.iter
-    (fun (id, origin) ->
-      hear origin id;
-      let i = tree_of_msg.(id) in
-      if member.(i).(origin) then adopt origin i id
-      else Queue.add id inject.(origin))
-    msgs;
-  let rr = Array.make n 0 in
-  let relays = Array.make n 0 in
-  let edge_crossings = Array.make (Graph.m g) 0 in
-  let start = Net.checkpoint net in
-  let all_heard () = Array.for_all (fun c -> c = total) heard_count in
-  let guard = ref 0 in
-  while (not (all_heard ())) && !guard < 100 * (total + n) do
-    incr guard;
-    let choice =
-      Array.init n (fun v ->
-          if not (Queue.is_empty inject.(v)) then begin
-            let id = Queue.pop inject.(v) in
-            Some (tree_of_msg.(id), id)
-          end
-          else begin
-            match schedule with
-            | `Round_robin ->
-              (* round-robin over trees with pending relays *)
-              let found = ref None in
-              let tried = ref 0 in
-              while !found = None && !tried < tcount do
-                let i = (rr.(v) + !tried) mod tcount in
-                if not (Queue.is_empty queues.(v).(i)) then begin
-                  found := Some (i, Queue.pop queues.(v).(i));
-                  rr.(v) <- (i + 1) mod tcount
-                end;
-                incr tried
-              done;
-              !found
-            | `Weighted ->
-              (* sample a tree by weight; fall back to the next pending
-                 one so no round is wasted while work remains *)
-              let start = pick_weighted () in
-              let found = ref None in
-              let tried = ref 0 in
-              while !found = None && !tried < tcount do
-                let i = (start + !tried) mod tcount in
-                if not (Queue.is_empty queues.(v).(i)) then
-                  found := Some (i, Queue.pop queues.(v).(i));
-                incr tried
-              done;
-              !found
-          end)
-    in
-    let inboxes =
-      Net.broadcast_round net (fun v ->
-          match choice.(v) with
-          | Some (i, id) -> Some [| i; id |]
-          | None -> None)
-    in
-    for v = 0 to n - 1 do
-      (match choice.(v) with
-      | Some _ ->
-        relays.(v) <- relays.(v) + 1;
-        record_broadcast_crossings g edge_crossings v
-      | None -> ());
-      List.iter
-        (fun (sender, m) ->
-          let i = m.(0) and id = m.(1) in
-          hear v id;
-          (* adopt for relaying if the tree edge (sender, v) exists, or if
-             v is a member hearing it from a non-member injector *)
-          if member.(i).(v) && (is_tree_edge i sender v || not (member.(i).(sender)))
-          then adopt v i id)
-        inboxes.(v)
-    done
-  done;
-  if not (all_heard ()) then
-    failwith "Broadcast.via_dominating_trees: did not converge (bad packing?)";
-  finish net start ~messages:total ~relays ~edge_crossings
 
 (* ------------------------------------------------------------------ *)
 (* E-CONGEST: spanning-tree packing *)
@@ -295,8 +150,10 @@ let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
   finish net start ~messages:total ~relays ~edge_crossings
 
 (* ------------------------------------------------------------------ *)
-(* Fault-tolerant variants: same store-and-forward schedulers, but
-   aware of a Faults adversary. Recovery semantics:
+(* V-CONGEST: one store-and-forward scheduler per tree shape, run
+   against an optional Faults adversary. A fault-free entry point is the
+   same scheduler with no adversary and no repair tick. Recovery
+   semantics under an adversary:
    - a tree with a crashed member or a killed tree edge is dead; its
      pending relays are rerouted onto surviving trees;
    - every [repair_every] rounds each node re-gossips one random heard
@@ -315,19 +172,172 @@ type ft_result = {
   ft_converged : bool;
 }
 
-let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) ?round_cap net
-    faults (packing : Domtree.Packing.t) ~sources =
-  let trees = Array.of_list packing.Domtree.Packing.trees in
-  let tcount = Array.length trees in
-  if tcount = 0 then
-    invalid_arg "Broadcast.via_dominating_trees_ft: empty packing";
+(* Delivery bookkeeping: who heard what, and per message how many
+   surviving nodes heard it. With no adversary no node dies and every
+   message is heard by its origin, so [all_done] holds exactly when
+   every node has heard every message. *)
+type delivery = {
+  total : int;
+  node_dead : bool array;
+  mutable alive : int;
+  heard : (int, unit) Hashtbl.t array;
+  heard_alive : int array;
+}
+
+let delivery n total =
+  {
+    total;
+    node_dead = Array.make n false;
+    alive = n;
+    heard = Array.init n (fun _ -> Hashtbl.create 16);
+    heard_alive = Array.make total 0;
+  }
+
+(* true iff [id] is news to [v], which is alive *)
+let hear d v id =
+  if d.node_dead.(v) || Hashtbl.mem d.heard.(v) id then false
+  else begin
+    Hashtbl.replace d.heard.(v) id ();
+    d.heard_alive.(id) <- d.heard_alive.(id) + 1;
+    true
+  end
+
+let bury d v =
+  if not d.node_dead.(v) then begin
+    d.node_dead.(v) <- true;
+    d.alive <- d.alive - 1;
+    (* lint: allow hashtbl-order — commutative counter decrements *)
+    Hashtbl.iter
+      (fun id () -> d.heard_alive.(id) <- d.heard_alive.(id) - 1)
+      d.heard.(v)
+  end
+
+let all_done d =
+  let rec from id =
+    id = d.total
+    ||
+    let h = d.heard_alive.(id) in
+    (h = 0 || h = d.alive) && from (id + 1)
+  in
+  d.alive = 0 || from 0
+
+let random_of rng = function
+  | [] -> None
+  | l -> Some (List.nth l (Random.State.int rng (List.length l)))
+
+(* [fault_sync d faults ~on_crash ~on_kill] polls the adversary: when
+   its crash count grows it buries the crashed nodes and hands them to
+   [on_crash]; when its kill count grows it hands the killed edges to
+   [on_kill]. With no adversary it does nothing. *)
+let fault_sync d faults ~on_crash ~on_kill =
+  match faults with
+  | None -> ignore
+  | Some f ->
+    let known_crashes = ref 0 and known_kills = ref 0 in
+    fun () ->
+      if Faults.crashes f <> !known_crashes then begin
+        known_crashes := Faults.crashes f;
+        let crashed = Faults.crashed_nodes f in
+        List.iter (bury d) crashed;
+        on_crash crashed
+      end;
+      if Faults.edges_killed f <> !known_kills then begin
+        known_kills := Faults.edges_killed f;
+        on_kill (Faults.killed_edges f)
+      end
+
+type run = {
+  d : delivery;
+  start : Net.checkpoint;
+  relays : int array;
+  edge_crossings : int array;
+}
+
+(* The round loop of both tree shapes. Every [repair_every] rounds each
+   survivor first [resend]s one random message it heard. Then each live
+   node broadcasts what [pick] chooses, the adversary is polled, and
+   each live node [receive]s its inbox. Stops once [all_done] or after
+   [cap] rounds. *)
+let run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick ~encode
+    ~receive =
   let g = Net.graph net in
   let n = Graph.n g in
-  let rng = Random.State.make [| seed; n; tcount; 17 |] in
-  let msgs, total = expand_sources sources in
-  let cap =
-    match round_cap with Some c -> c | None -> (20 * (total + n)) + 200
-  in
+  sync ();
+  let relays = Array.make n 0 in
+  let edge_crossings = Array.make (Graph.m g) 0 in
+  let start = Net.checkpoint net in
+  let round = ref 0 in
+  while (not (all_done d)) && !round < cap do
+    incr round;
+    (match repair_every with
+    | Some every when !round mod every = 0 ->
+      for v = 0 to n - 1 do
+        if not d.node_dead.(v) then
+          Option.iter (resend v)
+            (random_of rng
+               (List.sort compare
+                  (Hashtbl.fold (fun id () acc -> id :: acc) d.heard.(v) [])))
+      done
+    | _ -> ());
+    let choice =
+      Array.init n (fun v -> if d.node_dead.(v) then None else pick v)
+    in
+    let inboxes =
+      Net.broadcast_round net (fun v -> Option.map encode choice.(v))
+    in
+    sync ();
+    for v = 0 to n - 1 do
+      if Option.is_some choice.(v) then begin
+        relays.(v) <- relays.(v) + 1;
+        record_broadcast_crossings g edge_crossings v
+      end;
+      if not d.node_dead.(v) then receive v inboxes.(v)
+    done
+  done;
+  { d; start; relays; edge_crossings }
+
+let fault_free net run ~failure =
+  if not (all_done run.d) then failwith failure;
+  finish net run.start ~messages:run.d.total ~relays:run.relays
+    ~edge_crossings:run.edge_crossings
+
+let with_faults net run ~dead_trees =
+  let d = run.d in
+  let rounds = max 1 (Net.rounds_since net run.start) in
+  let delivered = ref 0 and pairs = ref 0 in
+  for id = 0 to d.total - 1 do
+    pairs := !pairs + d.heard_alive.(id);
+    if d.alive > 0 && d.heard_alive.(id) = d.alive then incr delivered
+  done;
+  {
+    ft_rounds = rounds;
+    ft_messages = d.total;
+    ft_delivered = !delivered;
+    ft_throughput = float_of_int !delivered /. float_of_int rounds;
+    ft_coverage =
+      (if d.total = 0 || d.alive = 0 then 1.
+       else float_of_int !pairs /. float_of_int (d.total * d.alive));
+    ft_survivors = d.alive;
+    ft_dead_trees = dead_trees;
+    ft_converged = all_done d;
+  }
+
+let default_cap ~total ~n = (20 * (total + n)) + 200
+
+(* ------------------------------------------------------------------ *)
+(* Dominating-tree packing *)
+
+let packing_trees ~who (packing : Domtree.Packing.t) =
+  let trees = Array.of_list packing.Domtree.Packing.trees in
+  if Array.length trees = 0 then invalid_arg (who ^ ": empty packing");
+  trees
+
+(* Each message rides a uniformly random tree. Members relay it along
+   tree edges and time-share across their trees round-robin. Returns the
+   run and the number of trees the adversary killed. *)
+let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
+  let tcount = Array.length trees in
+  let n = Net.n net in
   let member = Array.make_matrix tcount n false in
   let tree_edge = Hashtbl.create 256 in
   Array.iteri
@@ -340,22 +350,14 @@ let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) ?round_cap net
   let is_tree_edge i u v = Hashtbl.mem tree_edge (i, min u v, max u v) in
   let tree_dead = Array.make tcount false in
   let tree_of_msg = Array.init total (fun _ -> Random.State.int rng tcount) in
-  (* liveness bookkeeping: heard_alive.(id) counts surviving hearers *)
-  let node_dead = Array.make n false in
-  let alive_count = ref n in
-  let heard = Array.init n (fun _ -> Hashtbl.create 16) in
-  let heard_alive = Array.make total 0 in
-  let hear v id =
-    if (not node_dead.(v)) && not (Hashtbl.mem heard.(v) id) then begin
-      Hashtbl.replace heard.(v) id ();
-      heard_alive.(id) <- heard_alive.(id) + 1
-    end
-  in
+  let d = delivery n total in
+  (* relay queues: per node, per tree, fifo of message ids to rebroadcast *)
   let queues =
     Array.init n (fun _ -> Array.init tcount (fun _ -> Queue.create ()))
   in
   let relayed = Array.init n (fun _ -> Hashtbl.create 16) in
   let adopt v i id =
+    (* member v relays message id of live tree i exactly once *)
     if
       member.(i).(v)
       && (not tree_dead.(i))
@@ -365,10 +367,11 @@ let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) ?round_cap net
       Queue.add id queues.(v).(i)
     end
   in
+  (* injection queues at origins *)
   let inject = Array.init n (fun _ -> Queue.create ()) in
   List.iter
     (fun (id, origin) ->
-      hear origin id;
+      ignore (hear d origin id);
       let i = tree_of_msg.(id) in
       if member.(i).(origin) then adopt origin i id
       else Queue.add id inject.(origin))
@@ -380,316 +383,135 @@ let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) ?round_cap net
     done;
     !acc
   in
-  let random_of = function
-    | [] -> None
-    | l -> Some (List.nth l (Random.State.int rng (List.length l)))
-  in
   (* a surviving tree v belongs to, else any surviving tree (tagged so
      the caller knows whether v can relay it itself) *)
   let pick_surviving v =
     match
-      random_of (List.filter (fun i -> member.(i).(v)) (surviving_trees ()))
+      random_of rng (List.filter (fun i -> member.(i).(v)) (surviving_trees ()))
     with
     | Some i -> Some (true, i)
     | None -> (
-      match random_of (surviving_trees ()) with
+      match random_of rng (surviving_trees ()) with
       | Some i -> Some (false, i)
       | None -> None)
   in
   let dead_trees = ref 0 in
-  let reroute v i =
-    let q = queues.(v).(i) in
-    while not (Queue.is_empty q) do
-      let id = Queue.pop q in
-      match pick_surviving v with
-      | Some (true, j) -> Queue.add id queues.(v).(j)
-      | Some (false, _) | None -> Queue.add id inject.(v)
-    done
-  in
   let kill_tree i =
     if not tree_dead.(i) then begin
       tree_dead.(i) <- true;
       incr dead_trees;
+      (* reroute its pending relays *)
       for v = 0 to n - 1 do
-        if not node_dead.(v) then reroute v i
-      done
-    end
-  in
-  let bury v =
-    if not node_dead.(v) then begin
-      node_dead.(v) <- true;
-      decr alive_count;
-      (* lint: allow hashtbl-order — commutative counter decrements *)
-      Hashtbl.iter
-        (fun id () -> heard_alive.(id) <- heard_alive.(id) - 1)
-        heard.(v)
-    end
-  in
-  let known_crashes = ref 0 and known_kills = ref 0 in
-  let sync_faults () =
-    if Congest.Faults.crashes faults <> !known_crashes then begin
-      known_crashes := Congest.Faults.crashes faults;
-      List.iter bury (Congest.Faults.crashed_nodes faults);
-      for i = 0 to tcount - 1 do
-        if
-          (not tree_dead.(i))
-          && Array.exists
-               (fun v -> node_dead.(v))
-               trees.(i).Domtree.Packing.vertices
-        then kill_tree i
-      done
-    end;
-    if Congest.Faults.edges_killed faults <> !known_kills then begin
-      known_kills := Congest.Faults.edges_killed faults;
-      List.iter
-        (fun (u, v) ->
-          for i = 0 to tcount - 1 do
-            if (not tree_dead.(i)) && is_tree_edge i u v then kill_tree i
-          done)
-        (Congest.Faults.killed_edges faults)
-    end
-  in
-  sync_faults ();
-  let rr = Array.make n 0 in
-  let start = Net.checkpoint net in
-  let all_done () =
-    !alive_count = 0
-    ||
-    let ok = ref true in
-    for id = 0 to total - 1 do
-      let h = heard_alive.(id) in
-      if h <> 0 && h <> !alive_count then ok := false
-    done;
-    !ok
-  in
-  let round = ref 0 in
-  while (not (all_done ())) && !round < cap do
-    incr round;
-    if !round mod repair_every = 0 then
-      (* repair tick: every survivor re-gossips one random heard message *)
-      for v = 0 to n - 1 do
-        if not node_dead.(v) then begin
-          let ks =
-            List.sort compare
-              (Hashtbl.fold (fun id () acc -> id :: acc) heard.(v) [])
-          in
-          match random_of ks with
-          | None -> ()
-          | Some id -> (
+        if not d.node_dead.(v) then begin
+          let q = queues.(v).(i) in
+          while not (Queue.is_empty q) do
+            let id = Queue.pop q in
             match pick_surviving v with
             | Some (true, j) -> Queue.add id queues.(v).(j)
-            | Some (false, _) -> Queue.add id inject.(v)
-            | None -> ())
+            | Some (false, _) | None -> Queue.add id inject.(v)
+          done
         end
-      done;
-    let choice =
-      Array.init n (fun v ->
-          if node_dead.(v) then None
-          else if not (Queue.is_empty inject.(v)) then begin
-            let id = Queue.pop inject.(v) in
-            let i0 = tree_of_msg.(id) in
-            let i =
-              if not tree_dead.(i0) then i0
-              else
-                match random_of (surviving_trees ()) with
-                | Some j ->
-                  tree_of_msg.(id) <- j;
-                  j
-                | None -> i0
-            in
-            Some (i, id)
-          end
-          else begin
-            let found = ref None in
-            let tried = ref 0 in
-            while !found = None && !tried < tcount do
-              let i = (rr.(v) + !tried) mod tcount in
-              if not (Queue.is_empty queues.(v).(i)) then begin
-                found := Some (i, Queue.pop queues.(v).(i));
-                rr.(v) <- (i + 1) mod tcount
-              end;
-              incr tried
-            done;
-            !found
-          end)
-    in
-    let inboxes =
-      Net.broadcast_round net (fun v ->
-          match choice.(v) with
-          | Some (i, id) -> Some [| i; id |]
-          | None -> None)
-    in
-    sync_faults ();
-    for v = 0 to n - 1 do
-      if not node_dead.(v) then
-        List.iter
-          (fun (sender, m) ->
-            let i = m.(0) and id = m.(1) in
-            hear v id;
-            if
-              member.(i).(v)
-              && (is_tree_edge i sender v || not member.(i).(sender))
-            then adopt v i id)
-          inboxes.(v)
-    done
-  done;
-  let converged = all_done () in
-  let rounds = max 1 (Net.rounds_since net start) in
-  let delivered = ref 0 and pairs = ref 0 in
-  for id = 0 to total - 1 do
-    pairs := !pairs + heard_alive.(id);
-    if !alive_count > 0 && heard_alive.(id) = !alive_count then incr delivered
-  done;
-  {
-    ft_rounds = rounds;
-    ft_messages = total;
-    ft_delivered = !delivered;
-    ft_throughput = float_of_int !delivered /. float_of_int rounds;
-    ft_coverage =
-      (if total = 0 || !alive_count = 0 then 1.
-       else float_of_int !pairs /. float_of_int (total * !alive_count));
-    ft_survivors = !alive_count;
-    ft_dead_trees = !dead_trees;
-    ft_converged = converged;
-  }
+      done
+    end
+  in
+  let sync =
+    fault_sync d faults
+      ~on_crash:(fun _ ->
+        for i = 0 to tcount - 1 do
+          if
+            (not tree_dead.(i))
+            && Array.exists
+                 (fun v -> d.node_dead.(v))
+                 trees.(i).Domtree.Packing.vertices
+          then kill_tree i
+        done)
+      ~on_kill:
+        (List.iter (fun (u, v) ->
+             for i = 0 to tcount - 1 do
+               if (not tree_dead.(i)) && is_tree_edge i u v then kill_tree i
+             done))
+  in
+  let resend v id =
+    match pick_surviving v with
+    | Some (true, j) -> Queue.add id queues.(v).(j)
+    | Some (false, _) -> Queue.add id inject.(v)
+    | None -> ()
+  in
+  let rr = Array.make n 0 in
+  let rec next_pending v tried =
+    if tried = tcount then None
+    else
+      let i = (rr.(v) + tried) mod tcount in
+      if Queue.is_empty queues.(v).(i) then next_pending v (tried + 1)
+      else begin
+        rr.(v) <- (i + 1) mod tcount;
+        Some (i, Queue.pop queues.(v).(i))
+      end
+  in
+  let pick v =
+    match Queue.take_opt inject.(v) with
+    | Some id ->
+      let i0 = tree_of_msg.(id) in
+      let i =
+        if not tree_dead.(i0) then i0
+        else
+          match random_of rng (surviving_trees ()) with
+          | Some j ->
+            tree_of_msg.(id) <- j;
+            j
+          | None -> i0
+      in
+      Some (i, id)
+    | None -> next_pending v 0
+  in
+  let receive v =
+    List.iter (fun (sender, m) ->
+        let i = m.(0) and id = m.(1) in
+        ignore (hear d v id);
+        (* adopt for relaying if the tree edge (sender, v) exists, or if
+           v is a member hearing it from a non-member injector *)
+        if
+          member.(i).(v) && (is_tree_edge i sender v || not member.(i).(sender))
+        then adopt v i id)
+  in
+  let run =
+    run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick
+      ~encode:(fun (i, id) -> [| i; id |])
+      ~receive
+  in
+  (run, !dead_trees)
 
-let naive_single_tree_ft ?(repair_every = 8) ?round_cap net faults ~sources =
-  let g = Net.graph net in
-  let n = Graph.n g in
+let via_dominating_trees ?(seed = 42) net packing ~sources =
+  let trees = packing_trees ~who:"Broadcast.via_dominating_trees" packing in
+  let n = Net.n net in
+  let rng = Random.State.make [| seed; n; Array.length trees |] in
   let msgs, total = expand_sources sources in
-  let cap =
-    match round_cap with Some c -> c | None -> (20 * (total + n)) + 200
+  let run, _ =
+    packing_rounds ~rng ~cap:(100 * (total + n)) net trees ~msgs ~total
   in
-  (* the tree predates the faults: build it on a fault-free scratch net
-     over the same graph and charge those rounds to the real clock *)
-  let scratch = Net.create (Net.model net) g in
-  let tree = Congest.Primitives.bfs_tree scratch ~root:0 in
-  Net.silent_rounds net (Net.rounds scratch);
-  let adj = Array.make n [] in
-  Array.iteri
-    (fun v p ->
-      if p >= 0 && p <> v then begin
-        adj.(v) <- p :: adj.(v);
-        adj.(p) <- v :: adj.(p)
-      end)
-    tree.Congest.Primitives.parent;
-  let node_dead = Array.make n false in
-  let alive_count = ref n in
-  let heard = Array.init n (fun _ -> Hashtbl.create 16) in
-  let heard_alive = Array.make total 0 in
-  let queues = Array.init n (fun _ -> Queue.create ()) in
-  let learn v id =
-    if (not node_dead.(v)) && not (Hashtbl.mem heard.(v) id) then begin
-      Hashtbl.replace heard.(v) id ();
-      heard_alive.(id) <- heard_alive.(id) + 1;
-      Queue.add id queues.(v)
-    end
+  fault_free net run
+    ~failure:"Broadcast.via_dominating_trees: did not converge (bad packing?)"
+
+let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) ?round_cap net
+    faults packing ~sources =
+  let trees = packing_trees ~who:"Broadcast.via_dominating_trees_ft" packing in
+  let n = Net.n net in
+  let rng = Random.State.make [| seed; n; Array.length trees; 17 |] in
+  let msgs, total = expand_sources sources in
+  let cap = Option.value round_cap ~default:(default_cap ~total ~n) in
+  let run, dead_trees =
+    packing_rounds ~faults ~repair_every ~rng ~cap net trees ~msgs ~total
   in
-  List.iter (fun (id, origin) -> learn origin id) msgs;
-  let bury v =
-    if not node_dead.(v) then begin
-      node_dead.(v) <- true;
-      decr alive_count;
-      (* lint: allow hashtbl-order — commutative counter decrements *)
-      Hashtbl.iter
-        (fun id () -> heard_alive.(id) <- heard_alive.(id) - 1)
-        heard.(v)
-    end
-  in
-  let tree_hit = ref false in
-  let known_crashes = ref 0 and known_kills = ref 0 in
-  let sync_faults () =
-    if Congest.Faults.crashes faults <> !known_crashes then begin
-      known_crashes := Congest.Faults.crashes faults;
-      List.iter bury (Congest.Faults.crashed_nodes faults);
-      if List.exists (fun v -> adj.(v) <> []) (Congest.Faults.crashed_nodes faults)
-      then tree_hit := true
-    end;
-    if Congest.Faults.edges_killed faults <> !known_kills then begin
-      known_kills := Congest.Faults.edges_killed faults;
-      if
-        List.exists
-          (fun (u, v) -> List.mem v adj.(u))
-          (Congest.Faults.killed_edges faults)
-      then tree_hit := true
-    end
-  in
-  sync_faults ();
-  let rng = Random.State.make [| 42; n; total; 19 |] in
-  let start = Net.checkpoint net in
-  let all_done () =
-    !alive_count = 0
-    ||
-    let ok = ref true in
-    for id = 0 to total - 1 do
-      let h = heard_alive.(id) in
-      if h <> 0 && h <> !alive_count then ok := false
-    done;
-    !ok
-  in
-  let round = ref 0 in
-  while (not (all_done ())) && !round < cap do
-    incr round;
-    if !round mod repair_every = 0 then
-      (* retransmission against drops: re-pipeline one random heard
-         message; the single tree itself is never routed around *)
-      for v = 0 to n - 1 do
-        if not node_dead.(v) then begin
-          let ks =
-            List.sort compare
-              (Hashtbl.fold (fun id () acc -> id :: acc) heard.(v) [])
-          in
-          match ks with
-          | [] -> ()
-          | _ -> Queue.add (List.nth ks (Random.State.int rng (List.length ks)))
-                   queues.(v)
-        end
-      done;
-    let choice =
-      Array.init n (fun v ->
-          if node_dead.(v) || Queue.is_empty queues.(v) then None
-          else Some (Queue.pop queues.(v)))
-    in
-    let inboxes =
-      Net.broadcast_round net (fun v ->
-          match choice.(v) with Some id -> Some [| id |] | None -> None)
-    in
-    sync_faults ();
-    for v = 0 to n - 1 do
-      if not node_dead.(v) then
-        List.iter
-          (fun (sender, m) -> if List.mem sender adj.(v) then learn v m.(0))
-          inboxes.(v)
-    done
-  done;
-  let converged = all_done () in
-  let rounds = max 1 (Net.rounds_since net start) in
-  let delivered = ref 0 and pairs = ref 0 in
-  for id = 0 to total - 1 do
-    pairs := !pairs + heard_alive.(id);
-    if !alive_count > 0 && heard_alive.(id) = !alive_count then incr delivered
-  done;
-  {
-    ft_rounds = rounds;
-    ft_messages = total;
-    ft_delivered = !delivered;
-    ft_throughput = float_of_int !delivered /. float_of_int rounds;
-    ft_coverage =
-      (if total = 0 || !alive_count = 0 then 1.
-       else float_of_int !pairs /. float_of_int (total * !alive_count));
-    ft_survivors = !alive_count;
-    ft_dead_trees = (if !tree_hit then 1 else 0);
-    ft_converged = converged;
-  }
+  with_faults net run ~dead_trees
 
 (* ------------------------------------------------------------------ *)
 (* Baseline: single BFS tree *)
 
-let naive_single_tree net ~sources =
-  let g = Net.graph net in
-  let n = Graph.n g in
-  let msgs, total = expand_sources sources in
-  let tree = Congest.Primitives.bfs_tree net ~root:0 in
+(* Pipeline every message over the tree given by [parent]. Under an
+   adversary the tree itself is never routed around: returns the run
+   and 1 if a crash or an edge kill hit it, else 0. *)
+let single_tree_rounds ?faults ?repair_every ~cap net ~parent ~msgs ~total =
+  let n = Net.n net in
   let adj = Array.make n [] in
   Array.iteri
     (fun v p ->
@@ -697,44 +519,55 @@ let naive_single_tree net ~sources =
         adj.(v) <- p :: adj.(v);
         adj.(p) <- v :: adj.(p)
       end)
-    tree.Congest.Primitives.parent;
-  let heard = Array.init n (fun _ -> Hashtbl.create 16) in
-  let heard_count = Array.make n 0 in
+    parent;
+  let d = delivery n total in
   let queues = Array.init n (fun _ -> Queue.create ()) in
-  let learn v id =
-    if not (Hashtbl.mem heard.(v) id) then begin
-      Hashtbl.replace heard.(v) id ();
-      heard_count.(v) <- heard_count.(v) + 1;
-      Queue.add id queues.(v)
-    end
-  in
+  let learn v id = if hear d v id then Queue.add id queues.(v) in
   List.iter (fun (id, origin) -> learn origin id) msgs;
-  let relays = Array.make n 0 in
-  let edge_crossings = Array.make (Graph.m g) 0 in
-  let start = Net.checkpoint net in
-  let all_heard () = Array.for_all (fun c -> c = total) heard_count in
-  let guard = ref 0 in
-  while (not (all_heard ())) && !guard < 100 * (total + n) do
-    incr guard;
-    let choice =
-      Array.init n (fun v ->
-          if Queue.is_empty queues.(v) then None else Some (Queue.pop queues.(v)))
-    in
-    let inboxes =
-      Net.broadcast_round net (fun v ->
-          match choice.(v) with Some id -> Some [| id |] | None -> None)
-    in
-    for v = 0 to n - 1 do
-      (match choice.(v) with
-      | Some _ ->
-        relays.(v) <- relays.(v) + 1;
-        record_broadcast_crossings g edge_crossings v
-      | None -> ());
-      List.iter
-        (fun (sender, m) -> if List.mem sender adj.(v) then learn v m.(0))
-        inboxes.(v)
-    done
-  done;
-  if not (all_heard ()) then
-    failwith "Broadcast.naive_single_tree: did not converge";
-  finish net start ~messages:total ~relays ~edge_crossings
+  let tree_hit = ref false in
+  let sync =
+    fault_sync d faults
+      ~on_crash:(fun crashed ->
+        if List.exists (fun v -> adj.(v) <> []) crashed then tree_hit := true)
+      ~on_kill:(fun killed ->
+        if List.exists (fun (u, v) -> List.mem v adj.(u)) killed then
+          tree_hit := true)
+  in
+  let run =
+    run_rounds ?repair_every net d ~sync
+      ~rng:(Random.State.make [| 42; n; total; 19 |])
+      ~cap
+      ~resend:(fun v id -> Queue.add id queues.(v))
+      ~pick:(fun v -> Queue.take_opt queues.(v))
+      ~encode:(fun id -> [| id |])
+      ~receive:(fun v ->
+        List.iter (fun (sender, m) ->
+            if List.mem sender adj.(v) then learn v m.(0)))
+  in
+  (run, if !tree_hit then 1 else 0)
+
+let naive_single_tree net ~sources =
+  let msgs, total = expand_sources sources in
+  let tree = Congest.Primitives.bfs_tree net ~root:0 in
+  let run, _ =
+    single_tree_rounds
+      ~cap:(100 * (total + Net.n net))
+      net ~parent:tree.Congest.Primitives.parent ~msgs ~total
+  in
+  fault_free net run ~failure:"Broadcast.naive_single_tree: did not converge"
+
+let naive_single_tree_ft ?(repair_every = 8) ?round_cap net faults ~sources =
+  let msgs, total = expand_sources sources in
+  let cap =
+    Option.value round_cap ~default:(default_cap ~total ~n:(Net.n net))
+  in
+  (* the tree predates the faults: build it on a fault-free scratch net
+     over the same graph and charge those rounds to the real clock *)
+  let scratch = Net.create (Net.model net) (Net.graph net) in
+  let tree = Congest.Primitives.bfs_tree scratch ~root:0 in
+  Net.silent_rounds net (Net.rounds scratch);
+  let run, dead_trees =
+    single_tree_rounds ~faults ~repair_every ~cap net
+      ~parent:tree.Congest.Primitives.parent ~msgs ~total
+  in
+  with_faults net run ~dead_trees

@@ -23,14 +23,13 @@ type result = {
 (** [via_dominating_trees ?seed net packing ~sources] broadcasts, in the
     V-CONGEST model, the given messages ([sources] lists (origin, how
     many)); each message is assigned to a uniformly random tree.
-    Members time-share across their trees: [`Round_robin] (default)
-    serves pending trees cyclically; [`Weighted] serves tree τ with
-    probability proportional to its weight x_τ — the literal
-    fractional-packing semantics of §1.1.
+    Members time-share across their trees round-robin, serving pending
+    trees cyclically. Every packing the library builds has uniform
+    weights, for which this is the weight-proportional time-sharing of
+    §1.1.
     @raise Invalid_argument if the packing is empty. *)
 val via_dominating_trees :
   ?seed:int ->
-  ?schedule:[ `Round_robin | `Weighted ] ->
   Congest.Net.t -> Domtree.Packing.t -> sources:(int * int) list ->
   result
 
@@ -49,9 +48,11 @@ val naive_single_tree : Congest.Net.t -> sources:(int * int) list -> result
 
 (** {1 Fault-tolerant variants}
 
-    Same schedulers, run against a {!Congest.Faults} adversary (which
-    the caller installs on the net — see {!Routing.Gossip} for wrappers
-    that do). Recovery semantics:
+    The same schedulers, run against a {!Congest.Faults} adversary
+    (which the caller installs on the net — see {!Routing.Gossip} for
+    wrappers that do). Each tree shape has one scheduler: the fault-free
+    entry points above run it with no adversary and no repair tick.
+    Recovery semantics:
 
     - a tree with a crashed member or a killed tree edge is {e dead};
       its pending relays are rerouted onto surviving trees (the

@@ -33,12 +33,16 @@ let all_to_all_naive_ft ?(per_node = 1) ?round_cap net faults =
 
 let scattered ?(seed = 42) net packing ~k ~total ~max_per_node =
   let n = Net.n net in
+  if total < 0 || max_per_node < 1 || total > n * max_per_node then
+    invalid_arg
+      (Printf.sprintf
+         "Gossip.scattered: cannot place %d messages on %d nodes at most %d \
+          per node"
+         total n max_per_node);
   let rng = Random.State.make [| seed; n; total |] in
   let counts = Array.make n 0 in
   let placed = ref 0 in
-  let guard = ref 0 in
-  while !placed < total && !guard < 1000 * (total + 1) do
-    incr guard;
+  while !placed < total do
     let v = Random.State.int rng n in
     if counts.(v) < max_per_node then begin
       counts.(v) <- counts.(v) + 1;

@@ -38,11 +38,12 @@ val all_to_all_naive_ft :
   Congest.Net.t -> Congest.Faults.t ->
   Broadcast.ft_result
 
-(** [scattered ?seed rng_messages net packing ~k ~total ~max_per_node] is
-    Corollary A.1 in full generality: [total] messages placed at random
-    nodes with at most [max_per_node] at any single node; the reference
-    bound is eta + (N + n)/k with eta = the realized maximum per-node
-    count. *)
+(** [scattered ?seed net packing ~k ~total ~max_per_node] is Corollary
+    A.1 in full generality: [total] messages placed at random nodes with
+    at most [max_per_node] at any single node; the reference bound is
+    eta + (N + n)/k with eta = the realized maximum per-node count.
+    @raise Invalid_argument if [total] is negative, [max_per_node < 1]
+    or [total > n * max_per_node]: the placement would fall short. *)
 val scattered :
   ?seed:int -> Congest.Net.t -> Domtree.Packing.t -> k:int -> total:int ->
   max_per_node:int -> report

@@ -46,7 +46,3 @@ val count : t -> int
 (** [fold t f init] folds over in-memory entries in sorted-digest
     order — the deterministic order journal snapshots are written in. *)
 val fold : t -> ('a -> string -> entry -> 'a) -> 'a -> 'a
-
-(** The {!Exec.Cache} key a digest's certificate is stored under —
-    exposed so tests can inspect the disk side. *)
-val cache_key : digest:string -> string

@@ -93,6 +93,3 @@ val handle : t -> enqueued_at_ms:float -> Protocol.request -> Protocol.response
 
 (** Wall-clock milliseconds (the daemon's single clock source). *)
 val now_ms : unit -> float
-
-(** Content digest of a graph's vertex count + edge set (hex). *)
-val graph_digest : Graphs.Graph.t -> string

@@ -13,6 +13,3 @@ type result = {
 
 (** [centralized ?seed g] — §5.2 packing, then estimate. *)
 val centralized : ?seed:int -> Graphs.Graph.t -> result
-
-(** [estimate_of_size s] = round(2s + 1). *)
-val estimate_of_size : float -> int

@@ -48,16 +48,6 @@ let peel g0 =
   in
   go g0 []
 
-let sampled_peel ?(seed = 42) ?(eps = 0.15) g ~lambda =
-  let n = Graph.n g in
-  let rng = Random.State.make [| seed; n; lambda; 5 |] in
-  let eta = Graphs.Sampling.suggested_eta ~lambda ~n ~eps in
-  if eta <= 1 then peel g
-  else begin
-    let parts = Graphs.Sampling.edge_partition rng g ~eta in
-    Array.fold_left (fun acc h -> acc @ peel h) [] parts
-  end
-
 let to_packing g trees =
   {
     Spacking.graph = g;

@@ -6,17 +6,11 @@
       greedy peeling guarantees only λ/O(log n) in general, which is
       exactly the "considerably simpler variant" bound Ω(λ/log n) the
       paper states; Tutte/Nash-Williams' ⌈(λ-1)/2⌉ needs matroid
-      machinery that the fractional route sidesteps.
-    - [sampled_peel]: §5.2-style — partition edges into η ≈ λ/Θ(log n)
-      parts and peel each part, giving Ω(λ/log n) trees w.h.p. *)
+      machinery that the fractional route sidesteps. *)
 
 (** [peel g] is a list of edge-disjoint spanning trees of [g] (each an
     edge list), greedily extracted. Empty if [g] is disconnected. *)
 val peel : Graphs.Graph.t -> (int * int) list list
-
-(** [sampled_peel ?seed ?eps g ~lambda] peels inside Karger parts. *)
-val sampled_peel :
-  ?seed:int -> ?eps:float -> Graphs.Graph.t -> lambda:int -> (int * int) list list
 
 (** [to_packing g trees] wraps integral trees as a weight-1 packing
     (valid because the trees are edge-disjoint). *)

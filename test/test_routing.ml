@@ -104,16 +104,6 @@ let test_oblivious_edge_competitiveness () =
     true
     (rep.Routing.Oblivious.competitiveness <= 16.)
 
-let test_weighted_schedule_delivers () =
-  let g = Gen.harary ~k:12 ~n:36 in
-  let p = dom_packing g ~k:12 in
-  let net = vnet g in
-  let r =
-    Routing.Broadcast.via_dominating_trees ~schedule:`Weighted net p
-      ~sources:[ (0, 6); (9, 6) ]
-  in
-  Alcotest.(check int) "all delivered" 12 r.Routing.Broadcast.messages
-
 let test_scattered_gossip () =
   let g = Gen.harary ~k:24 ~n:48 in
   let p = fast_packing g ~classes:8 in
@@ -126,6 +116,24 @@ let test_scattered_gossip () =
   Alcotest.(check bool) "rounds near bound" true
     (float_of_int rep.Routing.Gossip.result.Routing.Broadcast.rounds
     <= 20. *. rep.Routing.Gossip.bound)
+
+let test_scattered_rejects_overfull () =
+  let g = Gen.harary ~k:4 ~n:8 in
+  let p = dom_packing g ~k:4 in
+  let net = vnet g in
+  let scatter ~total ~max_per_node () =
+    ignore (Routing.Gossip.scattered net p ~k:4 ~total ~max_per_node)
+  in
+  Alcotest.check_raises "more than n * max_per_node"
+    (Invalid_argument
+       "Gossip.scattered: cannot place 17 messages on 8 nodes at most 2 per \
+        node")
+    (scatter ~total:17 ~max_per_node:2);
+  Alcotest.check_raises "max_per_node < 1"
+    (Invalid_argument
+       "Gossip.scattered: cannot place 1 messages on 8 nodes at most 0 per \
+        node")
+    (scatter ~total:1 ~max_per_node:0)
 
 let test_empty_packing_rejected () =
   let g = Gen.path 4 in
@@ -277,8 +285,6 @@ let () =
           Alcotest.test_case "beats naive" `Quick test_broadcast_beats_naive;
           Alcotest.test_case "spanning delivers" `Quick
             test_spanning_broadcast_delivers;
-          Alcotest.test_case "weighted schedule" `Quick
-            test_weighted_schedule_delivers;
           Alcotest.test_case "empty packing" `Quick test_empty_packing_rejected;
         ] );
       ( "broadcast.props",
@@ -288,6 +294,8 @@ let () =
         [
           Alcotest.test_case "bound shape" `Quick test_gossip_bound_shape;
           Alcotest.test_case "scattered (Cor A.1)" `Quick test_scattered_gossip;
+          Alcotest.test_case "scattered overfull" `Quick
+            test_scattered_rejects_overfull;
         ] );
       ( "gossip.faults",
         [
