@@ -463,6 +463,166 @@ let pinned_routing_cases =
          net rounds 2364, messages 122298, digest 3168f753b2b315c" );
     ]
 
+(* The domtree protocols (Multiflood meta-rounds, the Appendix B packing,
+   the Appendix E tester, repair and the vc-approx driver), pinned the
+   same way: traffic, rounds and a fingerprint of each result. Their
+   per-node state may be rebuilt only if every message, every round and
+   every RNG draw stays where it is. *)
+
+module Cds = Domtree.Cds_packing
+
+let ints_checksum =
+  List.fold_left (fun a x -> ((a * 1000003) + x + 1) land 0xFFFFFFF)
+
+let pairs_checksum ps =
+  ints_checksum 0 (List.concat_map (fun (a, b) -> [ a; b ]) ps)
+
+let lists_checksum ls =
+  Array.fold_left (fun a l -> ints_checksum (ints_checksum a l) [ -1 ]) 0 ls
+
+let traffic net =
+  let t = Net.telemetry net in
+  Printf.sprintf "rounds %d, messages %d, words %d, digest %x" t.Net.t_rounds
+    t.Net.t_messages t.Net.t_words (Net.run_digest t)
+
+(* a dominating-but-split class: blocks 0 and [len - 1] of a clique path *)
+let pinned_split_instance ~k ~len =
+  let g = Gen.clique_path ~k ~len in
+  (g, fun v -> if v / k = 0 || v / k = len - 1 then [ 0; 1 ] else [ 1 ])
+
+let pinned_cds_memberships g ~k =
+  let res = Cds.pack ~seed:7 g ~k in
+  (res.Cds.classes, Cds.real_classes res)
+
+let run_dist_packing ~faulty =
+  let net = vnet (Gen.clique_path ~k:6 ~len:8) in
+  if faulty then
+    Congest.Faults.install net
+      (Congest.Faults.create ~seed:9
+         [
+           Congest.Faults.Drop_bernoulli 0.05;
+           Congest.Faults.Crash_at [ (40, 11) ];
+         ]);
+  let res =
+    Domtree.Dist_packing.run ~seed:5 ~jumpstart:1 net ~classes:6 ~layers:8
+  in
+  let p = Domtree.Dist_packing.extract_trees net res in
+  let st = res.Cds.stats in
+  Printf.sprintf
+    "members %d, excess %d, matched %d, bridging %d, valid %d, trees %d, edges \
+     %d; %s"
+    (lists_checksum (Array.map Array.to_list res.Cds.members))
+    (pairs_checksum st.Cds.excess_after_layer)
+    (pairs_checksum st.Cds.matched_per_layer)
+    (pairs_checksum st.Cds.bridging_edges_per_layer)
+    (List.length (Cds.valid_classes res))
+    (List.length p.Domtree.Packing.trees)
+    (List.fold_left
+       (fun a tr ->
+         ints_checksum a
+           [ tr.Domtree.Packing.cls; edges_checksum tr.Domtree.Packing.edges ])
+       0 p.Domtree.Packing.trees)
+    (traffic net)
+
+let tester_summary net (o : Domtree.Tester.outcome) =
+  Printf.sprintf "pass %b, domination %b, detection %s; %s"
+    o.Domtree.Tester.pass o.Domtree.Tester.domination_ok
+    (match o.Domtree.Tester.detection_round with
+    | Some r -> string_of_int r
+    | None -> "none")
+    (traffic net)
+
+let run_tester_valid () =
+  let g = Gen.harary ~k:12 ~n:48 in
+  let classes, per_real = pinned_cds_memberships g ~k:12 in
+  let net = vnet g in
+  (* every third node lists its first class twice *)
+  let memberships r =
+    match per_real.(r) with
+    | i :: _ as l when r mod 3 = 0 -> l @ [ i ]
+    | l -> l
+  in
+  tester_summary net
+    (Domtree.Tester.run_distributed ~seed:4 net ~memberships ~classes
+       ~detection_rounds:24)
+
+(* the two fragments are at distance 3: only the random rounds see it *)
+let run_tester_split () =
+  let g, memberships = pinned_split_instance ~k:5 ~len:4 in
+  let net = vnet g in
+  tester_summary net
+    (Domtree.Tester.run_distributed ~seed:13 net ~memberships ~classes:2
+       ~detection_rounds:40)
+
+let repair_summary net (rep : Domtree.Repair.t) =
+  Printf.sprintf
+    "memberships %d, retained %d, orphans %d, splices %d, rounds %d; %s"
+    (lists_checksum rep.Domtree.Repair.r_memberships)
+    (ints_checksum 0 rep.Domtree.Repair.r_retained)
+    rep.Domtree.Repair.r_orphans rep.Domtree.Repair.r_splices
+    rep.Domtree.Repair.r_rounds (traffic net)
+
+let run_repair_split () =
+  let g, memberships = pinned_split_instance ~k:6 ~len:3 in
+  let net = vnet g in
+  repair_summary net
+    (Domtree.Repair.run_distributed net ~memberships ~classes:2)
+
+(* classes r mod 3 on a cycle, every tenth node stripped: orphans, then
+   fragments to splice *)
+let run_repair_stripped () =
+  let net = vnet (Gen.cycle 30) in
+  let memberships r = if r mod 10 = 0 then [] else [ r mod 3 ] in
+  repair_summary net
+    (Domtree.Repair.run_distributed net ~memberships ~classes:3)
+
+let run_vc_approx () =
+  let net = vnet (Gen.cycle 24) in
+  let r = Domtree.Vc_approx.distributed ~seed:12 net in
+  Printf.sprintf "estimate %d, attempts %d, guess %d; %s"
+    r.Domtree.Vc_approx.estimate r.Domtree.Vc_approx.attempts
+    r.Domtree.Vc_approx.accepted_guess (traffic net)
+
+let pinned_domtree_cases =
+  List.map
+    (fun (name, run, want) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) "domtree run" want (run ())))
+    [
+      ( "Dist_packing.run + extract_trees",
+        (fun () -> run_dist_packing ~faulty:false),
+        "members 64550090, excess 149041694, matched 192120274, \
+         bridging 76303405, valid 6, trees 6, edges 132500885; rounds \
+         1693, messages 458683, words 1469339, digest 1e7c194241c64f5" );
+      ( "Dist_packing.run under drop+crash",
+        (fun () -> run_dist_packing ~faulty:true),
+        "members 146337386, excess 149041694, matched 178245857, \
+         bridging 34680154, valid 6, trees 6, edges 132057851; rounds \
+         1794, messages 433891, words 1383175, digest 22cebe3db33de0e" );
+      ( "Tester.run_distributed passing",
+        run_tester_valid,
+        "pass true, domination true, detection none; rounds 72, \
+         messages 36480, words 77760, digest da99ea1269cc84" );
+      ( "Tester.run_distributed split class",
+        run_tester_split,
+        "pass false, domination true, detection 1; rounds 65, messages \
+         6350, words 12190, digest 31ee8cfc785dac3" );
+      ( "Repair.run_distributed split class",
+        run_repair_split,
+        "memberships 197679492, retained 1000005, orphans 0, splices 6, \
+         rounds 23; rounds 23, messages 1998, words 5166, digest \
+         2b67e7a284a066a" );
+      ( "Repair.run_distributed stripped nodes",
+        run_repair_stripped,
+        "memberships 190213108, retained 85926418, orphans 9, splices \
+         54, rounds 75; rounds 75, messages 3390, words 9762, digest \
+         2c3601868f03fb0" );
+      ( "Vc_approx.distributed",
+        run_vc_approx,
+        "estimate 4, attempts 1, guess 12; rounds 1033, messages 46152, \
+         words 143124, digest 2149f675a4a5931" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: same seed => bit-identical telemetry, per graph family *)
 
@@ -561,6 +721,7 @@ let () =
               test_pinned_boundary_words;
           ] );
       ("pinned routing", pinned_routing_cases);
+      ("pinned domtree", pinned_domtree_cases);
       qsuite "qcheck"
         [
           prop_erdos_renyi;
