@@ -13,6 +13,16 @@ type t = {
   edges : (int * (int * int)) list;
 }
 
+(* by class, then id: the components of one class are disjoint, so
+   their ids (minimum members) differ and no other field is reached *)
+let compare_component a b =
+  match Int.compare a.cls b.cls with 0 -> Int.compare a.id b.id | c -> c
+
+let compare_edge (r1, (i1, c1)) (r2, (i2, c2)) =
+  match Int.compare r1 r2 with
+  | 0 -> ( match Int.compare i1 i2 with 0 -> Int.compare c1 c2 | c -> c)
+  | c -> c
+
 let build g ~classes ~members ~class1 ~class3 =
   let n = Graph.n g in
   (* components of each class's old members *)
@@ -100,7 +110,7 @@ let build g ~classes ~members ~class1 ~class3 =
         }
         :: acc)
       comp_members []
-    |> List.sort compare
+    |> List.sort compare_component
   in
   (* canonicalize edge component ids to the minimum member *)
   let canon = Hashtbl.create 16 in
@@ -112,7 +122,7 @@ let build g ~classes ~members ~class1 ~class3 =
     List.rev_map
       (fun (r, (i, c)) -> (r, (i, Hashtbl.find canon (i, c))))
       !edges
-    |> List.sort_uniq compare
+    |> List.sort_uniq compare_edge
   in
   { components; edges }
 

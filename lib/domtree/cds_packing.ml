@@ -172,7 +172,7 @@ let assign_layer st ~new_layer =
                     end
                   end)
                 comps)
-            (List.sort_uniq compare st.classes_of_real.(u))
+            (List.sort_uniq Int.compare st.classes_of_real.(u))
         in
         add_for r;
         Array.iter add_for (Graph.neighbors st.g r);
@@ -293,4 +293,4 @@ let real_classes (p : t) =
         if not (List.mem cls sets.(r)) then sets.(r) <- cls :: sets.(r)
       end)
     p.class_of;
-  Array.map (List.sort compare) sets
+  Array.map (List.sort Int.compare) sets

@@ -57,7 +57,7 @@ let bfs_tree g ~in_class root =
         end)
       (Graph.neighbors g u)
   done;
-  (!count, List.sort compare !edges)
+  (!count, List.sort Packing.compare_edge !edges)
 
 let dominates ~live g ~in_class =
   let n = Graph.n g in
@@ -128,7 +128,7 @@ let check ?(seed = 11) ?(live = fun _ -> true) g ~memberships t =
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   (* 1. bookkeeping: retained + dropped partition the requested range *)
   if
-    List.sort compare (t.c_retained @ t.c_dropped)
+    List.sort Int.compare (t.c_retained @ t.c_dropped)
     <> List.init t.c_classes_requested Fun.id
   then
     err "retained/dropped do not partition the %d requested classes"
@@ -143,7 +143,7 @@ let check ?(seed = 11) ?(live = fun _ -> true) g ~memberships t =
       match w.w_vertices with
       | [] -> err "class %d: empty witness" i
       | root :: _ as vs ->
-        if List.sort_uniq compare vs <> vs then
+        if List.sort_uniq Int.compare vs <> vs then
           err "class %d: witness vertices not sorted and duplicate-free" i;
         List.iter
           (fun v ->

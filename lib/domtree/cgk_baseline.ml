@@ -29,7 +29,7 @@ let components_of st cls =
     end
   done;
   Hashtbl.fold (fun _ members acc -> members :: acc) roots []
-  |> List.sort compare
+  |> List.sort (List.compare Int.compare)
 
 let excess st =
   let total = ref 0 in

@@ -51,15 +51,15 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
             ignore (Union_find.union ufs.(i) u v)
         done)
       g;
+    (* a union only joins members, so every member's root is a member:
+       the components of class i are its members that are roots *)
     let total = ref 0 in
     for i = 0 to classes - 1 do
-      let roots = Hashtbl.create 16 in
+      let roots = ref 0 in
       for r = 0 to n - 1 do
-        if member.(i).(r) then
-          Hashtbl.replace roots (Union_find.find ufs.(i) r) ()
+        if member.(i).(r) && Union_find.find ufs.(i) r = r then incr roots
       done;
-      if Hashtbl.length roots >= 1 then
-        total := !total + (Hashtbl.length roots - 1)
+      if !roots >= 1 then total := !total + (!roots - 1)
     done;
     !total
   in
@@ -68,227 +68,253 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
   let stats_bridging = ref [] in
   let stages = matching_stages ~n in
   let proposal_range = max 64 (n * n) in
+  let csr_off = Graph.csr_offsets g and csr_adj = Graph.csr_neighbors g in
+  (* per-receiver scratch of the B.2c scans *)
+  let w_conn = Array.make classes false in
+  let w_one = Array.make classes (-1) in
+  let w_many = Array.make classes false in
+  let seen_at = Array.make n (-1) in
+  (* the classes of the type-3 messages the receiver heard, each once *)
+  let heard = Array.make classes 0 and n_heard = ref 0 in
+  let hear m =
+    let i = m.(1) in
+    if (not w_conn.(i)) && w_one.(i) < 0 then begin
+      heard.(!n_heard) <- i;
+      incr n_heard
+    end;
+    if m.(0) = tag_connector then w_conn.(i) <- true
+    else if w_one.(i) < 0 then w_one.(i) <- m.(2)
+    else if w_one.(i) <> m.(2) then w_many.(i) <- true
+  in
+  let witnessed i c =
+    w_conn.(i) || w_many.(i) || (w_one.(i) >= 0 && w_one.(i) <> c)
+  in
 
   for new_layer = jumpstart + 1 to layers do
     (* local random choices for type-1 and type-3 new nodes *)
     let class1 = Array.init n (fun _ -> random_class ()) in
     let class3 = Array.init n (fun _ -> random_class ()) in
+    (* the old nodes' memberships are fixed until the layer commits *)
+    let sl = Multiflood.layout ~n memberships in
+    let nslots = Array.length sl.Multiflood.cls in
+    let slot r i = Multiflood.find sl r i in
 
     (* B.1: component identification of old nodes *)
-    let cids = Multiflood.flood_min net ~memberships ~init:(fun r _ -> (r, r)) in
-    let cid r i =
-      match Hashtbl.find_opt cids (r, i) with Some (c, _) -> c | None -> -1
+    let cid, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
+    (* status sweep #1: members announce (class, cid). A node keeps, for
+       its type-1 and type-3 classes, the first cid seen in its closed
+       neighborhood and whether a different one turned up. *)
+    let first1 = Array.make n (-1) and many1 = Array.make n false in
+    let first3 = Array.make n (-1) and many3 = Array.make n false in
+    let see first many r c =
+      if first.(r) < 0 then first.(r) <- c
+      else if first.(r) <> c then many.(r) <- true
     in
-    (* status sweep #1: members announce (class, cid) *)
-    let sweep1 =
-      Multiflood.membership_sweep net ~memberships ~payload:(fun r i ->
-          [ cid r i ])
-    in
-    (* each node's view: class -> distinct cids in closed neighborhood *)
-    let nbhd_cids r i =
-      let acc = ref [] in
-      if List.mem i my_classes.(r) then acc := [ cid r i ];
-      List.iter
-        (fun (_, j, payload) ->
-          match payload with
-          | [ c ] when j = i -> if not (List.mem c !acc) then acc := c :: !acc
-          | _ -> ())
-        sweep1.(r);
-      !acc
-    in
+    for r = 0 to n - 1 do
+      let s1 = slot r class1.(r) and s3 = slot r class3.(r) in
+      if s1 >= 0 then see first1 many1 r cid.(s1);
+      if s3 >= 0 then see first3 many3 r cid.(s3)
+    done;
+    Multiflood.membership_sweep net sl
+      ~payload:(fun _ s -> [| cid.(s) |])
+      ~recv:(fun r _ i m ->
+        if i = class1.(r) then see first1 many1 r m.(1);
+        if i = class3.(r) then see first3 many3 r m.(1));
 
     (* B.2a: type-1 connector declarations (one round) *)
     let inboxes =
       Net.broadcast_round net (fun r ->
-          let i = class1.(r) in
-          if List.length (nbhd_cids r i) >= 2 then
-            Some [| tag_connector; i |]
-          else None)
+          if many1.(r) then Some [| tag_connector; class1.(r) |] else None)
     in
     (* members adjacent to a declaring type-1 node mark deactivation *)
-    let deact_local = Hashtbl.create 64 in
+    let deact = Array.make nslots false in
     for r = 0 to n - 1 do
       List.iter
         (fun (_, m) ->
           if m.(0) = tag_connector then begin
-            let i = m.(1) in
-            if List.mem i my_classes.(r) then
-              Hashtbl.replace deact_local (r, i) ()
+            let s = slot r m.(1) in
+            if s >= 0 then deact.(s) <- true
           end)
         inboxes.(r)
     done;
     (* flood the deactivation flag through each component (flag 0 wins) *)
-    let deact_table =
-      Multiflood.flood_min net ~memberships ~init:(fun r i ->
-          if Hashtbl.mem deact_local (r, i) then (0, r) else (1, r))
+    let flag, _ =
+      Multiflood.flood_min net sl ~init:(fun r s ->
+          ((if deact.(s) then 0 else 1), r))
     in
-    let deactivated r i =
-      match Hashtbl.find_opt deact_table (r, i) with
-      | Some (0, _) -> true
-      | _ -> false
-    in
-    (* status sweep #2: members announce (class, cid, active?) *)
-    let sweep2 =
-      Multiflood.membership_sweep net ~memberships ~payload:(fun r i ->
-          [ cid r i; (if deactivated r i then 0 else 1) ])
-    in
-    (* per node: class -> (cid, active) list seen in closed neighborhood *)
-    let view r i =
-      let acc = ref [] in
-      if List.mem i my_classes.(r) then
-        acc := [ (cid r i, not (deactivated r i)) ];
-      List.iter
-        (fun (_, j, payload) ->
-          match payload with
-          | [ c; a ] when j = i ->
-            if not (List.mem_assoc c !acc) then acc := (c, a = 1) :: !acc
-          | _ -> ())
-        sweep2.(r);
-      !acc
-    in
+    (* status sweep #2: members announce (class, cid, active?). Each
+       receiver logs its deliveries in arrival order; the B.2c lists read
+       the log newest first. *)
+    let log_off = Array.make (n + 1) 0 in
+    for r = 0 to n - 1 do
+      let c = ref 0 in
+      for e = csr_off.(r) to csr_off.(r + 1) - 1 do
+        let u = csr_adj.(e) in
+        c := !c + sl.Multiflood.off.(u + 1) - sl.Multiflood.off.(u)
+      done;
+      log_off.(r + 1) <- log_off.(r) + !c
+    done;
+    let log_cls = Array.make log_off.(n) 0 in
+    let log_cid = Array.make log_off.(n) 0 in
+    let log_act = Array.make log_off.(n) false in
+    let log_end = Array.sub log_off 0 n in
+    Multiflood.membership_sweep net sl
+      ~payload:(fun _ s -> [| cid.(s); (if flag.(s) = 0 then 0 else 1) |])
+      ~recv:(fun r _ i m ->
+        let e = log_end.(r) in
+        log_cls.(e) <- i;
+        log_cid.(e) <- m.(1);
+        log_act.(e) <- m.(2) = 1;
+        log_end.(r) <- e + 1);
 
     (* B.2b: type-3 messages (one round) *)
-    let msg3_of r =
-      let i = class3.(r) in
-      match nbhd_cids r i with
-      | [] -> None
-      | [ c ] -> Some [| tag_one; i; c |]
-      | _ :: _ :: _ -> Some [| tag_connector; i |]
-    in
-    let inboxes3 = Net.broadcast_round net (fun r -> msg3_of r) in
-    (* type-2 witness check: does r (or a neighbor) carry a type-3 message
-       of class i naming a component other than c (or "connector")? *)
-    let witnesses r =
-      (* collect all type-3 messages audible at r, own included *)
-      let own = match msg3_of r with Some m -> [ (r, m) ] | None -> [] in
-      own @ inboxes3.(r)
-    in
-
-    (* B.2c: type-2 neighbor lists *)
-    let listv =
+    let msg3 =
       Array.init n (fun r ->
-          let audible = witnesses r in
-          let witnessed i c =
-            List.exists
-              (fun (_, m) ->
-                if m.(0) = tag_connector then m.(1) = i
-                else m.(1) = i && m.(2) <> c)
-              audible
-          in
-          (* candidate components: distinct (class, cid) active around r *)
-          let acc = ref [] in
-          for i = 0 to classes - 1 do
-            List.iter
-              (fun (c, active) ->
-                if active && witnessed i c && not (List.mem (i, c) !acc) then
-                  acc := (i, c) :: !acc)
-              (view r i)
-          done;
-          !acc)
+          let i = class3.(r) in
+          if first3.(r) < 0 then None
+          else if many3.(r) then Some [| tag_connector; i |]
+          else Some [| tag_one; i; first3.(r) |])
     in
-    let bridging = Array.fold_left (fun a l -> a + List.length l) 0 listv in
+    let inboxes3 = Net.broadcast_round net (fun r -> msg3.(r)) in
 
-    (* B.3: proposal-based maximal matching, Θ(log n) stages *)
+    (* B.2c: type-2 neighbor lists. A type-3 message of class i audible
+       at r (own included) witnesses component (i, c) if it declares a
+       connector or names a component other than c. Candidates are the
+       distinct active (class, cid) around r: classes descending, own
+       membership first, then the logged ones newest first. They fill
+       r's region of [opt_cls]/[opt_cid], which has room for one per own
+       slot and one per logged delivery. *)
+    let opt_base r = sl.Multiflood.off.(r) + log_off.(r) in
+    let opt_cls = Array.make (nslots + log_off.(n)) 0 in
+    let opt_cid = Array.make (nslots + log_off.(n)) 0 in
+    let opt_len = Array.make n 0 in
+    let emit r i c =
+      let e = opt_base r + opt_len.(r) in
+      opt_cls.(e) <- i;
+      opt_cid.(e) <- c;
+      opt_len.(r) <- opt_len.(r) + 1
+    in
+    for r = 0 to n - 1 do
+      n_heard := 0;
+      Option.iter hear msg3.(r);
+      List.iter (fun (_, m) -> hear m) inboxes3.(r);
+      let audible = Array.sub heard 0 !n_heard in
+      Array.sort (fun a b -> Int.compare b a) audible;
+      Array.iter
+        (fun i ->
+          let s = slot r i in
+          let own = if s >= 0 then cid.(s) else -1 in
+          if s >= 0 && flag.(s) <> 0 && witnessed i own then emit r i own;
+          let stamp = (r * classes) + i in
+          for e = log_end.(r) - 1 downto log_off.(r) do
+            if log_cls.(e) = i then begin
+              let c = log_cid.(e) in
+              if c <> own && seen_at.(c) <> stamp then begin
+                seen_at.(c) <- stamp;
+                if log_act.(e) && witnessed i c then emit r i c
+              end
+            end
+          done;
+          w_conn.(i) <- false;
+          w_one.(i) <- -1;
+          w_many.(i) <- false)
+        audible
+    done;
+    let bridging = Array.fold_left ( + ) 0 opt_len in
+    Array.fill seen_at 0 n (-1);
+
+    (* B.3: proposal-based maximal matching, Θ(log n) stages; [opt_len]
+       now counts the options still open *)
     let class2 = Array.make n (-1) in
-    let options = Array.map (fun l -> ref l) listv in
     (* members remember that their component got matched so it never
        accepts a second proposal in a later stage *)
-    let matched_memberships = Hashtbl.create 64 in
+    let locked = Array.make nslots false in
+    let prop_value = Array.make n 0 in
+    let prop_cls = Array.make n (-1) in
+    let prop_cid = Array.make n 0 in
+    let best_value = Array.make nslots (-1) in
+    let best_who = Array.make nslots (-1) in
     for _stage = 1 to stages do
-      (* a. proposals *)
-      let proposal =
-        Array.init n (fun r ->
-            if class2.(r) >= 0 then None
-            else
-              match !(options.(r)) with
-              | [] -> None
-              | opts ->
-                let scored =
-                  List.map
-                    (fun (i, c) ->
-                      (Random.State.int rng proposal_range, i, c))
-                    opts
-                in
-                let best =
-                  List.fold_left
-                    (fun acc x -> if x > acc then x else acc)
-                    (List.hd scored) (List.tl scored)
-                in
-                Some best)
-      in
+      (* a. proposals: one draw per open option, in list order; the
+         largest (value, class, cid) wins *)
+      for r = 0 to n - 1 do
+        prop_cls.(r) <- -1;
+        if class2.(r) < 0 then
+          for e = opt_base r to opt_base r + opt_len.(r) - 1 do
+            let v = Random.State.full_int rng proposal_range in
+            let i = opt_cls.(e) and c = opt_cid.(e) in
+            let pv = prop_value.(r) and pi = prop_cls.(r) in
+            if
+              pi < 0 || v > pv
+              || (v = pv && (i > pi || (i = pi && c > prop_cid.(r))))
+            then begin
+              prop_value.(r) <- v;
+              prop_cls.(r) <- i;
+              prop_cid.(r) <- c
+            end
+          done
+      done;
       let inboxes =
         Net.broadcast_round net (fun r ->
-            match proposal.(r) with
-            | Some (value, i, c) -> Some [| i; c; value; r |]
-            | None -> None)
+            if prop_cls.(r) >= 0 then
+              Some [| prop_cls.(r); prop_cid.(r); prop_value.(r); r |]
+            else None)
       in
       (* b. members of still-unmatched components record the best proposal
          addressed to their component *)
-      let best_local = Hashtbl.create 64 in
+      Array.fill best_value 0 nslots (-1);
+      Array.fill best_who 0 nslots (-1);
       for r = 0 to n - 1 do
         List.iter
           (fun (_, m) ->
-            let i = m.(0) and c = m.(1) and value = m.(2) and who = m.(3) in
-            if
-              List.mem i my_classes.(r) && cid r i = c
-              && not (Hashtbl.mem matched_memberships (r, i))
-            then begin
-              let cur =
-                match Hashtbl.find_opt best_local (r, i) with
-                | Some p -> p
-                | None -> (-1, -1)
-              in
-              if (value, who) > cur then
-                Hashtbl.replace best_local (r, i) (value, who)
+            let s = slot r m.(0) in
+            let value = m.(2) and who = m.(3) in
+            if s >= 0 && cid.(s) = m.(1) && not locked.(s) then begin
+              let bv = best_value.(s) in
+              if value > bv || (value = bv && who > best_who.(s)) then begin
+                best_value.(s) <- value;
+                best_who.(s) <- who
+              end
             end)
           inboxes.(r)
       done;
       (* c. component-wide maximum via min-flood on negated values *)
-      let accepted =
-        Multiflood.flood_min net ~memberships ~init:(fun r i ->
-            match Hashtbl.find_opt best_local (r, i) with
-            | Some (value, who) -> (-value, who)
-            | None -> (1, -1))
+      let neg, who =
+        Multiflood.flood_min net sl ~init:(fun _ s ->
+            if best_who.(s) >= 0 then (-best_value.(s), best_who.(s))
+            else (1, -1))
       in
-      let accepted_of r i =
-        match Hashtbl.find_opt accepted (r, i) with
-        | Some (neg, who) when neg <= 0 && who >= 0 -> Some (-neg, who)
-        | _ -> None
-      in
-      (* d. members announce the accepted proposal and lock their
-         component; every listener drops any component it hears got
-         matched to somebody else (the paper's Listv update) *)
-      let sweep3 =
-        Multiflood.membership_sweep net ~memberships ~payload:(fun r i ->
-            match accepted_of r i with
-            | Some (value, who) -> [ cid r i; value; who ]
-            | None -> [ cid r i; -1; -1 ])
-      in
-      for r = 0 to n - 1 do
-        (* members lock their now-matched memberships *)
-        List.iter
-          (fun i ->
-            if accepted_of r i <> None then
-              Hashtbl.replace matched_memberships (r, i) ())
-          my_classes.(r);
-        List.iter
-          (fun (_, j, payload) ->
-            match payload with
-            | [ c'; value'; who ] when who >= 0 ->
-              (* did my own proposal win? *)
-              (match proposal.(r) with
-              | Some (value, i, c)
-                when j = i && c' = c && who = r && value' = value ->
-                class2.(r) <- i
-              | _ -> ());
-              (* either way, component (j, c') is taken now *)
-              options.(r) :=
-                List.filter
-                  (fun (j2, c2) -> not (j2 = j && c2 = c'))
-                  !(options.(r))
-            | _ -> ())
-          sweep3.(r)
-      done
+      let accepted s = neg.(s) <= 0 && who.(s) >= 0 in
+      (* d. members lock their now-matched memberships, announce the
+         accepted proposal, and every listener drops any component it
+         hears got matched to somebody else (the paper's Listv update) *)
+      for s = 0 to nslots - 1 do
+        if accepted s then locked.(s) <- true
+      done;
+      Multiflood.membership_sweep net sl
+        ~payload:(fun _ s ->
+          if accepted s then [| cid.(s); -neg.(s); who.(s) |]
+          else [| cid.(s); -1; -1 |])
+        ~recv:(fun r _ j m ->
+          let c' = m.(1) and w = m.(3) in
+          if w >= 0 then begin
+            (* did my own proposal win? *)
+            if
+              prop_cls.(r) = j && prop_cid.(r) = c' && w = r
+              && m.(2) = prop_value.(r)
+            then class2.(r) <- j;
+            (* either way, component (j, c') is taken now *)
+            let lo = opt_base r in
+            let kept = ref lo in
+            for e = lo to lo + opt_len.(r) - 1 do
+              if not (opt_cls.(e) = j && opt_cid.(e) = c') then begin
+                opt_cls.(!kept) <- opt_cls.(e);
+                opt_cid.(!kept) <- opt_cid.(e);
+                incr kept
+              end
+            done;
+            opt_len.(r) <- !kept - lo
+          end)
     done;
     let matched = Array.fold_left (fun a c -> if c >= 0 then a + 1 else a) 0 class2 in
     for r = 0 to n - 1 do

@@ -29,7 +29,7 @@ let spanning_tree_in g members =
         if !parent >= 0 then edges := (min v !parent, max v !parent) :: !edges
       end)
     arr;
-  List.sort compare !edges
+  List.sort Packing.compare_edge !edges
 
 let run ?(seed = 42) g ~layers =
   if layers < 1 then invalid_arg "Integral_layering.run: layers < 1";

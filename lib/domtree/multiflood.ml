@@ -1,80 +1,110 @@
 module Net = Congest.Net
 
-let max_slots n memberships =
-  let best = ref 0 in
+type slots = { off : int array; cls : int array }
+
+let layout ~n memberships =
+  let lists = Array.init n memberships in
+  let off = Array.make (n + 1) 0 in
   for r = 0 to n - 1 do
-    let l = List.length (memberships r) in
-    if l > !best then best := l
+    off.(r + 1) <- off.(r) + List.length lists.(r)
+  done;
+  let cls = Array.make off.(n) 0 in
+  Array.iteri
+    (fun r l -> List.iteri (fun j i -> cls.(off.(r) + j) <- i) l)
+    lists;
+  { off; cls }
+
+let find sl r i =
+  let hi = sl.off.(r + 1) in
+  let rec go s =
+    if s >= hi then -1 else if sl.cls.(s) = i then s else go (s + 1)
+  in
+  go sl.off.(r)
+
+let max_slots sl =
+  let best = ref 0 in
+  for r = 0 to Array.length sl.off - 2 do
+    best := max !best (sl.off.(r + 1) - sl.off.(r))
   done;
   !best
 
-let flood_min net ~memberships ~init =
+let flood_min net sl ~init =
   let n = Net.n net in
-  let table = Hashtbl.create (4 * n) in
+  let off = sl.off and cls = sl.cls in
+  (* [first.(s)]: the slot holding slot [s]'s state *)
+  let first = Array.make (Array.length cls) 0 in
+  let value = Array.make (Array.length cls) 0 in
+  let tiebreak = Array.make (Array.length cls) 0 in
   for r = 0 to n - 1 do
-    List.iter (fun i -> Hashtbl.replace table (r, i) (init r i)) (memberships r)
+    for s = off.(r) to off.(r + 1) - 1 do
+      let f = find sl r cls.(s) in
+      first.(s) <- f;
+      if f = s then begin
+        let v, t = init r s in
+        value.(s) <- v;
+        tiebreak.(s) <- t
+      end
+    done
   done;
-  let slots = max_slots n memberships in
-  let member_lists = Array.init n (fun r -> Array.of_list (memberships r)) in
   let changed = ref true in
   while !changed do
     changed := false;
-    for s = 0 to slots - 1 do
+    for k = 0 to max_slots sl - 1 do
       let inboxes =
         Net.broadcast_round net (fun r ->
-            if s < Array.length member_lists.(r) then begin
-              let i = member_lists.(r).(s) in
-              let v, tb = Hashtbl.find table (r, i) in
-              Some [| i; v; tb |]
+            let s = off.(r) + k in
+            if s < off.(r + 1) then begin
+              let f = first.(s) in
+              Some [| cls.(s); value.(f); tiebreak.(f) |]
             end
             else None)
       in
       for r = 0 to n - 1 do
         List.iter
           (fun (_, m) ->
-            let i = m.(0) in
-            match Hashtbl.find_opt table (r, i) with
-            | None -> ()
-            | Some cur ->
-              let pair = (m.(1), m.(2)) in
-              if pair < cur then begin
-                Hashtbl.replace table (r, i) pair;
+            let f = find sl r m.(0) in
+            if f >= 0 then begin
+              let v = m.(1) and t = m.(2) in
+              if v < value.(f) || (v = value.(f) && t < tiebreak.(f)) then begin
+                value.(f) <- v;
+                tiebreak.(f) <- t;
                 changed := true
-              end)
+              end
+            end)
           inboxes.(r)
       done
-    done;
-    (* same-real virtual adjacency: all of a node's memberships in the
-       same class share the same entry here, so nothing further to do *)
-    ()
+    done
   done;
-  table
+  (* same-real virtual adjacency: the repeats of a class share its first
+     slot's state *)
+  Array.iteri
+    (fun s f ->
+      value.(s) <- value.(f);
+      tiebreak.(s) <- tiebreak.(f))
+    first;
+  (value, tiebreak)
 
-let membership_sweep net ~memberships ~payload =
+let membership_sweep net sl ~payload ~recv =
   let n = Net.n net in
-  let slots = max_slots n memberships in
-  let member_lists = Array.init n (fun r -> Array.of_list (memberships r)) in
-  let received = Array.make n [] in
-  for s = 0 to slots - 1 do
+  let off = sl.off and cls = sl.cls in
+  for k = 0 to max_slots sl - 1 do
     let inboxes =
       Net.broadcast_round net (fun r ->
-          if s < Array.length member_lists.(r) then begin
-            let i = member_lists.(r).(s) in
+          let s = off.(r) + k in
+          if s < off.(r + 1) then begin
+            let p = payload r s in
+            let len = Array.length p in
             (* lint: allow msg-budget — one membership id plus the caller's
                per-membership payload (dist_packing/tester send <= 3 words);
                Model.words_budget is enforced per message by Net at runtime,
                so an over-budget payload fails loudly, not silently *)
-            Some (Array.of_list (i :: payload r i))
+            let m = Array.make (len + 1) cls.(s) in
+            Array.blit p 0 m 1 len;
+            Some m
           end
           else None)
     in
     for r = 0 to n - 1 do
-      List.iter
-        (fun (sender, m) ->
-          let i = m.(0) in
-          let rest = Array.to_list (Array.sub m 1 (Array.length m - 1)) in
-          received.(r) <- (sender, i, rest) :: received.(r))
-        inboxes.(r)
+      List.iter (fun (sender, m) -> recv r sender m.(0) m) inboxes.(r)
     done
-  done;
-  received
+  done

@@ -5,31 +5,61 @@
     meta-round of §3.1), in which each real node broadcasts one
     (class, value, tiebreak) triple per membership slot. Values flow
     only along intra-class virtual edges, i.e. between same-class
-    memberships of adjacent (or identical) real nodes. *)
+    memberships of adjacent (or identical) real nodes.
 
-(** [flood_min net ~memberships ~init] floods minimum (value, tiebreak)
-    pairs within every class-component simultaneously; returns the fixed
-    point: [(real, class) -> (value, tiebreak)]. Termination is detected
-    by the simulator (one quiescent sweep is charged).
+    {b Slot layout.} A {!slots} value is a CSR over the memberships:
+    node [r]'s slots are [off.(r) .. off.(r + 1) - 1], one per entry of
+    its membership list, in list order, and [cls.(s)] is the class of
+    slot [s]. Meta-round [k] is the base round in which every node with
+    a [k]-th slot broadcasts for it. A list that repeats a class gets one
+    slot per repeat, but the repeats share one state: the {e first} slot
+    of that class in the node's slice ({!find}) holds it, and every
+    repeat broadcasts it. Per-slot state of the callers lives in int
+    arrays indexed by slot. *)
+
+type slots = private {
+  off : int array;  (** [n + 1] offsets into [cls] *)
+  cls : int array;  (** class of every slot *)
+}
+
+(** [layout ~n memberships] lays out [memberships r] for [r < n]. *)
+val layout : n:int -> (int -> int list) -> slots
+
+(** [find slots r i] is the first slot of class [i] in [r]'s slice, or
+    [-1] when [r] is not a member of [i]. *)
+val find : slots -> int -> int -> int
+
+(** [flood_min net slots ~init] floods minimum (value, tiebreak) pairs
+    within every class-component simultaneously and returns the fixed
+    point as two arrays indexed by slot, [(value, tiebreak)]. Every slot
+    starts from [init r s] of the first slot [s] of its class in [r]'s
+    slice; repeats of a class end with the same pair as its first slot.
+    Pairs compare lexicographically. Termination is detected by the
+    simulator (one quiescent sweep is charged).
 
     Instantiations used in this repository:
-    - component identification: [init r i = (r, r)] gives every
-      membership the minimum real id of its class-component;
-    - flag dissemination: [init r i = (flag, r)] with flag ∈ {0,1}
+    - component identification: [init r _ = (r, r)] gives every slot
+      the minimum real id of its class-component;
+    - flag dissemination: [init r s = (flag, r)] with flag ∈ {0,1}
       spreads a 0 flag to the whole component;
     - maximum aggregation: negate values at the call site. *)
 val flood_min :
   Congest.Net.t ->
-  memberships:(int -> int list) ->
+  slots ->
   init:(int -> int -> int * int) ->
-  (int * int, int * int) Hashtbl.t
+  int array * int array
 
-(** [membership_sweep net ~memberships ~payload] performs one meta-round
-    in which every real node broadcasts [payload r cls] (a short word
-    list, to which the class is prepended) once per membership; returns
-    for every node the list of [(sender, class, payload)] it received. *)
+(** [membership_sweep net slots ~payload ~recv] performs one meta-round
+    in which every real node [r] broadcasts, for each of its slots [s],
+    the class followed by the words of [payload r s]. Every delivery is
+    handed to [recv r sender cls m] as it arrives, where [m] is the
+    whole message ([m.(0) = cls], the payload from index 1): meta-round
+    by meta-round, receivers [r] ascending, and each receiver's
+    deliveries of one slot round in increasing sender order. Nothing is
+    kept across rounds; [m] is valid only during the call. *)
 val membership_sweep :
   Congest.Net.t ->
-  memberships:(int -> int list) ->
-  payload:(int -> int -> int list) ->
-  (int * int * int list) list array
+  slots ->
+  payload:(int -> int -> int array) ->
+  recv:(int -> int -> int -> Congest.Net.msg -> unit) ->
+  unit

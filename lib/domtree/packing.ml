@@ -12,6 +12,9 @@ type t = {
   weights : float list;
 }
 
+let compare_edge (u1, v1) (u2, v2) =
+  match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
+
 let size p = List.fold_left ( +. ) 0. p.weights
 let count p = List.length p.trees
 

@@ -11,6 +11,10 @@ type tree = {
   edges : (int * int) list;  (** tree edges, (u,v) with u < v *)
 }
 
+(** Lexicographic order on [(u, v)] edge pairs, the order tree edge
+    lists are sorted in. *)
+val compare_edge : int * int -> int * int -> int
+
 type t = {
   graph : Graphs.Graph.t;
   trees : tree list;

@@ -48,7 +48,8 @@ let remap ~classes retained memfn =
       (memfn r)
 
 let snapshot_memberships ~live n memfn =
-  Array.init n (fun r -> if live r then List.sort_uniq compare (memfn r) else [])
+  Array.init n (fun r ->
+      if live r then List.sort_uniq Int.compare (memfn r) else [])
 
 let finalize ~live ~k g ~classes ~packing ~memberships ~attempts ~retries
     ~rounds_charged ~repair ~verified ?(budget_exhausted = false) () =

@@ -31,7 +31,7 @@ let pp ppf t =
 let sanitize ~live n ~memberships ~classes =
   Array.init n (fun r ->
       if live r then
-        List.sort_uniq compare
+        List.sort_uniq Int.compare
           (List.filter (fun i -> i >= 0 && i < classes) (memberships r))
       else [])
 
@@ -58,7 +58,7 @@ let joins_of ~classes ~n nc relayed =
       match nc.(i).(x) with
       | [] -> ()
       | direct ->
-        let view = List.sort_uniq compare (direct @ relayed.(i).(x)) in
+        let view = List.sort_uniq Int.compare (direct @ relayed.(i).(x)) in
         if List.length view >= 2 then joins := (x, i) :: !joins
     done
   done;
@@ -121,7 +121,7 @@ let run_centralized ?(live = fun _ -> true) g ~memberships ~classes =
           && (not in_class.(i).(r))
           && not (Array.exists (fun u -> in_class.(i).(u)) (Graph.neighbors g r))
         then begin
-          mem.(r) <- List.sort_uniq compare (i :: mem.(r));
+          mem.(r) <- List.sort_uniq Int.compare (i :: mem.(r));
           incr orphans;
           touched.(i) <- true
         end
@@ -182,7 +182,7 @@ let run_centralized ?(live = fun _ -> true) g ~memberships ~classes =
                     (fun acc u ->
                       if in_class.(i).(u) then comp.(i).(u) :: acc else acc)
                     [] (Graph.neighbors g x)
-                  |> List.sort_uniq compare
+                  |> List.sort_uniq Int.compare
             done
         done;
         (* relays: nearest fragment id, one hop further *)
@@ -200,7 +200,7 @@ let run_centralized ?(live = fun _ -> true) g ~memberships ~classes =
                         | c :: _ -> c :: acc
                       else acc)
                     [] (Graph.neighbors g x)
-                  |> List.sort_uniq compare
+                  |> List.sort_uniq Int.compare
             done
         done;
         match joins_of ~classes ~n nc relayed with
@@ -208,7 +208,7 @@ let run_centralized ?(live = fun _ -> true) g ~memberships ~classes =
         | joins ->
           List.iter
             (fun (x, i) ->
-              mem.(x) <- List.sort_uniq compare (i :: mem.(x));
+              mem.(x) <- List.sort_uniq Int.compare (i :: mem.(x));
               incr splices;
               touched.(i) <- true)
             joins;
@@ -241,19 +241,19 @@ let run_distributed ?live net ~memberships ~classes =
   let counts = live_member_counts mem ~classes in
   Array.iteri (fun i c -> if c = 0 then dropped.(i) <- true) counts;
   let memfn r = mem.(r) in
+  let in_range i = i >= 0 && i < classes in
   (* 2. domination fix off one membership sweep *)
-  let received =
-    Multiflood.membership_sweep net ~memberships:memfn ~payload:(fun _ _ -> [])
-  in
+  let seen = Array.make_matrix n classes false in
+  Multiflood.membership_sweep net (Multiflood.layout ~n memfn)
+    ~payload:(fun _ _ -> [||])
+    ~recv:(fun r _ i _ -> if in_range i then seen.(r).(i) <- true);
   for r = 0 to n - 1 do
     if live r then begin
-      let seen = Array.make classes false in
+      let seen = seen.(r) in
       List.iter (fun i -> seen.(i) <- true) mem.(r);
-      List.iter (fun (_, i, _) -> if i >= 0 && i < classes then seen.(i) <- true)
-        received.(r);
       for i = 0 to classes - 1 do
         if (not dropped.(i)) && not seen.(i) then begin
-          mem.(r) <- List.sort_uniq compare (i :: mem.(r));
+          mem.(r) <- List.sort_uniq Int.compare (i :: mem.(r));
           incr orphans;
           touched.(i) <- true
         end
@@ -264,19 +264,21 @@ let run_distributed ?live net ~memberships ~classes =
   let max_iter = ceil_lg n + 2 in
   let rec splice iter =
     (* per-class fragment identification on the virtual graph *)
-    let cids = Multiflood.flood_min net ~memberships:memfn ~init:(fun r _ -> (r, r)) in
+    let sl = Multiflood.layout ~n memfn in
+    let cids, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
     let cid r i =
-      match Hashtbl.find_opt cids (r, i) with Some (c, _) -> c | None -> r
+      let s = Multiflood.find sl r i in
+      if s < 0 then r else cids.(s)
     in
     let frag = Array.make classes 0 in
-    let seen_frag = Array.init classes (fun _ -> Hashtbl.create 8) in
+    let seen_frag = Array.make_matrix classes n false in
     Array.iteri
       (fun r ls ->
         List.iter
           (fun i ->
             let c = cid r i in
-            if not (Hashtbl.mem seen_frag.(i) c) then begin
-              Hashtbl.replace seen_frag.(i) c ();
+            if not seen_frag.(i).(c) then begin
+              seen_frag.(i).(c) <- true;
               frag.(i) <- frag.(i) + 1
             end)
           ls)
@@ -290,30 +292,29 @@ let run_distributed ?live net ~memberships ~classes =
     | act ->
       if iter >= max_iter then List.iter (fun i -> dropped.(i) <- true) act
       else begin
-        (* sweep 1: members announce their fragment id *)
-        let announced =
-          Multiflood.membership_sweep net ~memberships:memfn
-            ~payload:(fun r i -> [ cid r i ])
-        in
-        let nc = Array.make_matrix classes n [] in
         let member = Array.make_matrix classes n false in
         Array.iteri
           (fun r ls -> List.iter (fun i -> member.(i).(r) <- true) ls)
           mem;
-        for x = 0 to n - 1 do
-          if live x then
-            List.iter
-              (fun (_, i, payload) ->
-                match payload with
-                | [ c ] when i >= 0 && i < classes && not member.(i).(x) ->
-                  nc.(i).(x) <- c :: nc.(i).(x)
-                | _ -> ())
-              announced.(x)
-        done;
-        Array.iter
-          (fun row ->
-            Array.iteri (fun x cs -> row.(x) <- List.sort_uniq compare cs) row)
-          nc;
+        (* one sweep; what each non-member hears of class i, sorted and
+           unique (a node that did not survive the sweep heard nothing) *)
+        let sweep_ids sl ~payload =
+          let ids = Array.make_matrix classes n [] in
+          Multiflood.membership_sweep net sl ~payload ~recv:(fun x _ i m ->
+              if in_range i && not member.(i).(x) then
+                ids.(i).(x) <- m.(1) :: ids.(i).(x));
+          Array.iter
+            (fun row ->
+              Array.iteri
+                (fun x cs ->
+                  row.(x) <-
+                    (if live x then List.sort_uniq Int.compare cs else []))
+                row)
+            ids;
+          ids
+        in
+        (* sweep 1: members announce their fragment id *)
+        let nc = sweep_ids sl ~payload:(fun _ s -> [| cids.(s) |]) in
         (* sweep 2: non-members relay their nearest fragment id *)
         let relayfn x =
           if not (live x) then []
@@ -326,31 +327,17 @@ let run_distributed ?live net ~memberships ~classes =
             !cs
           end
         in
-        let relays =
-          Multiflood.membership_sweep net ~memberships:relayfn
-            ~payload:(fun x i -> [ List.hd nc.(i).(x) ])
+        let rl = Multiflood.layout ~n relayfn in
+        let relayed =
+          sweep_ids rl ~payload:(fun x s ->
+              [| List.hd nc.(rl.Multiflood.cls.(s)).(x) |])
         in
-        let relayed = Array.make_matrix classes n [] in
-        for x = 0 to n - 1 do
-          if live x then
-            List.iter
-              (fun (_, i, payload) ->
-                match payload with
-                | [ c ] when i >= 0 && i < classes && not member.(i).(x) ->
-                  relayed.(i).(x) <- c :: relayed.(i).(x)
-                | _ -> ())
-              relays.(x)
-        done;
-        Array.iter
-          (fun row ->
-            Array.iteri (fun x cs -> row.(x) <- List.sort_uniq compare cs) row)
-          relayed;
         match joins_of ~classes ~n nc relayed with
         | [] -> List.iter (fun i -> dropped.(i) <- true) act
         | joins ->
           List.iter
             (fun (x, i) ->
-              mem.(x) <- List.sort_uniq compare (i :: mem.(x));
+              mem.(x) <- List.sort_uniq Int.compare (i :: mem.(x));
               incr splices;
               touched.(i) <- true)
             joins;

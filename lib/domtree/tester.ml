@@ -11,6 +11,32 @@ type outcome = {
 let default_detection_rounds ~n =
   max 8 (4 * int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)))
 
+(* The ids a node has heard: one row of [classes] entries per node, the
+   component id first heard for each class, -1 when none yet. *)
+let note heard ~classes detect_at r round i c =
+  let k = (r * classes) + i in
+  let h = heard.(k) in
+  if h < 0 then heard.(k) <- c else if h <> c then detect_at round
+
+(* the announcement of a random round: the k-th heard class in ascending
+   order, k uniform (one draw, only when something was heard); -1 when
+   nothing was *)
+let choose rng heard ~classes r =
+  let base = r * classes in
+  let count = ref 0 in
+  for i = 0 to classes - 1 do
+    if heard.(base + i) >= 0 then incr count
+  done;
+  if !count = 0 then -1
+  else begin
+    let k = ref (Random.State.int rng !count) and i = ref (-1) in
+    while !k >= 0 do
+      incr i;
+      if heard.(base + !i) >= 0 then decr k
+    done;
+    !i
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Distributed tester *)
 
@@ -25,14 +51,26 @@ let run_distributed ?(seed = 11) ?(live = fun _ -> true) net ~memberships
   let tree = Congest.Primitives.bfs_tree net ~root:0 in
   let d_bound = max 1 (2 * tree.Congest.Primitives.height) in
   (* 1. domination: every class must appear in every closed neighborhood *)
-  let received = Multiflood.membership_sweep net ~memberships ~payload:(fun _ _ -> []) in
+  let seen = Array.make (n * classes) false in
+  let mark r i =
+    if i >= 0 && i < classes then seen.((r * classes) + i) <- true
+  in
+  Multiflood.membership_sweep net
+    (Multiflood.layout ~n memberships)
+    ~payload:(fun _ _ -> [||])
+    ~recv:(fun r _ i _ -> mark r i);
   let domination_ok = ref true in
   for r = 0 to n - 1 do
     if live r then begin
-      let seen = Array.make classes false in
-      List.iter (fun i -> seen.(i) <- true) (memberships r);
-      List.iter (fun (_, i, _) -> seen.(i) <- true) received.(r);
-      if not (Array.for_all (fun b -> b) seen) then domination_ok := false
+      List.iter
+        (fun i ->
+          if i < 0 || i >= classes then
+            invalid_arg "Tester.run_distributed: class out of range";
+          mark r i)
+        (memberships r);
+      for i = 0 to classes - 1 do
+        if not seen.((r * classes) + i) then domination_ok := false
+      done
     end
   done;
   if not !domination_ok then begin
@@ -49,60 +87,62 @@ let run_distributed ?(seed = 11) ?(live = fun _ -> true) net ~memberships
   end
   else begin
     (* 2. per-class component identification *)
-    let cids =
-      Multiflood.flood_min net ~memberships ~init:(fun r _ -> (r, r))
-    in
+    let sl = Multiflood.layout ~n memberships in
+    let cids, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
     let cid r i =
-      match Hashtbl.find_opt cids (r, i) with
-      | Some (c, _) -> c
-      | None -> -1
+      let s = Multiflood.find sl r i in
+      if s < 0 then -1 else cids.(s)
     in
     (* 3. status sweep: members announce (class, cid); everyone records
-          the first id heard per class and watches for conflicts *)
-    let heard = Array.init n (fun _ -> Hashtbl.create 8) in
+          one id heard per class and watches for conflicts. The id kept
+          is its own for its classes, else the newest delivery's (the
+          last to arrive), and two ids differ somewhere iff some arrival
+          differs from the id kept before it. Memberships are read
+          again: [live] may have changed during the flood. *)
+    let heard = Array.make (n * classes) (-1) in
     let detection = ref None in
     let detect_at round = if !detection = None then detection := Some round in
-    let note r round i c =
-      (* own membership id counts as heard *)
-      match Hashtbl.find_opt heard.(r) i with
-      | None -> Hashtbl.replace heard.(r) i c
-      | Some c' -> if c' <> c then detect_at round
-    in
+    let sl3 = Multiflood.layout ~n memberships in
+    let cls3 = sl3.Multiflood.cls in
     for r = 0 to n - 1 do
-      List.iter (fun i -> note r 0 i (cid r i)) (memberships r)
+      for s = sl3.Multiflood.off.(r) to sl3.Multiflood.off.(r + 1) - 1 do
+        note heard ~classes detect_at r 0 cls3.(s) (cid r cls3.(s))
+      done
     done;
-    let received =
-      Multiflood.membership_sweep net ~memberships ~payload:(fun r i ->
-          [ cid r i ])
-    in
+    let conflict = Array.make n false in
+    Multiflood.membership_sweep net sl3
+      ~payload:(fun r s -> [| cid r cls3.(s) |])
+      ~recv:(fun r _ i m ->
+        if i >= 0 && i < classes then begin
+          let k = (r * classes) + i and c = m.(1) in
+          let h = heard.(k) in
+          if h < 0 then heard.(k) <- c
+          else begin
+            if h <> c then conflict.(r) <- true;
+            if Multiflood.find sl3 r i < 0 then heard.(k) <- c
+          end
+        end);
+    (* a node that did not survive the sweep observed nothing in it *)
     for r = 0 to n - 1 do
-      if live r then
-        List.iter
-          (fun (_, i, payload) ->
-            match payload with [ c ] -> note r 0 i c | _ -> ())
-          received.(r)
+      if live r then (if conflict.(r) then detect_at 0)
+      else
+        for i = 0 to classes - 1 do
+          if Multiflood.find sl3 r i < 0 then heard.((r * classes) + i) <- -1
+        done
     done;
     (* 4. random announcement rounds (Lemma E.1's detector-path process) *)
     for round = 1 to detection_rounds do
-      let choice =
-        Array.init n (fun r ->
-            let ks =
-              Hashtbl.fold (fun i c acc -> (i, c) :: acc) heard.(r) []
-              |> List.sort compare
-            in
-            match ks with
-            | [] -> None
-            | _ -> Some (List.nth ks (Random.State.int rng (List.length ks))))
-      in
+      let choice = Array.init n (choose rng heard ~classes) in
       let inboxes =
         Net.broadcast_round net (fun r ->
-            match choice.(r) with
-            | Some (i, c) -> Some [| i; c |]
-            | None -> None)
+            let i = choice.(r) in
+            if i >= 0 then Some [| i; heard.((r * classes) + i) |] else None)
       in
       for r = 0 to n - 1 do
         if live r then
-          List.iter (fun (_, m) -> note r round m.(0) m.(1)) inboxes.(r)
+          List.iter
+            (fun (_, m) -> note heard ~classes detect_at r round m.(0) m.(1))
+            inboxes.(r)
       done
     done;
     (* 5. failure-flag flood: Θ(D) rounds *)
@@ -159,14 +199,10 @@ let run_centralized ?(seed = 11) ?(live = fun _ -> true) g ~memberships
         done)
       g;
     let cid r i = Graphs.Union_find.find ufs.(i) r in
-    let heard = Array.init n (fun _ -> Hashtbl.create 8) in
+    let heard = Array.make (n * classes) (-1) in
     let detection = ref None in
     let detect_at round = if !detection = None then detection := Some round in
-    let note r round i c =
-      match Hashtbl.find_opt heard.(r) i with
-      | None -> Hashtbl.replace heard.(r) i c
-      | Some c' -> if c' <> c then detect_at round
-    in
+    let note = note heard ~classes detect_at in
     for r = 0 to n - 1 do
       if live r then begin
         List.iter (fun i -> note r 0 i (cid r i)) (memberships r);
@@ -176,23 +212,13 @@ let run_centralized ?(seed = 11) ?(live = fun _ -> true) g ~memberships
       end
     done;
     for round = 1 to detection_rounds do
-      let choice =
-        Array.init n (fun r ->
-            let ks =
-              Hashtbl.fold (fun i c acc -> (i, c) :: acc) heard.(r) []
-              |> List.sort compare
-            in
-            match ks with
-            | [] -> None
-            | _ -> Some (List.nth ks (Random.State.int rng (List.length ks))))
-      in
+      let choice = Array.init n (choose rng heard ~classes) in
       for r = 0 to n - 1 do
         if live r then
           Array.iter
             (fun u ->
-              match choice.(u) with
-              | Some (i, c) -> note r round i c
-              | None -> ())
+              let i = choice.(u) in
+              if i >= 0 then note r round i heard.((u * classes) + i))
             (Graph.neighbors g r)
       done
     done;

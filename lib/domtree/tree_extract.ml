@@ -20,7 +20,7 @@ let spanning_tree_of_members g members =
           edges := (min v !parent, max v !parent) :: !edges
       end)
     members;
-  List.sort compare !edges
+  List.sort Packing.compare_edge !edges
 
 let of_cds_packing (result : Cds_packing.t) =
   let g = Virtual_graph.base result.Cds_packing.vg in

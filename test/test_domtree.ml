@@ -626,16 +626,17 @@ let test_multiflood_component_ids () =
   let g = Gen.cycle 6 in
   let net = vnet g in
   let memberships v = if v < 3 then [ 0 ] else [ 1 ] in
-  let table =
-    Multiflood.flood_min net ~memberships ~init:(fun r _ -> (r, r))
+  let sl = Multiflood.layout ~n:6 memberships in
+  let value, tiebreak = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
+  let at v i =
+    let s = Multiflood.find sl v i in
+    (value.(s), tiebreak.(s))
   in
   for v = 0 to 2 do
-    Alcotest.(check (pair int int)) "class 0 cid" (0, 0)
-      (Hashtbl.find table (v, 0))
+    Alcotest.(check (pair int int)) "class 0 cid" (0, 0) (at v 0)
   done;
   for v = 3 to 5 do
-    Alcotest.(check (pair int int)) "class 1 cid" (3, 3)
-      (Hashtbl.find table (v, 1))
+    Alcotest.(check (pair int int)) "class 1 cid" (3, 3) (at v 1)
   done
 
 let test_multiflood_split_class () =
@@ -644,11 +645,10 @@ let test_multiflood_split_class () =
   let g = Gen.cycle 6 in
   let net = vnet g in
   let memberships v = if v = 0 || v = 3 then [ 0 ] else [ 1 ] in
-  let table =
-    Multiflood.flood_min net ~memberships ~init:(fun r _ -> (r, r))
-  in
-  Alcotest.(check (pair int int)) "cid of 0" (0, 0) (Hashtbl.find table (0, 0));
-  Alcotest.(check (pair int int)) "cid of 3" (3, 3) (Hashtbl.find table (3, 0))
+  let sl = Multiflood.layout ~n:6 memberships in
+  let value, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
+  Alcotest.(check int) "cid of 0" 0 value.(Multiflood.find sl 0 0);
+  Alcotest.(check int) "cid of 3" 3 value.(Multiflood.find sl 3 0)
 
 let test_multiflood_overlapping_memberships () =
   (* every node in class 0; odd nodes also in class 1; rounds cost
@@ -656,36 +656,171 @@ let test_multiflood_overlapping_memberships () =
   let g = Gen.path 5 in
   let net = vnet g in
   let memberships v = if v mod 2 = 1 then [ 0; 1 ] else [ 0 ] in
-  let table =
-    Multiflood.flood_min net ~memberships ~init:(fun r _ -> (r, r))
-  in
-  Alcotest.(check (pair int int)) "class 0 connects everyone" (0, 0)
-    (Hashtbl.find table (4, 0));
+  let sl = Multiflood.layout ~n:5 memberships in
+  let value, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
+  Alcotest.(check int) "class 0 connects everyone" 0
+    value.(Multiflood.find sl 4 0);
   (* class 1 = {1, 3}: nodes 1 and 3 are not adjacent -> separate *)
-  Alcotest.(check (pair int int)) "class 1 of node 3" (3, 3)
-    (Hashtbl.find table (3, 1));
+  Alcotest.(check int) "class 1 of node 3" 3 value.(Multiflood.find sl 3 1);
   Alcotest.(check bool) "rounds > 0" true (Congest.Net.rounds net > 0)
+
+let test_multiflood_repeated_class () =
+  (* a repeated class shares its first slot's state: node 1 lists class
+     0 twice, and [init] is asked only for the first of them *)
+  let g = Gen.path 3 in
+  let net = vnet g in
+  let memberships v = if v = 1 then [ 0; 1; 0 ] else [ 0 ] in
+  let sl = Multiflood.layout ~n:3 memberships in
+  Alcotest.(check int) "first slot of class 0" 1 (Multiflood.find sl 1 0);
+  Alcotest.(check int) "first slot of class 1" 2 (Multiflood.find sl 1 1);
+  Alcotest.(check int) "no class 1 at node 0" (-1) (Multiflood.find sl 0 1);
+  let asked = ref [] in
+  let value, _ =
+    Multiflood.flood_min net sl ~init:(fun r s ->
+        asked := s :: !asked;
+        (10 - r, r))
+  in
+  Alcotest.(check (list int)) "init per first slot" [ 0; 1; 2; 4 ]
+    (List.sort Int.compare !asked);
+  Alcotest.(check (array int)) "every slot at its component minimum"
+    [| 8; 8; 9; 8; 8 |] value
 
 let test_membership_sweep_payload () =
   let g = Gen.path 3 in
   let net = vnet g in
   let memberships v = [ v mod 2 ] in
-  let received =
-    Multiflood.membership_sweep net ~memberships ~payload:(fun r i ->
-        [ (10 * r) + i ])
-  in
-  (* middle node hears both neighbors *)
-  let mid = List.sort compare received.(1) in
-  Alcotest.(check int) "two messages" 2 (List.length mid);
-  (match mid with
-  | [ (s1, c1, p1); (s2, c2, p2) ] ->
-    Alcotest.(check int) "sender 0" 0 s1;
-    Alcotest.(check int) "class of 0" 0 c1;
-    Alcotest.(check (list int)) "payload of 0" [ 0 ] p1;
-    Alcotest.(check int) "sender 2" 2 s2;
-    Alcotest.(check int) "class of 2" 0 c2;
-    Alcotest.(check (list int)) "payload of 2" [ 20 ] p2
-  | _ -> Alcotest.fail "expected two entries")
+  let sl = Multiflood.layout ~n:3 memberships in
+  let received = Array.make 3 [] in
+  Multiflood.membership_sweep net sl
+    ~payload:(fun r s -> [| (10 * r) + sl.Multiflood.cls.(s) |])
+    ~recv:(fun r sender i m ->
+      received.(r) <- (sender, i, Array.to_list m) :: received.(r));
+  (* middle node hears both neighbors, in sender order *)
+  Alcotest.(check (list (triple int int (list int))))
+    "middle node" [ (0, 0, [ 0; 0 ]); (2, 0, [ 0; 20 ]) ]
+    (List.rev received.(1));
+  Alcotest.(check (list (triple int int (list int))))
+    "end node" [ (1, 1, [ 1; 11 ]) ] received.(0)
+
+(* Random memberships over [classes] classes: lists of 0 to [len - 1]
+   uniform draws, so some nodes hold none, some classes go unused and
+   some lists repeat a class. *)
+let random_memberships rng ~n ~classes ~len =
+  Array.init n (fun _ ->
+      List.init (Random.State.int rng len) (fun _ ->
+          Random.State.int rng classes))
+
+let prop_flood_min_component_ids =
+  QCheck.Test.make
+    ~name:"flood_min (r, r) = min id of the class-component (union-find)"
+    ~count:40 QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed; 0xF1 |] in
+      let n = 2 + Random.State.int rng 30 in
+      let classes = 1 + Random.State.int rng 5 in
+      let g = Gen.erdos_renyi rng ~n ~p:(Random.State.float rng 0.4) in
+      let mem = random_memberships rng ~n ~classes ~len:4 in
+      let sl = Multiflood.layout ~n (fun r -> mem.(r)) in
+      let value, tiebreak =
+        Multiflood.flood_min (vnet g) sl ~init:(fun r _ -> (r, r))
+      in
+      let member i v = List.mem i mem.(v) in
+      let ufs = Array.init classes (fun _ -> Union_find.create n) in
+      Graph.iter_edges
+        (fun u v ->
+          for i = 0 to classes - 1 do
+            if member i u && member i v then
+              ignore (Union_find.union ufs.(i) u v)
+          done)
+        g;
+      let comp_min = Array.make_matrix classes n max_int in
+      for v = 0 to n - 1 do
+        List.iter
+          (fun i ->
+            let root = Union_find.find ufs.(i) v in
+            comp_min.(i).(root) <- min comp_min.(i).(root) v)
+          mem.(v)
+      done;
+      let ok = ref true in
+      for r = 0 to n - 1 do
+        for s = sl.Multiflood.off.(r) to sl.Multiflood.off.(r + 1) - 1 do
+          let i = sl.Multiflood.cls.(s) in
+          let want = comp_min.(i).(Union_find.find ufs.(i) r) in
+          if value.(s) <> want || tiebreak.(s) <> want then ok := false
+        done
+      done;
+      !ok)
+
+let prop_testers_agree =
+  QCheck.Test.make
+    ~name:"distributed and centralized testers agree on every verdict"
+    ~count:40 QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed; 0xE1 |] in
+      let n = 2 + Random.State.int rng 24 in
+      let classes = 1 + Random.State.int rng 3 in
+      let g =
+        Gen.random_connected rng ~n ~extra:(Random.State.int rng (2 * n))
+      in
+      let mem = random_memberships rng ~n ~classes ~len:(2 * classes + 2) in
+      let memberships r = mem.(r) in
+      let d =
+        Tester.run_distributed ~seed (vnet g) ~memberships ~classes
+          ~detection_rounds:12
+      in
+      let c =
+        Tester.run_centralized ~seed g ~memberships ~classes
+          ~detection_rounds:12
+      in
+      d.Tester.domination_ok = c.Tester.domination_ok
+      && d.Tester.pass = c.Tester.pass
+      && d.Tester.detection_round = c.Tester.detection_round)
+
+(* Every class is a connected dominating set: the internal nodes of a
+   random spanning tree (n >= 3) plus random extras, each of which is
+   adjacent to an internal node. Both testers must pass. *)
+let prop_testers_pass_valid =
+  QCheck.Test.make ~name:"both testers pass connected dominating classes"
+    ~count:30 QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed; 0xE2 |] in
+      let n = 3 + Random.State.int rng 24 in
+      let classes = 1 + Random.State.int rng 4 in
+      let g = Gen.random_connected rng ~n ~extra:(Random.State.int rng n) in
+      let mem = Array.make n [] in
+      for i = 0 to classes - 1 do
+        (* a BFS tree from a random root; its non-leaves form a CDS *)
+        let root = Random.State.int rng n in
+        let parent = Array.make n (-1) in
+        parent.(root) <- root;
+        let q = Queue.create () in
+        Queue.add root q;
+        let internal = Array.make n false in
+        while not (Queue.is_empty q) do
+          let u = Queue.pop q in
+          Array.iter
+            (fun v ->
+              if parent.(v) < 0 then begin
+                parent.(v) <- u;
+                internal.(u) <- true;
+                Queue.add v q
+              end)
+            (Graph.neighbors g u)
+        done;
+        for v = 0 to n - 1 do
+          if internal.(v) || Random.State.int rng 4 = 0 then begin
+            mem.(v) <- i :: mem.(v);
+            if Random.State.int rng 5 = 0 then mem.(v) <- mem.(v) @ [ i ]
+          end
+        done
+      done;
+      let memberships r = mem.(r) in
+      let d =
+        Tester.run_distributed ~seed (vnet g) ~memberships ~classes
+          ~detection_rounds:12
+      in
+      let c =
+        Tester.run_centralized ~seed g ~memberships ~classes
+          ~detection_rounds:12
+      in
+      d.Tester.pass && c.Tester.pass)
 
 (* ------------------------------------------------------------------ *)
 (* Tester (Appendix E) *)
@@ -1339,6 +1474,20 @@ let test_dist_pack_respects_bandwidth () =
 (* ------------------------------------------------------------------ *)
 (* Vertex-connectivity approximation *)
 
+(* The B.3 proposal values range over [0, n^2); past n = 2^15 that bound
+   no longer fits Random.State.int. A star on 2^15 nodes with 4 classes
+   has bridging edges in its first protocol layer, so proposals are
+   drawn. *)
+let test_dist_packing_large_n () =
+  let n = 1 lsl 15 in
+  let net = vnet (Gen.complete_bipartite 1 (n - 1)) in
+  let res = Dist_packing.run ~seed:1 ~jumpstart:1 net ~classes:4 ~layers:2 in
+  let st = res.Cds_packing.stats in
+  Alcotest.(check bool) "bridging edges offered" true
+    (List.assoc 2 st.Cds_packing.bridging_edges_per_layer > 0);
+  Alcotest.(check bool) "a proposal matched" true
+    (List.assoc 2 st.Cds_packing.matched_per_layer > 0)
+
 let test_vc_approx_families () =
   List.iter
     (fun (g, k) ->
@@ -1453,8 +1602,12 @@ let () =
           Alcotest.test_case "split class" `Quick test_multiflood_split_class;
           Alcotest.test_case "overlapping memberships" `Quick
             test_multiflood_overlapping_memberships;
+          Alcotest.test_case "repeated class" `Quick
+            test_multiflood_repeated_class;
           Alcotest.test_case "sweep payload" `Quick test_membership_sweep_payload;
         ] );
+      qsuite "multiflood.props" [ prop_flood_min_component_ids ];
+      qsuite "tester.props" [ prop_testers_agree; prop_testers_pass_valid ];
       ( "tester",
         [
           Alcotest.test_case "passes valid" `Quick test_tester_passes_valid;
@@ -1532,6 +1685,7 @@ let () =
             test_dist_extract_trees;
           Alcotest.test_case "bandwidth respected" `Quick
             test_dist_pack_respects_bandwidth;
+          Alcotest.test_case "n = 2^15" `Slow test_dist_packing_large_n;
         ] );
       ( "vc_approx",
         [

@@ -52,7 +52,8 @@ let scoped_exemptions =
    rule — caml_compare in the CSR graph core or the round engine undoes
    the flat-int-array design — but in cold analysis/reporting code a
    structural compare is harmless and often clearer. *)
-let scoped_only = [ ("polymorphic-compare", [ "lib/graph/"; "lib/congest/" ]) ]
+let scoped_only =
+  [ ("polymorphic-compare", [ "lib/graph/"; "lib/congest/"; "lib/domtree/" ]) ]
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
