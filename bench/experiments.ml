@@ -658,28 +658,23 @@ let e13 () =
              (* protocol: each leaf announces its id (1 round); each clique
                 node then forwards its leaves' ids one per round; the hub
                 needs all *)
-             let inboxes =
-               Congest.Net.broadcast_round net (fun v -> Some [| v |])
-             in
+             Congest.Net.broadcast_round net (fun v -> Some [| v |]);
              let pending = Array.make n [] in
+             let collect v sender _ _ =
+               if sender > k then pending.(v) <- sender :: pending.(v)
+             in
              for v = 1 to k do
-               List.iter
-                 (fun (sender, _) ->
-                   if sender > k then pending.(v) <- sender :: pending.(v))
-                 inboxes.(v)
+               Congest.Net.iter_inbox net v collect
              done;
              let hub_known = ref 0 in
              while Array.exists (fun l -> l <> []) pending do
-               let _ =
-                 Congest.Net.broadcast_round net (fun v ->
-                     match pending.(v) with
-                     | id :: rest ->
-                       pending.(v) <- rest;
-                       incr hub_known;
-                       Some [| id |]
-                     | [] -> None)
-               in
-               ()
+               Congest.Net.broadcast_round net (fun v ->
+                   match pending.(v) with
+                   | id :: rest ->
+                     pending.(v) <- rest;
+                     incr hub_known;
+                     Some [| id |]
+                   | [] -> None)
              done;
              assert (!hub_known = extra);
              Format.fprintf ppf "%6d %4d %7d | %8d %8.1f@." n k extra

@@ -41,7 +41,7 @@ let drive net ~rounds =
     for u = 0 to n - 1 do
       msgs.(u).(1) <- tag
     done;
-    ignore (Net.broadcast_round net (fun u -> Some msgs.(u)))
+    Net.broadcast_round net (fun u -> Some msgs.(u))
   done
 
 let median xs =

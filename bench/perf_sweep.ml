@@ -63,7 +63,7 @@ let drive_broadcast net ~rounds =
     for u = 0 to n - 1 do
       msgs.(u).(1) <- tag
     done;
-    ignore (Net.broadcast_round net (fun u -> Some msgs.(u)))
+    Net.broadcast_round net (fun u -> Some msgs.(u))
   done
 
 (* E-CONGEST driver: every node loads every incident edge direction with
@@ -77,7 +77,7 @@ let drive_edge net ~rounds =
           (Array.map (fun v -> (v, [| u land 63 |])) (Graph.neighbors g u)))
   in
   for _ = 1 to rounds do
-    ignore (Net.edge_round net (fun u -> outs.(u)))
+    Net.edge_round net (fun u -> outs.(u))
   done
 
 type spec = {

@@ -35,11 +35,9 @@ let flood_pairs ?cap net sub value id =
   while more () do
     incr rounds;
     changed := false;
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          if sub.nodes.(u) then Some [| value.(u); id.(u) |] else None)
-    in
-    Primitives.iter_deliveries net inboxes deliver
+    Net.broadcast_round net (fun u ->
+        if sub.nodes.(u) then Some [| value.(u); id.(u) |] else None);
+    Net.iter_deliveries net deliver
   done
 
 let mask sub a = Array.mapi (fun v x -> if sub.nodes.(v) then x else -1) a
@@ -115,12 +113,10 @@ let label_hybrid ?cap ?(seed = 1) net sub =
   (* one round: everyone announces its fragment label so crossing edges
      can be seen locally; each node keeps its distinct (min, max) label
      pairs, newest first *)
-  let inboxes =
-    Net.broadcast_round net (fun u ->
-        if sub.nodes.(u) then Some [| frag.(u) |] else None)
-  in
+  Net.broadcast_round net (fun u ->
+      if sub.nodes.(u) then Some [| frag.(u) |] else None);
   let crossing = Array.make n [] in
-  Primitives.iter_deliveries net inboxes (fun v _ e m ->
+  Net.iter_deliveries net (fun v _ e m ->
       let l = m.(0) and f = frag.(v) in
       if sub.edges.(e) && l >= 0 && l <> f then begin
         let a = Int.min l f and b = Int.max l f in

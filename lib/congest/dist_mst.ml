@@ -27,12 +27,10 @@ let forest_edges net forest =
 (* One round: every marked node announces its fragment label, and each
    learns its lightest outgoing marked edge, [none] if it has none. *)
 let local_best net (sub : Components.marks) weights labels =
-  let inboxes =
-    Net.broadcast_round net (fun u ->
-        if sub.nodes.(u) then Some [| labels.(u) |] else None)
-  in
+  Net.broadcast_round net (fun u ->
+      if sub.nodes.(u) then Some [| labels.(u) |] else None);
   let best = Array.make (Net.n net) none in
-  Primitives.iter_deliveries net inboxes (fun v _ e m ->
+  Net.iter_deliveries net (fun v _ e m ->
       let l = m.(0) in
       if sub.edges.(e) && l >= 0 && l <> labels.(v) then begin
         let b = best.(v) in
@@ -60,11 +58,9 @@ let flood_triples net ~forest bw ba bb =
   in
   while !changed do
     changed := false;
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          if ba.(u) = max_int then None else Some [| bw.(u); ba.(u); bb.(u) |])
-    in
-    Primitives.iter_deliveries net inboxes deliver
+    Net.broadcast_round net (fun u ->
+        if ba.(u) = max_int then None else Some [| bw.(u); ba.(u); bb.(u) |]);
+    Net.iter_deliveries net deliver
   done
 
 (* One Borůvka merge over fragment [labels]: local candidates, the
@@ -91,10 +87,8 @@ let merge_phase net sub weights ~forest labels =
         let e = cand.(u) in
         e <> none && weights.(e) = bw.(u) && eu.(e) = ba.(u) && ev.(e) = bb.(u))
   in
-  let inboxes =
-    Net.broadcast_round net (fun u ->
-        if declares.(u) then Some [| bw.(u); ba.(u); bb.(u) |] else None)
-  in
+  Net.broadcast_round net (fun u ->
+      if declares.(u) then Some [| bw.(u); ba.(u); bb.(u) |] else None);
   let merged = ref false in
   let add e =
     if not forest.(e) then begin
@@ -107,7 +101,7 @@ let merge_phase net sub weights ~forest labels =
   done;
   (* a declaration names an edge of its sender, so when the receiver is
      the other endpoint the edge is the one it arrived on *)
-  Primitives.iter_deliveries net inboxes (fun v _ e m ->
+  Net.iter_deliveries net (fun v _ e m ->
       if v = m.(1) || v = m.(2) then add e);
   !merged
 
@@ -159,8 +153,8 @@ let minimum_spanning_forest_hybrid ?cap net ~weight =
   let capped_labels () =
     let best = Array.init n Fun.id in
     for _ = 1 to cap do
-      let inboxes = Net.broadcast_round net (fun u -> Some [| best.(u) |]) in
-      Primitives.iter_deliveries net inboxes (fun v _ e m ->
+      Net.broadcast_round net (fun u -> Some [| best.(u) |]);
+      Net.iter_deliveries net (fun v _ e m ->
           if forest.(e) && m.(0) < best.(v) then best.(v) <- m.(0))
     done;
     (* stability: would one more sweep change anything? (the real protocol

@@ -45,14 +45,10 @@ let set_own t ~node v = t.view.(node).(node) <- Some v
 let learn t ~reader ~about v = t.view.(reader).(about) <- Some v
 
 let exchange t ~encode ~decode =
-  let inboxes =
-    Net.broadcast_round t.net (fun v ->
-        match t.view.(v).(v) with Some x -> Some (encode x) | None -> None)
-  in
-  Array.iteri
-    (fun v msgs ->
-      List.iter (fun (u, m) -> learn t ~reader:v ~about:u (decode m)) msgs)
-    inboxes
+  Net.broadcast_round t.net (fun v ->
+      match t.view.(v).(v) with Some x -> Some (encode x) | None -> None);
+  Net.iter_deliveries t.net (fun v u _ m ->
+      learn t ~reader:v ~about:u (decode m))
 
 let indices_where row =
   let acc = ref [] in

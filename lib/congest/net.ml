@@ -84,12 +84,22 @@ type arenas = {
          means no message on that slot this round *)
 }
 
+(* What the last round left in the buffers: nothing (no round yet, or
+   it raised), [sent] of every sender, [sent] where [fate] holds the
+   round's stamp, or [out_msg] at the stamped slots. *)
+type last_round =
+  | No_round
+  | Broadcast
+  | Faulty_broadcast of arenas
+  | Edge of arenas
+
 type t = {
   graph : Graph.t;
-  (* CSR views of [graph], captured once: the round phases walk
-     adjacency slots directly *)
+  (* CSR views of [graph], captured once: the round phases and the
+     inbox view walk adjacency slots directly *)
   csr_off : int array;
   csr_adj : int array;
+  csr_ids : int array;
   model : Model.t;
   words_budget : int;
   max_word : int;
@@ -100,10 +110,8 @@ type t = {
   mutable words_lost : int;
   mutable max_node_load : int;
   mutable max_edge_load : int;
-  inboxes : (int * msg) list array;
-      (* scratch arena returned by broadcast_round/edge_round; cleared
-         and refilled every round, so its contents are valid only until
-         the next round on the same net *)
+  mutable last : last_round;
+      (* the kind of the last round, hence where its inbox view reads *)
   (* broadcast send phase, per sender: its message, that message's
      length (-1 = silent this round) and payload hash *)
   sent : msg array;
@@ -175,6 +183,7 @@ let create ?words_budget ?domains model g =
     graph = g;
     csr_off = Graph.csr_offsets g;
     csr_adj = Graph.csr_neighbors g;
+    csr_ids = Graph.csr_edge_ids g;
     model;
     words_budget = budget;
     max_word = Model.max_word ~n;
@@ -185,7 +194,7 @@ let create ?words_budget ?domains model g =
     words_lost = 0;
     max_node_load = 0;
     max_edge_load = 0;
-    inboxes = Array.make n [];
+    last = No_round;
     sent = Array.make n [||];
     sent_len = Array.make n (-1);
     sent_hash = Array.make n 0;
@@ -334,9 +343,9 @@ let round_digest net =
 
 let begin_round net =
   net.tag <- net.tag + 1;
-  (* drop last round's inboxes now: a minor collection during this
-     round would otherwise promote every list still reachable *)
-  Array.fill net.inboxes 0 (Array.length net.inboxes) [];
+  (* the previous round's view ends here; a round that raises leaves
+     none *)
+  net.last <- No_round;
   (match net.obs with
   | None -> ()
   | Some o ->
@@ -404,13 +413,15 @@ let end_round net ~width =
       in the sender's slot. The first violation is recorded per shard,
       and the highest-sender one is re-raised after the barrier, before
       anything is counted.
-   2. receive (receiver-sharded): shard k assembles each of its inboxes
-      by walking the receiver's CSR slice descending (cons yields
-      senders ascending), hashes the receiver's in-traffic, and tallies
-      deliveries, losses, the largest node load, the owner-rule (u > v)
-      edge loads and boundary words.
+   2. receive (receiver-sharded): shard k walks each of its receivers'
+      CSR slice descending, hashes the receiver's in-traffic, and
+      tallies deliveries, losses, the largest node load, the owner-rule
+      (u > v) edge loads and boundary words.
    3. merge: the caller folds the per-shard tallies in shard order and
-      the per-receiver hashes in receiver order. *)
+      the per-receiver hashes in receiver order.
+
+   The inbox view ({!iter_inbox}) then reads [sent] (and [fate]) in
+   place: nothing is copied per delivery. *)
 let broadcast_round net send =
   let hook = net.faults in
   let width = round_width net in
@@ -429,7 +440,7 @@ let broadcast_round net send =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
   let off = net.csr_off and adj = net.csr_adj in
-  let inboxes = net.inboxes and rdig = net.rdig in
+  let rdig = net.rdig in
   let sent = net.sent and sent_len = net.sent_len
   and sent_hash = net.sent_hash in
   let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
@@ -470,7 +481,7 @@ let broadcast_round net send =
     let nmax = ref 0 and emax = ref 0 and cross = ref 0 in
     for v = bounds.(k) to bounds.(k + 1) - 1 do
       let len_v = max 0 sent_len.(v) in
-      let acc = ref [] and w_in = ref 0 and h = ref v in
+      let w_in = ref 0 and h = ref v in
       for s' = off.(v + 1) - 1 downto off.(v) do
         let u = adj.(s') in
         let len = sent_len.(u) in
@@ -484,7 +495,6 @@ let broadcast_round net send =
           end
           else begin
             h := digest_in !h ~tag:1 ~src:u sent_hash.(u);
-            acc := (u, sent.(u)) :: !acc;
             incr msgs;
             w_in := !w_in + len;
             if bounded && side u <> side v then cross := !cross + len;
@@ -496,7 +506,6 @@ let broadcast_round net send =
           if len_in + len_out > !emax then emax := len_in + len_out
         end
       done;
-      inboxes.(v) <- !acc;
       rdig.(v) <- !h;
       words := !words + !w_in;
       if !w_in > !nmax then nmax := !w_in
@@ -514,7 +523,7 @@ let broadcast_round net send =
   reraise_failure net width;
   Team.run net.team ~shards:width phase_receive;
   end_round net ~width;
-  inboxes
+  net.last <- (if faulty then Faulty_broadcast (arenas net) else Broadcast)
 
 (* binary search for [v] in [u]'s sorted CSR slice; -1 when absent *)
 let slot_in off adj u v =
@@ -544,7 +553,7 @@ let edge_round net send =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
   let off = net.csr_off and adj = net.csr_adj in
-  let inboxes = net.inboxes and rdig = net.rdig in
+  let rdig = net.rdig in
   let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
   (* [next] is the slot after the previous target's: protocols list
      targets in neighbour order, so it is usually the slot sought and
@@ -593,7 +602,7 @@ let edge_round net send =
     let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
     let nmax = ref 0 and emax = ref 0 and cross = ref 0 in
     for v = bounds.(k) to bounds.(k + 1) - 1 do
-      let acc = ref [] and w_in = ref 0 and h = ref v in
+      let w_in = ref 0 and h = ref v in
       for s' = off.(v + 1) - 1 downto off.(v) do
         let u = adj.(s') in
         let s = mirror.(s') in
@@ -603,7 +612,6 @@ let edge_round net send =
             let m = out_msg.(s) in
             let len = Array.length m in
             h := digest_in !h ~tag:1 ~src:u out_hash.(s);
-            acc := (u, m) :: !acc;
             incr msgs;
             w_in := !w_in + len;
             if bounded && side u <> side v then cross := !cross + len;
@@ -625,7 +633,6 @@ let edge_round net send =
           if len_in + len_out > !emax then emax := len_in + len_out
         end
       done;
-      inboxes.(v) <- !acc;
       rdig.(v) <- !h;
       words := !words + !w_in;
       if !w_in > !nmax then nmax := !w_in
@@ -643,7 +650,36 @@ let edge_round net send =
   reraise_failure net width;
   Team.run net.team ~shards:width phase_receive;
   end_round net ~width;
-  inboxes
+  net.last <- Edge (arenas net)
+
+(* The inbox view: [v]'s CSR slice walked forward (senders ascending),
+   each slot delivering what the last round's buffers hold for it. *)
+let iter_inbox net v f =
+  let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
+  let tag = net.tag and sent = net.sent in
+  match net.last with
+  | No_round -> ()
+  | Broadcast ->
+    let sent_len = net.sent_len in
+    for s = off.(v) to off.(v + 1) - 1 do
+      let u = adj.(s) in
+      if sent_len.(u) >= 0 then f v u ids.(s) sent.(u)
+    done
+  | Faulty_broadcast { mirror; fate; _ } ->
+    (* only a sender that sent stamps its slots this round *)
+    for s = off.(v) to off.(v + 1) - 1 do
+      if fate.(mirror.(s)) = tag then f v adj.(s) ids.(s) sent.(adj.(s))
+    done
+  | Edge { mirror; fate; out_msg; _ } ->
+    for s = off.(v) to off.(v + 1) - 1 do
+      let s_out = mirror.(s) in
+      if fate.(s_out) = tag then f v adj.(s) ids.(s) out_msg.(s_out)
+    done
+
+let iter_deliveries net f =
+  for v = 0 to n net - 1 do
+    iter_inbox net v f
+  done
 
 let silent_rounds net k =
   if k < 0 then invalid_arg "Congest.silent_rounds: negative";

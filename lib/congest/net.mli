@@ -52,9 +52,10 @@ type t
     into degree-weighted contiguous shards. With [domains > 1] a
     persistent {!Team} of worker domains is spawned once and runs the
     shards of every fault-free, boundary-free round in parallel. The
-    merge discipline makes every observable — inboxes, telemetry, round
-    digests, {!replay_check} verdicts — byte-identical across domain
-    counts: [domains = n] produces exactly the output of [domains = 1].
+    merge discipline makes every observable — the inbox view
+    ({!iter_inbox}), telemetry, round digests, {!replay_check} verdicts
+    — byte-identical across domain counts: [domains = n] produces
+    exactly the output of [domains = 1].
 
     Rounds with a fault hook or boundary predicate installed run at
     width 1 (both are stateful sequential oracles whose consultation
@@ -137,24 +138,43 @@ val node_alive : t -> int -> bool
     one.) *)
 
 (** [broadcast_round net send] performs one round in which node [u]
-    locally broadcasts [send u] (or stays silent on [None]).
-    [inboxes.(v)] lists [(sender, message)] in increasing sender order.
-    Legal in both models.
-
-    The returned array is a per-net scratch arena, refilled on every
-    round: its contents are valid only until the next
-    [broadcast_round]/[edge_round] on the same net. Drain it (or copy
-    it) before driving another round.
+    locally broadcasts [send u] (or stays silent on [None]). Legal in
+    both models. Read what was delivered with {!iter_inbox} /
+    {!iter_deliveries}.
     @raise Protocol_violation on oversized or over-wide messages. *)
-val broadcast_round : t -> (int -> msg option) -> (int * msg) list array
+val broadcast_round : t -> (int -> msg option) -> unit
 
 (** [edge_round net send] performs one round in which node [u] sends
     [send u], a list of [(neighbor, message)] pairs, at most one message
-    per incident edge. The returned array is the same per-net scratch
-    arena as {!broadcast_round}'s — valid only until the next round.
+    per incident edge. Read what was delivered with {!iter_inbox} /
+    {!iter_deliveries}.
     @raise Protocol_violation under [V_congest], on non-edges, or on
     duplicate targets. *)
-val edge_round : t -> (int -> (int * msg) list) -> (int * msg) list array
+val edge_round : t -> (int -> (int * msg) list) -> unit
+
+(** {2 The inbox view}
+
+    The last round's deliveries, read in place from the buffers the
+    round itself filled: no per-delivery copy is made.
+
+    Validity: the view describes the last [broadcast_round]/[edge_round]
+    on [net] and ends when the next one begins (so a [send] closure
+    sees an empty view). It is empty before the first round and after a
+    round that raised [Protocol_violation]. [silent_rounds] and the
+    counter resets leave it as it was. Messages are the arrays the
+    senders returned, not copies. *)
+
+(** [iter_inbox net v f] calls [f v sender e m] for each message [m]
+    delivered to [v] in the last round, [sender]s ascending, where [e]
+    is the edge id of [sender]–[v] (as {!Graphs.Graph.edge_index}).
+    One forward walk of [v]'s CSR slice; destroyed traffic and silent
+    neighbours are skipped. The receiver comes first so that callers
+    can pass one closure for every receiver. *)
+val iter_inbox : t -> int -> (int -> int -> int -> msg -> unit) -> unit
+
+(** [iter_deliveries net f] is [iter_inbox net v f] for every receiver
+    [v], ascending. *)
+val iter_deliveries : t -> (int -> int -> int -> msg -> unit) -> unit
 
 (** [silent_rounds net k] advances the clock by [k] message-free rounds
     (used when a protocol idles, e.g. waiting for a known bound, or for

@@ -1,5 +1,3 @@
-module Graph = Graphs.Graph
-
 type tree = {
   root : int;
   parent : int array;
@@ -18,21 +16,17 @@ let bfs_tree net ~root =
   while !frontier <> [] do
     let is_frontier = Array.make n false in
     List.iter (fun u -> is_frontier.(u) <- true) !frontier;
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          if is_frontier.(u) then Some [| !level |] else None)
-    in
+    Net.broadcast_round net (fun u ->
+        if is_frontier.(u) then Some [| !level |] else None);
     incr level;
     let next = ref [] in
-    for v = 0 to n - 1 do
-      if depth.(v) < 0 then
-        match inboxes.(v) with
-        | [] -> ()
-        | (sender, _) :: _ ->
+    (* a new node adopts its first (smallest) sender *)
+    Net.iter_deliveries net (fun v sender _ _ ->
+        if depth.(v) < 0 then begin
           parent.(v) <- sender;
           depth.(v) <- !level;
           next := v :: !next
-    done;
+        end);
     frontier := !next
   done;
   let height = Array.fold_left max 0 depth in
@@ -41,13 +35,12 @@ let bfs_tree net ~root =
 let flood_min net ~value ~rounds =
   let n = Net.n net in
   let current = Array.init n value in
+  let adopt v _ _ (m : Net.msg) =
+    if m.(0) < current.(v) then current.(v) <- m.(0)
+  in
   for _ = 1 to rounds do
-    let inboxes = Net.broadcast_round net (fun u -> Some [| current.(u) |]) in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (_, m) -> if m.(0) < current.(v) then current.(v) <- m.(0))
-        inboxes.(v)
-    done
+    Net.broadcast_round net (fun u -> Some [| current.(u) |]);
+    Net.iter_deliveries net adopt
   done;
   current
 
@@ -67,16 +60,15 @@ let flood_min_checked net ~value ~rounds =
       (Knowledge.read k ~reader:v ~about:v)
       (List.filter (fun u -> u <> v) (Knowledge.known_to k v))
   in
+  let learn v u _ (m : Net.msg) =
+    Knowledge.learn k ~reader:v ~about:u (m.(0), m.(1))
+  in
   for _ = 1 to rounds do
-    let inboxes =
-      Net.broadcast_round net (fun v ->
-          let w, x = best v in
-          Some [| w; x |])
-    in
+    Net.broadcast_round net (fun v ->
+        let w, x = best v in
+        Some [| w; x |]);
     for v = 0 to n - 1 do
-      List.iter
-        (fun (u, m) -> Knowledge.learn k ~reader:v ~about:u (m.(0), m.(1)))
-        inboxes.(v);
+      Net.iter_inbox net v learn;
       Knowledge.set_own k ~node:v (best v)
     done
   done;
@@ -87,17 +79,13 @@ let flood_min_checked net ~value ~rounds =
 let converge net tree ~combine ~value =
   let n = Net.n net in
   let acc = Array.init n value in
+  let fold v sender _ (m : Net.msg) =
+    if tree.parent.(sender) = v then acc.(v) <- combine acc.(v) m.(0)
+  in
   for lvl = tree.height downto 1 do
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          if tree.depth.(u) = lvl then Some [| acc.(u) |] else None)
-    in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (sender, m) ->
-          if tree.parent.(sender) = v then acc.(v) <- combine acc.(v) m.(0))
-        inboxes.(v)
-    done
+    Net.broadcast_round net (fun u ->
+        if tree.depth.(u) = lvl then Some [| acc.(u) |] else None);
+    Net.iter_deliveries net fold
   done;
   acc.(tree.root)
 
@@ -110,18 +98,14 @@ let broadcast_int net tree x =
   let received = Array.make n None in
   received.(tree.root) <- Some x;
   for lvl = 0 to tree.height - 1 do
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          if tree.depth.(u) = lvl then
-            match received.(u) with Some v -> Some [| v |] | None -> None
-          else None)
-    in
-    for v = 0 to n - 1 do
-      if received.(v) = None && tree.depth.(v) = lvl + 1 then
-        match inboxes.(v) with
-        | (_, m) :: _ -> received.(v) <- Some m.(0)
-        | [] -> ()
-    done
+    Net.broadcast_round net (fun u ->
+        if tree.depth.(u) = lvl then
+          match received.(u) with Some v -> Some [| v |] | None -> None
+        else None);
+    (* a node one level down keeps its first (smallest-sender) copy *)
+    Net.iter_deliveries net (fun v _ _ m ->
+        if received.(v) = None && tree.depth.(v) = lvl + 1 then
+          received.(v) <- Some m.(0))
   done;
   Array.map (function Some v -> v | None -> x) received
 
@@ -132,18 +116,16 @@ let preprocess net =
      nothing anywhere. Round cost is within a constant factor of D. *)
   let current = Array.init n (fun u -> u) in
   let changed = ref true in
+  let adopt v _ _ (m : Net.msg) =
+    if m.(0) < current.(v) then begin
+      current.(v) <- m.(0);
+      changed := true
+    end
+  in
   while !changed do
     changed := false;
-    let inboxes = Net.broadcast_round net (fun u -> Some [| current.(u) |]) in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (_, m) ->
-          if m.(0) < current.(v) then begin
-            current.(v) <- m.(0);
-            changed := true
-          end)
-        inboxes.(v)
-    done
+    Net.broadcast_round net (fun u -> Some [| current.(u) |]);
+    Net.iter_deliveries net adopt
   done;
   let leader = current.(0) in
   let tree = bfs_tree net ~root:leader in
@@ -154,25 +136,6 @@ let preprocess net =
   let _ = broadcast_int net tree d_bound in
   (tree, count, d_bound)
 
-(* Inbox senders ascend, and so does [v]'s CSR slice: one forward walk
-   from [v]'s first slot finds every sender's slot, hence its edge id. *)
-let rec walk_inbox adj ids f v s = function
-  | [] -> ()
-  | (sender, m) :: rest as inbox ->
-    if adj.(s) = sender then begin
-      f v sender ids.(s) m;
-      walk_inbox adj ids f v (s + 1) rest
-    end
-    else walk_inbox adj ids f v (s + 1) inbox
-
-let iter_deliveries net inboxes f =
-  let g = Net.graph net in
-  let off = Graph.csr_offsets g in
-  let adj = Graph.csr_neighbors g and ids = Graph.csr_edge_ids g in
-  for v = 0 to Graph.n g - 1 do
-    walk_inbox adj ids f v off.(v) inboxes.(v)
-  done
-
 let pipelined_upcast net tree ~items ~filter =
   let n = Net.n net in
   let queues = Array.init n (fun _ -> Queue.create ()) in
@@ -181,6 +144,11 @@ let pipelined_upcast net tree ~items ~filter =
     List.iter (fun it -> if filter u it then Queue.add it queues.(u)) (items u)
   done;
   let root_received = ref [] in
+  let receive v sender _ m =
+    if tree.parent.(sender) = v && filter v m then
+      if v = tree.root then root_received := m :: !root_received
+      else Queue.add m queues.(v)
+  in
   let pending () = Array.exists (fun q -> not (Queue.is_empty q)) queues in
   while pending () do
     let heads =
@@ -193,37 +161,23 @@ let pipelined_upcast net tree ~items ~filter =
     let own = queues.(tree.root) in
     root_received := List.of_seq (Queue.to_seq own) @ !root_received;
     Queue.clear own;
-    let inboxes = Net.broadcast_round net (fun u -> heads.(u)) in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (sender, m) ->
-          if tree.parent.(sender) = v then
-            if filter v m then
-              if v = tree.root then root_received := m :: !root_received
-              else Queue.add m queues.(v))
-        inboxes.(v)
-    done
+    Net.broadcast_round net (fun u -> heads.(u));
+    Net.iter_deliveries net receive
   done;
   List.rev !root_received
 
 let pipelined_downcast net tree items =
   let arr = Array.of_list items in
   let count = Array.length arr in
-  if count > 0 then begin
-    let n = Net.n net in
-    (* item i is broadcast by depth-d nodes at round i + d (0-indexed);
-       total rounds = count + height *)
+  (* item i is broadcast by depth-d nodes at round i + d (0-indexed);
+     total rounds = count + height *)
+  if count > 0 then
     for r = 0 to count + tree.height - 1 do
-      let _ =
-        Net.broadcast_round net (fun u ->
-            let d = tree.depth.(u) in
-            let i = r - d in
-            if d >= 0 && i >= 0 && i < count then Some arr.(i) else None)
-      in
-      ignore r
-    done;
-    ignore n
-  end
+      Net.broadcast_round net (fun u ->
+          let d = tree.depth.(u) in
+          let i = r - d in
+          if d >= 0 && i >= 0 && i < count then Some arr.(i) else None)
+    done
 
 (* Pipelined keyed aggregation. Per node: a sorted stream of own values,
    plus one incoming stream per child; the node may emit the aggregate
@@ -287,6 +241,16 @@ let pipelined_converge net tree ~values ~better =
         | None -> false)
       children.(u)
   in
+  let receive v sender _ (m : Net.msg) =
+    if tree.parent.(sender) = v then
+      if m.(0) = 1 then Hashtbl.replace progress.(v) sender end_key
+      else begin
+        let k = m.(1) in
+        let payload = Array.sub m 2 (Array.length m - 2) in
+        merge v k payload;
+        Hashtbl.replace progress.(v) sender k
+      end
+  in
   let root_result = ref [] in
   let guard = ref 0 in
   let budget = 4 * (tree.height + n + 5) * (1 + n) in
@@ -312,32 +276,17 @@ let pipelined_converge net tree ~values ~better =
         end
       end
     done;
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          match outgoing.(u) with
-          | Some (k, payload) ->
-            let tag = if k = end_key then 1 else 0 in
-            (* lint: allow msg-budget — relayed verbatim, never concatenated:
-               width is 2 + the caller's per-key payload, which the caller
-               keeps within Model.words_budget (Net rejects it at runtime
-               otherwise); the pipeline only picks [better], never appends *)
-            Some (Array.append [| tag; (if k = end_key then 0 else k) |] payload)
-          | None -> None)
-    in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (sender, m) ->
-          if tree.parent.(sender) = v then begin
-            if m.(0) = 1 then Hashtbl.replace progress.(v) sender end_key
-            else begin
-              let k = m.(1) in
-              let payload = Array.sub m 2 (Array.length m - 2) in
-              merge v k payload;
-              Hashtbl.replace progress.(v) sender k
-            end
-          end)
-        inboxes.(v)
-    done
+    Net.broadcast_round net (fun u ->
+        match outgoing.(u) with
+        | Some (k, payload) ->
+          let tag = if k = end_key then 1 else 0 in
+          (* lint: allow msg-budget — relayed verbatim, never concatenated:
+             width is 2 + the caller's per-key payload, which the caller
+             keeps within Model.words_budget (Net rejects it at runtime
+             otherwise); the pipeline only picks [better], never appends *)
+          Some (Array.append [| tag; (if k = end_key then 0 else k) |] payload)
+        | None -> None);
+    Net.iter_deliveries net receive
   done;
   if not closed.(tree.root) then
     failwith "Primitives.pipelined_converge: did not terminate";

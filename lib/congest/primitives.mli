@@ -51,16 +51,6 @@ val converge_min : Net.t -> tree -> (int -> int) -> int
     (height rounds); returns the per-node received value (all [x]). *)
 val broadcast_int : Net.t -> tree -> int -> int array
 
-(** [iter_deliveries net inboxes f] calls [f v sender e m] for every
-    message [m] in a round's [inboxes], receivers [v] ascending and each
-    inbox in sender order, where [e] is the edge id of [sender]–[v]
-    (as {!Graphs.Graph.edge_index}). The ids come from one forward walk
-    of [v]'s CSR slice, with no per-message lookup or allocation — the
-    way protocol kernels keep per-edge state in flat arrays. *)
-val iter_deliveries :
-  Net.t -> (int * Net.msg) list array -> (int -> int -> int -> Net.msg -> unit)
-  -> unit
-
 (** [pipelined_upcast net tree ~items ~filter] sends every node's list of
     fixed-width items toward the root, one item per node per round.
     At each intermediate node [v] (and at the root), arriving or locally

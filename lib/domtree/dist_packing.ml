@@ -86,6 +86,7 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
     else if w_one.(i) < 0 then w_one.(i) <- m.(2)
     else if w_one.(i) <> m.(2) then w_many.(i) <- true
   in
+  let hear3 _ _ _ m = hear m in
   let witnessed i c =
     w_conn.(i) || w_many.(i) || (w_one.(i) >= 0 && w_one.(i) <> c)
   in
@@ -122,21 +123,15 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
         if i = class3.(r) then see first3 many3 r m.(1));
 
     (* B.2a: type-1 connector declarations (one round) *)
-    let inboxes =
-      Net.broadcast_round net (fun r ->
-          if many1.(r) then Some [| tag_connector; class1.(r) |] else None)
-    in
+    Net.broadcast_round net (fun r ->
+        if many1.(r) then Some [| tag_connector; class1.(r) |] else None);
     (* members adjacent to a declaring type-1 node mark deactivation *)
     let deact = Array.make nslots false in
-    for r = 0 to n - 1 do
-      List.iter
-        (fun (_, m) ->
-          if m.(0) = tag_connector then begin
-            let s = slot r m.(1) in
-            if s >= 0 then deact.(s) <- true
-          end)
-        inboxes.(r)
-    done;
+    Net.iter_deliveries net (fun r _ _ m ->
+        if m.(0) = tag_connector then begin
+          let s = slot r m.(1) in
+          if s >= 0 then deact.(s) <- true
+        end);
     (* flood the deactivation flag through each component (flag 0 wins) *)
     let flag, _ =
       Multiflood.flood_min net sl ~init:(fun r s ->
@@ -175,7 +170,7 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
           else if many3.(r) then Some [| tag_connector; i |]
           else Some [| tag_one; i; first3.(r) |])
     in
-    let inboxes3 = Net.broadcast_round net (fun r -> msg3.(r)) in
+    Net.broadcast_round net (fun r -> msg3.(r));
 
     (* B.2c: type-2 neighbor lists. A type-3 message of class i audible
        at r (own included) witnesses component (i, c) if it declares a
@@ -197,7 +192,7 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
     for r = 0 to n - 1 do
       n_heard := 0;
       Option.iter hear msg3.(r);
-      List.iter (fun (_, m) -> hear m) inboxes3.(r);
+      Net.iter_inbox net r hear3;
       let audible = Array.sub heard 0 !n_heard in
       Array.sort (fun a b -> Int.compare b a) audible;
       Array.iter
@@ -254,30 +249,24 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
             end
           done
       done;
-      let inboxes =
-        Net.broadcast_round net (fun r ->
-            if prop_cls.(r) >= 0 then
-              Some [| prop_cls.(r); prop_cid.(r); prop_value.(r); r |]
-            else None)
-      in
+      Net.broadcast_round net (fun r ->
+          if prop_cls.(r) >= 0 then
+            Some [| prop_cls.(r); prop_cid.(r); prop_value.(r); r |]
+          else None);
       (* b. members of still-unmatched components record the best proposal
          addressed to their component *)
       Array.fill best_value 0 nslots (-1);
       Array.fill best_who 0 nslots (-1);
-      for r = 0 to n - 1 do
-        List.iter
-          (fun (_, m) ->
-            let s = slot r m.(0) in
-            let value = m.(2) and who = m.(3) in
-            if s >= 0 && cid.(s) = m.(1) && not locked.(s) then begin
-              let bv = best_value.(s) in
-              if value > bv || (value = bv && who > best_who.(s)) then begin
-                best_value.(s) <- value;
-                best_who.(s) <- who
-              end
-            end)
-          inboxes.(r)
-      done;
+      Net.iter_deliveries net (fun r _ _ m ->
+          let s = slot r m.(0) in
+          let value = m.(2) and who = m.(3) in
+          if s >= 0 && cid.(s) = m.(1) && not locked.(s) then begin
+            let bv = best_value.(s) in
+            if value > bv || (value = bv && who > best_who.(s)) then begin
+              best_value.(s) <- value;
+              best_who.(s) <- who
+            end
+          end);
       (* c. component-wide maximum via min-flood on negated values *)
       let neg, who =
         Multiflood.flood_min net sl ~init:(fun _ s ->

@@ -47,32 +47,28 @@ let flood_min net sl ~init =
     done
   done;
   let changed = ref true in
+  let adopt r _ _ (m : Net.msg) =
+    let f = find sl r m.(0) in
+    if f >= 0 then begin
+      let v = m.(1) and t = m.(2) in
+      if v < value.(f) || (v = value.(f) && t < tiebreak.(f)) then begin
+        value.(f) <- v;
+        tiebreak.(f) <- t;
+        changed := true
+      end
+    end
+  in
   while !changed do
     changed := false;
     for k = 0 to max_slots sl - 1 do
-      let inboxes =
-        Net.broadcast_round net (fun r ->
-            let s = off.(r) + k in
-            if s < off.(r + 1) then begin
-              let f = first.(s) in
-              Some [| cls.(s); value.(f); tiebreak.(f) |]
-            end
-            else None)
-      in
-      for r = 0 to n - 1 do
-        List.iter
-          (fun (_, m) ->
-            let f = find sl r m.(0) in
-            if f >= 0 then begin
-              let v = m.(1) and t = m.(2) in
-              if v < value.(f) || (v = value.(f) && t < tiebreak.(f)) then begin
-                value.(f) <- v;
-                tiebreak.(f) <- t;
-                changed := true
-              end
-            end)
-          inboxes.(r)
-      done
+      Net.broadcast_round net (fun r ->
+          let s = off.(r) + k in
+          if s < off.(r + 1) then begin
+            let f = first.(s) in
+            Some [| cls.(s); value.(f); tiebreak.(f) |]
+          end
+          else None);
+      Net.iter_deliveries net adopt
     done
   done;
   (* same-real virtual adjacency: the repeats of a class share its first
@@ -85,26 +81,22 @@ let flood_min net sl ~init =
   (value, tiebreak)
 
 let membership_sweep net sl ~payload ~recv =
-  let n = Net.n net in
   let off = sl.off and cls = sl.cls in
+  let deliver r sender _ (m : Net.msg) = recv r sender m.(0) m in
   for k = 0 to max_slots sl - 1 do
-    let inboxes =
-      Net.broadcast_round net (fun r ->
-          let s = off.(r) + k in
-          if s < off.(r + 1) then begin
-            let p = payload r s in
-            let len = Array.length p in
-            (* lint: allow msg-budget — one membership id plus the caller's
-               per-membership payload (dist_packing/tester send <= 3 words);
-               Model.words_budget is enforced per message by Net at runtime,
-               so an over-budget payload fails loudly, not silently *)
-            let m = Array.make (len + 1) cls.(s) in
-            Array.blit p 0 m 1 len;
-            Some m
-          end
-          else None)
-    in
-    for r = 0 to n - 1 do
-      List.iter (fun (sender, m) -> recv r sender m.(0) m) inboxes.(r)
-    done
+    Net.broadcast_round net (fun r ->
+        let s = off.(r) + k in
+        if s < off.(r + 1) then begin
+          let p = payload r s in
+          let len = Array.length p in
+          (* lint: allow msg-budget — one membership id plus the caller's
+             per-membership payload (dist_packing/tester send <= 3 words);
+             Model.words_budget is enforced per message by Net at runtime,
+             so an over-budget payload fails loudly, not silently *)
+          let m = Array.make (len + 1) cls.(s) in
+          Array.blit p 0 m 1 len;
+          Some m
+        end
+        else None);
+    Net.iter_deliveries net deliver
   done

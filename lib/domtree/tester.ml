@@ -133,17 +133,11 @@ let run_distributed ?(seed = 11) ?(live = fun _ -> true) net ~memberships
     (* 4. random announcement rounds (Lemma E.1's detector-path process) *)
     for round = 1 to detection_rounds do
       let choice = Array.init n (choose rng heard ~classes) in
-      let inboxes =
-        Net.broadcast_round net (fun r ->
-            let i = choice.(r) in
-            if i >= 0 then Some [| i; heard.((r * classes) + i) |] else None)
-      in
-      for r = 0 to n - 1 do
-        if live r then
-          List.iter
-            (fun (_, m) -> note heard ~classes detect_at r round m.(0) m.(1))
-            inboxes.(r)
-      done
+      Net.broadcast_round net (fun r ->
+          let i = choice.(r) in
+          if i >= 0 then Some [| i; heard.((r * classes) + i) |] else None);
+      Net.iter_deliveries net (fun r _ _ m ->
+          if live r then note heard ~classes detect_at r round m.(0) m.(1))
     done;
     (* 5. failure-flag flood: Θ(D) rounds *)
     let flag r = if !detection <> None && r = 0 then 0 else 1 in

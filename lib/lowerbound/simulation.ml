@@ -43,7 +43,7 @@ let distinguish_via_packing ?(seed = 42) (c : Construction.t) =
 type 'state protocol = {
   init : int -> 'state;
   emit : int -> 'state -> Congest.Net.msg option;
-  absorb : int -> 'state -> (int * Congest.Net.msg) list -> 'state;
+  absorb : int -> 'state -> int -> Congest.Net.msg -> 'state;
 }
 
 type replay = {
@@ -57,10 +57,17 @@ let flood_min_protocol =
   {
     init = (fun v -> v);
     emit = (fun _ state -> Some [| state |]);
-    absorb =
-      (fun _ state inbox ->
-        List.fold_left (fun acc (_, m) -> min acc m.(0)) state inbox);
+    absorb = (fun _ state _ m -> min state m.(0));
   }
+
+(* [v]'s state after folding in its neighbours' broadcasts [out],
+   senders ascending *)
+let absorb_inbox g proto out v state =
+  Array.fold_left
+    (fun acc u ->
+      match out.(u) with Some m -> proto.absorb v acc u m | None -> acc)
+    state
+    (Graphs.Graph.neighbors g v)
 
 (* Per round, every node first broadcasts from its current state, then
    absorbs its inbox. The global run records every broadcast so the split
@@ -91,16 +98,7 @@ let two_party_replay (c : Construction.t) proto ~rounds ~equal =
     done;
     let new_state = Array.copy state in
     for v = 0 to n - 1 do
-      let inbox =
-        Array.fold_left
-          (fun acc u ->
-            match broadcasts.(r).(u) with
-            | Some m -> (u, m) :: acc
-            | None -> acc)
-          []
-          (Graphs.Graph.neighbors g v)
-      in
-      new_state.(v) <- proto.absorb v state.(v) (List.rev inbox)
+      new_state.(v) <- absorb_inbox g proto broadcasts.(r) v state.(v)
     done;
     Array.blit new_state 0 state 0 n
   done;
@@ -125,18 +123,7 @@ let two_party_replay (c : Construction.t) proto ~rounds ~equal =
         outgoing.(other_hub) <- Some m
       | None -> ());
       for v = 0 to n - 1 do
-        if mine (r + 1) v then begin
-          let inbox =
-            Array.fold_left
-              (fun acc u ->
-                match outgoing.(u) with
-                | Some m -> (u, m) :: acc
-                | None -> acc)
-              []
-              (Graphs.Graph.neighbors g v)
-          in
-          st.(v) <- proto.absorb v st.(v) (List.rev inbox)
-        end
+        if mine (r + 1) v then st.(v) <- absorb_inbox g proto outgoing v st.(v)
       done
     done;
     (st, !bits)

@@ -56,8 +56,9 @@ type 'state protocol = {
   init : int -> 'state;  (** node id -> initial state *)
   emit : int -> 'state -> Congest.Net.msg option;
       (** what the node broadcasts this round *)
-  absorb : int -> 'state -> (int * Congest.Net.msg) list -> 'state;
-      (** state update from the received inbox *)
+  absorb : int -> 'state -> int -> Congest.Net.msg -> 'state;
+      (** [absorb v state sender m]: state update from one received
+          message; each inbox is folded senders ascending *)
 }
 
 type replay = {

@@ -118,6 +118,7 @@ let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
   let edge_crossings = Array.make (Graph.m g) 0 in
   let start = Net.checkpoint net in
   let all_heard () = Array.for_all (fun c -> c = total) heard_count in
+  let receive v sender _ (m : Net.msg) = learn v m.(0) m.(1) ~from:sender in
   let guard = ref 0 in
   while (not (all_heard ())) && !guard < 100 * (total + n) do
     incr guard;
@@ -131,18 +132,16 @@ let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
                 (u, [| i; id |]) :: acc
               end)
             out_queues.(v) []
-          |> List.sort (fun (a, _) (b, _) -> compare a b))
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
     in
-    let inboxes = Net.edge_round net (fun v -> outgoing.(v)) in
+    Net.edge_round net (fun v -> outgoing.(v));
     for v = 0 to n - 1 do
       List.iter
         (fun (u, (_ : Net.msg)) ->
           relays.(v) <- relays.(v) + 1;
           record_crossing edge_crossings (Graph.edge_index g v u))
         outgoing.(v);
-      List.iter
-        (fun (sender, m) -> learn v m.(0) m.(1) ~from:sender)
-        inboxes.(v)
+      Net.iter_inbox net v receive
     done
   done;
   if not (all_heard ()) then
@@ -256,8 +255,8 @@ type run = {
 (* The round loop of both tree shapes. Every [repair_every] rounds each
    survivor first [resend]s one random message it heard. Then each live
    node broadcasts what [pick] chooses, the adversary is polled, and
-   each live node [receive]s its inbox. Stops once [all_done] or after
-   [cap] rounds. *)
+   each live node [receive]s each delivery of its inbox. Stops once
+   [all_done] or after [cap] rounds. *)
 let run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick ~encode
     ~receive =
   let g = Net.graph net in
@@ -275,23 +274,21 @@ let run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick ~encode
         if not d.node_dead.(v) then
           Option.iter (resend v)
             (random_of rng
-               (List.sort compare
+               (List.sort Int.compare
                   (Hashtbl.fold (fun id () acc -> id :: acc) d.heard.(v) [])))
       done
     | _ -> ());
     let choice =
       Array.init n (fun v -> if d.node_dead.(v) then None else pick v)
     in
-    let inboxes =
-      Net.broadcast_round net (fun v -> Option.map encode choice.(v))
-    in
+    Net.broadcast_round net (fun v -> Option.map encode choice.(v));
     sync ();
     for v = 0 to n - 1 do
       if Option.is_some choice.(v) then begin
         relays.(v) <- relays.(v) + 1;
         record_broadcast_crossings g edge_crossings v
       end;
-      if not d.node_dead.(v) then receive v inboxes.(v)
+      if not d.node_dead.(v) then Net.iter_inbox net v receive
     done
   done;
   { d; start; relays; edge_crossings }
@@ -464,15 +461,13 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
       Some (i, id)
     | None -> next_pending v 0
   in
-  let receive v =
-    List.iter (fun (sender, m) ->
-        let i = m.(0) and id = m.(1) in
-        ignore (hear d v id);
-        (* adopt for relaying if the tree edge (sender, v) exists, or if
-           v is a member hearing it from a non-member injector *)
-        if
-          member.(i).(v) && (is_tree_edge i sender v || not member.(i).(sender))
-        then adopt v i id)
+  let receive v sender _ (m : Net.msg) =
+    let i = m.(0) and id = m.(1) in
+    ignore (hear d v id);
+    (* adopt for relaying if the tree edge (sender, v) exists, or if v is
+       a member hearing it from a non-member injector *)
+    if member.(i).(v) && (is_tree_edge i sender v || not member.(i).(sender))
+    then adopt v i id
   in
   let run =
     run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick
@@ -540,9 +535,8 @@ let single_tree_rounds ?faults ?repair_every ~cap net ~parent ~msgs ~total =
       ~resend:(fun v id -> Queue.add id queues.(v))
       ~pick:(fun v -> Queue.take_opt queues.(v))
       ~encode:(fun id -> [| id |])
-      ~receive:(fun v ->
-        List.iter (fun (sender, m) ->
-            if List.mem sender adj.(v) then learn v m.(0)))
+      ~receive:(fun v sender _ m ->
+        if List.mem sender adj.(v) then learn v m.(0))
   in
   (run, if !tree_hit then 1 else 0)
 

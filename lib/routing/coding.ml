@@ -117,42 +117,36 @@ let rlnc_broadcast ?(seed = 42) ?(payload_words = 1) ?(coeff_words_per_round = 6
     Array.iter (fun p -> if p <> None then incr transmissions) packet;
     (* ship it chunk by chunk; receivers apply on the last chunk *)
     for chunk = 0 to chunks - 1 do
-      let inboxes =
-        Net.broadcast_round net (fun v ->
-            match packet.(v) with
-            | None -> None
-            | Some vec ->
-              let from = chunk * budget in
-              let upto = min nlimbs (from + budget) in
-              let coeff_part =
-                if from >= nlimbs then []
-                (* lint: allow msg-budget — [upto - from <= budget <= 6] by
-                   construction: this is the fixed-width chunking that keeps
-                   each packet under Model.words_budget *)
-                else Array.to_list (Array.sub vec from (upto - from))
-              in
-              (* pad the final chunk with payload filler words *)
-              let filler =
-                if chunk = chunks - 1 then
-                  List.init
-                    (min payload_words (budget - List.length coeff_part))
-                    (fun _ -> 0)
-                else []
-              in
-              (* lint: allow msg-budget — 1 + |coeff_part| + |filler| <=
-                 1 + budget <= 7 words, inside Model.words_budget: the
-                 chunk loop exists precisely to bound this encoding *)
-              Some (Array.of_list ((chunk :: coeff_part) @ filler)))
-      in
+      Net.broadcast_round net (fun v ->
+          match packet.(v) with
+          | None -> None
+          | Some vec ->
+            let from = chunk * budget in
+            let upto = min nlimbs (from + budget) in
+            let coeff_part =
+              if from >= nlimbs then []
+              (* lint: allow msg-budget — [upto - from <= budget <= 6] by
+                 construction: this is the fixed-width chunking that keeps
+                 each packet under Model.words_budget *)
+              else Array.to_list (Array.sub vec from (upto - from))
+            in
+            (* pad the final chunk with payload filler words *)
+            let filler =
+              if chunk = chunks - 1 then
+                List.init
+                  (min payload_words (budget - List.length coeff_part))
+                  (fun _ -> 0)
+              else []
+            in
+            (* lint: allow msg-budget — 1 + |coeff_part| + |filler| <=
+               1 + budget <= 7 words, inside Model.words_budget: the
+               chunk loop exists precisely to bound this encoding *)
+            Some (Array.of_list ((chunk :: coeff_part) @ filler)));
       if chunk = chunks - 1 then
-        for v = 0 to n - 1 do
-          List.iter
-            (fun (sender, _) ->
-              match packet.(sender) with
-              | Some vec -> ignore (insert spans.(v) vec)
-              | None -> ())
-            inboxes.(v)
-        done
+        Net.iter_deliveries net (fun v sender _ _ ->
+            match packet.(sender) with
+            | Some vec -> ignore (insert spans.(v) vec)
+            | None -> ())
     done
   done;
   let rounds = max 1 (rounds_used ()) in

@@ -1,5 +1,11 @@
 module Graph = Graphs.Graph
 
+(* lexicographic [<=] on the (max degree, degree sum, u, v) keys below *)
+let key_le ((a1 : int), (b1 : int), (c1 : int), (d1 : int)) (a2, b2, c2, d2) =
+  a1 < a2
+  || a1 = a2
+     && (b1 < b2 || (b1 = b2 && (c1 < c2 || (c1 = c2 && d1 <= d2))))
+
 (* A degree-balanced spanning tree: repeatedly add the component-joining
    edge whose endpoints carry the fewest tree edges so far. Keeping tree
    degrees low means no vertex loses its whole residual neighborhood to
@@ -18,7 +24,7 @@ let spanning_tree_if_connected g =
           if not (Graphs.Union_find.same uf u v) then begin
             let key = (max tdeg.(u) tdeg.(v), tdeg.(u) + tdeg.(v), u, v) in
             match !best with
-            | Some (k, _, _) when k <= key -> ()
+            | Some (k, _, _) when key_le k key -> ()
             | _ -> best := Some (key, u, v)
           end)
         g;
@@ -30,7 +36,7 @@ let spanning_tree_if_connected g =
         chosen := (min u v, max u v) :: !chosen
       | None -> ()
     done;
-    Some (List.sort compare !chosen)
+    Some (List.sort Spacking.compare_edge !chosen)
   end
 
 let peel g0 =

@@ -61,7 +61,7 @@ let run ?(eps = 0.15) ?max_iterations ?capacity g ~lambda =
     Array.iteri
       (fun v p -> if p >= 0 && p <> v then acc := (min v p, max v p) :: !acc)
       parent;
-    List.sort compare !acc
+    List.sort Spacking.compare_edge !acc
   in
   add_tree initial 1.;
   let z_of i = loads.(i) *. tgt /. cap.(i) in

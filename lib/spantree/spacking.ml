@@ -10,6 +10,9 @@ type t = {
   trees : wtree list;
 }
 
+let compare_edge (u1, v1) (u2, v2) =
+  match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
+
 let size p = List.fold_left (fun acc tr -> acc +. tr.weight) 0. p.trees
 let count p = List.length p.trees
 
@@ -29,7 +32,8 @@ let edge_loads p =
 let edge_load p u v =
   List.fold_left
     (fun acc tr ->
-      if List.exists (fun (a, b) -> (a, b) = (min u v, max u v)) tr.edges then
+      let lo = Int.min u v and hi = Int.max u v in
+      if List.exists (fun (a, b) -> a = lo && b = hi) tr.edges then
         acc +. tr.weight
       else acc)
     0. p.trees

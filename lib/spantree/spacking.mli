@@ -11,6 +11,9 @@ type t = {
   trees : wtree list;
 }
 
+(** Lexicographic order on [(u, v)] edges, monomorphic. *)
+val compare_edge : int * int -> int * int -> int
+
 (** Packing size Σ w_τ. *)
 val size : t -> float
 

@@ -9,13 +9,24 @@ let rng () = Random.State.make [| 0xBEEF |]
 let vnet g = Congest.Net.create Congest.Model.V_congest g
 let enet g = Congest.Net.create Congest.Model.E_congest g
 
+(* The last round's deliveries as one [(sender, msg)] list per receiver,
+   senders ascending. *)
+let inbox_lists net =
+  let a = Array.make (Congest.Net.n net) [] in
+  Congest.Net.iter_deliveries net (fun v u _ m -> a.(v) <- (u, m) :: a.(v));
+  Array.map List.rev a
+
+let broadcast net send =
+  Congest.Net.broadcast_round net send;
+  inbox_lists net
+
 (* ------------------------------------------------------------------ *)
 (* Runtime *)
 
 let test_broadcast_round () =
   let g = Gen.path 3 in
   let net = vnet g in
-  let inboxes = Congest.Net.broadcast_round net (fun u -> Some [| u * 10 |]) in
+  let inboxes = broadcast net (fun u -> Some [| u * 10 |]) in
   Alcotest.(check int) "one round" 1 (Congest.Net.rounds net);
   (* middle node hears both ends *)
   Alcotest.(check int) "inbox size" 2 (List.length inboxes.(1));
@@ -56,10 +67,9 @@ let test_edge_round_illegal_in_vcongest () =
 let test_edge_round_in_econgest () =
   let g = Gen.path 3 in
   let net = enet g in
-  let inboxes =
-    Congest.Net.edge_round net (fun u ->
-        if u = 1 then [ (0, [| 7 |]); (2, [| 8 |]) ] else [])
-  in
+  Congest.Net.edge_round net (fun u ->
+      if u = 1 then [ (0, [| 7 |]); (2, [| 8 |]) ] else []);
+  let inboxes = inbox_lists net in
   Alcotest.(check int) "end 0 got 7" 7 (snd (List.hd inboxes.(0))).(0);
   Alcotest.(check int) "end 2 got 8" 8 (snd (List.hd inboxes.(2))).(0);
   match
@@ -115,15 +125,6 @@ let test_boundary_accounting () =
 
 module F = Congest.Faults
 
-let net_fingerprint net =
-  ( Congest.Net.rounds net,
-    Congest.Net.messages_sent net,
-    Congest.Net.words_sent net,
-    Congest.Net.messages_lost net,
-    Congest.Net.words_lost net,
-    Congest.Net.max_node_load net,
-    Congest.Net.max_edge_load net )
-
 let prop_null_adversary_bit_identical =
   QCheck.Test.make
     ~name:"null adversary: execution bit-identical to fault-free" ~count:30
@@ -135,9 +136,9 @@ let prop_null_adversary_bit_identical =
       let run with_null =
         let net = vnet g in
         if with_null then F.install net (F.none ());
-        let i1 = Congest.Net.broadcast_round net send1 in
-        let i2 = Congest.Net.broadcast_round net send2 in
-        (i1, i2, net_fingerprint net)
+        let i1 = broadcast net send1 in
+        let i2 = broadcast net send2 in
+        (i1, i2, Congest.Net.telemetry net)
       in
       run false = run true)
 
@@ -146,9 +147,9 @@ let test_crash_silences_node () =
   let net = vnet g in
   let faults = F.create [ F.Crash_at [ (1, 2) ] ] in
   F.install net faults;
-  let i0 = Congest.Net.broadcast_round net (fun u -> Some [| u |]) in
+  let i0 = broadcast net (fun u -> Some [| u |]) in
   Alcotest.(check int) "round 0: all alive" 3 (List.length i0.(0));
-  let i1 = Congest.Net.broadcast_round net (fun u -> Some [| u |]) in
+  let i1 = broadcast net (fun u -> Some [| u |]) in
   Alcotest.(check bool) "node 2 crashed" true (F.crashed faults 2);
   Alcotest.(check (list int)) "crashed node silenced as sender" [ 1; 3 ]
     (List.map fst i1.(0) |> List.sort compare);
@@ -187,8 +188,8 @@ let test_drop_determinism () =
     let net = vnet g in
     let faults = F.create ~seed:11 [ F.Drop_bernoulli 0.3 ] in
     F.install net faults;
-    let i = Congest.Net.broadcast_round net (fun u -> Some [| u |]) in
-    (i, net_fingerprint net)
+    let i = broadcast net (fun u -> Some [| u |]) in
+    (i, Congest.Net.telemetry net)
   in
   Alcotest.(check bool) "same seed, same execution" true (run () = run ())
 
@@ -197,9 +198,9 @@ let test_scheduled_edge_kill () =
   let net = vnet g in
   let faults = F.create [ F.Kill_edges_at [ (1, (1, 0)) ] ] in
   F.install net faults;
-  let i0 = Congest.Net.broadcast_round net (fun u -> Some [| u |]) in
+  let i0 = broadcast net (fun u -> Some [| u |]) in
   Alcotest.(check int) "round 0: edge alive" 2 (List.length i0.(0));
-  let i1 = Congest.Net.broadcast_round net (fun u -> Some [| u |]) in
+  let i1 = broadcast net (fun u -> Some [| u |]) in
   Alcotest.(check (list int)) "0 no longer hears 1" [ 3 ]
     (List.map fst i1.(0));
   Alcotest.(check (list int)) "1 no longer hears 0" [ 2 ]
@@ -264,7 +265,7 @@ let test_crash_storm_determinism () =
     for _ = 1 to 8 do
       ignore (Congest.Net.broadcast_round net (fun u -> Some [| u |]))
     done;
-    (F.crashed_nodes faults, net_fingerprint net)
+    (F.crashed_nodes faults, Congest.Net.telemetry net)
   in
   Alcotest.(check bool) "same seed, same storm" true (run () = run ())
 
@@ -846,6 +847,112 @@ let prop_words_accounting =
       Congest.Net.words_sent net = senders * (n - 1) * len
       && Congest.Net.messages_sent net = senders * (n - 1))
 
+(* The inbox view against the round's own accounting and, on
+   fault-free rounds, against the traffic offered: random graphs, random
+   broadcast and edge rounds, with and without a drop + crash adversary,
+   at one and four domains. *)
+let prop_inbox_view_contract =
+  QCheck.Test.make
+    ~name:"inbox view = the round's deliveries, senders ascending" ~count:40
+    QCheck.(triple (int_range 3 24) (int_range 0 30) (int_range 0 9999))
+    (fun (n, extra, seed) ->
+      let g = Gen.random_connected (Random.State.make [| seed |]) ~n ~extra in
+      let view net =
+        let acc = ref [] in
+        Congest.Net.iter_deliveries net (fun v u e m ->
+            acc := (v, u, e, m) :: !acc);
+        List.rev !acc
+      in
+      let check ~domains ~faulty =
+        let rng = Random.State.make [| seed; domains |] in
+        let net = Congest.Net.create ~domains Congest.Model.E_congest g in
+        if faulty then
+          F.install net
+            (F.create ~seed
+               [
+                 F.Drop_bernoulli 0.3; F.Crash_at [ (1, seed mod n); (3, 0) ];
+               ]);
+        let ok = ref (view net = []) in
+        for r = 0 to 5 do
+          let m0 = Congest.Net.messages_sent net
+          and w0 = Congest.Net.words_sent net in
+          let word () = Random.State.int rng 64 in
+          let msg () =
+            Array.init (1 + Random.State.int rng 3) (fun _ -> word ())
+          in
+          (* expected.(v): (sender, msg) offered to v, senders ascending *)
+          let expected = Array.make n [] in
+          if r mod 2 = 0 then begin
+            let out =
+              Array.init n (fun _ ->
+                  if Random.State.bool rng then Some (msg ()) else None)
+            in
+            for u = n - 1 downto 0 do
+              Option.iter
+                (fun m ->
+                  Array.iter
+                    (fun v -> expected.(v) <- (u, m) :: expected.(v))
+                    (Graph.neighbors g u))
+                out.(u)
+            done;
+            Congest.Net.broadcast_round net (fun u -> out.(u))
+          end
+          else begin
+            let out =
+              Array.init n (fun u ->
+                  List.filter_map
+                    (fun v ->
+                      if Random.State.bool rng then Some (v, msg ()) else None)
+                    (Array.to_list (Graph.neighbors g u)))
+            in
+            for u = n - 1 downto 0 do
+              List.iter
+                (fun (v, m) -> expected.(v) <- (u, m) :: expected.(v))
+                out.(u)
+            done;
+            Congest.Net.edge_round net (fun u -> out.(u))
+          end;
+          let seen = view net in
+          let per = Array.make n [] in
+          List.iter (fun (v, u, e, m) -> per.(v) <- (u, e, m) :: per.(v)) seen;
+          ok :=
+            !ok
+            && List.length seen = Congest.Net.messages_sent net - m0
+            && List.fold_left (fun a (_, _, _, m) -> a + Array.length m) 0 seen
+               = Congest.Net.words_sent net - w0;
+          for v = 0 to n - 1 do
+            let got = List.rev per.(v) in
+            let senders = List.map (fun (u, _, _) -> u) got in
+            ok :=
+              !ok
+              && List.for_all (fun (u, e, _) -> e = Graph.edge_index g u v) got
+              && senders = List.sort_uniq Int.compare senders
+              && (faulty
+                 || List.length got = List.length expected.(v)
+                    && List.for_all2
+                         (fun (u, _, m) (u', m') -> u = u' && m == m')
+                         got expected.(v))
+          done;
+          (* a round of the same kind that raises leaves an empty view *)
+          (match
+             if r mod 2 = 0 then
+               Congest.Net.broadcast_round net (fun _ -> Some (Array.make 99 0))
+             else
+               Congest.Net.edge_round net (fun u ->
+                   let v = (Graph.neighbors g u).(0) in
+                   [ (v, [| 1 |]); (v, [| 2 |]) ])
+           with
+          | () -> ok := false
+          | exception Congest.Net.Protocol_violation _ -> ());
+          ok := !ok && view net = []
+        done;
+        Congest.Net.shutdown net;
+        !ok
+      in
+      List.for_all
+        (fun (domains, faulty) -> check ~domains ~faulty)
+        [ (1, false); (4, false); (1, true); (4, true) ])
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -930,7 +1037,8 @@ let () =
           Alcotest.test_case "unchecked records only" `Quick
             test_knowledge_unchecked_records_only;
         ] );
-      qsuite "runtime.props" [ prop_words_accounting ];
+      qsuite "runtime.props"
+        [ prop_words_accounting; prop_inbox_view_contract ];
       qsuite "components.props"
         [ prop_identify_matches_centralized; prop_hybrid_matches_flooding ];
       ( "dist_mst",

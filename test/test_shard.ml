@@ -1,5 +1,5 @@
 (* Sharded round engine tests: a net created with [domains > 1] must be
-   byte-identical to one with [domains = 1] — same inboxes (hence same
+   byte-identical to one with [domains = 1] — same deliveries (hence same
    protocol results), same telemetry, same per-round FNV digests, same
    violations — across graph families, models, fault adversaries,
    barriers/rollback, and replay_check. Plus the composition guards:
@@ -18,15 +18,10 @@ let broadcast_phase net rounds =
   let n = Net.n net in
   let best = Array.init n (fun v -> (v * 7) land 63) in
   for r = 1 to rounds do
-    let inboxes =
-      Net.broadcast_round net (fun u ->
-          if (u + r) mod 5 = 0 then None else Some [| best.(u); r land 63 |])
-    in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (_, m) -> if m.(0) < best.(v) then best.(v) <- m.(0))
-        inboxes.(v)
-    done
+    Net.broadcast_round net (fun u ->
+        if (u + r) mod 5 = 0 then None else Some [| best.(u); r land 63 |]);
+    Net.iter_deliveries net (fun v _ _ m ->
+        if m.(0) < best.(v) then best.(v) <- m.(0))
   done;
   best
 
@@ -35,17 +30,12 @@ let edge_phase net rounds =
   let n = Net.n net in
   let best = Array.init n (fun v -> (v * 3) land 63) in
   for r = 1 to rounds do
-    let inboxes =
-      Net.edge_round net (fun u ->
-          Array.to_list (Graph.neighbors g u)
-          |> List.filter (fun v -> (u + v + r) mod 4 <> 0)
-          |> List.map (fun v -> (v, [| best.(u); (u + r) land 63 |])))
-    in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (_, m) -> if m.(0) < best.(v) then best.(v) <- m.(0))
-        inboxes.(v)
-    done
+    Net.edge_round net (fun u ->
+        Array.to_list (Graph.neighbors g u)
+        |> List.filter (fun v -> (u + v + r) mod 4 <> 0)
+        |> List.map (fun v -> (v, [| best.(u); (u + r) land 63 |])));
+    Net.iter_deliveries net (fun v _ _ m ->
+        if m.(0) < best.(v) then best.(v) <- m.(0))
   done;
   best
 

@@ -53,7 +53,13 @@ let scoped_exemptions =
    the flat-int-array design — but in cold analysis/reporting code a
    structural compare is harmless and often clearer. *)
 let scoped_only =
-  [ ("polymorphic-compare", [ "lib/graph/"; "lib/congest/"; "lib/domtree/" ]) ]
+  [
+    ( "polymorphic-compare",
+      [
+        "lib/graph/"; "lib/congest/"; "lib/domtree/"; "lib/routing/";
+        "lib/spantree/";
+      ] );
+  ]
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
