@@ -24,23 +24,23 @@ let run_pair ~seed ~per_node ~g ~packing specs =
         Routing.Gossip.all_to_all_ft ~seed ~per_node net faults packing
       | `Naive -> Routing.Gossip.all_to_all_naive_ft ~per_node net faults
     in
-    (r, faults)
+    (r, net, faults)
   in
   (run `Packing, run `Naive)
 
-let pp_row ppf ~emit label (r : Routing.Broadcast.ft_result)
+let pp_row ppf ~emit label (r : Routing.Broadcast.ft_result) net
     (faults : Faults.t) =
   Format.fprintf ppf "%-24s | %7d %9.3f %9.3f | %5d %5d %5d | %9d %5b@." label
     r.ft_rounds r.ft_throughput r.ft_coverage r.ft_survivors r.ft_dead_trees
     (Faults.edges_killed faults)
-    (Faults.drops faults) r.ft_converged;
+    (Congest.Net.messages_lost net) r.ft_converged;
   emit
     (Printf.sprintf "%s,%d,%.6f,%.6f,%d,%d,%d,%d,%b"
        (String.concat " "
           (String.split_on_char ' ' label |> List.filter (( <> ) "")))
        r.ft_rounds r.ft_throughput r.ft_coverage r.ft_survivors r.ft_dead_trees
        (Faults.edges_killed faults)
-       (Faults.drops faults) r.ft_converged)
+       (Congest.Net.messages_lost net) r.ft_converged)
 
 let csv_header =
   "scenario,rounds,msgs_per_round,coverage,survivors,dead_trees,edges_killed,drops,converged"
@@ -53,10 +53,12 @@ let pair_job ~algo ~params ~seed ~per_node ~g ~packing ~labels specs =
          let ppf = Format.formatter_of_buffer b in
          let rows = ref [] in
          let emit r = rows := r :: !rows in
-         let (rp, fp), (rn, fn) = run_pair ~seed ~per_node ~g ~packing specs in
+         let (rp, np, fp), (rn, nn, fn) =
+           run_pair ~seed ~per_node ~g ~packing specs
+         in
          let lp, ln = labels in
-         pp_row ppf ~emit lp rp fp;
-         pp_row ppf ~emit ln rn fn;
+         pp_row ppf ~emit lp rp np fp;
+         pp_row ppf ~emit ln rn nn fn;
          Format.pp_print_flush ppf ();
          Exec.Job.payload ~rows:(List.rev !rows) (Buffer.contents b)))
 

@@ -316,7 +316,7 @@ let gossip_cmd =
         naive.Routing.Broadcast.rounds naive.Routing.Broadcast.throughput
     end
     else begin
-      let pp label (r : Routing.Broadcast.ft_result) faults =
+      let pp label (r : Routing.Broadcast.ft_result) net faults =
         Format.printf
           "%s: %d/%d messages delivered in %d rounds (%.3f/round), coverage \
            %.3f, %d survivors, %d dead trees@.  %a@."
@@ -324,16 +324,16 @@ let gossip_cmd =
           r.Routing.Broadcast.ft_messages r.Routing.Broadcast.ft_rounds
           r.Routing.Broadcast.ft_throughput r.Routing.Broadcast.ft_coverage
           r.Routing.Broadcast.ft_survivors r.Routing.Broadcast.ft_dead_trees
-          Congest.Faults.pp_summary faults
+          (Congest.Faults.pp_summary net) faults
       in
       let net = Congest.Net.create Congest.Model.V_congest g in
       let faults = Congest.Faults.create ~seed specs in
       let r = Routing.Gossip.all_to_all_ft ~seed ~per_node net faults p in
-      pp "gossip under faults (packing)" r faults;
+      pp "gossip under faults (packing)" r net faults;
       let net2 = Congest.Net.create Congest.Model.V_congest g in
       let faults2 = Congest.Faults.create ~seed specs in
       let rn = Routing.Gossip.all_to_all_naive_ft ~per_node net2 faults2 in
-      pp "single-tree baseline" rn faults2
+      pp "single-tree baseline" rn net2 faults2
     end
   in
   let per_node_arg =

@@ -13,22 +13,26 @@
       silenced from round [r] onward (0-based round index, as reported
       to [on_round_start]) — it sends nothing and its inbox receives
       nothing, forever;
-    - {b Bernoulli drops}: each delivered message is independently
-      destroyed with probability [p] (several [Drop_bernoulli] specs
-      compose as independent layers);
+    - {b Bernoulli drops}: each delivered copy is destroyed with
+      probability [p], decided by a hash of (seed, round, sender,
+      receiver) (several [Drop_bernoulli] specs compose as independent
+      layers, [1 - Π(1 - pᵢ)]);
     - {b scheduled edge kills}: an edge killed at round [r] destroys
       every message crossing it (both directions) from round [r] on;
     - {b greedy edge kills}: an adaptive adversary with a kill budget
-      that, every [period] rounds, kills the edge over which it has
-      observed the most cumulative words — the worst-case-flavored
-      adversary of the Daga et al. / expander-routing line of work.
+      that, every [period] rounds, kills the live edge over which it has
+      observed the most cumulative words (both directions, ties to the
+      smaller edge id) — the worst-case-flavored adversary of the Daga
+      et al. / expander-routing line of work.
 
-    Telemetry records every fault as an {!event} (which round, which
-    node/edge, words lost), plus running counters. *)
+    Crashes and kills change only at the start of a round, and within a
+    round every decision is a pure function of its inputs, so faulty
+    rounds run at the net's full width with the same outcome at every
+    width. Telemetry logs every crash and edge kill as an {!event};
+    destroyed copies are counted by the net ({!Net.messages_lost}). *)
 
 type event =
   | Crash of { round : int; node : int }
-  | Drop of { round : int; src : int; dst : int; words : int }
   | Edge_kill of { round : int; u : int; v : int }
 
 val pp_event : Format.formatter -> event -> unit
@@ -47,16 +51,17 @@ type spec =
       universe : int;
     }
       (** a burst of random fail-stop crashes: for [storm_rounds] rounds
-          starting at [from_round], draw [per_round] victims per round
-          from [\[0, universe)] with the adversary's seeded RNG
-          (redrawing an already-dead victim is a no-op, so each storm
+          starting at [from_round], pick [per_round] victims per round
+          from [\[0, universe)], victim [j] of round [r] a hash of
+          (seed, r, j) (a victim already dead is a no-op, so each storm
           round kills at most [per_round] fresh nodes). The chaos
           harness's workhorse. *)
 
 type t
 
 (** [create ?seed specs] builds the composed adversary.
-    @raise Invalid_argument on a drop probability outside [0,1]. *)
+    @raise Invalid_argument on a drop probability outside [0,1] (NaN
+    included). *)
 val create : ?seed:int -> spec list -> t
 
 (** The null adversary: no faults; installing it leaves every execution
@@ -71,20 +76,18 @@ val install : Net.t -> t -> unit
 val uninstall : Net.t -> unit
 
 (** [reset t] rewinds the adversary to its creation state: crashed nodes
-    revive, killed edges restore, the greedy budget and drop RNG reseed,
-    and telemetry clears. [Net.replay_reset] calls this through the
-    installed hook so one adversary replays identically. *)
+    revive, killed edges restore, the greedy budget refills, observed
+    traffic and telemetry clear (drops and storm victims are functions
+    of the seed and round). [Net.replay_reset] calls this through the installed
+    hook so one adversary replays identically. *)
 val reset : t -> unit
 
-(** [save t] deep-snapshots the adversary (RNG, crashed/killed sets,
-    pending schedules, budgets, telemetry); the returned thunk restores
-    that state and may be invoked any number of times. This is the
-    adversary half of {!Net.barrier}: restore + identical re-execution
-    re-makes identical fault decisions. *)
+(** [save t] snapshots the adversary (crashed/killed sets, pending
+    schedules, greedy budget and traffic, telemetry); the returned thunk
+    restores that state and may be invoked any number of times. This is
+    the adversary half of {!Net.barrier}: restore + identical
+    re-execution re-makes identical fault decisions. *)
 val save : t -> unit -> unit
-
-(** The raw hook, for callers managing installation themselves. *)
-val hook : t -> Net.fault_hook
 
 (** {1 Queries} *)
 
@@ -96,13 +99,11 @@ val edge_killed : t -> int * int -> bool
 
 (** {1 Telemetry} *)
 
-(** Chronological fault log. Messages destroyed because their receiver
-    crashed are tallied in the counters but not event-logged (one crash
-    event stands for the whole silence). *)
+(** Chronological log of crashes and edge kills. *)
 val events : t -> event list
 
-val drops : t -> int
-val words_lost : t -> int
 val crashes : t -> int
 val edges_killed : t -> int
-val pp_summary : Format.formatter -> t -> unit
+
+(** Crashes and edge kills, with [net]'s loss counters. *)
+val pp_summary : Net.t -> Format.formatter -> t -> unit

@@ -34,7 +34,7 @@ let () =
 type fault_hook = {
   on_round_start : int -> unit;
   node_alive : int -> bool;
-  deliver : src:int -> dst:int -> msg -> bool;
+  deliver : src:int -> dst:int -> edge:int -> msg -> bool;
   reset : unit -> unit;
   save : unit -> unit -> unit;
       (* snapshot adversary state; the returned thunk restores it *)
@@ -126,8 +126,7 @@ type t = {
      receivers in the receive phase — and writes only slots indexed by
      its own vertices or by k itself (DESIGN.md §15). *)
   mutable team : Team.t;
-  bounds : int array;  (* team width + 1 partition bounds over [0, n] *)
-  whole : int array;  (* [| 0; n |]: the width-1 partition *)
+  mutable bounds : int array;  (* team width + 1 partition bounds over [0, n] *)
   fail_u : int array;  (* per shard: sender of first violation, -1 *)
   fail : exn array;  (* per shard: that violation (dummy Not_found) *)
   tally : int array;  (* per shard: receive-phase tallies, above *)
@@ -203,7 +202,6 @@ let create ?words_budget ?domains model g =
     tag = 0;
     team = Team.create ~width;
     bounds = partition g width;
-    whole = [| 0; n |];
     fail_u = Array.make width (-1);
     fail = Array.make width Not_found;
     tally = Array.make (width * n_tallies) 0;
@@ -223,7 +221,8 @@ let domains net = Team.width net.team
 let shutdown net =
   if Team.width net.team > 1 then begin
     Team.shutdown net.team;
-    net.team <- Team.create ~width:1
+    net.team <- Team.create ~width:1;
+    net.bounds <- [| 0; Graph.n net.graph |]
   end
 
 let make_obs ?(spans = Obs.Span.disabled) metrics =
@@ -295,15 +294,6 @@ let validate net ~node m =
 let install_faults net hook = net.faults <- Some hook
 let clear_faults net = net.faults <- None
 let has_faults net = Option.is_some net.faults
-
-(* Fault hooks and boundary predicates are stateful sequential oracles
-   (adversary RNG, cross-cut accounting) whose consultation order is
-   part of the certified semantics: rounds under either run at width 1,
-   where the send phase walks every sender in that one order. *)
-let round_width net =
-  if Option.is_none net.faults && Option.is_none net.boundary then
-    Team.width net.team
-  else 1
 
 let arenas net =
   match net.arenas with
@@ -408,9 +398,9 @@ let end_round net ~width =
 
    1. send (sender-sharded): shard k walks its senders descending,
       validates each message and stores it in [sent]. Under a fault
-      hook (width 1 only) a crashed sender is not asked, and [deliver]
-      decides each outgoing copy in neighbour order, its fate recorded
-      in the sender's slot. The first violation is recorded per shard,
+      hook a crashed sender is not asked, and [deliver] (a pure function
+      of the copy, DESIGN.md §6) decides each outgoing copy, its fate
+      recorded in the sender's slot. The first violation is recorded per shard,
       and the highest-sender one is re-raised after the barrier, before
       anything is counted.
    2. receive (receiver-sharded): shard k walks each of its receivers'
@@ -424,8 +414,7 @@ let end_round net ~width =
    place: nothing is copied per delivery. *)
 let broadcast_round net send =
   let hook = net.faults in
-  let width = round_width net in
-  let bounds = if width = 1 then net.whole else net.bounds in
+  let width = Team.width net.team and bounds = net.bounds in
   let mirror, fate =
     match hook with
     | None -> ([||], [||])
@@ -439,7 +428,7 @@ let broadcast_round net send =
   let bounded, side =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
-  let off = net.csr_off and adj = net.csr_adj in
+  let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
   let rdig = net.rdig in
   let sent = net.sent and sent_len = net.sent_len
   and sent_hash = net.sent_hash in
@@ -467,7 +456,8 @@ let broadcast_round net send =
            | Some h ->
              for s = off.(uu) to off.(uu + 1) - 1 do
                fate.(s) <-
-                 (if h.deliver ~src:uu ~dst:adj.(s) m then tag else -tag)
+                 (if h.deliver ~src:uu ~dst:adj.(s) ~edge:ids.(s) m then tag
+                  else -tag)
              done)
        with e ->
          fail_u.(k) <- uu;
@@ -539,20 +529,19 @@ let slot_in off adj u v =
 (* One E-CONGEST round; the same phases as [broadcast_round], with each
    message staged at its sender slot: the slot's [fate] stamp doubles as
    the duplicate-direction check, and under a fault hook [deliver] is
-   consulted right after each message validates, in list order. *)
+   consulted right after each message validates. *)
 let edge_round net send =
   if net.model = Model.V_congest then
     violate net "edge_round: per-edge messages illegal in V-CONGEST";
   let hook = net.faults in
-  let width = round_width net in
-  let bounds = if width = 1 then net.whole else net.bounds in
+  let width = Team.width net.team and bounds = net.bounds in
   let { mirror; out_msg; out_hash; fate } = arenas net in
   begin_round net;
   let tag = net.tag in
   let bounded, side =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
-  let off = net.csr_off and adj = net.csr_adj in
+  let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
   let rdig = net.rdig in
   let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
   (* [next] is the slot after the previous target's: protocols list
@@ -574,7 +563,8 @@ let edge_round net send =
       out_hash.(s) <- validate net ~node:u m;
       out_msg.(s) <- m;
       (match hook with
-      | Some h when not (h.deliver ~src:u ~dst:v m) -> fate.(s) <- -tag
+      | Some h when not (h.deliver ~src:u ~dst:v ~edge:ids.(s) m) ->
+        fate.(s) <- -tag
       | _ -> ());
       stage u (s + 1) rest
   in

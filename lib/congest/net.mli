@@ -51,17 +51,14 @@ type t
     receivers, a merge in shard order — over a partition of the nodes
     into degree-weighted contiguous shards. With [domains > 1] a
     persistent {!Team} of worker domains is spawned once and runs the
-    shards of every fault-free, boundary-free round in parallel. The
-    merge discipline makes every observable — the inbox view
-    ({!iter_inbox}), telemetry, round digests, {!replay_check} verdicts
-    — byte-identical across domain counts: [domains = n] produces
-    exactly the output of [domains = 1].
-
-    Rounds with a fault hook or boundary predicate installed run at
-    width 1 (both are stateful sequential oracles whose consultation
-    order is part of the certified semantics). A net created inside an
-    [Exec.Pool] worker or another net's shard clamps to [domains = 1] —
-    outer parallelism wins; see DESIGN.md §15. *)
+    shards of every round in parallel, fault hook and boundary predicate
+    included (both must be pure within a round). The merge discipline
+    makes every observable — the inbox view ({!iter_inbox}), telemetry,
+    round digests, {!replay_check} verdicts — byte-identical across
+    domain counts: [domains = n] produces exactly the output of
+    [domains = 1]. A net created inside an [Exec.Pool] worker or another
+    net's shard clamps to [domains = 1] — outer parallelism wins; see
+    DESIGN.md §15. *)
 val create : ?words_budget:int -> ?domains:int -> Model.t -> Graphs.Graph.t -> t
 
 val graph : t -> Graphs.Graph.t
@@ -85,15 +82,19 @@ val shutdown : t -> unit
     round without any change to algorithm code:
 
     - [on_round_start r] is called once per round, before any message
-      moves, with [r] = the number of completed rounds (so the first
-      round is 0);
+      moves and outside the shards, with [r] = the number of completed
+      rounds (so the first round is 0) — the only place the adversary
+      may change its answers;
     - a node [u] with [node_alive u = false] is {e crashed}: its send
       function is not invoked and nothing is delivered to it (the
       [deliver] hook is expected to refuse its inbound traffic);
-    - [deliver ~src ~dst m] decides the fate of each individual message
-      from a live sender: [false] destroys it in flight;
+    - [deliver ~src ~dst ~edge m] decides the fate of each message from
+      a live sender over edge id [edge]: [false] destroys it in flight.
+      Shards call it concurrently and in no fixed order, so it must be
+      a pure function of its arguments and the round's state, writing
+      at most a slot owned by the direction [src -> dst];
     - [reset ()] must rewind the adversary to its creation state
-      (revive nodes and edges, reseed internal randomness, clear
+      (revive nodes and edges, clear observed traffic and
       telemetry) so a replayed protocol faces identical faults; it is
       invoked by {!replay_reset} / {!replay_check}, never by ordinary
       rounds.
@@ -106,15 +107,15 @@ val shutdown : t -> unit
 type fault_hook = {
   on_round_start : int -> unit;
   node_alive : int -> bool;
-  deliver : src:int -> dst:int -> msg -> bool;
+  deliver : src:int -> dst:int -> edge:int -> msg -> bool;
   reset : unit -> unit;
   save : unit -> unit -> unit;
-      (** [save ()] snapshots the adversary's full internal state (RNG,
-          crashed nodes, killed edges, pending schedules, telemetry) and
-          returns a thunk restoring it — the adversary half of a
-          {!barrier}. A restored adversary replays the exact fault
-          decisions it made after the snapshot, which is what makes
-          {!rollback} + re-execution deterministic. *)
+      (** [save ()] snapshots the adversary's full internal state
+          (crashed nodes, killed edges, pending schedules, observed
+          traffic, telemetry) and returns a thunk restoring it — the
+          adversary half of a {!barrier}. A restored adversary replays
+          the exact fault decisions it made after the snapshot, which is
+          what makes {!rollback} + re-execution deterministic. *)
 }
 
 val install_faults : t -> fault_hook -> unit
@@ -134,8 +135,8 @@ val node_alive : t -> int -> bool
     rounds, messages, words, losses, load maxima, boundary words and the
     digest trace are exactly as they were when the round began. (An
     installed fault hook has still seen [on_round_start] and the
-    [deliver] calls for the senders validated before the offending
-    one.) *)
+    [deliver] calls of some senders validated before the violation,
+    which ones depending on the width.) *)
 
 (** [broadcast_round net send] performs one round in which node [u]
     locally broadcasts [send u] (or stays silent on [None]). Legal in
@@ -218,7 +219,9 @@ val reset_stats : t -> unit
     runtime counts every word carried by a message crossing the boundary
     — the communication a two-party simulation of the protocol needs
     (Lemma G.6 charges 2BT; the cross-boundary traffic of the actual run
-    is what the simulating players must forward). *)
+    is what the simulating players must forward). The predicate is
+    called from every shard of the receive phase, so it must be a pure
+    function of the node. *)
 
 val set_boundary : t -> (int -> bool) -> unit
 val clear_boundary : t -> unit
@@ -323,7 +326,7 @@ val diff_telemetry : telemetry -> telemetry -> string list
 
 (** [replay_reset net] is {!reset_stats} {e plus} a rewind of the
     installed fault hook to its creation state (nodes revived, edges
-    restored, adversary RNG reseeded, fault telemetry cleared) — the
+    restored, observed traffic and fault telemetry cleared) — the
     reset that makes one [t] reusable across replays. The boundary
     predicate and the hook installation itself survive, as with
     [reset_stats]. *)

@@ -295,7 +295,7 @@ let reseed seed i = seed + (1_000_003 * (i + 1))
 
 let exec t ~enqueued_at_ms ~check (d : P.decompose_req) =
   (* ---- validation: every malformation is a structured Bad_request *)
-  if d.fail_p < 0. || d.fail_p > 1. then
+  if not (d.fail_p >= 0. && d.fail_p <= 1.) then
     P.Error (P.Bad_request, Printf.sprintf "fail_p %g outside [0,1]" d.fail_p)
   else if (d.fail_p > 0. || d.storm <> "") && not d.distributed then
     P.Error (P.Bad_request, "fault injection requires distributed mode")

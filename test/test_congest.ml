@@ -178,9 +178,10 @@ let test_bernoulli_drops_accounted () =
   Alcotest.(check int) "sent + lost = offered" (6 * 5 * 10) (sent + lost);
   Alcotest.(check bool) "some messages dropped" true (lost > 0);
   Alcotest.(check bool) "some messages survived" true (sent > 0);
-  Alcotest.(check int) "adversary drop counter agrees" lost (F.drops faults);
-  Alcotest.(check int) "adversary words_lost agrees"
-    (Congest.Net.words_lost net) (F.words_lost faults)
+  (* every message is one word, so words lost = messages lost *)
+  Alcotest.(check int) "words lost" lost (Congest.Net.words_lost net);
+  Alcotest.(check (list string)) "drops are not events" []
+    (List.map (Format.asprintf "%a" F.pp_event) (F.events faults))
 
 let test_drop_determinism () =
   let run () =
@@ -251,7 +252,65 @@ let test_reset_stats_contract () =
 let test_invalid_drop_probability () =
   Alcotest.check_raises "p > 1 rejected"
     (Invalid_argument "Faults.create: drop probability outside [0,1]")
-    (fun () -> ignore (F.create [ F.Drop_bernoulli 1.5 ]))
+    (fun () -> ignore (F.create [ F.Drop_bernoulli 1.5 ]));
+  Alcotest.check_raises "NaN rejected"
+    (Invalid_argument "Faults.create: drop probability outside [0,1]")
+    (fun () -> ignore (F.create [ F.Drop_bernoulli Float.nan ]))
+
+(* The laws behind the hashed decisions: each copy is dropped with
+   probability p (within a binomial 5-sigma band over 200 rounds of a
+   clique), two layers compose to 1 - (1 - p1)(1 - p2), and a storm
+   round crashes at most [per_round] fresh nodes, all in the universe. *)
+let test_drop_and_storm_laws () =
+  let g = Gen.clique 12 in
+  let rounds = 200 in
+  let drop_rate seed specs =
+    let net = vnet g in
+    F.install net (F.create ~seed specs);
+    for _ = 1 to rounds do
+      Congest.Net.broadcast_round net (fun u -> Some [| u |])
+    done;
+    Congest.Net.messages_lost net
+  in
+  let within_5_sigma name p lost =
+    let trials = float_of_int (12 * 11 * rounds) in
+    let mean = trials *. p and sd = sqrt (trials *. p *. (1. -. p)) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d lost, expected %.0f +- %.0f" name lost mean
+         (5. *. sd))
+      true
+      (Float.abs (float_of_int lost -. mean) <= 5. *. sd)
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun seed ->
+          within_5_sigma (Printf.sprintf "p=%g seed %d" p seed) p
+            (drop_rate seed [ F.Drop_bernoulli p ]))
+        [ 1; 2; 3 ])
+    [ 0.05; 0.3 ];
+  within_5_sigma "two layers" (1. -. (0.9 *. 0.8))
+    (drop_rate 4 [ F.Drop_bernoulli 0.1; F.Drop_bernoulli 0.2 ]);
+  let per_round = 3 and universe = 40 in
+  let net = vnet (Gen.clique 64) in
+  let faults =
+    F.create ~seed:5
+      [ F.Crash_storm { from_round = 0; per_round; storm_rounds = 30; universe } ]
+  in
+  F.install net faults;
+  let dead = ref 0 in
+  for _ = 1 to 32 do
+    Congest.Net.broadcast_round net (fun u -> Some [| u |]);
+    let now = F.crashes faults in
+    Alcotest.(check bool) "at most per_round fresh victims" true
+      (now - !dead <= per_round);
+    dead := now
+  done;
+  Alcotest.(check bool) "the storm struck" true (!dead > per_round);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "victim within universe" true (v >= 0 && v < universe))
+    (F.crashed_nodes faults)
 
 let storm_spec =
   F.Crash_storm { from_round = 2; per_round = 2; storm_rounds = 3; universe = 8 }
@@ -987,6 +1046,8 @@ let () =
             test_reset_stats_contract;
           Alcotest.test_case "invalid drop probability" `Quick
             test_invalid_drop_probability;
+          Alcotest.test_case "drop and storm laws" `Quick
+            test_drop_and_storm_laws;
           Alcotest.test_case "crash storm determinism" `Quick
             test_crash_storm_determinism;
           Alcotest.test_case "crash storm bounds" `Quick

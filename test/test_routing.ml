@@ -221,7 +221,8 @@ let test_ft_gossip_recovers_from_drops () =
     r.Routing.Broadcast.ft_converged;
   Alcotest.(check (float 1e-9)) "full coverage" 1.
     r.Routing.Broadcast.ft_coverage;
-  Alcotest.(check bool) "drops actually happened" true (F.drops faults > 0)
+  Alcotest.(check bool) "drops actually happened" true
+    (Congest.Net.messages_lost net > 0)
 
 let test_ft_gossip_beats_naive_under_crashes () =
   (* crash two nodes early: the packing reroutes around dead classes,
@@ -257,7 +258,7 @@ let test_ft_gossip_deterministic () =
     ( r.Routing.Broadcast.ft_rounds,
       r.Routing.Broadcast.ft_delivered,
       Congest.Net.messages_sent net,
-      F.drops faults )
+      Congest.Net.messages_lost net )
   in
   Alcotest.(check bool) "fixed seed, identical run" true (run () = run ())
 

@@ -313,6 +313,10 @@ let test_worker_bad_requests () =
   expect_error P.Bad_request
     (Worker.handle w ~enqueued_at_ms:(now ())
        (P.Decompose { d with P.fail_p = 1.5 }));
+  (* NaN fails every comparison; it must bounce, not run fault-free *)
+  expect_error P.Bad_request
+    (Worker.handle w ~enqueued_at_ms:(now ())
+       (P.Decompose { d with P.distributed = true; fail_p = Float.nan }));
   expect_error P.Bad_request
     (Worker.handle w ~enqueued_at_ms:(now ())
        (* fault injection without distributed mode is meaningless *)

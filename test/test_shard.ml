@@ -43,6 +43,8 @@ type outcome = {
   o_result : int list;
   o_telemetry : Net.telemetry;
   o_digest : int;
+  o_faults : (Congest.Faults.event list * int list * (int * int) list) option;
+      (* the adversary's event log, crashed nodes and killed edges *)
 }
 
 (* Run [protocol] on a fresh net with the given domain count and return
@@ -50,13 +52,22 @@ type outcome = {
    suites don't accumulate parked domains. *)
 let run_outcome ?faults ~model ~domains g protocol =
   let net = Net.create ~domains model g in
-  (match faults with
-  | Some mk -> Congest.Faults.install net (mk ())
-  | None -> ());
+  let adversary = Option.map (fun mk -> mk ()) faults in
+  Option.iter (Congest.Faults.install net) adversary;
   let result = protocol net in
   let t = Net.telemetry net in
   let o =
-    { o_result = result; o_telemetry = t; o_digest = Net.run_digest t }
+    {
+      o_result = result;
+      o_telemetry = t;
+      o_digest = Net.run_digest t;
+      o_faults =
+        Option.map
+          (fun f ->
+            Congest.Faults.
+              (events f, crashed_nodes f, killed_edges f))
+          adversary;
+    }
   in
   Net.shutdown net;
   o
@@ -163,10 +174,11 @@ let test_violation_equivalence () =
       (Format.asprintf "%a" Net.pp_violation b)
   | _ -> Alcotest.fail "expected both engines to raise"
 
-let test_faults_fall_back_identically () =
-  (* with an adversary installed a sharded net runs its rounds at width
-     1 — and therefore agrees with domains=1 on every observable,
-     including losses *)
+let test_faults_identical_at_width () =
+  (* with an adversary installed a sharded net still runs its rounds at
+     full width: every fault decision is a pure function, so it agrees
+     with domains=1 on every observable, losses and the adversary's own
+     log included *)
   let g = Gen.harary ~k:4 ~n:24 in
   let faults () =
     Congest.Faults.create ~seed:11
@@ -179,12 +191,12 @@ let test_faults_fall_back_identically () =
     (a.o_telemetry.Net.t_messages_lost > 0);
   Alcotest.(check (list string)) "identical under faults" []
     (Net.diff_telemetry a.o_telemetry b.o_telemetry);
-  Alcotest.(check (list int)) "identical results" a.o_result b.o_result
+  Alcotest.(check (list int)) "identical results" a.o_result b.o_result;
+  Alcotest.(check bool) "identical adversaries" true (a.o_faults = b.o_faults)
 
-let test_faults_toggle_midrun () =
-  (* installing faults mid-run drops a sharded net to width 1 for
-     exactly those rounds; clearing them widens it again. The whole
-     interleaving must equal the domains=1 run. *)
+let test_faults_installed_midrun () =
+  (* installing faults mid-run and clearing them again: the whole
+     interleaving must equal the domains=1 run *)
   let g = Gen.harary ~k:4 ~n:24 in
   let proto net =
     let a = broadcast_phase net 5 in
@@ -202,6 +214,22 @@ let test_faults_toggle_midrun () =
   Alcotest.(check bool) "middle phase lost traffic" true
     (a.o_telemetry.Net.t_messages_lost > 0);
   Alcotest.(check (list string)) "identical across the toggle" []
+    (Net.diff_telemetry a.o_telemetry b.o_telemetry);
+  Alcotest.(check (list int)) "identical results" a.o_result b.o_result
+
+let test_boundary_sharded () =
+  (* the boundary predicate is called from every receive shard; the
+     cross-cut words merge exactly at width 4 *)
+  let g = Gen.harary ~k:6 ~n:32 in
+  let proto net =
+    Net.set_boundary net (fun v -> v < 13);
+    mixed_protocol net
+  in
+  let a = run_outcome ~model:Congest.Model.E_congest ~domains:1 g proto in
+  let b = run_outcome ~model:Congest.Model.E_congest ~domains:4 g proto in
+  Alcotest.(check bool) "words crossed the boundary" true
+    (a.o_telemetry.Net.t_boundary_words > 0);
+  Alcotest.(check (list string)) "identical with a boundary" []
     (Net.diff_telemetry a.o_telemetry b.o_telemetry);
   Alcotest.(check (list int)) "identical results" a.o_result b.o_result
 
@@ -353,6 +381,7 @@ let same_at_widths ?faults ~model g protocol =
   let b = run_outcome ?faults ~model ~domains:4 g protocol in
   a.o_result = b.o_result && a.o_digest = b.o_digest
   && Net.diff_telemetry a.o_telemetry b.o_telemetry = []
+  && a.o_faults = b.o_faults
 
 let prop_family name ~count gen_graph =
   QCheck.Test.make ~name ~count
@@ -380,22 +409,42 @@ let prop_lollipop =
   prop_family "shard identity on lollipop" ~count:8 (fun seed ->
       Some (Gen.lollipop ~clique:(5 + (seed mod 8)) ~tail:(1 + (seed mod 9))))
 
+(* The adversary kinds the properties draw from: [which] picks one; the
+   last two mix a storm, the greedy killer and drops. *)
+let adversary_specs g ~seed which =
+  let e i = Graph.edge_endpoints g (i mod Graph.m g) in
+  match which with
+  | 0 -> [ Congest.Faults.Drop_bernoulli 0.25 ]
+  | 1 ->
+    [ Congest.Faults.Crash_at [ (1, seed mod 24); (3, (seed / 7) mod 24) ] ]
+  | 2 ->
+    [
+      Congest.Faults.Drop_bernoulli 0.1;
+      Congest.Faults.Crash_storm
+        { from_round = 2; per_round = 1; storm_rounds = 3; universe = 24 };
+    ]
+  | 3 ->
+    [ Congest.Faults.Kill_edges_at [ (1, e seed); (2, e (seed / 3)); (4, e 7) ] ]
+  | 4 ->
+    [
+      Congest.Faults.Greedy_edge_kill { budget = 3; period = 3; from_round = 2 };
+    ]
+  | _ ->
+    [
+      Congest.Faults.Drop_bernoulli 0.15;
+      Congest.Faults.Crash_storm
+        { from_round = 1; per_round = 2; storm_rounds = 2; universe = 24 };
+      Congest.Faults.Greedy_edge_kill { budget = 2; period = 2; from_round = 1 };
+    ]
+
 let prop_under_adversary =
-  QCheck.Test.make ~name:"shard identity under fault adversaries" ~count:8
-    QCheck.(pair (int_range 0 999) (int_range 0 2))
+  QCheck.Test.make ~name:"shard identity under fault adversaries" ~count:12
+    QCheck.(pair (int_range 0 999) (int_range 0 5))
     (fun (seed, which) ->
       let rng = Random.State.make [| seed; 13 |] in
       let g = Gen.erdos_renyi rng ~n:24 ~p:0.3 in
       QCheck.assume (Traversal.is_connected g);
-      let specs =
-        match which with
-        | 0 -> [ Congest.Faults.Drop_bernoulli 0.25 ]
-        | 1 -> [ Congest.Faults.Crash_at [ (1, seed mod 24); (3, (seed / 7) mod 24) ] ]
-        | _ ->
-          [ Congest.Faults.Drop_bernoulli 0.1;
-            Congest.Faults.Crash_storm
-              { from_round = 2; per_round = 1; storm_rounds = 3; universe = 24 } ]
-      in
+      let specs = adversary_specs g ~seed which in
       let faults () = Congest.Faults.create ~seed specs in
       same_at_widths ~faults ~model:Congest.Model.V_congest g (fun net ->
           Array.to_list (broadcast_phase net 8)))
@@ -403,22 +452,17 @@ let prop_under_adversary =
 let prop_mixed_under_adversary =
   QCheck.Test.make
     ~name:"shard identity of the E-CONGEST mix under fault adversaries"
-    ~count:9
-    QCheck.(pair (int_range 0 999) (int_range 0 2))
+    ~count:12
+    QCheck.(pair (int_range 0 999) (int_range 0 5))
     (fun (seed, which) ->
       let rng = Random.State.make [| seed; 29 |] in
       let g = Gen.erdos_renyi rng ~n:24 ~p:0.3 in
       QCheck.assume (Traversal.is_connected g);
       let specs =
         match which with
-        | 0 -> [ Congest.Faults.Drop_bernoulli 0.25 ]
         | 1 ->
           [ Congest.Faults.Crash_at [ (2, seed mod 24); (11, (seed / 7) mod 24) ] ]
-        | _ ->
-          [
-            Congest.Faults.Greedy_edge_kill
-              { budget = 3; period = 3; from_round = 2 };
-          ]
+        | _ -> adversary_specs g ~seed which
       in
       let faults () = Congest.Faults.create ~seed specs in
       same_at_widths ~faults ~model:Congest.Model.E_congest g mixed_protocol)
@@ -441,10 +485,12 @@ let () =
             test_violation_equivalence;
           Alcotest.test_case "violation leaves the counters" `Quick
             test_violation_leaves_counters;
-          Alcotest.test_case "faults fall back identically" `Quick
-            test_faults_fall_back_identically;
-          Alcotest.test_case "faults toggling mid-run" `Quick
-            test_faults_toggle_midrun;
+          Alcotest.test_case "faults identical at every width" `Quick
+            test_faults_identical_at_width;
+          Alcotest.test_case "faults installed mid-run" `Quick
+            test_faults_installed_midrun;
+          Alcotest.test_case "boundary at width 4" `Quick
+            test_boundary_sharded;
           Alcotest.test_case "barrier/rollback under sharding" `Quick
             test_barrier_rollback_sharded;
           Alcotest.test_case "reset_stats keeps merge exact" `Quick
