@@ -275,9 +275,8 @@ let test_pinned_spantree_digest () =
 (* Fault and boundary nets, pinned the same way: the broadcast and edge
    protocols above under each adversary kind. Beside the traffic these
    pin the losses, both load maxima and the adversary's own event log,
-   so a change in the order the engine consults [node_alive]/[deliver]
-   (the drop RNG draws once per consulted message; the greedy killer
-   reads the traffic it has been shown) flips a constant. *)
+   so a change in any fault decision (the drop and storm hashes, the
+   greedy killer's traffic counts) flips a constant. *)
 
 let events_checksum evs =
   List.fold_left
@@ -345,28 +344,28 @@ let pinned_broadcast_fault_cases =
   pinned_fault_cases ~primitive:"broadcast" Congest.Model.V_congest
     pinned_broadcast_protocol
     [
-      "deterministic true, rounds 20, messages 6947, words 10431, lost \
-       2024/3039, loads 24/4, digest 18854b116b7c4a1, events 1761/253377366";
-      "deterministic true, rounds 20, messages 7711, words 11646, lost \
-       768/1112, loads 24/4, digest 2ed2048bf5ae5f0, events 6/226486468";
+      "deterministic true, rounds 20, messages 6946, words 10441, lost \
+       2025/3029, loads 22/4, digest 37a3b6c3461bbf1, events 2/146288110";
+      "deterministic true, rounds 20, messages 7613, words 11514, lost \
+       749/1082, loads 24/4, digest 3a141072e61d520, events 7/248004015";
       "deterministic true, rounds 20, messages 9159, words 13742, lost \
-       89/130, loads 24/4, digest af8cbcbb74e9a9, events 92/15909972";
+       89/130, loads 24/4, digest af8cbcbb74e9a9, events 3/52248856";
       "deterministic true, rounds 20, messages 9144, words 13728, lost \
-       104/144, loads 24/4, digest 144646bcc30b867, events 108/9718018";
+       104/144, loads 24/4, digest 144646bcc30b867, events 4/226617350";
     ]
 
 let pinned_edge_fault_cases =
   pinned_fault_cases ~primitive:"edge" Congest.Model.E_congest
     pinned_edge_protocol
     [
-      "deterministic true, rounds 8, messages 3514, words 3514, lost \
-       1012/1012, loads 16/2, digest 27cfdd89604fa5b, events 916/110023130";
-      "deterministic true, rounds 8, messages 4016, words 4016, lost \
-       304/304, loads 16/2, digest 3476f9bc669e2eb, events 6/226486468";
+      "deterministic true, rounds 8, messages 3512, words 3512, lost \
+       1014/1014, loads 16/2, digest 267502ba5215b57, events 2/146288110";
+      "deterministic true, rounds 8, messages 3982, words 3982, lost \
+       299/299, loads 16/2, digest 1e7155cac99c038, events 7/248004015";
       "deterministic true, rounds 8, messages 4586, words 4586, lost 38/38, \
-       loads 16/2, digest 288d0d60acf826e, events 41/21113484";
+       loads 16/2, digest 288d0d60acf826e, events 3/52248856";
       "deterministic true, rounds 8, messages 4592, words 4592, lost 32/32, \
-       loads 16/2, digest 106ec590e5de2c0, events 36/51570562";
+       loads 16/2, digest 106ec590e5de2c0, events 4/226617342";
     ]
 
 (* the Appendix G distinguisher runs the vc-approx pipeline with the
@@ -447,16 +446,16 @@ let pinned_routing_cases =
         (fun net faults p ~sources ->
           routing_ft_result
             (B.via_dominating_trees_ft ~seed:3 net faults p ~sources)),
-        "rounds 170, messages 72, delivered 71, throughput 0.41764705882352943, \
+        "rounds 167, messages 72, delivered 71, throughput 0.42514970059880242, \
          coverage 0.98611111111111116, survivors 34, dead trees 6, converged \
-         true; net rounds 170, messages 37985, digest 1dfd54a8e9a01cd" );
+         true; net rounds 167, messages 37349, digest 14edfaf6f4b64" );
       ( "single tree under drop+crash",
         true,
         (fun net faults _ ~sources ->
           routing_ft_result (B.naive_single_tree_ft net faults ~sources)),
         "rounds 2360, messages 72, delivered 0, throughput 0, coverage \
-         0.81004901960784315, survivors 34, dead trees 1, converged false; \
-         net rounds 2364, messages 122298, digest 3168f753b2b315c" );
+         0.80310457516339873, survivors 34, dead trees 1, converged false; \
+         net rounds 2364, messages 122192, digest 2d7e1e2771e0a66" );
     ]
 
 (* The domtree protocols (Multiflood meta-rounds, the Appendix B packing,
@@ -592,9 +591,9 @@ let pinned_domtree_cases =
          1693, messages 458683, words 1469339, digest 1e7c194241c64f5" );
       ( "Dist_packing.run under drop+crash",
         (fun () -> run_dist_packing ~faulty:true),
-        "members 146337386, excess 149041694, matched 178245857, \
-         bridging 34680154, valid 6, trees 6, edges 132057851; rounds \
-         1794, messages 433891, words 1383175, digest 22cebe3db33de0e" );
+        "members 77604030, excess 149041694, matched 192120274, \
+         bridging 62428988, valid 6, trees 6, edges 194715185; rounds \
+         1771, messages 441268, words 1405569, digest 1d71d089d7ca001" );
       ( "Tester.run_distributed passing",
         run_tester_valid,
         "pass true, domination true, detection none; rounds 72, \
