@@ -160,7 +160,9 @@ type cell = {
 (* A fingerprint of what a run returned, for the fallback invariant. *)
 let result_fingerprint (r : Reliable.result) =
   let seeds =
-    List.map (fun a -> string_of_int a.Reliable.attempt_seed) r.Reliable.attempts
+    List.map
+      (fun a -> string_of_int a.Reliable.attempt_seed)
+      r.Reliable.attempts
   in
   let members =
     Array.to_list r.Reliable.memberships
@@ -299,17 +301,14 @@ let check_invariants outcomes =
             if get (pname ^ "_cert_ok") <> "true" then
               cert_failures := (fam, sname, pname) :: !cert_failures)
           [ "retry"; "repair" ];
+        let violate what = violations := (fam, sname, what) :: !violations in
+        let rounds pname = int_of_string (get (pname ^ "_rounds")) in
         if get "repair_repaired" = "true" then begin
-          if
-            int_of_string (get "repair_rounds")
-            > int_of_string (get "retry_rounds")
-          then violations := (fam, sname, "repair cost more rounds than retry")
-                             :: !violations
+          if rounds "repair" > rounds "retry" then
+            violate "repair cost more rounds than retry"
         end
         else if get "repair_result" <> get "retry_result" then
-          violations :=
-            (fam, sname, "repair fell back but its result differs from retry's")
-            :: !violations)
+          violate "repair fell back but its result differs from retry's")
     outcomes;
   (match List.rev !cert_failures with
   | [] -> Format.printf "every output's certificate checks: OK@."
@@ -325,7 +324,8 @@ let check_invariants outcomes =
        equals retry wherever it fell back: OK@."
   | l ->
     List.iter
-      (fun (f, s, what) -> Format.eprintf "repair vs retry: %s/%s %s@." f s what)
+      (fun (f, s, what) ->
+        Format.eprintf "repair vs retry: %s/%s %s@." f s what)
       l;
     failwith "chaos sweep: repair vs retry invariant violated"
 

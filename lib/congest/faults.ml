@@ -56,7 +56,6 @@ type t = {
       (* from_round, per_round, storm_rounds, universe *)
   initial : state;
   mutable st : state;
-  mutable graph : Graph.t option; (* of the net installed on, for greedy *)
   mutable traffic : int array;
       (* greedy only: cumulative words per directed edge, at
          [2 * edge + (src > dst)]; written by the sender's shard *)
@@ -148,7 +147,6 @@ let create ?(seed = 42) specs =
     storm;
     initial;
     st = initial;
-    graph = None;
     traffic = [||];
   }
 
@@ -182,20 +180,22 @@ let kill_edge st ~round e =
     }
 
 (* The live edge that has carried the most words, both directions
-   summed; ties go to the smaller edge id, i.e. the lexicographically
-   smaller endpoint pair. *)
+   summed (an edge that carried none is never picked); ties go to the
+   smaller edge id, i.e. the lexicographically smaller endpoint pair. *)
 let hottest_live_edge t g killed =
   let best = ref None and best_w = ref 0 in
   for e = 0 to Graph.m g - 1 do
     let w = t.traffic.(2 * e) + t.traffic.((2 * e) + 1) in
-    if w > !best_w && not (Edges.mem (Graph.edge_endpoints g e) killed) then begin
-      best := Some (Graph.edge_endpoints g e);
+    let uv = Graph.edge_endpoints g e in
+    if w > !best_w && not (Edges.mem uv killed) then begin
+      best := Some uv;
       best_w := w
     end
   done;
   !best
 
-let on_round_start t r =
+(* [g] is the graph of the net the adversary is installed on *)
+let on_round_start t g r =
   let rec fire f st = function
     | (rc, x) :: rest when rc <= r -> fire f (f st ~round:r x) rest
     | rest -> (st, rest)
@@ -216,8 +216,8 @@ let on_round_start t r =
     | _ -> st
   in
   t.st <-
-    (match (t.greedy, t.graph) with
-    | Some (_, period, from_round), Some g
+    (match t.greedy with
+    | Some (_, period, from_round)
       when r >= from_round
            && (r - from_round) mod period = 0
            && st.greedy_left > 0 -> (
@@ -256,15 +256,12 @@ let save t =
     t.traffic <- Array.copy traffic
 
 let install net t =
-  if t.greedy <> None then begin
-    let g = Net.graph net in
-    if Array.length t.traffic <> 2 * Graph.m g then
-      t.traffic <- Array.make (2 * Graph.m g) 0;
-    t.graph <- Some g
-  end;
+  let g = Net.graph net in
+  if t.greedy <> None && Array.length t.traffic <> 2 * Graph.m g then
+    t.traffic <- Array.make (2 * Graph.m g) 0;
   Net.install_faults net
     {
-      Net.on_round_start = on_round_start t;
+      Net.on_round_start = on_round_start t g;
       node_alive = alive t;
       deliver = (fun ~src ~dst ~edge m -> deliver t ~src ~dst ~edge m);
       reset = (fun () -> reset t);

@@ -126,7 +126,7 @@ type t = {
      receivers in the receive phase — and writes only slots indexed by
      its own vertices or by k itself (DESIGN.md §15). *)
   mutable team : Team.t;
-  mutable bounds : int array;  (* team width + 1 partition bounds over [0, n] *)
+  mutable bounds : int array;  (* width + 1 partition bounds over [0, n] *)
   fail_u : int array;  (* per shard: sender of first violation, -1 *)
   fail : exn array;  (* per shard: that violation (dummy Not_found) *)
   tally : int array;  (* per shard: receive-phase tallies, above *)
@@ -400,9 +400,9 @@ let end_round net ~width =
       validates each message and stores it in [sent]. Under a fault
       hook a crashed sender is not asked, and [deliver] (a pure function
       of the copy, DESIGN.md §6) decides each outgoing copy, its fate
-      recorded in the sender's slot. The first violation is recorded per shard,
-      and the highest-sender one is re-raised after the barrier, before
-      anything is counted.
+      recorded in the sender's slot. The first violation is recorded
+      per shard, and the highest-sender one is re-raised after the
+      barrier, before anything is counted.
    2. receive (receiver-sharded): shard k walks each of its receivers'
       CSR slice descending, hashes the receiver's in-traffic, and
       tallies deliveries, losses, the largest node load, the owner-rule

@@ -180,8 +180,8 @@ let test_bernoulli_drops_accounted () =
   Alcotest.(check bool) "some messages survived" true (sent > 0);
   (* every message is one word, so words lost = messages lost *)
   Alcotest.(check int) "words lost" lost (Congest.Net.words_lost net);
-  Alcotest.(check (list string)) "drops are not events" []
-    (List.map (Format.asprintf "%a" F.pp_event) (F.events faults))
+  Alcotest.(check int) "drops are not events" 0
+    (List.length (F.events faults))
 
 let test_drop_determinism () =
   let run () =
@@ -295,7 +295,10 @@ let test_drop_and_storm_laws () =
   let net = vnet (Gen.clique 64) in
   let faults =
     F.create ~seed:5
-      [ F.Crash_storm { from_round = 0; per_round; storm_rounds = 30; universe } ]
+      [
+        F.Crash_storm
+          { from_round = 0; per_round; storm_rounds = 30; universe };
+      ]
   in
   F.install net faults;
   let dead = ref 0 in
@@ -309,7 +312,8 @@ let test_drop_and_storm_laws () =
   Alcotest.(check bool) "the storm struck" true (!dead > per_round);
   List.iter
     (fun v ->
-      Alcotest.(check bool) "victim within universe" true (v >= 0 && v < universe))
+      Alcotest.(check bool) "victim within universe" true
+        (v >= 0 && v < universe))
     (F.crashed_nodes faults)
 
 let storm_spec =

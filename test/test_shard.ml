@@ -409,8 +409,9 @@ let prop_lollipop =
   prop_family "shard identity on lollipop" ~count:8 (fun seed ->
       Some (Gen.lollipop ~clique:(5 + (seed mod 8)) ~tail:(1 + (seed mod 9))))
 
-(* The adversary kinds the properties draw from: [which] picks one; the
-   last two mix a storm, the greedy killer and drops. *)
+(* The adversaries the properties draw from, picked by [which]: drops,
+   crashes, drops + a storm, edge kills, the greedy killer, and a storm
+   + the greedy killer + drops. *)
 let adversary_specs g ~seed which =
   let e i = Graph.edge_endpoints g (i mod Graph.m g) in
   match which with
@@ -424,17 +425,22 @@ let adversary_specs g ~seed which =
         { from_round = 2; per_round = 1; storm_rounds = 3; universe = 24 };
     ]
   | 3 ->
-    [ Congest.Faults.Kill_edges_at [ (1, e seed); (2, e (seed / 3)); (4, e 7) ] ]
+    [
+      Congest.Faults.Kill_edges_at
+        [ (1, e seed); (2, e (seed / 3)); (4, e 7) ];
+    ]
   | 4 ->
     [
-      Congest.Faults.Greedy_edge_kill { budget = 3; period = 3; from_round = 2 };
+      Congest.Faults.Greedy_edge_kill
+        { budget = 3; period = 3; from_round = 2 };
     ]
   | _ ->
     [
       Congest.Faults.Drop_bernoulli 0.15;
       Congest.Faults.Crash_storm
         { from_round = 1; per_round = 2; storm_rounds = 2; universe = 24 };
-      Congest.Faults.Greedy_edge_kill { budget = 2; period = 2; from_round = 1 };
+      Congest.Faults.Greedy_edge_kill
+        { budget = 2; period = 2; from_round = 1 };
     ]
 
 let prop_under_adversary =
