@@ -383,9 +383,11 @@ let test_pinned_boundary_words () =
        rep.Lowerbound.Simulation.estimate)
 
 (* Tree-parallel broadcast, pinned the same way: both tree shapes, fault
-   free and under one drop+crash adversary, over one graph and packing.
-   Beside the engine's counts these pin every field the schedulers
-   return, so a scheduler rewrite must keep every relay in place. *)
+   free, under one drop+crash adversary and under the greedy edge killer
+   (whose kills land on tree edges and reroute dead trees), over one
+   graph and packing; and the E-CONGEST spanning-tree scheduler. Beside
+   the engine's counts these pin every field the schedulers return, so
+   a scheduler rewrite must keep every relay in place. *)
 
 module B = Routing.Broadcast
 
@@ -403,46 +405,66 @@ let routing_ft_result (r : B.ft_result) =
     r.B.ft_rounds r.B.ft_messages r.B.ft_delivered r.B.ft_throughput
     r.B.ft_coverage r.B.ft_survivors r.B.ft_dead_trees r.B.ft_converged
 
-let run_routing_pinned ~faulty run =
+let routing_net_counts net r =
+  Printf.sprintf "%s; net rounds %d, messages %d, digest %x" r (Net.rounds net)
+    (Net.messages_sent net)
+    (Net.run_digest (Net.telemetry net))
+
+(* [specs = []] runs fault free *)
+let run_routing_pinned ~specs run =
   let g = Gen.harary ~k:12 ~n:36 in
   let p =
     Domtree.Tree_extract.of_cds_packing
       (Domtree.Cds_packing.run ~seed:1 g ~classes:8 ~layers:2)
   in
   let net = vnet g in
-  let faults =
-    Congest.Faults.create ~seed:9
-      [
-        Congest.Faults.Drop_bernoulli 0.1;
-        Congest.Faults.Crash_at [ (3, 5); (6, 20) ];
-      ]
+  let faults = Congest.Faults.create ~seed:9 specs in
+  if specs <> [] then Congest.Faults.install net faults;
+  routing_net_counts net (run net faults p ~sources:pinned_routing_sources)
+
+let drop_crash =
+  [
+    Congest.Faults.Drop_bernoulli 0.1;
+    Congest.Faults.Crash_at [ (3, 5); (6, 20) ];
+  ]
+
+let greedy_kill =
+  [ Congest.Faults.Greedy_edge_kill { budget = 6; period = 4; from_round = 2 } ]
+
+let test_pinned_spanning_routing () =
+  let g = Gen.harary ~k:8 ~n:32 in
+  let p =
+    (Spantree.Sampling_pack.run ~seed:4 g ~lambda:8)
+      .Spantree.Sampling_pack.packing
   in
-  if faulty then Congest.Faults.install net faults;
-  let r = run net faults p ~sources:pinned_routing_sources in
-  Printf.sprintf "%s; net rounds %d, messages %d, digest %x" r (Net.rounds net)
-    (Net.messages_sent net)
-    (Net.run_digest (Net.telemetry net))
+  let net = Net.create Congest.Model.E_congest g in
+  let sources = List.init 32 (fun v -> (v, 1 + (v mod 4))) in
+  Alcotest.(check string) "routing run"
+    "rounds 29, messages 80, throughput 2.7586206896551726, congestion 94/24; \
+     net rounds 29, messages 2480, digest 1b7411a38d7669a"
+    (routing_net_counts net
+       (routing_result (B.via_spanning_trees ~seed:4 net p ~sources)))
 
 let pinned_routing_cases =
   List.map
-    (fun (name, faulty, run, want) ->
+    (fun (name, specs, run, want) ->
       Alcotest.test_case name `Quick (fun () ->
           Alcotest.(check string) "routing run" want
-            (run_routing_pinned ~faulty run)))
+            (run_routing_pinned ~specs run)))
     [
       ( "packing",
-        false,
+        [],
         (fun net _ p ~sources ->
           routing_result (B.via_dominating_trees ~seed:3 net p ~sources)),
         "rounds 53, messages 72, throughput 1.3584905660377358, congestion \
          53/106; net rounds 53, messages 17220, digest 12a0abd9abcf3ab" );
       ( "single tree",
-        false,
+        [],
         (fun net _ _ ~sources -> routing_result (B.naive_single_tree net ~sources)),
         "rounds 74, messages 72, throughput 0.97297297297297303, congestion \
          72/144; net rounds 78, messages 31464, digest ff647d9e58b026" );
       ( "packing under drop+crash",
-        true,
+        drop_crash,
         (fun net faults p ~sources ->
           routing_ft_result
             (B.via_dominating_trees_ft ~seed:3 net faults p ~sources)),
@@ -450,13 +472,33 @@ let pinned_routing_cases =
          coverage 0.98611111111111116, survivors 34, dead trees 6, converged \
          true; net rounds 167, messages 37349, digest 14edfaf6f4b64" );
       ( "single tree under drop+crash",
-        true,
+        drop_crash,
         (fun net faults _ ~sources ->
           routing_ft_result (B.naive_single_tree_ft net faults ~sources)),
         "rounds 2360, messages 72, delivered 0, throughput 0, coverage \
          0.80310457516339873, survivors 34, dead trees 1, converged false; \
          net rounds 2364, messages 122192, digest 2d7e1e2771e0a66" );
+      ( "packing under greedy edge kills",
+        greedy_kill,
+        (fun net faults p ~sources ->
+          routing_ft_result
+            (B.via_dominating_trees_ft ~seed:3 net faults p ~sources)),
+        "rounds 147, messages 72, delivered 72, throughput 0.48979591836734693, \
+         coverage 1, survivors 36, dead trees 5, converged true; net rounds \
+         147, messages 51229, digest 111b17b07ccd7c" );
+      ( "single tree under greedy edge kills",
+        greedy_kill,
+        (fun net faults _ ~sources ->
+          routing_ft_result (B.naive_single_tree_ft net faults ~sources)),
+        "rounds 2360, messages 72, delivered 2, throughput \
+         0.00084745762711864404, coverage 0.55439814814814814, survivors 36, \
+         dead trees 1, converged false; net rounds 2364, messages 140809, \
+         digest 10443a491648567" );
     ]
+    @ [
+        Alcotest.test_case "spanning trees (E-CONGEST)" `Quick
+          test_pinned_spanning_routing;
+      ]
 
 (* The domtree protocols (Multiflood meta-rounds, the Appendix B packing,
    the Appendix E tester, repair and the vc-approx driver), pinned the
