@@ -10,18 +10,51 @@ type result = {
   max_edge_congestion : int;
 }
 
-let expand_sources sources =
-  (* (origin, count) list -> per-message origins, message ids 0.. *)
+(* (origin, count) list -> per-message origins, message ids 0.., and
+   their number. Rejects what the flat per-(node, message) state below
+   cannot index, naming the entry point [who]. *)
+let expand_sources ~who ~n sources =
   let acc = ref [] in
   let id = ref 0 in
   List.iter
     (fun (origin, count) ->
+      if count < 0 then
+        invalid_arg
+          (Printf.sprintf "%s: negative message count %d at origin %d" who
+             count origin);
+      if origin < 0 || origin >= n then
+        invalid_arg
+          (Printf.sprintf "%s: origin %d out of range [0, %d)" who origin n);
       for _ = 1 to count do
         acc := (!id, origin) :: !acc;
         incr id
       done)
     sources;
   (List.rev !acc, !id)
+
+(* Flat flag tables, one byte per entry: the per-(node, message),
+   per-(tree, edge) and per-(membership, message) state of the
+   schedulers below, indexed [row * width + col]. *)
+let flags size = Bytes.make size '\000'
+let flag t k = Bytes.get t k <> '\000'
+let set_flag t k = Bytes.set t k '\001'
+
+(* [tree_edges g trees edges_of] flags edge id [e] of tree [i] at
+   [i * m + e]; a pair that is not an edge of [g] is never crossed, so
+   it gets no flag. *)
+let tree_edges g trees edges_of =
+  let m = Graph.m g in
+  let t = flags (Array.length trees * m) in
+  Array.iteri
+    (fun i tr ->
+      List.iter
+        (fun (u, v) ->
+          match Graph.edge_index g u v with
+          | e -> set_flag t ((i * m) + e)
+          | exception Not_found -> ())
+        (edges_of tr))
+    trees;
+  t
 
 (* Edge-congestion accounting, shared by every scheme: [record_crossing]
    charges one unit to edge [ei]; [record_broadcast_crossings] charges
@@ -44,18 +77,81 @@ let finish net start ~messages ~relays ~edge_crossings =
     max_edge_congestion = Array.fold_left max 0 edge_crossings;
   }
 
+(* Delivery bookkeeping, shared by every scheduler: who heard what, and
+   per message how many surviving nodes heard it. With no adversary no
+   node dies and every message is heard by its origin, so [all_done]
+   holds exactly when every node has heard every message. [heard] flags
+   (v, id) at [v * total + id]; [heard_count.(v)] counts v's flags. *)
+type delivery = {
+  total : int;
+  node_dead : bool array;
+  mutable alive : int;
+  heard : Bytes.t;
+  heard_count : int array;
+  heard_alive : int array;
+}
+
+let delivery n total =
+  {
+    total;
+    node_dead = Array.make n false;
+    alive = n;
+    heard = flags (n * total);
+    heard_count = Array.make n 0;
+    heard_alive = Array.make total 0;
+  }
+
+let has_heard d v id = flag d.heard ((v * d.total) + id)
+
+(* true iff [id] is news to [v], which is alive *)
+let hear d v id =
+  if d.node_dead.(v) || has_heard d v id then false
+  else begin
+    set_flag d.heard ((v * d.total) + id);
+    d.heard_count.(v) <- d.heard_count.(v) + 1;
+    d.heard_alive.(id) <- d.heard_alive.(id) + 1;
+    true
+  end
+
+(* the [k]-th message [v] heard, ids ascending *)
+let nth_heard d v k =
+  let rec from id k =
+    if has_heard d v id then if k = 0 then id else from (id + 1) (k - 1)
+    else from (id + 1) k
+  in
+  from 0 k
+
+let bury d v =
+  if not d.node_dead.(v) then begin
+    d.node_dead.(v) <- true;
+    d.alive <- d.alive - 1;
+    for id = 0 to d.total - 1 do
+      if has_heard d v id then d.heard_alive.(id) <- d.heard_alive.(id) - 1
+    done
+  end
+
+let all_done d =
+  let rec from id =
+    id = d.total
+    ||
+    let h = d.heard_alive.(id) in
+    (h = 0 || h = d.alive) && from (id + 1)
+  in
+  d.alive = 0 || from 0
+
 (* ------------------------------------------------------------------ *)
 (* E-CONGEST: spanning-tree packing *)
 
 let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
     ~sources =
+  let who = "Broadcast.via_spanning_trees" in
   let trees = Array.of_list packing.Spantree.Spacking.trees in
   let tcount = Array.length trees in
-  if tcount = 0 then invalid_arg "Broadcast.via_spanning_trees: empty packing";
+  if tcount = 0 then invalid_arg (who ^ ": empty packing");
   let g = Net.graph net in
-  let n = Graph.n g in
+  let n = Graph.n g and m = Graph.m g in
   let rng = Random.State.make [| seed; n; tcount; 3 |] in
-  let msgs, total = expand_sources sources in
+  let msgs, total = expand_sources ~who ~n sources in
   (* weighted random tree per message *)
   let weights = Array.map (fun tr -> tr.Spantree.Spacking.weight) trees in
   let wsum = Array.fold_left ( +. ) 0. weights in
@@ -76,76 +172,53 @@ let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
     !chosen
   in
   let tree_of_msg = Array.init total (fun _ -> pick_tree ()) in
-  (* per tree: adjacency lists *)
-  let tree_adj =
-    Array.map
-      (fun tr ->
-        let adj = Array.make n [] in
-        List.iter
-          (fun (u, v) ->
-            adj.(u) <- v :: adj.(u);
-            adj.(v) <- u :: adj.(v))
-          tr.Spantree.Spacking.edges;
-        adj)
-      trees
-  in
-  (* per directed edge (v, u): fifo of (tree, msg) to forward *)
-  let out_queues = Array.init n (fun _ -> Hashtbl.create 8) in
-  let queue_of v u =
-    match Hashtbl.find_opt out_queues.(v) u with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.replace out_queues.(v) u q;
-      q
-  in
-  let heard = Array.init n (fun _ -> Hashtbl.create 16) in
-  let heard_count = Array.make n 0 in
-  let learn v i id ~from =
-    if not (Hashtbl.mem heard.(v) id) then begin
-      Hashtbl.replace heard.(v) id ();
-      heard_count.(v) <- heard_count.(v) + 1;
+  let on_tree = tree_edges g trees (fun tr -> tr.Spantree.Spacking.edges) in
+  let off = Graph.csr_offsets g
+  and nbr = Graph.csr_neighbors g
+  and slot_edge = Graph.csr_edge_ids g in
+  (* per CSR slot (v, u): fifo of message ids v forwards to u, each on
+     its own tree *)
+  let fifo = Array.init (2 * m) (fun _ -> Queue.create ()) in
+  let d = delivery n total in
+  let learn v id ~from =
+    if hear d v id then begin
       (* schedule forwarding along the tree, away from the source *)
-      List.iter
-        (fun u -> if u <> from then Queue.add (i, id) (queue_of v u))
-        tree_adj.(i).(v)
+      let row = tree_of_msg.(id) * m in
+      for s = off.(v) to off.(v + 1) - 1 do
+        if nbr.(s) <> from && flag on_tree (row + slot_edge.(s)) then
+          Queue.add id fifo.(s)
+      done
     end
   in
-  List.iter
-    (fun (id, origin) -> learn origin tree_of_msg.(id) id ~from:(-1))
-    msgs;
+  List.iter (fun (id, origin) -> learn origin id ~from:(-1)) msgs;
   let relays = Array.make n 0 in
-  let edge_crossings = Array.make (Graph.m g) 0 in
+  let edge_crossings = Array.make m 0 in
   let start = Net.checkpoint net in
-  let all_heard () = Array.for_all (fun c -> c = total) heard_count in
-  let receive v sender _ (m : Net.msg) = learn v m.(0) m.(1) ~from:sender in
+  let receive v sender _ (msg : Net.msg) = learn v msg.(1) ~from:sender in
   let guard = ref 0 in
-  while (not (all_heard ())) && !guard < 100 * (total + n) do
+  while (not (all_done d)) && !guard < 100 * (total + n) do
     incr guard;
+    (* one message per directed edge, neighbours ascending *)
     let outgoing =
       Array.init n (fun v ->
-          Hashtbl.fold
-            (fun u q acc ->
-              if Queue.is_empty q then acc
-              else begin
-                let i, id = Queue.pop q in
-                (u, [| i; id |]) :: acc
-              end)
-            out_queues.(v) []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+          let out = ref [] in
+          for s = off.(v + 1) - 1 downto off.(v) do
+            match Queue.take_opt fifo.(s) with
+            | None -> ()
+            | Some id ->
+              relays.(v) <- relays.(v) + 1;
+              record_crossing edge_crossings slot_edge.(s);
+              out := (nbr.(s), [| tree_of_msg.(id); id |]) :: !out
+          done;
+          !out)
     in
     Net.edge_round net (fun v -> outgoing.(v));
     for v = 0 to n - 1 do
-      List.iter
-        (fun (u, (_ : Net.msg)) ->
-          relays.(v) <- relays.(v) + 1;
-          record_crossing edge_crossings (Graph.edge_index g v u))
-        outgoing.(v);
       Net.iter_inbox net v receive
     done
   done;
-  if not (all_heard ()) then
-    failwith "Broadcast.via_spanning_trees: did not converge (bad packing?)";
+  if not (all_done d) then
+    failwith (who ^ ": did not converge (bad packing?)");
   finish net start ~messages:total ~relays ~edge_crossings
 
 (* ------------------------------------------------------------------ *)
@@ -170,55 +243,6 @@ type ft_result = {
   ft_dead_trees : int;
   ft_converged : bool;
 }
-
-(* Delivery bookkeeping: who heard what, and per message how many
-   surviving nodes heard it. With no adversary no node dies and every
-   message is heard by its origin, so [all_done] holds exactly when
-   every node has heard every message. *)
-type delivery = {
-  total : int;
-  node_dead : bool array;
-  mutable alive : int;
-  heard : (int, unit) Hashtbl.t array;
-  heard_alive : int array;
-}
-
-let delivery n total =
-  {
-    total;
-    node_dead = Array.make n false;
-    alive = n;
-    heard = Array.init n (fun _ -> Hashtbl.create 16);
-    heard_alive = Array.make total 0;
-  }
-
-(* true iff [id] is news to [v], which is alive *)
-let hear d v id =
-  if d.node_dead.(v) || Hashtbl.mem d.heard.(v) id then false
-  else begin
-    Hashtbl.replace d.heard.(v) id ();
-    d.heard_alive.(id) <- d.heard_alive.(id) + 1;
-    true
-  end
-
-let bury d v =
-  if not d.node_dead.(v) then begin
-    d.node_dead.(v) <- true;
-    d.alive <- d.alive - 1;
-    (* lint: allow hashtbl-order — commutative counter decrements *)
-    Hashtbl.iter
-      (fun id () -> d.heard_alive.(id) <- d.heard_alive.(id) - 1)
-      d.heard.(v)
-  end
-
-let all_done d =
-  let rec from id =
-    id = d.total
-    ||
-    let h = d.heard_alive.(id) in
-    (h = 0 || h = d.alive) && from (id + 1)
-  in
-  d.alive = 0 || from 0
 
 let random_of rng = function
   | [] -> None
@@ -271,11 +295,10 @@ let run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick ~encode
     (match repair_every with
     | Some every when !round mod every = 0 ->
       for v = 0 to n - 1 do
-        if not d.node_dead.(v) then
-          Option.iter (resend v)
-            (random_of rng
-               (List.sort Int.compare
-                  (Hashtbl.fold (fun id () acc -> id :: acc) d.heard.(v) [])))
+        (* a uniform draw over v's heard ids, ascending *)
+        let c = d.heard_count.(v) in
+        if (not d.node_dead.(v)) && c > 0 then
+          resend v (nth_heard d v (Random.State.int rng c))
       done
     | _ -> ());
     let choice =
@@ -334,17 +357,25 @@ let packing_trees ~who (packing : Domtree.Packing.t) =
    run and the number of trees the adversary killed. *)
 let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
   let tcount = Array.length trees in
-  let n = Net.n net in
-  let member = Array.make_matrix tcount n false in
-  let tree_edge = Hashtbl.create 256 in
+  let g = Net.graph net in
+  let n = Graph.n g and m = Graph.m g in
+  (* membership slots: [slot.(i * n + v)] numbers the pair (tree i,
+     member v), or is -1 when v is not in tree i *)
+  let slot = Array.make (tcount * n) (-1) in
+  let slots = ref 0 in
   Array.iteri
     (fun i tr ->
-      Array.iter (fun v -> member.(i).(v) <- true) tr.Domtree.Packing.vertices;
-      List.iter
-        (fun (u, v) -> Hashtbl.replace tree_edge (i, min u v, max u v) ())
-        tr.Domtree.Packing.edges)
+      Array.iter
+        (fun v ->
+          if slot.((i * n) + v) < 0 then begin
+            slot.((i * n) + v) <- !slots;
+            incr slots
+          end)
+        tr.Domtree.Packing.vertices)
     trees;
-  let is_tree_edge i u v = Hashtbl.mem tree_edge (i, min u v, max u v) in
+  let member i v = slot.((i * n) + v) >= 0 in
+  let tree_edge = tree_edges g trees (fun tr -> tr.Domtree.Packing.edges) in
+  let is_tree_edge i e = flag tree_edge ((i * m) + e) in
   let tree_dead = Array.make tcount false in
   let tree_of_msg = Array.init total (fun _ -> Random.State.int rng tcount) in
   let d = delivery n total in
@@ -352,15 +383,14 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
   let queues =
     Array.init n (fun _ -> Array.init tcount (fun _ -> Queue.create ()))
   in
-  let relayed = Array.init n (fun _ -> Hashtbl.create 16) in
+  (* (membership slot, message) -> already adopted *)
+  let relayed = flags (!slots * total) in
   let adopt v i id =
     (* member v relays message id of live tree i exactly once *)
-    if
-      member.(i).(v)
-      && (not tree_dead.(i))
-      && not (Hashtbl.mem relayed.(v) (i, id))
+    let s = slot.((i * n) + v) in
+    if s >= 0 && (not tree_dead.(i)) && not (flag relayed ((s * total) + id))
     then begin
-      Hashtbl.replace relayed.(v) (i, id) ();
+      set_flag relayed ((s * total) + id);
       Queue.add id queues.(v).(i)
     end
   in
@@ -370,7 +400,7 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
     (fun (id, origin) ->
       ignore (hear d origin id);
       let i = tree_of_msg.(id) in
-      if member.(i).(origin) then adopt origin i id
+      if member i origin then adopt origin i id
       else Queue.add id inject.(origin))
     msgs;
   let surviving_trees () =
@@ -384,7 +414,7 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
      the caller knows whether v can relay it itself) *)
   let pick_surviving v =
     match
-      random_of rng (List.filter (fun i -> member.(i).(v)) (surviving_trees ()))
+      random_of rng (List.filter (fun i -> member i v) (surviving_trees ()))
     with
     | Some i -> Some (true, i)
     | None -> (
@@ -424,9 +454,13 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
         done)
       ~on_kill:
         (List.iter (fun (u, v) ->
-             for i = 0 to tcount - 1 do
-               if (not tree_dead.(i)) && is_tree_edge i u v then kill_tree i
-             done))
+             (* a killed pair that is no edge is on no tree *)
+             match Graph.edge_index g u v with
+             | exception Not_found -> ()
+             | e ->
+               for i = 0 to tcount - 1 do
+                 if (not tree_dead.(i)) && is_tree_edge i e then kill_tree i
+               done))
   in
   let resend v id =
     match pick_surviving v with
@@ -461,13 +495,13 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
       Some (i, id)
     | None -> next_pending v 0
   in
-  let receive v sender _ (m : Net.msg) =
-    let i = m.(0) and id = m.(1) in
+  let receive v sender e (msg : Net.msg) =
+    let i = msg.(0) and id = msg.(1) in
     ignore (hear d v id);
     (* adopt for relaying if the tree edge (sender, v) exists, or if v is
        a member hearing it from a non-member injector *)
-    if member.(i).(v) && (is_tree_edge i sender v || not member.(i).(sender))
-    then adopt v i id
+    if member i v && (is_tree_edge i e || not (member i sender)) then
+      adopt v i id
   in
   let run =
     run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick
@@ -477,22 +511,23 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
   (run, !dead_trees)
 
 let via_dominating_trees ?(seed = 42) net packing ~sources =
-  let trees = packing_trees ~who:"Broadcast.via_dominating_trees" packing in
+  let who = "Broadcast.via_dominating_trees" in
+  let trees = packing_trees ~who packing in
   let n = Net.n net in
   let rng = Random.State.make [| seed; n; Array.length trees |] in
-  let msgs, total = expand_sources sources in
+  let msgs, total = expand_sources ~who ~n sources in
   let run, _ =
     packing_rounds ~rng ~cap:(100 * (total + n)) net trees ~msgs ~total
   in
-  fault_free net run
-    ~failure:"Broadcast.via_dominating_trees: did not converge (bad packing?)"
+  fault_free net run ~failure:(who ^ ": did not converge (bad packing?)")
 
 let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) ?round_cap net
     faults packing ~sources =
-  let trees = packing_trees ~who:"Broadcast.via_dominating_trees_ft" packing in
+  let who = "Broadcast.via_dominating_trees_ft" in
+  let trees = packing_trees ~who packing in
   let n = Net.n net in
   let rng = Random.State.make [| seed; n; Array.length trees; 17 |] in
-  let msgs, total = expand_sources sources in
+  let msgs, total = expand_sources ~who ~n sources in
   let cap = Option.value round_cap ~default:(default_cap ~total ~n) in
   let run, dead_trees =
     packing_rounds ~faults ~repair_every ~rng ~cap net trees ~msgs ~total
@@ -507,12 +542,15 @@ let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) ?round_cap net
    and 1 if a crash or an edge kill hit it, else 0. *)
 let single_tree_rounds ?faults ?repair_every ~cap net ~parent ~msgs ~total =
   let n = Net.n net in
-  let adj = Array.make n [] in
+  (* u-v is a tree edge iff one is the other's parent; a root is its
+     own parent or has none *)
+  let tree_edge u v = u <> v && (parent.(u) = v || parent.(v) = u) in
+  let in_tree = Array.make n false in
   Array.iteri
     (fun v p ->
       if p >= 0 && p <> v then begin
-        adj.(v) <- p :: adj.(v);
-        adj.(p) <- v :: adj.(p)
+        in_tree.(v) <- true;
+        in_tree.(p) <- true
       end)
     parent;
   let d = delivery n total in
@@ -523,9 +561,9 @@ let single_tree_rounds ?faults ?repair_every ~cap net ~parent ~msgs ~total =
   let sync =
     fault_sync d faults
       ~on_crash:(fun crashed ->
-        if List.exists (fun v -> adj.(v) <> []) crashed then tree_hit := true)
+        if List.exists (fun v -> in_tree.(v)) crashed then tree_hit := true)
       ~on_kill:(fun killed ->
-        if List.exists (fun (u, v) -> List.mem v adj.(u)) killed then
+        if List.exists (fun (u, v) -> tree_edge u v) killed then
           tree_hit := true)
   in
   let run =
@@ -535,23 +573,25 @@ let single_tree_rounds ?faults ?repair_every ~cap net ~parent ~msgs ~total =
       ~resend:(fun v id -> Queue.add id queues.(v))
       ~pick:(fun v -> Queue.take_opt queues.(v))
       ~encode:(fun id -> [| id |])
-      ~receive:(fun v sender _ m ->
-        if List.mem sender adj.(v) then learn v m.(0))
+      ~receive:(fun v sender _ m -> if tree_edge v sender then learn v m.(0))
   in
   (run, if !tree_hit then 1 else 0)
 
 let naive_single_tree net ~sources =
-  let msgs, total = expand_sources sources in
+  let who = "Broadcast.naive_single_tree" in
+  let msgs, total = expand_sources ~who ~n:(Net.n net) sources in
   let tree = Congest.Primitives.bfs_tree net ~root:0 in
   let run, _ =
     single_tree_rounds
       ~cap:(100 * (total + Net.n net))
       net ~parent:tree.Congest.Primitives.parent ~msgs ~total
   in
-  fault_free net run ~failure:"Broadcast.naive_single_tree: did not converge"
+  fault_free net run ~failure:(who ^ ": did not converge")
 
 let naive_single_tree_ft ?(repair_every = 8) ?round_cap net faults ~sources =
-  let msgs, total = expand_sources sources in
+  let msgs, total =
+    expand_sources ~who:"Broadcast.naive_single_tree_ft" ~n:(Net.n net) sources
+  in
   let cap =
     Option.value round_cap ~default:(default_cap ~total ~n:(Net.n net))
   in

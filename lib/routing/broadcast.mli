@@ -8,7 +8,11 @@
     heard it from any neighbor (or originated it); members of a tree
     additionally relay it along the tree. Because every tree of a
     dominating-tree packing dominates the graph, flooding inside each
-    tree delivers to everyone. *)
+    tree delivers to everyone.
+
+    Every entry point checks [sources] before its first round and
+    raises [Invalid_argument "Broadcast.<entry>: ..."], naming itself,
+    on a negative count or an origin outside [\[0, n)]. *)
 
 type result = {
   rounds : int;  (** rounds until every node received every message *)

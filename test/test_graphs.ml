@@ -543,6 +543,35 @@ let prop_menger_count =
       | Some (u, v) ->
         List.length (Connectivity.menger_vertex_paths g u v) >= k)
 
+(* Three exact λ implementations must agree: Stoer–Wagner, Stoer–Wagner
+   on the sparse certificate, and the minimum over t <> 0 of the
+   max-flow pair value 0–t (λ separates some t from vertex 0). The
+   families cover disconnected (sparse ER, 1-regular), expander-like
+   and bridge-cut graphs, n <= 24. *)
+let prop_lambda_differential =
+  QCheck.Test.make
+    ~name:"lambda: Stoer-Wagner = sparsified = min pair max-flow" ~count:120
+    QCheck.(triple (int_bound 2) (int_range 2 24) (int_bound 1_000_000))
+    (fun (family, size, seed) ->
+      let r = Random.State.make [| seed |] in
+      let g =
+        match family with
+        | 0 -> Gen.erdos_renyi r ~n:size ~p:(0.05 +. Random.State.float r 0.85)
+        | 1 ->
+          let n = 2 * max 2 (size / 2) in
+          Gen.random_regular r ~n ~d:(1 + Random.State.int r (min 4 (n - 1)))
+        | _ ->
+          let size = max 1 (size / 2) in
+          Gen.two_cliques_bridged ~size
+            ~bridges:(Random.State.int r (size + 1))
+      in
+      let by_flow = ref max_int in
+      for t = 1 to Graph.n g - 1 do
+        by_flow := min !by_flow (Maxflow.edge_connectivity_pair g 0 t)
+      done;
+      let lambda = Connectivity.edge_connectivity g in
+      lambda = Connectivity.edge_connectivity_sparsified g && lambda = !by_flow)
+
 (* ------------------------------------------------------------------ *)
 (* Generators *)
 
@@ -997,7 +1026,7 @@ let () =
         ] );
       qsuite "connectivity.props"
         [ prop_harary_connectivity; prop_vertex_le_edge_le_mindeg;
-          prop_menger_count ];
+          prop_menger_count; prop_lambda_differential ];
       ( "gen",
         [
           Alcotest.test_case "shapes" `Quick test_gen_shapes;

@@ -145,6 +145,55 @@ let test_empty_packing_rejected () =
       ignore
         (Routing.Broadcast.via_dominating_trees net p ~sources:[ (0, 1) ]))
 
+(* Every broadcast entry point with its net model, over harary k=4
+   n=12. *)
+let broadcast_entries =
+  let g = Gen.harary ~k:4 ~n:12 in
+  let dp = dom_packing g ~k:4 and sp = span_packing g ~lambda:4 in
+  let none = Congest.Faults.none in
+  let module B = Routing.Broadcast in
+  let v = Congest.Model.V_congest and e = Congest.Model.E_congest in
+  ( g,
+    [
+      ( "Broadcast.via_dominating_trees",
+        v,
+        fun net sources -> ignore (B.via_dominating_trees net dp ~sources) );
+      ( "Broadcast.via_spanning_trees",
+        e,
+        fun net sources -> ignore (B.via_spanning_trees net sp ~sources) );
+      ( "Broadcast.naive_single_tree",
+        v,
+        fun net sources -> ignore (B.naive_single_tree net ~sources) );
+      ( "Broadcast.via_dominating_trees_ft",
+        v,
+        fun net sources ->
+          ignore (B.via_dominating_trees_ft net (none ()) dp ~sources) );
+      ( "Broadcast.naive_single_tree_ft",
+        v,
+        fun net sources ->
+          ignore (B.naive_single_tree_ft net (none ()) ~sources) );
+    ] )
+
+(* each entry point rejects [sources] with [who ^ reason] before its
+   first round *)
+let check_rejected sources reason =
+  let g, entries = broadcast_entries in
+  List.iter
+    (fun (who, model, run) ->
+      let net = Congest.Net.create model g in
+      Alcotest.check_raises who
+        (Invalid_argument (who ^ reason))
+        (fun () -> run net sources);
+      Alcotest.(check int) (who ^ ": no round ran") 0 (Congest.Net.rounds net))
+    entries
+
+let test_negative_count_rejected () =
+  check_rejected [ (0, 2); (3, -1) ] ": negative message count -1 at origin 3"
+
+let test_origin_out_of_range_rejected () =
+  check_rejected [ (0, 1); (12, 1) ] ": origin 12 out of range [0, 12)";
+  check_rejected [ (-1, 1) ] ": origin -1 out of range [0, 12)"
+
 let test_rlnc_decodes () =
   let g = Gen.harary ~k:8 ~n:16 in
   let net = vnet g in
@@ -287,6 +336,9 @@ let () =
           Alcotest.test_case "spanning delivers" `Quick
             test_spanning_broadcast_delivers;
           Alcotest.test_case "empty packing" `Quick test_empty_packing_rejected;
+          Alcotest.test_case "negative count" `Quick test_negative_count_rejected;
+          Alcotest.test_case "origin out of range" `Quick
+            test_origin_out_of_range_rejected;
         ] );
       ( "broadcast.props",
         List.map QCheck_alcotest.to_alcotest [ prop_broadcast_always_delivers ]
