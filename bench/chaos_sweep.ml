@@ -28,8 +28,8 @@
 
    Deterministic for a fixed seed. The grid is 4 families x 4 schedules;
    each cell is one self-contained Exec.Job (it rebuilds its family by
-   name and re-runs calibration inside the closure, so a warm cache
-   skips every bit of computation). The grid invariants are checked
+   name and re-runs calibration inside the closure, so cells share no
+   state and run on any domain). The grid invariants are checked
    after the pool drains, from the structured meta facts each cell
    returns — they need the whole grid, so they cannot live inside any
    single job. *)
@@ -329,9 +329,9 @@ let check_invariants outcomes =
       l;
     failwith "chaos sweep: repair vs retry invariant violated"
 
-let all ?n ?k ?seed ?csv ?jobs ?cache () =
+let all ?n ?k ?seed ?csv ?jobs () =
   let _stats, outcomes =
-    Exec.Sweep.run ~name:"chaos" ?jobs ?cache ?csv ~csv_header
+    Exec.Sweep.run ~name:"chaos" ?jobs ?csv ~csv_header
       ~bench_json:"BENCH_chaos.json"
       (items ?n ?k ?seed ())
   in

@@ -7,8 +7,8 @@
    Since the multicore engine (DESIGN.md §9) the suite is a grid of
    Exec.Job cells: every table row (or indivisible block) is a pure,
    self-seeded closure, so the grid shards across domains with `-j N`
-   and memoizes under `_cache/` — while the rendered tables stay
-   byte-identical to a sequential run, because Exec.Sweep prints
+   while the rendered tables stay byte-identical to a sequential run
+   (E7's measured seconds aside), because Exec.Sweep prints
    payloads in item order. Rows that used to share one Random.State now
    derive a private per-row state (seeded by the experiment id and the
    row coordinates), which is what makes each cell independent. *)
@@ -764,9 +764,9 @@ let items () =
          e10 (); e11 (); e12 (); e13 (); e14 (); e15 ();
        ]
 
-let all ?jobs ?cache () =
+let all ?jobs () =
   let stats, _ =
-    Exec.Sweep.run ~name:"experiments" ?jobs ?cache
+    Exec.Sweep.run ~name:"experiments" ?jobs
       ~bench_json:"BENCH_experiments.json" (items ())
   in
   if stats.Exec.Sweep.failed > 0 then

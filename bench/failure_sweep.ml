@@ -146,9 +146,9 @@ let items ?(n = 96) ?(k = 24) ?(seed = 7) ?(per_node = 1) () =
          rounds and any@. backoff are charged to the CONGEST clock)@.";
     ]
 
-let all ?n ?k ?seed ?csv ?jobs ?cache () =
+let all ?n ?k ?seed ?csv ?jobs () =
   let stats, _ =
-    Exec.Sweep.run ~name:"failures" ?jobs ?cache ?csv ~csv_header
+    Exec.Sweep.run ~name:"failures" ?jobs ?csv ~csv_header
       ~bench_json:"BENCH_failures.json"
       (items ?n ?k ?seed ())
   in

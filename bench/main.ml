@@ -1,6 +1,6 @@
 (* Benchmark entry point:
 
-     dune exec bench/main.exe -- [MODE] [SIZE...] [-j N] [--no-cache]
+     dune exec bench/main.exe -- [MODE] [SIZE...] [-j N]
 
    MODE is `tables` (the experiment tables E1..E15, DESIGN.md §3),
    `failures` / `chaos` (the fault sweeps), `perf` / `obs` (round-engine
@@ -10,36 +10,32 @@
 
    `tables`, `failures`, `chaos` and `all` execute their grids on the
    lib/exec domain pool: `-j N` sets the worker domains (default:
-   recommended_domain_count - 1), `--no-cache` bypasses the _cache/
-   memo store. Each sweep also writes a BENCH_<sweep>.json run report
-   (wall clock, jobs, cache hits, estimated speedup vs -j 1); see
-   DESIGN.md §9. *)
+   recommended_domain_count - 1), and every run recomputes every cell.
+   Each sweep also writes a BENCH_<sweep>.json run report (wall clock,
+   jobs, estimated speedup vs -j 1); see DESIGN.md §9. *)
 
 open Cmdliner
 
-let run mode sizes jobs no_cache =
-  let cache =
-    if no_cache then None else Some (Exec.Cache.open_dir Exec.Cache.default_dir)
-  in
+let run mode sizes jobs =
   let size i default = Option.value (List.nth_opt sizes i) ~default in
   let first = List.nth_opt sizes 0 in
   match mode with
-  | `Tables -> Sweeps.Experiments.all ?jobs ?cache ()
+  | `Tables -> Sweeps.Experiments.all ?jobs ()
   | `Failures ->
     Sweeps.Failure_sweep.all ~n:(size 0 96) ~k:(size 1 24) ~csv:"failures.csv"
-      ?jobs ?cache ()
+      ?jobs ()
   | `Chaos ->
     Sweeps.Chaos_sweep.all ~n:(size 0 48) ~k:(size 1 8) ~csv:"chaos.csv" ?jobs
-      ?cache ()
-  (* The timing and daemon sweeps are never cached. `obs` is never
-     parallel either: it interleaves metrics-off and metrics-on runs. *)
+      ()
   | `Perf -> Sweeps.Perf_sweep.all ?n_cap:first ?jobs ()
   | `Serve -> Sweeps.Serve_sweep.all ?requests:first ()
+  (* `obs` is never parallel: it interleaves metrics-off and metrics-on
+     runs. *)
   | `Obs -> Sweeps.Obs_sweep.all ?n:first ()
   | `Recovery -> Sweeps.Recovery_sweep.all ?kills:first ()
   | `All ->
-    Sweeps.Experiments.all ?jobs ?cache ();
-    Sweeps.Failure_sweep.all ?jobs ?cache ()
+    Sweeps.Experiments.all ?jobs ();
+    Sweeps.Failure_sweep.all ?jobs ()
 
 let mode_arg =
   let modes =
@@ -75,13 +71,10 @@ let jobs_arg =
   Arg.(value & opt (some positive) None & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker domains (default: recommended domain count - 1).")
 
-let no_cache_arg =
-  Arg.(value & flag & info [ "no-cache" ] ~doc:"Bypass the _cache/ memo store.")
-
 let () =
   let cmd =
     Cmd.v
       (Cmd.info "main.exe" ~doc:"Experiment tables and sweeps")
-      Term.(const run $ mode_arg $ sizes_arg $ jobs_arg $ no_cache_arg)
+      Term.(const run $ mode_arg $ sizes_arg $ jobs_arg)
   in
   exit (Cmd.eval ~catch:false cmd)

@@ -24,12 +24,10 @@
    1-domain baseline — a scaling number only counts if the traffic is
    bit-identical (DESIGN.md §15).
 
-   Timing jobs are never memoized — a replayed timing is a lie — so this
-   sweep ignores `_cache/` entirely; and it defaults to one worker
-   domain (`-j 1`) so concurrent jobs do not contend for cores while the
-   clock runs. Each job also records its telemetry run digest, so a
-   perf regression hunt can confirm on the spot that an engine change
-   left traffic bit-identical.
+   This sweep defaults to one worker domain (`-j 1`) so concurrent jobs
+   do not contend for cores while the clock runs. Each job also records
+   its telemetry run digest, so a perf regression hunt can confirm on
+   the spot that an engine change left traffic bit-identical.
 
    BENCH_perf.json schema (written by this module, not Exec.Sweep):
      { "sweep": "perf", "jobs": N, "wall_s": W,

@@ -12,12 +12,14 @@
      requests lost vs. served, whether every pre-crash certificate is
      queryable again, and that the degrade store stayed monotone
      (no retained-class regression vs. pre-crash).
-   - [torn_files]: kill the daemon, then vandalize its durable state —
-     a torn tail appended to the live journal segment and a bit flipped
-     inside a cache entry — and demand a clean restart plus an
-     {!Exec.Cache.scan} that quarantines every corrupt entry (a second
-     scan finding nothing is the "zero undetected-corrupt entries"
-     acceptance check).
+   - [torn_files]: kill the daemon, append a torn tail to the live
+     journal segment, and demand a clean restart that still serves the
+     pre-crash certificate.
+
+   The journal under [--state-dir] is the daemon's only persistence, so
+   [certs_recovered] and [cert_queryable] test the journal alone: a
+   journal that lost a [Promote] record shows up as a missing
+   certificate.
    - [slowloris]: a dribbling client parks a half-written frame while a
      fast client keeps getting answers; the idle deadline must drop the
      dribbler with one structured error.
@@ -58,7 +60,7 @@ let rec rm_rf path =
     (try Unix.rmdir path with Unix.Unix_error _ -> ())
   | _ -> ( try Sys.remove path with Sys_error _ -> ())
 
-type env = { socket : string; state_dir : string; cache_dir : string }
+type env = { socket : string; state_dir : string }
 
 let fresh_env tag =
   let base =
@@ -71,7 +73,6 @@ let fresh_env tag =
   {
     socket = Filename.concat base "d.sock";
     state_dir = Filename.concat base "state";
-    cache_dir = Filename.concat base "cache";
   }
 
 let devnull = lazy (Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0)
@@ -84,7 +85,6 @@ let start_daemon ?(fd_limit = 0) ?(extra = []) env =
   let args =
     [
       bin (); "serve"; "--socket"; env.socket; "--state-dir"; env.state_dir;
-      "--cache-dir"; env.cache_dir;
     ]
     @ extra
   in
@@ -265,25 +265,7 @@ let kill_under_load_phase ~index env =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Phase 2: torn journal tail + bit-flipped cache entry *)
-
-let flip_byte path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  close_in ic;
-  if len = 0 then false
-  else begin
-    let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
-    let off = len / 2 in
-    ignore (Unix.lseek fd off Unix.SEEK_SET);
-    let b = Bytes.create 1 in
-    ignore (Unix.read fd b 0 1);
-    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
-    ignore (Unix.lseek fd off Unix.SEEK_SET);
-    ignore (Unix.write fd b 0 1);
-    Unix.close fd;
-    true
-  end
+(* Phase 2: torn journal tail *)
 
 let append_garbage path bytes =
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
@@ -309,7 +291,7 @@ let torn_files_phase env =
     uploads;
   Client.close cl;
   kill9 pid;
-  (* vandalism: a torn tail on the live journal segment... *)
+  (* vandalism: a torn tail on the live journal segment *)
   let torn = "\x01\x00\x00\x13torn-mid-write" (* valid header, missing body *) in
   let journal_torn =
     match
@@ -321,39 +303,20 @@ let torn_files_phase env =
       true
     | [] -> false
   in
-  (* ...and a flipped byte inside a cache entry *)
-  let cache_v = Filename.concat env.cache_dir "v1" in
-  let flipped =
-    match files_under cache_v with p :: _ -> flip_byte p | [] -> false
-  in
-  (* offline cache audit while the damage is still on disk: the scan
-     must quarantine the flipped entry, never serve it. (Done before
-     the restart — journal replay re-mirrors certificates to the cache,
-     which would overwrite-repair the flip and mask the detection.) *)
-  let cache = Exec.Cache.open_dir env.cache_dir in
-  let s1 = Exec.Cache.scan cache in
   (* the daemon must restart cleanly anyway *)
   let pid' = start_daemon env in
   let _, h = wait_ready env in
   let gen0, _ = List.hd uploads in
   let queryable = certificate_retained env gen0 <> None in
   drain env pid';
-  (* a second scan finding nothing corrupt — across both the
-     quarantined state and the daemon's replay-rewritten entries — is
-     the "zero undetected-corrupt entries" acceptance criterion *)
-  let s2 = Exec.Cache.scan (Exec.Cache.open_dir env.cache_dir) in
   {
     phase = "torn_files";
     fields =
       [
         ("journal_torn", Exec.Artifact.Bool journal_torn);
-        ("cache_flipped", Exec.Artifact.Bool flipped);
         ("torn_bytes", Exec.Artifact.Int (String.length torn));
         ("replayed", Exec.Artifact.Int h.P.h_replayed);
         ("cert_queryable", Exec.Artifact.Bool queryable);
-        ("scan_entries", Exec.Artifact.Int s1.Exec.Cache.scanned);
-        ("scan_quarantined", Exec.Artifact.Int s1.Exec.Cache.swept);
-        ("undetected_corrupt", Exec.Artifact.Int s2.Exec.Cache.swept);
       ];
   }
 

@@ -516,14 +516,13 @@ let socket_arg =
          ~doc:"Unix domain socket path of the daemon.")
 
 let serve_cmd =
-  let run socket queue deadline_ms rounds_per_ms ms_per_attempt max_n cache_dir
+  let run socket queue deadline_ms rounds_per_ms ms_per_attempt max_n
       chaos_fail_p chaos_storm state_dir snapshot_every idle_timeout_ms
       metrics_file metrics_every_ms supervise max_crashes =
     let cfg =
       {
         (Serve.Server.default_config ~socket_path:socket) with
         Serve.Server.queue_capacity = queue;
-        disk_cache_dir = cache_dir;
         state_dir;
         snapshot_every;
         idle_timeout_ms;
@@ -613,11 +612,6 @@ let serve_cmd =
     Arg.(value & opt nonneg_int_conv (1 lsl 20) & info [ "max-n" ]
            ~doc:"Admission control: largest graph (vertices) served.")
   in
-  let cache_arg =
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persist last-good certificates to this directory so \
-                 degraded responses survive restarts.")
-  in
   let chaos_p_arg =
     Arg.(value & opt probability_conv 0. & info [ "chaos-fail-p" ] ~docv:"P"
            ~doc:"Chaos mode: Bernoulli message drops injected into every \
@@ -670,7 +664,7 @@ let serve_cmd =
        ~doc:"Run the decomposition daemon (Unix socket, framed binary \
              protocol); serves until a drain request completes")
     Term.(const run $ socket_arg $ queue_arg $ deadline_arg $ rpm_arg $ mpa_arg
-          $ max_n_arg $ cache_arg $ chaos_p_arg $ chaos_storm_arg
+          $ max_n_arg $ chaos_p_arg $ chaos_storm_arg
           $ state_dir_arg $ snapshot_every_arg $ idle_timeout_arg
           $ metrics_file_arg $ metrics_every_arg $ supervise_arg
           $ max_crashes_arg)

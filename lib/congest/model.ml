@@ -2,12 +2,6 @@ type t =
   | V_congest
   | E_congest
 
-let to_string = function
-  | V_congest -> "V-CONGEST"
-  | E_congest -> "E-CONGEST"
-
-let pp ppf m = Format.pp_print_string ppf (to_string m)
-
 let words_budget ~n:_ = 8
 
 let max_word ~n =

@@ -12,9 +12,6 @@ type t =
   | V_congest
   | E_congest
 
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-
 (** [words_budget ~n] is the per-message budget in "words", where a word
     is an integer of O(log n) bits (the paper's messages are O(log n)
     bits total; we allow a small constant number of words, matching the

@@ -4,13 +4,7 @@ type payload = {
   meta : (string * string) list;
 }
 
-type t = {
-  algo : string;
-  params : (string * string) list;
-  seed : int;
-  label : string;
-  run : unit -> payload;
-}
+type t = { label : string; run : unit -> payload }
 
 let default_label ~algo ~params ~seed =
   let ps =
@@ -28,23 +22,7 @@ let make ~algo ?(params = []) ?(seed = 0) ?label run =
   let label =
     match label with Some l -> l | None -> default_label ~algo ~params ~seed
   in
-  { algo; params; seed; label; run }
-
-(* The canonical rendering separates fields with NUL so no choice of
-   algo/param strings can collide with another job's rendering. *)
-let key t =
-  let b = Buffer.create 64 in
-  Buffer.add_string b t.algo;
-  Buffer.add_char b '\x00';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b k;
-      Buffer.add_char b '\x01';
-      Buffer.add_string b v;
-      Buffer.add_char b '\x00')
-    t.params;
-  Buffer.add_string b (string_of_int t.seed);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  { label; run }
 
 let label t = t.label
 let run t = t.run ()

@@ -1,4 +1,4 @@
-(** Experiment jobs: pure closures with content-addressed identity.
+(** Experiment jobs: pure closures with a human-readable label.
 
     A job is one cell of a sweep grid — it builds all of its own state
     (graph, [Congest.Net.t], seeded [Random.State.t]) inside its closure
@@ -6,13 +6,9 @@
     stdout, the machine-readable artifact rows (CSV lines), and a bag of
     structured facts for post-run invariant checks. Because a job owns
     every piece of mutable state it touches, jobs are safe to execute on
-    any domain of the {!Pool}; because results are strings, a job's
-    output replays bit-identically from the {!Cache}.
-
-    The {!key} is derived from the algorithm id, the (canonically
-    sorted) parameters, and the seed — the complete input of a
-    deterministic job — so it content-addresses the result: two jobs
-    with equal keys must compute equal payloads. *)
+    any domain of the {!Pool}, and a job's payload depends only on its
+    inputs (algorithm, parameters, seed), never on the domain or the
+    schedule that ran it. *)
 
 type payload = {
   out : string;  (** table text, printed verbatim in job order *)
@@ -35,13 +31,9 @@ val make :
   (unit -> payload) ->
   t
 
-(** Content-addressed key: a hex digest of (algo, sorted params, seed).
-    Stable across processes and OCaml versions. *)
-val key : t -> string
-
 val label : t -> string
 
-(** Execute the closure (no caching, no containment — see {!Pool}). *)
+(** Execute the closure (no containment — see {!Pool}). *)
 val run : t -> payload
 
 (** [payload out] builds a payload; [rows] and [meta] default to []. *)

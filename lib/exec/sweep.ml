@@ -7,8 +7,6 @@ type stats = {
   jobs : int;
   ok : int;
   failed : int;
-  cache_hits : int;
-  cache_misses : int;
   domains : int;
   wall_s : float;
   cpu_s : float;
@@ -41,7 +39,7 @@ let stderr_meter ~name () =
       flush stderr
     end
 
-let run ~name ?jobs ?cache ?csv ?csv_header ?bench_json ?progress items =
+let run ~name ?jobs ?csv ?csv_header ?bench_json ?progress items =
   let domains =
     match jobs with Some j -> max 1 j | None -> default_jobs ()
   in
@@ -50,37 +48,18 @@ let run ~name ?jobs ?cache ?csv ?csv_header ?bench_json ?progress items =
     |> Array.of_list
   in
   let total = Array.length grid in
-  let from_cache = Array.make (max 1 total) false in
-  let tasks =
-    Array.mapi
-      (fun i job () ->
-        match cache with
-        | None -> Job.run job
-        | Some c -> (
-          let key = Job.key job in
-          match Cache.find c ~key with
-          | Some p ->
-            from_cache.(i) <- true;
-            p
-          | None ->
-            let p = Job.run job in
-            Cache.store c ~key p;
-            p))
-      grid
-  in
+  let tasks = Array.map (fun job () -> Job.run job) grid in
   let progress =
     match progress with Some b -> b | None -> total > 1
   in
   let on_progress = if progress then Some (stderr_meter ~name ()) else None in
   let report = Pool.run ~domains ?on_progress tasks in
   (* Render the document in item order, mirroring every byte into the
-     digest buffer: text items, each payload's [out] and [rows] —
-     payloads replayed from cache included — and failure lines. The
-     digest is the sweep's document identity, what CI compares across
-     warm/cold and -j N runs; it must not depend on whether a payload
-     was executed or replayed, and it must not be vacuous for sweeps
-     whose jobs emit no CSV rows (the seed digested only the rows, so a
-     rows-free sweep reported the MD5 of the empty string). *)
+     digest buffer: text items, each payload's [out] and [rows], and
+     failure lines. The digest is the sweep's document identity, what CI
+     compares across -j N runs; it must not be vacuous for sweeps whose
+     jobs emit no CSV rows (digesting only the rows would report the MD5
+     of the empty string for a rows-free sweep). *)
   let doc = Buffer.create 4096 in
   let csv_lines = ref [] in
   let idx = ref 0 in
@@ -121,7 +100,6 @@ let run ~name ?jobs ?cache ?csv ?csv_header ?bench_json ?progress items =
     Artifact.with_file ~path (fun emit ->
         List.iter emit (List.rev !csv_lines))
   | None, _ -> ());
-  let hits = Array.fold_left (fun a b -> if b then a + 1 else a) 0 from_cache in
   let failed =
     Array.fold_left
       (fun a -> function `Failed _ -> a + 1 | `Ok _ -> a)
@@ -135,8 +113,6 @@ let run ~name ?jobs ?cache ?csv ?csv_header ?bench_json ?progress items =
       jobs = total;
       ok = total - failed;
       failed;
-      cache_hits = hits;
-      cache_misses = total - hits;
       domains;
       wall_s = wall;
       cpu_s;
@@ -159,8 +135,6 @@ let run ~name ?jobs ?cache ?csv ?csv_header ?bench_json ?progress items =
            ("jobs", Int stats.jobs);
            ("ok", Int stats.ok);
            ("failed", Int stats.failed);
-           ("cache_hits", Int stats.cache_hits);
-           ("cache_misses", Int stats.cache_misses);
            ("domains", Int stats.domains);
            ("wall_s", Float stats.wall_s);
            ("cpu_s", Float stats.cpu_s);

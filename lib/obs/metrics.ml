@@ -1,7 +1,7 @@
 (* Fixed-log-bucket scheme: buckets 0..7 are exact, then each octave
    [2^o, 2^(o+1)) splits into 8 sub-buckets. Boundaries depend only on
    these constants, so histograms recorded in different domains or
-   processes merge bucket-for-bucket. *)
+   processes compare bucket-for-bucket. *)
 
 let subs = 8
 let sub_shift = 3 (* log2 subs *)
@@ -164,34 +164,6 @@ let snapshot t =
         s_gauges = sorted_bindings t.gauges Atomic.get;
         s_hists = sorted_bindings t.hists hist_read;
       })
-
-let empty = { s_counters = []; s_gauges = []; s_hists = [] }
-
-(* union-merge of name-sorted assoc lists; [f] combines values bound to
-   the same key, so the whole merge is associative/commutative exactly
-   when [f] is *)
-let rec merge_assoc cmp f a b =
-  match (a, b) with
-  | [], x | x, [] -> x
-  | (ka, va) :: ta, (kb, vb) :: tb ->
-    let c = cmp ka kb in
-    if c < 0 then (ka, va) :: merge_assoc cmp f ta b
-    else if c > 0 then (kb, vb) :: merge_assoc cmp f a tb
-    else (ka, f va vb) :: merge_assoc cmp f ta tb
-
-let merge_hist a b =
-  {
-    h_count = a.h_count + b.h_count;
-    h_sum = a.h_sum + b.h_sum;
-    h_buckets = merge_assoc Int.compare ( + ) a.h_buckets b.h_buckets;
-  }
-
-let merge a b =
-  {
-    s_counters = merge_assoc String.compare ( + ) a.s_counters b.s_counters;
-    s_gauges = merge_assoc String.compare max a.s_gauges b.s_gauges;
-    s_hists = merge_assoc String.compare merge_hist a.s_hists b.s_hists;
-  }
 
 let quantile h q =
   if h.h_count = 0 then 0

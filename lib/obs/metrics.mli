@@ -1,5 +1,5 @@
 (** In-process metrics: atomic counters, gauges, and fixed-log-bucket
-    histograms with a deterministic snapshot and an associative merge.
+    histograms with a deterministic snapshot.
 
     All hot-path updates are single [Atomic] operations, so instruments
     can be shared freely across [Exec.Pool] domains; registration (the
@@ -7,9 +7,7 @@
     handed to other domains. Snapshots of concurrently-updated
     instruments are per-cell atomic, not globally consistent — a
     histogram's [h_count] can momentarily disagree with the sum of its
-    buckets by in-flight observations. Merging snapshots from several
-    registries (one per domain, say) is exact: counters and histogram
-    buckets add, gauges take the max. *)
+    buckets by in-flight observations. *)
 
 type t
 (** A registry: a named set of instruments. *)
@@ -80,11 +78,6 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val empty : snapshot
-
-val merge : snapshot -> snapshot -> snapshot
-(** Associative and commutative with [empty] as identity: counters and
-    histograms add pointwise, gauges take the max. *)
 
 val quantile : hist -> float -> int
 (** [quantile h q] estimates the [q]-quantile (0 <= q <= 1) as the

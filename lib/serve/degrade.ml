@@ -1,37 +1,8 @@
 type entry = { cert : Domtree.Certificate.t; fresh : bool }
+type t = (string, entry) Hashtbl.t
 
-type t = {
-  mem : (string, entry) Hashtbl.t;
-  disk : Exec.Cache.t option;
-}
-
-let create ?disk () = { mem = Hashtbl.create 64; disk }
-
-(* The disk side rides Exec.Cache's content-addressed keys: the key is
-   the Job key of a synthetic "serve.cert" job parameterized by the
-   graph digest alone, so each graph has exactly one slot and a newer
-   certificate atomically replaces the older one. *)
-let cache_key ~digest =
-  Exec.Job.key
-    (Exec.Job.make ~algo:"serve.cert" ~params:[ ("digest", digest) ] ~seed:0
-       (fun () -> Exec.Job.payload ""))
-
-let lookup t ~digest =
-  match Hashtbl.find_opt t.mem digest with
-  | Some e -> Some e
-  | None -> (
-    match t.disk with
-    | None -> None
-    | Some cache -> (
-      match Exec.Cache.find cache ~key:(cache_key ~digest) with
-      | None -> None
-      | Some payload -> (
-        match Protocol.decode_certificate payload.Exec.Job.out with
-        | Error _ -> None
-        | Ok cert ->
-          let e = { cert; fresh = false } in
-          Hashtbl.replace t.mem digest e;
-          Some e)))
+let create () = Hashtbl.create 64
+let lookup t ~digest = Hashtbl.find_opt t digest
 
 (* "Last-good" is monotone: a verified-but-degraded certificate (say,
    0 classes survived a storm) must never clobber a better one already
@@ -45,25 +16,14 @@ let record ?(fresh = true) t ~digest cert =
     | Some e -> strength cert >= strength e.cert
     | None -> true
   in
-  if keep then begin
-    Hashtbl.replace t.mem digest { cert; fresh };
-    match t.disk with
-    | None -> ()
-    | Some cache ->
-      let payload =
-        Exec.Job.payload
-          ~meta:[ ("digest", digest) ]
-          (Protocol.encode_certificate cert)
-      in
-      Exec.Cache.store cache ~key:(cache_key ~digest) payload
-  end;
+  if keep then Hashtbl.replace t digest { cert; fresh };
   keep
 
-let count t = Hashtbl.length t.mem
+let count t = Hashtbl.length t
 
 let fold t f init =
   (* canonical order for journal snapshots: sorted digests (lint:
      Hashtbl iteration order is nondeterministic) *)
-  Hashtbl.fold (fun digest e acc -> (digest, e) :: acc) t.mem []
+  Hashtbl.fold (fun digest e acc -> (digest, e) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.fold_left (fun acc (digest, e) -> f acc digest e) init

@@ -67,7 +67,7 @@ type certificate_resp = {
   c_digest : string;
   c_stale : bool;
       (** [false] only when the certificate was computed by this daemon
-          process; [true] when replayed from the disk cache *)
+          process; [true] when replayed from the journal *)
   c_cert : Domtree.Certificate.t;
 }
 
@@ -126,8 +126,8 @@ val decode_request : string -> (request, string) result
 val encode_response : response -> string
 val decode_response : string -> (response, string) result
 
-(** Standalone certificate codec — the {!Degrade} store persists
-    certificates through {!Exec.Cache} in this format. *)
+(** Standalone certificate codec — the {!Journal}'s [Promote] records
+    persist certificates in this format. *)
 val encode_certificate : Domtree.Certificate.t -> string
 
 val decode_certificate : string -> (Domtree.Certificate.t, string) result

@@ -6,7 +6,6 @@ type config = {
   max_frame : int;
   accept_backlog : int;
   worker : Worker.config;
-  disk_cache_dir : string option;
   state_dir : string option;
   snapshot_every : int;
   idle_timeout_ms : int;
@@ -21,7 +20,6 @@ let default_config ~socket_path =
     max_frame = Framing.default_max_len;
     accept_backlog = 64;
     worker = Worker.default_config;
-    disk_cache_dir = None;
     state_dir = None;
     snapshot_every = Journal.default_snapshot_every;
     idle_timeout_ms = 10_000;
@@ -324,13 +322,7 @@ let run ?(on_ready = fun () -> ()) cfg =
   in
   let metrics = Obs.Metrics.create () in
   let sobs = make_sobs metrics in
-  let worker =
-    let disk_cache =
-      Option.map (fun dir -> Exec.Cache.open_dir ~metrics dir)
-        cfg.disk_cache_dir
-    in
-    Worker.create ?disk_cache ~metrics cfg.worker
-  in
+  let worker = Worker.create ~metrics cfg.worker in
   Worker.warm worker replay;
   (match journal with
   | None -> ()

@@ -23,9 +23,9 @@
     makes {!run} return cleanly.
 
     Observability: the loop owns one {!Obs.Metrics} registry, threaded
-    through the worker, its {!Exec.Pool} containment runs, the
-    {!Exec.Cache} certificate store, and every per-request
-    {!Congest.Net} — see DESIGN.md §14 for the instrument inventory. *)
+    through the worker, its {!Exec.Pool} containment runs, and every
+    per-request {!Congest.Net} — see DESIGN.md §14 for the instrument
+    inventory. *)
 
 type config = {
   socket_path : string;
@@ -33,9 +33,6 @@ type config = {
   max_frame : int;
   accept_backlog : int;
   worker : Worker.config;
-  disk_cache_dir : string option;
-      (** persist last-good certificates here ({!Exec.Cache}); [None] =
-          in-memory only *)
   state_dir : string option;
       (** crash-only state: open a {!Journal} here, replay it into warm
           worker state at boot, journal every durable fact while

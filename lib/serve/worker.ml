@@ -60,10 +60,10 @@ let ladder_step metrics step =
   Obs.Metrics.counter metrics
     (Obs.Metrics.labeled "serve_degrade_steps_total" [ ("step", step) ])
 
-let create ?disk_cache ?metrics cfg =
+let create ?metrics cfg =
   {
     cfg;
-    store = Degrade.create ?disk:disk_cache ();
+    store = Degrade.create ();
     graphs = Hashtbl.create 16;
     k_est = Hashtbl.create 16;
     results = Hashtbl.create 256;

@@ -47,13 +47,13 @@ val default_config : config
 
 type t
 
-(** [create ?disk_cache ?metrics cfg]. With [metrics], the worker feeds
+(** [create ?metrics cfg]. With [metrics], the worker feeds
     the degradation-ladder step counters
     ([serve_degrade_steps_total{step="memo_hit"|"compute"|"retry"|
     "queue_expired"|"stale_served"}]), attaches the congest bundle
     ({!Congest.Net.make_obs}) to every per-request net, and threads the
     registry through its {!Exec.Pool} containment runs. *)
-val create : ?disk_cache:Exec.Cache.t -> ?metrics:Obs.Metrics.t -> config -> t
+val create : ?metrics:Obs.Metrics.t -> config -> t
 
 (** The degradation store (for health reporting and tests). *)
 val store : t -> Degrade.t

@@ -1,38 +1,12 @@
 (* The multicore experiment engine (lib/exec): determinism of the
-   domain pool, the content-addressed memo cache (hit / version bump /
-   corruption recovery), crash containment, sweep rendering, and the
-   chaos grid's -j N ≡ -j 1 digest equality. Plus the Graphs.Source
+   domain pool, crash containment, sweep rendering, and the chaos
+   grid's -j N ≡ -j 1 digest equality. Plus the Graphs.Source
    regression: the verify-and-retry pipeline must construct its graph
    exactly once however many attempts it burns. *)
 
 module Job = Exec.Job
-module Cache = Exec.Cache
 module Pool = Exec.Pool
 module Sweep = Exec.Sweep
-
-(* ------------------------------------------------------------------ *)
-(* Job keys *)
-
-let test_key_param_order_insensitive () =
-  let f () = Job.payload "x" in
-  let a = Job.make ~algo:"a" ~params:[ ("n", "4"); ("k", "2") ] ~seed:1 f in
-  let b = Job.make ~algo:"a" ~params:[ ("k", "2"); ("n", "4") ] ~seed:1 f in
-  Alcotest.(check string) "sorted params, same key" (Job.key a) (Job.key b)
-
-let test_key_separates_inputs () =
-  let f () = Job.payload "x" in
-  let mk ~algo ~params ~seed = Job.key (Job.make ~algo ~params ~seed f) in
-  let base = mk ~algo:"a" ~params:[ ("n", "4") ] ~seed:1 in
-  Alcotest.(check bool) "seed changes key" true
-    (base <> mk ~algo:"a" ~params:[ ("n", "4") ] ~seed:2);
-  Alcotest.(check bool) "algo changes key" true
-    (base <> mk ~algo:"b" ~params:[ ("n", "4") ] ~seed:1);
-  Alcotest.(check bool) "param changes key" true
-    (base <> mk ~algo:"a" ~params:[ ("n", "5") ] ~seed:1);
-  (* concatenation ambiguity: ("ab","c")+("d","") vs ("a","bc")+("d","") *)
-  Alcotest.(check bool) "no field-boundary collisions" true
-    (mk ~algo:"a" ~params:[ ("ab", "cd") ] ~seed:1
-    <> mk ~algo:"a" ~params:[ ("abc", "d") ] ~seed:1)
 
 (* ------------------------------------------------------------------ *)
 (* Pool: parallel ≡ sequential bit-identity on random grids *)
@@ -97,184 +71,7 @@ let test_pool_empty_and_oversubscribed () =
     (r.Pool.results = [| `Ok 0; `Ok 1; `Ok 2 |])
 
 (* ------------------------------------------------------------------ *)
-(* Cache *)
-
-let fresh_cache_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d = Printf.sprintf "_test_cache_%d_%d" (Unix.getpid ()) !n in
-    if Sys.file_exists d then
-      Array.iter
-        (fun sub ->
-          let subp = Filename.concat d sub in
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat subp f))
-            (Sys.readdir subp))
-        (Sys.readdir d);
-    d
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let with_cache_dir f =
-  let dir = fresh_cache_dir () in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    (fun () -> f dir)
-
-let payload_eq : Job.payload Alcotest.testable =
-  Alcotest.testable
-    (fun ppf (p : Job.payload) -> Format.fprintf ppf "%S" p.Job.out)
-    ( = )
-
-let test_cache_roundtrip () =
-  with_cache_dir @@ fun dir ->
-  let c = Cache.open_dir dir in
-  let p =
-    Job.payload ~rows:[ "a,1"; "b,2" ] ~meta:[ ("k", "v") ] "table text\n"
-  in
-  Alcotest.(check (option payload_eq)) "cold miss" None (Cache.find c ~key:"k1");
-  Cache.store c ~key:"k1" p;
-  Alcotest.(check (option payload_eq)) "hit after store" (Some p)
-    (Cache.find c ~key:"k1");
-  Alcotest.(check int) "one hit" 1 (Cache.hits c);
-  Alcotest.(check int) "one miss" 1 (Cache.misses c)
-
-let test_cache_version_bump_invalidates () =
-  with_cache_dir @@ fun dir ->
-  let c1 = Cache.open_dir ~version:1 dir in
-  Cache.store c1 ~key:"k" (Job.payload "old");
-  let c2 = Cache.open_dir ~version:2 dir in
-  Alcotest.(check (option payload_eq)) "bumped version misses" None
-    (Cache.find c2 ~key:"k");
-  (* the old generation is untouched — rollback still hits *)
-  let c1' = Cache.open_dir ~version:1 dir in
-  Alcotest.(check bool) "old version still hits" true
-    (Cache.find c1' ~key:"k" <> None)
-
-let quarantine_entries c =
-  let qdir = Filename.concat (Cache.dir c) "_quarantine" in
-  if Sys.file_exists qdir then Array.to_list (Sys.readdir qdir) else []
-
-let test_cache_corruption_recovers () =
-  with_cache_dir @@ fun dir ->
-  let c = Cache.open_dir dir in
-  let p = Job.payload ~rows:[ "r" ] "good" in
-  Cache.store c ~key:"kc" p;
-  let path = Filename.concat (Cache.dir c) "kc" in
-  Alcotest.(check bool) "entry on disk" true (Sys.file_exists path);
-  (* truncate/garble the entry *)
-  let oc = open_out_bin path in
-  output_string oc "EXEC-CACHE\ngarbage";
-  close_out oc;
-  Alcotest.(check (option payload_eq)) "corrupt entry is a miss" None
-    (Cache.find c ~key:"kc");
-  (* the evidence is moved aside, never served and never destroyed *)
-  Alcotest.(check bool) "corrupt file vacated the entry slot" false
-    (Sys.file_exists path);
-  Alcotest.(check int) "quarantine counted" 1 (Cache.quarantined c);
-  (match quarantine_entries c with
-  | [ name ] ->
-    Alcotest.(check bool) "quarantined under the original key" true
-      (String.length name > 3 && String.sub name 0 3 = "kc.")
-  | q -> Alcotest.failf "quarantine holds %d files, wanted 1" (List.length q));
-  (* recompute-and-overwrite, then hit again *)
-  Cache.store c ~key:"kc" p;
-  Alcotest.(check (option payload_eq)) "recovered" (Some p)
-    (Cache.find c ~key:"kc")
-
-let test_cache_scan_quarantines_corruption () =
-  with_cache_dir @@ fun dir ->
-  let c = Cache.open_dir dir in
-  List.iter
-    (fun key -> Cache.store c ~key (Job.payload ~rows:[ key ] key))
-    [ "a"; "b"; "z" ];
-  (* bit-flip one entry on disk without touching it through the API *)
-  let victim = Filename.concat (Cache.dir c) "b" in
-  let bytes = In_channel.with_open_bin victim In_channel.input_all in
-  let garbled = Bytes.of_string bytes in
-  let mid = Bytes.length garbled / 2 in
-  Bytes.set garbled mid (Char.chr (Char.code (Bytes.get garbled mid) lxor 1));
-  Out_channel.with_open_bin victim (fun oc ->
-      Out_channel.output_bytes oc garbled);
-  let r = Cache.scan c in
-  Alcotest.(check int) "all entries examined" 3 r.Cache.scanned;
-  Alcotest.(check int) "two decode cleanly" 2 r.Cache.valid;
-  Alcotest.(check int) "the garbled one is swept" 1 r.Cache.swept;
-  Alcotest.(check int) "sweep counted as quarantine" 1 (Cache.quarantined c);
-  Alcotest.(check int) "evidence preserved" 1
-    (List.length (quarantine_entries c));
-  (* after a scan, everything still in place is servable *)
-  let r' = Cache.scan c in
-  Alcotest.(check int) "second scan sees survivors only" 2 r'.Cache.scanned;
-  Alcotest.(check int) "and sweeps nothing" 0 r'.Cache.swept;
-  Alcotest.(check bool) "survivors still hit" true
-    (Cache.find c ~key:"a" <> None && Cache.find c ~key:"z" <> None);
-  Alcotest.(check (option payload_eq)) "the swept key is a clean miss" None
-    (Cache.find c ~key:"b")
-
-let test_cache_scan_skips_vanishing_entries () =
-  with_cache_dir @@ fun dir ->
-  let c = Cache.open_dir dir in
-  List.iter
-    (fun key -> Cache.store c ~key (Job.payload ~rows:[ key ] key))
-    [ "a"; "z" ];
-  (* a concurrent sweeper can remove an entry between scan's readdir and
-     its stat; a dangling symlink makes Sys.is_directory raise the same
-     Sys_error deterministically. The audit must skip the ghost — not
-     abort, not quarantine — and still report the survivors. *)
-  let ghost = Filename.concat (Cache.dir c) "ghost" in
-  Unix.symlink (Filename.concat dir "does-not-exist") ghost;
-  let r = try Cache.scan c with e -> Sys.remove ghost; raise e in
-  Sys.remove ghost;
-  Alcotest.(check int) "survivors scanned" 2 r.Cache.scanned;
-  Alcotest.(check int) "survivors valid" 2 r.Cache.valid;
-  Alcotest.(check int) "ghost neither valid nor swept" 0 r.Cache.swept;
-  Alcotest.(check int) "ghost not quarantined" 0 (Cache.quarantined c)
-
-let test_cache_ignores_foreign_magic () =
-  with_cache_dir @@ fun dir ->
-  let c = Cache.open_dir dir in
-  let path = Filename.concat (Cache.dir c) "kf" in
-  let oc = open_out_bin path in
-  output_string oc "NOT-A-CACHE-ENTRY\nwhatever\n";
-  close_out oc;
-  Alcotest.(check (option payload_eq)) "foreign file is a miss" None
-    (Cache.find c ~key:"kf")
-
-let test_cache_sweeps_stale_tmp () =
-  with_cache_dir @@ fun dir ->
-  (* a writer that died between open_out and rename leaves
-     "<key>.tmp.<domain>" behind; reopening the cache must sweep it
-     while leaving real entries (and non-matching names) alone *)
-  let c = Cache.open_dir dir in
-  let p = Job.payload ~rows:[ "r" ] "kept" in
-  Cache.store c ~key:"kept" p;
-  let plant name contents =
-    let oc = open_out_bin (Filename.concat (Cache.dir c) name) in
-    output_string oc contents;
-    close_out oc
-  in
-  plant "orphan.tmp.123" "half-written";
-  plant "also.tmp.7" "";
-  plant "not-a-temp.tmp.x9" "suffix is not digits";
-  let c' = Cache.open_dir dir in
-  let survivors = Sys.readdir (Cache.dir c') |> Array.to_list in
-  Alcotest.(check bool) "stale tmp 1 swept" false
-    (List.mem "orphan.tmp.123" survivors);
-  Alcotest.(check bool) "stale tmp 2 swept" false
-    (List.mem "also.tmp.7" survivors);
-  Alcotest.(check bool) "non-matching name untouched" true
-    (List.mem "not-a-temp.tmp.x9" survivors);
-  Alcotest.(check (option payload_eq)) "real entry preserved" (Some p)
-    (Cache.find c' ~key:"kept")
-
-(* ------------------------------------------------------------------ *)
-(* Sweep: rendering order, caching, failure accounting *)
+(* Sweep: rendering order, failure accounting *)
 
 (* counters are bumped from pool domains — Atomic, not ref *)
 let counting_job ~algo ~seed counter out =
@@ -284,8 +81,6 @@ let counting_job ~algo ~seed counter out =
          Job.payload ~rows:[ out ^ ",row" ] (out ^ "\n")))
 
 let test_sweep_renders_in_item_order () =
-  with_cache_dir @@ fun dir ->
-  let cache = Cache.open_dir dir in
   let ran = Atomic.make 0 in
   let items =
     [
@@ -295,70 +90,49 @@ let test_sweep_renders_in_item_order () =
       counting_job ~algo:"s2" ~seed:2 ran "beta";
     ]
   in
-  let run () =
-    Sweep.run ~name:"t" ~jobs:4 ~cache ~progress:false items
-  in
+  let run () = Sweep.run ~name:"t" ~jobs:4 ~progress:false items in
   let stats, outcomes = run () in
   Alcotest.(check int) "both jobs ran" 2 (Atomic.get ran);
   Alcotest.(check int) "jobs" 2 stats.Sweep.jobs;
-  Alcotest.(check int) "cold misses" 2 stats.Sweep.cache_misses;
   Alcotest.(check (list string)) "outcome labels in item order"
     [ "s1#1"; "s2#2" ]
     (List.map fst outcomes);
-  (* warm rerun: same stats content, zero executions *)
+  (* a rerun executes every job again and renders the same document *)
   let stats2, _ = run () in
-  Alcotest.(check int) "warm rerun executes nothing" 2 (Atomic.get ran);
-  Alcotest.(check int) "warm hits" 2 stats2.Sweep.cache_hits;
+  Alcotest.(check int) "rerun executes every job" 4 (Atomic.get ran);
   Alcotest.(check string) "digests agree" stats.Sweep.rows_digest
     stats2.Sweep.rows_digest
 
-let test_sweep_digest_covers_cached_payloads () =
-  with_cache_dir @@ fun dir ->
-  let cache = Cache.open_dir dir in
-  (* rows-free jobs (like the experiments sweep): the seed implementation
-     digested only CSV rows, so this sweep reported the MD5 of the empty
-     string on cold AND warm runs — a vacuous byte-identity check. The
-     digest must cover replayed cached payloads. *)
+let test_sweep_counts_failures () =
   let items =
     [
       Sweep.text "header@.";
       Sweep.Job
         (Job.make ~algo:"norows" ~seed:9 (fun () ->
              Job.payload "table-line\n"));
-    ]
-  in
-  let run () = Sweep.run ~name:"t" ~jobs:2 ~cache ~progress:false items in
-  let cold, _ = run () in
-  let warm, _ = run () in
-  Alcotest.(check int) "warm run is fully cached" 1 warm.Sweep.cache_hits;
-  Alcotest.(check bool) "digest is not the empty-string MD5" true
-    (cold.Sweep.rows_digest <> Digest.to_hex (Digest.string ""));
-  Alcotest.(check string) "warm digest covers replayed payloads"
-    cold.Sweep.rows_digest warm.Sweep.rows_digest
-
-let test_sweep_counts_failures_and_never_caches_them () =
-  with_cache_dir @@ fun dir ->
-  let cache = Cache.open_dir dir in
-  let attempts = Atomic.make 0 in
-  let items =
-    [
       Sweep.Job
-        (Job.make ~algo:"flaky" ~seed:3 (fun () ->
-             Atomic.incr attempts;
-             failwith "injected"));
+        (Job.make ~algo:"flaky" ~seed:3 (fun () -> failwith "injected"));
     ]
   in
-  let stats, outcomes =
-    Sweep.run ~name:"t" ~jobs:2 ~cache ~progress:false items
-  in
+  let stats, outcomes = Sweep.run ~name:"t" ~jobs:2 ~progress:false items in
   Alcotest.(check int) "failed counted" 1 stats.Sweep.failed;
-  (match outcomes with
-  | [ (_, `Failed msg) ] ->
-    Alcotest.(check bool) "message kept" true
-      (String.length msg > 0)
-  | _ -> Alcotest.fail "expected one failed outcome");
-  let _ = Sweep.run ~name:"t" ~jobs:2 ~cache ~progress:false items in
-  Alcotest.(check int) "failure was not cached: reran" 2 (Atomic.get attempts)
+  Alcotest.(check int) "ok counted" 1 stats.Sweep.ok;
+  let msg =
+    match outcomes with
+    | [ (_, `Ok _); ("flaky#3", `Failed msg) ] ->
+      Alcotest.(check bool) "message kept" true (String.length msg > 0);
+      msg
+    | _ -> Alcotest.fail "expected one ok and one failed outcome"
+  in
+  (* none of these jobs emits a CSV row; the digest must still cover the
+     rendered document (text, payload [out], failure line) rather than
+     report the MD5 of the empty string *)
+  Alcotest.(check bool) "digest is not the empty-string MD5" true
+    (stats.Sweep.rows_digest <> Digest.to_hex (Digest.string ""));
+  Alcotest.(check string) "digest covers the rendered document"
+    (Digest.to_hex
+       (Digest.string ("header\ntable-line\nFAILED flaky#3: " ^ msg ^ "\n")))
+    stats.Sweep.rows_digest
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance property on a real grid: every chaos cell computes
@@ -450,13 +224,6 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let () =
   Alcotest.run "exec"
     [
-      ( "job-keys",
-        [
-          Alcotest.test_case "param order insensitive" `Quick
-            test_key_param_order_insensitive;
-          Alcotest.test_case "inputs separate keys" `Quick
-            test_key_separates_inputs;
-        ] );
       qsuite "pool-determinism" [ test_pool_matches_sequential ];
       ( "pool",
         [
@@ -467,30 +234,12 @@ let () =
           Alcotest.test_case "empty and oversubscribed" `Quick
             test_pool_empty_and_oversubscribed;
         ] );
-      ( "cache",
-        [
-          Alcotest.test_case "roundtrip + counters" `Quick test_cache_roundtrip;
-          Alcotest.test_case "version bump invalidates" `Quick
-            test_cache_version_bump_invalidates;
-          Alcotest.test_case "corruption recovers" `Quick
-            test_cache_corruption_recovers;
-          Alcotest.test_case "scan quarantines corruption" `Quick
-            test_cache_scan_quarantines_corruption;
-          Alcotest.test_case "scan skips entries that vanish mid-audit" `Quick
-            test_cache_scan_skips_vanishing_entries;
-          Alcotest.test_case "foreign magic is a miss" `Quick
-            test_cache_ignores_foreign_magic;
-          Alcotest.test_case "stale tmp files swept on open" `Quick
-            test_cache_sweeps_stale_tmp;
-        ] );
       ( "sweep",
         [
-          Alcotest.test_case "renders in item order, memoizes" `Quick
+          Alcotest.test_case "renders in order, reruns" `Quick
             test_sweep_renders_in_item_order;
-          Alcotest.test_case "digest covers cached payloads" `Quick
-            test_sweep_digest_covers_cached_payloads;
-          Alcotest.test_case "failures counted, never cached" `Quick
-            test_sweep_counts_failures_and_never_caches_them;
+          Alcotest.test_case "failures counted" `Quick
+            test_sweep_counts_failures;
         ] );
       ( "chaos-grid",
         [

@@ -1,8 +1,6 @@
 (* lib/obs: the observability subsystem (DESIGN.md §14).
 
    The properties that make the metrics trustworthy:
-   - snapshot merge is associative and commutative with [empty] as
-     identity — multi-registry aggregation cannot depend on merge order;
    - the wire codec ([Protocol.encode_snapshot]) roundtrips every
      snapshot a registry can produce — the daemon's [Stats] reply is
      exactly the snapshot it took;
@@ -40,25 +38,6 @@ let ops_arb =
     list_of_size
       Gen.(int_range 0 40)
       (triple (int_bound 2) (int_bound 7) (int_range (-100) 10_000_000)))
-
-let prop_merge_associative =
-  QCheck.Test.make ~name:"merge is associative" ~count:200
-    QCheck.(triple ops_arb ops_arb ops_arb)
-    (fun (a, b, c) ->
-      let sa = snapshot_of_ops a
-      and sb = snapshot_of_ops b
-      and sc = snapshot_of_ops c in
-      M.merge sa (M.merge sb sc) = M.merge (M.merge sa sb) sc)
-
-let prop_merge_commutative =
-  QCheck.Test.make ~name:"merge is commutative, empty is identity"
-    ~count:200
-    QCheck.(pair ops_arb ops_arb)
-    (fun (a, b) ->
-      let sa = snapshot_of_ops a and sb = snapshot_of_ops b in
-      M.merge sa sb = M.merge sb sa
-      && M.merge M.empty sa = sa
-      && M.merge sa M.empty = sa)
 
 let prop_snapshot_codec_roundtrip =
   QCheck.Test.make ~name:"Stats snapshot codec roundtrips" ~count:200 ops_arb
@@ -217,8 +196,6 @@ let () =
       ( "metrics-properties",
         qsuite
           [
-            prop_merge_associative;
-            prop_merge_commutative;
             prop_snapshot_codec_roundtrip;
             prop_bucket_brackets_value;
           ] );

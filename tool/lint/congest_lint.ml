@@ -25,9 +25,10 @@
 (* Scoped rule exemptions. lib/exec is the experiment-execution engine:
    it is the one subsystem allowed to spawn domains (that is its job —
    the [domain-spawn] rule exists to keep Domain.spawn out of everywhere
-   else) and to read the wall clock (progress/ETA/BENCH timing, which
-   never feeds back into job payloads — payloads are replayed from cache
-   byte-identically, so the clock cannot leak into results). Everything
+   else) and to read the wall clock (progress/ETA/BENCH timing). Those
+   readings reach only stderr meters and BENCH_*.json reports, which no
+   byte-identity check compares, and never decide a job's result.
+   Everything
    else in lib/exec (no global mutable state, no global Random, no
    Obj.magic, the race discipline on its own pool) is held to the same
    rules as the simulator. *)
@@ -41,9 +42,9 @@ let scoped_exemptions =
        exactly the DESIGN.md §11 deadline→budget mapping. *)
     ("lib/serve/", [ "nondet-clock" ]);
     (* bench/ measures wall time — that is what a benchmark is. The
-       measured numbers land in BENCH_*.json reports, never in job
-       payloads (Exec.Cache replays those byte-identically), so the
-       clock cannot leak into results here either. *)
+       measured numbers land only in BENCH_*.json reports and timing
+       columns (E7's seconds), which no byte-identity check compares;
+       the sweeps CI compares across -j N print no clock reading. *)
     ("bench/", [ "nondet-clock" ]);
   ]
 
