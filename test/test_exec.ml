@@ -103,7 +103,32 @@ let test_sweep_renders_in_item_order () =
   Alcotest.(check string) "digests agree" stats.Sweep.rows_digest
     stats2.Sweep.rows_digest
 
+let test_sweep_digest_covers_payloads () =
+  (* rows-free jobs (like the experiments sweep): digesting only CSV
+     rows would report the MD5 of the empty string on every run — a
+     vacuous byte-identity check. The digest must cover the rendered
+     document (text and payload [out]), and a rerun must reproduce it. *)
+  let items =
+    [
+      Sweep.text "header@.";
+      Sweep.Job
+        (Job.make ~algo:"norows" ~seed:9 (fun () ->
+             Job.payload "table-line\n"));
+    ]
+  in
+  let run () = Sweep.run ~name:"t" ~jobs:2 ~progress:false items in
+  let first, _ = run () in
+  let again, _ = run () in
+  Alcotest.(check bool) "digest is not the empty-string MD5" true
+    (first.Sweep.rows_digest <> Digest.to_hex (Digest.string ""));
+  Alcotest.(check string) "digest covers the rendered document"
+    (Digest.to_hex (Digest.string "header\ntable-line\n"))
+    first.Sweep.rows_digest;
+  Alcotest.(check string) "rerun digest agrees" first.Sweep.rows_digest
+    again.Sweep.rows_digest
+
 let test_sweep_counts_failures () =
+  let attempts = Atomic.make 0 in
   let items =
     [
       Sweep.text "header@.";
@@ -111,10 +136,13 @@ let test_sweep_counts_failures () =
         (Job.make ~algo:"norows" ~seed:9 (fun () ->
              Job.payload "table-line\n"));
       Sweep.Job
-        (Job.make ~algo:"flaky" ~seed:3 (fun () -> failwith "injected"));
+        (Job.make ~algo:"flaky" ~seed:3 (fun () ->
+             Atomic.incr attempts;
+             failwith "injected"));
     ]
   in
-  let stats, outcomes = Sweep.run ~name:"t" ~jobs:2 ~progress:false items in
+  let run () = Sweep.run ~name:"t" ~jobs:2 ~progress:false items in
+  let stats, outcomes = run () in
   Alcotest.(check int) "failed counted" 1 stats.Sweep.failed;
   Alcotest.(check int) "ok counted" 1 stats.Sweep.ok;
   let msg =
@@ -124,15 +152,15 @@ let test_sweep_counts_failures () =
       msg
     | _ -> Alcotest.fail "expected one ok and one failed outcome"
   in
-  (* none of these jobs emits a CSV row; the digest must still cover the
-     rendered document (text, payload [out], failure line) rather than
-     report the MD5 of the empty string *)
-  Alcotest.(check bool) "digest is not the empty-string MD5" true
-    (stats.Sweep.rows_digest <> Digest.to_hex (Digest.string ""));
-  Alcotest.(check string) "digest covers the rendered document"
+  (* the failure line is part of the rendered document, so the digest
+     covers it too *)
+  Alcotest.(check string) "digest covers the failure line"
     (Digest.to_hex
        (Digest.string ("header\ntable-line\nFAILED flaky#3: " ^ msg ^ "\n")))
-    stats.Sweep.rows_digest
+    stats.Sweep.rows_digest;
+  (* a failure is not remembered: the next sweep attempts the job again *)
+  let _ = run () in
+  Alcotest.(check int) "failed job reran" 2 (Atomic.get attempts)
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance property on a real grid: every chaos cell computes
@@ -238,7 +266,9 @@ let () =
         [
           Alcotest.test_case "renders in order, reruns" `Quick
             test_sweep_renders_in_item_order;
-          Alcotest.test_case "failures counted" `Quick
+          Alcotest.test_case "digest covers rendered payloads" `Quick
+            test_sweep_digest_covers_payloads;
+          Alcotest.test_case "failures counted, always rerun" `Quick
             test_sweep_counts_failures;
         ] );
       ( "chaos-grid",
