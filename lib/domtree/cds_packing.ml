@@ -23,7 +23,9 @@ let default_layers ~n =
   let lg = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)) in
   max 4 (2 * lg)
 
-(* Mutable algorithm state: per-class incremental component tracking. *)
+(* Mutable algorithm state: per-class incremental component tracking.
+   The (class, root) sets of one layer are flat [t * n] stamp rows,
+   indexed [cls * n + root]. *)
 type state = {
   g : Graph.t;
   vg : Virtual_graph.t;
@@ -32,7 +34,12 @@ type state = {
   class_of : int array; (* vid -> class or -1 *)
   in_class : bool array array; (* class -> real -> member? *)
   uf : Union_find.t array; (* class -> union-find over reals *)
-  classes_of_real : int list array; (* real -> distinct classes, unsorted *)
+  classes_of_real : int list array; (* real -> distinct classes, ascending *)
+  components : int array; (* class -> number of components *)
+  seen : int array; (* (class, root) -> epoch it was last listed in *)
+  mutable epoch : int;
+  deactivated : int array; (* (class, root) -> layer it was deactivated in *)
+  matched : int array; (* (class, root) -> layer it was matched in *)
 }
 
 let make_state ?(seed = 42) g vg t =
@@ -46,17 +53,28 @@ let make_state ?(seed = 42) g vg t =
     in_class = Array.init t (fun _ -> Array.make n false);
     uf = Array.init t (fun _ -> Union_find.create n);
     classes_of_real = Array.make n [];
+    components = Array.make t 0;
+    seen = Array.make (t * n) (-1);
+    epoch = 0;
+    deactivated = Array.make (t * n) (-1);
+    matched = Array.make (t * n) (-1);
   }
+
+let rec insert_sorted x = function
+  | y :: rest when y < x -> y :: insert_sorted x rest
+  | l -> x :: l
 
 (* Register the (already recorded in class_of) assignment of the virtual
    node on [real] to class [i], merging components incrementally. *)
 let add_member st ~real ~cls =
   if not st.in_class.(cls).(real) then begin
     st.in_class.(cls).(real) <- true;
-    st.classes_of_real.(real) <- cls :: st.classes_of_real.(real);
+    st.classes_of_real.(real) <- insert_sorted cls st.classes_of_real.(real);
+    st.components.(cls) <- st.components.(cls) + 1;
     Array.iter
       (fun u ->
-        if st.in_class.(cls).(u) then ignore (Union_find.union st.uf.(cls) real u))
+        if st.in_class.(cls).(u) && Union_find.union st.uf.(cls) real u then
+          st.components.(cls) <- st.components.(cls) - 1)
       (Graph.neighbors st.g real)
   end
 
@@ -66,15 +84,24 @@ let assign st ~vid ~cls =
 
 let random_class st = Random.State.int st.rng st.t
 
+let next_epoch st =
+  st.epoch <- st.epoch + 1;
+  st.epoch
+
 (* Distinct component roots of class [i] within the closed neighborhood
    of real vertex [r] (same-real adjacency of the virtual graph makes r
-   itself count). *)
+   itself count), most recently found first. *)
 let neighborhood_components st ~cls ~real =
+  let n = Graph.n st.g in
+  let epoch = next_epoch st in
   let acc = ref [] in
   let consider u =
     if st.in_class.(cls).(u) then begin
       let root = Union_find.find st.uf.(cls) u in
-      if not (List.mem root !acc) then acc := root :: !acc
+      if st.seen.((cls * n) + root) <> epoch then begin
+        st.seen.((cls * n) + root) <- epoch;
+        acc := root :: !acc
+      end
     end
   in
   consider real;
@@ -83,17 +110,8 @@ let neighborhood_components st ~cls ~real =
 
 (* Total excess component count M = sum over classes of (N_i - 1). *)
 let excess st =
-  let total = ref 0 in
-  for i = 0 to st.t - 1 do
-    let roots = Hashtbl.create 16 in
-    Array.iteri
-      (fun r inside ->
-        if inside then Hashtbl.replace roots (Union_find.find st.uf.(i) r) ())
-      st.in_class.(i);
-    let c = Hashtbl.length roots in
-    if c >= 1 then total := !total + (c - 1)
-  done;
-  !total
+  Array.fold_left (fun total c -> if c >= 1 then total + c - 1 else total) 0
+    st.components
 
 type type3_msg =
   | Empty
@@ -110,6 +128,83 @@ let shuffle rng arr =
   done;
   a
 
+(* Per-real scratch of step 2c, one slot per class: the components of
+   the class around r and what r's type-3 neighbors of the class saw. *)
+type around = {
+  visited : int array; (* class -> epoch it was last seen around r *)
+  comps : int list array; (* class -> roots, as neighborhood_components *)
+  connector : bool array; (* some type-3 neighbor saw >= 2 components *)
+  one_root : int array; (* the first root a type-3 neighbor saw, or -1 *)
+  many_roots : bool array; (* type-3 neighbors saw >= 2 distinct roots *)
+}
+
+let make_around t =
+  {
+    visited = Array.make t (-1);
+    comps = Array.make t [];
+    connector = Array.make t false;
+    one_root = Array.make t (-1);
+    many_roots = Array.make t false;
+  }
+
+(* The bridging edges (i, c) of the type-2 node on [r], most recent
+   first. Classes are taken in order of first appearance over
+   [r; neighbors r] (each vertex's classes ascending), and within a
+   class in neighborhood_components order; (i, c) is an edge when
+   component c is not deactivated and some type-3 neighbor of class i
+   witnesses another component (condition (c)). One pass over N[r]
+   finds every class's components, a second reads the witnesses. *)
+let bridging_edges st around ~layer ~class3 ~msg3 r =
+  let n = Graph.n st.g in
+  let epoch = next_epoch st in
+  let order = ref [] in
+  let visit u =
+    List.iter
+      (fun i ->
+        if around.visited.(i) <> epoch then begin
+          around.visited.(i) <- epoch;
+          around.comps.(i) <- [];
+          around.connector.(i) <- false;
+          around.one_root.(i) <- -1;
+          around.many_roots.(i) <- false;
+          order := i :: !order
+        end;
+        let root = Union_find.find st.uf.(i) u in
+        if st.seen.((i * n) + root) <> epoch then begin
+          st.seen.((i * n) + root) <- epoch;
+          around.comps.(i) <- root :: around.comps.(i)
+        end)
+      st.classes_of_real.(u)
+  in
+  let witness w =
+    let i = class3.(w) in
+    if around.visited.(i) = epoch then
+      match msg3.(w) with
+      | Empty -> ()
+      | Connector -> around.connector.(i) <- true
+      | One c ->
+        if around.one_root.(i) < 0 then around.one_root.(i) <- c
+        else if around.one_root.(i) <> c then around.many_roots.(i) <- true
+  in
+  let nbrs = Graph.neighbors st.g r in
+  visit r;
+  Array.iter visit nbrs;
+  witness r;
+  Array.iter witness nbrs;
+  List.fold_left
+    (fun acc i ->
+      List.fold_left
+        (fun acc c ->
+          let witnessed =
+            around.connector.(i) || around.many_roots.(i)
+            || (around.one_root.(i) >= 0 && around.one_root.(i) <> c)
+          in
+          if witnessed && st.deactivated.((i * n) + c) <> layer then
+            (i, c) :: acc
+          else acc)
+        acc around.comps.(i))
+    [] (List.rev !order)
+
 (* One recursive step: assign classes to the virtual nodes of layer
    [new_layer] given the components of layers < new_layer. *)
 let assign_layer st ~new_layer =
@@ -122,12 +217,12 @@ let assign_layer st ~new_layer =
   let class3 = Array.init n (fun _ -> random_class st) in
   (* 2a. deactivation by type-1 connectors: components of class i seen
          (>= 2 at once) from a type-1 new node of class i. *)
-  let deactivated = Hashtbl.create 64 in
   for r = 0 to n - 1 do
     let i = class1.(r) in
-    let comps = neighborhood_components st ~cls:i ~real:r in
-    if List.length comps >= 2 then
-      List.iter (fun root -> Hashtbl.replace deactivated (i, root) ()) comps
+    match neighborhood_components st ~cls:i ~real:r with
+    | _ :: _ :: _ as comps ->
+      List.iter (fun root -> st.deactivated.((i * n) + root) <- new_layer) comps
+    | _ -> ()
   done;
   (* 2b. type-3 messages *)
   let msg3 =
@@ -139,47 +234,14 @@ let assign_layer st ~new_layer =
         | _ :: _ :: _ -> Connector)
   in
   (* 2c. bridging adjacency for each type-2 new node (one per real) *)
-  let bridging_edge_count = ref 0 in
+  let around = make_around st.t in
   let listv =
-    Array.init n (fun r ->
-        (* classes present around r *)
-        let acc = ref [] in
-        let add_for u =
-          List.iter
-            (fun i ->
-              let comps = neighborhood_components st ~cls:i ~real:r in
-              List.iter
-                (fun c ->
-                  if
-                    (not (Hashtbl.mem deactivated (i, c)))
-                    && not (List.mem (i, c) !acc)
-                  then begin
-                    (* condition (c): some type-3 neighbor w of class i
-                       witnessing another component *)
-                    let witnessed = ref false in
-                    let check_w rw =
-                      if (not !witnessed) && class3.(rw) = i then
-                        match msg3.(rw) with
-                        | Empty -> ()
-                        | Connector -> witnessed := true
-                        | One c' -> if c' <> c then witnessed := true
-                    in
-                    check_w r;
-                    Array.iter check_w (Graph.neighbors st.g r);
-                    if !witnessed then begin
-                      acc := (i, c) :: !acc;
-                      incr bridging_edge_count
-                    end
-                  end)
-                comps)
-            (List.sort_uniq Int.compare st.classes_of_real.(u))
-        in
-        add_for r;
-        Array.iter add_for (Graph.neighbors st.g r);
-        !acc)
+    Array.init n (bridging_edges st around ~layer:new_layer ~class3 ~msg3)
+  in
+  let bridging_edge_count =
+    Array.fold_left (fun acc l -> acc + List.length l) 0 listv
   in
   (* 3. greedy maximal matching between type-2 nodes and components *)
-  let matched_component = Hashtbl.create 64 in
   let matched = ref 0 in
   let class2 = Array.make n (-1) in
   let order = shuffle st.rng (Array.init n (fun r -> r)) in
@@ -189,8 +251,8 @@ let assign_layer st ~new_layer =
       let chosen = ref None in
       Array.iter
         (fun (i, c) ->
-          if !chosen = None && not (Hashtbl.mem matched_component (i, c)) then begin
-            Hashtbl.replace matched_component (i, c) ();
+          if !chosen = None && st.matched.((i * n) + c) <> new_layer then begin
+            st.matched.((i * n) + c) <- new_layer;
             chosen := Some i;
             incr matched
           end)
@@ -208,7 +270,7 @@ let assign_layer st ~new_layer =
     assign st ~vid:(Virtual_graph.vid vg ~real:r ~layer:new_layer ~vtype:3)
       ~cls:class3.(r)
   done;
-  (!matched, !bridging_edge_count)
+  (!matched, bridging_edge_count)
 
 let run ?(seed = 42) ?jumpstart g ~classes ~layers =
   if classes < 1 then invalid_arg "Cds_packing.run: classes < 1";

@@ -1,5 +1,5 @@
 module Graph = Graphs.Graph
-module Union_find = Graphs.Union_find
+module Tree_check = Graphs.Tree_check
 
 type witness = {
   w_class : int;
@@ -137,6 +137,7 @@ let check ?(seed = 11) ?(live = fun _ -> true) g ~memberships t =
     err "witness list does not mirror the retained classes";
   (* 2. witness structural validity *)
   let members = class_members ~live n ~memberships ~classes:t.c_classes_requested in
+  let tree = Tree_check.create g in
   List.iter
     (fun w ->
       let i = w.w_class in
@@ -158,20 +159,20 @@ let check ?(seed = 11) ?(live = fun _ -> true) g ~memberships t =
         if List.length w.w_edges <> List.length vs - 1 then
           err "class %d: %d edges over %d vertices is not a tree" i
             (List.length w.w_edges) (List.length vs);
-        let uf = Union_find.create n in
+        Tree_check.load tree (Array.of_list vs);
         List.iter
           (fun (u, v) ->
-            if u < 0 || u >= n || v < 0 || v >= n || not (Graph.mem_edge g u v)
-            then err "class %d: witness edge (%d,%d) is not a graph edge" i u v
-            else if not (List.mem u vs && List.mem v vs) then
+            if not (Graph.mem_edge g u v) then
+              err "class %d: witness edge (%d,%d) is not a graph edge" i u v
+            else if not (Tree_check.mem tree u && Tree_check.mem tree v) then
               err "class %d: witness edge (%d,%d) leaves the class" i u v
-            else ignore (Union_find.union uf u v))
+            else ignore (Tree_check.union tree u v))
           w.w_edges;
         List.iter
           (fun v ->
             if
-              v >= 0 && v < n && root >= 0 && root < n
-              && Union_find.find uf v <> Union_find.find uf root
+              Tree_check.mem tree v && Tree_check.mem tree root
+              && not (Tree_check.same tree v root)
             then err "class %d: witness edges do not span vertex %d" i v)
           vs)
     t.c_witnesses;

@@ -386,16 +386,7 @@ let extract_trees net (result : Cds_packing.t) =
         })
       valid
   in
-  let mult =
-    let counts = Array.make n 0 in
-    List.iter
-      (fun tr ->
-        Array.iter (fun v -> counts.(v) <- counts.(v) + 1) tr.Packing.vertices)
-      trees;
-    Array.fold_left max 1 counts
-  in
-  let w = 1. /. float_of_int mult in
-  { Packing.graph = g; trees; weights = List.map (fun _ -> w) trees }
+  Packing.uniform g trees
 
 let pack ?seed net ~k =
   let n = Net.n net in

@@ -18,19 +18,26 @@ let compare_edge (u1, v1) (u2, v2) =
 let size p = List.fold_left ( +. ) 0. p.weights
 let count p = List.length p.trees
 
-let node_load p v =
-  List.fold_left2
-    (fun acc tree w ->
-      if Array.exists (fun x -> x = v) tree.vertices then acc +. w else acc)
-    0. p.trees p.weights
+(* Load of every vertex in one pass over the trees; a vertex listed
+   twice in a tree, or outside the graph, adds nothing extra. *)
+let node_loads p =
+  let n = Graph.n p.graph in
+  let loads = Array.make n 0. in
+  let last = Array.make n (-1) in
+  List.iteri
+    (fun t (tree, w) ->
+      Array.iter
+        (fun v ->
+          if v >= 0 && v < n && last.(v) <> t then begin
+            last.(v) <- t;
+            loads.(v) <- loads.(v) +. w
+          end)
+        tree.vertices)
+    (List.combine p.trees p.weights);
+  loads
 
 let max_node_load p =
-  let best = ref 0. in
-  for v = 0 to Graph.n p.graph - 1 do
-    let l = node_load p v in
-    if l > !best then best := l
-  done;
-  !best
+  Array.fold_left (fun best l -> if l > best then l else best) 0. (node_loads p)
 
 let max_multiplicity p =
   let n = Graph.n p.graph in
@@ -40,6 +47,11 @@ let max_multiplicity p =
       Array.iter (fun v -> counts.(v) <- counts.(v) + 1) tree.vertices)
     p.trees;
   Array.fold_left max 0 counts
+
+let uniform graph trees =
+  let mult = max 1 (max_multiplicity { graph; trees; weights = [] }) in
+  let w = 1. /. float_of_int mult in
+  { graph; trees; weights = List.map (fun _ -> w) trees }
 
 (* BFS inside the tree's own edge set. *)
 let tree_diameter _p tree =
@@ -100,34 +112,26 @@ let pp_violation ppf = function
 
 let verify p =
   let g = p.graph in
+  let check = Graphs.Tree_check.create g in
   let violations = ref [] in
   let push v = violations := v :: !violations in
   List.iter2
     (fun tree w ->
       if w < 0. || w > 1. then push (Bad_weight tree.cls);
-      let vs = Array.to_list tree.vertices in
+      Graphs.Tree_check.load check tree.vertices;
+      let e = Graphs.Tree_check.add_edges check tree.edges in
+      if e.off_graph then push (Edge_outside_graph tree.cls);
+      (* |E| = |V| - 1 (repeats counted), inside the set, acyclic *)
       if
-        not
-          (List.for_all (fun (u, v) -> Graph.mem_edge g u v) tree.edges)
-      then push (Edge_outside_graph tree.cls);
-      let member v = Array.exists (fun x -> x = v) tree.vertices in
-      (* tree structure: |E| = |V| - 1, connected, within vertex set *)
-      let n_vs = List.length vs in
-      let tree_ok =
-        List.length tree.edges = n_vs - 1
-        && List.for_all (fun (u, v) -> member u && member v) tree.edges
-        &&
-        let uf = Graphs.Union_find.create (Graph.n g) in
-        List.for_all (fun (u, v) -> Graphs.Union_find.union uf u v) tree.edges
-      in
-      if not tree_ok then push (Not_a_tree tree.cls);
-      if not (Graphs.Domination.is_dominating g member) then
+        List.length tree.edges <> Array.length tree.vertices - 1
+        || e.leaves_set || e.cycle
+      then push (Not_a_tree tree.cls);
+      if not (Graphs.Tree_check.dominates check) then
         push (Not_dominating tree.cls))
     p.trees p.weights;
-  for v = 0 to Graph.n g - 1 do
-    let l = node_load p v in
-    if l > 1. +. 1e-9 then push (Overloaded_vertex (v, l))
-  done;
+  Array.iteri
+    (fun v l -> if l > 1. +. 1e-9 then push (Overloaded_vertex (v, l)))
+    (node_loads p);
   List.rev !violations
 
 let is_valid p = verify p = []

@@ -34,6 +34,11 @@ val max_node_load : t -> float
     vertex (the O(log n) bound of Theorems 1.1/1.2). *)
 val max_multiplicity : t -> int
 
+(** [uniform g trees] weights every tree [1 / max 1 m], where [m] is
+    the {!max_multiplicity} of the trees — the uniform weighting both
+    tree extractions use. *)
+val uniform : Graphs.Graph.t -> tree list -> t
+
 (** [tree_diameter p tree] is the diameter of the tree subgraph. *)
 val tree_diameter : t -> tree -> int
 

@@ -3,9 +3,9 @@ module Graph = Graphs.Graph
 let spanning_tree_of_members g members =
   (* BFS tree of the induced subgraph; members must induce a connected
      subgraph *)
-  let in_set = Hashtbl.create (Array.length members) in
-  Array.iter (fun v -> Hashtbl.replace in_set v ()) members;
-  let member v = Hashtbl.mem in_set v in
+  let in_set = Array.make (Graph.n g) false in
+  Array.iter (fun v -> in_set.(v) <- true) members;
+  let member v = in_set.(v) in
   let dist = Graphs.Traversal.distances_within g member members.(0) in
   let edges = ref [] in
   Array.iter
@@ -36,23 +36,7 @@ let of_cds_packing (result : Cds_packing.t) =
         })
       valid
   in
-  let mult =
-    let n = Graph.n g in
-    let counts = Array.make n 0 in
-    List.iter
-      (fun tr ->
-        Array.iter
-          (fun v -> counts.(v) <- counts.(v) + 1)
-          tr.Packing.vertices)
-      trees;
-    Array.fold_left max 1 counts
-  in
-  let w = 1. /. float_of_int mult in
-  {
-    Packing.graph = g;
-    trees;
-    weights = List.map (fun _ -> w) trees;
-  }
+  Packing.uniform g trees
 
 let integral_subpacking (p : Packing.t) =
   let n = Graph.n p.Packing.graph in

@@ -27,25 +27,12 @@ let is_connected_dominating g member =
   is_dominating g member && induced_connected g member
 
 let is_dominating_tree g vs es =
-  let n = Graph.n g in
-  let in_set = Array.make n false in
-  List.iter
-    (fun v -> if v >= 0 && v < n then in_set.(v) <- true)
-    vs;
-  let vertex_count = List.length (List.sort_uniq Int.compare vs) in
-  let edges_ok =
-    List.for_all
-      (fun (u, v) ->
-        u >= 0 && v >= 0 && u < n && v < n && in_set.(u) && in_set.(v)
-        && Graph.mem_edge g u v)
-      es
-  in
-  edges_ok
-  && List.length es = vertex_count - 1
-  &&
-  let uf = Union_find.create n in
-  List.for_all (fun (u, v) -> Union_find.union uf u v) es
-  && is_dominating g (fun v -> in_set.(v))
+  let c = Tree_check.create g in
+  Tree_check.load c (Array.of_list vs);
+  let e = Tree_check.add_edges c es in
+  (not (e.off_graph || e.leaves_set || e.cycle))
+  && List.length es = Tree_check.distinct c - 1
+  && Tree_check.dominates c
 
 let undominated g member =
   let acc = ref [] in

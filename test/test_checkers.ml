@@ -122,6 +122,11 @@ let verify_cases =
           [ (0, 1); (0, 4); (1, 2); (2, 6); (4, 5); (5, 6) ] ],
       [ 1. ],
       [ "class 1: not a tree" ] );
+    ( "cycle with a tree's edge count",
+      [ tree 8 [| 0; 2; 3; 4; 5; 6 |]
+          [ (2, 3); (3, 4); (4, 5); (5, 6); (2, 6) ] ],
+      [ 1. ],
+      [ "class 8: not a tree" ] );
     ( "disconnected",
       [ tree 2 [| 0; 2; 4; 5; 6 |] [ (0, 4); (2, 6); (4, 5) ] ],
       [ 1. ],
@@ -276,6 +281,13 @@ let cert_cases =
               w with
               Certificate.w_vertices = w.Certificate.w_vertices @ [ 99 ];
             }) );
+    ( "first vertex out of range",
+      fun _g c ->
+        with_first c (fun w ->
+            {
+              w with
+              Certificate.w_vertices = -1 :: List.tl w.Certificate.w_vertices;
+            }) );
     ( "overloaded vertex",
       fun _g c ->
         { c with Certificate.c_max_load = c.Certificate.c_max_load + 1 } );
@@ -349,6 +361,19 @@ let cert_expected =
       "class 0: witness vertices differ from the class's live members";
       "class 0: 30 edges over 32 vertices is not a tree";
     ];
+    [
+      "class 0: witness vertex -1 out of range";
+      "class 0: witness vertices differ from the class's live members";
+      "class 0: witness edge (0,4) leaves the class";
+      "class 0: witness edge (0,5) leaves the class";
+      "class 0: witness edge (0,6) leaves the class";
+      "class 0: witness edge (0,7) leaves the class";
+      "class 0: witness edge (0,56) leaves the class";
+      "class 0: witness edge (0,57) leaves the class";
+      "class 0: witness edge (0,58) leaves the class";
+      "class 0: witness edge (0,59) leaves the class";
+      "class 0: witness edge (0,62) leaves the class";
+    ];
     [ "max-load mismatch: certificate says 7, memberships give 6" ];
     [
       "witness list does not mirror the retained classes";
@@ -384,6 +409,150 @@ let test_cert_non_dominating_memberships () =
     | Ok () -> []
     | Error es -> es)
 
+(* ------------------------------------------------------------------ *)
+(* Differential properties against the quadratic reference copies *)
+
+let prop_cds_matches_reference =
+  QCheck.Test.make ~name:"Cds_packing.run equals the reference" ~count:60
+    QCheck.(pair small_int (int_range 0 3))
+    (fun (seed, family) ->
+      let rng = Random.State.make [| seed; family |] in
+      let n = 16 + Random.State.int rng 81 in
+      let g =
+        match family with
+        | 0 ->
+          let k = 2 + Random.State.int rng 8 in
+          Gen.random_k_connected rng ~n ~k ~extra:(n / 4)
+        | 1 -> er_graph ~seed ~n ~p:(0.1 +. Random.State.float rng 0.2)
+        | 2 -> Gen.harary ~k:(2 + Random.State.int rng 10) ~n
+        | _ ->
+          Gen.clique_path ~k:(3 + Random.State.int rng 5) ~len:(2 + (n / 8))
+      in
+      let classes = 1 + Random.State.int rng 10 in
+      let layers = 2 * (1 + Random.State.int rng 9) in
+      let jumpstart = 1 + Random.State.int rng layers in
+      fingerprint (Cds_packing.run ~seed ~jumpstart g ~classes ~layers)
+      = fingerprint (Cds_packing_ref.run ~seed ~jumpstart g ~classes ~layers))
+
+(* A random candidate tree over [g]: a BFS tree of the whole graph, a
+   mutation of one, or arbitrary vertex and edge lists. Vertex lists may
+   repeat entries and, rarely, name a vertex outside the graph. *)
+let random_tree rng g =
+  let n = Graph.n g in
+  let pick () =
+    match Random.State.int rng 20 with
+    | 0 -> n + Random.State.int rng 3
+    | 1 -> -1
+    | _ -> Random.State.int rng n
+  in
+  let _, parent = Traversal.bfs_tree g (Random.State.int rng n) in
+  let bfs_edges =
+    List.filter_map
+      (fun v ->
+        let p = parent.(v) in
+        if p >= 0 && p <> v then Some (min v p, max v p) else None)
+      (List.init n Fun.id)
+  in
+  let all = Array.init n Fun.id in
+  let vertices, edges =
+    match Random.State.int rng 6 with
+    | 0 -> (all, bfs_edges)
+    | 1 -> (all, List.tl bfs_edges)
+    | 2 -> (Array.append all [| pick () |], bfs_edges)
+    | 3 ->
+      let u = pick () and v = pick () in
+      (Array.append all [| u; v |], (min u v, max u v) :: bfs_edges)
+    | 4 ->
+      (* swap a tree edge for a graph edge: the count still fits *)
+      let u = Random.State.int rng n in
+      let nbrs = Graph.neighbors g u in
+      let v = nbrs.(Random.State.int rng (Array.length nbrs)) in
+      (all, (min u v, max u v) :: List.tl bfs_edges)
+    | _ ->
+      let vs = Array.init (1 + Random.State.int rng n) (fun _ -> pick ()) in
+      let some () = vs.(Random.State.int rng (Array.length vs)) in
+      let es =
+        List.init
+          (Random.State.int rng (Array.length vs + 1))
+          (fun _ ->
+            let u = some () in
+            let v = if Random.State.bool rng then pick () else some () in
+            (min u v, max u v))
+      in
+      (vs, es)
+  in
+  { Packing.cls = Random.State.int rng 8; vertices; edges }
+
+let random_packing seed =
+  let rng = Random.State.make [| seed |] in
+  let n = 2 + Random.State.int rng 14 in
+  let g = Gen.random_connected rng ~n ~extra:(Random.State.int rng n) in
+  let count = Random.State.int rng 5 in
+  let trees = List.init count (fun _ -> random_tree rng g) in
+  let weights =
+    List.init count (fun _ ->
+        [| -0.25; 0.; 0.3; 0.5; 0.75; 1.; 1.5 |].(Random.State.int rng 7))
+  in
+  { Packing.graph = g; trees; weights }
+
+(* The one intended verdict change: the reference raises when a tree
+   edge reaches a listed vertex outside the graph and the edge count
+   fits; such a tree is now "not a tree". Repeating the offending edge
+   breaks the count, so the reference then reports it without raising,
+   and every other verdict stays as it was. *)
+let expected_verdict p =
+  let n = Graph.n p.Packing.graph in
+  let outside v = v < 0 || v >= n in
+  let patch (tree : Packing.tree) =
+    match
+      List.find_opt (fun (u, v) -> outside u || outside v) tree.Packing.edges
+    with
+    | Some e -> { tree with Packing.edges = e :: tree.Packing.edges }
+    | None -> tree
+  in
+  match Packing_ref.verify p with
+  | v -> v
+  | exception Invalid_argument _ ->
+    Packing_ref.verify { p with Packing.trees = List.map patch p.Packing.trees }
+
+let prop_verify_matches_reference =
+  QCheck.Test.make ~name:"Packing.verify equals the reference" ~count:500
+    QCheck.small_int (fun seed ->
+      let p = random_packing seed in
+      Packing.verify p = expected_verdict p
+      && Packing.max_node_load p = Packing_ref.max_node_load p)
+
+let prop_dominating_tree_matches_reference =
+  QCheck.Test.make ~name:"is_dominating_tree equals the reference" ~count:500
+    QCheck.small_int (fun seed ->
+      let p = random_packing seed in
+      let g = p.Packing.graph in
+      List.for_all
+        (fun (tree : Packing.tree) ->
+          let vs = Array.to_list tree.Packing.vertices in
+          Domination.is_dominating_tree g vs tree.Packing.edges
+          = Packing_ref.is_dominating_tree g vs tree.Packing.edges)
+        p.Packing.trees)
+
+(* Path 0-1-2 with a tree naming vertex 5: reported, not raised. *)
+let test_verify_out_of_range () =
+  let p =
+    {
+      Packing.graph = Gen.path 3;
+      trees = [ tree 0 [| 0; 5 |] [ (0, 5) ] ];
+      weights = [ 1. ];
+    }
+  in
+  Alcotest.(check (list string)) "typed violations"
+    [
+      "class 0: edge outside graph";
+      "class 0: not a tree";
+      "class 0: not dominating";
+    ]
+    (List.map (Format.asprintf "%a" Packing.pp_violation) (Packing.verify p))
+
+let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+
 let () =
   Alcotest.run "checkers"
     [
@@ -396,7 +565,11 @@ let () =
         List.map
           (fun ((name, _, _, _) as c) ->
             Alcotest.test_case name `Quick (test_verify_pin c))
-          verify_cases );
+          verify_cases
+        @ [
+            Alcotest.test_case "vertex outside the graph" `Quick
+              test_verify_out_of_range;
+          ] );
       ( "certificate.check pins",
         List.map2
           (fun ((name, _) as c) expected ->
@@ -406,4 +579,7 @@ let () =
             Alcotest.test_case "non-dominating memberships" `Quick
               test_cert_non_dominating_memberships;
           ] );
+      qsuite "cds_packing.oracle" [ prop_cds_matches_reference ];
+      qsuite "checkers.oracle"
+        [ prop_verify_matches_reference; prop_dominating_tree_matches_reference ];
     ]
