@@ -40,6 +40,7 @@ type state = {
   mutable epoch : int;
   deactivated : int array; (* (class, root) -> layer it was deactivated in *)
   matched : int array; (* (class, root) -> layer it was matched in *)
+  root_of : int array; (* (class, real) -> component root, per layer *)
 }
 
 let make_state ?(seed = 42) g vg t =
@@ -58,6 +59,7 @@ let make_state ?(seed = 42) g vg t =
     epoch = 0;
     deactivated = Array.make (t * n) (-1);
     matched = Array.make (t * n) (-1);
+    root_of = Array.make (t * n) (-1);
   }
 
 let rec insert_sorted x = function
@@ -88,6 +90,17 @@ let next_epoch st =
   st.epoch <- st.epoch + 1;
   st.epoch
 
+(* The components are frozen from the start of a layer until its
+   commit, so each member's root is looked up once per layer. *)
+let refresh_roots st =
+  let n = Graph.n st.g in
+  Array.iteri
+    (fun u classes ->
+      List.iter
+        (fun i -> st.root_of.((i * n) + u) <- Union_find.find st.uf.(i) u)
+        classes)
+    st.classes_of_real
+
 (* Distinct component roots of class [i] within the closed neighborhood
    of real vertex [r] (same-real adjacency of the virtual graph makes r
    itself count), most recently found first. *)
@@ -97,7 +110,7 @@ let neighborhood_components st ~cls ~real =
   let acc = ref [] in
   let consider u =
     if st.in_class.(cls).(u) then begin
-      let root = Union_find.find st.uf.(cls) u in
+      let root = st.root_of.((cls * n) + u) in
       if st.seen.((cls * n) + root) <> epoch then begin
         st.seen.((cls * n) + root) <- epoch;
         acc := root :: !acc
@@ -169,7 +182,7 @@ let bridging_edges st around ~layer ~class3 ~msg3 r =
           around.many_roots.(i) <- false;
           order := i :: !order
         end;
-        let root = Union_find.find st.uf.(i) u in
+        let root = st.root_of.((i * n) + u) in
         if st.seen.((i * n) + root) <> epoch then begin
           st.seen.((i * n) + root) <- epoch;
           around.comps.(i) <- root :: around.comps.(i)
@@ -210,6 +223,7 @@ let bridging_edges st around ~layer ~class3 ~msg3 r =
 let assign_layer st ~new_layer =
   let n = Graph.n st.g in
   let vg = st.vg in
+  refresh_roots st;
   (* 1. type-1 and type-3 new nodes pick random classes (recorded but not
         yet merged into the component structure: the bridging graph is
         about OLD components). *)

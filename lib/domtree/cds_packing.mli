@@ -14,8 +14,13 @@
       excess component count M_ℓ drops by a constant factor per layer
       (Lemma 4.4).
 
-    Component tracking uses per-class incremental union-find, giving the
-    near-linear O(m log² n)-style running time of Appendix C. *)
+    Component tracking uses per-class incremental union-find. A
+    recursive layer costs O(n + m + Σ_v deg(v)·c(v)) near-constant
+    union-find and array operations, where c(v) <= min(t, 3ℓ) is the
+    number of classes v belongs to: each real's type-2 node lists the
+    components of all classes around it in one pass over its closed
+    neighbourhood. Over L = Θ(log n) layers that is O(L·m·t) in the
+    worst case, and the final domination check adds O(t·m). *)
 
 type stats = {
   excess_after_layer : (int * int) list;
