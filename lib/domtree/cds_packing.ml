@@ -23,6 +23,12 @@ let default_layers ~n =
   let lg = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)) in
   max 4 (2 * lg)
 
+(* What the type-3 neighbors of one class around r saw, as an int:
+   [no_witness], one root c >= 0, or [any_witness] (a connector, or two
+   distinct roots), which witnesses every component. *)
+let no_witness = -1
+let any_witness = -2
+
 (* Mutable algorithm state: per-class incremental component tracking.
    The (class, root) sets of one layer are flat [t * n] stamp rows,
    indexed [cls * n + root]. *)
@@ -41,6 +47,10 @@ type state = {
   deactivated : int array; (* (class, root) -> layer it was deactivated in *)
   matched : int array; (* (class, root) -> layer it was matched in *)
   root_of : int array; (* (class, real) -> component root, per layer *)
+  (* step 2c scratch around one real, per class *)
+  visited : int array; (* epoch the class was last seen around the real *)
+  comps : int list array; (* its components, as neighborhood_components *)
+  witness : int array; (* what its type-3 neighbors saw *)
 }
 
 let make_state ?(seed = 42) g vg t =
@@ -60,6 +70,9 @@ let make_state ?(seed = 42) g vg t =
     deactivated = Array.make (t * n) (-1);
     matched = Array.make (t * n) (-1);
     root_of = Array.make (t * n) (-1);
+    visited = Array.make t (-1);
+    comps = Array.make t [];
+    witness = Array.make t no_witness;
   }
 
 let rec insert_sorted x = function
@@ -141,25 +154,6 @@ let shuffle rng arr =
   done;
   a
 
-(* Per-real scratch of step 2c, one slot per class: the components of
-   the class around r and what r's type-3 neighbors of the class saw. *)
-type around = {
-  visited : int array; (* class -> epoch it was last seen around r *)
-  comps : int list array; (* class -> roots, as neighborhood_components *)
-  connector : bool array; (* some type-3 neighbor saw >= 2 components *)
-  one_root : int array; (* the first root a type-3 neighbor saw, or -1 *)
-  many_roots : bool array; (* type-3 neighbors saw >= 2 distinct roots *)
-}
-
-let make_around t =
-  {
-    visited = Array.make t (-1);
-    comps = Array.make t [];
-    connector = Array.make t false;
-    one_root = Array.make t (-1);
-    many_roots = Array.make t false;
-  }
-
 (* The bridging edges (i, c) of the type-2 node on [r], most recent
    first. Classes are taken in order of first appearance over
    [r; neighbors r] (each vertex's classes ascending), and within a
@@ -167,37 +161,36 @@ let make_around t =
    component c is not deactivated and some type-3 neighbor of class i
    witnesses another component (condition (c)). One pass over N[r]
    finds every class's components, a second reads the witnesses. *)
-let bridging_edges st around ~layer ~class3 ~msg3 r =
+let bridging_edges st ~layer ~class3 ~msg3 r =
   let n = Graph.n st.g in
   let epoch = next_epoch st in
   let order = ref [] in
   let visit u =
     List.iter
       (fun i ->
-        if around.visited.(i) <> epoch then begin
-          around.visited.(i) <- epoch;
-          around.comps.(i) <- [];
-          around.connector.(i) <- false;
-          around.one_root.(i) <- -1;
-          around.many_roots.(i) <- false;
+        if st.visited.(i) <> epoch then begin
+          st.visited.(i) <- epoch;
+          st.comps.(i) <- [];
+          st.witness.(i) <- no_witness;
           order := i :: !order
         end;
         let root = st.root_of.((i * n) + u) in
         if st.seen.((i * n) + root) <> epoch then begin
           st.seen.((i * n) + root) <- epoch;
-          around.comps.(i) <- root :: around.comps.(i)
+          st.comps.(i) <- root :: st.comps.(i)
         end)
       st.classes_of_real.(u)
   in
   let witness w =
     let i = class3.(w) in
-    if around.visited.(i) = epoch then
+    if st.visited.(i) = epoch then
       match msg3.(w) with
       | Empty -> ()
-      | Connector -> around.connector.(i) <- true
+      | Connector -> st.witness.(i) <- any_witness
       | One c ->
-        if around.one_root.(i) < 0 then around.one_root.(i) <- c
-        else if around.one_root.(i) <> c then around.many_roots.(i) <- true
+        let seen = st.witness.(i) in
+        if seen = no_witness then st.witness.(i) <- c
+        else if seen >= 0 && seen <> c then st.witness.(i) <- any_witness
   in
   let nbrs = Graph.neighbors st.g r in
   visit r;
@@ -206,16 +199,15 @@ let bridging_edges st around ~layer ~class3 ~msg3 r =
   Array.iter witness nbrs;
   List.fold_left
     (fun acc i ->
+      let seen = st.witness.(i) in
       List.fold_left
         (fun acc c ->
-          let witnessed =
-            around.connector.(i) || around.many_roots.(i)
-            || (around.one_root.(i) >= 0 && around.one_root.(i) <> c)
-          in
-          if witnessed && st.deactivated.((i * n) + c) <> layer then
-            (i, c) :: acc
+          if
+            (seen = any_witness || (seen >= 0 && seen <> c))
+            && st.deactivated.((i * n) + c) <> layer
+          then (i, c) :: acc
           else acc)
-        acc around.comps.(i))
+        acc st.comps.(i))
     [] (List.rev !order)
 
 (* One recursive step: assign classes to the virtual nodes of layer
@@ -248,10 +240,7 @@ let assign_layer st ~new_layer =
         | _ :: _ :: _ -> Connector)
   in
   (* 2c. bridging adjacency for each type-2 new node (one per real) *)
-  let around = make_around st.t in
-  let listv =
-    Array.init n (bridging_edges st around ~layer:new_layer ~class3 ~msg3)
-  in
+  let listv = Array.init n (bridging_edges st ~layer:new_layer ~class3 ~msg3) in
   let bridging_edge_count =
     Array.fold_left (fun acc l -> acc + List.length l) 0 listv
   in

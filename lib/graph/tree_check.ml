@@ -3,7 +3,6 @@ type t = {
   slot : int array; (* vertex -> index in [members], or -1 *)
   members : int array; (* the first [size] entries: the current set *)
   mutable size : int;
-  mutable outside : int list; (* out-of-range entries of the list *)
   parent : int array; (* union-find over member indices *)
   cover : int array; (* vertex -> last [dominates] call that covered it *)
   mutable epoch : int;
@@ -16,7 +15,6 @@ let create g =
     slot = Array.make n (-1);
     members = Array.make n 0;
     size = 0;
-    outside = [];
     parent = Array.make n 0;
     cover = Array.make n 0;
     epoch = 0;
@@ -27,12 +25,10 @@ let load c vs =
     c.slot.(c.members.(j)) <- -1
   done;
   c.size <- 0;
-  c.outside <- [];
   let n = Graph.n c.g in
   Array.iter
     (fun v ->
-      if v < 0 || v >= n then c.outside <- v :: c.outside
-      else if c.slot.(v) < 0 then begin
+      if v >= 0 && v < n && c.slot.(v) < 0 then begin
         c.slot.(v) <- c.size;
         c.members.(c.size) <- v;
         c.parent.(c.size) <- c.size;
@@ -41,8 +37,6 @@ let load c vs =
     vs
 
 let mem c v = v >= 0 && v < Graph.n c.g && c.slot.(v) >= 0
-
-let distinct c = c.size + List.length (List.sort_uniq Int.compare c.outside)
 
 (* path halving *)
 let rec find c i =

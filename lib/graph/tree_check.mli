@@ -13,16 +13,12 @@ type t
 val create : Graph.t -> t
 
 (** [load c vs] makes [vs] the current set. Entries outside [0 .. n-1]
-    are listed but never members; repeated entries count once. Each
-    member starts as its own component. *)
+    are never members; repeated entries count once. Each member starts
+    as its own component. *)
 val load : t -> int array -> unit
 
 (** [mem c v]: [v] is in range and listed in the current set. *)
 val mem : t -> int -> bool
-
-(** Number of distinct entries of the current list, out-of-range ones
-    included. *)
-val distinct : t -> int
 
 (** [union c u v] joins the components of members [u] and [v]; [false]
     when they were already joined. *)
