@@ -32,12 +32,15 @@ let expand_sources ~who ~n sources =
     sources;
   (List.rev !acc, !id)
 
-(* Flat flag tables, one byte per entry: the per-(node, message),
+(* Flat flag tables, one bit per entry: the per-(node, message),
    per-(tree, edge) and per-(membership, message) state of the
    schedulers below, indexed [row * width + col]. *)
-let flags size = Bytes.make size '\000'
-let flag t k = Bytes.get t k <> '\000'
-let set_flag t k = Bytes.set t k '\001'
+let flags size = Bytes.make ((size + 7) / 8) '\000'
+let flag t k = Char.code (Bytes.get t (k lsr 3)) land (1 lsl (k land 7)) <> 0
+
+let set_flag t k =
+  let b = k lsr 3 in
+  Bytes.set t b (Char.chr (Char.code (Bytes.get t b) lor (1 lsl (k land 7))))
 
 (* [tree_edges g trees edges_of] flags edge id [e] of tree [i] at
    [i * m + e]; a pair that is not an edge of [g] is never crossed, so
