@@ -23,9 +23,10 @@ let default_layers ~n =
   let lg = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)) in
   max 4 (2 * lg)
 
-(* What the type-3 neighbors of one class around r saw, as an int:
-   [no_witness], one root c >= 0, or [any_witness] (a connector, or two
-   distinct roots), which witnesses every component. *)
+(* What a type-3 node, or all type-3 neighbors of one class around a
+   real, saw of the old components: nothing ([no_witness]), one root
+   c >= 0, or two or more ([any_witness]), which witnesses every
+   component. *)
 let no_witness = -1
 let any_witness = -2
 
@@ -139,23 +140,16 @@ let excess st =
   Array.fold_left (fun total c -> if c >= 1 then total + c - 1 else total) 0
     st.components
 
-type type3_msg =
-  | Empty
-  | One of int (* component root *)
-  | Connector
-
-let shuffle rng arr =
-  let a = Array.copy arr in
+let shuffle rng a =
   for i = Array.length a - 1 downto 1 do
     let j = Random.State.int rng (i + 1) in
     let tmp = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- tmp
-  done;
-  a
+  done
 
-(* The bridging edges (i, c) of the type-2 node on [r], most recent
-   first. Classes are taken in order of first appearance over
+(* The bridging edges (i, c) of the type-2 node on [r], as (class, root)
+   indices [i * n + c], most recent first. Classes are taken in order of first appearance over
    [r; neighbors r] (each vertex's classes ascending), and within a
    class in neighborhood_components order; (i, c) is an edge when
    component c is not deactivated and some type-3 neighbor of class i
@@ -183,14 +177,13 @@ let bridging_edges st ~layer ~class3 ~msg3 r =
   in
   let witness w =
     let i = class3.(w) in
-    if st.visited.(i) = epoch then
-      match msg3.(w) with
-      | Empty -> ()
-      | Connector -> st.witness.(i) <- any_witness
-      | One c ->
-        let seen = st.witness.(i) in
-        if seen = no_witness then st.witness.(i) <- c
-        else if seen >= 0 && seen <> c then st.witness.(i) <- any_witness
+    let c = msg3.(w) in
+    if st.visited.(i) = epoch && c <> no_witness then begin
+      let seen = st.witness.(i) in
+      if seen = no_witness then st.witness.(i) <- c
+      else if c = any_witness || (seen >= 0 && seen <> c) then
+        st.witness.(i) <- any_witness
+    end
   in
   let nbrs = Graph.neighbors st.g r in
   visit r;
@@ -205,7 +198,7 @@ let bridging_edges st ~layer ~class3 ~msg3 r =
           if
             (seen = any_witness || (seen >= 0 && seen <> c))
             && st.deactivated.((i * n) + c) <> layer
-          then (i, c) :: acc
+          then ((i * n) + c) :: acc
           else acc)
         acc st.comps.(i))
     [] (List.rev !order)
@@ -233,11 +226,10 @@ let assign_layer st ~new_layer =
   (* 2b. type-3 messages *)
   let msg3 =
     Array.init n (fun r ->
-        let i = class3.(r) in
-        match neighborhood_components st ~cls:i ~real:r with
-        | [] -> Empty
-        | [ root ] -> One root
-        | _ :: _ :: _ -> Connector)
+        match neighborhood_components st ~cls:class3.(r) ~real:r with
+        | [] -> no_witness
+        | [ root ] -> root
+        | _ :: _ :: _ -> any_witness)
   in
   (* 2c. bridging adjacency for each type-2 new node (one per real) *)
   let listv = Array.init n (bridging_edges st ~layer:new_layer ~class3 ~msg3) in
@@ -247,22 +239,21 @@ let assign_layer st ~new_layer =
   (* 3. greedy maximal matching between type-2 nodes and components *)
   let matched = ref 0 in
   let class2 = Array.make n (-1) in
-  let order = shuffle st.rng (Array.init n (fun r -> r)) in
+  let order = Array.init n (fun r -> r) in
+  shuffle st.rng order;
   Array.iter
     (fun r ->
-      let options = shuffle st.rng (Array.of_list listv.(r)) in
-      let chosen = ref None in
+      let options = Array.of_list listv.(r) in
+      shuffle st.rng options;
       Array.iter
-        (fun (i, c) ->
-          if !chosen = None && st.matched.((i * n) + c) <> new_layer then begin
-            st.matched.((i * n) + c) <- new_layer;
-            chosen := Some i;
+        (fun key ->
+          if class2.(r) < 0 && st.matched.(key) <> new_layer then begin
+            st.matched.(key) <- new_layer;
+            class2.(r) <- key / n;
             incr matched
           end)
         options;
-      match !chosen with
-      | Some i -> class2.(r) <- i
-      | None -> class2.(r) <- random_class st)
+      if class2.(r) < 0 then class2.(r) <- random_class st)
     order;
   (* 4. commit the whole layer *)
   for r = 0 to n - 1 do
