@@ -149,12 +149,13 @@ let shuffle rng a =
   done
 
 (* The bridging edges (i, c) of the type-2 node on [r], as (class, root)
-   indices [i * n + c], most recent first. Classes are taken in order of first appearance over
-   [r; neighbors r] (each vertex's classes ascending), and within a
-   class in neighborhood_components order; (i, c) is an edge when
-   component c is not deactivated and some type-3 neighbor of class i
-   witnesses another component (condition (c)). One pass over N[r]
-   finds every class's components, a second reads the witnesses. *)
+   indices [i * n + c], most recent first. Classes are taken in order
+   of first appearance over [r; neighbors r] (each vertex's classes
+   ascending), and within a class in neighborhood_components order;
+   (i, c) is an edge when component c is not deactivated and some
+   type-3 neighbor of class i witnesses another component (condition
+   (c)). One pass over N[r] finds every class's components, a second
+   reads the witnesses. *)
 let bridging_edges st ~layer ~class3 ~msg3 r =
   let n = Graph.n st.g in
   let epoch = next_epoch st in

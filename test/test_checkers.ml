@@ -581,5 +581,8 @@ let () =
           ] );
       qsuite "cds_packing.oracle" [ prop_cds_matches_reference ];
       qsuite "checkers.oracle"
-        [ prop_verify_matches_reference; prop_dominating_tree_matches_reference ];
+        [
+          prop_verify_matches_reference;
+          prop_dominating_tree_matches_reference;
+        ];
     ]
