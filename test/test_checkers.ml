@@ -434,6 +434,47 @@ let prop_cds_matches_reference =
       fingerprint (Cds_packing.run ~seed ~jumpstart g ~classes ~layers)
       = fingerprint (Cds_packing_ref.run ~seed ~jumpstart g ~classes ~layers))
 
+(* Random slot layouts on random (possibly disconnected) graphs: lists
+   of 0 to 4 classes drawn from the even ids below [2 * classes], so odd
+   classes are never held, some lists are empty and some repeat a class.
+   [init] draws from small ranges to force ties. Fault runs drop
+   messages and crash one node mid-flood. *)
+let prop_flood_min_matches_reference =
+  QCheck.Test.make ~name:"Multiflood.flood_min equals the reference"
+    ~count:80
+    QCheck.(pair small_int bool)
+    (fun (seed, faulty) ->
+      let rng = Random.State.make [| seed; 0x3F |] in
+      let n = 2 + Random.State.int rng 40 in
+      let classes = 1 + Random.State.int rng 6 in
+      let g = Gen.erdos_renyi rng ~n ~p:(Random.State.float rng 0.5) in
+      let mem =
+        Array.init n (fun _ ->
+            List.init (Random.State.int rng 5) (fun _ ->
+                2 * Random.State.int rng classes))
+      in
+      let sl = Multiflood.layout ~n (fun r -> mem.(r)) in
+      let init r s =
+        (Hashtbl.hash (seed, r, s) mod 5, Hashtbl.hash (s, r, seed) mod 7)
+      in
+      let crash = (1 + Random.State.int rng 12, Random.State.int rng n) in
+      let run flood =
+        let net = Congest.Net.create Congest.Model.V_congest g in
+        if faulty then
+          Congest.Faults.install net
+            (Congest.Faults.create ~seed
+               [
+                 Congest.Faults.Drop_bernoulli 0.1;
+                 Congest.Faults.Crash_at [ crash ];
+               ]);
+        let result = flood net sl ~init in
+        (result, Congest.Net.telemetry net)
+      in
+      let (value, tiebreak), t = run Multiflood.flood_min in
+      let (value', tiebreak'), t' = run Multiflood_ref.flood_min in
+      value = value' && tiebreak = tiebreak'
+      && Congest.Net.diff_telemetry t t' = [])
+
 (* A random candidate tree over [g]: a BFS tree of the whole graph, a
    mutation of one, or arbitrary vertex and edge lists. Vertex lists may
    repeat entries and, rarely, name a vertex outside the graph. *)
@@ -580,6 +621,7 @@ let () =
               test_cert_non_dominating_memberships;
           ] );
       qsuite "cds_packing.oracle" [ prop_cds_matches_reference ];
+      qsuite "multiflood.oracle" [ prop_flood_min_matches_reference ];
       qsuite "checkers.oracle"
         [
           prop_verify_matches_reference;

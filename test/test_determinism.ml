@@ -561,6 +561,25 @@ let run_dist_packing ~faulty =
        0 p.Domtree.Packing.trees)
     (traffic net)
 
+(* more classes than the jump-start can fill: its 3n = 18 draws leave
+   at least two of the 20 classes unheld, so the new layers' type-1/3
+   draws and the B.2/B.3 messages name classes that no old membership
+   holds *)
+let run_dist_packing_sparse () =
+  let net = vnet (Gen.clique_path ~k:3 ~len:2) in
+  let res =
+    Domtree.Dist_packing.run ~seed:3 ~jumpstart:1 net ~classes:20 ~layers:6
+  in
+  let st = res.Cds.stats in
+  Printf.sprintf
+    "members %d, excess %d, matched %d, bridging %d, valid %d; %s"
+    (lists_checksum (Array.map Array.to_list res.Cds.members))
+    (pairs_checksum st.Cds.excess_after_layer)
+    (pairs_checksum st.Cds.matched_per_layer)
+    (pairs_checksum st.Cds.bridging_edges_per_layer)
+    (List.length (Cds.valid_classes res))
+    (traffic net)
+
 let tester_summary net (o : Domtree.Tester.outcome) =
   Printf.sprintf "pass %b, domination %b, detection %s; %s"
     o.Domtree.Tester.pass o.Domtree.Tester.domination_ok
@@ -636,6 +655,11 @@ let pinned_domtree_cases =
         "members 77604030, excess 149041694, matched 192120274, \
          bridging 62428988, valid 6, trees 6, edges 194715185; rounds \
          1771, messages 441268, words 1405569, digest 1d71d089d7ca001" );
+      ( "Dist_packing.run, classes no node holds",
+        run_dist_packing_sparse,
+        "members 190655112, excess 115583919, matched 237009235, bridging \
+         112290886, valid 18; rounds 950, messages 14463, words 46809, \
+         digest 3cbcb41c9b4ab18" );
       ( "Tester.run_distributed passing",
         run_tester_valid,
         "pass true, domination true, detection none; rounds 72, \
