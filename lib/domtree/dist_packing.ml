@@ -99,6 +99,9 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
     let sl = Multiflood.layout ~n memberships in
     let nslots = Array.length sl.Multiflood.cls in
     let slot r i = Multiflood.find sl r i in
+    (* the receiver's class->slot row for the B.2a and B.3b deliveries,
+       sized by [classes] rather than by the classes the layout holds *)
+    let row = Multiflood.row ~classes sl in
 
     (* B.1: component identification of old nodes *)
     let cid, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
@@ -127,9 +130,9 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
         if many1.(r) then Some [| tag_connector; class1.(r) |] else None);
     (* members adjacent to a declaring type-1 node mark deactivation *)
     let deact = Array.make nslots false in
-    Net.iter_deliveries net (fun r _ _ m ->
+    Multiflood.iter_deliveries net sl row (fun _ _ _ m ->
         if m.(0) = tag_connector then begin
-          let s = slot r m.(1) in
+          let s = row.(m.(1)) in
           if s >= 0 then deact.(s) <- true
         end);
     (* flood the deactivation flag through each component (flag 0 wins) *)
@@ -257,8 +260,8 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
          addressed to their component *)
       Array.fill best_value 0 nslots (-1);
       Array.fill best_who 0 nslots (-1);
-      Net.iter_deliveries net (fun r _ _ m ->
-          let s = slot r m.(0) in
+      Multiflood.iter_deliveries net sl row (fun _ _ _ m ->
+          let s = row.(m.(0)) in
           let value = m.(2) and who = m.(3) in
           if s >= 0 && cid.(s) = m.(1) && not locked.(s) then begin
             let bv = best_value.(s) in

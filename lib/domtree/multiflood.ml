@@ -1,6 +1,6 @@
 module Net = Congest.Net
 
-type slots = { off : int array; cls : int array }
+type slots = { off : int array; cls : int array; universe : int }
 
 let layout ~n memberships =
   let lists = Array.init n memberships in
@@ -9,17 +9,25 @@ let layout ~n memberships =
     off.(r + 1) <- off.(r) + List.length lists.(r)
   done;
   let cls = Array.make off.(n) 0 in
+  let universe = ref 0 in
   Array.iteri
-    (fun r l -> List.iteri (fun j i -> cls.(off.(r) + j) <- i) l)
+    (fun r l ->
+      List.iteri
+        (fun j i ->
+          if i < 0 then invalid_arg "Multiflood.layout: negative class";
+          if i >= !universe then universe := i + 1;
+          cls.(off.(r) + j) <- i)
+        l)
     lists;
-  { off; cls }
+  { off; cls; universe = !universe }
 
 let find sl r i =
-  let hi = sl.off.(r + 1) in
-  let rec go s =
-    if s >= hi then -1 else if sl.cls.(s) = i then s else go (s + 1)
-  in
-  go sl.off.(r)
+  let cls = sl.cls and hi = sl.off.(r + 1) in
+  let s = ref sl.off.(r) in
+  while !s < hi && cls.(!s) <> i do
+    incr s
+  done;
+  if !s < hi then !s else -1
 
 let max_slots sl =
   let best = ref 0 in
@@ -28,27 +36,52 @@ let max_slots sl =
   done;
   !best
 
+let row ?(classes = 0) sl = Array.make (max classes sl.universe) (-1)
+
+(* descending, so that a repeated class ends at its first slot *)
+let fill_row sl row r =
+  let cls = sl.cls in
+  for s = sl.off.(r + 1) - 1 downto sl.off.(r) do
+    row.(cls.(s)) <- s
+  done
+
+let clear_row sl row r =
+  let cls = sl.cls in
+  for s = sl.off.(r) to sl.off.(r + 1) - 1 do
+    row.(cls.(s)) <- -1
+  done
+
+let iter_deliveries net sl row f =
+  for r = 0 to Net.n net - 1 do
+    fill_row sl row r;
+    Net.iter_inbox net r f;
+    clear_row sl row r
+  done
+
 let flood_min net sl ~init =
   let n = Net.n net in
   let off = sl.off and cls = sl.cls in
+  let row = row sl in
   (* [first.(s)]: the slot holding slot [s]'s state *)
   let first = Array.make (Array.length cls) 0 in
   let value = Array.make (Array.length cls) 0 in
   let tiebreak = Array.make (Array.length cls) 0 in
   for r = 0 to n - 1 do
     for s = off.(r) to off.(r + 1) - 1 do
-      let f = find sl r cls.(s) in
-      first.(s) <- f;
-      if f = s then begin
+      let i = cls.(s) in
+      if row.(i) < 0 then begin
+        row.(i) <- s;
         let v, t = init r s in
         value.(s) <- v;
         tiebreak.(s) <- t
-      end
-    done
+      end;
+      first.(s) <- row.(i)
+    done;
+    clear_row sl row r
   done;
   let changed = ref true in
-  let adopt r _ _ (m : Net.msg) =
-    let f = find sl r m.(0) in
+  let adopt _ _ _ (m : Net.msg) =
+    let f = row.(m.(0)) in
     if f >= 0 then begin
       let v = m.(1) and t = m.(2) in
       if v < value.(f) || (v = value.(f) && t < tiebreak.(f)) then begin
@@ -58,9 +91,10 @@ let flood_min net sl ~init =
       end
     end
   in
+  let max_slots = max_slots sl in
   while !changed do
     changed := false;
-    for k = 0 to max_slots sl - 1 do
+    for k = 0 to max_slots - 1 do
       Net.broadcast_round net (fun r ->
           let s = off.(r) + k in
           if s < off.(r + 1) then begin
@@ -68,7 +102,7 @@ let flood_min net sl ~init =
             Some [| cls.(s); value.(f); tiebreak.(f) |]
           end
           else None);
-      Net.iter_deliveries net adopt
+      iter_deliveries net sl row adopt
     done
   done;
   (* same-real virtual adjacency: the repeats of a class share its first
@@ -80,7 +114,7 @@ let flood_min net sl ~init =
     first;
   (value, tiebreak)
 
-let membership_sweep net sl ~payload ~recv =
+let membership_sweep ?row net sl ~payload ~recv =
   let off = sl.off and cls = sl.cls in
   let deliver r sender _ (m : Net.msg) = recv r sender m.(0) m in
   for k = 0 to max_slots sl - 1 do
@@ -98,5 +132,7 @@ let membership_sweep net sl ~payload ~recv =
           Some m
         end
         else None);
-    Net.iter_deliveries net deliver
+    match row with
+    | None -> Net.iter_deliveries net deliver
+    | Some row -> iter_deliveries net sl row deliver
   done

@@ -15,19 +15,60 @@
     slot per repeat, but the repeats share one state: the {e first} slot
     of that class in the node's slice ({!find}) holds it, and every
     repeat broadcasts it. Per-slot state of the callers lives in int
-    arrays indexed by slot. *)
+    arrays indexed by slot.
+
+    {b Class→slot row.} Resolving a delivery's class to the receiver's
+    slot is a {!row} read, not a {!find} scan: one int array over the
+    class universe, [-1] everywhere except while a receiver's inbox is
+    walked. {!iter_deliveries} fills it from receiver [r]'s own slice
+    (every class of the slice maps to its first slot) just before
+    [Net.iter_inbox net r] and resets it just after. A lookup is O(1)
+    per delivery; filling and resetting cost O(|slice|) per receiver
+    and round; the row holds O(classes) entries, not [n × classes].
+    Receivers are still walked in ascending order and each inbox in
+    ascending sender order, so every delivery is handled in the same
+    order as by [Net.iter_deliveries]. *)
 
 type slots = private {
   off : int array;  (** [n + 1] offsets into [cls] *)
   cls : int array;  (** class of every slot *)
+  universe : int;  (** 1 + the largest class of any slot, 0 if none *)
 }
 
-(** [layout ~n memberships] lays out [memberships r] for [r < n]. *)
+(** [layout ~n memberships] lays out [memberships r] for [r < n].
+    @raise Invalid_argument on a negative class. *)
 val layout : n:int -> (int -> int list) -> slots
 
 (** [find slots r i] is the first slot of class [i] in [r]'s slice, or
-    [-1] when [r] is not a member of [i]. *)
+    [-1] when [r] is not a member of [i]. A scan of the slice, for
+    per-node lookups; per-delivery lookups read a {!row}. *)
 val find : slots -> int -> int -> int
+
+(** [row ?classes slots] is a fresh class→slot row for [slots]: [max
+    classes slots.universe] entries ([classes] defaults to [0]), all
+    [-1]. Pass the protocol's class count when messages may name a
+    class that no slot holds. *)
+val row : ?classes:int -> slots -> int array
+
+(** [fill_row slots row r] maps every class of [r]'s slice to its first
+    slot in [row]; [clear_row slots row r] sets those entries back to
+    [-1]. Between the two, [row.(i)] is [find slots r i] for every [i]
+    below [Array.length row]. *)
+val fill_row : slots -> int array -> int -> unit
+
+val clear_row : slots -> int array -> int -> unit
+
+(** [iter_deliveries net slots row f] is [Net.iter_deliveries net f]
+    with [row] filled from each receiver's slice while that receiver's
+    inbox is walked, so [f] resolves a class [i] of the receiver as
+    [row.(i)]. [row] must be all [-1] on entry and is so again on
+    return. *)
+val iter_deliveries :
+  Congest.Net.t ->
+  slots ->
+  int array ->
+  (int -> int -> int -> Congest.Net.msg -> unit) ->
+  unit
 
 (** [flood_min net slots ~init] floods minimum (value, tiebreak) pairs
     within every class-component simultaneously and returns the fixed
@@ -35,7 +76,9 @@ val find : slots -> int -> int -> int
     starts from [init r s] of the first slot [s] of its class in [r]'s
     slice; repeats of a class end with the same pair as its first slot.
     Pairs compare lexicographically. Termination is detected by the
-    simulator (one quiescent sweep is charged).
+    simulator (one quiescent sweep is charged). Every delivery resolves
+    its class through a {!row} of [slots.universe] entries, allocated
+    once per call.
 
     Instantiations used in this repository:
     - component identification: [init r _ = (r, r)] gives every slot
@@ -56,8 +99,11 @@ val flood_min :
     whole message ([m.(0) = cls], the payload from index 1): meta-round
     by meta-round, receivers [r] ascending, and each receiver's
     deliveries of one slot round in increasing sender order. Nothing is
-    kept across rounds; [m] is valid only during the call. *)
+    kept across rounds; [m] is valid only during the call. With [~row],
+    deliveries are walked by {!iter_deliveries}, so [recv r] may read
+    [row] as [r]'s class→slot row. *)
 val membership_sweep :
+  ?row:int array ->
   Congest.Net.t ->
   slots ->
   payload:(int -> int -> int array) ->

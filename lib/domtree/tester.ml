@@ -104,13 +104,14 @@ let run_distributed ?(seed = 11) ?(live = fun _ -> true) net ~memberships
     let detect_at round = if !detection = None then detection := Some round in
     let sl3 = Multiflood.layout ~n memberships in
     let cls3 = sl3.Multiflood.cls in
+    let row = Multiflood.row ~classes sl3 in
     for r = 0 to n - 1 do
       for s = sl3.Multiflood.off.(r) to sl3.Multiflood.off.(r + 1) - 1 do
         note heard ~classes detect_at r 0 cls3.(s) (cid r cls3.(s))
       done
     done;
     let conflict = Array.make n false in
-    Multiflood.membership_sweep net sl3
+    Multiflood.membership_sweep ~row net sl3
       ~payload:(fun r s -> [| cid r cls3.(s) |])
       ~recv:(fun r _ i m ->
         if i >= 0 && i < classes then begin
@@ -119,16 +120,19 @@ let run_distributed ?(seed = 11) ?(live = fun _ -> true) net ~memberships
           if h < 0 then heard.(k) <- c
           else begin
             if h <> c then conflict.(r) <- true;
-            if Multiflood.find sl3 r i < 0 then heard.(k) <- c
+            if row.(i) < 0 then heard.(k) <- c
           end
         end);
     (* a node that did not survive the sweep observed nothing in it *)
     for r = 0 to n - 1 do
       if live r then (if conflict.(r) then detect_at 0)
-      else
+      else begin
+        Multiflood.fill_row sl3 row r;
         for i = 0 to classes - 1 do
-          if Multiflood.find sl3 r i < 0 then heard.((r * classes) + i) <- -1
-        done
+          if row.(i) < 0 then heard.((r * classes) + i) <- -1
+        done;
+        Multiflood.clear_row sl3 row r
+      end
     done;
     (* 4. random announcement rounds (Lemma E.1's detector-path process) *)
     for round = 1 to detection_rounds do

@@ -563,8 +563,7 @@ let run_dist_packing ~faulty =
 
 (* more classes than the jump-start can fill: its 3n = 18 draws leave
    at least two of the 20 classes unheld, so the new layers' type-1/3
-   draws and the B.2/B.3 messages name classes that no old membership
-   holds *)
+   draws name classes that no old membership holds *)
 let run_dist_packing_sparse () =
   let net = vnet (Gen.clique_path ~k:3 ~len:2) in
   let res =

@@ -685,6 +685,30 @@ let test_multiflood_repeated_class () =
   Alcotest.(check (array int)) "every slot at its component minimum"
     [| 8; 8; 9; 8; 8 |] value
 
+let test_multiflood_row () =
+  (* node 1 lists class 3 twice; no node holds class 1, 4 or 5 *)
+  let memberships v = if v = 1 then [ 3; 0; 3 ] else [ v ] in
+  let sl = Multiflood.layout ~n:3 memberships in
+  Alcotest.(check int) "universe" 4 sl.Multiflood.universe;
+  Alcotest.(check int) "sized by the universe" 4
+    (Array.length (Multiflood.row sl));
+  let row = Multiflood.row ~classes:6 sl in
+  Alcotest.(check int) "sized by the class count" 6 (Array.length row);
+  for r = 0 to 2 do
+    Multiflood.fill_row sl row r;
+    Array.iteri
+      (fun i s ->
+        Alcotest.(check int)
+          (Printf.sprintf "row %d class %d" r i)
+          (Multiflood.find sl r i) s)
+      row;
+    Multiflood.clear_row sl row r;
+    Alcotest.(check bool) "reset" true (Array.for_all (fun s -> s = -1) row)
+  done;
+  Alcotest.check_raises "negative class"
+    (Invalid_argument "Multiflood.layout: negative class") (fun () ->
+      ignore (Multiflood.layout ~n:2 (fun v -> [ v - 1 ])))
+
 let test_membership_sweep_payload () =
   let g = Gen.path 3 in
   let net = vnet g in
@@ -1605,6 +1629,7 @@ let () =
           Alcotest.test_case "repeated class" `Quick
             test_multiflood_repeated_class;
           Alcotest.test_case "sweep payload" `Quick test_membership_sweep_payload;
+          Alcotest.test_case "class-slot row" `Quick test_multiflood_row;
         ] );
       qsuite "multiflood.props" [ prop_flood_min_component_ids ];
       qsuite "tester.props" [ prop_testers_agree; prop_testers_pass_valid ];
