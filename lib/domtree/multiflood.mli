@@ -25,9 +25,8 @@
     [Net.iter_inbox net r] and resets it just after. A lookup is O(1)
     per delivery; filling and resetting cost O(|slice|) per receiver
     and round; the row holds O(classes) entries, not [n × classes].
-    Receivers are still walked in ascending order and each inbox in
-    ascending sender order, so every delivery is handled in the same
-    order as by [Net.iter_deliveries]. *)
+    The walk keeps the delivery order of [Net.iter_deliveries]:
+    receivers ascending, each inbox in ascending sender order. *)
 
 type slots = private {
   off : int array;  (** [n + 1] offsets into [cls] *)
