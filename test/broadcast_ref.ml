@@ -1,0 +1,618 @@
+(* Reference copy of the tree-broadcast schedulers before the
+   sender-major delivery walk: [run_rounds] hands every delivery to a
+   [receive] closure through [Net.iter_inbox], charges edge crossings
+   per incident edge per broadcast, and keeps its relay queues in
+   [Stdlib.Queue]s. Kept as the oracle of a differential property: each
+   entry point of [Routing.Broadcast] must return the same result and
+   leave the same [Net.telemetry] as its copy here. *)
+
+module Graph = Graphs.Graph
+module Net = Congest.Net
+module Faults = Congest.Faults
+
+type result = Routing.Broadcast.result = {
+  rounds : int;
+  messages : int;
+  throughput : float;
+  max_vertex_congestion : int;
+  max_edge_congestion : int;
+}
+
+(* (origin, count) list -> per-message origins, message ids 0.., and
+   their number. Rejects what the flat per-(node, message) state below
+   cannot index, naming the entry point [who]. *)
+let expand_sources ~who ~n sources =
+  let acc = ref [] in
+  let id = ref 0 in
+  List.iter
+    (fun (origin, count) ->
+      if count < 0 then
+        invalid_arg
+          (Printf.sprintf "%s: negative message count %d at origin %d" who
+             count origin);
+      if origin < 0 || origin >= n then
+        invalid_arg
+          (Printf.sprintf "%s: origin %d out of range [0, %d)" who origin n);
+      for _ = 1 to count do
+        acc := (!id, origin) :: !acc;
+        incr id
+      done)
+    sources;
+  (List.rev !acc, !id)
+
+(* Flat flag tables, one bit per entry: the per-(node, message),
+   per-(tree, edge) and per-(membership, message) state of the
+   schedulers below, indexed [row * width + col]. *)
+let flags size = Bytes.make ((size + 7) / 8) '\000'
+let flag t k = Char.code (Bytes.get t (k lsr 3)) land (1 lsl (k land 7)) <> 0
+
+let set_flag t k =
+  let b = k lsr 3 in
+  Bytes.set t b (Char.chr (Char.code (Bytes.get t b) lor (1 lsl (k land 7))))
+
+(* [tree_edges g trees edges_of] flags edge id [e] of tree [i] at
+   [i * m + e]; a pair that is not an edge of [g] is never crossed, so
+   it gets no flag. *)
+let tree_edges g trees edges_of =
+  let m = Graph.m g in
+  let t = flags (Array.length trees * m) in
+  Array.iteri
+    (fun i tr ->
+      List.iter
+        (fun (u, v) ->
+          match Graph.edge_index g u v with
+          | e -> set_flag t ((i * m) + e)
+          | exception Not_found -> ())
+        (edges_of tr))
+    trees;
+  t
+
+(* Edge-congestion accounting, shared by every scheme: [record_crossing]
+   charges one unit to edge [ei]; [record_broadcast_crossings] charges
+   every edge incident to [v] — a V-CONGEST local broadcast physically
+   crosses all of them — walking the CSR slot table so no per-edge
+   [edge_index] search is paid. *)
+let record_crossing edge_crossings ei =
+  edge_crossings.(ei) <- edge_crossings.(ei) + 1
+
+let record_broadcast_crossings g edge_crossings v =
+  Graph.iter_incident g v (fun _u ei -> record_crossing edge_crossings ei)
+
+let finish net start ~messages ~relays ~edge_crossings =
+  let rounds = max 1 (Net.rounds_since net start) in
+  {
+    rounds;
+    messages;
+    throughput = float_of_int messages /. float_of_int rounds;
+    max_vertex_congestion = Array.fold_left max 0 relays;
+    max_edge_congestion = Array.fold_left max 0 edge_crossings;
+  }
+
+(* Delivery bookkeeping, shared by every scheduler: who heard what, and
+   per message how many surviving nodes heard it. With no adversary no
+   node dies and every message is heard by its origin, so [all_done]
+   holds exactly when every node has heard every message. [heard] flags
+   (v, id) at [v * total + id]; [heard_count.(v)] counts v's flags. *)
+type delivery = {
+  total : int;
+  node_dead : bool array;
+  mutable alive : int;
+  heard : Bytes.t;
+  heard_count : int array;
+  heard_alive : int array;
+}
+
+let delivery n total =
+  {
+    total;
+    node_dead = Array.make n false;
+    alive = n;
+    heard = flags (n * total);
+    heard_count = Array.make n 0;
+    heard_alive = Array.make total 0;
+  }
+
+let has_heard d v id = flag d.heard ((v * d.total) + id)
+
+(* true iff [id] is news to [v], which is alive *)
+let hear d v id =
+  if d.node_dead.(v) || has_heard d v id then false
+  else begin
+    set_flag d.heard ((v * d.total) + id);
+    d.heard_count.(v) <- d.heard_count.(v) + 1;
+    d.heard_alive.(id) <- d.heard_alive.(id) + 1;
+    true
+  end
+
+(* the [k]-th message [v] heard, ids ascending *)
+let nth_heard d v k =
+  let rec from id k =
+    if has_heard d v id then if k = 0 then id else from (id + 1) (k - 1)
+    else from (id + 1) k
+  in
+  from 0 k
+
+let bury d v =
+  if not d.node_dead.(v) then begin
+    d.node_dead.(v) <- true;
+    d.alive <- d.alive - 1;
+    for id = 0 to d.total - 1 do
+      if has_heard d v id then d.heard_alive.(id) <- d.heard_alive.(id) - 1
+    done
+  end
+
+let all_done d =
+  let rec from id =
+    id = d.total
+    ||
+    let h = d.heard_alive.(id) in
+    (h = 0 || h = d.alive) && from (id + 1)
+  in
+  d.alive = 0 || from 0
+
+(* ------------------------------------------------------------------ *)
+(* E-CONGEST: spanning-tree packing *)
+
+let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
+    ~sources =
+  let who = "Broadcast.via_spanning_trees" in
+  let trees = Array.of_list packing.Spantree.Spacking.trees in
+  let tcount = Array.length trees in
+  if tcount = 0 then invalid_arg (who ^ ": empty packing");
+  let g = Net.graph net in
+  let n = Graph.n g and m = Graph.m g in
+  let rng = Random.State.make [| seed; n; tcount; 3 |] in
+  let msgs, total = expand_sources ~who ~n sources in
+  (* weighted random tree per message *)
+  let weights = Array.map (fun tr -> tr.Spantree.Spacking.weight) trees in
+  let wsum = Array.fold_left ( +. ) 0. weights in
+  let pick_tree () =
+    let x = Random.State.float rng wsum in
+    let acc = ref 0. in
+    let chosen = ref (tcount - 1) in
+    (try
+       Array.iteri
+         (fun i w ->
+           acc := !acc +. w;
+           if !acc >= x then begin
+             chosen := i;
+             raise Exit
+           end)
+         weights
+     with Exit -> ());
+    !chosen
+  in
+  let tree_of_msg = Array.init total (fun _ -> pick_tree ()) in
+  let on_tree = tree_edges g trees (fun tr -> tr.Spantree.Spacking.edges) in
+  let off = Graph.csr_offsets g
+  and nbr = Graph.csr_neighbors g
+  and slot_edge = Graph.csr_edge_ids g in
+  (* per CSR slot (v, u): fifo of message ids v forwards to u, each on
+     its own tree *)
+  let fifo = Array.init (2 * m) (fun _ -> Queue.create ()) in
+  let d = delivery n total in
+  let learn v id ~from =
+    if hear d v id then begin
+      (* schedule forwarding along the tree, away from the source *)
+      let row = tree_of_msg.(id) * m in
+      for s = off.(v) to off.(v + 1) - 1 do
+        if nbr.(s) <> from && flag on_tree (row + slot_edge.(s)) then
+          Queue.add id fifo.(s)
+      done
+    end
+  in
+  List.iter (fun (id, origin) -> learn origin id ~from:(-1)) msgs;
+  let relays = Array.make n 0 in
+  let edge_crossings = Array.make m 0 in
+  let start = Net.checkpoint net in
+  let receive v sender _ (msg : Net.msg) = learn v msg.(1) ~from:sender in
+  let guard = ref 0 in
+  while (not (all_done d)) && !guard < 100 * (total + n) do
+    incr guard;
+    (* one message per directed edge, neighbours ascending *)
+    let outgoing =
+      Array.init n (fun v ->
+          let out = ref [] in
+          for s = off.(v + 1) - 1 downto off.(v) do
+            match Queue.take_opt fifo.(s) with
+            | None -> ()
+            | Some id ->
+              relays.(v) <- relays.(v) + 1;
+              record_crossing edge_crossings slot_edge.(s);
+              out := (nbr.(s), [| tree_of_msg.(id); id |]) :: !out
+          done;
+          !out)
+    in
+    Net.edge_round net (fun v -> outgoing.(v));
+    for v = 0 to n - 1 do
+      Net.iter_inbox net v receive
+    done
+  done;
+  if not (all_done d) then
+    failwith (who ^ ": did not converge (bad packing?)");
+  finish net start ~messages:total ~relays ~edge_crossings
+
+(* ------------------------------------------------------------------ *)
+(* V-CONGEST: one store-and-forward scheduler per tree shape, run
+   against an optional Faults adversary. A fault-free entry point is the
+   same scheduler with no adversary and no repair tick. Recovery
+   semantics under an adversary:
+   - a tree with a crashed member or a killed tree edge is dead; its
+     pending relays are rerouted onto surviving trees;
+   - every [repair_every] rounds each node re-gossips one random heard
+     message (retransmission against Bernoulli drops);
+   - delivery is owed to surviving nodes only, and only for messages
+     some survivor has heard. *)
+
+type ft_result = Routing.Broadcast.ft_result = {
+  ft_rounds : int;
+  ft_messages : int;
+  ft_delivered : int;
+  ft_throughput : float;
+  ft_coverage : float;
+  ft_survivors : int;
+  ft_dead_trees : int;
+  ft_converged : bool;
+}
+
+let random_of rng = function
+  | [] -> None
+  | l -> Some (List.nth l (Random.State.int rng (List.length l)))
+
+(* [fault_sync d faults ~on_crash ~on_kill] polls the adversary: when
+   its crash count grows it buries the crashed nodes and hands them to
+   [on_crash]; when its kill count grows it hands the killed edges to
+   [on_kill]. With no adversary it does nothing. *)
+let fault_sync d faults ~on_crash ~on_kill =
+  match faults with
+  | None -> ignore
+  | Some f ->
+    let known_crashes = ref 0 and known_kills = ref 0 in
+    fun () ->
+      if Faults.crashes f <> !known_crashes then begin
+        known_crashes := Faults.crashes f;
+        let crashed = Faults.crashed_nodes f in
+        List.iter (bury d) crashed;
+        on_crash crashed
+      end;
+      if Faults.edges_killed f <> !known_kills then begin
+        known_kills := Faults.edges_killed f;
+        on_kill (Faults.killed_edges f)
+      end
+
+type run = {
+  d : delivery;
+  start : Net.checkpoint;
+  relays : int array;
+  edge_crossings : int array;
+}
+
+(* The round loop of both tree shapes. Every [repair_every] rounds each
+   survivor first [resend]s one random message it heard. Then each live
+   node broadcasts what [pick] chooses, the adversary is polled, and
+   each live node [receive]s each delivery of its inbox. Stops once
+   [all_done] or after [cap] rounds. *)
+let run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick ~encode
+    ~receive =
+  let g = Net.graph net in
+  let n = Graph.n g in
+  sync ();
+  let relays = Array.make n 0 in
+  let edge_crossings = Array.make (Graph.m g) 0 in
+  let start = Net.checkpoint net in
+  let round = ref 0 in
+  while (not (all_done d)) && !round < cap do
+    incr round;
+    (match repair_every with
+    | Some every when !round mod every = 0 ->
+      for v = 0 to n - 1 do
+        (* a uniform draw over v's heard ids, ascending *)
+        let c = d.heard_count.(v) in
+        if (not d.node_dead.(v)) && c > 0 then
+          resend v (nth_heard d v (Random.State.int rng c))
+      done
+    | _ -> ());
+    let choice =
+      Array.init n (fun v -> if d.node_dead.(v) then None else pick v)
+    in
+    Net.broadcast_round net (fun v -> Option.map encode choice.(v));
+    sync ();
+    for v = 0 to n - 1 do
+      if Option.is_some choice.(v) then begin
+        relays.(v) <- relays.(v) + 1;
+        record_broadcast_crossings g edge_crossings v
+      end;
+      if not d.node_dead.(v) then Net.iter_inbox net v receive
+    done
+  done;
+  { d; start; relays; edge_crossings }
+
+let fault_free net run ~failure =
+  if not (all_done run.d) then failwith failure;
+  finish net run.start ~messages:run.d.total ~relays:run.relays
+    ~edge_crossings:run.edge_crossings
+
+let with_faults net run ~dead_trees =
+  let d = run.d in
+  let rounds = max 1 (Net.rounds_since net run.start) in
+  let delivered = ref 0 and pairs = ref 0 in
+  for id = 0 to d.total - 1 do
+    pairs := !pairs + d.heard_alive.(id);
+    if d.alive > 0 && d.heard_alive.(id) = d.alive then incr delivered
+  done;
+  {
+    ft_rounds = rounds;
+    ft_messages = d.total;
+    ft_delivered = !delivered;
+    ft_throughput = float_of_int !delivered /. float_of_int rounds;
+    ft_coverage =
+      (if d.total = 0 || d.alive = 0 then 1.
+       else float_of_int !pairs /. float_of_int (d.total * d.alive));
+    ft_survivors = d.alive;
+    ft_dead_trees = dead_trees;
+    ft_converged = all_done d;
+  }
+
+let default_cap ~total ~n = (20 * (total + n)) + 200
+
+(* ------------------------------------------------------------------ *)
+(* Dominating-tree packing *)
+
+let packing_trees ~who (packing : Domtree.Packing.t) =
+  let trees = Array.of_list packing.Domtree.Packing.trees in
+  if Array.length trees = 0 then invalid_arg (who ^ ": empty packing");
+  trees
+
+(* Each message rides a uniformly random tree. Members relay it along
+   tree edges and time-share across their trees round-robin. Returns the
+   run and the number of trees the adversary killed. *)
+let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
+  let tcount = Array.length trees in
+  let g = Net.graph net in
+  let n = Graph.n g and m = Graph.m g in
+  (* membership slots: [slot.(i * n + v)] numbers the pair (tree i,
+     member v), or is -1 when v is not in tree i *)
+  let slot = Array.make (tcount * n) (-1) in
+  let slots = ref 0 in
+  Array.iteri
+    (fun i tr ->
+      Array.iter
+        (fun v ->
+          if slot.((i * n) + v) < 0 then begin
+            slot.((i * n) + v) <- !slots;
+            incr slots
+          end)
+        tr.Domtree.Packing.vertices)
+    trees;
+  let member i v = slot.((i * n) + v) >= 0 in
+  let tree_edge = tree_edges g trees (fun tr -> tr.Domtree.Packing.edges) in
+  let is_tree_edge i e = flag tree_edge ((i * m) + e) in
+  let tree_dead = Array.make tcount false in
+  let tree_of_msg = Array.init total (fun _ -> Random.State.int rng tcount) in
+  let d = delivery n total in
+  (* relay queues: per node, per tree, fifo of message ids to rebroadcast *)
+  let queues =
+    Array.init n (fun _ -> Array.init tcount (fun _ -> Queue.create ()))
+  in
+  (* (membership slot, message) -> already adopted *)
+  let relayed = flags (!slots * total) in
+  let adopt v i id =
+    (* member v relays message id of live tree i exactly once *)
+    let s = slot.((i * n) + v) in
+    if s >= 0 && (not tree_dead.(i)) && not (flag relayed ((s * total) + id))
+    then begin
+      set_flag relayed ((s * total) + id);
+      Queue.add id queues.(v).(i)
+    end
+  in
+  (* injection queues at origins *)
+  let inject = Array.init n (fun _ -> Queue.create ()) in
+  List.iter
+    (fun (id, origin) ->
+      ignore (hear d origin id);
+      let i = tree_of_msg.(id) in
+      if member i origin then adopt origin i id
+      else Queue.add id inject.(origin))
+    msgs;
+  let surviving_trees () =
+    let acc = ref [] in
+    for i = tcount - 1 downto 0 do
+      if not tree_dead.(i) then acc := i :: !acc
+    done;
+    !acc
+  in
+  (* a surviving tree v belongs to, else any surviving tree (tagged so
+     the caller knows whether v can relay it itself) *)
+  let pick_surviving v =
+    match
+      random_of rng (List.filter (fun i -> member i v) (surviving_trees ()))
+    with
+    | Some i -> Some (true, i)
+    | None -> (
+      match random_of rng (surviving_trees ()) with
+      | Some i -> Some (false, i)
+      | None -> None)
+  in
+  let dead_trees = ref 0 in
+  let kill_tree i =
+    if not tree_dead.(i) then begin
+      tree_dead.(i) <- true;
+      incr dead_trees;
+      (* reroute its pending relays *)
+      for v = 0 to n - 1 do
+        if not d.node_dead.(v) then begin
+          let q = queues.(v).(i) in
+          while not (Queue.is_empty q) do
+            let id = Queue.pop q in
+            match pick_surviving v with
+            | Some (true, j) -> Queue.add id queues.(v).(j)
+            | Some (false, _) | None -> Queue.add id inject.(v)
+          done
+        end
+      done
+    end
+  in
+  let sync =
+    fault_sync d faults
+      ~on_crash:(fun _ ->
+        for i = 0 to tcount - 1 do
+          if
+            (not tree_dead.(i))
+            && Array.exists
+                 (fun v -> d.node_dead.(v))
+                 trees.(i).Domtree.Packing.vertices
+          then kill_tree i
+        done)
+      ~on_kill:
+        (List.iter (fun (u, v) ->
+             (* a killed pair that is no edge is on no tree *)
+             match Graph.edge_index g u v with
+             | exception Not_found -> ()
+             | e ->
+               for i = 0 to tcount - 1 do
+                 if (not tree_dead.(i)) && is_tree_edge i e then kill_tree i
+               done))
+  in
+  let resend v id =
+    match pick_surviving v with
+    | Some (true, j) -> Queue.add id queues.(v).(j)
+    | Some (false, _) -> Queue.add id inject.(v)
+    | None -> ()
+  in
+  let rr = Array.make n 0 in
+  let rec next_pending v tried =
+    if tried = tcount then None
+    else
+      let i = (rr.(v) + tried) mod tcount in
+      if Queue.is_empty queues.(v).(i) then next_pending v (tried + 1)
+      else begin
+        rr.(v) <- (i + 1) mod tcount;
+        Some (i, Queue.pop queues.(v).(i))
+      end
+  in
+  let pick v =
+    match Queue.take_opt inject.(v) with
+    | Some id ->
+      let i0 = tree_of_msg.(id) in
+      let i =
+        if not tree_dead.(i0) then i0
+        else
+          match random_of rng (surviving_trees ()) with
+          | Some j ->
+            tree_of_msg.(id) <- j;
+            j
+          | None -> i0
+      in
+      Some (i, id)
+    | None -> next_pending v 0
+  in
+  let receive v sender e (msg : Net.msg) =
+    let i = msg.(0) and id = msg.(1) in
+    ignore (hear d v id);
+    (* adopt for relaying if the tree edge (sender, v) exists, or if v is
+       a member hearing it from a non-member injector *)
+    if member i v && (is_tree_edge i e || not (member i sender)) then
+      adopt v i id
+  in
+  let run =
+    run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick
+      ~encode:(fun (i, id) -> [| i; id |])
+      ~receive
+  in
+  (run, !dead_trees)
+
+let via_dominating_trees ?(seed = 42) net packing ~sources =
+  let who = "Broadcast.via_dominating_trees" in
+  let trees = packing_trees ~who packing in
+  let n = Net.n net in
+  let rng = Random.State.make [| seed; n; Array.length trees |] in
+  let msgs, total = expand_sources ~who ~n sources in
+  let run, _ =
+    packing_rounds ~rng ~cap:(100 * (total + n)) net trees ~msgs ~total
+  in
+  fault_free net run ~failure:(who ^ ": did not converge (bad packing?)")
+
+let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) ?round_cap net
+    faults packing ~sources =
+  let who = "Broadcast.via_dominating_trees_ft" in
+  let trees = packing_trees ~who packing in
+  let n = Net.n net in
+  let rng = Random.State.make [| seed; n; Array.length trees; 17 |] in
+  let msgs, total = expand_sources ~who ~n sources in
+  let cap = Option.value round_cap ~default:(default_cap ~total ~n) in
+  let run, dead_trees =
+    packing_rounds ~faults ~repair_every ~rng ~cap net trees ~msgs ~total
+  in
+  with_faults net run ~dead_trees
+
+(* ------------------------------------------------------------------ *)
+(* Baseline: single BFS tree *)
+
+(* Pipeline every message over the tree given by [parent]. Under an
+   adversary the tree itself is never routed around: returns the run
+   and 1 if a crash or an edge kill hit it, else 0. *)
+let single_tree_rounds ?faults ?repair_every ~cap net ~parent ~msgs ~total =
+  let n = Net.n net in
+  (* u-v is a tree edge iff one is the other's parent; a root is its
+     own parent or has none *)
+  let tree_edge u v = u <> v && (parent.(u) = v || parent.(v) = u) in
+  let in_tree = Array.make n false in
+  Array.iteri
+    (fun v p ->
+      if p >= 0 && p <> v then begin
+        in_tree.(v) <- true;
+        in_tree.(p) <- true
+      end)
+    parent;
+  let d = delivery n total in
+  let queues = Array.init n (fun _ -> Queue.create ()) in
+  let learn v id = if hear d v id then Queue.add id queues.(v) in
+  List.iter (fun (id, origin) -> learn origin id) msgs;
+  let tree_hit = ref false in
+  let sync =
+    fault_sync d faults
+      ~on_crash:(fun crashed ->
+        if List.exists (fun v -> in_tree.(v)) crashed then tree_hit := true)
+      ~on_kill:(fun killed ->
+        if List.exists (fun (u, v) -> tree_edge u v) killed then
+          tree_hit := true)
+  in
+  let run =
+    run_rounds ?repair_every net d ~sync
+      ~rng:(Random.State.make [| 42; n; total; 19 |])
+      ~cap
+      ~resend:(fun v id -> Queue.add id queues.(v))
+      ~pick:(fun v -> Queue.take_opt queues.(v))
+      ~encode:(fun id -> [| id |])
+      ~receive:(fun v sender _ m -> if tree_edge v sender then learn v m.(0))
+  in
+  (run, if !tree_hit then 1 else 0)
+
+let naive_single_tree net ~sources =
+  let who = "Broadcast.naive_single_tree" in
+  let msgs, total = expand_sources ~who ~n:(Net.n net) sources in
+  let tree = Congest.Primitives.bfs_tree net ~root:0 in
+  let run, _ =
+    single_tree_rounds
+      ~cap:(100 * (total + Net.n net))
+      net ~parent:tree.Congest.Primitives.parent ~msgs ~total
+  in
+  fault_free net run ~failure:(who ^ ": did not converge")
+
+let naive_single_tree_ft ?(repair_every = 8) ?round_cap net faults ~sources =
+  let msgs, total =
+    expand_sources ~who:"Broadcast.naive_single_tree_ft" ~n:(Net.n net) sources
+  in
+  let cap =
+    Option.value round_cap ~default:(default_cap ~total ~n:(Net.n net))
+  in
+  (* the tree predates the faults: build it on a fault-free scratch net
+     over the same graph and charge those rounds to the real clock *)
+  let scratch = Net.create (Net.model net) (Net.graph net) in
+  let tree = Congest.Primitives.bfs_tree scratch ~root:0 in
+  Net.silent_rounds net (Net.rounds scratch);
+  let run, dead_trees =
+    single_tree_rounds ~faults ~repair_every ~cap net
+      ~parent:tree.Congest.Primitives.parent ~msgs ~total
+  in
+  with_faults net run ~dead_trees

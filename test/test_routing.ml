@@ -326,6 +326,142 @@ let prop_broadcast_always_delivers =
       in
       r.Routing.Broadcast.messages = 2 * msgs)
 
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: every broadcast entry point against its
+   reference copy in [Broadcast_ref], on one graph, packing and source
+   list per case. Both must return the same result (or raise the same
+   exception) and leave the same telemetry, digests included. Totals are
+   positive here; the zero-message case has its own tests. *)
+
+module B = Routing.Broadcast
+
+(* a random k-connected graph, or an ER graph made connected by a path
+   through every vertex *)
+let oracle_graph rng =
+  let n = 4 + Random.State.int rng 33 in
+  if Random.State.bool rng then begin
+    let k = 2 + Random.State.int rng (min 5 (n - 3)) in
+    (Gen.random_k_connected rng ~n ~k ~extra:(Random.State.int rng n), k)
+  end
+  else begin
+    let g = Gen.erdos_renyi rng ~n ~p:(0.1 +. Random.State.float rng 0.4) in
+    let g =
+      if Traversal.is_connected g then g
+      else Graph.union_edges g (List.init (n - 1) (fun v -> (v, v + 1)))
+    in
+    (g, max 1 (Graph.min_degree g))
+  end
+
+(* the whole packing or a random non-empty sub-packing *)
+let oracle_subpacking rng (p : Domtree.Packing.t) =
+  let pairs = List.combine p.Domtree.Packing.trees p.Domtree.Packing.weights in
+  match List.filter (fun _ -> Random.State.int rng 3 > 0) pairs with
+  | [] -> p
+  | _ when Random.State.bool rng -> p
+  | kept ->
+    let trees, weights = List.split kept in
+    { p with Domtree.Packing.trees; weights }
+
+(* several messages at some origins, a zero count now and then, at
+   least one message in all *)
+let oracle_sources rng n =
+  let entries =
+    List.init
+      (1 + Random.State.int rng 8)
+      (fun _ -> (Random.State.int rng n, Random.State.int rng 4))
+  in
+  (Random.State.int rng n, 1 + Random.State.int rng 3) :: entries
+
+let oracle_faults rng ~n = function
+  | 0 -> []
+  | 1 ->
+    [
+      F.Drop_bernoulli (Random.State.float rng 0.2);
+      F.Crash_at
+        (List.init
+           (1 + Random.State.int rng 2)
+           (fun _ -> (Random.State.int rng 30, Random.State.int rng n)));
+    ]
+  | _ ->
+    [
+      F.Greedy_edge_kill
+        {
+          budget = 1 + Random.State.int rng 4;
+          period = 1 + Random.State.int rng 6;
+          from_round = Random.State.int rng 5;
+        };
+    ]
+
+let outcome f = match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+
+(* [run model install f] runs [f] on a fresh net over [g], after
+   [install net] *)
+let oracle_run g model install f =
+  let net = Congest.Net.create model g in
+  install net;
+  let r = outcome (fun () -> f net) in
+  (r, Congest.Net.telemetry net)
+
+let same (r, t) (r', t') = r = r' && Congest.Net.diff_telemetry t t' = []
+
+let prop_broadcast_matches_reference =
+  QCheck.Test.make ~name:"Broadcast equals the reference" ~count:100
+    QCheck.(pair small_int (int_range 0 2))
+    (fun (seed, mode) ->
+      let rng = Random.State.make [| seed; mode; 0x24 |] in
+      let g, k = oracle_graph rng in
+      let n = Graph.n g in
+      let dp =
+        oracle_subpacking rng
+          (Domtree.Tree_extract.of_cds_packing
+             (Domtree.Cds_packing.pack ~seed g ~k))
+      in
+      let sp = span_packing ~seed g ~lambda:k in
+      let sources = oracle_sources rng n in
+      let specs = oracle_faults rng ~n mode in
+      let repair_every = 1 + Random.State.int rng 8 in
+      let v = Congest.Model.V_congest and e = Congest.Model.E_congest in
+      let clean _ = () in
+      (* each run gets its own adversary, so both replay the same one *)
+      let adversary () =
+        let faults = F.create ~seed specs in
+        (faults, fun net -> F.install net faults)
+      in
+      let ft run run_ref =
+        let faults, install = adversary () in
+        let faults', install' = adversary () in
+        same
+          (oracle_run g v install (fun net -> run net faults))
+          (oracle_run g v install' (fun net -> run_ref net faults'))
+      in
+      same
+        (oracle_run g v clean (fun net ->
+             B.via_dominating_trees ~seed net dp ~sources))
+        (oracle_run g v clean (fun net ->
+             Broadcast_ref.via_dominating_trees ~seed net dp ~sources))
+      && same
+           (oracle_run g v clean (fun net -> B.naive_single_tree net ~sources))
+           (oracle_run g v clean (fun net ->
+                Broadcast_ref.naive_single_tree net ~sources))
+      && same
+           (oracle_run g e clean (fun net ->
+                B.via_spanning_trees ~seed net sp ~sources))
+           (oracle_run g e clean (fun net ->
+                Broadcast_ref.via_spanning_trees ~seed net sp ~sources))
+      && ft
+           (fun net faults ->
+             B.via_dominating_trees_ft ~seed ~repair_every net faults dp
+               ~sources)
+           (fun net faults ->
+             Broadcast_ref.via_dominating_trees_ft ~seed ~repair_every net
+               faults dp ~sources)
+      && ft
+           (fun net faults ->
+             B.naive_single_tree_ft ~repair_every net faults ~sources)
+           (fun net faults ->
+             Broadcast_ref.naive_single_tree_ft ~repair_every net faults
+               ~sources))
+
 let () =
   Alcotest.run "routing"
     [
@@ -342,6 +478,9 @@ let () =
         ] );
       ( "broadcast.props",
         List.map QCheck_alcotest.to_alcotest [ prop_broadcast_always_delivers ]
+      );
+      ( "routing.oracle",
+        List.map QCheck_alcotest.to_alcotest [ prop_broadcast_matches_reference ]
       );
       ( "gossip",
         [
