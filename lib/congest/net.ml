@@ -666,6 +666,14 @@ let iter_inbox net v f =
       if fate.(s_out) = tag then f v adj.(s) ids.(s) out_msg.(s_out)
     done
 
+(* The sender-side reading of the same buffers: whether the copy [u]
+   put on its own slot [s] in the last round reached [adj.(s)]. *)
+let delivered net u s =
+  match net.last with
+  | No_round -> false
+  | Broadcast -> net.sent_len.(u) >= 0
+  | Faulty_broadcast { fate; _ } | Edge { fate; _ } -> fate.(s) = net.tag
+
 let iter_deliveries net f =
   for v = 0 to n net - 1 do
     iter_inbox net v f

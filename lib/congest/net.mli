@@ -177,6 +177,23 @@ val iter_inbox : t -> int -> (int -> int -> int -> msg -> unit) -> unit
     [v], ascending. *)
 val iter_deliveries : t -> (int -> int -> int -> msg -> unit) -> unit
 
+(** [delivered net u s] is [true] iff the copy sender [u] put on its
+    own CSR slot [s] in the last round (an index of [u]'s slice of
+    {!Graphs.Graph.csr_neighbors}, unchecked) reached the neighbour
+    [adj.(s)]. After a fault-free [broadcast_round] that is "[u] sent";
+    after a [broadcast_round] under a fault hook or after an
+    [edge_round], it is "[u] sent on [s] and the hook let it through".
+    It is [false] before the first round and after a round that raised.
+
+    Its validity window is the inbox view's: it describes the last round
+    and ends when the next one begins. A sender-major walk — each [u]
+    ascending, each slot [s] of [u] ascending, keeping the slots where
+    [delivered net u s] holds — lists exactly the deliveries of
+    {!iter_deliveries}, as [(u, adj.(s), csr_edge_ids.(s))] with the
+    message [u] sent (on [s], in an edge round); per receiver, in the
+    same ascending-sender order. *)
+val delivered : t -> int -> int -> bool
+
 (** [silent_rounds net k] advances the clock by [k] message-free rounds
     (used when a protocol idles, e.g. waiting for a known bound, or for
     the round-charged backoff of a retry policy). *)

@@ -59,23 +59,75 @@ let tree_edges g trees edges_of =
     trees;
   t
 
-(* Edge-congestion accounting, shared by every scheme: [record_crossing]
-   charges one unit to edge [ei]; [record_broadcast_crossings] charges
-   every edge incident to [v] — a V-CONGEST local broadcast physically
-   crosses all of them — walking the CSR slot table so no per-edge
-   [edge_index] search is paid. *)
-let record_crossing edge_crossings ei =
-  edge_crossings.(ei) <- edge_crossings.(ei) + 1
+(* One FIFO of ids per queue index, all in one flat store: queue [q]'s
+   cells are linked from [head.(q)] to [tail.(q)] through [next], and a
+   popped cell heads the [free] list for the next push. Once the cell
+   arrays have grown to the most ids ever queued at once, pushes and
+   pops allocate nothing. *)
+module Fifo = struct
+  type t = {
+    head : int array;  (* queue -> first cell, -1 when empty *)
+    tail : int array;  (* queue -> last cell, when not empty *)
+    mutable value : int array;  (* cell -> queued id *)
+    mutable next : int array;  (* cell -> next cell of its list, or -1 *)
+    mutable free : int;  (* first recycled cell, -1 when none *)
+    mutable used : int;  (* cells handed out so far *)
+  }
 
-let record_broadcast_crossings g edge_crossings v =
-  Graph.iter_incident g v (fun _u ei -> record_crossing edge_crossings ei)
+  let create queues =
+    {
+      head = Array.make queues (-1);
+      tail = Array.make queues (-1);
+      value = Array.make 64 0;
+      next = Array.make 64 (-1);
+      free = -1;
+      used = 0;
+    }
 
+  let is_empty f q = f.head.(q) < 0
+
+  let cell f =
+    if f.free >= 0 then begin
+      let c = f.free in
+      f.free <- f.next.(c);
+      c
+    end
+    else begin
+      let c = f.used in
+      if c = Array.length f.value then begin
+        let grow a = Array.append a (Array.make (Array.length a) (-1)) in
+        f.value <- grow f.value;
+        f.next <- grow f.next
+      end;
+      f.used <- c + 1;
+      c
+    end
+
+  let push f q id =
+    let c = cell f in
+    f.value.(c) <- id;
+    f.next.(c) <- -1;
+    if f.head.(q) < 0 then f.head.(q) <- c else f.next.(f.tail.(q)) <- c;
+    f.tail.(q) <- c
+
+  (* the oldest id of queue [q], which must not be empty, removed *)
+  let pop f q =
+    let c = f.head.(q) in
+    f.head.(q) <- f.next.(c);
+    f.next.(c) <- f.free;
+    f.free <- c;
+    f.value.(c)
+end
+
+(* A run's result. [rounds] is the real count: a run with nothing to
+   send takes none, and its throughput is 0. *)
 let finish net start ~messages ~relays ~edge_crossings =
-  let rounds = max 1 (Net.rounds_since net start) in
+  let rounds = Net.rounds_since net start in
   {
     rounds;
     messages;
-    throughput = float_of_int messages /. float_of_int rounds;
+    throughput =
+      (if rounds = 0 then 0. else float_of_int messages /. float_of_int rounds);
     max_vertex_congestion = Array.fold_left max 0 relays;
     max_edge_congestion = Array.fold_left max 0 edge_crossings;
   }
@@ -107,7 +159,7 @@ let delivery n total =
 let has_heard d v id = flag d.heard ((v * d.total) + id)
 
 (* true iff [id] is news to [v], which is alive *)
-let hear d v id =
+let[@inline] hear d v id =
   if d.node_dead.(v) || has_heard d v id then false
   else begin
     set_flag d.heard ((v * d.total) + id);
@@ -134,13 +186,18 @@ let bury d v =
   end
 
 let all_done d =
-  let rec from id =
-    id = d.total
-    ||
-    let h = d.heard_alive.(id) in
-    (h = 0 || h = d.alive) && from (id + 1)
-  in
-  d.alive = 0 || from 0
+  d.alive = 0
+  ||
+  let id = ref 0 in
+  while
+    !id < d.total
+    &&
+    let h = d.heard_alive.(!id) in
+    h = 0 || h = d.alive
+  do
+    incr id
+  done;
+  !id = d.total
 
 (* ------------------------------------------------------------------ *)
 (* E-CONGEST: spanning-tree packing *)
@@ -181,7 +238,7 @@ let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
   and slot_edge = Graph.csr_edge_ids g in
   (* per CSR slot (v, u): fifo of message ids v forwards to u, each on
      its own tree *)
-  let fifo = Array.init (2 * m) (fun _ -> Queue.create ()) in
+  let fifo = Fifo.create (2 * m) in
   let d = delivery n total in
   let learn v id ~from =
     if hear d v id then begin
@@ -189,7 +246,7 @@ let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
       let row = tree_of_msg.(id) * m in
       for s = off.(v) to off.(v + 1) - 1 do
         if nbr.(s) <> from && flag on_tree (row + slot_edge.(s)) then
-          Queue.add id fifo.(s)
+          Fifo.push fifo s id
       done
     end
   in
@@ -206,12 +263,12 @@ let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
       Array.init n (fun v ->
           let out = ref [] in
           for s = off.(v + 1) - 1 downto off.(v) do
-            match Queue.take_opt fifo.(s) with
-            | None -> ()
-            | Some id ->
+            if not (Fifo.is_empty fifo s) then begin
+              let id = Fifo.pop fifo s and e = slot_edge.(s) in
               relays.(v) <- relays.(v) + 1;
-              record_crossing edge_crossings slot_edge.(s);
+              edge_crossings.(e) <- edge_crossings.(e) + 1;
               out := (nbr.(s), [| tree_of_msg.(id); id |]) :: !out
+            end
           done;
           !out)
     in
@@ -247,10 +304,6 @@ type ft_result = {
   ft_converged : bool;
 }
 
-let random_of rng = function
-  | [] -> None
-  | l -> Some (List.nth l (Random.State.int rng (List.length l)))
-
 (* [fault_sync d faults ~on_crash ~on_kill] polls the adversary: when
    its crash count grows it buries the crashed nodes and hands them to
    [on_crash]; when its kill count grows it hands the killed edges to
@@ -281,16 +334,39 @@ type run = {
 
 (* The round loop of both tree shapes. Every [repair_every] rounds each
    survivor first [resend]s one random message it heard. Then each live
-   node broadcasts what [pick] chooses, the adversary is polled, and
-   each live node [receive]s each delivery of its inbox. Stops once
-   [all_done] or after [cap] rounds. *)
-let run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick ~encode
-    ~receive =
+   node [v] for which [pick v buf.(v)] holds broadcasts [buf.(v)], which
+   [pick] has just written, the adversary is polled, and each node [u]
+   that picked hands its message to [fan_out u buf.(u)], which walks
+   [u]'s own CSR slots for the deliveries ([Net.delivered]) to live
+   receivers. Stops once [all_done] or after [cap] rounds.
+
+   The walk is sender-major but every result equals the receiver-major
+   [Net.iter_inbox] walk's: each piece of receiver state a delivery
+   touches (heard bit, adopted bit, relay queue) is written only by
+   deliveries to that receiver, and senders ascending hand each receiver
+   its deliveries in the same ascending-sender order as its inbox; the
+   per-message heard counts are sums. No RNG draw moves.
+
+   Nothing is allocated per round: each node owns one [width]-word
+   message buffer and its [Some] wrapper, and the net's inbox view reads
+   the buffers in place. That is safe because a buffer is rewritten only
+   by its node's next [pick], after this round's walk has ended, and the
+   [Faults] adversaries read nothing of a message but its length.
+
+   A local broadcast crosses every edge at its sender, and [relays.(v)]
+   counts the rounds [v] picked a message (whether or not the adversary
+   silenced it), so an edge's crossings are the sum of its endpoints'
+   relays, derived once at the end. *)
+let run_rounds ?repair_every net d ~sync ~rng ~cap ~width ~resend ~pick
+    ~fan_out =
   let g = Net.graph net in
   let n = Graph.n g in
   sync ();
   let relays = Array.make n 0 in
-  let edge_crossings = Array.make (Graph.m g) 0 in
+  let buf = Array.init n (fun _ -> Array.make width 0) in
+  let out = Array.map Option.some buf in
+  let sends = Array.make n false in
+  let send v = if sends.(v) then out.(v) else None in
   let start = Net.checkpoint net in
   let round = ref 0 in
   while (not (all_done d)) && !round < cap do
@@ -304,19 +380,22 @@ let run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick ~encode
           resend v (nth_heard d v (Random.State.int rng c))
       done
     | _ -> ());
-    let choice =
-      Array.init n (fun v -> if d.node_dead.(v) then None else pick v)
-    in
-    Net.broadcast_round net (fun v -> Option.map encode choice.(v));
-    sync ();
     for v = 0 to n - 1 do
-      if Option.is_some choice.(v) then begin
-        relays.(v) <- relays.(v) + 1;
-        record_broadcast_crossings g edge_crossings v
-      end;
-      if not d.node_dead.(v) then Net.iter_inbox net v receive
+      sends.(v) <- (not d.node_dead.(v)) && pick v buf.(v)
+    done;
+    Net.broadcast_round net send;
+    sync ();
+    for u = 0 to n - 1 do
+      if sends.(u) then begin
+        relays.(u) <- relays.(u) + 1;
+        fan_out u buf.(u)
+      end
     done
   done;
+  let us, vs = Graph.csr_endpoints g in
+  let edge_crossings =
+    Array.init (Graph.m g) (fun e -> relays.(us.(e)) + relays.(vs.(e)))
+  in
   { d; start; relays; edge_crossings }
 
 let fault_free net run ~failure =
@@ -326,7 +405,7 @@ let fault_free net run ~failure =
 
 let with_faults net run ~dead_trees =
   let d = run.d in
-  let rounds = max 1 (Net.rounds_since net run.start) in
+  let rounds = Net.rounds_since net run.start in
   let delivered = ref 0 and pairs = ref 0 in
   for id = 0 to d.total - 1 do
     pairs := !pairs + d.heard_alive.(id);
@@ -336,7 +415,9 @@ let with_faults net run ~dead_trees =
     ft_rounds = rounds;
     ft_messages = d.total;
     ft_delivered = !delivered;
-    ft_throughput = float_of_int !delivered /. float_of_int rounds;
+    ft_throughput =
+      (if rounds = 0 then 0.
+       else float_of_int !delivered /. float_of_int rounds);
     ft_coverage =
       (if d.total = 0 || d.alive = 0 then 1.
        else float_of_int !pairs /. float_of_int (d.total * d.alive));
@@ -362,6 +443,9 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
   let tcount = Array.length trees in
   let g = Net.graph net in
   let n = Graph.n g and m = Graph.m g in
+  let off = Graph.csr_offsets g
+  and adj = Graph.csr_neighbors g
+  and ids = Graph.csr_edge_ids g in
   (* membership slots: [slot.(i * n + v)] numbers the pair (tree i,
      member v), or is -1 when v is not in tree i *)
   let slot = Array.make (tcount * n) (-1) in
@@ -382,48 +466,60 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
   let tree_dead = Array.make tcount false in
   let tree_of_msg = Array.init total (fun _ -> Random.State.int rng tcount) in
   let d = delivery n total in
-  (* relay queues: per node, per tree, fifo of message ids to rebroadcast *)
-  let queues =
-    Array.init n (fun _ -> Array.init tcount (fun _ -> Queue.create ()))
-  in
+  (* relay queues: queue [v * tcount + i] holds the ids node v is to
+     rebroadcast on tree i; queue [n * tcount + v] the ids v injects
+     into a tree it is not a member of *)
+  let fifo = Fifo.create ((n * tcount) + n) in
+  let inject v = (n * tcount) + v in
   (* (membership slot, message) -> already adopted *)
   let relayed = flags (!slots * total) in
-  let adopt v i id =
-    (* member v relays message id of live tree i exactly once *)
-    let s = slot.((i * n) + v) in
-    if s >= 0 && (not tree_dead.(i)) && not (flag relayed ((s * total) + id))
-    then begin
-      set_flag relayed ((s * total) + id);
-      Queue.add id queues.(v).(i)
+  (* member v, at membership slot s of live tree i, relays message id
+     exactly once *)
+  let adopt_at v i s id =
+    let k = (s * total) + id in
+    if not (flag relayed k) then begin
+      set_flag relayed k;
+      Fifo.push fifo ((v * tcount) + i) id
     end
   in
-  (* injection queues at origins *)
-  let inject = Array.init n (fun _ -> Queue.create ()) in
+  let adopt v i id =
+    let s = slot.((i * n) + v) in
+    if s >= 0 && not tree_dead.(i) then adopt_at v i s id
+  in
   List.iter
     (fun (id, origin) ->
       ignore (hear d origin id);
       let i = tree_of_msg.(id) in
       if member i origin then adopt origin i id
-      else Queue.add id inject.(origin))
+      else Fifo.push fifo (inject origin) id)
     msgs;
-  let surviving_trees () =
-    let acc = ref [] in
-    for i = tcount - 1 downto 0 do
-      if not tree_dead.(i) then acc := i :: !acc
+  (* A uniform draw over the surviving trees (v < 0) or over those v
+     belongs to, ascending: one RNG draw when there is one, else none
+     and -1. *)
+  let eligible v i = (not tree_dead.(i)) && (v < 0 || member i v) in
+  let draw_surviving v =
+    let c = ref 0 in
+    for i = 0 to tcount - 1 do
+      if eligible v i then incr c
     done;
-    !acc
+    if !c = 0 then -1
+    else begin
+      let k = ref (Random.State.int rng !c) and i = ref 0 in
+      while !k > 0 || not (eligible v !i) do
+        if eligible v !i then decr k;
+        incr i
+      done;
+      !i
+    end
   in
-  (* a surviving tree v belongs to, else any surviving tree (tagged so
-     the caller knows whether v can relay it itself) *)
-  let pick_surviving v =
-    match
-      random_of rng (List.filter (fun i -> member i v) (surviving_trees ()))
-    with
-    | Some i -> Some (true, i)
-    | None -> (
-      match random_of rng (surviving_trees ()) with
-      | Some i -> Some (false, i)
-      | None -> None)
+  (* where v queues a message it must send again: a surviving tree it
+     belongs to; else, while any tree survives, its injection queue
+     (after a draw among them all); else nowhere (-1) *)
+  let requeue v =
+    let j = draw_surviving v in
+    if j >= 0 then (v * tcount) + j
+    else if draw_surviving (-1) >= 0 then inject v
+    else -1
   in
   let dead_trees = ref 0 in
   let kill_tree i =
@@ -433,12 +529,11 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
       (* reroute its pending relays *)
       for v = 0 to n - 1 do
         if not d.node_dead.(v) then begin
-          let q = queues.(v).(i) in
-          while not (Queue.is_empty q) do
-            let id = Queue.pop q in
-            match pick_surviving v with
-            | Some (true, j) -> Queue.add id queues.(v).(j)
-            | Some (false, _) | None -> Queue.add id inject.(v)
+          let q = (v * tcount) + i in
+          while not (Fifo.is_empty fifo q) do
+            let id = Fifo.pop fifo q in
+            let q' = requeue v in
+            Fifo.push fifo (if q' >= 0 then q' else inject v) id
           done
         end
       done
@@ -466,50 +561,71 @@ let packing_rounds ?faults ?repair_every ~rng ~cap net trees ~msgs ~total =
                done))
   in
   let resend v id =
-    match pick_surviving v with
-    | Some (true, j) -> Queue.add id queues.(v).(j)
-    | Some (false, _) -> Queue.add id inject.(v)
-    | None -> ()
+    let q = requeue v in
+    if q >= 0 then Fifo.push fifo q id
   in
+  (* round robin over v's trees from [rr.(v)]: the first with a pending
+     relay, or -1 *)
   let rr = Array.make n 0 in
-  let rec next_pending v tried =
-    if tried = tcount then None
-    else
-      let i = (rr.(v) + tried) mod tcount in
-      if Queue.is_empty queues.(v).(i) then next_pending v (tried + 1)
+  let next_pending v =
+    let found = ref (-1) and tried = ref 0 in
+    while !found < 0 && !tried < tcount do
+      let i = (rr.(v) + !tried) mod tcount in
+      if Fifo.is_empty fifo ((v * tcount) + i) then incr tried
       else begin
         rr.(v) <- (i + 1) mod tcount;
-        Some (i, Queue.pop queues.(v).(i))
+        found := i
       end
+    done;
+    !found
   in
-  let pick v =
-    match Queue.take_opt inject.(v) with
-    | Some id ->
+  let pick v (buf : Net.msg) =
+    if not (Fifo.is_empty fifo (inject v)) then begin
+      let id = Fifo.pop fifo (inject v) in
       let i0 = tree_of_msg.(id) in
       let i =
         if not tree_dead.(i0) then i0
         else
-          match random_of rng (surviving_trees ()) with
-          | Some j ->
+          let j = draw_surviving (-1) in
+          if j >= 0 then begin
             tree_of_msg.(id) <- j;
             j
-          | None -> i0
+          end
+          else i0
       in
-      Some (i, id)
-    | None -> next_pending v 0
+      buf.(0) <- i;
+      buf.(1) <- id;
+      true
+    end
+    else
+      let i = next_pending v in
+      i >= 0
+      && begin
+           buf.(0) <- i;
+           buf.(1) <- Fifo.pop fifo ((v * tcount) + i);
+           true
+         end
   in
-  let receive v sender e (msg : Net.msg) =
+  (* [u] broadcast message [id] on tree [i]. A live receiver [v] hears
+     it, and a member of [i] adopts it for relaying if [u]-[v] is an
+     edge of [i] or if [u] is a non-member injecting it. *)
+  let fan_out u (msg : Net.msg) =
     let i = msg.(0) and id = msg.(1) in
-    ignore (hear d v id);
-    (* adopt for relaying if the tree edge (sender, v) exists, or if v is
-       a member hearing it from a non-member injector *)
-    if member i v && (is_tree_edge i e || not (member i sender)) then
-      adopt v i id
+    let row = i * n and erow = i * m in
+    let injected = slot.(row + u) < 0 and live = not tree_dead.(i) in
+    for s = off.(u) to off.(u + 1) - 1 do
+      let v = adj.(s) in
+      if Net.delivered net u s && not d.node_dead.(v) then begin
+        ignore (hear d v id);
+        let sv = slot.(row + v) in
+        if sv >= 0 && live && (injected || flag tree_edge (erow + ids.(s)))
+        then adopt_at v i sv id
+      end
+    done
   in
   let run =
-    run_rounds ?repair_every net d ~sync ~rng ~cap ~resend ~pick
-      ~encode:(fun (i, id) -> [| i; id |])
-      ~receive
+    run_rounds ?repair_every net d ~sync ~rng ~cap ~width:2 ~resend ~pick
+      ~fan_out
   in
   (run, !dead_trees)
 
@@ -556,9 +672,11 @@ let single_tree_rounds ?faults ?repair_every ~cap net ~parent ~msgs ~total =
         in_tree.(p) <- true
       end)
     parent;
+  let g = Net.graph net in
+  let off = Graph.csr_offsets g and adj = Graph.csr_neighbors g in
   let d = delivery n total in
-  let queues = Array.init n (fun _ -> Queue.create ()) in
-  let learn v id = if hear d v id then Queue.add id queues.(v) in
+  let fifo = Fifo.create n in
+  let learn v id = if hear d v id then Fifo.push fifo v id in
   List.iter (fun (id, origin) -> learn origin id) msgs;
   let tree_hit = ref false in
   let sync =
@@ -569,14 +687,27 @@ let single_tree_rounds ?faults ?repair_every ~cap net ~parent ~msgs ~total =
         if List.exists (fun (u, v) -> tree_edge u v) killed then
           tree_hit := true)
   in
+  let pick v (buf : Net.msg) =
+    (not (Fifo.is_empty fifo v))
+    && begin
+         buf.(0) <- Fifo.pop fifo v;
+         true
+       end
+  in
+  (* a live receiver learns [u]'s message over a tree edge only *)
+  let fan_out u (msg : Net.msg) =
+    for s = off.(u) to off.(u + 1) - 1 do
+      let v = adj.(s) in
+      if Net.delivered net u s && (not d.node_dead.(v)) && tree_edge v u then
+        learn v msg.(0)
+    done
+  in
   let run =
     run_rounds ?repair_every net d ~sync
       ~rng:(Random.State.make [| 42; n; total; 19 |])
-      ~cap
-      ~resend:(fun v id -> Queue.add id queues.(v))
-      ~pick:(fun v -> Queue.take_opt queues.(v))
-      ~encode:(fun id -> [| id |])
-      ~receive:(fun v sender _ m -> if tree_edge v sender then learn v m.(0))
+      ~cap ~width:1
+      ~resend:(fun v id -> Fifo.push fifo v id)
+      ~pick ~fan_out
   in
   (run, if !tree_hit then 1 else 0)
 

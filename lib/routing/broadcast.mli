@@ -15,9 +15,11 @@
     on a negative count or an origin outside [\[0, n)]. *)
 
 type result = {
-  rounds : int;  (** rounds until every node received every message *)
+  rounds : int;
+      (** rounds until every node received every message: 0 when there
+          is no message to send *)
   messages : int;  (** number of distinct broadcast messages N *)
-  throughput : float;  (** N / rounds *)
+  throughput : float;  (** N / rounds, and 0 when [rounds = 0] *)
   max_vertex_congestion : int;
       (** max number of transmissions performed by a single node *)
   max_edge_congestion : int;
@@ -74,10 +76,13 @@ val naive_single_tree : Congest.Net.t -> sources:(int * int) list -> result
       delivery impossible. *)
 
 type ft_result = {
-  ft_rounds : int;  (** rounds consumed (capped runs: the cap) *)
+  ft_rounds : int;
+      (** rounds consumed (capped runs: the cap; 0 with no message) *)
   ft_messages : int;  (** messages injected *)
   ft_delivered : int;  (** messages heard by {e every} surviving node *)
-  ft_throughput : float;  (** delivered / rounds — sustained throughput *)
+  ft_throughput : float;
+      (** delivered / rounds — sustained throughput; 0 when
+          [ft_rounds = 0] *)
   ft_coverage : float;
       (** fraction of (survivor, message) pairs heard — 1.0 iff full
           delivery *)

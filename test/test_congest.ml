@@ -1016,6 +1016,146 @@ let prop_inbox_view_contract =
         (fun (domains, faulty) -> check ~domains ~faulty)
         [ (1, false); (4, false); (1, true); (4, true) ])
 
+(* [Net.delivered] against the inbox view: the sender-major walk (each
+   sender ascending, each slot of its CSR slice where [delivered] holds)
+   must list exactly the deliveries of [iter_deliveries], as (sender,
+   receiver, edge id) with the very message the sender put on that slot.
+   [msg_of u s] is that message, from the test's own record of the
+   round. *)
+let outbox_walk net msg_of =
+  let g = Congest.Net.graph net in
+  let off = Graph.csr_offsets g
+  and adj = Graph.csr_neighbors g
+  and ids = Graph.csr_edge_ids g in
+  let acc = ref [] in
+  for u = 0 to Graph.n g - 1 do
+    for s = off.(u) to off.(u + 1) - 1 do
+      if Congest.Net.delivered net u s then
+        acc := (u, adj.(s), ids.(s), msg_of u s) :: !acc
+    done
+  done;
+  List.rev !acc
+
+let check_outbox_walk what net msg_of =
+  let walk = outbox_walk net msg_of in
+  let view = ref [] in
+  Congest.Net.iter_deliveries net (fun v u e m -> view := (u, v, e, m) :: !view);
+  let key (u, v, _, _) = (u, v) in
+  let view =
+    List.sort (fun a b -> compare (key a) (key b)) (List.rev !view)
+  in
+  let show l =
+    String.concat " "
+      (List.map (fun (u, v, e, _) -> Printf.sprintf "%d>%d@%d" u v e) l)
+  in
+  Alcotest.(check string) (what ^ ": deliveries") (show view) (show walk);
+  Alcotest.(check bool)
+    (what ^ ": physically the sent messages")
+    true
+    (List.for_all2 (fun (_, _, _, m) (_, _, _, m') -> m == m') view walk);
+  List.length walk
+
+let test_delivered_walk () =
+  let g = Gen.random_connected (Random.State.make [| 24 |]) ~n:14 ~extra:16 in
+  let n = Graph.n g and off = Graph.csr_offsets g in
+  let adj = Graph.csr_neighbors g in
+  let absent = [||] in
+  List.iter
+    (fun domains ->
+      let what s = Printf.sprintf "width %d, %s" domains s in
+      let rng = Random.State.make [| domains |] in
+      let adversary () =
+        F.create ~seed:domains [ F.Drop_bernoulli 0.3; F.Crash_at [ (0, 5) ] ]
+      in
+      (* broadcast rounds: [out.(u)] is what u sent, or None *)
+      let broadcast net =
+        let out =
+          Array.init n (fun u ->
+              if Random.State.int rng 4 > 0 then Some [| u; 7 |] else None)
+        in
+        Congest.Net.broadcast_round net (fun u -> out.(u));
+        fun u _ -> Option.value out.(u) ~default:absent
+      in
+      (* edge rounds: [out.(s)] is what the slot's owner sent on slot s *)
+      let edge net =
+        let out =
+          Array.init (Array.length adj) (fun s ->
+              if Random.State.bool rng then Some [| s |] else None)
+        in
+        Congest.Net.edge_round net (fun u ->
+            List.filter_map
+              (fun s -> Option.map (fun m -> (adj.(s), m)) out.(s))
+              (List.init (off.(u + 1) - off.(u)) (fun k -> off.(u) + k)));
+        fun _ s -> Option.value out.(s) ~default:absent
+      in
+      let raise_round net =
+        match
+          Congest.Net.broadcast_round net (fun _ -> Some (Array.make 99 0))
+        with
+        | () -> Alcotest.fail "an oversized message went through"
+        | exception Congest.Net.Protocol_violation _ -> ()
+      in
+      let none _ _ = absent in
+      (* fault free, V-CONGEST *)
+      let net = Congest.Net.create ~domains Congest.Model.V_congest g in
+      Alcotest.(check int)
+        (what "before any round")
+        0
+        (check_outbox_walk (what "before any round") net none);
+      let msg_of = broadcast net in
+      Alcotest.(check bool)
+        (what "broadcast delivers")
+        true
+        (check_outbox_walk (what "broadcast") net msg_of > 0);
+      raise_round net;
+      Alcotest.(check int)
+        (what "after a raised round")
+        0
+        (check_outbox_walk (what "raised broadcast") net none);
+      Congest.Net.shutdown net;
+      (* drops and a receiver crashed in round 0 *)
+      let net = Congest.Net.create ~domains Congest.Model.V_congest g in
+      F.install net (adversary ());
+      let last = ref none in
+      for _ = 0 to 1 do
+        let msg_of = broadcast net in
+        last := msg_of;
+        let k = check_outbox_walk (what "faulty broadcast") net msg_of in
+        Alcotest.(check bool) (what "faulty broadcast delivers") true (k > 0)
+      done;
+      Alcotest.(check bool)
+        (what "the adversary destroyed traffic")
+        true
+        (Congest.Net.messages_lost net > 0);
+      Alcotest.(check bool)
+        (what "nothing reaches the crashed node")
+        true
+        (List.for_all (fun (_, v, _, _) -> v <> 5) (outbox_walk net !last));
+      Congest.Net.shutdown net;
+      (* edge rounds, fault free and faulty, then one that raises *)
+      List.iter
+        (fun faulty ->
+          let net = Congest.Net.create ~domains Congest.Model.E_congest g in
+          if faulty then F.install net (adversary ());
+          for _ = 0 to 1 do
+            let msg_of = edge net in
+            ignore (check_outbox_walk (what "edge round") net msg_of)
+          done;
+          (match
+             Congest.Net.edge_round net (fun u ->
+                 let v = adj.(off.(u)) in
+                 [ (v, [| 1 |]); (v, [| 2 |]) ])
+           with
+          | () -> Alcotest.fail "a duplicate edge direction went through"
+          | exception Congest.Net.Protocol_violation _ -> ());
+          Alcotest.(check int)
+            (what "after a raised edge round")
+            0
+            (check_outbox_walk (what "raised edge round") net none);
+          Congest.Net.shutdown net)
+        [ false; true ])
+    [ 1; 2 ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1034,6 +1174,11 @@ let () =
           Alcotest.test_case "reset/checkpoint" `Quick test_reset_and_checkpoint;
           Alcotest.test_case "boundary accounting" `Quick
             test_boundary_accounting;
+        ] );
+      ( "net.delivered",
+        [
+          Alcotest.test_case "sender-major walk = inbox view" `Quick
+            test_delivered_walk;
         ] );
       ( "faults",
         [

@@ -194,6 +194,71 @@ let test_origin_out_of_range_rejected () =
   check_rejected [ (0, 1); (12, 1) ] ": origin 12 out of range [0, 12)";
   check_rejected [ (-1, 1) ] ": origin -1 out of range [0, 12)"
 
+(* Nothing to send, as no sources or as zero counts: each entry point
+   reports 0 rounds at throughput 0 and runs no broadcast round. The
+   single-tree baselines still build their BFS tree first, and only
+   those rounds are on the net's clock. *)
+let zero_sources = [ []; [ (0, 0); (5, 0) ] ]
+
+let bfs_rounds g =
+  let net = vnet g in
+  ignore (Congest.Primitives.bfs_tree net ~root:0);
+  Congest.Net.rounds net
+
+(* [run net sources] is the entry point's (rounds, throughput) *)
+let check_zero who model ~set_up_rounds run =
+  let g, _ = broadcast_entries in
+  List.iter
+    (fun sources ->
+      let net = Congest.Net.create model g in
+      let rounds, throughput = run net sources in
+      Alcotest.(check int) (who ^ ": rounds") 0 rounds;
+      Alcotest.(check (float 0.)) (who ^ ": throughput") 0. throughput;
+      Alcotest.(check int)
+        (who ^ ": net clock")
+        (set_up_rounds g) (Congest.Net.rounds net))
+    zero_sources
+
+let zero_result (r : Routing.Broadcast.result) =
+  (r.Routing.Broadcast.rounds, r.Routing.Broadcast.throughput)
+
+let zero_ft_result (r : Routing.Broadcast.ft_result) =
+  (r.Routing.Broadcast.ft_rounds, r.Routing.Broadcast.ft_throughput)
+
+let no_rounds _ = 0
+
+let test_zero_dominating () =
+  let g, _ = broadcast_entries in
+  let p = dom_packing g ~k:4 in
+  check_zero "via_dominating_trees" Congest.Model.V_congest
+    ~set_up_rounds:no_rounds (fun net sources ->
+      zero_result (Routing.Broadcast.via_dominating_trees net p ~sources))
+
+let test_zero_spanning () =
+  let g, _ = broadcast_entries in
+  let p = span_packing g ~lambda:4 in
+  check_zero "via_spanning_trees" Congest.Model.E_congest
+    ~set_up_rounds:no_rounds (fun net sources ->
+      zero_result (Routing.Broadcast.via_spanning_trees net p ~sources))
+
+let test_zero_single_tree () =
+  check_zero "naive_single_tree" Congest.Model.V_congest
+    ~set_up_rounds:bfs_rounds (fun net sources ->
+      zero_result (Routing.Broadcast.naive_single_tree net ~sources))
+
+let test_zero_ft () =
+  let g, _ = broadcast_entries in
+  let p = dom_packing g ~k:4 in
+  let faults () = Congest.Faults.create [ Congest.Faults.Drop_bernoulli 0.1 ] in
+  check_zero "via_dominating_trees_ft" Congest.Model.V_congest
+    ~set_up_rounds:no_rounds (fun net sources ->
+      zero_ft_result
+        (Routing.Broadcast.via_dominating_trees_ft net (faults ()) p ~sources));
+  check_zero "naive_single_tree_ft" Congest.Model.V_congest
+    ~set_up_rounds:bfs_rounds (fun net sources ->
+      zero_ft_result
+        (Routing.Broadcast.naive_single_tree_ft net (faults ()) ~sources))
+
 let test_rlnc_decodes () =
   let g = Gen.harary ~k:8 ~n:16 in
   let net = vnet g in
@@ -479,6 +544,13 @@ let () =
       ( "broadcast.props",
         List.map QCheck_alcotest.to_alcotest [ prop_broadcast_always_delivers ]
       );
+      ( "broadcast.zero",
+        [
+          Alcotest.test_case "dominating trees" `Quick test_zero_dominating;
+          Alcotest.test_case "spanning trees" `Quick test_zero_spanning;
+          Alcotest.test_case "single tree" `Quick test_zero_single_tree;
+          Alcotest.test_case "fault-tolerant" `Quick test_zero_ft;
+        ] );
       ( "routing.oracle",
         List.map QCheck_alcotest.to_alcotest [ prop_broadcast_matches_reference ]
       );
