@@ -16,13 +16,9 @@
    prebuilt and reused), so the measurement isolates the engine.
 
    Sizes run from the historical small points (256..2048, kept so the
-   trajectory stays comparable across PRs) up to the large regime the
-   sharded engine targets: Erdős–Rényi (geometric-skip sampler, O(n+m))
-   and square grids at n = 2^15, 2^17 and 2^20. After the size rows, a
-   domain-scaling sub-table re-times one workload at 1/2/4/8 domains on
-   the SAME graph and byte-compares every run digest against the
-   1-domain baseline — a scaling number only counts if the traffic is
-   bit-identical (DESIGN.md §15).
+   trajectory stays comparable across PRs) up to the large regime:
+   Erdős–Rényi (geometric-skip sampler, O(n+m)) and square grids at
+   n = 2^15, 2^17 and 2^20.
 
    This sweep defaults to one worker domain (`-j 1`) so concurrent jobs
    do not contend for cores while the clock runs. Each job also records
@@ -32,13 +28,8 @@
    BENCH_perf.json schema (written by this module, not Exec.Sweep):
      { "sweep": "perf", "jobs": N, "wall_s": W,
        "rows": [ { "workload": "er|rr|lollipop|grid", "driver":
-                   "broadcast|edge", "n", "m", "rounds", "domains",
-                   "rounds_per_sec", "words_per_sec", "run_digest" } ],
-       "scaling": { "workload", "driver", "n", "m", "rounds",
-                    "digests_match": true,
-                    "rows": [ { "domains", "effective_domains",
-                                "rounds_per_sec", "speedup",
-                                "run_digest" } ] } }
+                   "broadcast|edge", "n", "m", "rounds",
+                   "rounds_per_sec", "words_per_sec", "run_digest" } ] }
 *)
 
 module Graph = Graphs.Graph
@@ -82,7 +73,6 @@ type spec = {
   workload : string;
   driver : string;
   n : int;
-  domains : int;
   gen : unit -> Graph.t;
 }
 
@@ -90,25 +80,23 @@ type spec = {
    reports the actual vertex count. *)
 let grid_side n = int_of_float (sqrt (float_of_int n))
 
-let er_skip_spec ~n ~domains =
+let er_skip_spec ~n =
   {
     workload = "er";
     driver = "broadcast";
     n;
-    domains;
     gen =
       (fun () ->
         let rng = Random.State.make [| 0xE5; n |] in
         Graphs.Gen.erdos_renyi_skip rng ~n ~p:(8.0 /. float_of_int n));
   }
 
-let grid_spec ~n ~domains =
+let grid_spec ~n =
   let side = grid_side n in
   {
     workload = "grid";
     driver = "edge";
     n = side * side;
-    domains;
     gen = (fun () -> Graphs.Gen.grid side side);
   }
 
@@ -122,7 +110,6 @@ let specs n_cap =
             workload = "er";
             driver = "broadcast";
             n;
-            domains = 1;
             gen =
               (fun () ->
                 let rng = Random.State.make [| 0xE5; n |] in
@@ -132,7 +119,6 @@ let specs n_cap =
             workload = "rr";
             driver = "edge";
             n;
-            domains = 1;
             gen =
               (fun () ->
                 (* d = 4: the configuration model is rejection-sampled and
@@ -144,7 +130,6 @@ let specs n_cap =
             workload = "lollipop";
             driver = "broadcast";
             n;
-            domains = 1;
             gen =
               (fun () ->
                 let c = n / 8 in
@@ -161,7 +146,7 @@ let specs n_cap =
   in
   let large =
     List.concat_map
-      (fun n -> [ er_skip_spec ~n ~domains:1; grid_spec ~n ~domains:1 ])
+      (fun n -> [ er_skip_spec ~n; grid_spec ~n ])
       large_sizes
   in
   small @ large
@@ -175,7 +160,7 @@ let run_spec s () =
     | "edge" -> (Congest.Model.E_congest, drive_edge)
     | _ -> (Congest.Model.V_congest, drive_broadcast)
   in
-  let net = Net.create ~domains:s.domains model g in
+  let net = Net.create model g in
   (* warmup: heat caches and the minor heap, then measure from a clean
      counter state so words/sec covers exactly the timed rounds *)
   drive net ~rounds:(max 4 (rounds / 4));
@@ -188,14 +173,13 @@ let run_spec s () =
   let rps = float_of_int rounds /. dt in
   let wps = float_of_int words /. dt in
   let digest = Printf.sprintf "%x" (Net.run_digest (Net.telemetry net)) in
-  Net.shutdown net;
   let out =
-    Printf.sprintf "%-9s %-9s %8d %8d %6d %3d | %10.1f %14.0f  %s\n" s.workload
-      s.driver (Graph.n g) m rounds s.domains rps wps digest
+    Printf.sprintf "%-9s %-9s %8d %8d %6d | %10.1f %14.0f  %s\n" s.workload
+      s.driver (Graph.n g) m rounds rps wps digest
   in
   let row =
-    Printf.sprintf "%s,%s,%d,%d,%d,%d,%.1f,%.0f" s.workload s.driver
-      (Graph.n g) m rounds s.domains rps wps
+    Printf.sprintf "%s,%s,%d,%d,%d,%.1f,%.0f" s.workload s.driver
+      (Graph.n g) m rounds rps wps
   in
   Exec.Job.payload ~rows:[ row ]
     ~meta:
@@ -205,53 +189,11 @@ let run_spec s () =
         ("n", string_of_int (Graph.n g));
         ("m", string_of_int m);
         ("rounds", string_of_int rounds);
-        ("domains", string_of_int s.domains);
         ("rounds_per_sec", Printf.sprintf "%.1f" rps);
         ("words_per_sec", Printf.sprintf "%.0f" wps);
         ("run_digest", digest);
       ]
     out
-
-(* Domain-scaling sub-table: the same ER broadcast workload, one graph,
-   re-timed at 1/2/4/8 domains. The 1-domain digest is the baseline;
-   any mismatch is a determinism bug and fails the sweep. Effective
-   domain count is also recorded: Net.create clamps the request to the
-   vertex count and to 1 inside pool workers, so requested 8 on a small
-   CI graph may report fewer. *)
-let scaling_domains = [ 1; 2; 4; 8 ]
-
-type scale_row = {
-  sc_domains : int;
-  sc_effective : int;
-  sc_rps : float;
-  sc_digest : string;
-}
-
-let run_scaling ~n =
-  let rng = Random.State.make [| 0x5CA1E; n |] in
-  let g = Graphs.Gen.erdos_renyi_skip rng ~n ~p:(8.0 /. float_of_int n) in
-  let m = Graph.m g in
-  let rounds = rounds_for ~m in
-  let measure d =
-    let net = Net.create ~domains:d Congest.Model.V_congest g in
-    drive_broadcast net ~rounds:(max 4 (rounds / 4));
-    Net.reset_stats net;
-    let t0 = now () in
-    drive_broadcast net ~rounds;
-    let dt = now () -. t0 in
-    let dt = if dt > 0. then dt else 1e-9 in
-    let digest = Printf.sprintf "%x" (Net.run_digest (Net.telemetry net)) in
-    let effective = Net.domains net in
-    Net.shutdown net;
-    {
-      sc_domains = d;
-      sc_effective = effective;
-      sc_rps = float_of_int rounds /. dt;
-      sc_digest = digest;
-    }
-  in
-  let rows = List.map measure scaling_domains in
-  (g, m, rounds, rows)
 
 let all ?n_cap ?jobs () =
   let n_cap = match n_cap with Some c -> c | None -> 1 lsl 20 in
@@ -259,8 +201,8 @@ let all ?n_cap ?jobs () =
   let jobs = match jobs with Some j -> j | None -> 1 in
   let items =
     Exec.Sweep.text "@.== round-engine perf sweep (n <= %d) ==@." n_cap
-    :: Exec.Sweep.text "%-9s %-9s %8s %8s %6s %3s | %10s %14s  %s@." "workload"
-         "driver" "n" "m" "rounds" "dom" "rounds/sec" "words/sec" "digest"
+    :: Exec.Sweep.text "%-9s %-9s %8s %8s %6s | %10s %14s  %s@." "workload"
+         "driver" "n" "m" "rounds" "rounds/sec" "words/sec" "digest"
     :: List.map
          (fun s ->
            Exec.Sweep.Job
@@ -270,42 +212,13 @@ let all ?n_cap ?jobs () =
                     ("workload", s.workload);
                     ("driver", s.driver);
                     ("n", string_of_int s.n);
-                    ("domains", string_of_int s.domains);
                   ]
                 (run_spec s)))
          (specs n_cap)
   in
   let t0 = now () in
   let stats, outcomes = Exec.Sweep.run ~name:"perf" ~jobs items in
-  (* scaling sub-table, sequential by construction (it is a timing
-     comparison): n = 2^17 per the acceptance bar, scaled down under a
-     CI smoke cap so the multi-domain path is still exercised there *)
-  let scale_n = min (1 lsl 17) n_cap in
-  let scale_g, scale_m, scale_rounds, scale_rows = run_scaling ~n:scale_n in
   let wall = now () -. t0 in
-  let base_rps, base_digest =
-    match scale_rows with
-    | { sc_rps; sc_digest; _ } :: _ -> (sc_rps, sc_digest)
-    | [] -> (1.0, "")
-  in
-  let digests_match =
-    List.for_all (fun r -> r.sc_digest = base_digest) scale_rows
-  in
-  Format.printf
-    "@.== domain-scaling sub-table (er broadcast, n=%d m=%d rounds=%d) ==@."
-    (Graph.n scale_g) scale_m scale_rounds;
-  Format.printf "%8s %9s %12s %9s  %s@." "domains" "effective" "rounds/sec"
-    "speedup" "digest";
-  List.iter
-    (fun r ->
-      Format.printf "%8d %9d %12.1f %8.2fx  %s@." r.sc_domains r.sc_effective
-        r.sc_rps (r.sc_rps /. base_rps) r.sc_digest)
-    scale_rows;
-  if digests_match then
-    Format.printf "digests: all byte-identical to the 1-domain baseline@."
-  else
-    Format.printf
-      "digests: MISMATCH vs the 1-domain baseline — determinism bug@.";
   let rows =
     List.filter_map
       (fun (_, outcome) ->
@@ -323,36 +236,11 @@ let all ?n_cap ?jobs () =
                  ("n", int "n");
                  ("m", int "m");
                  ("rounds", int "rounds");
-                 ("domains", int "domains");
                  ("rounds_per_sec", num "rounds_per_sec");
                  ("words_per_sec", num "words_per_sec");
                  ("run_digest", Exec.Artifact.String (f "run_digest"));
                ]))
       outcomes
-  in
-  let scaling_json =
-    Exec.Artifact.Obj
-      [
-        ("workload", Exec.Artifact.String "er");
-        ("driver", Exec.Artifact.String "broadcast");
-        ("n", Exec.Artifact.Int (Graph.n scale_g));
-        ("m", Exec.Artifact.Int scale_m);
-        ("rounds", Exec.Artifact.Int scale_rounds);
-        ("digests_match", Exec.Artifact.Bool digests_match);
-        ( "rows",
-          Exec.Artifact.List
-            (List.map
-               (fun r ->
-                 Exec.Artifact.Obj
-                   [
-                     ("domains", Exec.Artifact.Int r.sc_domains);
-                     ("effective_domains", Exec.Artifact.Int r.sc_effective);
-                     ("rounds_per_sec", Exec.Artifact.Float r.sc_rps);
-                     ("speedup", Exec.Artifact.Float (r.sc_rps /. base_rps));
-                     ("run_digest", Exec.Artifact.String r.sc_digest);
-                   ])
-               scale_rows) );
-      ]
   in
   Exec.Artifact.write_json ~path:"BENCH_perf.json"
     (Exec.Artifact.Obj
@@ -362,6 +250,5 @@ let all ?n_cap ?jobs () =
          ("failed", Exec.Artifact.Int stats.Exec.Sweep.failed);
          ("wall_s", Exec.Artifact.Float wall);
          ("rows", Exec.Artifact.List rows);
-         ("scaling", scaling_json);
        ]);
-  if stats.Exec.Sweep.failed > 0 || not digests_match then exit 1
+  if stats.Exec.Sweep.failed > 0 then exit 1

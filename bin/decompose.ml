@@ -18,8 +18,6 @@ open Cmdliner
    any retry/replay machinery runs; test_decompose pins this down by
    counting Source.load constructions against Reliable attempt counts. *)
 
-let load ?domains ~gen ~file () = Graphs.Source.load ?domains ~gen ~file ()
-
 let gen_arg =
   Arg.(value & opt (some string) None & info [ "gen" ] ~docv:"SPEC"
          ~doc:"Generator spec, e.g. harary:k=8,n=64 | hypercube:d=5 | \
@@ -31,13 +29,6 @@ let file_arg =
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-
-let domains_arg =
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D"
-         ~doc:"Shard every CONGEST round across D domains (OCaml 5 \
-               parallelism). Output is byte-identical for every D — same \
-               telemetry, same per-round digests — so this is purely a \
-               wall-clock knob; see DESIGN.md §15. Default 1 (sequential).")
 
 (* ------------------------------------------------------------------ *)
 (* Determinism sanitizer plumbing (--check) *)
@@ -74,9 +65,9 @@ let require_distributed ~check ~distributed =
 (* Subcommands *)
 
 let vertex_cmd =
-  let run gen file seed domains distributed check dot =
+  let run gen file seed distributed check dot =
     require_distributed ~check ~distributed;
-    let g = load ?domains ~gen ~file () in
+    let g = Graphs.Source.load ~gen ~file () in
     let k = Graphs.Connectivity.vertex_connectivity g in
     Format.printf "n=%d m=%d vertex connectivity=%d@." (Graphs.Graph.n g)
       (Graphs.Graph.m g) k;
@@ -136,13 +127,13 @@ let vertex_cmd =
   in
   Cmd.v
     (Cmd.info "vertex" ~doc:"Vertex-connectivity decomposition (dominating trees)")
-    Term.(const run $ gen_arg $ file_arg $ seed_arg $ domains_arg $ dist_arg
+    Term.(const run $ gen_arg $ file_arg $ seed_arg $ dist_arg
           $ check_arg $ dot_arg)
 
 let edge_cmd =
-  let run gen file seed domains distributed check =
+  let run gen file seed distributed check =
     require_distributed ~check ~distributed;
-    let g = load ?domains ~gen ~file () in
+    let g = Graphs.Source.load ~gen ~file () in
     let lambda = Graphs.Connectivity.edge_connectivity g in
     Format.printf "n=%d m=%d edge connectivity=%d@." (Graphs.Graph.n g)
       (Graphs.Graph.m g) lambda;
@@ -182,13 +173,13 @@ let edge_cmd =
   in
   Cmd.v
     (Cmd.info "edge" ~doc:"Edge-connectivity decomposition (spanning trees)")
-    Term.(const run $ gen_arg $ file_arg $ seed_arg $ domains_arg $ dist_arg
+    Term.(const run $ gen_arg $ file_arg $ seed_arg $ dist_arg
           $ check_arg)
 
 let approx_vc_cmd =
-  let run gen file seed domains distributed check =
+  let run gen file seed distributed check =
     require_distributed ~check ~distributed;
-    let g = load ?domains ~gen ~file () in
+    let g = Graphs.Source.load ~gen ~file () in
     let r =
       if distributed then begin
         let net = Congest.Net.create Congest.Model.V_congest g in
@@ -213,7 +204,7 @@ let approx_vc_cmd =
   Cmd.v
     (Cmd.info "approx-vc"
        ~doc:"O(log n)-approximate vertex connectivity (Corollary 1.7)")
-    Term.(const run $ gen_arg $ file_arg $ seed_arg $ domains_arg $ dist_arg
+    Term.(const run $ gen_arg $ file_arg $ seed_arg $ dist_arg
           $ check_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -292,8 +283,8 @@ let fault_specs ?storm ?n ~fail_p ~crashes ~kill_budget () =
     ]
 
 let gossip_cmd =
-  let run gen file seed domains per_node fail_p crashes kill_budget =
-    let g = load ?domains ~gen ~file () in
+  let run gen file seed per_node fail_p crashes kill_budget =
+    let g = Graphs.Source.load ~gen ~file () in
     let k = Graphs.Connectivity.vertex_connectivity g in
     let res =
       Domtree.Cds_packing.run ~seed g
@@ -341,16 +332,16 @@ let gossip_cmd =
   in
   Cmd.v
     (Cmd.info "gossip" ~doc:"All-to-all broadcast via the decomposition (App. A)")
-    Term.(const run $ gen_arg $ file_arg $ seed_arg $ domains_arg $ per_node_arg
+    Term.(const run $ gen_arg $ file_arg $ seed_arg $ per_node_arg
           $ fail_p_arg $ crash_arg $ kill_arg)
 
 let verified_cmd =
-  let run gen file seed domains distributed check max_retries policy fail_p
+  let run gen file seed distributed check max_retries policy fail_p
       crashes kill_budget storm =
     require_distributed ~check ~distributed;
     (* the graph is built exactly once, here — the verify-and-retry
        pipeline below reuses [g] across every attempt and replay *)
-    let g = load ?domains ~gen ~file () in
+    let g = Graphs.Source.load ~gen ~file () in
     let n = Graphs.Graph.n g in
     let k = max 1 (Graphs.Connectivity.vertex_connectivity g) in
     let specs = fault_specs ?storm ~n ~fail_p ~crashes ~kill_budget () in
@@ -450,13 +441,13 @@ let verified_cmd =
     (Cmd.info "verified"
        ~doc:"Decompose under the verify-and-recover pipeline (Appendix E \
              guard); exit 4 = verified but degraded")
-    Term.(const run $ gen_arg $ file_arg $ seed_arg $ domains_arg $ dist_arg
+    Term.(const run $ gen_arg $ file_arg $ seed_arg $ dist_arg
           $ check_arg $ retries_arg $ policy_arg $ fail_p_arg $ crash_arg
           $ kill_arg $ storm_arg)
 
 let test_packing_cmd =
   let run gen file seed =
-    let g = load ~gen ~file () in
+    let g = Graphs.Source.load ~gen ~file () in
     let k = max 1 (Graphs.Connectivity.vertex_connectivity g) in
     let res = Domtree.Cds_packing.pack ~seed g ~k in
     let per_real = Domtree.Cds_packing.real_classes res in
@@ -479,7 +470,7 @@ let test_packing_cmd =
 
 let exact_cmd =
   let run gen file =
-    let g = load ~gen ~file () in
+    let g = Graphs.Source.load ~gen ~file () in
     Format.printf "n=%d m=%d min degree=%d@." (Graphs.Graph.n g)
       (Graphs.Graph.m g) (Graphs.Graph.min_degree g);
     let lambda = Graphs.Connectivity.edge_connectivity g in

@@ -36,7 +36,7 @@ module Edges = Set.Make (struct
 end)
 
 (* What the adversary decides from, as one value: [on_round_start]
-   replaces it between rounds (the send phase's shards only read it),
+   replaces it between rounds (the send walk only reads it),
    [save] keeps it, [reset] restores the creation one. *)
 type state = {
   round : int;
@@ -58,14 +58,14 @@ type t = {
   mutable st : state;
   mutable traffic : int array;
       (* greedy only: cumulative words per directed edge, at
-         [2 * edge + (src > dst)]; written by the sender's shard *)
+         [2 * edge + (src > dst)]; written only for that direction *)
 }
 
 let norm (u, v) = (min u v, max u v)
 
 (* The 32-bit murmur3 hash of [seed; stream; round; a; b], top 30 bits:
    every random fault decision is this pure function of its inputs, so
-   it is the same whichever shard asks, in whatever order. *)
+   it is the same in whatever order the net asks. *)
 let mask32 x = x land 0xFFFF_FFFF
 let rotl32 x r = mask32 ((x lsl r) lor (x lsr (32 - r)))
 

@@ -26,9 +26,9 @@
       et al. / expander-routing line of work.
 
     Crashes and kills change only at the start of a round, and within a
-    round every decision is a pure function of its inputs, so faulty
-    rounds run at the net's full width with the same outcome at every
-    width. Telemetry logs every crash and edge kill as an {!event};
+    round every decision is a pure function of its inputs, so the
+    outcome does not depend on the order in which the net asks.
+    Telemetry logs every crash and edge kill as an {!event};
     destroyed copies are counted by the net ({!Net.messages_lost}). *)
 
 type event =

@@ -57,22 +57,9 @@ type obs = {
   o_spans : Obs.Span.t;
 }
 
-(* Per-shard tallies of the receive phase: shard k writes only
-   [tally.(k * n_tallies + i)], and the caller folds them into the net's
-   counters in shard order (sums and maxima, so the fold is exact at
-   every width). *)
-let t_messages = 0
-let t_words = 1
-let t_messages_lost = 2
-let t_words_lost = 3
-let t_node_max = 4
-let t_edge_max = 5
-let t_boundary = 6
-let n_tallies = 7
-
 (* Sender-slot arenas, sized 2m on the first round that needs them (any
    edge round, or a broadcast round under a fault hook). Sender u's
-   traffic to v lives at u's CSR slot for v; the receive phase reads
+   traffic to v lives at u's CSR slot for v; the receive walk reads
    direction (u -> v) from v's own slice through [mirror]. *)
 type arenas = {
   mirror : int array;  (* slot (u lists v) -> slot (v lists u) *)
@@ -95,7 +82,7 @@ type last_round =
 
 type t = {
   graph : Graph.t;
-  (* CSR views of [graph], captured once: the round phases and the
+  (* CSR views of [graph], captured once: the round walks and the
      inbox view walk adjacency slots directly *)
   csr_off : int array;
   csr_adj : int array;
@@ -117,19 +104,8 @@ type t = {
   sent : msg array;
   sent_len : int array;
   sent_hash : int array;
-  rdig : int array;  (* receive phase: per-receiver traffic hash *)
   mutable arenas : arenas option;
   mutable tag : int;  (* one fresh stamp per round *)
-  (* The round engine's domain team (width 1 = no worker domains) and
-     its shard geometry. Shard k owns the contiguous vertex range
-     [bounds.(k), bounds.(k+1)) — as senders in the send phase, as
-     receivers in the receive phase — and writes only slots indexed by
-     its own vertices or by k itself (DESIGN.md §15). *)
-  mutable team : Team.t;
-  mutable bounds : int array;  (* width + 1 partition bounds over [0, n] *)
-  fail_u : int array;  (* per shard: sender of first violation, -1 *)
-  fail : exn array;  (* per shard: that violation (dummy Not_found) *)
-  tally : int array;  (* per shard: receive-phase tallies, above *)
   mutable boundary : (int -> bool) option;
       (* Alice/Bob side predicate for two-party simulation accounting *)
   mutable boundary_words : int;
@@ -144,39 +120,10 @@ type t = {
   mutable obs_round_tok : Obs.Span.token option;
 }
 
-(* Degree-weighted contiguous partition: shard k starts at the first
-   vertex whose adjacency begins at or after slot k/width of 2m, so
-   shards carry comparable edge work even on skewed degree profiles
-   (lollipop: the clique core spreads across shards). *)
-let partition g width =
-  let n = Graph.n g in
-  let off = Graph.csr_offsets g in
-  let slots = Array.length (Graph.csr_neighbors g) in
-  let bounds = Array.make (width + 1) 0 in
-  bounds.(width) <- n;
-  let v = ref 0 in
-  for k = 1 to width - 1 do
-    let target = slots * k / width in
-    while !v < n && off.(!v) < target do
-      incr v
-    done;
-    bounds.(k) <- !v
-  done;
-  bounds
-
-let create ?words_budget ?domains model g =
+let create ?words_budget model g =
   let n = Graph.n g in
   let budget =
     match words_budget with Some b -> b | None -> Model.words_budget ~n
-  in
-  let requested =
-    match domains with Some d -> d | None -> Par.net_domains ()
-  in
-  (* nested-parallelism guard: inside an Exec.Pool worker (or another
-     net's shard) a sharded net would oversubscribe the machine — the
-     composition runs one whole simulation per domain instead *)
-  let width =
-    if Par.in_worker () then 1 else max 1 (min requested (max 1 n))
   in
   {
     graph = g;
@@ -197,14 +144,8 @@ let create ?words_budget ?domains model g =
     sent = Array.make n [||];
     sent_len = Array.make n (-1);
     sent_hash = Array.make n 0;
-    rdig = Array.make n 0;
     arenas = None;
     tag = 0;
-    team = Team.create ~width;
-    bounds = partition g width;
-    fail_u = Array.make width (-1);
-    fail = Array.make width Not_found;
-    tally = Array.make (width * n_tallies) 0;
     boundary = None;
     boundary_words = 0;
     faults = None;
@@ -215,15 +156,6 @@ let create ?words_budget ?domains model g =
     obs_prev_words_lost = 0;
     obs_round_tok = None;
   }
-
-let domains net = Team.width net.team
-
-let shutdown net =
-  if Team.width net.team > 1 then begin
-    Team.shutdown net.team;
-    net.team <- Team.create ~width:1;
-    net.bounds <- [| 0; Graph.n net.graph |]
-  end
 
 let make_obs ?(spans = Obs.Span.disabled) metrics =
   {
@@ -261,21 +193,21 @@ let violate ?node ?edge ?budget net detail =
        })
 
 (* FNV-style mix. The round digest is built per receiver: the receive
-   phase folds each receiver's in-traffic — for each message, in the
+   walk folds each receiver's in-traffic — for each message, in the
    order it walks the receiver's slice (senders descending), the tag
    (1 delivered, 2 destroyed), the sender and the payload hash — into a
-   hash seeded with the receiver's id, and the caller folds those
-   hashes in receiver order. Two executions agree on a round's digest
-   iff they moved bit-identical traffic with an identical fault outcome
-   (DESIGN.md §7). *)
+   hash seeded with the receiver's id, and folds those hashes into the
+   round digest in receiver order. Two executions agree on a round's
+   digest iff they moved bit-identical traffic with an identical fault
+   outcome (DESIGN.md §7). *)
 let mix h x = ((h lxor x) * 0x01000193) land 0x3FFFFFFFFFFFFFF
 
 let digest_in h ~tag ~src hm = mix (mix (mix h tag) src) hm
 
 (* [validate net ~node m] checks [m] against the word budget and width
    bound and returns its payload hash, the FNV fold of its words: each
-   payload is read once, by its sender's shard, and the receive phase
-   hashes only ints. *)
+   payload is read once, by the send walk, and the receive walk hashes
+   only ints. *)
 let validate net ~node m =
   let len = Array.length m in
   if len > net.words_budget then
@@ -323,14 +255,6 @@ let arenas net =
     net.arenas <- Some a;
     a
 
-let round_digest net =
-  let rdig = net.rdig in
-  let h = ref 0 in
-  for v = 0 to Array.length rdig - 1 do
-    h := mix !h rdig.(v)
-  done;
-  !h
-
 let begin_round net =
   net.tag <- net.tag + 1;
   (* the previous round's view ends here; a round that raises leaves
@@ -345,36 +269,18 @@ let begin_round net =
   | Some h -> h.on_round_start net.rounds
   | None -> ()
 
-(* Re-raise the recorded violation of the highest offending sender —
-   the first one a walk over all senders descending meets. Nothing has
-   been counted yet, so the net's counters stay as they were when the
-   round began. *)
-let reraise_failure net width =
-  let worst = ref (-1) and worst_k = ref (-1) in
-  for k = 0 to width - 1 do
-    if net.fail_u.(k) > !worst then begin
-      worst := net.fail_u.(k);
-      worst_k := k
-    end
-  done;
-  if !worst >= 0 then raise net.fail.(!worst_k)
-
-(* Fold the per-shard tallies into the net's counters in shard order,
-   then close the round. *)
-let end_round net ~width =
-  let tally = net.tally in
-  for k = 0 to width - 1 do
-    let b = k * n_tallies in
-    net.messages <- net.messages + tally.(b + t_messages);
-    net.words <- net.words + tally.(b + t_words);
-    net.messages_lost <- net.messages_lost + tally.(b + t_messages_lost);
-    net.words_lost <- net.words_lost + tally.(b + t_words_lost);
-    net.boundary_words <- net.boundary_words + tally.(b + t_boundary);
-    net.max_node_load <- max net.max_node_load tally.(b + t_node_max);
-    net.max_edge_load <- max net.max_edge_load tally.(b + t_edge_max)
-  done;
+(* Count the receive walk's tallies into the net's counters, then close
+   the round. *)
+let end_round net ~digest ~msgs ~words ~lost ~wlost ~nmax ~emax ~cross =
+  net.messages <- net.messages + msgs;
+  net.words <- net.words + words;
+  net.messages_lost <- net.messages_lost + lost;
+  net.words_lost <- net.words_lost + wlost;
+  net.boundary_words <- net.boundary_words + cross;
+  net.max_node_load <- max net.max_node_load nmax;
+  net.max_edge_load <- max net.max_edge_load emax;
   net.rounds <- net.rounds + 1;
-  net.digests_rev <- round_digest net :: net.digests_rev;
+  net.digests_rev <- digest :: net.digests_rev;
   match net.obs with
   | None -> ()
   | Some o ->
@@ -393,28 +299,24 @@ let end_round net ~width =
       Obs.Span.finish o.o_spans tok
     | None -> ())
 
-(* One V-CONGEST round, in phases over the shard geometry (width 1 runs
-   them inline, one shard covering every node):
+(* One V-CONGEST round, in two walks:
 
-   1. send (sender-sharded): shard k walks its senders descending,
-      validates each message and stores it in [sent]. Under a fault
-      hook a crashed sender is not asked, and [deliver] (a pure function
-      of the copy, DESIGN.md §6) decides each outgoing copy, its fate
-      recorded in the sender's slot. The first violation is recorded
-      per shard, and the highest-sender one is re-raised after the
-      barrier, before anything is counted.
-   2. receive (receiver-sharded): shard k walks each of its receivers'
-      CSR slice descending, hashes the receiver's in-traffic, and
-      tallies deliveries, losses, the largest node load, the owner-rule
-      (u > v) edge loads and boundary words.
-   3. merge: the caller folds the per-shard tallies in shard order and
-      the per-receiver hashes in receiver order.
+   1. send: senders descending. Each message is validated and stored in
+      [sent]. Under a fault hook a crashed sender is not asked, and
+      [deliver] (a pure function of the copy, DESIGN.md §6) decides each
+      outgoing copy, its fate recorded in the sender's slot. The first
+      violation, the highest offending sender's, raises here, before
+      anything is counted.
+   2. receive: receivers ascending, each receiver's CSR slice
+      descending. The walk hashes the receiver's in-traffic, folds that
+      hash into the round digest, and tallies deliveries, losses, the
+      largest node load, the owner-rule (u > v) edge loads and boundary
+      words.
 
    The inbox view ({!iter_inbox}) then reads [sent] (and [fate]) in
    place: nothing is copied per delivery. *)
 let broadcast_round net send =
   let hook = net.faults in
-  let width = Team.width net.team and bounds = net.bounds in
   let mirror, fate =
     match hook with
     | None -> ([||], [||])
@@ -429,90 +331,65 @@ let broadcast_round net send =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
   let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
-  let rdig = net.rdig in
   let sent = net.sent and sent_len = net.sent_len
   and sent_hash = net.sent_hash in
-  let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
-  let phase_send k =
-    fail_u.(k) <- -1;
-    let lo = bounds.(k) in
-    let u = ref (bounds.(k + 1) - 1) in
-    while !u >= lo do
-      let uu = !u in
-      (try
-         let out =
-           match hook with
-           | Some h when not (h.node_alive uu) -> None
-           | _ -> send uu
-         in
-         match out with
-         | None -> sent_len.(uu) <- -1
-         | Some m ->
-           sent_hash.(uu) <- validate net ~node:uu m;
-           sent.(uu) <- m;
-           sent_len.(uu) <- Array.length m;
-           (match hook with
-           | None -> ()
-           | Some h ->
-             for s = off.(uu) to off.(uu + 1) - 1 do
-               fate.(s) <-
-                 (if h.deliver ~src:uu ~dst:adj.(s) ~edge:ids.(s) m then tag
-                  else -tag)
-             done)
-       with e ->
-         fail_u.(k) <- uu;
-         fail.(k) <- e;
-         u := lo);
-      decr u
-    done
-  in
-  let phase_receive k =
-    let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
-    let nmax = ref 0 and emax = ref 0 and cross = ref 0 in
-    for v = bounds.(k) to bounds.(k + 1) - 1 do
-      let len_v = max 0 sent_len.(v) in
-      let w_in = ref 0 and h = ref v in
-      for s' = off.(v + 1) - 1 downto off.(v) do
-        let u = adj.(s') in
-        let len = sent_len.(u) in
-        let len_in =
-          if len < 0 then 0
-          else if faulty && fate.(mirror.(s')) <> tag then begin
-            h := digest_in !h ~tag:2 ~src:u sent_hash.(u);
-            incr lost;
-            wlost := !wlost + len;
-            0
-          end
-          else begin
-            h := digest_in !h ~tag:1 ~src:u sent_hash.(u);
-            incr msgs;
-            w_in := !w_in + len;
-            if bounded && side u <> side v then cross := !cross + len;
-            len
-          end
-        in
-        if u > v then begin
-          let len_out = if faulty && fate.(s') <> tag then 0 else len_v in
-          if len_in + len_out > !emax then emax := len_in + len_out
+  let n = Array.length sent in
+  for u = n - 1 downto 0 do
+    let out =
+      match hook with
+      | Some h when not (h.node_alive u) -> None
+      | _ -> send u
+    in
+    match out with
+    | None -> sent_len.(u) <- -1
+    | Some m ->
+      sent_hash.(u) <- validate net ~node:u m;
+      sent.(u) <- m;
+      sent_len.(u) <- Array.length m;
+      (match hook with
+      | None -> ()
+      | Some h ->
+        for s = off.(u) to off.(u + 1) - 1 do
+          fate.(s) <-
+            (if h.deliver ~src:u ~dst:adj.(s) ~edge:ids.(s) m then tag
+             else -tag)
+        done)
+  done;
+  let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
+  let nmax = ref 0 and emax = ref 0 and cross = ref 0 and dig = ref 0 in
+  for v = 0 to n - 1 do
+    let len_v = max 0 sent_len.(v) in
+    let w_in = ref 0 and h = ref v in
+    for s' = off.(v + 1) - 1 downto off.(v) do
+      let u = adj.(s') in
+      let len = sent_len.(u) in
+      let len_in =
+        if len < 0 then 0
+        else if faulty && fate.(mirror.(s')) <> tag then begin
+          h := digest_in !h ~tag:2 ~src:u sent_hash.(u);
+          incr lost;
+          wlost := !wlost + len;
+          0
         end
-      done;
-      rdig.(v) <- !h;
-      words := !words + !w_in;
-      if !w_in > !nmax then nmax := !w_in
+        else begin
+          h := digest_in !h ~tag:1 ~src:u sent_hash.(u);
+          incr msgs;
+          w_in := !w_in + len;
+          if bounded && side u <> side v then cross := !cross + len;
+          len
+        end
+      in
+      if u > v then begin
+        let len_out = if faulty && fate.(s') <> tag then 0 else len_v in
+        if len_in + len_out > !emax then emax := len_in + len_out
+      end
     done;
-    let b = k * n_tallies in
-    tally.(b + t_messages) <- !msgs;
-    tally.(b + t_words) <- !words;
-    tally.(b + t_messages_lost) <- !lost;
-    tally.(b + t_words_lost) <- !wlost;
-    tally.(b + t_node_max) <- !nmax;
-    tally.(b + t_edge_max) <- !emax;
-    tally.(b + t_boundary) <- !cross
-  in
-  Team.run net.team ~shards:width phase_send;
-  reraise_failure net width;
-  Team.run net.team ~shards:width phase_receive;
-  end_round net ~width;
+    dig := mix !dig !h;
+    words := !words + !w_in;
+    if !w_in > !nmax then nmax := !w_in
+  done;
+  end_round net ~digest:!dig ~msgs:!msgs ~words:!words ~lost:!lost
+    ~wlost:!wlost ~nmax:!nmax ~emax:!emax ~cross:!cross;
   net.last <- (if faulty then Faulty_broadcast (arenas net) else Broadcast)
 
 (* binary search for [v] in [u]'s sorted CSR slice; -1 when absent *)
@@ -526,15 +403,14 @@ let slot_in off adj u v =
   done;
   !found
 
-(* One E-CONGEST round; the same phases as [broadcast_round], with each
-   message staged at its sender slot: the slot's [fate] stamp doubles as
-   the duplicate-direction check, and under a fault hook [deliver] is
-   consulted right after each message validates. *)
+(* One E-CONGEST round; the same two walks as [broadcast_round], with
+   each message staged at its sender slot: the slot's [fate] stamp
+   doubles as the duplicate-direction check, and under a fault hook
+   [deliver] is consulted right after each message validates. *)
 let edge_round net send =
   if net.model = Model.V_congest then
     violate net "edge_round: per-edge messages illegal in V-CONGEST";
   let hook = net.faults in
-  let width = Team.width net.team and bounds = net.bounds in
   let { mirror; out_msg; out_hash; fate } = arenas net in
   begin_round net;
   let tag = net.tag in
@@ -542,8 +418,6 @@ let edge_round net send =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
   let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
-  let rdig = net.rdig in
-  let fail_u = net.fail_u and fail = net.fail and tally = net.tally in
   (* [next] is the slot after the previous target's: protocols list
      targets in neighbour order, so it is usually the slot sought and
      the binary search is skipped *)
@@ -568,78 +442,52 @@ let edge_round net send =
       | _ -> ());
       stage u (s + 1) rest
   in
-  let phase_send k =
-    fail_u.(k) <- -1;
-    let lo = bounds.(k) in
-    let u = ref (bounds.(k + 1) - 1) in
-    while !u >= lo do
-      let uu = !u in
-      (try
-         let l =
-           match hook with
-           | Some h when not (h.node_alive uu) -> []
-           | _ -> send uu
-         in
-         stage uu off.(uu) l
-       with e ->
-         fail_u.(k) <- uu;
-         fail.(k) <- e;
-         u := lo);
-      decr u
-    done
-  in
-  let phase_receive k =
-    let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
-    let nmax = ref 0 and emax = ref 0 and cross = ref 0 in
-    for v = bounds.(k) to bounds.(k + 1) - 1 do
-      let w_in = ref 0 and h = ref v in
-      for s' = off.(v + 1) - 1 downto off.(v) do
-        let u = adj.(s') in
-        let s = mirror.(s') in
-        let st = fate.(s) in
-        let len_in =
-          if st = tag then begin
-            let m = out_msg.(s) in
-            let len = Array.length m in
-            h := digest_in !h ~tag:1 ~src:u out_hash.(s);
-            incr msgs;
-            w_in := !w_in + len;
-            if bounded && side u <> side v then cross := !cross + len;
-            len
-          end
-          else begin
-            if st = -tag then begin
-              h := digest_in !h ~tag:2 ~src:u out_hash.(s);
-              incr lost;
-              wlost := !wlost + Array.length out_msg.(s)
-            end;
-            0
-          end
-        in
-        if u > v then begin
-          let len_out =
-            if fate.(s') = tag then Array.length out_msg.(s') else 0
-          in
-          if len_in + len_out > !emax then emax := len_in + len_out
+  let n = Array.length net.sent in
+  for u = n - 1 downto 0 do
+    match hook with
+    | Some h when not (h.node_alive u) -> ()
+    | _ -> stage u off.(u) (send u)
+  done;
+  let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
+  let nmax = ref 0 and emax = ref 0 and cross = ref 0 and dig = ref 0 in
+  for v = 0 to n - 1 do
+    let w_in = ref 0 and h = ref v in
+    for s' = off.(v + 1) - 1 downto off.(v) do
+      let u = adj.(s') in
+      let s = mirror.(s') in
+      let st = fate.(s) in
+      let len_in =
+        if st = tag then begin
+          let m = out_msg.(s) in
+          let len = Array.length m in
+          h := digest_in !h ~tag:1 ~src:u out_hash.(s);
+          incr msgs;
+          w_in := !w_in + len;
+          if bounded && side u <> side v then cross := !cross + len;
+          len
         end
-      done;
-      rdig.(v) <- !h;
-      words := !words + !w_in;
-      if !w_in > !nmax then nmax := !w_in
+        else begin
+          if st = -tag then begin
+            h := digest_in !h ~tag:2 ~src:u out_hash.(s);
+            incr lost;
+            wlost := !wlost + Array.length out_msg.(s)
+          end;
+          0
+        end
+      in
+      if u > v then begin
+        let len_out =
+          if fate.(s') = tag then Array.length out_msg.(s') else 0
+        in
+        if len_in + len_out > !emax then emax := len_in + len_out
+      end
     done;
-    let b = k * n_tallies in
-    tally.(b + t_messages) <- !msgs;
-    tally.(b + t_words) <- !words;
-    tally.(b + t_messages_lost) <- !lost;
-    tally.(b + t_words_lost) <- !wlost;
-    tally.(b + t_node_max) <- !nmax;
-    tally.(b + t_edge_max) <- !emax;
-    tally.(b + t_boundary) <- !cross
-  in
-  Team.run net.team ~shards:width phase_send;
-  reraise_failure net width;
-  Team.run net.team ~shards:width phase_receive;
-  end_round net ~width;
+    dig := mix !dig !h;
+    words := !words + !w_in;
+    if !w_in > !nmax then nmax := !w_in
+  done;
+  end_round net ~digest:!dig ~msgs:!msgs ~words:!words ~lost:!lost
+    ~wlost:!wlost ~nmax:!nmax ~emax:!emax ~cross:!cross;
   net.last <- Edge (arenas net)
 
 (* The inbox view: [v]'s CSR slice walked forward (senders ascending),

@@ -43,38 +43,18 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type t
 
-(** [create ?words_budget ?domains model g] wraps graph [g].
+(** [create ?words_budget model g] wraps graph [g]. [words_budget]
+    defaults to the model's {!Model.words_budget} at [n] nodes.
 
-    [domains] (default {!Par.net_domains}, itself 1 unless the CLI's
-    [--domains] raised it) sizes the net's round engine. Every round runs
-    in phases — a send phase over senders, a receive phase over
-    receivers, a merge in shard order — over a partition of the nodes
-    into degree-weighted contiguous shards. With [domains > 1] a
-    persistent {!Team} of worker domains is spawned once and runs the
-    shards of every round in parallel, fault hook and boundary predicate
-    included (both must be pure within a round). The merge discipline
-    makes every observable — the inbox view ({!iter_inbox}), telemetry,
-    round digests, {!replay_check} verdicts — byte-identical across
-    domain counts: [domains = n] produces exactly the output of
-    [domains = 1]. A net created inside an [Exec.Pool] worker or another
-    net's shard clamps to [domains = 1] — outer parallelism wins; see
-    DESIGN.md §15. *)
-val create : ?words_budget:int -> ?domains:int -> Model.t -> Graphs.Graph.t -> t
+    A net runs every round on the calling domain, in two walks: a send
+    walk over the senders, descending, then a receive walk over the
+    receivers, ascending (DESIGN.md §10). Nets share nothing, so an
+    [Exec.Pool] runs one whole simulation per domain. *)
+val create : ?words_budget:int -> Model.t -> Graphs.Graph.t -> t
 
 val graph : t -> Graphs.Graph.t
 val model : t -> Model.t
 val n : t -> int
-
-(** Effective domain count of the round engine ([1] = no worker
-    domains). May be less than the [?domains] requested: clamped by node
-    count and by the nested-parallelism guard. *)
-val domains : t -> int
-
-(** [shutdown net] joins the net's worker domains, if any; the net stays
-    usable and all subsequent rounds run at width 1. Idempotent.
-    Without it, teams are joined by an [at_exit] hook — call it eagerly
-    when creating many sharded nets in one process. *)
-val shutdown : t -> unit
 
 (** {1 Fault injection}
 
@@ -82,7 +62,7 @@ val shutdown : t -> unit
     round without any change to algorithm code:
 
     - [on_round_start r] is called once per round, before any message
-      moves and outside the shards, with [r] = the number of completed
+      moves, with [r] = the number of completed
       rounds (so the first round is 0) — the only place the adversary
       may change its answers;
     - a node [u] with [node_alive u = false] is {e crashed}: its send
@@ -90,9 +70,9 @@ val shutdown : t -> unit
       [deliver] hook is expected to refuse its inbound traffic);
     - [deliver ~src ~dst ~edge m] decides the fate of each message from
       a live sender over edge id [edge]: [false] destroys it in flight.
-      Shards call it concurrently and in no fixed order, so it must be
-      a pure function of its arguments and the round's state, writing
-      at most a slot owned by the direction [src -> dst];
+      It must be a pure function of its arguments and the round's state
+      (DESIGN.md §6), writing at most a slot owned by the direction
+      [src -> dst];
     - [reset ()] must rewind the adversary to its creation state
       (revive nodes and edges, clear observed traffic and
       telemetry) so a replayed protocol faces identical faults; it is
@@ -133,10 +113,11 @@ val node_alive : t -> int -> bool
     Every message of a round is validated before any is delivered. A
     round that raises [Protocol_violation] therefore counts nothing:
     rounds, messages, words, losses, load maxima, boundary words and the
-    digest trace are exactly as they were when the round began. (An
-    installed fault hook has still seen [on_round_start] and the
-    [deliver] calls of some senders validated before the violation,
-    which ones depending on the width.) *)
+    digest trace are exactly as they were when the round began. The
+    send walk visits senders descending, so the violation raised is the
+    highest offending sender's. (An installed fault hook has still seen
+    [on_round_start] and the [deliver] calls of the senders above the
+    offender.) *)
 
 (** [broadcast_round net send] performs one round in which node [u]
     locally broadcasts [send u] (or stays silent on [None]). Legal in
@@ -236,9 +217,8 @@ val reset_stats : t -> unit
     runtime counts every word carried by a message crossing the boundary
     — the communication a two-party simulation of the protocol needs
     (Lemma G.6 charges 2BT; the cross-boundary traffic of the actual run
-    is what the simulating players must forward). The predicate is
-    called from every shard of the receive phase, so it must be a pure
-    function of the node. *)
+    is what the simulating players must forward). The predicate must be
+    a pure function of the node. *)
 
 val set_boundary : t -> (int -> bool) -> unit
 val clear_boundary : t -> unit

@@ -103,15 +103,10 @@ let run ?domains ?metrics ?on_progress tasks =
   in
   if domains = 1 then worker 0
   else begin
-    (* all workers (including the caller's own) run under
-       [Par.with_worker], so nets created inside a task clamp to
-       [domains = 1] — one whole simulation per domain composes; a
-       sharded net inside a pool would oversubscribe the machine *)
     let spawned =
-      Array.init (domains - 1) (fun d ->
-          Domain.spawn (fun () -> Par.with_worker (fun () -> worker (d + 1))))
+      Array.init (domains - 1) (fun d -> Domain.spawn (fun () -> worker (d + 1)))
     in
-    Par.with_worker (fun () -> worker 0);
+    worker 0;
     Array.iter Domain.join spawned
   end;
   { results; wall_s = now () -. t0; busy_s }

@@ -14,7 +14,11 @@
 
     With [domains = 1] (or a single task) everything runs inline on the
     calling domain and [Domain.spawn] is never reached — the sequential
-    baseline really is sequential. *)
+    baseline really is sequential.
+
+    The pool is the only multicore layer: a [Congest.Net] runs its
+    rounds on the domain that drives it, so a pool of [d] domains runs
+    at most [d] whole simulations at once. *)
 
 type 'a outcome = [ `Ok of 'a | `Failed of string ]
 

@@ -20,8 +20,8 @@
    access, which dominated [iter_edges]-shaped scans. The per-vertex
    [nbr] views ([neighbors]'s "same physical array every call"
    contract) are materialized lazily, published once through an
-   [Atomic] so concurrent first calls from shard domains agree on one
-   physical array. *)
+   [Atomic] so concurrent first calls from pool domains sharing one
+   graph agree on one physical array. *)
 
 type t = {
   n : int;

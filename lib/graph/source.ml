@@ -49,11 +49,7 @@ let gen_graph spec =
       ~p:(float_of_int (get "deg" ~default:8) /. float_of_int (max 1 n))
   | other -> failwith ("unknown generator: " ^ other)
 
-let load ?(on_load = fun () -> ()) ?domains ~gen ~file () =
-  (match domains with
-  | Some d when d < 1 -> failwith "--domains must be at least 1"
-  | Some d -> Par.set_net_domains d
-  | None -> ());
+let load ?(on_load = fun () -> ()) ~gen ~file () =
   let g =
     match (gen, file) with
     | Some spec, None -> gen_graph spec

@@ -17,14 +17,7 @@ val gen_graph : string -> Graph.t
 (** [load ~gen ~file] resolves exactly one of a generator spec or an
     edge-list path ('-' = stdin) to a graph. [on_load] (default a
     no-op) is invoked once per graph actually constructed — drivers
-    thread a counter through it to assert single construction.
-
-    [domains] (the CLI's [--domains]) sets the process-wide default
-    domain count for subsequently created CONGEST nets
-    ({!Par.set_net_domains}): every net the driver builds after this
-    load shards its rounds across that many domains. Output is
-    byte-identical across domain counts (see [Congest.Net.create]).
-    Raises [Failure] on [domains < 1]. *)
+    thread a counter through it to assert single construction. *)
 val load :
-  ?on_load:(unit -> unit) -> ?domains:int -> gen:string option ->
-  file:string option -> unit -> Graph.t
+  ?on_load:(unit -> unit) -> gen:string option -> file:string option ->
+  unit -> Graph.t

@@ -405,6 +405,133 @@ let test_barrier_rollback_deterministic () =
     (Congest.Net.diff_telemetry t1 t3)
 
 (* ------------------------------------------------------------------ *)
+(* Engine: which violation a round raises, what a raised round leaves,
+   rollback against a straight-through run, and the obs counters *)
+
+(* Value-dependent rounds: later traffic depends on earlier deliveries,
+   so any slip in what a round delivers shows in the digests. *)
+let broadcast_phase net rounds =
+  let best = Array.init (Congest.Net.n net) (fun v -> (v * 7) land 63) in
+  for r = 1 to rounds do
+    Congest.Net.broadcast_round net (fun u ->
+        if (u + r) mod 5 = 0 then None else Some [| best.(u); r land 63 |]);
+    Congest.Net.iter_deliveries net (fun v _ _ m ->
+        if m.(0) < best.(v) then best.(v) <- m.(0))
+  done
+
+let edge_phase net rounds =
+  let g = Congest.Net.graph net in
+  let best = Array.init (Congest.Net.n net) (fun v -> (v * 3) land 63) in
+  for r = 1 to rounds do
+    Congest.Net.edge_round net (fun u ->
+        Array.to_list (Graph.neighbors g u)
+        |> List.filter (fun v -> (u + v + r) mod 4 <> 0)
+        |> List.map (fun v -> (v, [| best.(u); (u + r) land 63 |])));
+    Congest.Net.iter_deliveries net (fun v _ _ m ->
+        if m.(0) < best.(v) then best.(v) <- m.(0))
+  done
+
+let test_violation_highest_sender () =
+  (* the send walk visits senders descending, so of two offenders the
+     higher one is named *)
+  let net = vnet (Gen.clique 24) in
+  match
+    Congest.Net.broadcast_round net (fun u ->
+        if u = 5 || u = 17 then Some (Array.make 99 0) else Some [| u |])
+  with
+  | () -> Alcotest.fail "expected a protocol violation"
+  | exception Congest.Net.Protocol_violation v ->
+    Alcotest.(check (option int)) "offender is the highest sender" (Some 17)
+      v.Congest.Net.v_node
+
+let counters net =
+  Congest.Net.
+    [
+      rounds net; messages_sent net; words_sent net; messages_lost net;
+      words_lost net; max_node_load net; max_edge_load net;
+      boundary_words net;
+    ]
+
+let test_violation_leaves_counters () =
+  (* a round that raises Protocol_violation counts nothing: every
+     counter and the digest trace stay as they were when it began, for
+     both primitives, with and without a fault hook and a boundary
+     predicate *)
+  let g = Gen.harary ~k:4 ~n:24 in
+  let probe ~oracles bad_round =
+    let net = enet g in
+    if oracles then begin
+      F.install net (F.create ~seed:4 [ F.Drop_bernoulli 0.3 ]);
+      Congest.Net.set_boundary net (fun v -> v < 12)
+    end;
+    broadcast_phase net 10;
+    edge_phase net 6;
+    let before = counters net in
+    let trace = (Congest.Net.telemetry net).Congest.Net.t_digests in
+    (match bad_round net with
+    | () -> Alcotest.fail "expected a protocol violation"
+    | exception Congest.Net.Protocol_violation _ -> ());
+    Alcotest.(check (list int)) "counters unchanged" before (counters net);
+    Alcotest.(check (array int)) "digest trace unchanged" trace
+      (Congest.Net.telemetry net).Congest.Net.t_digests
+  in
+  let oversized_broadcast net =
+    Congest.Net.broadcast_round net (fun u ->
+        if u = 3 then Some (Array.make 99 0) else Some [| u |])
+  in
+  let duplicate_edge net =
+    Congest.Net.edge_round net (fun u ->
+        let v = (Graph.neighbors g u).(0) in
+        if u = 5 then [ (v, [| 1 |]); (v, [| 2 |]) ] else [ (v, [| u |]) ])
+  in
+  List.iter
+    (fun oracles ->
+      probe ~oracles oversized_broadcast;
+      probe ~oracles duplicate_edge)
+    [ false; true ]
+
+let test_rollback_straight_through () =
+  (* rolling a poisoned region back to its barrier leaves exactly the
+     telemetry of a run that stopped at the barrier *)
+  let g = Gen.harary ~k:4 ~n:20 in
+  let straight = vnet g in
+  broadcast_phase straight 12;
+  let net = vnet g in
+  broadcast_phase net 12;
+  let bar = Congest.Net.barrier net in
+  broadcast_phase net 7;
+  Alcotest.(check int) "poisoned region on the clock" 7
+    (Congest.Net.discarded_since net bar);
+  Congest.Net.rollback net bar;
+  Alcotest.(check (list string)) "rolled back to the straight-through state"
+    []
+    (Congest.Net.diff_telemetry
+       (Congest.Net.telemetry straight)
+       (Congest.Net.telemetry net))
+
+let test_obs_counters_exact () =
+  (* the obs bundle re-exports the engine's own counts: counter ==
+     rounds, messages_sent and words_sent *)
+  let net = enet (Gen.harary ~k:6 ~n:32) in
+  let metrics = Obs.Metrics.create () in
+  Congest.Net.attach_obs net (Congest.Net.make_obs metrics);
+  broadcast_phase net 9;
+  edge_phase net 6;
+  let snap = Obs.Metrics.snapshot metrics in
+  let counter name =
+    match Obs.Metrics.find_counter snap name with Some v -> v | None -> -1
+  in
+  Alcotest.(check int) "rounds counter exact" (Congest.Net.rounds net)
+    (counter "congest_rounds_total");
+  Alcotest.(check int) "messages counter exact"
+    (Congest.Net.messages_sent net)
+    (counter "congest_messages_total");
+  Alcotest.(check int) "words counter exact" (Congest.Net.words_sent net)
+    (counter "congest_words_total");
+  Alcotest.(check bool) "traffic flowed" true
+    (Congest.Net.messages_sent net > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Primitives *)
 
 let test_bfs_tree_rounds () =
@@ -913,7 +1040,7 @@ let prop_words_accounting =
 (* The inbox view against the round's own accounting and, on
    fault-free rounds, against the traffic offered: random graphs, random
    broadcast and edge rounds, with and without a drop + crash adversary,
-   at one and four domains. *)
+   two random draws of each. *)
 let prop_inbox_view_contract =
   QCheck.Test.make
     ~name:"inbox view = the round's deliveries, senders ascending" ~count:40
@@ -926,9 +1053,9 @@ let prop_inbox_view_contract =
             acc := (v, u, e, m) :: !acc);
         List.rev !acc
       in
-      let check ~domains ~faulty =
-        let rng = Random.State.make [| seed; domains |] in
-        let net = Congest.Net.create ~domains Congest.Model.E_congest g in
+      let check ~draw ~faulty =
+        let rng = Random.State.make [| seed; draw |] in
+        let net = Congest.Net.create Congest.Model.E_congest g in
         if faulty then
           F.install net
             (F.create ~seed
@@ -1009,11 +1136,10 @@ let prop_inbox_view_contract =
           | exception Congest.Net.Protocol_violation _ -> ());
           ok := !ok && view net = []
         done;
-        Congest.Net.shutdown net;
         !ok
       in
       List.for_all
-        (fun (domains, faulty) -> check ~domains ~faulty)
+        (fun (draw, faulty) -> check ~draw ~faulty)
         [ (1, false); (4, false); (1, true); (4, true) ])
 
 (* [Net.delivered] against the inbox view: the sender-major walk (each
@@ -1061,11 +1187,11 @@ let test_delivered_walk () =
   let adj = Graph.csr_neighbors g in
   let absent = [||] in
   List.iter
-    (fun domains ->
-      let what s = Printf.sprintf "width %d, %s" domains s in
-      let rng = Random.State.make [| domains |] in
+    (fun draw ->
+      let what s = Printf.sprintf "draw %d, %s" draw s in
+      let rng = Random.State.make [| draw |] in
       let adversary () =
-        F.create ~seed:domains [ F.Drop_bernoulli 0.3; F.Crash_at [ (0, 5) ] ]
+        F.create ~seed:draw [ F.Drop_bernoulli 0.3; F.Crash_at [ (0, 5) ] ]
       in
       (* broadcast rounds: [out.(u)] is what u sent, or None *)
       let broadcast net =
@@ -1097,7 +1223,7 @@ let test_delivered_walk () =
       in
       let none _ _ = absent in
       (* fault free, V-CONGEST *)
-      let net = Congest.Net.create ~domains Congest.Model.V_congest g in
+      let net = Congest.Net.create Congest.Model.V_congest g in
       Alcotest.(check int)
         (what "before any round")
         0
@@ -1112,9 +1238,8 @@ let test_delivered_walk () =
         (what "after a raised round")
         0
         (check_outbox_walk (what "raised broadcast") net none);
-      Congest.Net.shutdown net;
       (* drops and a receiver crashed in round 0 *)
-      let net = Congest.Net.create ~domains Congest.Model.V_congest g in
+      let net = Congest.Net.create Congest.Model.V_congest g in
       F.install net (adversary ());
       let last = ref none in
       for _ = 0 to 1 do
@@ -1131,11 +1256,10 @@ let test_delivered_walk () =
         (what "nothing reaches the crashed node")
         true
         (List.for_all (fun (_, v, _, _) -> v <> 5) (outbox_walk net !last));
-      Congest.Net.shutdown net;
       (* edge rounds, fault free and faulty, then one that raises *)
       List.iter
         (fun faulty ->
-          let net = Congest.Net.create ~domains Congest.Model.E_congest g in
+          let net = Congest.Net.create Congest.Model.E_congest g in
           if faulty then F.install net (adversary ());
           for _ = 0 to 1 do
             let msg_of = edge net in
@@ -1151,8 +1275,7 @@ let test_delivered_walk () =
           Alcotest.(check int)
             (what "after a raised edge round")
             0
-            (check_outbox_walk (what "raised edge round") net none);
-          Congest.Net.shutdown net)
+            (check_outbox_walk (what "raised edge round") net none))
         [ false; true ])
     [ 1; 2 ]
 
@@ -1174,6 +1297,16 @@ let () =
           Alcotest.test_case "reset/checkpoint" `Quick test_reset_and_checkpoint;
           Alcotest.test_case "boundary accounting" `Quick
             test_boundary_accounting;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "raises the highest offender" `Quick
+            test_violation_highest_sender;
+          Alcotest.test_case "violation leaves the counters" `Quick
+            test_violation_leaves_counters;
+          Alcotest.test_case "rollback matches straight run" `Quick
+            test_rollback_straight_through;
+          Alcotest.test_case "obs counters exact" `Quick test_obs_counters_exact;
         ] );
       ( "net.delivered",
         [
