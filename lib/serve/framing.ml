@@ -1,7 +1,8 @@
 (* v2: Stats request/response opcodes and the journal fields on
    Health_report — a v1 peer would mis-decode both, so the frame
-   version gates them out. *)
-let version = 2
+   version gates them out. v3: the CRC covers the length field as well
+   as the payload, so a v2 peer would reject every frame. *)
+let version = 3
 let default_max_len = 4 * 1024 * 1024
 let overhead = 1 + 4 + 4
 
@@ -18,12 +19,25 @@ let crc_table =
   done;
   t
 
-let crc32 s =
+let crc_step c byte = crc_table.((c lxor byte) land 0xff) lxor (c lsr 8)
+
+let crc_string c s =
+  let c = ref c in
+  String.iter (fun ch -> c := crc_step !c (Char.code ch)) s;
+  !c
+
+let crc32 s = crc_string 0xFFFFFFFF s lxor 0xFFFFFFFF
+
+(* A frame's CRC runs over its big-endian length field and then its
+   payload. Over the payload alone, [crc32 "" = 0] would make the nine
+   bytes [version; 0 x 8] a valid empty frame, which a zeroed or forged
+   header produces. *)
+let frame_crc n payload =
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
+  for k = 3 downto 0 do
+    c := crc_step !c ((n lsr (8 * k)) land 0xff)
+  done;
+  crc_string !c payload lxor 0xFFFFFFFF
 
 let encode payload =
   let n = String.length payload in
@@ -31,7 +45,7 @@ let encode payload =
   Buffer.add_char b (Char.chr version);
   Buffer.add_int32_be b (Int32.of_int n);
   Buffer.add_string b payload;
-  Buffer.add_int32_be b (Int32.of_int (crc32 payload));
+  Buffer.add_int32_be b (Int32.of_int (frame_crc n payload));
   Buffer.contents b
 
 let try_decode ?(max_len = default_max_len) ?(pos = 0) buf ~len =
@@ -52,7 +66,7 @@ let try_decode ?(max_len = default_max_len) ?(pos = 0) buf ~len =
         let crc =
           Int32.to_int (Bytes.get_int32_be buf (pos + 5 + n)) land 0xFFFFFFFF
         in
-        if crc <> crc32 payload then `Error "frame CRC mismatch"
+        if crc <> frame_crc n payload then `Error "frame CRC mismatch"
         else `Frame (payload, overhead + n)
       end
     end

@@ -6,7 +6,8 @@
     {v
       +---------+-----------+------------------+--------------+
       | version | length u32| payload (length) | crc32 u32    |
-      |   u8    |           |                  | (of payload) |
+      |   u8    |           |                  | (of length   |
+      |         |           |                  |  and payload)|
       +---------+-----------+------------------+--------------+
     v}
 

@@ -822,6 +822,18 @@ let prop_journal_random_kill_point =
 
 let fuzz_cert = lazy (sample_cert ())
 
+(* Stats snapshots as registries produce them: empty, and one with
+   every instrument kind, a negative gauge and a spread histogram *)
+let sample_snapshots () =
+  let m = Obs.Metrics.create () in
+  let empty = Obs.Metrics.snapshot m in
+  Obs.Metrics.add (Obs.Metrics.counter m "c_requests") 41;
+  Obs.Metrics.incr (Obs.Metrics.counter m "c_failed");
+  Obs.Metrics.set (Obs.Metrics.gauge m "g_depth") (-7);
+  let h = Obs.Metrics.histogram m "h_latency_us" in
+  List.iter (Obs.Metrics.observe h) [ 0; 1; 9; 130; 4_000; 2_000_000 ];
+  [ empty; Obs.Metrics.snapshot m ]
+
 (* (name, valid encoding, decoder) — the decoder reports whether it
    answered at all; an exception escapes and fails the property *)
 let fuzz_corpus =
@@ -841,6 +853,9 @@ let fuzz_corpus =
      @ List.map
          (fun r -> ("response", P.encode_response r, total P.decode_response))
          (sample_responses cert)
+     @ List.map
+         (fun s -> ("snapshot", P.encode_snapshot s, total P.decode_snapshot))
+         (sample_snapshots ())
      |> Array.of_list)
 
 (* lengths and counts a forger would try: negative, zero, just past the
@@ -878,6 +893,9 @@ let mutate rng s =
     if i + 8 <= n then Bytes.set_int64_be b i v;
     Bytes.to_string b
 
+let rec mutate_times rng s k =
+  if k = 0 then s else mutate_times rng (mutate rng s) (k - 1)
+
 let prop_decoders_never_raise =
   QCheck.Test.make ~name:"fuzzed encodings never raise"
     ~count:2000 QCheck.int
@@ -887,13 +905,45 @@ let prop_decoders_never_raise =
       let name, enc, decode =
         corpus.(Random.State.int rng (Array.length corpus))
       in
-      let rec go s k = if k = 0 then s else go (mutate rng s) (k - 1) in
-      let s = go enc (1 + Random.State.int rng 4) in
+      let s = mutate_times rng enc (1 + Random.State.int rng 4) in
       match decode s with
       | () -> true
       | exception e ->
         QCheck.Test.fail_reportf "%s decoder raised %s on %S" name
           (Printexc.to_string e) s)
+
+(* Framing under mutation: a valid multi-frame stream, mutated, walked
+   frame by frame from the start. The decoder must only answer, never
+   raise; no answer may claim bytes past [len]; and every frame it
+   accepts must carry a payload that was encoded (a forged frame would
+   need a matching CRC). *)
+let prop_framing_mutated =
+  QCheck.Test.make ~name:"mutated frame streams" ~count:1000 QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let payloads =
+        List.init (1 + Random.State.int rng 5) (fun _ ->
+            String.init (Random.State.int rng 48) (fun _ ->
+                Char.chr (Random.State.int rng 256)))
+      in
+      let stream = String.concat "" (List.map Framing.encode payloads) in
+      let s = mutate_times rng stream (1 + Random.State.int rng 4) in
+      let b = Bytes.of_string s and len = String.length s in
+      let rec walk pos =
+        match Framing.try_decode ~pos b ~len with
+        | `Frame (p, consumed) ->
+          if consumed <= 0 || pos + consumed > len then
+            QCheck.Test.fail_reportf "frame at %d consumed %d of %d bytes" pos
+              consumed len
+          else if not (List.mem p payloads) then
+            QCheck.Test.fail_reportf "forged frame %S accepted at %d" p pos
+          else walk (pos + consumed)
+        | `Need_more | `Error _ -> true
+        | exception e ->
+          QCheck.Test.fail_reportf "try_decode raised %s at %d on %S"
+            (Printexc.to_string e) pos s
+      in
+      walk 0)
 
 (* A flipped byte anywhere in a synced segment (header, payload or CRC)
    must stop replay at a frame boundary: what survives is exactly some
@@ -1160,6 +1210,7 @@ let () =
           Alcotest.test_case "oversize length rejected" `Quick
             test_framing_oversize_rejected;
           QCheck_alcotest.to_alcotest prop_framing_adversarial_boundaries;
+          QCheck_alcotest.to_alcotest prop_framing_mutated;
         ] );
       ( "protocol",
         [
