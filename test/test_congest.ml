@@ -1021,6 +1021,81 @@ let prop_dist_mst_matches_kruskal =
       in
       List.equal (fun (a1, b1) (a2, b2) -> a1 = a2 && b1 = b2) forest kruskal)
 
+(* Differential against the re-flooding kernel in [Dist_mst_ref]: on
+   random marked subgraphs (disconnected ones included) under random,
+   tied and all-zero weights, both variants return the reference's
+   forest, and the flooding variant in no more rounds. Under drops and
+   a crash both flooding kernels finish without raising (the hybrid's
+   global phases convergecast over a BFS tree, which a crash can cut,
+   in either kernel). *)
+let prop_dist_mst_matches_reference =
+  QCheck.Test.make ~name:"Dist_mst = Dist_mst_ref" ~count:60
+    QCheck.(quad (int_range 2 28) (int_range 0 40) (int_range 0 2)
+              (int_range 0 9999))
+    (fun (n, extra, mode, seed) ->
+      let rng = Random.State.make [| seed; n; extra; mode |] in
+      let g = Gen.random_connected rng ~n ~extra in
+      let active = Array.init n (fun _ -> Random.State.int rng 6 > 0) in
+      let keep = Array.init (Graph.m g) (fun _ -> Random.State.int rng 3 > 0) in
+      let wt =
+        Array.init (Graph.m g) (fun _ ->
+            match mode with
+            | 0 -> Random.State.int rng 1000
+            | 1 -> Random.State.int rng 3
+            | _ -> 0)
+      in
+      let weight u v = wt.(Graph.edge_index g u v) in
+      let active v = active.(v) and edge_active u v =
+        keep.(Graph.edge_index g u v)
+      in
+      let cap = 1 + Random.State.int rng 4 in
+      (* (same forest, new rounds, reference rounds) *)
+      let compare run_new run_ref =
+        let net1 = vnet g and net2 = vnet g in
+        let a = run_new net1 and b = run_ref net2 in
+        ( List.equal (fun (a1, b1) (a2, b2) -> a1 = a2 && b1 = b2) a b,
+          Congest.Net.rounds net1,
+          Congest.Net.rounds net2 )
+      in
+      let on_same, on_new, on_ref =
+        compare
+          (fun net ->
+            Congest.Dist_mst.minimum_spanning_forest_on net ~active
+              ~edge_active ~weight)
+          (fun net ->
+            Dist_mst_ref.minimum_spanning_forest_on net ~active ~edge_active
+              ~weight)
+      in
+      let hybrid_same, _, _ =
+        compare
+          (Congest.Dist_mst.minimum_spanning_forest_hybrid ~cap ~weight)
+          (Dist_mst_ref.minimum_spanning_forest_hybrid ~cap ~weight)
+      in
+      let faulty run =
+        let net = vnet g in
+        Congest.Faults.install net
+          (Congest.Faults.create ~seed
+             [
+               Congest.Faults.Drop_bernoulli 0.2;
+               Congest.Faults.Crash_at [ (2, seed mod n) ];
+             ]);
+        ignore (run net)
+      in
+      List.iter faulty
+        [
+          (fun net ->
+            Congest.Dist_mst.minimum_spanning_forest_on net ~active ~edge_active
+              ~weight);
+          (fun net ->
+            Dist_mst_ref.minimum_spanning_forest_on net ~active ~edge_active
+              ~weight);
+        ];
+      if not (on_same && hybrid_same && on_new <= on_ref) then
+        QCheck.Test.fail_reportf
+          "same forest %b (hybrid %b), rounds %d vs reference %d" on_same
+          hybrid_same on_new on_ref;
+      true)
+
 (* ------------------------------------------------------------------ *)
 
 let prop_words_accounting =
@@ -1402,5 +1477,6 @@ let () =
           prop_dist_mst_weight;
           prop_hybrid_mst_matches;
           prop_dist_mst_matches_kruskal;
+          prop_dist_mst_matches_reference;
         ];
     ]
