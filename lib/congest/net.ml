@@ -80,6 +80,11 @@ type last_round =
   | Faulty_broadcast of arenas
   | Edge of arenas
 
+(* Digests per trace chunk: a chunk stays under the minor heap's
+   largest block, and the trace costs about a word per round where a
+   list cell costs three. *)
+let trace_chunk = 128
+
 type t = {
   graph : Graph.t;
   (* CSR views of [graph], captured once: the round walks and the
@@ -110,7 +115,12 @@ type t = {
       (* Alice/Bob side predicate for two-party simulation accounting *)
   mutable boundary_words : int;
   mutable faults : fault_hook option;
-  mutable digests_rev : int list; (* one digest per message round *)
+  (* the digest trace, one digest per message round: full chunks of
+     [trace_chunk] digests, newest first and never written again, then
+     [trace_len] digests in the chunk being filled *)
+  mutable trace_full : int array list;
+  mutable trace_cur : int array;
+  mutable trace_len : int;
   mutable obs : obs option;
   (* counter values as of the previous end_round, so obs counters get
      per-round deltas and survive [reset_stats] without double-counting *)
@@ -149,7 +159,9 @@ let create ?words_budget model g =
     boundary = None;
     boundary_words = 0;
     faults = None;
-    digests_rev = [];
+    trace_full = [];
+    trace_cur = Array.make trace_chunk 0;
+    trace_len = 0;
     obs = None;
     obs_prev_messages = 0;
     obs_prev_words = 0;
@@ -280,7 +292,13 @@ let end_round net ~digest ~msgs ~words ~lost ~wlost ~nmax ~emax ~cross =
   net.max_node_load <- max net.max_node_load nmax;
   net.max_edge_load <- max net.max_edge_load emax;
   net.rounds <- net.rounds + 1;
-  net.digests_rev <- digest :: net.digests_rev;
+  if net.trace_len = trace_chunk then begin
+    net.trace_full <- net.trace_cur :: net.trace_full;
+    net.trace_cur <- Array.make trace_chunk 0;
+    net.trace_len <- 0
+  end;
+  net.trace_cur.(net.trace_len) <- digest;
+  net.trace_len <- net.trace_len + 1;
   match net.obs with
   | None -> ()
   | Some o ->
@@ -548,7 +566,8 @@ let reset_stats net =
   net.max_node_load <- 0;
   net.max_edge_load <- 0;
   net.boundary_words <- 0;
-  net.digests_rev <- [];
+  net.trace_full <- [];
+  net.trace_len <- 0;
   (* obs counters are cumulative across resets: re-base the deltas *)
   net.obs_prev_messages <- 0;
   net.obs_prev_words <- 0;
@@ -578,7 +597,8 @@ type barrier = {
   b_max_node_load : int;
   b_max_edge_load : int;
   b_boundary_words : int;
-  b_digests_rev : int list;
+  b_trace_full : int array list;
+  b_trace_cur : int array;  (* a copy of the partial chunk *)
   b_restore_faults : (unit -> unit) option;
 }
 
@@ -592,7 +612,8 @@ let barrier net =
     b_max_node_load = net.max_node_load;
     b_max_edge_load = net.max_edge_load;
     b_boundary_words = net.boundary_words;
-    b_digests_rev = net.digests_rev;
+    b_trace_full = net.trace_full;
+    b_trace_cur = Array.sub net.trace_cur 0 net.trace_len;
     b_restore_faults = Option.map (fun h -> h.save ()) net.faults;
   }
 
@@ -605,13 +626,26 @@ let rollback net b =
   net.max_node_load <- b.b_max_node_load;
   net.max_edge_load <- b.b_max_edge_load;
   net.boundary_words <- b.b_boundary_words;
-  net.digests_rev <- b.b_digests_rev;
+  net.trace_full <- b.b_trace_full;
+  net.trace_cur <- Array.make trace_chunk 0;
+  net.trace_len <- Array.length b.b_trace_cur;
+  Array.blit b.b_trace_cur 0 net.trace_cur 0 net.trace_len;
   match b.b_restore_faults with Some restore -> restore () | None -> ()
 
 let discarded_since net b = net.rounds - b.b_rounds
 
 (* ------------------------------------------------------------------ *)
 (* Determinism sanitizer *)
+
+(* The digest trace, chronological. *)
+let trace net =
+  let full = List.length net.trace_full in
+  let a = Array.make ((full * trace_chunk) + net.trace_len) 0 in
+  List.iteri
+    (fun i chunk -> Array.blit chunk 0 a ((full - 1 - i) * trace_chunk) trace_chunk)
+    net.trace_full;
+  Array.blit net.trace_cur 0 a (full * trace_chunk) net.trace_len;
+  a
 
 type telemetry = {
   t_rounds : int;
@@ -635,7 +669,7 @@ let telemetry net =
     t_max_node_load = net.max_node_load;
     t_max_edge_load = net.max_edge_load;
     t_boundary_words = net.boundary_words;
-    t_digests = Array.of_list (List.rev net.digests_rev);
+    t_digests = trace net;
   }
 
 let run_digest t = Array.fold_left mix (mix 0 t.t_rounds) t.t_digests

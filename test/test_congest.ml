@@ -509,6 +509,57 @@ let test_rollback_straight_through () =
        (Congest.Net.telemetry straight)
        (Congest.Net.telemetry net))
 
+(* The digest trace is stored in fixed-size chunks: barriers taken
+   mid-chunk and on a chunk boundary, a rollback past a later barrier
+   and back, and a reset must all leave the straight-through trace. *)
+let test_trace_chunks_persistent () =
+  let g = Gen.harary ~k:4 ~n:20 in
+  let straight_at k =
+    let net = vnet g in
+    let r = ref 0 in
+    for _ = 1 to k do
+      incr r;
+      let r = !r in
+      Congest.Net.broadcast_round net (fun u -> Some [| (u * r) land 255 |])
+    done;
+    Congest.Net.telemetry net
+  in
+  let net = vnet g in
+  let clock = ref 0 in
+  let run k ~salt =
+    for _ = 1 to k do
+      incr clock;
+      let r = !clock in
+      Congest.Net.broadcast_round net (fun u -> Some [| ((u * r) + salt) land 255 |])
+    done
+  in
+  let same what k =
+    Alcotest.(check (list string)) what []
+      (Congest.Net.diff_telemetry (straight_at k) (Congest.Net.telemetry net))
+  in
+  run 150 ~salt:0;
+  let b150 = Congest.Net.barrier net in
+  run 106 ~salt:0;
+  let b256 = Congest.Net.barrier net in
+  run 34 ~salt:0;
+  let b290 = Congest.Net.barrier net in
+  same "straight to 290" 290;
+  Congest.Net.rollback net b150;
+  clock := 150;
+  run 200 ~salt:1;
+  Congest.Net.rollback net b290;
+  clock := 290;
+  same "a later barrier outlives a rollback past it" 290;
+  Congest.Net.rollback net b256;
+  same "barrier on a chunk boundary" 256;
+  Congest.Net.rollback net b256;
+  clock := 256;
+  run 3 ~salt:0;
+  same "second rollback to it, then on" 259;
+  Congest.Net.reset_stats net;
+  Alcotest.(check int) "reset empties the trace" 0
+    (Array.length (Congest.Net.telemetry net).Congest.Net.t_digests)
+
 let test_obs_counters_exact () =
   (* the obs bundle re-exports the engine's own counts: counter ==
      rounds, messages_sent and words_sent *)
@@ -1381,6 +1432,8 @@ let () =
             test_violation_leaves_counters;
           Alcotest.test_case "rollback matches straight run" `Quick
             test_rollback_straight_through;
+          Alcotest.test_case "digest trace chunks persistent" `Quick
+            test_trace_chunks_persistent;
           Alcotest.test_case "obs counters exact" `Quick test_obs_counters_exact;
         ] );
       ( "net.delivered",
