@@ -42,14 +42,12 @@ let flood_pairs ?cap net sub value id =
 
 let mask sub a = Array.mapi (fun v x -> if sub.nodes.(v) then x else -1) a
 
-let label net sub =
+let identify net ~active ~edge_active =
+  let sub = marks net ~active ~edge_active in
   let n = Net.n net in
   let id = Array.init n Fun.id in
   flood_pairs net sub (Array.init n Fun.id) id;
   mask sub id
-
-let identify net ~active ~edge_active =
-  label net (marks net ~active ~edge_active)
 
 let identify_min_value net ~active ~edge_active ~value =
   let sub = marks net ~active ~edge_active in

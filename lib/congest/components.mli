@@ -17,9 +17,9 @@
 
 (** A marked subgraph as flat tables: [nodes.(v)] by vertex and
     [edges.(e)] by edge id ({!Graphs.Graph.edge_index}). An edge is
-    marked only if both its endpoints are. Protocol kernels that run many
-    labellings over one subgraph (the Borůvka phases of {!Dist_mst})
-    build these once and update [edges] in place. *)
+    marked only if both its endpoints are. Protocol kernels that run
+    many forests or labellings over one subgraph ({!Dist_mst}) build
+    these once and reuse them. *)
 type marks = { nodes : bool array; edges : bool array }
 
 (** [marks net ~active ~edge_active] tabulates the predicates: edge
@@ -28,9 +28,6 @@ type marks = { nodes : bool array; edges : bool array }
     endpoints are active). *)
 val marks :
   Net.t -> active:(int -> bool) -> edge_active:(int -> int -> bool) -> marks
-
-(** [label net sub] is {!identify} on the marked subgraph. *)
-val label : Net.t -> marks -> int array
 
 (** [label_hybrid ?cap ?seed net sub] is {!identify_hybrid} on the
     marked subgraph. *)

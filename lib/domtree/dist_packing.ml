@@ -373,19 +373,29 @@ let extract_trees net (result : Cds_packing.t) =
   Array.iteri
     (fun i ms -> Array.iter (fun r -> member.(i).(r) <- true) ms)
     result.Cds_packing.members;
+  (* one kernel and one marked subgraph, refilled per class *)
+  let kernel = Congest.Dist_mst.kernel net in
+  let eu, ev = Graph.csr_endpoints g in
+  let weights = Array.make (Graph.m g) 0 in
+  let sub =
+    {
+      Congest.Components.nodes = Array.make n false;
+      edges = Array.make (Graph.m g) false;
+    }
+  in
   let trees =
     List.map
       (fun cls ->
-        let active v = member.(cls).(v) in
-        let edges =
-          Congest.Dist_mst.minimum_spanning_forest_on net ~active
-            ~edge_active:(fun u v -> active u && active v)
-            ~weight:(fun _ _ -> 0)
-        in
+        let active = member.(cls) in
+        Array.blit active 0 sub.nodes 0 n;
+        Array.iteri
+          (fun e _ -> sub.edges.(e) <- active.(eu.(e)) && active.(ev.(e)))
+          sub.edges;
+        let ids = Congest.Dist_mst.forest_ids kernel sub ~weights in
         {
           Packing.cls;
           vertices = result.Cds_packing.members.(cls);
-          edges;
+          edges = Array.fold_right (fun e acc -> (eu.(e), ev.(e)) :: acc) ids [];
         })
       valid
   in

@@ -7,35 +7,48 @@ type result = {
   measured_rounds : int;
   parallel_rounds : int;
   eta : int;
+  cost_ratios : float list;
 }
 
-(* One §5.1 loop over the marked subgraph. Returns the weighted trees and
-   the per-iteration round costs (for the Lemma 5.1 pipelining account).
-   The continuation decision is the leader's: we charge one convergecast
-   and one broadcast over the BFS tree per iteration. *)
+(* One §5.1 loop over the marked subgraph. Returns the weighted trees,
+   the per-iteration round costs (for the Lemma 5.1 pipelining account)
+   and the per-iteration stop-rule ratios. The continuation decision is
+   the leader's: we charge one convergecast and one broadcast over the
+   BFS tree per iteration. Each MST is kept as its edge ids; the trees'
+   weights decay in place, [weights.(i)] being the i-th tree's. *)
 let run_single ?(mst = `Flooding) net tree0 ~edge_in ~lambda ~eps
     ~max_iterations =
   let g = Net.graph net in
   let n = Graph.n g in
   let m = Graph.m g in
+  let eu, ev = Graph.csr_endpoints g in
   let tgt = float_of_int (Lagrangian.target ~lambda) in
   let alpha = Float.max 2. (log (float_of_int (max 2 n))) in
   let beta = 1. /. (alpha *. Float.max 2. (log (float_of_int (max 2 n)))) in
   let coordination = (2 * tree0.Congest.Primitives.height) + 2 in
   let loads = Array.make m 0. in
-  let trees = ref [] in
-  let add_tree edges weight =
-    trees := List.map (fun (es, w) -> (es, w *. (1. -. weight))) !trees;
-    Array.iteri (fun i x -> loads.(i) <- x *. (1. -. weight)) loads;
-    List.iter
-      (fun (u, v) ->
-        let i = Graph.edge_index g u v in
-        loads.(i) <- loads.(i) +. weight)
-      edges;
-    trees := (edges, weight) :: !trees
+  let trees = ref [] and count = ref 0 in
+  let weights = ref [||] in
+  let add_tree ids weight =
+    let ws = !weights in
+    for i = 0 to !count - 1 do
+      ws.(i) <- ws.(i) *. (1. -. weight)
+    done;
+    if !count = Array.length ws then begin
+      let grown = Array.make (max 16 (2 * !count)) 0. in
+      Array.blit ws 0 grown 0 !count;
+      weights := grown
+    end;
+    !weights.(!count) <- weight;
+    incr count;
+    for i = 0 to m - 1 do
+      loads.(i) <- loads.(i) *. (1. -. weight)
+    done;
+    Array.iter (fun e -> loads.(e) <- loads.(e) +. weight) ids;
+    trees := ids :: !trees
   in
   (* initial tree: distributed MST with unit weights on the subgraph *)
-  let per_iteration_rounds = ref [] in
+  let per_iteration_rounds = ref [] and ratios = ref [] in
   let cp = ref (Net.checkpoint net) in
   let note_iteration () =
     per_iteration_rounds :=
@@ -43,23 +56,45 @@ let run_single ?(mst = `Flooding) net tree0 ~edge_in ~lambda ~eps
     Net.silent_rounds net coordination;
     cp := Net.checkpoint net
   in
-  let solve_mst weight =
+  let sub =
+    Congest.Components.marks net ~active:(fun _ -> true) ~edge_active:edge_in
+  in
+  let kernel = Congest.Dist_mst.kernel net in
+  let solve_mst int_w =
     match mst with
-    | `Flooding ->
-      Congest.Dist_mst.minimum_spanning_forest_on net
-        ~active:(fun _ -> true) ~edge_active:edge_in ~weight
+    | `Flooding -> Congest.Dist_mst.forest_ids kernel sub ~weights:int_w
     | `Pipelined ->
       (* the Kutten-Peleg variant works on the full graph; restrict by
          pricing excluded edges out of every tree *)
       let big = Congest.Model.max_word ~n / 2 in
-      let w u v = if edge_in u v then weight u v else big in
+      let w u v =
+        let e = Graph.edge_index g u v in
+        if sub.edges.(e) then int_w.(e) else big
+      in
       Congest.Dist_mst.minimum_spanning_forest_hybrid net ~weight:w
-      |> List.filter (fun (u, v) -> edge_in u v)
+      |> List.filter_map (fun (u, v) ->
+             let e = Graph.edge_index g u v in
+             if sub.edges.(e) then Some e else None)
+      |> Array.of_list
   in
-  let initial = solve_mst (fun _ _ -> 1) in
+  let int_z = Array.make m 1 in
+  let initial = solve_mst int_z in
   note_iteration ();
-  if List.length initial <> n - 1 then (* disconnected subgraph: no packing *)
-    ([], List.rev !per_iteration_rounds)
+  let result () =
+    (* the trees share one (u, v) pair per edge *)
+    let pairs = Array.init m (fun e -> (eu.(e), ev.(e))) in
+    let ws = !weights in
+    let wtrees = ref [] and i = ref !count in
+    List.iter
+      (fun ids ->
+        decr i;
+        let edges = Array.fold_right (fun e acc -> pairs.(e) :: acc) ids [] in
+        wtrees := { Spacking.edges; weight = ws.(!i) } :: !wtrees)
+      !trees;
+    (!wtrees, List.rev !per_iteration_rounds, List.rev !ratios)
+  in
+  if Array.length initial <> n - 1 then (* disconnected subgraph: no packing *)
+    result ()
   else begin
     add_tree initial 1.;
     let z_of i = loads.(i) *. tgt in
@@ -75,19 +110,13 @@ let run_single ?(mst = `Flooding) net tree0 ~edge_in ~lambda ~eps
         done;
         !best
       in
-      let int_z =
-        Array.init m (fun i ->
-            int_of_float (Float.round (z_of i *. float_of_int n)))
-      in
-      let int_weight u v = int_z.(Graph.edge_index g u v) in
-      let mst = solve_mst int_weight in
+      for i = 0 to m - 1 do
+        int_z.(i) <- int_of_float (Float.round (z_of i *. float_of_int n))
+      done;
+      let mst = solve_mst int_z in
       (* leader decision (convergecast + broadcast, charged above) *)
       let cost i = exp (alpha *. (z_of i -. zmax)) in
-      let mst_cost =
-        List.fold_left
-          (fun acc (u, v) -> acc +. cost (Graph.edge_index g u v))
-          0. mst
-      in
+      let mst_cost = Array.fold_left (fun acc e -> acc +. cost e) 0. mst in
       let sum_cx =
         let acc = ref 0. in
         for i = 0 to m - 1 do
@@ -96,18 +125,19 @@ let run_single ?(mst = `Flooding) net tree0 ~edge_in ~lambda ~eps
         !acc
       in
       note_iteration ();
+      ratios := (mst_cost /. sum_cx) :: !ratios;
       if mst_cost > (1. -. eps) *. sum_cx then stopped := true
       else add_tree mst beta
     done;
-    let wtrees =
-      List.rev_map (fun (es, w) -> { Spacking.edges = es; weight = w }) !trees
-    in
-    (wtrees, List.rev !per_iteration_rounds)
+    result ()
   end
 
 let finish g parts_results eta =
-  let all_rounds = List.map snd parts_results in
-  let all_trees = List.concat_map fst parts_results in
+  let all_rounds = List.map (fun (_, rounds, _) -> rounds) parts_results in
+  let all_trees = List.concat_map (fun (trees, _, _) -> trees) parts_results in
+  let cost_ratios =
+    List.concat_map (fun (_, _, ratios) -> ratios) parts_results
+  in
   let iterations =
     List.fold_left (fun acc rs -> acc + List.length rs) 0 all_rounds
   in
@@ -123,7 +153,7 @@ let finish g parts_results eta =
     in
     lockstep all_rounds 0
   in
-  (all_trees, iterations, parallel_rounds, eta, g)
+  (all_trees, iterations, parallel_rounds, eta, g, cost_ratios)
 
 let run ?(eps = 0.15) ?max_iterations ?mst net ~lambda =
   let g = Net.graph net in
@@ -138,7 +168,7 @@ let run ?(eps = 0.15) ?max_iterations ?mst net ~lambda =
     run_single ?mst net tree0 ~edge_in:(fun _ _ -> true) ~lambda ~eps
       ~max_iterations
   in
-  let all_trees, iterations, parallel_rounds, eta, g = finish g [ r ] 1 in
+  let all_trees, iterations, parallel_rounds, eta, g, cost_ratios = finish g [ r ] 1 in
   let collection = { Spacking.graph = g; trees = all_trees } in
   let scaled = Spacking.scale collection (float_of_int (Lagrangian.target ~lambda)) in
   {
@@ -147,6 +177,7 @@ let run ?(eps = 0.15) ?max_iterations ?mst net ~lambda =
     measured_rounds = Net.rounds_since net start;
     parallel_rounds;
     eta;
+    cost_ratios;
   }
 
 let run_sampled ?(seed = 42) ?(eps = 0.15) net ~lambda =
@@ -169,7 +200,7 @@ let run_sampled ?(seed = 42) ?(eps = 0.15) net ~lambda =
                  max 1 (Graphs.Connectivity.edge_connectivity part)
                else 1
              in
-             let trees, rounds =
+             let trees, rounds, ratios =
                run_single net tree0 ~edge_in ~lambda:lam_part ~eps
                  ~max_iterations
              in
@@ -181,15 +212,16 @@ let run_sampled ?(seed = 42) ?(eps = 0.15) net ~lambda =
                  (float_of_int (Lagrangian.target ~lambda:lam_part))
              in
              let normalized = Spacking.normalize_to_unit_load scaled in
-             (normalized.Spacking.trees, rounds))
+             (normalized.Spacking.trees, rounds, ratios))
     in
-    let all_trees, iterations, parallel_rounds, eta, g = finish g results eta in
+    let all_trees, iterations, parallel_rounds, eta, g, cost_ratios = finish g results eta in
     {
       packing = { Spacking.graph = g; trees = all_trees };
       iterations;
       measured_rounds = Net.rounds_since net start;
       parallel_rounds;
       eta;
+      cost_ratios;
     }
   end
 

@@ -20,6 +20,10 @@ type result = {
   measured_rounds : int;  (** rounds actually consumed on the runtime *)
   parallel_rounds : int;  (** Lemma 5.1 pipelined estimate *)
   eta : int;
+  cost_ratios : float list;
+      (** per §5.1 iteration, parts in order: the new MST's cost over
+          Σ_e c_e·x_e at the current loads. The loop stops at the first
+          ratio above 1 − ε; the values are the stop rule's evidence. *)
 }
 
 (** [run ?eps ?max_iterations ?mst net ~lambda] — single-subgraph case

@@ -226,8 +226,8 @@ let test_pinned_mst_on_digest () =
   in
   Alcotest.(check int) "forest edges" 54 (List.length !forest);
   Alcotest.(check int) "forest checksum" 142307865 (edges_checksum !forest);
-  check_pinned r ~rounds:60 ~messages:28309 ~words:63341
-    ~digest:"c5016c6e49442c"
+  check_pinned r ~rounds:43 ~messages:5946 ~words:10764
+    ~digest:"32f46f92072235e"
 
 let test_pinned_mst_hybrid_digest () =
   let net = vnet (pinned_er_graph ()) in
@@ -240,8 +240,8 @@ let test_pinned_mst_hybrid_digest () =
   in
   Alcotest.(check int) "forest edges" 63 (List.length !forest);
   Alcotest.(check int) "forest checksum" 191918173 (edges_checksum !forest);
-  check_pinned r ~rounds:219 ~messages:67660 ~words:132674
-    ~digest:"30b7fae342cdbc"
+  check_pinned r ~rounds:215 ~messages:64417 ~words:128275
+    ~digest:"3297de5155cbee0"
 
 let test_pinned_identify_hybrid_digest () =
   let net = vnet (pinned_er_graph ()) in
@@ -269,8 +269,8 @@ let test_pinned_spantree_digest () =
   in
   Alcotest.(check string) "packing size" "0x1.15546e5a700a1p+1"
     (Printf.sprintf "%h" !size);
-  check_pinned r ~rounds:5070 ~messages:417969 ~words:929107
-    ~digest:"3accd770beb5432"
+  check_pinned r ~rounds:3988 ~messages:115026 ~words:201250
+    ~digest:"2dc8124a5599974"
 
 (* Fault and boundary nets, pinned the same way: the broadcast and edge
    protocols above under each adversary kind. Beside the traffic these
@@ -648,12 +648,12 @@ let pinned_domtree_cases =
         (fun () -> run_dist_packing ~faulty:false),
         "members 64550090, excess 149041694, matched 192120274, \
          bridging 76303405, valid 6, trees 6, edges 132500885; rounds \
-         1693, messages 458683, words 1469339, digest 1e7c194241c64f5" );
+         1669, messages 446018, words 1433682, digest 3e5cab65d32f841" );
       ( "Dist_packing.run under drop+crash",
         (fun () -> run_dist_packing ~faulty:true),
         "members 77604030, excess 149041694, matched 192120274, \
-         bridging 62428988, valid 6, trees 6, edges 194715185; rounds \
-         1771, messages 441268, words 1405569, digest 1d71d089d7ca001" );
+         bridging 62428988, valid 6, trees 6, edges 83679614; rounds \
+         1930, messages 436264, words 1392373, digest 3a15f92b8829075" );
       ( "Dist_packing.run, classes no node holds",
         run_dist_packing_sparse,
         "members 190655112, excess 115583919, matched 237009235, bridging \
