@@ -277,37 +277,26 @@ let race_pool_entry =
   \  let acc = ref [] in\n\
   \  Pool.run ~jobs:2 (fun i -> acc := i :: !acc)\n"
 
-(* a Team.run-style entry point (the sharded round engine): the shard
-   body — the last unlabelled argument — executes on worker domains *)
-let team_prelude =
-  "module Team = struct\n\
-  \  let run _t ~shards fn =\n\
-  \    for k = 0 to shards - 1 do fn k done\n\
+(* index-owned slots are the sanctioned discipline inside a pool
+   entry point, and the caller's merge after it returns runs on the
+   calling domain *)
+let pool_prelude =
+  "module Pool = struct\n\
+  \  let run ~jobs f = for i = 0 to jobs - 1 do f i done\n\
    end\n"
 
-let race_team_entry =
-  team_prelude
-  ^ "let f t =\n\
-    \  let acc = ref [] in\n\
-    \  Team.run t ~shards:2 (fun k -> acc := k :: !acc);\n\
-    \  !acc\n"
-
-(* shard-owned slots indexed by the shard argument are the sanctioned
-   discipline of the shard-merge boundary *)
-let good_team_slotted =
-  team_prelude
-  ^ "let f t n =\n\
+let good_pool_slotted =
+  pool_prelude
+  ^ "let f n =\n\
     \  let slots = Array.make n 0 in\n\
-    \  Team.run t ~shards:n (fun k -> slots.(k) <- k);\n\
+    \  Pool.run ~jobs:n (fun k -> slots.(k) <- k);\n\
     \  slots\n"
 
-(* the caller's merge after Team.run returns runs on the calling
-   domain and must not be treated as cross-domain *)
-let good_team_caller_merge =
-  team_prelude
-  ^ "let f t =\n\
+let good_pool_caller_merge =
+  pool_prelude
+  ^ "let f () =\n\
     \  let slots = Array.make 2 0 and total = ref 0 in\n\
-    \  Team.run t ~shards:2 (fun k -> slots.(k) <- k);\n\
+    \  Pool.run ~jobs:2 (fun k -> slots.(k) <- k);\n\
     \  Array.iter (fun x -> total := !total + x) slots;\n\
     \  !total\n"
 
@@ -506,61 +495,6 @@ let test_obs_clock_allow_with_metrics () =
   let kept', _ =
     Lint_core.apply_allows ~file:"lib/serve/worker.ml" ~allows:allows'
       [ finding' ]
-  in
-  Alcotest.(check (list string)) "unscoped file not audited" []
-    (List.map (fun f -> f.Lint_core.rule) kept')
-
-let test_shard_allow_needs_boundary () =
-  (* inside lib/congest a domain-spawn/domain-race allow must cite the
-     shard-merge determinism boundary, same shape as the lib/obs
-     metrics anchor *)
-  List.iter
-    (fun rule ->
-      let src =
-        Printf.sprintf "(* lint: allow %s — it is fine *)\nlet x = 1\n" rule
-      in
-      let allows = Lint_core.scan_allows src in
-      let finding =
-        { Lint_core.file = "lib/congest/team.ml"; line = 2; col = 0; rule;
-          message = "m" }
-      in
-      let kept, suppressed =
-        Lint_core.apply_allows ~file:"lib/congest/team.ml" ~allows [ finding ]
-      in
-      Alcotest.(check int) (rule ^ " suppressed") 1 suppressed;
-      Alcotest.(check (list string))
-        (rule ^ " flagged for missing shard-merge anchor")
-        [ "bare-allow" ]
-        (List.map (fun f -> f.Lint_core.rule) kept))
-    [ "domain-spawn"; "domain-race" ]
-
-let test_shard_allow_with_boundary () =
-  let src =
-    "(* lint: allow domain-spawn — persistent round team; shard bodies \
-     write shard-owned slots only, merged in shard order (shard-merge \
-     boundary) *)\n\
-     let x = 1\n"
-  in
-  let allows = Lint_core.scan_allows src in
-  let finding =
-    { Lint_core.file = "lib/congest/team.ml"; line = 2; col = 0;
-      rule = "domain-spawn"; message = "m" }
-  in
-  let kept, suppressed =
-    Lint_core.apply_allows ~file:"lib/congest/team.ml" ~allows [ finding ]
-  in
-  Alcotest.(check int) "finding suppressed" 1 suppressed;
-  Alcotest.(check (list string)) "no audit findings" []
-    (List.map (fun f -> f.Lint_core.rule) kept);
-  (* the same rule outside lib/congest is not held to this anchor *)
-  let src' = "(* lint: allow domain-spawn — test fixture *)\nlet x = 1\n" in
-  let allows' = Lint_core.scan_allows src' in
-  let finding' =
-    { Lint_core.file = "bench/driver.ml"; line = 2; col = 0;
-      rule = "domain-spawn"; message = "m" }
-  in
-  let kept', _ =
-    Lint_core.apply_allows ~file:"bench/driver.ml" ~allows:allows' [ finding' ]
   in
   Alcotest.(check (list string)) "unscoped file not audited" []
     (List.map (fun f -> f.Lint_core.rule) kept')
@@ -783,11 +717,10 @@ let () =
           typed_fires "domain-race" race_module_state
             "module state, interprocedural";
           typed_fires "domain-race" race_pool_entry "pool-style entry point";
-          typed_fires "domain-race" race_team_entry "Team.run shard body";
-          typed_silent_on "domain-race" good_team_slotted
-            "shard-owned slots in Team.run";
-          typed_silent_on "domain-race" good_team_caller_merge
-            "shard merge stays on the caller";
+          typed_silent_on "domain-race" good_pool_slotted
+            "index-owned slots in Pool.run";
+          typed_silent_on "domain-race" good_pool_caller_merge
+            "caller merge after Pool.run";
           typed_silent_on "domain-race" good_atomic "Atomic discipline";
           typed_silent_on "domain-race" good_index_slot "per-domain slot";
           typed_silent_on "domain-race" good_closure_local "closure-local ref";
@@ -836,10 +769,6 @@ let () =
             test_obs_clock_allow_needs_metrics;
           Alcotest.test_case "lib/obs clock allow with metrics passes" `Quick
             test_obs_clock_allow_with_metrics;
-          Alcotest.test_case "lib/congest shard allow needs shard-merge anchor"
-            `Quick test_shard_allow_needs_boundary;
-          Alcotest.test_case "lib/congest shard allow with shard-merge passes"
-            `Quick test_shard_allow_with_boundary;
           Alcotest.test_case "multi-line allow" `Quick test_multiline_allow;
         ] );
       ( "sarif",

@@ -28,10 +28,7 @@
    L4 — parallelism containment:
      [domain-spawn]    Domain.spawn anywhere but the lib/exec pool: every
                        protocol layer stays single-domain; multicore runs
-                       either one whole simulation per pool domain, or
-                       the round engine's own team (Congest.Team, one
-                       audited allow) shards a round behind the
-                       shard-merge boundary
+                       one whole simulation per pool domain
    L5 — hot-path hygiene (enforced in lib/graph and lib/congest only,
         via the driver's scope restriction):
      [polymorphic-compare]  bare [compare] passed as a comparator, or a
@@ -51,10 +48,7 @@
    name is reported ([bare-allow]), and a [msg-budget] allow must anchor
    its justification in the model ("Model" must appear in the reason —
    the bound being claimed is Model.words_budget, so say why the
-   encoding meets it). Likewise a [domain-spawn]/[domain-race] allow
-   inside lib/congest must cite the shard-merge determinism boundary
-   ("shard-merge" must appear — the sharded round engine's byte-for-byte
-   determinism argument, DESIGN.md §15). Subsystems whose whole purpose is an
+   encoding meets it). Subsystems whose whole purpose is an
    otherwise-forbidden effect (lib/exec: domains and the wall clock) get
    a scoped exemption via [check_file]'s [?exempt] instead of per-line
    allows — the scope, not each line, is what is justified.
@@ -485,25 +479,6 @@ let apply_allows ~file ~allows findings =
                   "a msg-budget allow must anchor its bound in the model: \
                    cite Model.words_budget (mention \"Model\") and say why \
                    the encoding stays within it";
-              } ]
-          else if
-            (a.a_rule = "domain-spawn" || a.a_rule = "domain-race")
-            && contains_substring ~sub:"lib/congest/" file
-            && not (contains_substring ~sub:"shard-merge" a.a_reason)
-          then
-            [ {
-                file;
-                line = a.a_line;
-                col = 0;
-                rule = "bare-allow";
-                message =
-                  Printf.sprintf
-                    "a %s allow inside lib/congest must cite the shard-merge \
-                     determinism boundary (mention \"shard-merge\"): say why \
-                     shard bodies write only shard-owned slots and why the \
-                     caller's shard-index-order merge keeps domains=N \
-                     byte-identical to domains=1 (DESIGN.md §15)"
-                    a.a_rule;
               } ]
           else if
             a.a_rule = "nondet-clock"

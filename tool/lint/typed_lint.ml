@@ -325,10 +325,7 @@ let spawn_heads = [ [ "Domain"; "spawn" ] ]
    int is the positional index of that argument (-1 = last) *)
 let pool_entries =
   [ ([ "Pool"; "run" ], 0); ([ "Exec"; "Pool"; "run" ], 0);
-    ([ "Job"; "make" ], -1); ([ "Exec"; "Job"; "make" ], -1);
-    (* the round engine's team: the shard body (last argument) runs on
-       worker domains *)
-    ([ "Team"; "run" ], -1); ([ "Congest"; "Team"; "run" ], -1) ]
+    ([ "Job"; "make" ], -1); ([ "Exec"; "Job"; "make" ], -1) ]
 
 let order_normalizer = function
   | [ "List"; ("sort" | "sort_uniq" | "stable_sort" | "fast_sort" | "length") ]
