@@ -129,12 +129,6 @@ let minimum_spanning_forest_on net ~active ~edge_active ~weight =
   done;
   forest_edges net forest
 
-let minimum_spanning_forest net ~weight =
-  minimum_spanning_forest_on net
-    ~active:(fun _ -> true)
-    ~edge_active:(fun _ _ -> true)
-    ~weight
-
 let minimum_spanning_forest_hybrid ?cap net ~weight =
   let g = Net.graph net in
   let n = Graph.n g in
