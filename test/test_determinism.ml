@@ -272,6 +272,87 @@ let test_pinned_spantree_digest () =
   check_pinned r ~rounds:3988 ~messages:115026 ~words:201250
     ~digest:"2dc8124a5599974"
 
+(* The central §5.1 loop, pinned bit for bit: sizes as hex floats, and
+   MD5 fingerprints of every tree with its exact weight and of the
+   max-z history. *)
+
+let packing_fingerprint (p : Spantree.Spacking.t) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun tr ->
+      Printf.bprintf b "%h:" tr.Spantree.Spacking.weight;
+      List.iter (fun (u, v) -> Printf.bprintf b "%d-%d," u v) tr.edges;
+      Buffer.add_char b ';')
+    p.Spantree.Spacking.trees;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let floats_fingerprint xs =
+  Digest.to_hex
+    (Digest.string (String.concat ";" (List.map (Printf.sprintf "%h") xs)))
+
+let lagrangian_summary ?max_iterations ~k ~n () =
+  let module L = Spantree.Lagrangian in
+  let r = L.run ?max_iterations (Gen.harary ~k ~n) ~lambda:k in
+  Printf.sprintf
+    "iterations %d, stopped %b, size %h, collection %h, trees %s, max z %s"
+    r.L.trace.L.iterations r.L.trace.L.stopped_by_rule
+    (Spantree.Spacking.size r.L.packing)
+    (Spantree.Spacking.size r.L.collection)
+    (packing_fingerprint r.L.packing)
+    (floats_fingerprint r.L.trace.L.max_z_history)
+
+let pinned_lagrangian_cases =
+  List.map
+    (fun (name, max_iterations, k, n, want) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) "lagrangian run" want
+            (lagrangian_summary ?max_iterations ~k ~n ())))
+    [
+      ( "stop rule fires",
+        None,
+        4,
+        32,
+        "iterations 11, stopped true, size 0x1.a8a567e64d6cbp+0, collection \
+         0x1.0000000000001p+0, trees 6ceefd3101065f429b00e8c3a9def888, max z \
+         b5f7afa4fc20d5cb7ce6ca4966e22f7d" );
+      ( "runs to the cap",
+        None,
+        8,
+        48,
+        "iterations 175, stopped false, size 0x1.d028bfa6f1a6p+1, collection \
+         0x1p+0, trees 03e8f2b5b3d96ce6417dff333ea71fda, max z \
+         48b70498948d58dee90565b44e283107" );
+      ( "explicit cap",
+        Some 5,
+        6,
+        32,
+        "iterations 5, stopped false, size 0x1.5e51f812586fdp+0, collection \
+         0x1p+0, trees 408451cada38b1cdd8d8d4ab623da287, max z \
+         3b06a7587c62ffa3e3ce94b89a00a551" );
+    ]
+
+let test_pinned_dist_packing_run () =
+  let rng = Random.State.make [| 0xD17; 24 |] in
+  let g = Gen.random_lambda_edge_connected rng ~n:24 ~lambda:4 ~extra:8 in
+  let net = Net.create Congest.Model.E_congest g in
+  let summary = ref "" in
+  let r =
+    Net.replay_check net (fun net ->
+        let res = Spantree.Dist_packing.run ~max_iterations:30 net ~lambda:4 in
+        summary :=
+          Printf.sprintf "size %h, iterations %d, parallel %d, ratios %s"
+            (Spantree.Spacking.size res.Spantree.Dist_packing.packing)
+            res.Spantree.Dist_packing.iterations
+            res.Spantree.Dist_packing.parallel_rounds
+            (floats_fingerprint res.Spantree.Dist_packing.cost_ratios))
+  in
+  Alcotest.(check string) "packing"
+    "size 0x1.11e43b8024294p+1, iterations 31, parallel 1134, ratios \
+     aa0c9fca07d88f2095679d87048bf445"
+    !summary;
+  check_pinned r ~rounds:1139 ~messages:33649 ~words:57081
+    ~digest:"23d88c302daee13"
+
 (* Fault and boundary nets, pinned the same way: the broadcast and edge
    protocols above under each adversary kind. Beside the traffic these
    pin the losses, both load maxima and the adversary's own event log,
@@ -773,6 +854,8 @@ let () =
             test_pinned_identify_hybrid_digest;
           Alcotest.test_case "Dist_packing.run_sampled" `Quick
             test_pinned_spantree_digest;
+          Alcotest.test_case "Dist_packing.run" `Quick
+            test_pinned_dist_packing_run;
         ] );
       ( "pinned faults",
         pinned_broadcast_fault_cases @ pinned_edge_fault_cases
@@ -780,6 +863,7 @@ let () =
             Alcotest.test_case "boundary words" `Quick
               test_pinned_boundary_words;
           ] );
+      ("pinned lagrangian", pinned_lagrangian_cases);
       ("pinned routing", pinned_routing_cases);
       ("pinned domtree", pinned_domtree_cases);
       qsuite "qcheck"
