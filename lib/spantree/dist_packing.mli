@@ -1,10 +1,12 @@
 (** Distributed fractional spanning-tree packing (Theorem 1.3) on the
     E-CONGEST runtime.
 
-    Each §5.1 iteration runs the distributed MST of {!Congest.Dist_mst}
-    with edge weights z_e rounded to multiples of 1/n (the footnote-6
-    encoding), then the leader decides continuation via a convergecast /
-    broadcast over the BFS tree (charged as rounds on the runtime).
+    The §5.1 loop is {!Lagrangian.iterate}'s; only its MST runs on the
+    runtime. Each iteration runs the distributed MST of
+    {!Congest.Dist_mst} with edge weights z_e rounded to multiples of
+    1/n (the footnote-6 encoding), then the leader decides continuation
+    via a convergecast / broadcast over the BFS tree (charged as rounds
+    on the runtime).
 
     For general λ ([run_sampled], §5.2): edges are Karger-partitioned
     into η subgraphs, each packed the same way. Because the parts are
@@ -26,14 +28,13 @@ type result = {
           ratio above 1 − ε; the values are the stop rule's evidence. *)
 }
 
-(** [run ?eps ?max_iterations ?mst net ~lambda] — single-subgraph case
-    (λ = O(log n) regime). [mst] selects the distributed MST black box:
-    [`Flooding] (default; GHS/Borůvka with intra-fragment flooding) or
-    [`Pipelined] (the Kutten–Peleg O~(D+√n)-shaped variant the paper
-    cites as [37]). *)
+(** [run ?eps ?max_iterations net ~lambda] — single-subgraph case
+    (λ = O(log n) regime): {!Lagrangian.iterate} on the whole graph,
+    each MST solved by {!Congest.Dist_mst.forest_ids} (Borůvka with
+    intra-fragment flooding). It is [run_sampled]'s per-part driver
+    with one part. Iterations default to Θ(log³ n). *)
 val run :
-  ?eps:float -> ?max_iterations:int -> ?mst:[ `Flooding | `Pipelined ] ->
-  Congest.Net.t -> lambda:int -> result
+  ?eps:float -> ?max_iterations:int -> Congest.Net.t -> lambda:int -> result
 
 (** [run_sampled ?seed ?eps net ~lambda] — the general case. *)
 val run_sampled : ?seed:int -> ?eps:float -> Congest.Net.t -> lambda:int -> result
