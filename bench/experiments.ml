@@ -163,8 +163,8 @@ let e3 () =
   header
     "E3  spanning-tree packing: size vs ceil((lambda-1)/2), iterations vs \
      log^3 n   [Thm 1.3, Lemmas F.1/F.2]"
-  :: text "%6s %7s %7s | %8s %8s %6s | %6s %8s %9s@." "n" "lambda" "target"
-       "size" "ratio" "load" "iters" "lg^3 n" "edge mult"
+  :: text "%6s %7s %7s | %8s %8s %6s | %6s %8s %9s %9s@." "n" "lambda"
+       "target" "size" "ratio" "load" "iters" "lg^3 n" "edge mult" "max stop"
   :: List.map
        (fun (n, lambda) ->
          job ~algo:"e3"
@@ -174,16 +174,24 @@ let e3 () =
              let r = Spantree.Lagrangian.run g ~lambda in
              let p = r.Spantree.Lagrangian.packing in
              let target = Spantree.Lagrangian.target ~lambda in
+             let trace = r.Spantree.Lagrangian.trace in
              Format.fprintf ppf
-               "%6d %7d %7d | %8.2f %8.2f %6.3f | %6d %8.0f %9d@." n lambda
-               target (Spantree.Spacking.size p)
+               "%6d %7d %7d | %8.2f %8.2f %6.3f | %6d %8.0f %9d %9.3f@." n
+               lambda target (Spantree.Spacking.size p)
                (Spantree.Spacking.size p /. float_of_int target)
                (Spantree.Spacking.max_edge_load p)
-               r.Spantree.Lagrangian.trace.Spantree.Lagrangian.iterations
-               (lg n ** 3.)
-               (Spantree.Spacking.max_edge_multiplicity p)))
+               trace.Spantree.Lagrangian.iterations
+               (ceil (lg n ** 3.))
+               (Spantree.Spacking.max_edge_multiplicity p)
+               (List.fold_left Float.max 0.
+                  trace.Spantree.Lagrangian.cost_ratios)))
        [ (48, 4); (48, 8); (64, 16); (64, 32) ]
-  @ [ text "(shape: ratio ~ (1 - eps); load <= 1)@." ]
+  @ [
+      text
+        "(shape: ratio ~ (1 - eps); load <= 1; max stop = largest \
+         Cost(MST) / sum c_e x_e, the Lemma F.1 rule fires above 1 - eps = \
+         0.85)@.";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E4 — Theorem 1.3 round complexity O~(D + sqrt(n lambda)) *)
