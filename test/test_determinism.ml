@@ -308,21 +308,21 @@ let pinned_lagrangian_cases =
           Alcotest.(check string) "lagrangian run" want
             (lagrangian_summary ?max_iterations ~k ~n ())))
     [
-      ( "stop rule fires",
+      ( "Lagrangian.run stop rule fires",
         None,
         4,
         32,
         "iterations 11, stopped true, size 0x1.a8a567e64d6cbp+0, collection \
          0x1.0000000000001p+0, trees 6ceefd3101065f429b00e8c3a9def888, max z \
          b5f7afa4fc20d5cb7ce6ca4966e22f7d" );
-      ( "runs to the cap",
+      ( "Lagrangian.run to the cap",
         None,
         8,
         48,
         "iterations 175, stopped false, size 0x1.d028bfa6f1a6p+1, collection \
          0x1p+0, trees 03e8f2b5b3d96ce6417dff333ea71fda, max z \
          48b70498948d58dee90565b44e283107" );
-      ( "explicit cap",
+      ( "Lagrangian.run explicit cap",
         Some 5,
         6,
         32,
@@ -863,7 +863,7 @@ let () =
             Alcotest.test_case "boundary words" `Quick
               test_pinned_boundary_words;
           ] );
-      ("pinned lagrangian", pinned_lagrangian_cases);
+      ("pinned central", pinned_lagrangian_cases);
       ("pinned routing", pinned_routing_cases);
       ("pinned domtree", pinned_domtree_cases);
       qsuite "qcheck"
