@@ -764,6 +764,171 @@ let pinned_domtree_cases =
          words 143124, digest 2149f675a4a5931" );
     ]
 
+(* The verify-and-recover ladder (Reliable) and the guess ladder
+   (Vc_approx), pinned per attempt on both sides: seed, verdict, rounds
+   and repair flag of every attempt, the result's counters, an MD5 of
+   the memberships, and on the distributed side the net's traffic. *)
+
+module Reliable = Domtree.Reliable
+
+let ladder_graph () = Gen.harary ~k:8 ~n:48
+
+let outcome_summary (o : Domtree.Tester.outcome) =
+  Printf.sprintf "%b/%b/%b/%s" o.Domtree.Tester.pass
+    o.Domtree.Tester.domination_ok o.Domtree.Tester.connectivity_ok
+    (match o.Domtree.Tester.detection_round with
+    | Some r -> string_of_int r
+    | None -> "-")
+
+let reliable_summary (r : Reliable.result) =
+  Printf.sprintf
+    "attempts [%s]; verified %b, retries %d, charged %d, exhausted %b, \
+     retained %d, memberships %s"
+    (String.concat "; "
+       (List.map
+          (fun (a : Reliable.attempt) ->
+            Printf.sprintf "%d %s %d %b" a.Reliable.attempt_seed
+              (outcome_summary a.Reliable.outcome)
+              a.Reliable.attempt_rounds a.Reliable.repaired)
+          r.Reliable.attempts))
+    r.Reliable.verified r.Reliable.retries r.Reliable.rounds_charged
+    r.Reliable.budget_exhausted r.Reliable.classes_retained
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ";"
+             (Array.to_list
+                (Array.map
+                   (fun l -> String.concat "," (List.map string_of_int l))
+                   r.Reliable.memberships)))))
+
+let run_reliable_central ?live policy ~max_retries =
+  reliable_summary
+    (Reliable.run_verified ~seed:7 ~max_retries ~policy ?live (ladder_graph ())
+       ~classes:10 ~layers:2)
+
+let run_reliable_distributed ?round_budget ?faults policy ~max_retries =
+  let net = vnet (ladder_graph ()) in
+  Option.iter
+    (fun specs -> Congest.Faults.install net (Congest.Faults.create ~seed:3 specs))
+    faults;
+  let r =
+    Reliable.run_verified_distributed ~seed:7 ~max_retries ~policy
+      ?round_budget net ~classes:10 ~layers:2
+  in
+  reliable_summary r ^ "; " ^ traffic net
+
+(* only 0 and 24 survive, more than one hop apart: repair drops every
+   class, so each attempt's repair region is rolled back *)
+let isolated_survivors v = v = 0 || v = 24
+
+let run_reliable_storm () =
+  let net = vnet (ladder_graph ()) in
+  Congest.Faults.install net
+    (Congest.Faults.create ~seed:3
+       [
+         Congest.Faults.Crash_storm
+           { from_round = 5; per_round = 1; storm_rounds = 3; universe = 48 };
+       ]);
+  let r = Reliable.pack_verified_distributed ~seed:7 ~policy:`Repair net ~k:8 in
+  reliable_summary r ^ "; " ^ traffic net
+
+let vc_summary (r : Domtree.Vc_approx.result) =
+  Printf.sprintf "estimate %d, attempts %d, guess %d, trees %d"
+    r.Domtree.Vc_approx.estimate r.Domtree.Vc_approx.attempts
+    r.Domtree.Vc_approx.accepted_guess
+    (List.fold_left
+       (fun a tr ->
+         ints_checksum a
+           [ tr.Domtree.Packing.cls; edges_checksum tr.Domtree.Packing.edges ])
+       0 r.Domtree.Vc_approx.packing.Domtree.Packing.trees)
+
+let pinned_ladder_cases cases =
+  List.map
+    (fun (name, run, want) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) "ladder run" want (run ())))
+    cases
+
+let pinned_ladder_central_cases =
+  pinned_ladder_cases
+    [
+      ( "run_verified Retry",
+        (fun () -> run_reliable_central `Retry ~max_retries:2),
+        "attempts [7 false/true/false/0 0 false; 1000010 false/false/true/- \
+         0 false; 2000013 false/false/true/- 0 false]; verified false, \
+         retries 2, charged 0, exhausted false, retained 6, memberships \
+         6a6e4c94d7beee1de139bfe788b14308" );
+      ( "run_verified Repair",
+        (fun () -> run_reliable_central `Repair ~max_retries:3),
+        "attempts [7 true/true/true/- 0 true]; verified true, retries 0, \
+         charged 0, exhausted false, retained 10, memberships \
+         507d07f97977063e8f6457a6a3b8d1da" );
+      ( "run_verified Repair, no survivor",
+        (fun () ->
+          run_reliable_central ~live:isolated_survivors `Repair ~max_retries:2),
+        "attempts [7 false/false/true/- 0 true; 1000010 false/false/true/- \
+         0 true; 2000013 false/false/true/- 0 true]; verified false, \
+         retries 2, charged 0, exhausted false, retained 0, memberships \
+         ce4aa85433079bbf5c2532a99d84a8ac" );
+      ( "Vc_approx.centralized cycle 96",
+        (fun () -> vc_summary (Domtree.Vc_approx.centralized (Gen.cycle 96))),
+        "estimate 8, attempts 2, guess 24, trees 39312410" );
+    ]
+
+let pinned_ladder_distributed_cases =
+  pinned_ladder_cases
+    [
+      ( "run_verified_distributed Retry",
+        (fun () -> run_reliable_distributed `Retry ~max_retries:2),
+        "attempts [7 false/false/true/- 165 false; 1000010 \
+         false/false/true/- 162 false; 2000013 false/true/false/0 252 \
+         false]; verified false, retries 2, charged 582, exhausted false, \
+         retained 7, memberships b601a5830f0eed731f48ab3a1850951c; rounds \
+         582, messages 185736, words 541200, digest 23c83067ebd129c" );
+      ( "run_verified_distributed Repair",
+        (fun () -> run_reliable_distributed `Repair ~max_retries:2),
+        "attempts [7 true/true/true/- 504 true]; verified true, retries 0, \
+         charged 504, exhausted false, retained 10, memberships \
+         b1e1885189bdd8ac2e100250ae84ad22; rounds 504, messages 149400, \
+         words 411864, digest fc281dc169ba4a" );
+      ( "run_verified_distributed rollback",
+        (fun () ->
+          run_reliable_distributed `Repair ~max_retries:1
+            ~faults:
+              [
+                Congest.Faults.Crash_at
+                  (List.filter_map
+                     (fun v ->
+                       if isolated_survivors v then None else Some (150, v))
+                     (List.init 48 Fun.id));
+              ]),
+        "attempts [7 false/false/true/- 190 true; 1000010 \
+         false/false/true/- 128 true]; verified false, retries 1, charged \
+         319, exhausted false, retained 0, memberships \
+         4a456183c2fba46742cdc2fe548c23d9; rounds 272, messages 46272, \
+         words 147768, digest 14863dcaadd18b2" );
+      ( "run_verified_distributed budget",
+        (fun () ->
+          run_reliable_distributed ~round_budget:1 `Retry ~max_retries:4),
+        "attempts [7 false/false/true/- 165 false]; verified false, retries \
+         0, charged 165, exhausted true, retained 5, memberships \
+         1beaa76b1d9f26cacc1aac561b8b17ad; rounds 165, messages 51600, \
+         words 153096, digest c6041bec481b55" );
+      ( "pack_verified_distributed storm",
+        run_reliable_storm,
+        "attempts [7 true/true/true/- 577 false]; verified true, retries 0, \
+         charged 577, exhausted false, retained 2, memberships \
+         314d8bf0906b0e8227a92b3390911eb0; rounds 577, messages 174700, \
+         words 551004, digest 159983d76b97f2f" );
+      ( "Vc_approx.distributed cycle 96",
+        (fun () ->
+          let net = vnet (Gen.cycle 96) in
+          let r = Domtree.Vc_approx.distributed net in
+          vc_summary r ^ "; " ^ traffic net),
+        "estimate 8, attempts 2, guess 24, trees 103636940; rounds 18088, \
+         messages 3168008, words 9790886, digest 1bb914702e12a6c" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: same seed => bit-identical telemetry, per graph family *)
 
@@ -863,9 +1028,10 @@ let () =
             Alcotest.test_case "boundary words" `Quick
               test_pinned_boundary_words;
           ] );
-      ("pinned central", pinned_lagrangian_cases);
+      ("pinned central", pinned_lagrangian_cases @ pinned_ladder_central_cases);
       ("pinned routing", pinned_routing_cases);
-      ("pinned domtree", pinned_domtree_cases);
+      ( "pinned domtree",
+        pinned_domtree_cases @ pinned_ladder_distributed_cases );
       qsuite "qcheck"
         [
           prop_erdos_renyi;
