@@ -1265,6 +1265,40 @@ let test_repair_drops_unfixable () =
     (fun ls -> Alcotest.(check (list int)) "memberships emptied" [] ls)
     rep.Repair.r_memberships
 
+(* The two repairs run the same decision rules, one centrally and one
+   as CONGEST traffic: on random graphs, random multi-class memberships
+   and a random live mask they must return the same repair, fault-free. *)
+let prop_repair_sides_agree =
+  QCheck.Test.make ~name:"central = distributed" ~count:200
+    QCheck.(int_bound 99_999) (fun seed ->
+      let rng = Random.State.make [| seed; 0xA1 |] in
+      let g =
+        match Random.State.int rng 3 with
+        | 0 ->
+          let k = 2 * (1 + Random.State.int rng 3) in
+          Gen.harary ~k ~n:(k + 2 + Random.State.int rng 20)
+        | 1 -> Gen.cycle (3 + Random.State.int rng 30)
+        | _ ->
+          Gen.clique_path
+            ~k:(2 + Random.State.int rng 4)
+            ~len:(2 + Random.State.int rng 5)
+      in
+      let n = Graph.n g in
+      let classes = 1 + Random.State.int rng 4 in
+      let mem = random_memberships rng ~n ~classes ~len:(classes + 2) in
+      let memberships r = mem.(r) in
+      let dead_p = if Random.State.bool rng then 0. else 0.1 in
+      let alive = Array.init n (fun _ -> Random.State.float rng 1. >= dead_p) in
+      let live r = alive.(r) in
+      let c = Repair.run_centralized ~live g ~memberships ~classes in
+      let d = Repair.run_distributed ~live (vnet g) ~memberships ~classes in
+      c.Repair.r_memberships = d.Repair.r_memberships
+      && c.Repair.r_status = d.Repair.r_status
+      && c.Repair.r_retained = d.Repair.r_retained
+      && c.Repair.r_dropped = d.Repair.r_dropped
+      && c.Repair.r_orphans = d.Repair.r_orphans
+      && c.Repair.r_splices = d.Repair.r_splices)
+
 (* ------------------------------------------------------------------ *)
 (* Certificates *)
 
@@ -1718,4 +1752,5 @@ let () =
           Alcotest.test_case "distributed" `Quick test_vc_approx_distributed;
         ] );
       qsuite "vc_approx.props" [ prop_vc_dist_close_to_central ];
+      qsuite "repair.props" [ prop_repair_sides_agree ];
     ]
