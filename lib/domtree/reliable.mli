@@ -6,9 +6,9 @@
     with the Appendix E {!Tester} (Lemma E.1) and recovers from
     detected failure under one of two policies sharing one result type:
 
-    - [`Retry] (PR 1's behaviour): throw the packing away and re-run
-      from a decorrelated fresh seed, up to [max_retries] times, with
-      exponential backoff charged to the CONGEST clock;
+    - [`Retry]: throw the packing away and re-run from a decorrelated
+      fresh seed, up to [max_retries] times, with {!default_backoff}
+      charged to the CONGEST clock;
     - [`Repair]: hand the broken packing to {!Repair}, which fixes only
       the broken classes (orphan reassignment + localized fragment
       splicing) and drops what it cannot fix; the repaired packing is
@@ -19,6 +19,9 @@
       retry re-executes deterministically, while the discarded rounds
       remain charged.
 
+    The ladder is written once, over a {!Side}: {!run_verified} runs it
+    on a graph, {!run_verified_distributed} on a network.
+
     Every result carries a {!Certificate} for whatever survived, so
     even a degraded output (classes dropped by repair) is a
     machine-checkable claim, not a log line.
@@ -26,8 +29,7 @@
     The distributed pipeline is live-aware: the tester runs with
     [live = Congest.Net.node_alive net], so nodes the installed
     adversary crashed hold no memberships and owe no coverage. With no
-    adversary installed this is the identity and the PR 1 semantics are
-    unchanged.
+    adversary installed this is the identity.
 
     Accounting invariant (distributed): [rounds_charged] equals the sum
     of every attempt's [attempt_rounds] (which includes rounds consumed
@@ -77,17 +79,15 @@ val default_max_retries : int
 (** Exponential: attempt [i] idles [2^i] rounds before retrying. *)
 val default_backoff : int -> int
 
-(** [run_verified ?seed ?max_retries ?jumpstart ?policy ?live ?k g
-    ~classes ~layers]: centralized packing + centralized tester +
-    centralized recovery. [live] (default: everyone) restricts
-    verification and repair to the surviving subgraph. [k] (default
-    [3 * classes]) feeds the certificate's Ω(k/log n) accounting. If
-    every attempt fails, the last packing is returned with
-    [verified = false]. *)
+(** [run_verified ?seed ?max_retries ?policy ?live ?k g ~classes
+    ~layers]: centralized packing + centralized tester + centralized
+    recovery. [live] (default: everyone) restricts verification and
+    repair to the surviving subgraph. [k] (default [3 * classes]) feeds
+    the certificate's Ω(k/log n) accounting. If every attempt fails,
+    the last packing is returned with [verified = false]. *)
 val run_verified :
   ?seed:int ->
   ?max_retries:int ->
-  ?jumpstart:int ->
   ?policy:policy ->
   ?live:(int -> bool) ->
   ?k:int ->
@@ -107,7 +107,7 @@ val pack_verified :
   result
 
 (** Distributed packing + distributed tester over the CONGEST runtime;
-    [backoff attempt] silent rounds are charged before retry
+    [default_backoff attempt] silent rounds are charged before retry
     [attempt + 1]; liveness is taken from the installed fault
     adversary via {!Congest.Net.node_alive}.
 
@@ -120,8 +120,6 @@ val pack_verified :
 val run_verified_distributed :
   ?seed:int ->
   ?max_retries:int ->
-  ?backoff:(int -> int) ->
-  ?jumpstart:int ->
   ?policy:policy ->
   ?round_budget:int ->
   ?k:int ->
@@ -130,10 +128,11 @@ val run_verified_distributed :
   layers:int ->
   result
 
+(** {!run_verified_distributed} with the default parameters for
+    connectivity(-estimate) [k]. *)
 val pack_verified_distributed :
   ?seed:int ->
   ?max_retries:int ->
-  ?backoff:(int -> int) ->
   ?policy:policy ->
   ?round_budget:int ->
   Congest.Net.t ->

@@ -21,48 +21,38 @@ let finish ~attempts ~guess res =
     packing;
   }
 
-let centralized ?(seed = 42) g =
-  if Graph.n g < 2 then invalid_arg "Vc_approx.centralized: trivial graph";
-  let n = Graph.n g in
-  let detection_rounds = Tester.default_detection_rounds ~n in
+(* The one guess ladder: pack at guess n/2^j, accept the first packing
+   the tester passes, or the last guess. *)
+let run ~seed (side : Side.t) =
+  let n = Graph.n side.graph in
   let rec try_guess attempts = function
     | [] -> assert false (* guess 1 always yields classes = 1 *)
     | guess :: rest ->
-      let res = Cds_packing.pack ~seed:(seed + attempts) g ~k:guess in
-      let memberships =
-        let per_real = Cds_packing.real_classes res in
-        fun r -> per_real.(r)
+      let seed = seed + attempts in
+      let res =
+        side.pack ~seed
+          ~classes:(Cds_packing.default_classes ~k:guess)
+          ~layers:(Cds_packing.default_layers ~n)
       in
       let t =
-        Tester.run_centralized ~seed:(seed + attempts) g ~memberships
-          ~classes:res.Cds_packing.classes ~detection_rounds
+        side.test ~seed
+          ~memberships:(Array.get (Cds_packing.real_classes res))
+          ~classes:res.Cds_packing.classes
       in
       if t.Tester.pass || rest = [] then finish ~attempts:(attempts + 1) ~guess res
       else try_guess (attempts + 1) rest
   in
   try_guess 0 (guesses n)
 
+let centralized ?(seed = 42) g =
+  if Graph.n g < 2 then invalid_arg "Vc_approx.centralized: trivial graph";
+  run ~seed (Side.central g)
+
 let distributed ?(seed = 42) net =
-  let g = Congest.Net.graph net in
-  if Graph.n g < 2 then invalid_arg "Vc_approx.distributed: trivial graph";
-  let n = Graph.n g in
-  let detection_rounds = Tester.default_detection_rounds ~n in
-  let rec try_guess attempts = function
-    | [] -> assert false
-    | guess :: rest ->
-      let res = Dist_packing.pack ~seed:(seed + attempts) net ~k:guess in
-      let memberships =
-        let per_real = Cds_packing.real_classes res in
-        fun r -> per_real.(r)
-      in
-      let t =
-        Tester.run_distributed ~seed:(seed + attempts) net ~memberships
-          ~classes:res.Cds_packing.classes ~detection_rounds
-      in
-      if t.Tester.pass || rest = [] then finish ~attempts:(attempts + 1) ~guess res
-      else try_guess (attempts + 1) rest
-  in
-  try_guess 0 (guesses n)
+  if Congest.Net.n net < 2 then
+    invalid_arg "Vc_approx.distributed: trivial graph";
+  (* the tester checks the whole graph, crashed nodes included *)
+  run ~seed (Side.distributed ~live:(fun _ -> true) net)
 
 let approximation_ratio ~truth result =
   let k = float_of_int (max 1 truth) in
