@@ -130,18 +130,15 @@ type t = {
   mutable obs_round_tok : Obs.Span.token option;
 }
 
-let create ?words_budget model g =
+let create model g =
   let n = Graph.n g in
-  let budget =
-    match words_budget with Some b -> b | None -> Model.words_budget ~n
-  in
   {
     graph = g;
     csr_off = Graph.csr_offsets g;
     csr_adj = Graph.csr_neighbors g;
     csr_ids = Graph.csr_edge_ids g;
     model;
-    words_budget = budget;
+    words_budget = Model.words_budget ~n;
     max_word = Model.max_word ~n;
     rounds = 0;
     messages = 0;

@@ -43,14 +43,14 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type t
 
-(** [create ?words_budget model g] wraps graph [g]. [words_budget]
-    defaults to the model's {!Model.words_budget} at [n] nodes.
+(** [create model g] wraps graph [g], with the model's
+    {!Model.words_budget} at [n] nodes as its per-message budget.
 
     A net runs every round on the calling domain, in two walks: a send
     walk over the senders, descending, then a receive walk over the
     receivers, ascending (DESIGN.md §10). Nets share nothing, so an
     [Exec.Pool] runs one whole simulation per domain. *)
-val create : ?words_budget:int -> Model.t -> Graphs.Graph.t -> t
+val create : Model.t -> Graphs.Graph.t -> t
 
 val graph : t -> Graphs.Graph.t
 val model : t -> Model.t

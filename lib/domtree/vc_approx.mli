@@ -7,7 +7,11 @@
     - at guesses <= k the packing succeeds w.h.p., so the accepted guess
       is >= k/2, giving t = Ω(k);
     - t classes of vertex-disjoint (virtual) CDSs with real-level
-      multiplicity O(log n) force k >= t / O(log n). *)
+      multiplicity O(log n) force k >= t / O(log n).
+
+    Guess n/2^j runs with seed [seed + j]; the last guess (1) is
+    accepted whatever the tester says. {!centralized} and
+    {!distributed} run this one ladder over a {!Side}. *)
 
 type result = {
   estimate : int;  (** k̂ — the accepted number of classes *)
@@ -20,9 +24,9 @@ type result = {
     graph with at least 2 vertices. *)
 val centralized : ?seed:int -> Graphs.Graph.t -> result
 
-(** [distributed ?seed net] — same loop over the CONGEST runtime with
+(** [distributed ?seed net] — same ladder over the CONGEST runtime with
     the distributed packing and distributed tester; rounds accumulate on
-    [net]. *)
+    [net]. The tester checks every node, crashed ones included. *)
 val distributed : ?seed:int -> Congest.Net.t -> result
 
 (** [approximation_ratio ~truth result] is max(k/k̂, k̂/k), the quantity

@@ -640,16 +640,16 @@ let via_dominating_trees ?(seed = 42) net packing ~sources =
   in
   fault_free net run ~failure:(who ^ ": did not converge (bad packing?)")
 
-let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) ?round_cap net
-    faults packing ~sources =
+let via_dominating_trees_ft ?(seed = 42) ?(repair_every = 8) net faults packing
+    ~sources =
   let who = "Broadcast.via_dominating_trees_ft" in
   let trees = packing_trees ~who packing in
   let n = Net.n net in
   let rng = Random.State.make [| seed; n; Array.length trees; 17 |] in
   let msgs, total = expand_sources ~who ~n sources in
-  let cap = Option.value round_cap ~default:(default_cap ~total ~n) in
   let run, dead_trees =
-    packing_rounds ~faults ~repair_every ~rng ~cap net trees ~msgs ~total
+    packing_rounds ~faults ~repair_every ~rng ~cap:(default_cap ~total ~n) net
+      trees ~msgs ~total
   in
   with_faults net run ~dead_trees
 
@@ -722,13 +722,11 @@ let naive_single_tree net ~sources =
   in
   fault_free net run ~failure:(who ^ ": did not converge")
 
-let naive_single_tree_ft ?(repair_every = 8) ?round_cap net faults ~sources =
+let naive_single_tree_ft ?(repair_every = 8) net faults ~sources =
   let msgs, total =
     expand_sources ~who:"Broadcast.naive_single_tree_ft" ~n:(Net.n net) sources
   in
-  let cap =
-    Option.value round_cap ~default:(default_cap ~total ~n:(Net.n net))
-  in
+  let cap = default_cap ~total ~n:(Net.n net) in
   (* the tree predates the faults: build it on a fault-free scratch net
      over the same graph and charge those rounds to the real clock *)
   let scratch = Net.create (Net.model net) (Net.graph net) in

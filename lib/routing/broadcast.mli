@@ -71,8 +71,8 @@ val naive_single_tree : Congest.Net.t -> sources:(int * int) list -> result
       comparison isolates structural redundancy);
     - delivery is owed to surviving nodes only, and only for messages
       at least one survivor has heard. The run stops when every such
-      message is everywhere ([ft_converged = true]) or at [round_cap]
-      (default [20 * (messages + n) + 200]) when faults made full
+      message is everywhere ([ft_converged = true]) or at a cap of
+      [20 * (messages + n) + 200] rounds when faults made full
       delivery impossible. *)
 
 type ft_result = {
@@ -94,7 +94,6 @@ type ft_result = {
 val via_dominating_trees_ft :
   ?seed:int ->
   ?repair_every:int ->
-  ?round_cap:int ->
   Congest.Net.t -> Congest.Faults.t -> Domtree.Packing.t ->
   sources:(int * int) list ->
   ft_result
@@ -106,7 +105,6 @@ val via_dominating_trees_ft :
     charged to the real clock. *)
 val naive_single_tree_ft :
   ?repair_every:int ->
-  ?round_cap:int ->
   Congest.Net.t -> Congest.Faults.t ->
   sources:(int * int) list ->
   ft_result

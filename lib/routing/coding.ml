@@ -77,8 +77,10 @@ let random_of_span rng span =
       Some (Array.copy (List.hd rows))
     else Some acc
 
-let rlnc_broadcast ?(seed = 42) ?(payload_words = 1) ?(coeff_words_per_round = 6)
-    ?max_rounds net ~sources =
+(* the data part of a packet, in words *)
+let payload_words = 1
+
+let rlnc_broadcast ?(seed = 42) ?(coeff_words_per_round = 6) net ~sources =
   let n = Net.n net in
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 sources in
   if total = 0 then invalid_arg "Coding.rlnc_broadcast: no messages";
@@ -96,11 +98,7 @@ let rlnc_broadcast ?(seed = 42) ?(payload_words = 1) ?(coeff_words_per_round = 6
         ignore (insert spans.(origin) v)
       done)
     sources;
-  let max_rounds =
-    match max_rounds with
-    | Some r -> r
-    | None -> 200 * (total + n) * (limbs_for total + payload_words)
-  in
+  let max_rounds = 200 * (total + n) * (limbs_for total + payload_words) in
   (* one packet = nlimbs coefficient words + payload_words, chunked into
      broadcast rounds of at most the per-round coefficient budget (the
      model's O(log n) bits, scaled by the caller's constant) *)

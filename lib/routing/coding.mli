@@ -24,14 +24,16 @@ type result = {
   decoded_all : bool;  (** every node reached full rank *)
 }
 
-(** [rlnc_broadcast ?seed ?payload_words net ~sources ~max_rounds]
+(** [rlnc_broadcast ?seed ?coeff_words_per_round net ~sources]
     disseminates the messages listed in [sources] ((origin, count)
-    pairs) to every node. [payload_words] (default 1) models the data
-    part of each packet. Gives up after [max_rounds] (default
-    generous), reporting [decoded_all = false]. *)
+    pairs) to every node. Each packet carries one data word after its
+    coefficients, shipped at most [coeff_words_per_round] (default 6,
+    capped at 6) words per round. Gives up after a generous
+    [200 * (N + n) * (coefficient words + 1)] rounds, reporting
+    [decoded_all = false]. *)
 val rlnc_broadcast :
-  ?seed:int -> ?payload_words:int -> ?coeff_words_per_round:int ->
-  ?max_rounds:int -> Congest.Net.t -> sources:(int * int) list -> result
+  ?seed:int -> ?coeff_words_per_round:int ->
+  Congest.Net.t -> sources:(int * int) list -> result
 
 (** [coefficient_words ~n ~messages] — how many O(log n)-bit words the
     coefficient vector of one packet occupies (the overhead driving the

@@ -21,14 +21,14 @@ let all_to_all ?seed ?(per_node = 1) net packing ~k =
 let all_to_all_naive ?(per_node = 1) net =
   Broadcast.naive_single_tree net ~sources:(sources_for net per_node)
 
-let all_to_all_ft ?seed ?(per_node = 1) ?round_cap net faults packing =
+let all_to_all_ft ?seed ?(per_node = 1) net faults packing =
   Congest.Faults.install net faults;
-  Broadcast.via_dominating_trees_ft ?seed ?round_cap net faults packing
+  Broadcast.via_dominating_trees_ft ?seed net faults packing
     ~sources:(sources_for net per_node)
 
-let all_to_all_naive_ft ?(per_node = 1) ?round_cap net faults =
+let all_to_all_naive_ft ?(per_node = 1) net faults =
   Congest.Faults.install net faults;
-  Broadcast.naive_single_tree_ft ?round_cap net faults
+  Broadcast.naive_single_tree_ft net faults
     ~sources:(sources_for net per_node)
 
 let scattered ?(seed = 42) net packing ~k ~total ~max_per_node =

@@ -29,12 +29,12 @@ val all_to_all_naive : ?per_node:int -> Congest.Net.t -> Broadcast.result
     baseline [all_to_all_naive_ft] collapses as soon as its one tree is
     hit. *)
 val all_to_all_ft :
-  ?seed:int -> ?per_node:int -> ?round_cap:int ->
+  ?seed:int -> ?per_node:int ->
   Congest.Net.t -> Congest.Faults.t -> Domtree.Packing.t ->
   Broadcast.ft_result
 
 val all_to_all_naive_ft :
-  ?per_node:int -> ?round_cap:int ->
+  ?per_node:int ->
   Congest.Net.t -> Congest.Faults.t ->
   Broadcast.ft_result
 
