@@ -30,11 +30,10 @@ let default_backoff attempt = 1 lsl attempt
 (* fresh, decorrelated seed per attempt *)
 let reseed seed attempt = seed + (1_000_003 * attempt)
 
-let memberships_of res = Array.get (Cds_packing.real_classes res)
-
-(* Restrict [memfn] to [retained] classes, renumbered contiguously —
-   the shape the Tester needs to re-verify a degraded packing. *)
-let remap ~classes retained memfn =
+(* Restrict [memberships] to [retained] classes, renumbered
+   contiguously — the shape the Tester needs to re-verify a degraded
+   packing. *)
+let remap ~classes retained memberships =
   let idx = Array.make (max 1 classes) (-1) in
   List.iteri
     (fun j i -> if i >= 0 && i < classes then idx.(i) <- j)
@@ -43,7 +42,7 @@ let remap ~classes retained memfn =
     List.filter_map
       (fun i ->
         if i >= 0 && i < classes && idx.(i) >= 0 then Some idx.(i) else None)
-      (memfn r)
+      memberships.(r)
 
 let snapshot_memberships ~live n memfn =
   Array.init n (fun r ->
@@ -61,12 +60,11 @@ let run ?(seed = 42) ?(max_retries = default_max_retries)
     let a_start = side.charged () in
     let s = reseed seed attempt in
     let res = side.pack ~seed:s ~classes ~layers in
-    let memfn = memberships_of res in
+    let memfn = Array.get (Cds_packing.real_classes res) in
     let outcome = side.test ~seed:s ~memberships:memfn ~classes in
     let record ~repaired outcome =
-      { attempt_seed = s; outcome; attempt_rounds = side.charged () - a_start;
-        repaired }
-      :: acc
+      let attempt_rounds = side.charged () - a_start in
+      { attempt_seed = s; outcome; attempt_rounds; repaired } :: acc
     in
     let stop ?(budget_exhausted = false) ~verified ~repaired ~outcome
         ~memberships repair =
@@ -109,8 +107,7 @@ let run ?(seed = 42) ?(max_retries = default_max_retries)
                 let o =
                   side.test ~seed:(s + 7919)
                     ~memberships:
-                      (remap ~classes retained
-                         (Array.get rep.Repair.r_memberships))
+                      (remap ~classes retained rep.Repair.r_memberships)
                     ~classes:(List.length retained)
                 in
                 if o.Tester.pass then Some (rep, o) else None)

@@ -18,7 +18,8 @@ let central ?(live = fun _ -> true) g =
   {
     graph = g;
     live;
-    pack = (fun ~seed ~classes ~layers -> Cds_packing.run ~seed g ~classes ~layers);
+    pack =
+      (fun ~seed ~classes ~layers -> Cds_packing.run ~seed g ~classes ~layers);
     test =
       (fun ~seed ~memberships ~classes ->
         Tester.run_centralized ~seed ~live g ~memberships ~classes
@@ -42,7 +43,8 @@ let distributed ?live net =
     graph = Net.graph net;
     live;
     pack =
-      (fun ~seed ~classes ~layers -> Dist_packing.run ~seed net ~classes ~layers);
+      (fun ~seed ~classes ~layers ->
+        Dist_packing.run ~seed net ~classes ~layers);
     test =
       (fun ~seed ~memberships ~classes ->
         Tester.run_distributed ~seed ~live net ~memberships ~classes
