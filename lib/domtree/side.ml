@@ -32,8 +32,8 @@ let central ?(live = fun _ -> true) g =
     idle = ignore;
   }
 
-let distributed ?live net =
-  let live = match live with Some l -> l | None -> Net.node_alive net in
+let distributed net =
+  let live = Net.node_alive net in
   let detection_rounds = Tester.default_detection_rounds ~n:(Net.n net) in
   let start = Net.checkpoint net in
   (* rounds of rolled-back regions: the rollback erases them from the

@@ -30,6 +30,6 @@ type t = {
 (** [central ?live g]: [live] defaults to everyone. *)
 val central : ?live:(int -> bool) -> Graphs.Graph.t -> t
 
-(** [distributed ?live net]: [live] defaults to
-    {!Congest.Net.node_alive}, the installed adversary's survivors. *)
-val distributed : ?live:(int -> bool) -> Congest.Net.t -> t
+(** [distributed net]: [live] is {!Congest.Net.node_alive}, the
+    installed adversary's survivors. *)
+val distributed : Congest.Net.t -> t

@@ -51,8 +51,7 @@ let centralized ?(seed = 42) g =
 let distributed ?(seed = 42) net =
   if Congest.Net.n net < 2 then
     invalid_arg "Vc_approx.distributed: trivial graph";
-  (* the tester checks the whole graph, crashed nodes included *)
-  run ~seed (Side.distributed ~live:(fun _ -> true) net)
+  run ~seed (Side.distributed net)
 
 let approximation_ratio ~truth result =
   let k = float_of_int (max 1 truth) in

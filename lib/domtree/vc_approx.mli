@@ -26,7 +26,7 @@ val centralized : ?seed:int -> Graphs.Graph.t -> result
 
 (** [distributed ?seed net] — same ladder over the CONGEST runtime with
     the distributed packing and distributed tester; rounds accumulate on
-    [net]. The tester checks every node, crashed ones included. *)
+    [net]. *)
 val distributed : ?seed:int -> Congest.Net.t -> result
 
 (** [approximation_ratio ~truth result] is max(k/k̂, k̂/k), the quantity
