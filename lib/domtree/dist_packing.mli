@@ -12,12 +12,19 @@
       lists at type-2 nodes;
     - B.3 maximal matching: Luby-style proposal stages — random values,
       component-wide maximum by intra-component flooding, accept
-      announcements — for O(log n) stages.
+      announcements — at most O(log n) stages, ending at the first
+      silent proposal round (no unmatched node has an open option left,
+      so the matching is maximal and no later stage could change it).
 
     The returned record is the same shape as the centralized one; the
     [connected]/[dominating]/[stats] fields are filled in by (free)
     post-hoc verification. Round/congestion costs are read off the
-    {!Congest.Net} counters by the caller. *)
+    {!Congest.Net} counters by the caller.
+
+    A run allocates its layer scratch once: per-slot arrays for up to
+    [n × min classes (3 × layers)] slots, the per-(node, class) B.2b
+    witness state, and growable buffers for the filtered status-sweep
+    log and the B.2c option lists. *)
 
 (** [run ?seed ?jumpstart net ~classes ~layers] executes the distributed
     packing on [net] (a V-CONGEST or E-CONGEST network). *)

@@ -58,14 +58,35 @@ let iter_deliveries net sl row f =
     clear_row sl row r
   done
 
-let flood_min net sl ~init =
+type buffers = {
+  b_first : int array;
+  b_value : int array;
+  b_tiebreak : int array;
+  b_row : int array;
+}
+
+let buffers ~slots ~classes =
+  {
+    b_first = Array.make slots 0;
+    b_value = Array.make slots 0;
+    b_tiebreak = Array.make slots 0;
+    b_row = Array.make classes (-1);
+  }
+
+let flood_min ?buffers:b net sl ~init =
   let n = Net.n net in
   let off = sl.off and cls = sl.cls in
-  let row = row sl in
+  let nslots = Array.length cls in
+  let { b_first = first; b_value = value; b_tiebreak = tiebreak; b_row = row }
+      =
+    match b with
+    | None -> buffers ~slots:nslots ~classes:sl.universe
+    | Some b ->
+      if Array.length b.b_first < nslots || Array.length b.b_row < sl.universe
+      then invalid_arg "Multiflood.flood_min: buffers too small";
+      b
+  in
   (* [first.(s)]: the slot holding slot [s]'s state *)
-  let first = Array.make (Array.length cls) 0 in
-  let value = Array.make (Array.length cls) 0 in
-  let tiebreak = Array.make (Array.length cls) 0 in
   for r = 0 to n - 1 do
     for s = off.(r) to off.(r + 1) - 1 do
       let i = cls.(s) in
@@ -107,11 +128,11 @@ let flood_min net sl ~init =
   done;
   (* same-real virtual adjacency: the repeats of a class share its first
      slot's state *)
-  Array.iteri
-    (fun s f ->
-      value.(s) <- value.(f);
-      tiebreak.(s) <- tiebreak.(f))
-    first;
+  for s = 0 to nslots - 1 do
+    let f = first.(s) in
+    value.(s) <- value.(f);
+    tiebreak.(s) <- tiebreak.(f)
+  done;
   (value, tiebreak)
 
 let membership_sweep ?row net sl ~payload ~recv =

@@ -69,23 +69,44 @@ val iter_deliveries :
   (int -> int -> int -> Congest.Net.msg -> unit) ->
   unit
 
-(** [flood_min net slots ~init] floods minimum (value, tiebreak) pairs
-    within every class-component simultaneously and returns the fixed
-    point as two arrays indexed by slot, [(value, tiebreak)]. Every slot
-    starts from [init r s] of the first slot [s] of its class in [r]'s
-    slice; repeats of a class end with the same pair as its first slot.
-    Pairs compare lexicographically. Termination is detected by the
-    simulator (one quiescent sweep is charged). Every delivery resolves
-    its class through a {!row} of [slots.universe] entries, allocated
-    once per call.
+(** Caller-owned scratch of {!flood_min}: per-slot state for up to
+    [slots] slots and a class→slot row of [classes] entries. A protocol
+    that floods once per layer or per stage allocates its buffers once
+    per run instead of once per call. *)
+type buffers
+
+(** [buffers ~slots ~classes] is scratch for layouts of at most [slots]
+    slots whose classes are below [classes]. *)
+val buffers : slots:int -> classes:int -> buffers
+
+(** [flood_min ?buffers net slots ~init] floods minimum (value,
+    tiebreak) pairs within every class-component simultaneously and
+    returns the fixed point as two arrays indexed by slot, [(value,
+    tiebreak)]. Every slot starts from [init r s] of the first slot [s]
+    of its class in [r]'s slice; repeats of a class end with the same
+    pair as its first slot. Pairs compare lexicographically. Termination
+    is detected by the simulator (one quiescent sweep is charged). Every
+    delivery resolves its class through a {!row} of [slots.universe]
+    entries.
+
+    Without [~buffers], the row and the per-slot arrays are allocated
+    per call and the result arrays have one entry per slot. With
+    [~buffers b], nothing is allocated: the result arrays are [b]'s own,
+    may be longer than the slot count (entries past it are junk), and
+    are overwritten by the next call on [b]. Messages, rounds and
+    results are the same either way.
+    @raise Invalid_argument if [b] holds fewer slots than [slots] or a
+    row shorter than [slots.universe].
 
     Instantiations used in this repository:
     - component identification: [init r _ = (r, r)] gives every slot
       the minimum real id of its class-component;
-    - flag dissemination: [init r s = (flag, r)] with flag ∈ {0,1}
-      spreads a 0 flag to the whole component;
+    - flag dissemination: [init _ s = (flag, 0)] with flag ∈ {0,1}
+      spreads a 0 flag to the whole component; a constant tiebreak
+      stops the flood as soon as the flags settle;
     - maximum aggregation: negate values at the call site. *)
 val flood_min :
+  ?buffers:buffers ->
   Congest.Net.t ->
   slots ->
   init:(int -> int -> int * int) ->

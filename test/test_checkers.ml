@@ -434,6 +434,44 @@ let prop_cds_matches_reference =
       fingerprint (Cds_packing.run ~seed ~jumpstart g ~classes ~layers)
       = fingerprint (Cds_packing_ref.run ~seed ~jumpstart g ~classes ~layers))
 
+(* Random small graphs, many of them busy: jump-start 1 leaves most
+   layers to the B.2/B.3 protocol, and up to 20 classes on clique paths
+   and low-k graphs leave components to bridge and match. The packing
+   and its statistics must equal the reference's, in no more rounds. *)
+let prop_dist_packing_matches_reference =
+  QCheck.Test.make ~name:"Dist_packing.run equals the reference" ~count:40
+    QCheck.(pair small_int (int_range 0 3))
+    (fun (seed, family) ->
+      let rng = Random.State.make [| seed; family; 0xB3 |] in
+      let n = 12 + Random.State.int rng 37 in
+      let g =
+        match family with
+        | 0 ->
+          let k = 2 + Random.State.int rng 3 in
+          Gen.random_k_connected rng ~n ~k ~extra:(n / 8)
+        | 1 -> er_graph ~seed ~n ~p:(0.1 +. Random.State.float rng 0.2)
+        | 2 -> Gen.harary ~k:(2 + Random.State.int rng 6) ~n
+        | _ ->
+          Gen.clique_path ~k:(3 + Random.State.int rng 4) ~len:(2 + (n / 8))
+      in
+      let classes = 1 + Random.State.int rng 20 in
+      let layers = 2 * (1 + Random.State.int rng 5) in
+      let jumpstart =
+        if Random.State.bool rng then 1 else 1 + Random.State.int rng layers
+      in
+      let run f =
+        let net = Congest.Net.create Congest.Model.V_congest g in
+        let fp = fingerprint (f net) in
+        (fp, Congest.Net.rounds net)
+      in
+      let fp, rounds =
+        run (Dist_packing.run ~seed ~jumpstart ~classes ~layers)
+      in
+      let fp', rounds' =
+        run (Dist_packing_ref.run ~seed ~jumpstart ~classes ~layers)
+      in
+      fp = fp' && rounds <= rounds')
+
 (* Random slot layouts on random (possibly disconnected) graphs: lists
    of 0 to 4 classes drawn from the even ids below [2 * classes], so odd
    classes are never held, some lists are empty and some repeat a class.
@@ -470,10 +508,22 @@ let prop_flood_min_matches_reference =
         let result = flood net sl ~init in
         (result, Congest.Net.telemetry net)
       in
-      let (value, tiebreak), t = run Multiflood.flood_min in
+      let (value, tiebreak), t =
+        run (fun net sl ~init -> Multiflood.flood_min net sl ~init)
+      in
+      (* caller-owned buffers, larger than the layout and reused *)
+      let nslots = Array.length sl.Multiflood.cls in
+      let buffers =
+        Multiflood.buffers ~slots:(nslots + 3) ~classes:(2 * classes)
+      in
+      ignore (run (Multiflood.flood_min ~buffers));
+      let (bvalue, btiebreak), bt = run (Multiflood.flood_min ~buffers) in
       let (value', tiebreak'), t' = run Multiflood_ref.flood_min in
       value = value' && tiebreak = tiebreak'
-      && Congest.Net.diff_telemetry t t' = [])
+      && Array.sub bvalue 0 nslots = value'
+      && Array.sub btiebreak 0 nslots = tiebreak'
+      && Congest.Net.diff_telemetry t t' = []
+      && Congest.Net.diff_telemetry bt t' = [])
 
 (* A random candidate tree over [g]: a BFS tree of the whole graph, a
    mutation of one, or arbitrary vertex and edge lists. Vertex lists may
@@ -622,6 +672,7 @@ let () =
           ] );
       qsuite "cds_packing.oracle" [ prop_cds_matches_reference ];
       qsuite "multiflood.oracle" [ prop_flood_min_matches_reference ];
+      qsuite "dist_packing.oracle" [ prop_dist_packing_matches_reference ];
       qsuite "checkers.oracle"
         [
           prop_verify_matches_reference;

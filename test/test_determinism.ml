@@ -457,7 +457,7 @@ let test_pinned_boundary_words () =
   let c = Lowerbound.Construction.build inst ~ell:1 ~w:4 in
   let rep = Lowerbound.Simulation.distinguish_via_packing ~seed:3 c in
   Alcotest.(check string) "boundary run"
-    "rounds 1306, boundary bits 12295368, estimate 6"
+    "rounds 304, boundary bits 2378808, estimate 6"
     (Printf.sprintf "rounds %d, boundary bits %d, estimate %d"
        rep.Lowerbound.Simulation.measured_rounds
        rep.Lowerbound.Simulation.boundary_bits
@@ -729,17 +729,17 @@ let pinned_domtree_cases =
         (fun () -> run_dist_packing ~faulty:false),
         "members 64550090, excess 149041694, matched 192120274, \
          bridging 76303405, valid 6, trees 6, edges 132500885; rounds \
-         1669, messages 446018, words 1433682, digest 3e5cab65d32f841" );
+         496, messages 130867, words 358069, digest 3edfd75e061379d" );
       ( "Dist_packing.run under drop+crash",
         (fun () -> run_dist_packing ~faulty:true),
-        "members 77604030, excess 149041694, matched 192120274, \
-         bridging 62428988, valid 6, trees 6, edges 83679614; rounds \
-         1930, messages 436264, words 1392373, digest 3a15f92b8829075" );
+        "members 247603692, excess 176790528, matched 178245857, \
+         bridging 62428988, valid 6, trees 6, edges 215355191; rounds \
+         749, messages 149709, words 422997, digest b2430e3e573bb5" );
       ( "Dist_packing.run, classes no node holds",
         run_dist_packing_sparse,
         "members 190655112, excess 115583919, matched 237009235, bridging \
-         112290886, valid 18; rounds 950, messages 14463, words 46809, \
-         digest 3cbcb41c9b4ab18" );
+         112290886, valid 18; rounds 357, messages 5463, words 16128, \
+         digest 1b7057d8b456725" );
       ( "Tester.run_distributed passing",
         run_tester_valid,
         "pass true, domination true, detection none; rounds 72, \
@@ -760,8 +760,8 @@ let pinned_domtree_cases =
          2c3601868f03fb0" );
       ( "Vc_approx.distributed",
         run_vc_approx,
-        "estimate 4, attempts 1, guess 12; rounds 1033, messages 46152, \
-         words 143124, digest 2149f675a4a5931" );
+        "estimate 4, attempts 1, guess 12; rounds 400, messages 18068, \
+         words 49312, digest 3049192cdab6520" );
     ]
 
 (* The verify-and-recover ladder (Reliable) and the guess ladder
@@ -881,16 +881,16 @@ let pinned_ladder_distributed_cases =
       ( "run_verified_distributed Retry",
         (fun () -> run_reliable_distributed `Retry ~max_retries:2),
         "attempts [7 false/false/true/- 165 false; 1000010 \
-         false/false/true/- 162 false; 2000013 false/true/false/0 252 \
-         false]; verified false, retries 2, charged 582, exhausted false, \
+         false/false/true/- 162 false; 2000013 false/true/false/0 246 \
+         false]; verified false, retries 2, charged 576, exhausted false, \
          retained 7, memberships b601a5830f0eed731f48ab3a1850951c; rounds \
-         582, messages 185736, words 541200, digest 23c83067ebd129c" );
+         576, messages 183544, words 534624, digest 186e56dc1ccfbea" );
       ( "run_verified_distributed Repair",
         (fun () -> run_reliable_distributed `Repair ~max_retries:2),
         "attempts [7 true/true/true/- 504 true]; verified true, retries 0, \
          charged 504, exhausted false, retained 10, memberships \
          b1e1885189bdd8ac2e100250ae84ad22; rounds 504, messages 149400, \
-         words 411864, digest fc281dc169ba4a" );
+         words 411864, digest 3a971105a65e436" );
       ( "run_verified_distributed rollback",
         (fun () ->
           run_reliable_distributed `Repair ~max_retries:1
@@ -903,30 +903,30 @@ let pinned_ladder_distributed_cases =
                      (List.init 48 Fun.id));
               ]),
         "attempts [7 false/false/true/- 190 true; 1000010 \
-         false/false/true/- 128 true]; verified false, retries 1, charged \
-         319, exhausted false, retained 0, memberships \
-         4a456183c2fba46742cdc2fe548c23d9; rounds 272, messages 46272, \
-         words 147768, digest 14863dcaadd18b2" );
+         false/false/true/- 45 true]; verified false, retries 1, charged \
+         236, exhausted false, retained 0, memberships \
+         4a456183c2fba46742cdc2fe548c23d9; rounds 189, messages 46272, \
+         words 147768, digest 3886ee744a4c931" );
       ( "run_verified_distributed budget",
         (fun () ->
           run_reliable_distributed ~round_budget:1 `Retry ~max_retries:4),
         "attempts [7 false/false/true/- 165 false]; verified false, retries \
          0, charged 165, exhausted true, retained 5, memberships \
          1beaa76b1d9f26cacc1aac561b8b17ad; rounds 165, messages 51600, \
-         words 153096, digest c6041bec481b55" );
+         words 153096, digest 198a4f6898f3fd1" );
       ( "pack_verified_distributed storm",
         run_reliable_storm,
-        "attempts [7 true/true/true/- 577 false]; verified true, retries 0, \
-         charged 577, exhausted false, retained 2, memberships \
-         314d8bf0906b0e8227a92b3390911eb0; rounds 577, messages 174700, \
-         words 551004, digest 159983d76b97f2f" );
+        "attempts [7 true/true/true/- 175 false]; verified true, retries 0, \
+         charged 175, exhausted false, retained 2, memberships \
+         314d8bf0906b0e8227a92b3390911eb0; rounds 175, messages 55756, \
+         words 143196, digest 1d932b4c7fb7c95" );
       ( "Vc_approx.distributed cycle 96",
         (fun () ->
           let net = vnet (Gen.cycle 96) in
           let r = Domtree.Vc_approx.distributed net in
           vc_summary r ^ "; " ^ traffic net),
-        "estimate 8, attempts 2, guess 24, trees 103636940; rounds 18088, \
-         messages 3168008, words 9790886, digest 1bb914702e12a6c" );
+        "estimate 8, attempts 2, guess 24, trees 103636940; rounds 14074, \
+         messages 2448938, words 7420424, digest 3ace90bf3a00e4a" );
     ]
 
 (* ------------------------------------------------------------------ *)
