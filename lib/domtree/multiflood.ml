@@ -58,36 +58,39 @@ let iter_deliveries net sl row f =
     clear_row sl row r
   done
 
+(* Per-slot flood state: [first.(s)] is the slot that holds slot [s]'s
+   pair, [row] the receiver's class->slot row. A caller that floods
+   often passes one set of its own. *)
 type buffers = {
-  b_first : int array;
-  b_value : int array;
-  b_tiebreak : int array;
-  b_row : int array;
+  first : int array;
+  value : int array;
+  tiebreak : int array;
+  row : int array;
 }
 
 let buffers ~slots ~classes =
   {
-    b_first = Array.make slots 0;
-    b_value = Array.make slots 0;
-    b_tiebreak = Array.make slots 0;
-    b_row = Array.make classes (-1);
+    first = Array.make slots 0;
+    value = Array.make slots 0;
+    tiebreak = Array.make slots 0;
+    row = Array.make classes (-1);
   }
 
-let flood_min ?buffers:b net sl ~init =
-  let n = Net.n net in
+(* The state both flood schedules start from: every first slot holds
+   its [init] pair. *)
+let init_pairs ?buffers:st net sl ~init =
   let off = sl.off and cls = sl.cls in
   let nslots = Array.length cls in
-  let { b_first = first; b_value = value; b_tiebreak = tiebreak; b_row = row }
-      =
-    match b with
+  let st =
+    match st with
     | None -> buffers ~slots:nslots ~classes:sl.universe
-    | Some b ->
-      if Array.length b.b_first < nslots || Array.length b.b_row < sl.universe
+    | Some st ->
+      if Array.length st.first < nslots || Array.length st.row < sl.universe
       then invalid_arg "Multiflood.flood_min: buffers too small";
-      b
+      st
   in
-  (* [first.(s)]: the slot holding slot [s]'s state *)
-  for r = 0 to n - 1 do
+  let { first; value; tiebreak; row } = st in
+  for r = 0 to Net.n net - 1 do
     for s = off.(r) to off.(r + 1) - 1 do
       let i = cls.(s) in
       if row.(i) < 0 then begin
@@ -100,17 +103,37 @@ let flood_min ?buffers:b net sl ~init =
     done;
     clear_row sl row r
   done;
+  st
+
+(* [improve st f v t] lowers first slot [f]'s pair to [(v, t)] if that is
+   smaller, and says whether it did *)
+let improve st f v t =
+  let value = st.value and tiebreak = st.tiebreak in
+  if v < value.(f) || (v = value.(f) && t < tiebreak.(f)) then begin
+    value.(f) <- v;
+    tiebreak.(f) <- t;
+    true
+  end
+  else false
+
+(* same-real virtual adjacency: the repeats of a class share its first
+   slot's state *)
+let result st sl =
+  let { first; value; tiebreak; _ } = st in
+  for s = 0 to Array.length sl.cls - 1 do
+    let f = first.(s) in
+    value.(s) <- value.(f);
+    tiebreak.(s) <- tiebreak.(f)
+  done;
+  (value, tiebreak)
+
+let flood_min ?buffers net sl ~init =
+  let off = sl.off and cls = sl.cls in
+  let st = init_pairs ?buffers net sl ~init in
   let changed = ref true in
   let adopt _ _ _ (m : Net.msg) =
-    let f = row.(m.(0)) in
-    if f >= 0 then begin
-      let v = m.(1) and t = m.(2) in
-      if v < value.(f) || (v = value.(f) && t < tiebreak.(f)) then begin
-        value.(f) <- v;
-        tiebreak.(f) <- t;
-        changed := true
-      end
-    end
+    let f = st.row.(m.(0)) in
+    if f >= 0 && improve st f m.(1) m.(2) then changed := true
   in
   let max_slots = max_slots sl in
   while !changed do
@@ -119,21 +142,44 @@ let flood_min ?buffers:b net sl ~init =
       Net.broadcast_round net (fun r ->
           let s = off.(r) + k in
           if s < off.(r + 1) then begin
-            let f = first.(s) in
-            Some [| cls.(s); value.(f); tiebreak.(f) |]
+            let f = st.first.(s) in
+            Some [| cls.(s); st.value.(f); st.tiebreak.(f) |]
           end
           else None);
-      iter_deliveries net sl row adopt
+      iter_deliveries net sl st.row adopt
     done
   done;
-  (* same-real virtual adjacency: the repeats of a class share its first
-     slot's state *)
-  for s = 0 to nslots - 1 do
-    let f = first.(s) in
-    value.(s) <- value.(f);
-    tiebreak.(s) <- tiebreak.(f)
+  result st sl
+
+let flood_min_on_change net sl ~init =
+  let off = sl.off and cls = sl.cls in
+  let st = init_pairs net sl ~init in
+  (* [pending.(f)]: first slot [f]'s pair changed since its node last
+     sent it; repeats are never pending *)
+  let pending = Array.mapi (fun s f -> f = s) st.first in
+  let adopt _ _ _ (m : Net.msg) =
+    let f = st.row.(m.(0)) in
+    if f >= 0 && improve st f m.(1) m.(2) then pending.(f) <- true
+  in
+  let sent = ref (Array.exists Fun.id pending) in
+  while !sent do
+    sent := false;
+    Net.broadcast_round net (fun r ->
+        let hi = off.(r + 1) in
+        let s = ref off.(r) in
+        while !s < hi && not pending.(!s) do
+          incr s
+        done;
+        if !s = hi then None
+        else begin
+          let s = !s in
+          pending.(s) <- false;
+          sent := true;
+          Some [| cls.(s); st.value.(s); st.tiebreak.(s) |]
+        end);
+    iter_deliveries net sl st.row adopt
   done;
-  (value, tiebreak)
+  result st sl
 
 let membership_sweep ?row net sl ~payload ~recv =
   let off = sl.off and cls = sl.cls in

@@ -112,6 +112,29 @@ val flood_min :
   init:(int -> int -> int * int) ->
   int array * int array
 
+(** [flood_min_on_change net slots ~init] reaches the same fixed point
+    as {!flood_min} on a fault-free run, but a node sends a class only
+    when its pair has changed since it last sent it. In every base
+    round, each node broadcasts at most one such class, the first
+    pending one in its slice. Repeats of a class are never sent. The
+    first round in which no node sends is charged as the quiescence
+    detection. A layout with no slot costs no round. The result arrays
+    have one entry per slot.
+
+    Once most pairs have settled, a meta-round of {!flood_min} spends
+    [max memberships] rounds re-sending them; this schedule does not.
+    A dropped message is not sent again unless its pair changes once
+    more. Under drops, a member can therefore keep a larger pair than
+    its class-component's minimum. Pairs never cross between
+    class-components: every slot ends with the [init] pair of a first
+    slot of its own class-component. [Repair] uses this schedule for
+    its fragment ids. *)
+val flood_min_on_change :
+  Congest.Net.t ->
+  slots ->
+  init:(int -> int -> int * int) ->
+  int array * int array
+
 (** [membership_sweep net slots ~payload ~recv] performs one meta-round
     in which every real node [r] broadcasts, for each of its slots [s],
     the class followed by the words of [payload r s]. Every delivery is

@@ -234,9 +234,6 @@ let run_distributed ?live net ~memberships ~classes =
   let touched = Array.make classes false in
   let orphans = ref 0 in
   let splices = ref 0 in
-  (* diameter bound for the final dropped-class dissemination flood *)
-  let tree = Congest.Primitives.bfs_tree net ~root:0 in
-  let d_bound = max 1 (2 * tree.Congest.Primitives.height) in
   (* 1. extinction *)
   let counts = live_member_counts mem ~classes in
   Array.iteri (fun i c -> if c = 0 then dropped.(i) <- true) counts;
@@ -260,32 +257,33 @@ let run_distributed ?live net ~memberships ~classes =
       done
     end
   done;
-  (* 3. splice loop *)
+  (* 3. splice loop. Joins only add members to classes that are still
+        split, so a class one flood found whole stays whole (barring a
+        crash during the repair, which the caller's retest sees): the
+        first iteration floods every surviving class, each later one
+        only the classes the previous one found split, and the
+        announcements and relays carry split classes alone. *)
   let max_iter = ceil_lg n + 2 in
-  let rec splice iter =
+  let rec splice iter flooded =
     (* per-class fragment identification on the virtual graph *)
-    let sl = Multiflood.layout ~n memfn in
-    let cids, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
-    let cid r i =
-      let s = Multiflood.find sl r i in
-      if s < 0 then r else cids.(s)
+    let sl = Multiflood.layout ~n (fun r -> List.filter flooded mem.(r)) in
+    let cids, _ =
+      Multiflood.flood_min_on_change net sl ~init:(fun r _ -> (r, r))
     in
     let frag = Array.make classes 0 in
     let seen_frag = Array.make_matrix classes n false in
     Array.iteri
-      (fun r ls ->
-        List.iter
-          (fun i ->
-            let c = cid r i in
-            if not seen_frag.(i).(c) then begin
-              seen_frag.(i).(c) <- true;
-              frag.(i) <- frag.(i) + 1
-            end)
-          ls)
-      mem;
+      (fun s i ->
+        let c = cids.(s) in
+        if not seen_frag.(i).(c) then begin
+          seen_frag.(i).(c) <- true;
+          frag.(i) <- frag.(i) + 1
+        end)
+      sl.Multiflood.cls;
+    let split = Array.map (fun f -> f > 1) frag in
     let act = ref [] in
     for i = classes - 1 downto 0 do
-      if (not dropped.(i)) && frag.(i) > 1 then act := i :: !act
+      if (not dropped.(i)) && split.(i) then act := i :: !act
     done;
     match !act with
     | [] -> ()
@@ -313,8 +311,14 @@ let run_distributed ?live net ~memberships ~classes =
             ids;
           ids
         in
-        (* sweep 1: members announce their fragment id *)
-        let nc = sweep_ids sl ~payload:(fun _ s -> [| cids.(s) |]) in
+        (* sweep 1: members of split classes announce their fragment id *)
+        let al =
+          Multiflood.layout ~n (fun r -> List.filter (Array.get split) mem.(r))
+        in
+        let nc =
+          sweep_ids al ~payload:(fun r s ->
+              [| cids.(Multiflood.find sl r al.Multiflood.cls.(s)) |])
+        in
         (* sweep 2: non-members relay their nearest fragment id *)
         let relayfn x =
           if not (live x) then []
@@ -341,13 +345,17 @@ let run_distributed ?live net ~memberships ~classes =
               incr splices;
               touched.(i) <- true)
             joins;
-          splice (iter + 1)
+          splice (iter + 1) (Array.get split)
       end
   in
-  splice 0;
+  splice 0 (fun i -> not dropped.(i));
   (* 4. dropped-class dissemination: Θ(D) flood, as the tester's
-        failure flag *)
-  if Array.exists (fun b -> b) dropped then
-    ignore (Congest.Primitives.flood_min net ~value:(fun r -> r) ~rounds:d_bound);
+        failure flag, bounded by a BFS tree built only when it is
+        needed *)
+  if Array.exists (fun b -> b) dropped then begin
+    let tree = Congest.Primitives.bfs_tree net ~root:0 in
+    let d_bound = max 1 (2 * tree.Congest.Primitives.height) in
+    ignore (Congest.Primitives.flood_min net ~value:(fun r -> r) ~rounds:d_bound)
+  end;
   finalize mem ~classes ~dropped ~touched ~orphans:!orphans ~splices:!splices
     ~rounds:(Net.rounds_since net cp)

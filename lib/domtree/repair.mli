@@ -25,11 +25,16 @@
       certified by {!Certificate} rather than discarded.
 
     The distributed variant drives the same decision rules with actual
-    CONGEST traffic — component ids by per-class {!Multiflood.flood_min},
-    fragment ids and relays by membership sweeps — so its rounds are
-    charged to the clock ({e only} the repair's rounds, the point of the
-    exercise), it runs unmodified under an installed fault adversary,
-    and it stays replay-deterministic. Repaired classes are no longer
+    CONGEST traffic — component ids by per-class
+    {!Multiflood.flood_min_on_change}, fragment ids and relays by
+    membership sweeps — so its rounds are charged to the clock ({e only}
+    the repair's rounds, the point of the exercise), it runs unmodified
+    under an installed fault adversary, and it stays
+    replay-deterministic. It pays only for work that can change its
+    output: the first splice iteration floods every surviving class,
+    later ones only the classes still split, the announcements and
+    relays carry split classes alone, and the BFS tree that bounds the
+    dissemination flood is built only when a class is dropped. Repaired classes are no longer
     vertex-disjoint in general (connectors may serve several classes);
     the certificate's [c_max_load] reports the overlap honestly. *)
 
@@ -65,8 +70,9 @@ val run_centralized :
 (** [run_distributed ?live net ~memberships ~classes] is the
     message-driven variant; [live] defaults to
     {!Congest.Net.node_alive} (the installed adversary's crash set).
-    Rounds for the sweeps, per-class floods, and the final
-    dropped-class dissemination flood are charged to [net]'s clock. *)
+    Rounds for the sweeps, per-class floods, and, when a class is
+    dropped, the BFS tree and the dissemination flood are charged to
+    [net]'s clock. *)
 val run_distributed :
   ?live:(int -> bool) ->
   Congest.Net.t ->

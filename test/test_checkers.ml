@@ -477,37 +477,39 @@ let prop_dist_packing_matches_reference =
    classes are never held, some lists are empty and some repeat a class.
    [init] draws from small ranges to force ties. Fault runs drop
    messages and crash one node mid-flood. *)
+let flood_instance seed =
+  let rng = Random.State.make [| seed; 0x3F |] in
+  let n = 2 + Random.State.int rng 40 in
+  let classes = 1 + Random.State.int rng 6 in
+  let g = Gen.erdos_renyi rng ~n ~p:(Random.State.float rng 0.5) in
+  let mem =
+    Array.init n (fun _ ->
+        List.init (Random.State.int rng 5) (fun _ ->
+            2 * Random.State.int rng classes))
+  in
+  let sl = Multiflood.layout ~n (fun r -> mem.(r)) in
+  let init r s =
+    (Hashtbl.hash (seed, r, s) mod 5, Hashtbl.hash (s, r, seed) mod 7)
+  in
+  let crash = (1 + Random.State.int rng 12, Random.State.int rng n) in
+  let run ~faulty flood =
+    let net = Congest.Net.create Congest.Model.V_congest g in
+    if faulty then
+      Congest.Faults.install net
+        (Congest.Faults.create ~seed
+           [ Congest.Faults.Drop_bernoulli 0.1; Congest.Faults.Crash_at [ crash ] ]);
+    let result = flood net sl ~init in
+    (result, Congest.Net.telemetry net)
+  in
+  (g, classes, sl, init, run)
+
 let prop_flood_min_matches_reference =
   QCheck.Test.make ~name:"Multiflood.flood_min equals the reference"
     ~count:80
     QCheck.(pair small_int bool)
     (fun (seed, faulty) ->
-      let rng = Random.State.make [| seed; 0x3F |] in
-      let n = 2 + Random.State.int rng 40 in
-      let classes = 1 + Random.State.int rng 6 in
-      let g = Gen.erdos_renyi rng ~n ~p:(Random.State.float rng 0.5) in
-      let mem =
-        Array.init n (fun _ ->
-            List.init (Random.State.int rng 5) (fun _ ->
-                2 * Random.State.int rng classes))
-      in
-      let sl = Multiflood.layout ~n (fun r -> mem.(r)) in
-      let init r s =
-        (Hashtbl.hash (seed, r, s) mod 5, Hashtbl.hash (s, r, seed) mod 7)
-      in
-      let crash = (1 + Random.State.int rng 12, Random.State.int rng n) in
-      let run flood =
-        let net = Congest.Net.create Congest.Model.V_congest g in
-        if faulty then
-          Congest.Faults.install net
-            (Congest.Faults.create ~seed
-               [
-                 Congest.Faults.Drop_bernoulli 0.1;
-                 Congest.Faults.Crash_at [ crash ];
-               ]);
-        let result = flood net sl ~init in
-        (result, Congest.Net.telemetry net)
-      in
+      let _, classes, sl, _, run = flood_instance seed in
+      let run = run ~faulty in
       let (value, tiebreak), t =
         run (fun net sl ~init -> Multiflood.flood_min net sl ~init)
       in
@@ -524,6 +526,53 @@ let prop_flood_min_matches_reference =
       && Array.sub btiebreak 0 nslots = tiebreak'
       && Congest.Net.diff_telemetry t t' = []
       && Congest.Net.diff_telemetry bt t' = [])
+
+(* The on-change schedule, on the same instances. Fault-free it reaches
+   the reference's fixed point. Under drops and a crash every slot still
+   ends with the initial pair of a first slot of its own
+   class-component: a pair never crosses to another component. *)
+let prop_flood_min_on_change =
+  QCheck.Test.make
+    ~name:"Multiflood.flood_min_on_change: the reference's fixed point"
+    ~count:80
+    QCheck.(pair small_int bool)
+    (fun (seed, faulty) ->
+      let g, _, sl, init, run = flood_instance seed in
+      let (value, tiebreak), _ =
+        run ~faulty (fun net sl ~init ->
+            Multiflood.flood_min_on_change net sl ~init)
+      in
+      if not faulty then
+        let (value', tiebreak'), _ = run ~faulty Multiflood_ref.flood_min in
+        value = value' && tiebreak = tiebreak'
+      else begin
+        let off = sl.Multiflood.off and cls = sl.Multiflood.cls in
+        let n = Graph.n g and nslots = Array.length cls in
+        (* class-components over slots: repeats of a node, and the same
+           class on adjacent nodes *)
+        let uf = Union_find.create nslots in
+        let join u v =
+          for s = off.(u) to off.(u + 1) - 1 do
+            for s' = off.(v) to off.(v + 1) - 1 do
+              if cls.(s) = cls.(s') then ignore (Union_find.union uf s s')
+            done
+          done
+        in
+        for r = 0 to n - 1 do
+          join r r
+        done;
+        Graph.iter_edges join g;
+        List.for_all
+          (fun s ->
+            List.exists
+              (fun r ->
+                let f = Multiflood.find sl r cls.(s) in
+                f >= 0
+                && Union_find.same uf s f
+                && init r f = (value.(s), tiebreak.(s)))
+              (List.init n Fun.id))
+          (List.init nslots Fun.id)
+      end)
 
 (* A random candidate tree over [g]: a BFS tree of the whole graph, a
    mutation of one, or arbitrary vertex and edge lists. Vertex lists may
@@ -671,7 +720,8 @@ let () =
               test_cert_non_dominating_memberships;
           ] );
       qsuite "cds_packing.oracle" [ prop_cds_matches_reference ];
-      qsuite "multiflood.oracle" [ prop_flood_min_matches_reference ];
+      qsuite "multiflood.oracle"
+        [ prop_flood_min_matches_reference; prop_flood_min_on_change ];
       qsuite "dist_packing.oracle" [ prop_dist_packing_matches_reference ];
       qsuite "checkers.oracle"
         [

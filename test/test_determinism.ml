@@ -751,13 +751,13 @@ let pinned_domtree_cases =
       ( "Repair.run_distributed split class",
         run_repair_split,
         "memberships 197679492, retained 1000005, orphans 0, splices 6, \
-         rounds 23; rounds 23, messages 1998, words 5166, digest \
-         2b67e7a284a066a" );
+         rounds 15; rounds 15, messages 982, words 2460, digest \
+         14da650f8031525" );
       ( "Repair.run_distributed stripped nodes",
         run_repair_stripped,
         "memberships 190213108, retained 85926418, orphans 9, splices \
-         54, rounds 75; rounds 75, messages 3390, words 9762, digest \
-         2c3601868f03fb0" );
+         54, rounds 29; rounds 29, messages 950, words 2562, digest \
+         19bb2803b3c4572" );
       ( "Vc_approx.distributed",
         run_vc_approx,
         "estimate 4, attempts 1, guess 12; rounds 400, messages 18068, \
@@ -887,10 +887,10 @@ let pinned_ladder_distributed_cases =
          576, messages 183544, words 534624, digest 186e56dc1ccfbea" );
       ( "run_verified_distributed Repair",
         (fun () -> run_reliable_distributed `Repair ~max_retries:2),
-        "attempts [7 true/true/true/- 504 true]; verified true, retries 0, \
-         charged 504, exhausted false, retained 10, memberships \
-         b1e1885189bdd8ac2e100250ae84ad22; rounds 504, messages 149400, \
-         words 411864, digest 3a971105a65e436" );
+        "attempts [7 true/true/true/- 361 true]; verified true, retries 0, \
+         charged 361, exhausted false, retained 10, memberships \
+         b1e1885189bdd8ac2e100250ae84ad22; rounds 361, messages 107968, \
+         words 290256, digest 291f9e9f0fec959" );
       ( "run_verified_distributed rollback",
         (fun () ->
           run_reliable_distributed `Repair ~max_retries:1
@@ -902,9 +902,9 @@ let pinned_ladder_distributed_cases =
                        if isolated_survivors v then None else Some (150, v))
                      (List.init 48 Fun.id));
               ]),
-        "attempts [7 false/false/true/- 190 true; 1000010 \
-         false/false/true/- 45 true]; verified false, retries 1, charged \
-         236, exhausted false, retained 0, memberships \
+        "attempts [7 false/false/true/- 191 true; 1000010 \
+         false/false/true/- 46 true]; verified false, retries 1, charged \
+         238, exhausted false, retained 0, memberships \
          4a456183c2fba46742cdc2fe548c23d9; rounds 189, messages 46272, \
          words 147768, digest 3886ee744a4c931" );
       ( "run_verified_distributed budget",
