@@ -5,10 +5,14 @@
    touches lib/graph or lib/congest can be judged against the previous
    BENCH_perf.json.
 
-   Two engine drivers:
+   Three engine drivers:
    - [broadcast]: V-CONGEST, every node locally broadcasts a 3-word
      message each round (the Net.broadcast_round inner loop, neighbor
      fan-out and per-message accounting included);
+   - [sparse]: the same round on the ER graphs, but only a fixed
+     pseudo-random eighth of the nodes broadcast and the rest stay
+     silent (a round whose traffic is far below its 2m slots, as in the
+     send-on-change floods of Dist_mst);
    - [edge]: E-CONGEST, every node sends a 1-word message over each
      incident edge direction (the Net.edge_round inner loop, non-edge /
      duplicate-direction checks included).
@@ -28,7 +32,7 @@
    BENCH_perf.json schema (written by this module, not Exec.Sweep):
      { "sweep": "perf", "jobs": N, "wall_s": W,
        "rows": [ { "workload": "er|rr|lollipop|grid", "driver":
-                   "broadcast|edge", "n", "m", "rounds",
+                   "broadcast|sparse|edge", "n", "m", "rounds",
                    "rounds_per_sec", "words_per_sec", "run_digest" } ] }
 *)
 
@@ -53,6 +57,23 @@ let drive_broadcast net ~rounds =
       msgs.(u).(1) <- tag
     done;
     Net.broadcast_round net (fun u -> Some msgs.(u))
+  done
+
+(* Sparse V-CONGEST driver: the nodes whose mixed id falls in one
+   eighth of the range broadcast, every round, the same nodes. *)
+let drive_sparse net ~rounds =
+  let n = Net.n net in
+  let msgs = Array.init n (fun u -> [| u land 63; 0; (u * 7) land 63 |]) in
+  let out =
+    Array.init n (fun u ->
+        if (u * 0x9E3779B1) lsr 20 land 7 = 0 then Some msgs.(u) else None)
+  in
+  for r = 1 to rounds do
+    let tag = r land 63 in
+    for u = 0 to n - 1 do
+      msgs.(u).(1) <- tag
+    done;
+    Net.broadcast_round net (fun u -> out.(u))
   done
 
 (* E-CONGEST driver: every node loads every incident edge direction with
@@ -80,10 +101,10 @@ type spec = {
    reports the actual vertex count. *)
 let grid_side n = int_of_float (sqrt (float_of_int n))
 
-let er_skip_spec ~n =
+let er_skip_spec ~driver ~n =
   {
     workload = "er";
-    driver = "broadcast";
+    driver;
     n;
     gen =
       (fun () ->
@@ -105,16 +126,19 @@ let specs n_cap =
   let small =
     List.concat_map
       (fun n ->
-        [
+        let er driver =
           {
             workload = "er";
-            driver = "broadcast";
+            driver;
             n;
             gen =
               (fun () ->
                 let rng = Random.State.make [| 0xE5; n |] in
                 Graphs.Gen.erdos_renyi rng ~n ~p:(8.0 /. float_of_int n));
-          };
+          }
+        in
+        [
+          er "broadcast";
           {
             workload = "rr";
             driver = "edge";
@@ -135,6 +159,7 @@ let specs n_cap =
                 let c = n / 8 in
                 Graphs.Gen.lollipop ~clique:c ~tail:(n - c));
           };
+          er "sparse";
         ])
       small_sizes
   in
@@ -146,7 +171,12 @@ let specs n_cap =
   in
   let large =
     List.concat_map
-      (fun n -> [ er_skip_spec ~n; grid_spec ~n ])
+      (fun n ->
+        [
+          er_skip_spec ~driver:"broadcast" ~n;
+          grid_spec ~n;
+          er_skip_spec ~driver:"sparse" ~n;
+        ])
       large_sizes
   in
   small @ large
@@ -158,6 +188,7 @@ let run_spec s () =
   let model, drive =
     match s.driver with
     | "edge" -> (Congest.Model.E_congest, drive_edge)
+    | "sparse" -> (Congest.Model.V_congest, drive_sparse)
     | _ -> (Congest.Model.V_congest, drive_broadcast)
   in
   let net = Net.create model g in

@@ -255,18 +255,18 @@ let save t =
     t.st <- st;
     t.traffic <- Array.copy traffic
 
-let install net t =
-  let g = Net.graph net in
+let hook g t =
   if t.greedy <> None && Array.length t.traffic <> 2 * Graph.m g then
     t.traffic <- Array.make (2 * Graph.m g) 0;
-  Net.install_faults net
-    {
-      Net.on_round_start = on_round_start t g;
-      node_alive = alive t;
-      deliver = (fun ~src ~dst ~edge m -> deliver t ~src ~dst ~edge m);
-      reset = (fun () -> reset t);
-      save = (fun () -> save t);
-    }
+  {
+    Net.on_round_start = on_round_start t g;
+    node_alive = alive t;
+    deliver = (fun ~src ~dst ~edge m -> deliver t ~src ~dst ~edge m);
+    reset = (fun () -> reset t);
+    save = (fun () -> save t);
+  }
+
+let install net t = Net.install_faults net (hook (Net.graph net) t)
 
 let uninstall net = Net.clear_faults net
 let crashed t u = not (alive t u)

@@ -73,6 +73,11 @@ val none : unit -> t
     (crashed nodes, killed edges, telemetry) across installs. *)
 val install : Net.t -> t -> unit
 
+(** [hook g t] is the {!Net.fault_hook} that [install] attaches for
+    [t] on a net over [g]: the same adversary, for a round engine other
+    than [Net]'s (the reference engine of the tests). *)
+val hook : Graphs.Graph.t -> t -> Net.fault_hook
+
 val uninstall : Net.t -> unit
 
 (** [reset t] rewinds the adversary to its creation state: crashed nodes

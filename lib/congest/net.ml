@@ -59,12 +59,11 @@ type obs = {
 
 (* Sender-slot arenas, sized 2m on the first round that needs them (any
    edge round, or a broadcast round under a fault hook). Sender u's
-   traffic to v lives at u's CSR slot for v; the receive walk reads
+   traffic to v lives at u's CSR slot for v; the inbox view reads
    direction (u -> v) from v's own slice through [mirror]. *)
 type arenas = {
   mirror : int array;  (* slot (u lists v) -> slot (v lists u) *)
   out_msg : msg array;  (* sender slot -> its edge-round message *)
-  out_hash : int array;  (* sender slot -> that message's payload hash *)
   fate : int array;
       (* sender slot -> [tag] if its message was delivered in round
          [tag], [-tag] if the fault hook destroyed it; any other value
@@ -80,10 +79,12 @@ type last_round =
   | Faulty_broadcast of arenas
   | Edge of arenas
 
-(* Digests per trace chunk: a chunk stays under the minor heap's
-   largest block, and the trace costs about a word per round where a
-   list cell costs three. *)
-let trace_chunk = 128
+(* Digests per trace chunk: the trace costs about a word per round,
+   where a list cell costs three. A chunk is larger than the minor
+   heap's largest block (256 words), so it is allocated straight in the
+   major heap: a minor collection never copies the trace, which a run
+   keeps live to its end. *)
+let trace_chunk = 1024
 
 type t = {
   graph : Graph.t;
@@ -104,11 +105,15 @@ type t = {
   mutable max_edge_load : int;
   mutable last : last_round;
       (* the kind of the last round, hence where its inbox view reads *)
-  (* broadcast send phase, per sender: its message, that message's
-     length (-1 = silent this round) and payload hash *)
+  (* broadcast round, per sender: its message and that message's
+     length (-1 = silent this round) *)
   sent : msg array;
   sent_len : int array;
-  sent_hash : int array;
+  (* per receiver, during a round: the hash of its in-traffic so far
+     (seeded with its id) and the words delivered to it; [end_round]
+     reads both and resets them *)
+  rh : int array;
+  rw : int array;
   mutable arenas : arenas option;
   mutable tag : int;  (* one fresh stamp per round *)
   mutable boundary : (int -> bool) option;
@@ -150,7 +155,8 @@ let create model g =
     last = No_round;
     sent = Array.make n [||];
     sent_len = Array.make n (-1);
-    sent_hash = Array.make n 0;
+    rh = Array.init n Fun.id;
+    rw = Array.make n 0;
     arenas = None;
     tag = 0;
     boundary = None;
@@ -201,22 +207,20 @@ let violate ?node ?edge ?budget net detail =
          v_detail = detail;
        })
 
-(* FNV-style mix. The round digest is built per receiver: the receive
-   walk folds each receiver's in-traffic — for each message, in the
-   order it walks the receiver's slice (senders descending), the tag
-   (1 delivered, 2 destroyed), the sender and the payload hash — into a
-   hash seeded with the receiver's id, and folds those hashes into the
-   round digest in receiver order. Two executions agree on a round's
-   digest iff they moved bit-identical traffic with an identical fault
-   outcome (DESIGN.md §7). *)
+(* FNV-style mix. The round digest is built per receiver: each
+   receiver's in-traffic — for each message, senders descending, the tag
+   (1 delivered, 2 destroyed), the sender and the payload hash — is
+   folded into a hash seeded with the receiver's id ([rh]), and those
+   hashes are folded into the round digest in receiver order. Two
+   executions agree on a round's digest iff they moved bit-identical
+   traffic with an identical fault outcome (DESIGN.md §7). *)
 let mix h x = ((h lxor x) * 0x01000193) land 0x3FFFFFFFFFFFFFF
 
 let digest_in h ~tag ~src hm = mix (mix (mix h tag) src) hm
 
 (* [validate net ~node m] checks [m] against the word budget and width
    bound and returns its payload hash, the FNV fold of its words: each
-   payload is read once, by the send walk, and the receive walk hashes
-   only ints. *)
+   payload is read once, and each of its copies hashes only ints. *)
 let validate net ~node m =
   let len = Array.length m in
   if len > net.words_budget then
@@ -257,7 +261,6 @@ let arenas net =
       {
         mirror;
         out_msg = Array.make slots [||];
-        out_hash = Array.make slots 0;
         fate = Array.make slots 0;
       }
     in
@@ -266,6 +269,15 @@ let arenas net =
 
 let begin_round net =
   net.tag <- net.tag + 1;
+  (* a round that raised left its partial per-receiver tallies behind
+     (and no view): start from clean ones *)
+  (match net.last with
+  | No_round ->
+    for v = 0 to Array.length net.rh - 1 do
+      net.rh.(v) <- v;
+      net.rw.(v) <- 0
+    done
+  | Broadcast | Faulty_broadcast _ | Edge _ -> ());
   (* the previous round's view ends here; a round that raises leaves
      none *)
   net.last <- No_round;
@@ -278,15 +290,27 @@ let begin_round net =
   | Some h -> h.on_round_start net.rounds
   | None -> ()
 
-(* Count the receive walk's tallies into the net's counters, then close
-   the round. *)
-let end_round net ~digest ~msgs ~words ~lost ~wlost ~nmax ~emax ~cross =
+(* Close the round: one pass over the receivers, ascending, folds each
+   receiver's hash into the round digest, reads the node loads, and
+   resets both for the next round; then the walk's tallies go into the
+   net's counters. *)
+let end_round net ~msgs ~lost ~wlost ~emax ~cross =
+  let rh = net.rh and rw = net.rw in
+  let digest = ref 0 and words = ref 0 and nmax = ref 0 in
+  for v = 0 to Array.length rh - 1 do
+    digest := mix !digest rh.(v);
+    rh.(v) <- v;
+    let w = rw.(v) in
+    words := !words + w;
+    if w > !nmax then nmax := w;
+    rw.(v) <- 0
+  done;
   net.messages <- net.messages + msgs;
-  net.words <- net.words + words;
+  net.words <- net.words + !words;
   net.messages_lost <- net.messages_lost + lost;
   net.words_lost <- net.words_lost + wlost;
   net.boundary_words <- net.boundary_words + cross;
-  net.max_node_load <- max net.max_node_load nmax;
+  net.max_node_load <- max net.max_node_load !nmax;
   net.max_edge_load <- max net.max_edge_load emax;
   net.rounds <- net.rounds + 1;
   if net.trace_len = trace_chunk then begin
@@ -294,7 +318,7 @@ let end_round net ~digest ~msgs ~words ~lost ~wlost ~nmax ~emax ~cross =
     net.trace_cur <- Array.make trace_chunk 0;
     net.trace_len <- 0
   end;
-  net.trace_cur.(net.trace_len) <- digest;
+  net.trace_cur.(net.trace_len) <- !digest;
   net.trace_len <- net.trace_len + 1;
   match net.obs with
   | None -> ()
@@ -314,19 +338,24 @@ let end_round net ~digest ~msgs ~words ~lost ~wlost ~nmax ~emax ~cross =
       Obs.Span.finish o.o_spans tok
     | None -> ())
 
-(* One V-CONGEST round, in two walks:
+(* One V-CONGEST round, in one walk over the senders, descending, and
+   the receiver pass of [end_round] (DESIGN.md §10):
 
-   1. send: senders descending. Each message is validated and stored in
-      [sent]. Under a fault hook a crashed sender is not asked, and
-      [deliver] (a pure function of the copy, DESIGN.md §6) decides each
-      outgoing copy, its fate recorded in the sender's slot. The first
-      violation, the highest offending sender's, raises here, before
-      anything is counted.
-   2. receive: receivers ascending, each receiver's CSR slice
-      descending. The walk hashes the receiver's in-traffic, folds that
-      hash into the round digest, and tallies deliveries, losses, the
-      largest node load, the owner-rule (u > v) edge loads and boundary
-      words.
+   Each sender is asked for its message, which is validated and stored
+   in [sent]; the first violation, the highest offending sender's,
+   raises before anything reaches the net's counters. The sender then
+   walks its own out-slots only: each copy is folded into its
+   receiver's [rh] and [rw] and tallied. Under a fault hook a crashed
+   sender is not asked, and [deliver] (a pure function of the copy,
+   DESIGN.md §6) decides each copy, its fate recorded in the sender's
+   slot. Silent senders cost nothing but their [send] call.
+
+   A receiver's slice is ascending, so the senders reaching it in this
+   walk come in the order a descending walk of its slice would meet
+   them: [rh] gets the same folds as a receiver-major walk would make.
+   Edge loads: on a slot to v > u the copy v sent back to u is already
+   decided, so the sum is exact; on a slot to v < u the copy is a lower
+   bound, which v's own walk replaces by the sum if v sends back.
 
    The inbox view ({!iter_inbox}) then reads [sent] (and [fate]) in
    place: nothing is copied per delivery. *)
@@ -341,71 +370,81 @@ let broadcast_round net send =
   in
   begin_round net;
   let tag = net.tag in
-  let faulty = Option.is_some hook in
   let bounded, side =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
   let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
-  let sent = net.sent and sent_len = net.sent_len
-  and sent_hash = net.sent_hash in
+  let sent = net.sent and sent_len = net.sent_len in
+  let rh = net.rh and rw = net.rw in
   let n = Array.length sent in
-  for u = n - 1 downto 0 do
-    let out =
-      match hook with
-      | Some h when not (h.node_alive u) -> None
-      | _ -> send u
-    in
-    match out with
-    | None -> sent_len.(u) <- -1
-    | Some m ->
-      sent_hash.(u) <- validate net ~node:u m;
-      sent.(u) <- m;
-      sent_len.(u) <- Array.length m;
-      (match hook with
-      | None -> ()
-      | Some h ->
+  let msgs = ref 0 and lost = ref 0 and wlost = ref 0 in
+  let emax = ref 0 and cross = ref 0 in
+  (match hook with
+  | None ->
+    for u = n - 1 downto 0 do
+      match send u with
+      | None -> sent_len.(u) <- -1
+      | Some m ->
+        let hm = validate net ~node:u m and len = Array.length m in
+        sent.(u) <- m;
+        sent_len.(u) <- len;
+        let lo = off.(u) and hi = off.(u + 1) in
+        msgs := !msgs + (hi - lo);
+        (* every copy is delivered: [len] bounds each incident edge's
+           load, and a silent v > u (length -1) adds nothing to it *)
+        if hi > lo && len > !emax then emax := len;
+        for s = lo to hi - 1 do
+          let v = adj.(s) in
+          rh.(v) <- digest_in rh.(v) ~tag:1 ~src:u hm;
+          rw.(v) <- rw.(v) + len;
+          if v > u && len + sent_len.(v) > !emax then
+            emax := len + sent_len.(v)
+        done;
+        if bounded then
+          for s = lo to hi - 1 do
+            if side u <> side adj.(s) then cross := !cross + len
+          done
+    done
+  | Some h ->
+    for u = n - 1 downto 0 do
+      match if h.node_alive u then send u else None with
+      | None -> sent_len.(u) <- -1
+      | Some m ->
+        let hm = validate net ~node:u m and len = Array.length m in
+        sent.(u) <- m;
+        sent_len.(u) <- len;
         for s = off.(u) to off.(u + 1) - 1 do
-          fate.(s) <-
-            (if h.deliver ~src:u ~dst:adj.(s) ~edge:ids.(s) m then tag
-             else -tag)
-        done)
-  done;
-  let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
-  let nmax = ref 0 and emax = ref 0 and cross = ref 0 and dig = ref 0 in
-  for v = 0 to n - 1 do
-    let len_v = max 0 sent_len.(v) in
-    let w_in = ref 0 and h = ref v in
-    for s' = off.(v + 1) - 1 downto off.(v) do
-      let u = adj.(s') in
-      let len = sent_len.(u) in
-      let len_in =
-        if len < 0 then 0
-        else if faulty && fate.(mirror.(s')) <> tag then begin
-          h := digest_in !h ~tag:2 ~src:u sent_hash.(u);
-          incr lost;
-          wlost := !wlost + len;
-          0
-        end
-        else begin
-          h := digest_in !h ~tag:1 ~src:u sent_hash.(u);
-          incr msgs;
-          w_in := !w_in + len;
-          if bounded && side u <> side v then cross := !cross + len;
-          len
-        end
-      in
-      if u > v then begin
-        let len_out = if faulty && fate.(s') <> tag then 0 else len_v in
-        if len_in + len_out > !emax then emax := len_in + len_out
-      end
-    done;
-    dig := mix !dig !h;
-    words := !words + !w_in;
-    if !w_in > !nmax then nmax := !w_in
-  done;
-  end_round net ~digest:!dig ~msgs:!msgs ~words:!words ~lost:!lost
-    ~wlost:!wlost ~nmax:!nmax ~emax:!emax ~cross:!cross;
-  net.last <- (if faulty then Faulty_broadcast (arenas net) else Broadcast)
+          let v = adj.(s) in
+          let load =
+            if h.deliver ~src:u ~dst:v ~edge:ids.(s) m then begin
+              fate.(s) <- tag;
+              rh.(v) <- digest_in rh.(v) ~tag:1 ~src:u hm;
+              rw.(v) <- rw.(v) + len;
+              incr msgs;
+              if bounded && side u <> side v then cross := !cross + len;
+              len
+            end
+            else begin
+              fate.(s) <- -tag;
+              rh.(v) <- digest_in rh.(v) ~tag:2 ~src:u hm;
+              incr lost;
+              wlost := !wlost + len;
+              0
+            end
+          in
+          let load =
+            if v > u && fate.(mirror.(s)) = tag then load + sent_len.(v)
+            else load
+          in
+          if load > !emax then emax := load
+        done
+    done);
+  end_round net ~msgs:!msgs ~lost:!lost ~wlost:!wlost ~emax:!emax
+    ~cross:!cross;
+  net.last <-
+    (match hook with
+    | None -> Broadcast
+    | Some _ -> Faulty_broadcast (arenas net))
 
 (* binary search for [v] in [u]'s sorted CSR slice; -1 when absent *)
 let slot_in off adj u v =
@@ -418,91 +457,77 @@ let slot_in off adj u v =
   done;
   !found
 
-(* One E-CONGEST round; the same two walks as [broadcast_round], with
-   each message staged at its sender slot: the slot's [fate] stamp
-   doubles as the duplicate-direction check, and under a fault hook
-   [deliver] is consulted right after each message validates. *)
+(* One E-CONGEST round; the same walk as [broadcast_round], each
+   sender's list staged message by message at its sender slot: the
+   slot's [fate] stamp doubles as the duplicate-direction check, and
+   under a fault hook [deliver] is consulted right after each message
+   validates. The list is walked by a loop, not a closure, so the
+   tallies stay unboxed locals. *)
 let edge_round net send =
   if net.model = Model.V_congest then
     violate net "edge_round: per-edge messages illegal in V-CONGEST";
   let hook = net.faults in
-  let { mirror; out_msg; out_hash; fate } = arenas net in
+  let { mirror; out_msg; fate } = arenas net in
   begin_round net;
   let tag = net.tag in
   let bounded, side =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
   let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
-  (* [next] is the slot after the previous target's: protocols list
-     targets in neighbour order, so it is usually the slot sought and
-     the binary search is skipped *)
-  let rec stage u next = function
-    | [] -> ()
-    | (v, m) :: rest ->
-      let s =
-        if next < off.(u + 1) && adj.(next) = v then next
-        else slot_in off adj u v
-      in
-      if s < 0 then
-        violate net ~node:u ~edge:(u, v) "edge_round: message along a non-edge";
-      if abs fate.(s) = tag then
-        violate net ~node:u ~edge:(u, v)
-          "edge_round: two messages on one edge direction";
-      fate.(s) <- tag;
-      out_hash.(s) <- validate net ~node:u m;
-      out_msg.(s) <- m;
-      (match hook with
-      | Some h when not (h.deliver ~src:u ~dst:v ~edge:ids.(s) m) ->
-        fate.(s) <- -tag
-      | _ -> ());
-      stage u (s + 1) rest
-  in
-  let n = Array.length net.sent in
-  for u = n - 1 downto 0 do
-    match hook with
-    | Some h when not (h.node_alive u) -> ()
-    | _ -> stage u off.(u) (send u)
-  done;
-  let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
-  let nmax = ref 0 and emax = ref 0 and cross = ref 0 and dig = ref 0 in
-  for v = 0 to n - 1 do
-    let w_in = ref 0 and h = ref v in
-    for s' = off.(v + 1) - 1 downto off.(v) do
-      let u = adj.(s') in
-      let s = mirror.(s') in
-      let st = fate.(s) in
-      let len_in =
-        if st = tag then begin
-          let m = out_msg.(s) in
-          let len = Array.length m in
-          h := digest_in !h ~tag:1 ~src:u out_hash.(s);
-          incr msgs;
-          w_in := !w_in + len;
-          if bounded && side u <> side v then cross := !cross + len;
-          len
-        end
-        else begin
-          if st = -tag then begin
-            h := digest_in !h ~tag:2 ~src:u out_hash.(s);
-            incr lost;
-            wlost := !wlost + Array.length out_msg.(s)
-          end;
-          0
-        end
-      in
-      if u > v then begin
-        let len_out =
-          if fate.(s') = tag then Array.length out_msg.(s') else 0
+  let rh = net.rh and rw = net.rw in
+  let msgs = ref 0 and lost = ref 0 and wlost = ref 0 in
+  let emax = ref 0 and cross = ref 0 in
+  for u = Array.length rh - 1 downto 0 do
+    let alive = match hook with Some h -> h.node_alive u | None -> true in
+    let out = ref (if alive then send u else []) in
+    (* [next] is the slot after the previous target's: protocols list
+       targets in neighbour order, so it is usually the slot sought and
+       the binary search is skipped *)
+    let next = ref off.(u) and more = ref true in
+    while !more do
+      match !out with
+      | [] -> more := false
+      | (v, m) :: rest ->
+        out := rest;
+        let s =
+          if !next < off.(u + 1) && adj.(!next) = v then !next
+          else slot_in off adj u v
         in
-        if len_in + len_out > !emax then emax := len_in + len_out
-      end
-    done;
-    dig := mix !dig !h;
-    words := !words + !w_in;
-    if !w_in > !nmax then nmax := !w_in
+        if s < 0 then
+          violate net ~node:u ~edge:(u, v)
+            "edge_round: message along a non-edge";
+        if abs fate.(s) = tag then
+          violate net ~node:u ~edge:(u, v)
+            "edge_round: two messages on one edge direction";
+        fate.(s) <- tag;
+        let hm = validate net ~node:u m and len = Array.length m in
+        out_msg.(s) <- m;
+        let load =
+          match hook with
+          | Some h when not (h.deliver ~src:u ~dst:v ~edge:ids.(s) m) ->
+            fate.(s) <- -tag;
+            rh.(v) <- digest_in rh.(v) ~tag:2 ~src:u hm;
+            incr lost;
+            wlost := !wlost + len;
+            0
+          | _ ->
+            rh.(v) <- digest_in rh.(v) ~tag:1 ~src:u hm;
+            rw.(v) <- rw.(v) + len;
+            incr msgs;
+            if bounded && side u <> side v then cross := !cross + len;
+            len
+        in
+        let load =
+          if v > u && fate.(mirror.(s)) = tag then
+            load + Array.length out_msg.(mirror.(s))
+          else load
+        in
+        if load > !emax then emax := load;
+        next := s + 1
+    done
   done;
-  end_round net ~digest:!dig ~msgs:!msgs ~words:!words ~lost:!lost
-    ~wlost:!wlost ~nmax:!nmax ~emax:!emax ~cross:!cross;
+  end_round net ~msgs:!msgs ~lost:!lost ~wlost:!wlost ~emax:!emax
+    ~cross:!cross;
   net.last <- Edge (arenas net)
 
 (* The inbox view: [v]'s CSR slice walked forward (senders ascending),

@@ -46,9 +46,11 @@ type t
 (** [create model g] wraps graph [g], with the model's
     {!Model.words_budget} at [n] nodes as its per-message budget.
 
-    A net runs every round on the calling domain, in two walks: a send
-    walk over the senders, descending, then a receive walk over the
-    receivers, ascending (DESIGN.md §10). Nets share nothing, so an
+    A net runs every round on the calling domain: one walk over the
+    senders, descending, in which each sender that sends walks its own
+    out-slots only, then one pass over the receivers, ascending, that
+    closes the round's digest and loads (DESIGN.md §10). A round costs
+    O(n + messages), not O(n + m). Nets share nothing, so an
     [Exec.Pool] runs one whole simulation per domain. *)
 val create : Model.t -> Graphs.Graph.t -> t
 
@@ -110,14 +112,14 @@ val node_alive : t -> int -> bool
 
 (** {1 Rounds}
 
-    Every message of a round is validated before any is delivered. A
+    A round is counted only once every message of it has validated. A
     round that raises [Protocol_violation] therefore counts nothing:
     rounds, messages, words, losses, load maxima, boundary words and the
-    digest trace are exactly as they were when the round began. The
-    send walk visits senders descending, so the violation raised is the
-    highest offending sender's. (An installed fault hook has still seen
-    [on_round_start] and the [deliver] calls of the senders above the
-    offender.) *)
+    digest trace are exactly as they were when the round began, and it
+    leaves an empty inbox view. The sender walk visits senders
+    descending, so the violation raised is the highest offending
+    sender's. (An installed fault hook has still seen [on_round_start]
+    and the [deliver] calls of the senders above the offender.) *)
 
 (** [broadcast_round net send] performs one round in which node [u]
     locally broadcasts [send u] (or stays silent on [None]). Legal in

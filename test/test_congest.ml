@@ -537,25 +537,25 @@ let test_trace_chunks_persistent () =
     Alcotest.(check (list string)) what []
       (Congest.Net.diff_telemetry (straight_at k) (Congest.Net.telemetry net))
   in
-  run 150 ~salt:0;
-  let b150 = Congest.Net.barrier net in
-  run 106 ~salt:0;
-  let b256 = Congest.Net.barrier net in
-  run 34 ~salt:0;
-  let b290 = Congest.Net.barrier net in
-  same "straight to 290" 290;
-  Congest.Net.rollback net b150;
-  clock := 150;
-  run 200 ~salt:1;
-  Congest.Net.rollback net b290;
-  clock := 290;
-  same "a later barrier outlives a rollback past it" 290;
-  Congest.Net.rollback net b256;
-  same "barrier on a chunk boundary" 256;
-  Congest.Net.rollback net b256;
-  clock := 256;
+  run 600 ~salt:0;
+  let b600 = Congest.Net.barrier net in
+  run 424 ~salt:0;
+  let b1024 = Congest.Net.barrier net in
+  run 136 ~salt:0;
+  let b1160 = Congest.Net.barrier net in
+  same "straight to 1160" 1160;
+  Congest.Net.rollback net b600;
+  clock := 600;
+  run 800 ~salt:1;
+  Congest.Net.rollback net b1160;
+  clock := 1160;
+  same "a later barrier outlives a rollback past it" 1160;
+  Congest.Net.rollback net b1024;
+  same "barrier on a chunk boundary" 1024;
+  Congest.Net.rollback net b1024;
+  clock := 1024;
   run 3 ~salt:0;
-  same "second rollback to it, then on" 259;
+  same "second rollback to it, then on" 1027;
   Congest.Net.reset_stats net;
   Alcotest.(check int) "reset empties the trace" 0
     (Array.length (Congest.Net.telemetry net).Congest.Net.t_digests)
@@ -1268,6 +1268,154 @@ let prop_inbox_view_contract =
         (fun (draw, faulty) -> check ~draw ~faulty)
         [ (1, false); (4, false); (1, true); (4, true) ])
 
+(* Differential against the receiver-major engine kept in [Net_ref]:
+   the same rounds on both engines must leave the same telemetry (every
+   counter, both load maxima, boundary words, the digest trace) and the
+   same inbox view after every round. Random graphs; per round a sender
+   density (an eighth, a half, all), message lengths from 1 to the
+   budget, a broadcast or an edge round; no hook, Bernoulli drops, or a
+   crash schedule; with or without a boundary predicate; and one round
+   that raises on both, in the middle of the run. *)
+let prop_net_matches_reference =
+  QCheck.Test.make ~name:"Net = Net_ref" ~count:120
+    QCheck.(
+      quad (int_range 2 40) (int_range 0 80) (int_range 0 2)
+        (pair bool (int_range 0 99999)))
+    (fun (n, extra, faults, (bounded, seed)) ->
+      let rng = Random.State.make [| seed; n; extra |] in
+      let g = Gen.random_connected rng ~n ~extra in
+      let net = Congest.Net.create Congest.Model.E_congest g in
+      let ref_net = Net_ref.create Congest.Model.E_congest g in
+      let adversary () =
+        match faults with
+        | 0 -> None
+        | 1 -> Some (F.create ~seed [ F.Drop_bernoulli 0.3 ])
+        | _ ->
+          Some
+            (F.create ~seed
+               [ F.Crash_at [ (1, seed mod n); (3, (seed / 7) mod n) ] ])
+      in
+      Option.iter (F.install net) (adversary ());
+      Option.iter
+        (fun a -> Net_ref.install_faults ref_net (F.hook g a))
+        (adversary ());
+      if bounded then begin
+        let side v = v mod 3 = 0 in
+        Congest.Net.set_boundary net side;
+        Net_ref.set_boundary ref_net side
+      end;
+      let budget = Congest.Model.words_budget ~n in
+      let width = Congest.Model.max_word ~n in
+      let msg () =
+        Array.init
+          (1 + Random.State.int rng budget)
+          (fun _ -> Random.State.int rng (min width 0x3FFFFFFF))
+      in
+      let view iter =
+        let acc = ref [] in
+        for v = 0 to n - 1 do
+          iter v (fun v u e m -> acc := (v, u, e, m) :: !acc)
+        done;
+        !acc
+      in
+      let same () =
+        Congest.Net.telemetry net = Net_ref.telemetry ref_net
+        && view (Congest.Net.iter_inbox net) = view (Net_ref.iter_inbox ref_net)
+      in
+      (* both engines run [round]; both raise the same violation, or
+         neither does *)
+      let both round =
+        let outcome f = match f () with () -> None | exception e -> Some e in
+        outcome (fun () -> round `Net) = outcome (fun () -> round `Ref)
+      in
+      let raising_round = Random.State.int rng 8 in
+      let ok = ref true in
+      for r = 0 to 7 do
+        let edge = Random.State.bool rng in
+        let density = [| 8; 2; 1 |].(Random.State.int rng 3) in
+        let sends () = Random.State.int rng density = 0 in
+        let bad = if r = raising_round then Random.State.int rng n else -1 in
+        if edge then begin
+          let out =
+            Array.init n (fun u ->
+                if sends () || u = bad then
+                  List.filter_map
+                    (fun v ->
+                      if Random.State.bool rng || u = bad then Some (v, msg ())
+                      else None)
+                    (Array.to_list (Graph.neighbors g u))
+                else [])
+          in
+          (* the raising round sends twice on one direction *)
+          if bad >= 0 then out.(bad) <- List.hd out.(bad) :: out.(bad);
+          ok :=
+            !ok
+            && both (function
+                 | `Net -> Congest.Net.edge_round net (fun u -> out.(u))
+                 | `Ref -> Net_ref.edge_round ref_net (fun u -> out.(u)))
+        end
+        else begin
+          let out =
+            Array.init n (fun u ->
+                if u = bad then Some (Array.make (budget + 1) 0)
+                else if sends () then Some (msg ())
+                else None)
+          in
+          ok :=
+            !ok
+            && both (function
+                 | `Net -> Congest.Net.broadcast_round net (fun u -> out.(u))
+                 | `Ref -> Net_ref.broadcast_round ref_net (fun u -> out.(u)))
+        end;
+        ok := !ok && same ()
+      done;
+      !ok)
+
+(* DESIGN.md §10's "allocates nothing per node or per message": over
+   100 steady-state fault-free rounds of each kind, with every message
+   and out-list built beforehand, the engine's minor allocation is the
+   same at n = 64 as at n = 1024. *)
+let test_round_allocation_constant () =
+  let minor_words_per_100 ~edge n =
+    let g = Gen.random_regular (Random.State.make [| n |]) ~n ~d:4 in
+    let net = enet g in
+    let run =
+      if edge then begin
+        let out =
+          Array.init n (fun u ->
+              Array.to_list
+                (Array.map (fun v -> (v, [| u; v |])) (Graph.neighbors g u)))
+        in
+        let send u = out.(u) in
+        fun () -> Congest.Net.edge_round net send
+      end
+      else begin
+        let out = Array.init n (fun u -> Some [| u; 1; 2 |]) in
+        let send u = out.(u) in
+        fun () -> Congest.Net.broadcast_round net send
+      end
+    in
+    for _ = 1 to 10 do
+      run ()
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      run ()
+    done;
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  List.iter
+    (fun edge ->
+      let what = if edge then "edge_round" else "broadcast_round" in
+      let small = minor_words_per_100 ~edge 64 in
+      Alcotest.(check int)
+        (what ^ ": minor words per 100 rounds, n = 1024 vs n = 64")
+        small
+        (minor_words_per_100 ~edge 1024);
+      Alcotest.(check bool)
+        (what ^ ": a few words per round") true (small <= 100 * 8))
+    [ false; true ]
+
 (* [Net.delivered] against the inbox view: the sender-major walk (each
    sender ascending, each slot of its CSR slice where [delivered] holds)
    must list exactly the deliveries of [iter_deliveries], as (sender,
@@ -1435,6 +1583,8 @@ let () =
           Alcotest.test_case "digest trace chunks persistent" `Quick
             test_trace_chunks_persistent;
           Alcotest.test_case "obs counters exact" `Quick test_obs_counters_exact;
+          Alcotest.test_case "round allocation independent of n" `Quick
+            test_round_allocation_constant;
         ] );
       ( "net.delivered",
         [
@@ -1509,7 +1659,11 @@ let () =
             test_knowledge_unchecked_records_only;
         ] );
       qsuite "runtime.props"
-        [ prop_words_accounting; prop_inbox_view_contract ];
+        [
+          prop_words_accounting;
+          prop_inbox_view_contract;
+          prop_net_matches_reference;
+        ];
       qsuite "components.props"
         [ prop_identify_matches_centralized; prop_hybrid_matches_flooding ];
       ( "dist_mst",
