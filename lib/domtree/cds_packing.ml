@@ -1,4 +1,5 @@
 module Graph = Graphs.Graph
+module Net = Congest.Net
 module Union_find = Graphs.Union_find
 
 type stats = {
@@ -17,311 +18,611 @@ type t = {
   stats : stats;
 }
 
+type side = Central of Graph.t | Distributed of Net.t
+
 let default_classes ~k = max 1 (k / 3)
 
 let default_layers ~n =
   let lg = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)) in
   max 4 (2 * lg)
 
-(* What a type-3 node, or all type-3 neighbors of one class around a
-   real, saw of the old components: nothing ([no_witness]), one root
-   c >= 0, or two or more ([any_witness]), which witnesses every
-   component. *)
-let no_witness = -1
-let any_witness = -2
+(* Message tags for the single-round broadcasts of B.2 *)
+let tag_connector = 0
+let tag_one = 1
 
-(* Mutable algorithm state: per-class incremental component tracking.
-   The (class, root) sets of one layer are flat [t * n] stamp rows,
-   indexed [cls * n + root]. *)
-type state = {
-  g : Graph.t;
-  vg : Virtual_graph.t;
-  t : int;
-  rng : Random.State.t;
-  class_of : int array; (* vid -> class or -1 *)
-  in_class : bool array array; (* class -> real -> member? *)
-  uf : Union_find.t array; (* class -> union-find over reals *)
-  classes_of_real : int list array; (* real -> distinct classes, ascending *)
-  components : int array; (* class -> number of components *)
-  seen : int array; (* (class, root) -> epoch it was last listed in *)
-  mutable epoch : int;
-  deactivated : int array; (* (class, root) -> layer it was deactivated in *)
-  matched : int array; (* (class, root) -> layer it was matched in *)
-  root_of : int array; (* (class, real) -> component root, per layer *)
-  (* step 2c scratch around one real, per class *)
-  visited : int array; (* epoch the class was last seen around the real *)
-  comps : int list array; (* its components, as neighborhood_components *)
-  witness : int array; (* what its type-3 neighbors saw *)
-}
+(* [wit] encodes what a receiver heard of B.2b for one class: nothing,
+   a connector or two different components (every component is
+   witnessed), or one component id [c] (every component but [c]). *)
+let wit_none = -1
+let wit_all = -2
 
-let make_state ?(seed = 42) g vg t =
-  let n = Graph.n g in
-  {
-    g;
-    vg;
-    t;
-    rng = Random.State.make [| seed; n; t |];
-    class_of = Array.make (Virtual_graph.count vg) (-1);
-    in_class = Array.init t (fun _ -> Array.make n false);
-    uf = Array.init t (fun _ -> Union_find.create n);
-    classes_of_real = Array.make n [];
-    components = Array.make t 0;
-    seen = Array.make (t * n) (-1);
-    epoch = 0;
-    deactivated = Array.make (t * n) (-1);
-    matched = Array.make (t * n) (-1);
-    root_of = Array.make (t * n) (-1);
-    visited = Array.make t (-1);
-    comps = Array.make t [];
-    witness = Array.make t no_witness;
-  }
-
-let rec insert_sorted x = function
-  | y :: rest when y < x -> y :: insert_sorted x rest
-  | l -> x :: l
-
-(* Register the (already recorded in class_of) assignment of the virtual
-   node on [real] to class [i], merging components incrementally. *)
-let add_member st ~real ~cls =
-  if not st.in_class.(cls).(real) then begin
-    st.in_class.(cls).(real) <- true;
-    st.classes_of_real.(real) <- insert_sorted cls st.classes_of_real.(real);
-    st.components.(cls) <- st.components.(cls) + 1;
-    Array.iter
-      (fun u ->
-        if st.in_class.(cls).(u) && Union_find.union st.uf.(cls) real u then
-          st.components.(cls) <- st.components.(cls) - 1)
-      (Graph.neighbors st.g real)
+(* [a] with room for index [i], doubled when it has none *)
+let grow a i =
+  let len = Array.length a in
+  if i < len then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * len)) 0 in
+    Array.blit a 0 b 0 len;
+    b
   end
 
-let assign st ~vid ~cls =
-  st.class_of.(vid) <- cls;
-  add_member st ~real:(Virtual_graph.real_of st.vg vid) ~cls
+(* The three ways a step of Appendix B talks, on one side. A delivery
+   acts on its receiver alone, and only the order among one class's
+   deliveries to one receiver can change what it does. So the central
+   side, which sends no message, may walk the deliveries receiver by
+   receiver and class by class, each class's in the distributed order:
+   meta-round ascending, then sender ascending, never a node to
+   itself. *)
+type comm = {
+  round : (int -> Net.msg option) -> (int -> int -> Net.msg -> unit) -> unit;
+      (** one broadcast round and its deliveries [recv r sender m] *)
+  sweep :
+    Multiflood.slots ->
+    payload:(int -> int -> int array) ->
+    listen:(int -> int -> bool) ->
+    ordered:bool ->
+    recv:(int -> int -> int -> Net.msg -> unit) ->
+    unit;
+      (** {!Multiflood.membership_sweep}. [listen r i] may be [false]
+          only where [recv] ignores every delivery of class [i] to [r],
+          and [ordered] is [false] only where the order among them
+          cannot matter either: the central side then skips those, or
+          delivers in sender order. The distributed side delivers every
+          message in its own order. *)
+  component_min :
+    unit -> Multiflood.slots -> init:(int -> int -> int * int) ->
+    int array * int array;
+      (** [component_min ()] is a {!Multiflood.flood_min} with its own
+          result arrays *)
+}
 
-let random_class st = Random.State.int st.rng st.t
+let distributed_comm net ~max_slots ~classes =
+  {
+    round =
+      (fun send recv ->
+        Net.broadcast_round net send;
+        Net.iter_deliveries net (fun r u _ m -> recv r u m));
+    sweep =
+      (fun sl ~payload ~listen:_ ~ordered:_ ~recv ->
+        Multiflood.membership_sweep net sl ~payload ~recv);
+    component_min =
+      (fun () ->
+        let buffers = Multiflood.buffers ~slots:max_slots ~classes in
+        fun sl ~init -> Multiflood.flood_min ~buffers net sl ~init);
+  }
 
-let next_epoch st =
-  st.epoch <- st.epoch + 1;
-  st.epoch
+(* Central messages live in a flat staging area, one record of [width]
+   words per sender or slot (its length, then its words), and a
+   delivery hands [recv] a scratch copy of the right length: nothing a
+   round stages outlives it, so nothing is promoted. Sweeps find a
+   class's senders through [slot_of], the layer's (class, node) -> slot
+   table, and a component-wide minimum is read off the union-find [uf]
+   over (class, node) pairs. *)
+let width = 5
 
-(* The components are frozen from the start of a layer until its
-   commit, so each member's root is looked up once per layer. *)
-let refresh_roots st =
-  let n = Graph.n st.g in
-  Array.iteri
-    (fun u classes ->
-      List.iter
-        (fun i -> st.root_of.((i * n) + u) <- Union_find.find st.uf.(i) u)
-        classes)
-    st.classes_of_real
-
-(* Distinct component roots of class [i] within the closed neighborhood
-   of real vertex [r] (same-real adjacency of the virtual graph makes r
-   itself count), most recently found first. *)
-let neighborhood_components st ~cls ~real =
-  let n = Graph.n st.g in
-  let epoch = next_epoch st in
-  let acc = ref [] in
-  let consider u =
-    if st.in_class.(cls).(u) then begin
-      let root = st.root_of.((cls * n) + u) in
-      if st.seen.((cls * n) + root) <> epoch then begin
-        st.seen.((cls * n) + root) <- epoch;
-        acc := root :: !acc
-      end
-    end
-  in
-  consider real;
-  Array.iter consider (Graph.neighbors st.g real);
-  !acc
-
-(* Total excess component count M = sum over classes of (N_i - 1). *)
-let excess st =
-  Array.fold_left (fun total c -> if c >= 1 then total + c - 1 else total) 0
-    st.components
-
-let shuffle rng a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-(* The bridging edges (i, c) of the type-2 node on [r], as (class, root)
-   indices [i * n + c], most recent first. Classes are taken in order
-   of first appearance over [r; neighbors r] (each vertex's classes
-   ascending), and within a class in neighborhood_components order;
-   (i, c) is an edge when component c is not deactivated and some
-   type-3 neighbor of class i witnesses another component (condition
-   (c)). One pass over N[r] finds every class's components, a second
-   reads the witnesses. *)
-let bridging_edges st ~layer ~class3 ~msg3 r =
-  let n = Graph.n st.g in
-  let epoch = next_epoch st in
-  let order = ref [] in
-  let visit u =
-    List.iter
-      (fun i ->
-        if st.visited.(i) <> epoch then begin
-          st.visited.(i) <- epoch;
-          st.comps.(i) <- [];
-          st.witness.(i) <- no_witness;
-          order := i :: !order
-        end;
-        let root = st.root_of.((i * n) + u) in
-        if st.seen.((i * n) + root) <> epoch then begin
-          st.seen.((i * n) + root) <- epoch;
-          st.comps.(i) <- root :: st.comps.(i)
-        end)
-      st.classes_of_real.(u)
-  in
-  let witness w =
-    let i = class3.(w) in
-    let c = msg3.(w) in
-    if st.visited.(i) = epoch && c <> no_witness then begin
-      let seen = st.witness.(i) in
-      if seen = no_witness then st.witness.(i) <- c
-      else if c = any_witness || (seen >= 0 && seen <> c) then
-        st.witness.(i) <- any_witness
-    end
-  in
-  let nbrs = Graph.neighbors st.g r in
-  visit r;
-  Array.iter visit nbrs;
-  witness r;
-  Array.iter witness nbrs;
-  List.fold_left
-    (fun acc i ->
-      let seen = st.witness.(i) in
-      List.fold_left
-        (fun acc c ->
-          if
-            (seen = any_witness || (seen >= 0 && seen <> c))
-            && st.deactivated.((i * n) + c) <> layer
-          then ((i * n) + c) :: acc
-          else acc)
-        acc st.comps.(i))
-    [] (List.rev !order)
-
-(* One recursive step: assign classes to the virtual nodes of layer
-   [new_layer] given the components of layers < new_layer. *)
-let assign_layer st ~new_layer =
-  let n = Graph.n st.g in
-  let vg = st.vg in
-  refresh_roots st;
-  (* 1. type-1 and type-3 new nodes pick random classes (recorded but not
-        yet merged into the component structure: the bridging graph is
-        about OLD components). *)
-  let class1 = Array.init n (fun _ -> random_class st) in
-  let class3 = Array.init n (fun _ -> random_class st) in
-  (* 2a. deactivation by type-1 connectors: components of class i seen
-         (>= 2 at once) from a type-1 new node of class i. *)
-  for r = 0 to n - 1 do
-    let i = class1.(r) in
-    match neighborhood_components st ~cls:i ~real:r with
-    | _ :: _ :: _ as comps ->
-      List.iter (fun root -> st.deactivated.((i * n) + root) <- new_layer) comps
-    | _ -> ()
-  done;
-  (* 2b. type-3 messages *)
-  let msg3 =
-    Array.init n (fun r ->
-        match neighborhood_components st ~cls:class3.(r) ~real:r with
-        | [] -> no_witness
-        | [ root ] -> root
-        | _ :: _ :: _ -> any_witness)
-  in
-  (* 2c. bridging adjacency for each type-2 new node (one per real) *)
-  let listv = Array.init n (bridging_edges st ~layer:new_layer ~class3 ~msg3) in
-  let bridging_edge_count =
-    Array.fold_left (fun acc l -> acc + List.length l) 0 listv
-  in
-  (* 3. greedy maximal matching between type-2 nodes and components *)
-  let matched = ref 0 in
-  let class2 = Array.make n (-1) in
-  let order = Array.init n (fun r -> r) in
-  shuffle st.rng order;
-  Array.iter
-    (fun r ->
-      let options = Array.of_list listv.(r) in
-      shuffle st.rng options;
-      Array.iter
-        (fun key ->
-          if class2.(r) < 0 && st.matched.(key) <> new_layer then begin
-            st.matched.(key) <- new_layer;
-            class2.(r) <- key / n;
-            incr matched
-          end)
-        options;
-      if class2.(r) < 0 then class2.(r) <- random_class st)
-    order;
-  (* 4. commit the whole layer *)
-  for r = 0 to n - 1 do
-    assign st ~vid:(Virtual_graph.vid vg ~real:r ~layer:new_layer ~vtype:1)
-      ~cls:class1.(r);
-    assign st ~vid:(Virtual_graph.vid vg ~real:r ~layer:new_layer ~vtype:2)
-      ~cls:class2.(r);
-    assign st ~vid:(Virtual_graph.vid vg ~real:r ~layer:new_layer ~vtype:3)
-      ~cls:class3.(r)
-  done;
-  (!matched, bridging_edge_count)
-
-let run ?(seed = 42) ?jumpstart g ~classes ~layers =
-  if classes < 1 then invalid_arg "Cds_packing.run: classes < 1";
-  let jumpstart = match jumpstart with Some j -> j | None -> layers / 2 in
-  if jumpstart < 1 || jumpstart > layers then
-    invalid_arg "Cds_packing.run: jumpstart out of range";
-  let vg = Virtual_graph.create g ~layers in
-  let st = make_state ~seed g vg classes in
+let central_comm g uf ~slot_of ~classes ~max_slots ~max_slice =
   let n = Graph.n g in
-  (* jump-start: layers 1..jumpstart (default L/2), all types random *)
+  let csr_off = Graph.csr_offsets g and csr_adj = Graph.csr_neighbors g in
+  let words = Array.make (width * max max_slots n) 0 in
+  let scratch = Array.init width (fun l -> Array.make l 0) in
+  (* word loops rather than [Array.blit], which writes through
+     [caml_modify] once the arrays are in the major heap *)
+  let stage x ~first m =
+    let l = Array.length m in
+    if first + l >= width then invalid_arg "Cds_packing: message too long";
+    for j = 0 to l - 1 do
+      words.((x * width) + 1 + first + j) <- m.(j)
+    done;
+    words.(x * width) <- first + l
+  in
+  let staged x =
+    let m = scratch.(words.(x * width)) in
+    for j = 0 to Array.length m - 1 do
+      m.(j) <- words.((x * width) + 1 + j)
+    done;
+    m
+  in
+  (* one receiver's deliveries of one class, bucketed by meta-round k:
+     the slots [from.(k * max_degree + j)] for [j < count.(k)], in
+     sender order; [count] is all zero between walks *)
+  let max_degree = ref 0 in
+  for r = 0 to n - 1 do
+    max_degree := max !max_degree (csr_off.(r + 1) - csr_off.(r))
+  done;
+  let max_degree = !max_degree in
+  let owner = Array.make max_slots 0 in
+  let count = Array.make max_slice 0 in
+  let from = Array.make (max_slice * max_degree) 0 in
+  let best_value = Array.make (Union_find.size uf) 0 in
+  let best_tiebreak = Array.make (Union_find.size uf) 0 in
+  let key = Array.make max_slots 0 in
+  {
+    round =
+      (fun send recv ->
+        let any = ref false in
+        for u = 0 to n - 1 do
+          match send u with
+          | Some m ->
+            stage u ~first:0 m;
+            any := true
+          | None -> words.(u * width) <- 0
+        done;
+        if !any then
+          for r = 0 to n - 1 do
+            for e = csr_off.(r) to csr_off.(r + 1) - 1 do
+              let u = csr_adj.(e) in
+              if words.(u * width) > 0 then recv r u (staged u)
+            done
+          done);
+    sweep =
+      (fun sl ~payload ~listen ~ordered ~recv ->
+        let off = sl.off and cls = sl.cls in
+        for u = 0 to n - 1 do
+          for s = off.(u) to off.(u + 1) - 1 do
+            owner.(s) <- u;
+            words.((s * width) + 1) <- cls.(s);
+            stage s ~first:1 (payload u s)
+          done
+        done;
+        for r = 0 to n - 1 do
+          for i = 0 to classes - 1 do
+            let row = i * n in
+            if not (listen r i) then ()
+            else if not ordered then
+              for e = csr_off.(r) to csr_off.(r + 1) - 1 do
+                let s = slot_of.(row + csr_adj.(e)) in
+                if s >= 0 then recv r csr_adj.(e) i (staged s)
+              done
+            else begin
+              let lo = ref max_int and hi = ref (-1) in
+              for e = csr_off.(r) to csr_off.(r + 1) - 1 do
+                let s = slot_of.(row + csr_adj.(e)) in
+                if s >= 0 then begin
+                  let k = s - off.(csr_adj.(e)) in
+                  from.((k * max_degree) + count.(k)) <- s;
+                  count.(k) <- count.(k) + 1;
+                  if k < !lo then lo := k;
+                  if k > !hi then hi := k
+                end
+              done;
+              for k = !lo to !hi do
+                for j = k * max_degree to (k * max_degree) + count.(k) - 1 do
+                  let s = from.(j) in
+                  recv r owner.(s) i (staged s)
+                done;
+                count.(k) <- 0
+              done
+            end
+          done
+        done);
+    component_min =
+      (fun () ->
+        let value = Array.make max_slots 0 in
+        let tiebreak = Array.make max_slots 0 in
+        fun sl ~init ->
+          let off = sl.off and cls = sl.cls in
+          let nslots = Array.length cls in
+          for r = 0 to n - 1 do
+            for s = off.(r) to off.(r + 1) - 1 do
+              let k = Union_find.find uf ((cls.(s) * n) + r) in
+              key.(s) <- k;
+              best_value.(k) <- max_int;
+              best_tiebreak.(k) <- max_int
+            done
+          done;
+          for r = 0 to n - 1 do
+            for s = off.(r) to off.(r + 1) - 1 do
+              let k = key.(s) in
+              let v, t = init r s in
+              if
+                v < best_value.(k)
+                || (v = best_value.(k) && t < best_tiebreak.(k))
+              then begin
+                best_value.(k) <- v;
+                best_tiebreak.(k) <- t
+              end
+            done
+          done;
+          for s = 0 to nslots - 1 do
+            value.(s) <- best_value.(key.(s));
+            tiebreak.(s) <- best_tiebreak.(key.(s))
+          done;
+          (value, tiebreak));
+  }
+
+let run_on side ~seed ~jumpstart ~classes ~layers =
+  let g, caller =
+    match side with
+    | Central g -> (g, "Cds_packing.run")
+    | Distributed net -> (Net.graph net, "Dist_packing.run")
+  in
+  if classes < 1 then invalid_arg (caller ^ ": classes < 1");
+  if jumpstart < 1 || jumpstart > layers then
+    invalid_arg (caller ^ ": jumpstart out of range");
+  let n = Graph.n g in
+  let csr_off = Graph.csr_offsets g and csr_adj = Graph.csr_neighbors g in
+  let vg = Virtual_graph.create g ~layers in
+  let rng = Random.State.make [| seed; n; classes; 77 |] in
+  let class_of = Array.make (Virtual_graph.count vg) (-1) in
+  (* the distinct classes of each node's virtual nodes, newest first,
+     and the same read by (class, node) = [i * n + r]. The union-find
+     over (class, node) pairs keeps every class's components as
+     memberships join; memberships only grow, so it serves the whole
+     run, and only the central side reads it during a layer. *)
+  let my_classes = Array.make n [] in
+  let member = Array.make (classes * n) false in
+  let uf = Union_find.create (classes * n) in
+  let components = Array.make classes 0 in
+  let assign ~real ~layer ~vtype ~cls =
+    class_of.(Virtual_graph.vid vg ~real ~layer ~vtype) <- cls;
+    let x = (cls * n) + real in
+    if not member.(x) then begin
+      member.(x) <- true;
+      my_classes.(real) <- cls :: my_classes.(real);
+      components.(cls) <- components.(cls) + 1;
+      for e = csr_off.(real) to csr_off.(real + 1) - 1 do
+        let y = (cls * n) + csr_adj.(e) in
+        if member.(y) && Union_find.union uf x y then
+          components.(cls) <- components.(cls) - 1
+      done
+    end
+  in
+  let random_class () = Random.State.int rng classes in
+  let excess () =
+    Array.fold_left (fun total c -> if c >= 1 then total + c - 1 else total) 0
+      components
+  in
+  (* jump-start *)
   for layer = 1 to jumpstart do
     for r = 0 to n - 1 do
       for vtype = 1 to 3 do
-        assign st ~vid:(Virtual_graph.vid vg ~real:r ~layer ~vtype)
-          ~cls:(random_class st)
+        assign ~real:r ~layer ~vtype ~cls:(random_class ())
       done
     done
   done;
-  let excess0 = excess st in
-  let stats_excess = ref [ (jumpstart, excess0) ] in
+  let memberships r = my_classes.(r) in
+  let stats_excess = ref [ (jumpstart, excess ()) ] in
   let stats_matched = ref [] in
   let stats_bridging = ref [] in
+  let stages = default_layers ~n in
+  let proposal_range = max 64 (n * n) in
+  (* per-run scratch. A node holds each class at most once and at most
+     three classes per layer, which bounds the slots of any layer. *)
+  let max_slice = min classes (3 * layers) in
+  let max_slots = n * max_slice in
+  (* [slot_of.(i * n + r)]: r's slot of class i in this layer's layout,
+     [-1] if r holds no virtual node of class i. Memberships only grow,
+     so each layout overwrites every entry the last one set. *)
+  let slot_of = Array.make (classes * n) (-1) in
+  let slot r i = slot_of.((i * n) + r) in
+  let comm =
+    match side with
+    | Central g -> central_comm g uf ~slot_of ~classes ~max_slots ~max_slice
+    | Distributed net -> distributed_comm net ~max_slots ~classes
+  in
+  let component_id = comm.component_min () in
+  let component_min = comm.component_min () in
+  let deact = Array.make max_slots false in
+  let locked = Array.make max_slots false in
+  let best_value = Array.make max_slots (-1) in
+  let best_who = Array.make max_slots (-1) in
+  let class1 = Array.make n 0 and class2 = Array.make n (-1) in
+  let class3 = Array.make n 0 in
+  let first1 = Array.make n (-1) and many1 = Array.make n false in
+  let first3 = Array.make n (-1) and many3 = Array.make n false in
+  let prop_value = Array.make n 0 in
+  let prop_cls = Array.make n (-1) in
+  let prop_cid = Array.make n 0 in
+  (* B.2b witness state and the filtered sweep #2 log, both per
+     (receiver, class) = [r * classes + i]: [log_head] starts a list
+     through [log_next], newest first, of entries [cid * 2 + active].
+     The log and the option lists start empty and grow on demand: both
+     stay empty when no component is split. *)
+  let wit = Array.make (n * classes) wit_none in
+  let log_head = Array.make (n * classes) (-1) in
+  let log_val = ref [||] in
+  let log_next = ref [||] in
+  let n_log = ref 0 in
+  let seen_at = Array.make n (-1) in
+  (* the B.2c option lists: r's are [opt_off.(r) ..][opt_len.(r)] *)
+  let opt_cls = ref [||] in
+  let opt_cid = ref [||] in
+  let opt_off = Array.make n 0 and opt_len = Array.make n 0 in
+  let hear r m =
+    let w = (r * classes) + m.(1) in
+    if m.(0) = tag_connector then wit.(w) <- wit_all
+    else
+      let c = m.(2) and x = wit.(w) in
+      if x = wit_none then wit.(w) <- c
+      else if x <> c then wit.(w) <- wit_all
+  in
+  let witnessed w c =
+    let x = wit.(w) in
+    x = wit_all || (x >= 0 && x <> c)
+  in
+
   for new_layer = jumpstart + 1 to layers do
-    let matched, bridging = assign_layer st ~new_layer in
-    stats_excess := (new_layer, excess st) :: !stats_excess;
+    (* local random choices for type-1 and type-3 new nodes *)
+    for r = 0 to n - 1 do
+      class1.(r) <- random_class ()
+    done;
+    for r = 0 to n - 1 do
+      class3.(r) <- random_class ()
+    done;
+    (* the old nodes' memberships are fixed until the layer commits *)
+    let sl = Multiflood.layout ~n memberships in
+    let nslots = Array.length sl.cls in
+    for r = 0 to n - 1 do
+      for s = sl.off.(r) to sl.off.(r + 1) - 1 do
+        slot_of.((sl.cls.(s) * n) + r) <- s
+      done
+    done;
+
+    (* B.1: component identification of old nodes *)
+    let cid, _ = component_id sl ~init:(fun r _ -> (r, r)) in
+    (* status sweep #1: members announce (class, cid). A node keeps, for
+       its type-1 and type-3 classes, the first cid seen in its closed
+       neighborhood and whether a different one turned up. *)
+    Array.fill first1 0 n (-1);
+    Array.fill many1 0 n false;
+    Array.fill first3 0 n (-1);
+    Array.fill many3 0 n false;
+    let see first many r c =
+      if first.(r) < 0 then first.(r) <- c
+      else if first.(r) <> c then many.(r) <- true
+    in
+    for r = 0 to n - 1 do
+      let s1 = slot r class1.(r) and s3 = slot r class3.(r) in
+      if s1 >= 0 then see first1 many1 r cid.(s1);
+      if s3 >= 0 then see first3 many3 r cid.(s3)
+    done;
+    comm.sweep sl
+      ~payload:(fun _ s -> [| cid.(s) |])
+      ~listen:(fun r i -> i = class1.(r) || i = class3.(r))
+      ~ordered:false
+      ~recv:(fun r _ i m ->
+        if i = class1.(r) then see first1 many1 r m.(1);
+        if i = class3.(r) then see first3 many3 r m.(1));
+
+    (* B.2a: type-1 connector declarations (one round); members
+       adjacent to a declaring type-1 node mark deactivation *)
+    Array.fill deact 0 nslots false;
+    comm.round
+      (fun r ->
+        if many1.(r) then Some [| tag_connector; class1.(r) |] else None)
+      (fun r _ m ->
+        let s = slot r m.(1) in
+        if s >= 0 then deact.(s) <- true);
+    (* the deactivation flag, component-wide (flag 0 wins); only the
+       flag is read, so the tiebreak is constant *)
+    let flag, _ =
+      component_min sl ~init:(fun _ s -> ((if deact.(s) then 0 else 1), 0))
+    in
+
+    (* B.2b: type-3 messages (one round). Its messages depend only on
+       sweep #1; every receiver, own message included, folds what it
+       hears of class i into [wit]. *)
+    let msg3 r =
+      let i = class3.(r) in
+      if first3.(r) < 0 then None
+      else if many3.(r) then Some [| tag_connector; i |]
+      else Some [| tag_one; i; first3.(r) |]
+    in
+    comm.round msg3 (fun r _ m -> hear r m);
+    for r = 0 to n - 1 do
+      Option.iter (hear r) (msg3 r)
+    done;
+
+    (* status sweep #2: members announce (class, cid, active?). A
+       receiver logs a delivery of (i, c) only if B.2c can list it: c is
+       not its own component of i and its B.2b witnesses c. Both depend
+       on (r, i, c) alone, so the lists read the same entries in the
+       same newest-first order as a full log. A class of one component
+       (its count is the old layers' until the layer commits) is never
+       witnessed: every B.2b message of it names that component. *)
+    comm.sweep sl
+      ~payload:(fun _ s -> [| cid.(s); (if flag.(s) = 0 then 0 else 1) |])
+      ~listen:(fun r i ->
+        wit.((r * classes) + i) <> wit_none && components.(i) > 1)
+      ~ordered:true
+      ~recv:(fun r _ i m ->
+        let s = slot r i and c = m.(1) in
+        let w = (r * classes) + i in
+        if (s < 0 || c <> cid.(s)) && witnessed w c then begin
+          let e = !n_log in
+          log_val := grow !log_val e;
+          log_next := grow !log_next e;
+          !log_val.(e) <- (c * 2) + (if m.(2) = 1 then 1 else 0);
+          !log_next.(e) <- log_head.(w);
+          log_head.(w) <- e;
+          n_log := e + 1
+        end);
+
+    (* B.2c: type-2 neighbor lists. A type-3 message of class i audible
+       at r (own included) witnesses component (i, c) if it declares a
+       connector or names a component other than c. Candidates are the
+       distinct active (class, cid) around r: classes descending, own
+       membership first, then the logged ones newest first. *)
+    let n_opts = ref 0 in
+    let emit i c =
+      let e = !n_opts in
+      opt_cls := grow !opt_cls e;
+      opt_cid := grow !opt_cid e;
+      !opt_cls.(e) <- i;
+      !opt_cid.(e) <- c;
+      n_opts := e + 1
+    in
+    let log_val = !log_val and log_next = !log_next in
+    for r = 0 to n - 1 do
+      opt_off.(r) <- !n_opts;
+      for i = classes - 1 downto 0 do
+        let w = (r * classes) + i in
+        if wit.(w) <> wit_none then begin
+          let s = slot r i in
+          if s >= 0 && flag.(s) <> 0 && witnessed w cid.(s) then emit i cid.(s);
+          (* [w] stamps [seen_at]: the newest delivery of c decides *)
+          let e = ref log_head.(w) in
+          while !e >= 0 do
+            let c = log_val.(!e) / 2 in
+            if seen_at.(c) <> w then begin
+              seen_at.(c) <- w;
+              if log_val.(!e) land 1 = 1 then emit i c
+            end;
+            e := log_next.(!e)
+          done
+        end
+      done;
+      opt_len.(r) <- !n_opts - opt_off.(r)
+    done;
+    let bridging = !n_opts in
+    Array.fill seen_at 0 n (-1);
+    Array.fill wit 0 (n * classes) wit_none;
+    Array.fill log_head 0 (n * classes) (-1);
+    n_log := 0;
+
+    (* B.3: proposal-based maximal matching, at most [stages] stages.
+       [opt_len] now counts the options still open. A stage in which no
+       node proposes draws nothing and changes nothing, and neither can
+       any later one, so its silent proposal round is charged as the
+       quiescence detection and ends the loop. *)
+    let opt_cls = !opt_cls and opt_cid = !opt_cid in
+    Array.fill class2 0 n (-1);
+    (* members remember that their component got matched so it never
+       accepts a second proposal in a later stage *)
+    Array.fill locked 0 nslots false;
+    (* b. a member of a still-unmatched component [(i, c)] records the
+       best proposal addressed to it *)
+    let offer r i c value who =
+      let s = slot r i in
+      if s >= 0 && cid.(s) = c && not locked.(s) then begin
+        let bv = best_value.(s) in
+        if value > bv || (value = bv && who > best_who.(s)) then begin
+          best_value.(s) <- value;
+          best_who.(s) <- who
+        end
+      end
+    in
+    (* d. r hears that component (j, c) accepted [who]'s proposal of
+       [value]: its own proposal may have won, and either way (j, c) is
+       taken now (the paper's Listv update) *)
+    let taken r j c value who =
+      if prop_cls.(r) = j && prop_cid.(r) = c && who = r && value = prop_value.(r)
+      then class2.(r) <- j;
+      let lo = opt_off.(r) in
+      let kept = ref lo in
+      for e = lo to lo + opt_len.(r) - 1 do
+        if not (opt_cls.(e) = j && opt_cid.(e) = c) then begin
+          opt_cls.(!kept) <- opt_cls.(e);
+          opt_cid.(!kept) <- opt_cid.(e);
+          incr kept
+        end
+      done;
+      opt_len.(r) <- !kept - lo
+    in
+    let stage = ref 0 and proposers = ref 1 in
+    while !proposers > 0 && !stage < stages do
+      incr stage;
+      proposers := 0;
+      (* a. proposals: one draw per open option, in list order; the
+         largest (value, class, cid) wins *)
+      for r = 0 to n - 1 do
+        prop_cls.(r) <- -1;
+        if class2.(r) < 0 then
+          for e = opt_off.(r) to opt_off.(r) + opt_len.(r) - 1 do
+            let v = Random.State.full_int rng proposal_range in
+            let i = opt_cls.(e) and c = opt_cid.(e) in
+            let pv = prop_value.(r) and pi = prop_cls.(r) in
+            if
+              pi < 0 || v > pv
+              || (v = pv && (i > pi || (i = pi && c > prop_cid.(r))))
+            then begin
+              prop_value.(r) <- v;
+              prop_cls.(r) <- i;
+              prop_cid.(r) <- c
+            end
+          done;
+        if prop_cls.(r) >= 0 then incr proposers
+      done;
+      Array.fill best_value 0 nslots (-1);
+      Array.fill best_who 0 nslots (-1);
+      (* a proposer's own membership of the component hears it too *)
+      comm.round
+        (fun r ->
+          if prop_cls.(r) >= 0 then
+            Some [| prop_cls.(r); prop_cid.(r); prop_value.(r); r |]
+          else None)
+        (fun r _ m -> offer r m.(0) m.(1) m.(2) m.(3));
+      if !proposers > 0 then begin
+        for r = 0 to n - 1 do
+          if prop_cls.(r) >= 0 then
+            offer r prop_cls.(r) prop_cid.(r) prop_value.(r) r
+        done;
+        (* c. component-wide maximum via min-flood on negated values *)
+        let neg, who =
+          component_min sl ~init:(fun _ s ->
+              if best_who.(s) >= 0 then (-best_value.(s), best_who.(s))
+              else (1, -1))
+        in
+        let accepted s = neg.(s) <= 0 && who.(s) >= 0 in
+        (* d. members lock their now-matched memberships and announce
+           the accepted proposal; every listener, the members
+           themselves included, marks the component taken *)
+        for s = 0 to nslots - 1 do
+          if accepted s then locked.(s) <- true
+        done;
+        comm.sweep sl
+          ~payload:(fun _ s ->
+            if accepted s then [| cid.(s); -neg.(s); who.(s) |]
+            else [| cid.(s); -1; -1 |])
+          ~listen:(fun r j ->
+            let open_in_j = ref false in
+            for e = opt_off.(r) to opt_off.(r) + opt_len.(r) - 1 do
+              if opt_cls.(e) = j then open_in_j := true
+            done;
+            !open_in_j)
+          ~ordered:false
+          ~recv:(fun r _ j m -> if m.(3) >= 0 then taken r j m.(1) m.(2) m.(3));
+        for r = 0 to n - 1 do
+          for s = sl.off.(r) to sl.off.(r + 1) - 1 do
+            if accepted s then taken r sl.cls.(s) cid.(s) (-neg.(s)) who.(s)
+          done
+        done
+      end
+    done;
+    let matched = Array.fold_left (fun a c -> if c >= 0 then a + 1 else a) 0 class2 in
+    for r = 0 to n - 1 do
+      if class2.(r) < 0 then class2.(r) <- random_class ()
+    done;
+
+    (* commit the layer *)
+    for r = 0 to n - 1 do
+      assign ~real:r ~layer:new_layer ~vtype:1 ~cls:class1.(r);
+      assign ~real:r ~layer:new_layer ~vtype:2 ~cls:class2.(r);
+      assign ~real:r ~layer:new_layer ~vtype:3 ~cls:class3.(r)
+    done;
+    stats_excess := (new_layer, excess ()) :: !stats_excess;
     stats_matched := (new_layer, matched) :: !stats_matched;
     stats_bridging := (new_layer, bridging) :: !stats_bridging
   done;
-  (* harvest per-class results *)
+
+  (* harvest: per-class results, free on either side *)
+  let in_class i v = member.((i * n) + v) in
   let members =
     Array.init classes (fun i ->
         let acc = ref [] in
         for r = n - 1 downto 0 do
-          if st.in_class.(i).(r) then acc := r :: !acc
+          if in_class i r then acc := r :: !acc
         done;
         Array.of_list !acc)
-  in
-  let connected =
-    Array.init classes (fun i ->
-        let ms = members.(i) in
-        Array.length ms > 0
-        &&
-        let root = Union_find.find st.uf.(i) ms.(0) in
-        Array.for_all (fun r -> Union_find.find st.uf.(i) r = root) ms)
-  in
-  let dominating =
-    Array.init classes (fun i ->
-        Graphs.Domination.is_dominating g (fun v -> st.in_class.(i).(v)))
   in
   {
     vg;
     classes;
-    class_of = st.class_of;
+    class_of;
     members;
-    connected;
-    dominating;
+    connected = Array.map (fun c -> c = 1) components;
+    dominating =
+      Array.init classes (fun i -> Graphs.Domination.is_dominating g (in_class i));
     stats =
       {
         excess_after_layer = List.rev !stats_excess;
@@ -329,6 +630,10 @@ let run ?(seed = 42) ?jumpstart g ~classes ~layers =
         bridging_edges_per_layer = List.rev !stats_bridging;
       };
   }
+
+let run ?(seed = 42) ?jumpstart g ~classes ~layers =
+  let jumpstart = Option.value jumpstart ~default:(layers / 2) in
+  run_on (Central g) ~seed ~jumpstart ~classes ~layers
 
 let pack ?seed g ~k =
   run ?seed g ~classes:(default_classes ~k) ~layers:(default_layers ~n:(Graph.n g))

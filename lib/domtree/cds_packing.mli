@@ -1,5 +1,6 @@
-(** The fractional CDS/dominating-tree packing algorithm of §3.1 —
-    centralized implementation (Theorem 1.2, Appendix C).
+(** The fractional CDS/dominating-tree packing algorithm of §3.1
+    (Theorem 1.2 / Appendix C central, Theorem 1.1 / Appendix B
+    distributed), written once.
 
     The algorithm partitions the virtual nodes of {!Virtual_graph} into
     [t = Θ(k)] classes so that w.h.p. every class is a connected
@@ -12,24 +13,33 @@
       the {e bridging graph} between old components and type-2 nodes
       (§3.1 steps (1)–(3), Fig. 1), merging components so the total
       excess component count M_ℓ drops by a constant factor per layer
-      (Lemma 4.4).
+      (Lemma 4.4). Each layer runs Appendix B: B.1 component ids (the
+      least real id of each class-component), B.2 connector
+      declarations, type-3 witnesses and the type-2 option lists, and
+      B.3's proposal matching, which ends at its first silent proposal
+      round or after [default_layers ~n] stages.
 
-    Component tracking uses per-class incremental union-find. A
-    recursive layer costs O(n + m + Σ_v deg(v)·c(v)) near-constant
-    union-find and array operations, where c(v) <= min(t, 3ℓ) is the
-    number of classes v belongs to: each real's type-2 node lists the
-    components of all classes around it in one pass over its closed
-    neighbourhood. Over L = Θ(log n) layers that is O(L·m·t) in the
-    worst case, and the final domination check adds O(t·m). *)
+    {!run_on} is that one layer loop over a {!side}. The distributed
+    side exchanges every step's messages on a {!Congest.Net.t}
+    ({!Dist_packing.run}). The central side ({!run}) sends nothing: it
+    hands each receiver the same deliveries in the same order by
+    walking the graph, and reads component-wide minima off a
+    union-find over (class, node) pairs that both sides keep for the
+    statistics. Both draw from one RNG stream, so a seed gives equal
+    packings, statistics included, on either side. A central layer
+    costs O(n·t + Σ_r deg(r)·ℓ(r)) array operations, where ℓ(r) <= 2
+    classes in status sweep #1 and the classes r heard of in B.2b that
+    have two or more components in sweep #2. *)
 
 type stats = {
   excess_after_layer : (int * int) list;
       (** [(layer, M_layer)]: total excess components after each layer's
           assignment — the observable of the Fast Merger Lemma (E8). *)
   matched_per_layer : (int * int) list;
-      (** matching size found in the bridging graph at each layer *)
+      (** type-2 nodes matched by B.3 at each layer *)
   bridging_edges_per_layer : (int * int) list;
-      (** number of bridging-graph edges at each layer (Fig. 1 realized) *)
+      (** B.2c options, i.e. bridging-graph edges, at each layer (Fig. 1
+          realized) *)
 }
 
 type t = {
@@ -48,8 +58,24 @@ type t = {
     throughout this repository. *)
 val default_classes : k:int -> int
 
-(** [default_layers ~n] is L = Θ(log n), even. *)
+(** [default_layers ~n] is L = Θ(log n), even; it also caps the B.3
+    stages of a layer. *)
 val default_layers : n:int -> int
+
+(** Where the layer loop runs. Both sides deliver in one order and draw
+    the same random numbers, so they return equal packings. *)
+type side =
+  | Central of Graphs.Graph.t
+      (** every step by direct graph walks and union-find; no message *)
+  | Distributed of Congest.Net.t
+      (** every step as messages on the network (V- or E-CONGEST) *)
+
+(** [run_on side ~seed ~jumpstart ~classes ~layers] is the one layer
+    loop behind {!run} and {!Dist_packing.run}.
+    @raise Invalid_argument if [classes < 1] or [jumpstart] is outside
+    [1 .. layers]. *)
+val run_on :
+  side -> seed:int -> jumpstart:int -> classes:int -> layers:int -> t
 
 (** [run ?seed ?jumpstart g ~classes ~layers] executes the full class
     assignment. [jumpstart] (default [layers / 2]) is the number of

@@ -1,8 +1,9 @@
 (** Distributed implementation of the fractional dominating-tree packing
     (Theorem 1.1, Appendix B), executed over the V-CONGEST runtime.
 
-    Every step of Appendix B is realized with explicit message passing
-    on the base graph, simulating the virtual graph by meta-rounds:
+    [run] is {!Cds_packing.run_on} on the [Distributed] side: every step
+    of Appendix B is realized with explicit message passing on the base
+    graph, simulating the virtual graph by meta-rounds:
 
     - B.1 component identification of old nodes: per-class min-id
       flooding over intra-class virtual edges ({!Multiflood}, the
@@ -14,11 +15,13 @@
       component-wide maximum by intra-component flooding, accept
       announcements — at most O(log n) stages, ending at the first
       silent proposal round (no unmatched node has an open option left,
-      so the matching is maximal and no later stage could change it).
+      so the matching is maximal and no later stage could change it). A
+      node hears its own proposal and its own announcements, so it can
+      be matched to a component it forms alone.
 
-    The returned record is the same shape as the centralized one; the
-    [connected]/[dominating]/[stats] fields are filled in by (free)
-    post-hoc verification. Round/congestion costs are read off the
+    For a seed it returns exactly the packing {!Cds_packing.run} returns
+    on the same graph; [connected]/[dominating]/[stats] are post-hoc
+    verification (free). Round/congestion costs are read off the
     {!Congest.Net} counters by the caller.
 
     A run allocates its layer scratch once: per-slot arrays for up to

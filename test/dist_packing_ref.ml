@@ -3,8 +3,9 @@
    moved to per-run scratch), kept as the oracle of a differential
    property. It runs every B.3 stage to the [matching_stages] cap, floods
    the B.2a flags with the sender id as tiebreak and logs all of status
-   sweep #2. [Domtree.Dist_packing.run] must return the same packing and
-   statistics in no more rounds. *)
+   sweep #2. Like the packer, a node hears its own B.3 proposal and its
+   own accept announcements. [Domtree.Dist_packing.run] must return the
+   same packing and statistics in no more rounds. *)
 
 module Graph = Graphs.Graph
 module Net = Congest.Net
@@ -268,19 +269,25 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
             Some [| prop_cls.(r); prop_cid.(r); prop_value.(r); r |]
           else None);
       (* b. members of still-unmatched components record the best proposal
-         addressed to their component *)
+         addressed to their component; a proposer's own membership of the
+         component hears it too *)
       Array.fill best_value 0 nslots (-1);
       Array.fill best_who 0 nslots (-1);
+      let offer s c value who =
+        if s >= 0 && cid.(s) = c && not locked.(s) then begin
+          let bv = best_value.(s) in
+          if value > bv || (value = bv && who > best_who.(s)) then begin
+            best_value.(s) <- value;
+            best_who.(s) <- who
+          end
+        end
+      in
       Multiflood.iter_deliveries net sl row (fun _ _ _ m ->
-          let s = row.(m.(0)) in
-          let value = m.(2) and who = m.(3) in
-          if s >= 0 && cid.(s) = m.(1) && not locked.(s) then begin
-            let bv = best_value.(s) in
-            if value > bv || (value = bv && who > best_who.(s)) then begin
-              best_value.(s) <- value;
-              best_who.(s) <- who
-            end
-          end);
+          offer row.(m.(0)) m.(1) m.(2) m.(3));
+      for r = 0 to n - 1 do
+        if prop_cls.(r) >= 0 then
+          offer (slot r prop_cls.(r)) prop_cid.(r) prop_value.(r) r
+      done;
       (* c. component-wide maximum via min-flood on negated values *)
       let neg, who =
         Multiflood.flood_min net sl ~init:(fun _ s ->
@@ -289,35 +296,39 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
       in
       let accepted s = neg.(s) <= 0 && who.(s) >= 0 in
       (* d. members lock their now-matched memberships, announce the
-         accepted proposal, and every listener drops any component it
-         hears got matched to somebody else (the paper's Listv update) *)
+         accepted proposal, and every listener, the members themselves
+         included, drops any component it hears got matched to somebody
+         else (the paper's Listv update) *)
       for s = 0 to nslots - 1 do
         if accepted s then locked.(s) <- true
       done;
+      let taken r j c' value w =
+        (* did my own proposal win? *)
+        if prop_cls.(r) = j && prop_cid.(r) = c' && w = r && value = prop_value.(r)
+        then class2.(r) <- j;
+        (* either way, component (j, c') is taken now *)
+        let lo = opt_base r in
+        let kept = ref lo in
+        for e = lo to lo + opt_len.(r) - 1 do
+          if not (opt_cls.(e) = j && opt_cid.(e) = c') then begin
+            opt_cls.(!kept) <- opt_cls.(e);
+            opt_cid.(!kept) <- opt_cid.(e);
+            incr kept
+          end
+        done;
+        opt_len.(r) <- !kept - lo
+      in
       Multiflood.membership_sweep net sl
         ~payload:(fun _ s ->
           if accepted s then [| cid.(s); -neg.(s); who.(s) |]
           else [| cid.(s); -1; -1 |])
-        ~recv:(fun r _ j m ->
-          let c' = m.(1) and w = m.(3) in
-          if w >= 0 then begin
-            (* did my own proposal win? *)
-            if
-              prop_cls.(r) = j && prop_cid.(r) = c' && w = r
-              && m.(2) = prop_value.(r)
-            then class2.(r) <- j;
-            (* either way, component (j, c') is taken now *)
-            let lo = opt_base r in
-            let kept = ref lo in
-            for e = lo to lo + opt_len.(r) - 1 do
-              if not (opt_cls.(e) = j && opt_cid.(e) = c') then begin
-                opt_cls.(!kept) <- opt_cls.(e);
-                opt_cid.(!kept) <- opt_cid.(e);
-                incr kept
-              end
-            done;
-            opt_len.(r) <- !kept - lo
-          end)
+        ~recv:(fun r _ j m -> if m.(3) >= 0 then taken r j m.(1) m.(2) m.(3));
+      for r = 0 to n - 1 do
+        for s = sl.Multiflood.off.(r) to sl.Multiflood.off.(r + 1) - 1 do
+          if accepted s then
+            taken r sl.Multiflood.cls.(s) cid.(s) (-neg.(s)) who.(s)
+        done
+      done
     done;
     let matched = Array.fold_left (fun a c -> if c >= 0 then a + 1 else a) 0 class2 in
     for r = 0 to n - 1 do

@@ -59,16 +59,16 @@ let cds_cases =
   [
     ( "tree_broadcast shape",
       broadcast_shape,
-      "b272836a03b886815440cbccaf895489" );
+      "1ef99731b2407ee0a6808d0ff612b9b6" );
     ( "clique_path jumpstart 1",
       (fun () ->
         Cds_packing.run ~seed:3 ~jumpstart:1 (Gen.clique_path ~k:8 ~len:12)
           ~classes:10 ~layers:14),
-      "bf5d0830931dff99c3b8ca55b1e6f824" );
+      "30b615294fb57ce8f39be28fe2f4b362" );
     ( "erdos_renyi default",
       (fun () ->
         Cds_packing.pack ~seed:5 (er_graph ~seed:5 ~n:96 ~p:0.12) ~k:9),
-      "7b51a749c87175ea6e42437f2bfcd9cb" );
+      "c930bc4440d79e99671e441888f98148" );
     ( "1 class",
       (fun () ->
         let rng = Random.State.make [| 7 |] in
@@ -80,17 +80,17 @@ let cds_cases =
       (fun () ->
         Cds_packing.run ~seed:9 ~jumpstart:2 (er_graph ~seed:9 ~n:80 ~p:0.15)
           ~classes:4 ~layers:10),
-      "f4430a9609a65b8c69f19d47bd354803" );
+      "64d6fcd01ae1dd18714641c540e885fa" );
     ( "10 classes, harary",
       (fun () ->
         Cds_packing.run ~seed:11 (Gen.harary ~k:16 ~n:120) ~classes:10
           ~layers:16),
-      "f193affbf4abca34c9536ac811d73a6b" );
+      "1703eb3170a53e93de14fed39547d856" );
     ( "10 classes, jumpstart 1, erdos_renyi",
       (fun () ->
         Cds_packing.run ~seed:13 ~jumpstart:1 (er_graph ~seed:13 ~n:128 ~p:0.2)
           ~classes:10 ~layers:18),
-      "d25e3541b4308d809c6d3a1a65e82ea8" );
+      "05a76b2638806516f3d0ecfcf97e1626" );
   ]
 
 let test_cds_pin (name, run, expected) () =
@@ -323,56 +323,43 @@ let cert_expected =
     [
       "class 0: witness vertices not sorted and duplicate-free";
       "class 0: witness vertices differ from the class's live members";
-      "class 0: 30 edges over 32 vertices is not a tree";
+      "class 0: 34 edges over 36 vertices is not a tree";
     ];
-    [ "class 0: 31 edges over 31 vertices is not a tree" ];
+    [ "class 0: 35 edges over 35 vertices is not a tree" ];
     [
-      "class 0: 29 edges over 31 vertices is not a tree";
-      "class 0: witness edges do not span vertex 4";
-      "class 0: witness edges do not span vertex 11";
-      "class 0: witness edges do not span vertex 16";
-      "class 0: witness edges do not span vertex 17";
-      "class 0: witness edges do not span vertex 19";
-      "class 0: witness edges do not span vertex 24";
-      "class 0: witness edges do not span vertex 26";
+      "class 0: 33 edges over 35 vertices is not a tree";
+      "class 0: witness edges do not span vertex 1";
+      "class 0: witness edges do not span vertex 9";
     ];
     [
-      "class 0: witness edge (0,1) leaves the class";
-      "class 0: witness edges do not span vertex 4";
-      "class 0: witness edges do not span vertex 11";
-      "class 0: witness edges do not span vertex 16";
-      "class 0: witness edges do not span vertex 17";
-      "class 0: witness edges do not span vertex 19";
-      "class 0: witness edges do not span vertex 24";
-      "class 0: witness edges do not span vertex 26";
+      "class 0: witness edge (0,2) leaves the class";
+      "class 0: witness edges do not span vertex 1";
+      "class 0: witness edges do not span vertex 9";
     ];
     [
-      "class 0: witness edge (0,11) is not a graph edge";
-      "class 0: witness edges do not span vertex 4";
-      "class 0: witness edges do not span vertex 11";
-      "class 0: witness edges do not span vertex 16";
-      "class 0: witness edges do not span vertex 17";
-      "class 0: witness edges do not span vertex 19";
-      "class 0: witness edges do not span vertex 24";
-      "class 0: witness edges do not span vertex 26";
+      "class 0: witness edge (0,9) is not a graph edge";
+      "class 0: witness edges do not span vertex 1";
+      "class 0: witness edges do not span vertex 9";
     ];
     [
       "class 0: witness vertex 99 out of range";
       "class 0: witness vertices differ from the class's live members";
-      "class 0: 30 edges over 32 vertices is not a tree";
+      "class 0: 34 edges over 36 vertices is not a tree";
     ];
     [
       "class 0: witness vertex -1 out of range";
       "class 0: witness vertices differ from the class's live members";
-      "class 0: witness edge (0,4) leaves the class";
+      "class 0: witness edge (0,1) leaves the class";
+      "class 0: witness edge (0,3) leaves the class";
       "class 0: witness edge (0,5) leaves the class";
       "class 0: witness edge (0,6) leaves the class";
       "class 0: witness edge (0,7) leaves the class";
+      "class 0: witness edge (0,8) leaves the class";
       "class 0: witness edge (0,56) leaves the class";
-      "class 0: witness edge (0,57) leaves the class";
-      "class 0: witness edge (0,58) leaves the class";
       "class 0: witness edge (0,59) leaves the class";
+      "class 0: witness edge (0,61) leaves the class";
       "class 0: witness edge (0,62) leaves the class";
+      "class 0: witness edge (0,63) leaves the class";
     ];
     [ "max-load mismatch: certificate says 7, memberships give 6" ];
     [
@@ -410,29 +397,41 @@ let test_cert_non_dominating_memberships () =
     | Error es -> es)
 
 (* ------------------------------------------------------------------ *)
-(* Differential properties against the quadratic reference copies *)
+(* Differential properties: the two sides of the packer, and the
+   reference copies *)
 
-let prop_cds_matches_reference =
-  QCheck.Test.make ~name:"Cds_packing.run equals the reference" ~count:60
+(* The graph families of the reference property below: jump-start 1
+   half the time and up to 20 classes, so most layers bridge and match. *)
+let busy_instance (seed, family) =
+  let rng = Random.State.make [| seed; family; 0xB3 |] in
+  let n = 12 + Random.State.int rng 37 in
+  let g =
+    match family with
+    | 0 ->
+      let k = 2 + Random.State.int rng 3 in
+      Gen.random_k_connected rng ~n ~k ~extra:(n / 8)
+    | 1 -> er_graph ~seed ~n ~p:(0.1 +. Random.State.float rng 0.2)
+    | 2 -> Gen.harary ~k:(2 + Random.State.int rng 6) ~n
+    | _ -> Gen.clique_path ~k:(3 + Random.State.int rng 4) ~len:(2 + (n / 8))
+  in
+  let classes = 1 + Random.State.int rng 20 in
+  let layers = 2 * (1 + Random.State.int rng 5) in
+  let jumpstart =
+    if Random.State.bool rng then 1 else 1 + Random.State.int rng layers
+  in
+  (g, classes, layers, jumpstart)
+
+(* The central side walks the graph where the distributed one sends
+   messages; both draw the same numbers, so everything they decide,
+   statistics included, is equal. *)
+let prop_central_equals_distributed =
+  QCheck.Test.make ~name:"Cds_packing.run = Dist_packing.run" ~count:40
     QCheck.(pair small_int (int_range 0 3))
-    (fun (seed, family) ->
-      let rng = Random.State.make [| seed; family |] in
-      let n = 16 + Random.State.int rng 81 in
-      let g =
-        match family with
-        | 0 ->
-          let k = 2 + Random.State.int rng 8 in
-          Gen.random_k_connected rng ~n ~k ~extra:(n / 4)
-        | 1 -> er_graph ~seed ~n ~p:(0.1 +. Random.State.float rng 0.2)
-        | 2 -> Gen.harary ~k:(2 + Random.State.int rng 10) ~n
-        | _ ->
-          Gen.clique_path ~k:(3 + Random.State.int rng 5) ~len:(2 + (n / 8))
-      in
-      let classes = 1 + Random.State.int rng 10 in
-      let layers = 2 * (1 + Random.State.int rng 9) in
-      let jumpstart = 1 + Random.State.int rng layers in
+    (fun ((seed, _) as instance) ->
+      let g, classes, layers, jumpstart = busy_instance instance in
+      let net = Congest.Net.create Congest.Model.V_congest g in
       fingerprint (Cds_packing.run ~seed ~jumpstart g ~classes ~layers)
-      = fingerprint (Cds_packing_ref.run ~seed ~jumpstart g ~classes ~layers))
+      = fingerprint (Dist_packing.run ~seed ~jumpstart net ~classes ~layers))
 
 (* Random small graphs, many of them busy: jump-start 1 leaves most
    layers to the B.2/B.3 protocol, and up to 20 classes on clique paths
@@ -441,24 +440,8 @@ let prop_cds_matches_reference =
 let prop_dist_packing_matches_reference =
   QCheck.Test.make ~name:"Dist_packing.run equals the reference" ~count:40
     QCheck.(pair small_int (int_range 0 3))
-    (fun (seed, family) ->
-      let rng = Random.State.make [| seed; family; 0xB3 |] in
-      let n = 12 + Random.State.int rng 37 in
-      let g =
-        match family with
-        | 0 ->
-          let k = 2 + Random.State.int rng 3 in
-          Gen.random_k_connected rng ~n ~k ~extra:(n / 8)
-        | 1 -> er_graph ~seed ~n ~p:(0.1 +. Random.State.float rng 0.2)
-        | 2 -> Gen.harary ~k:(2 + Random.State.int rng 6) ~n
-        | _ ->
-          Gen.clique_path ~k:(3 + Random.State.int rng 4) ~len:(2 + (n / 8))
-      in
-      let classes = 1 + Random.State.int rng 20 in
-      let layers = 2 * (1 + Random.State.int rng 5) in
-      let jumpstart =
-        if Random.State.bool rng then 1 else 1 + Random.State.int rng layers
-      in
+    (fun ((seed, _) as instance) ->
+      let g, classes, layers, jumpstart = busy_instance instance in
       let run f =
         let net = Congest.Net.create Congest.Model.V_congest g in
         let fp = fingerprint (f net) in
@@ -719,7 +702,7 @@ let () =
             Alcotest.test_case "non-dominating memberships" `Quick
               test_cert_non_dominating_memberships;
           ] );
-      qsuite "cds_packing.oracle" [ prop_cds_matches_reference ];
+      qsuite "cds_packing.oracle" [ prop_central_equals_distributed ];
       qsuite "multiflood.oracle"
         [ prop_flood_min_matches_reference; prop_flood_min_on_change ];
       qsuite "dist_packing.oracle" [ prop_dist_packing_matches_reference ];

@@ -537,8 +537,8 @@ let pinned_routing_cases =
         [],
         (fun net _ p ~sources ->
           routing_result (B.via_dominating_trees ~seed:3 net p ~sources)),
-        "rounds 53, messages 72, throughput 1.3584905660377358, congestion \
-         53/106; net rounds 53, messages 17220, digest 12a0abd9abcf3ab" );
+        "rounds 64, messages 72, throughput 1.125, congestion 63/125; net \
+         rounds 64, messages 18336, digest b50897a5792172" );
       ( "single tree",
         [],
         (fun net _ _ ~sources -> routing_result (B.naive_single_tree net ~sources)),
@@ -549,9 +549,10 @@ let pinned_routing_cases =
         (fun net faults p ~sources ->
           routing_ft_result
             (B.via_dominating_trees_ft ~seed:3 net faults p ~sources)),
-        "rounds 167, messages 72, delivered 71, throughput 0.42514970059880242, \
-         coverage 0.98611111111111116, survivors 34, dead trees 6, converged \
-         true; net rounds 167, messages 37349, digest 14edfaf6f4b64" );
+        "rounds 90, messages 72, delivered 70, throughput \
+         0.77777777777777779, coverage 0.97222222222222221, survivors 34, \
+         dead trees 6, converged true; net rounds 90, messages 22509, \
+         digest 22b2f4a44f21679" );
       ( "single tree under drop+crash",
         drop_crash,
         (fun net faults _ ~sources ->
@@ -564,9 +565,10 @@ let pinned_routing_cases =
         (fun net faults p ~sources ->
           routing_ft_result
             (B.via_dominating_trees_ft ~seed:3 net faults p ~sources)),
-        "rounds 147, messages 72, delivered 72, throughput 0.48979591836734693, \
-         coverage 1, survivors 36, dead trees 5, converged true; net rounds \
-         147, messages 51229, digest 111b17b07ccd7c" );
+        "rounds 127, messages 72, delivered 72, throughput \
+         0.56692913385826771, coverage 1, survivors 36, dead trees 4, \
+         converged true; net rounds 127, messages 45942, digest \
+         16ac6fad3e7bcd9" );
       ( "single tree under greedy edge kills",
         greedy_kill,
         (fun net faults _ ~sources ->
@@ -727,14 +729,14 @@ let pinned_domtree_cases =
     [
       ( "Dist_packing.run + extract_trees",
         (fun () -> run_dist_packing ~faulty:false),
-        "members 64550090, excess 149041694, matched 192120274, \
-         bridging 76303405, valid 6, trees 6, edges 132500885; rounds \
-         496, messages 130867, words 358069, digest 3edfd75e061379d" );
+        "members 64550090, excess 149041694, matched 192120274, bridging \
+         76303405, valid 6, trees 6, edges 132500885; rounds 496, messages \
+         130867, words 358069, digest 277a1752cce0e81" );
       ( "Dist_packing.run under drop+crash",
         (fun () -> run_dist_packing ~faulty:true),
-        "members 247603692, excess 176790528, matched 178245857, \
-         bridging 62428988, valid 6, trees 6, edges 215355191; rounds \
-         749, messages 149709, words 422997, digest b2430e3e573bb5" );
+        "members 247603692, excess 176790528, matched 178245857, bridging \
+         62428988, valid 6, trees 6, edges 215355191; rounds 749, messages \
+         149709, words 422997, digest 20dc3dd1cdfde9" );
       ( "Dist_packing.run, classes no node holds",
         run_dist_packing_sparse,
         "members 190655112, excess 115583919, matched 237009235, bridging \
@@ -854,25 +856,25 @@ let pinned_ladder_central_cases =
     [
       ( "run_verified Retry",
         (fun () -> run_reliable_central `Retry ~max_retries:2),
-        "attempts [7 false/true/false/0 0 false; 1000010 false/false/true/- \
-         0 false; 2000013 false/false/true/- 0 false]; verified false, \
+        "attempts [7 false/false/true/- 0 false; 1000010 false/false/true/- \
+         0 false; 2000013 false/true/false/0 0 false]; verified false, \
          retries 2, charged 0, exhausted false, retained 6, memberships \
-         6a6e4c94d7beee1de139bfe788b14308" );
+         368aba81645fc5ff7ac306336735f2b9" );
       ( "run_verified Repair",
         (fun () -> run_reliable_central `Repair ~max_retries:3),
         "attempts [7 true/true/true/- 0 true]; verified true, retries 0, \
          charged 0, exhausted false, retained 10, memberships \
-         507d07f97977063e8f6457a6a3b8d1da" );
+         f070208074c1dd1b2a037e44f02088b7" );
       ( "run_verified Repair, no survivor",
         (fun () ->
           run_reliable_central ~live:isolated_survivors `Repair ~max_retries:2),
         "attempts [7 false/false/true/- 0 true; 1000010 false/false/true/- \
          0 true; 2000013 false/false/true/- 0 true]; verified false, \
          retries 2, charged 0, exhausted false, retained 0, memberships \
-         ce4aa85433079bbf5c2532a99d84a8ac" );
+         3e8e0fb82f1027961bae9618e1de00e1" );
       ( "Vc_approx.centralized cycle 96",
         (fun () -> vc_summary (Domtree.Vc_approx.centralized (Gen.cycle 96))),
-        "estimate 8, attempts 2, guess 24, trees 39312410" );
+        "estimate 8, attempts 2, guess 24, trees 103636940" );
     ]
 
 let pinned_ladder_distributed_cases =
@@ -880,17 +882,17 @@ let pinned_ladder_distributed_cases =
     [
       ( "run_verified_distributed Retry",
         (fun () -> run_reliable_distributed `Retry ~max_retries:2),
-        "attempts [7 false/false/true/- 165 false; 1000010 \
-         false/false/true/- 162 false; 2000013 false/true/false/0 246 \
-         false]; verified false, retries 2, charged 576, exhausted false, \
-         retained 7, memberships b601a5830f0eed731f48ab3a1850951c; rounds \
-         576, messages 183544, words 534624, digest 186e56dc1ccfbea" );
+        "attempts [7 false/false/true/- 106 false; 1000010 \
+         false/false/true/- 74 false; 2000013 false/true/false/0 176 \
+         false]; verified false, retries 2, charged 359, exhausted false, \
+         retained 6, memberships 368aba81645fc5ff7ac306336735f2b9; rounds \
+         359, messages 114896, words 295368, digest 2ee6082fb64c565" );
       ( "run_verified_distributed Repair",
         (fun () -> run_reliable_distributed `Repair ~max_retries:2),
-        "attempts [7 true/true/true/- 361 true]; verified true, retries 0, \
-         charged 361, exhausted false, retained 10, memberships \
-         b1e1885189bdd8ac2e100250ae84ad22; rounds 361, messages 107968, \
-         words 290256, digest 291f9e9f0fec959" );
+        "attempts [7 true/true/true/- 274 true]; verified true, retries 0, \
+         charged 274, exhausted false, retained 10, memberships \
+         f070208074c1dd1b2a037e44f02088b7; rounds 274, messages 81240, \
+         words 200928, digest 25777c23214856c" );
       ( "run_verified_distributed rollback",
         (fun () ->
           run_reliable_distributed `Repair ~max_retries:1
@@ -902,18 +904,18 @@ let pinned_ladder_distributed_cases =
                        if isolated_survivors v then None else Some (150, v))
                      (List.init 48 Fun.id));
               ]),
-        "attempts [7 false/false/true/- 191 true; 1000010 \
-         false/false/true/- 46 true]; verified false, retries 1, charged \
-         238, exhausted false, retained 0, memberships \
-         4a456183c2fba46742cdc2fe548c23d9; rounds 189, messages 46272, \
-         words 147768, digest 3886ee744a4c931" );
+        "attempts [7 false/false/true/- 160 true; 1000010 \
+         false/false/true/- 154 true]; verified false, retries 1, charged \
+         315, exhausted false, retained 0, memberships \
+         7d334aac42979ce0310a85f03f3dd01a; rounds 239, messages 48464, \
+         words 133192, digest 7e4fbbc2e84395" );
       ( "run_verified_distributed budget",
         (fun () ->
           run_reliable_distributed ~round_budget:1 `Retry ~max_retries:4),
-        "attempts [7 false/false/true/- 165 false]; verified false, retries \
-         0, charged 165, exhausted true, retained 5, memberships \
-         1beaa76b1d9f26cacc1aac561b8b17ad; rounds 165, messages 51600, \
-         words 153096, digest 198a4f6898f3fd1" );
+        "attempts [7 false/false/true/- 106 false]; verified false, retries \
+         0, charged 106, exhausted true, retained 6, memberships \
+         dea53e6666593d74616f6b0fd9a5b228; rounds 106, messages 33680, \
+         words 89664, digest 34b4040220abffe" );
       ( "pack_verified_distributed storm",
         run_reliable_storm,
         "attempts [7 true/true/true/- 175 false]; verified true, retries 0, \
@@ -925,8 +927,8 @@ let pinned_ladder_distributed_cases =
           let net = vnet (Gen.cycle 96) in
           let r = Domtree.Vc_approx.distributed net in
           vc_summary r ^ "; " ^ traffic net),
-        "estimate 8, attempts 2, guess 24, trees 103636940; rounds 14074, \
-         messages 2448938, words 7420424, digest 3ace90bf3a00e4a" );
+        "estimate 8, attempts 2, guess 24, trees 103636940; rounds 13178, \
+         messages 2332062, words 6899176, digest 2a1cce17ebadf06" );
     ]
 
 (* ------------------------------------------------------------------ *)

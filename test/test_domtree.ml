@@ -464,138 +464,6 @@ let test_connector_abundance () =
     audit.Connector.all_above_k
 
 (* ------------------------------------------------------------------ *)
-(* The bridging graph (Fig. 1), standalone *)
-
-(* Fig. 1-style scenario on a path of cliques: class 0 has two
-   components (blocks 0 and 2); block 1 vertices are unassigned old
-   nodes; type-3 witnesses on block 1 enable type-2 edges. *)
-let bridging_scenario () =
-  let k = 3 in
-  let g = Gen.clique_path ~k ~len:3 in
-  let members i v = i = 0 && (v < k || v >= 2 * k) in
-  (* type-1 nodes pick class 1 (absent from the scenario): no
-     deactivation; type-3 nodes on the middle block pick class 0 *)
-  let class1 = Array.make (Graph.n g) 1 in
-  let class3 =
-    Array.init (Graph.n g) (fun v -> if v = 4 then 0 else 1)
-  in
-  (g, members, class1, class3)
-
-let test_bridging_rules () =
-  let g, members, class1, class3 = bridging_scenario () in
-  let b = Bridging.build g ~classes:2 ~members ~class1 ~class3 in
-  (* two components of class 0 *)
-  Alcotest.(check int) "two components" 2 (List.length b.Bridging.components);
-  List.iter
-    (fun c -> Alcotest.(check bool) "active" true c.Bridging.active)
-    b.Bridging.components;
-  (* vertex 4 (middle block, position 1) is a type-3 witness of class 0:
-     it sees both components, so adjacent type-2 middle vertices get
-     bridging edges *)
-  Alcotest.(check bool) "bridging edges exist" true (b.Bridging.edges <> []);
-  List.iter
-    (fun (r, (i, _)) ->
-      ignore r;
-      (* note: members may carry type-2 edges too — the virtual graph's
-         same-real adjacency makes a node its own old nodes' neighbor *)
-      Alcotest.(check int) "edges are for class 0" 0 i)
-    b.Bridging.edges;
-  (* a maximal matching merges at least one pair *)
-  Alcotest.(check bool) "matching nonempty" true
-    (Bridging.greedy_matching b <> [])
-
-let test_bridging_deactivation () =
-  let g, members, _class1, class3 = bridging_scenario () in
-  (* now a type-1 node in the middle block joins class 0 and sees both
-     components: both deactivate, killing all bridging edges *)
-  let class1 = Array.init (Graph.n g) (fun v -> if v = 4 then 0 else 1) in
-  let b = Bridging.build g ~classes:2 ~members ~class1 ~class3 in
-  List.iter
-    (fun c ->
-      Alcotest.(check bool) "deactivated" false c.Bridging.active)
-    b.Bridging.components;
-  Alcotest.(check (list (pair int (pair int int)))) "no edges" []
-    b.Bridging.edges
-
-let test_bridging_no_witness_no_edge () =
-  let g, members, class1, _class3 = bridging_scenario () in
-  (* no type-3 node of class 0 anywhere: condition (c) fails *)
-  let class3 = Array.make (Graph.n g) 1 in
-  let b = Bridging.build g ~classes:2 ~members ~class1 ~class3 in
-  Alcotest.(check (list (pair int (pair int int)))) "no edges" []
-    b.Bridging.edges
-
-(* first-principles check: every reported bridging edge satisfies the
-   §3.1 conditions (a)-(c), and the deactivated components carry none *)
-let prop_bridging_rules_sound =
-  QCheck.Test.make ~name:"bridging edges satisfy conditions (a)-(c)" ~count:15
-    QCheck.small_int
-    (fun seed ->
-      let rng = Random.State.make [| seed; 99 |] in
-      let g = Gen.clique_path ~k:5 ~len:6 in
-      let n = Graph.n g in
-      let classes = 3 in
-      let member = Array.make_matrix classes n false in
-      for v = 0 to n - 1 do
-        (* sparse random memberships *)
-        if Random.State.float rng 1.0 < 0.4 then
-          member.(Random.State.int rng classes).(v) <- true
-      done;
-      let members i v = member.(i).(v) in
-      let class1 = Array.init n (fun _ -> Random.State.int rng classes) in
-      let class3 = Array.init n (fun _ -> Random.State.int rng classes) in
-      let b = Bridging.build g ~classes ~members ~class1 ~class3 in
-      (* recompute component ids for the check *)
-      let uf = Array.init classes (fun _ -> Union_find.create n) in
-      Graph.iter_edges
-        (fun u v ->
-          for i = 0 to classes - 1 do
-            if members i u && members i v then ignore (Union_find.union uf.(i) u v)
-          done)
-        g;
-      let closed r = r :: Array.to_list (Graph.neighbors g r) in
-      let comp_min i v =
-        (* canonical id = min member of the component *)
-        let root = Union_find.find uf.(i) v in
-        let best = ref max_int in
-        for u = 0 to n - 1 do
-          if members i u && Union_find.find uf.(i) u = root then
-            if u < !best then best := u
-        done;
-        !best
-      in
-      List.for_all
-        (fun (r, (i, c)) ->
-          (* (a) r's closed neighborhood touches component c of class i *)
-          let touches =
-            List.exists
-              (fun u -> members i u && comp_min i u = c)
-              (closed r)
-          in
-          (* (c) some type-3 neighbor of class i witnesses another
-             component *)
-          let witnessed =
-            List.exists
-              (fun w ->
-                class3.(w) = i
-                && List.exists
-                     (fun u -> members i u && comp_min i u <> c)
-                     (closed w)
-                && List.exists (fun u -> members i u) (closed w))
-              (closed r)
-          in
-          (* (b) the component is listed active *)
-          let active =
-            List.exists
-              (fun comp ->
-                comp.Bridging.cls = i && comp.Bridging.id = c
-                && comp.Bridging.active)
-              b.Bridging.components
-          in
-          touches && witnessed && active)
-        b.Bridging.edges)
-
-(* ------------------------------------------------------------------ *)
 (* The [CGK SODA'14] explicit-connector baseline *)
 
 let test_cgk_baseline_valid () =
@@ -1529,6 +1397,60 @@ let test_dist_pack_respects_bandwidth () =
   Alcotest.(check bool) "node load bounded" true
     (Congest.Net.max_node_load net <= 8 * max_deg)
 
+(* In a B.3 stage with proposals, the largest proposal (value, then
+   proposer) goes to a component still open, which every member that
+   hears it, the proposer itself included if it is one, records; so the
+   component accepts it and its proposer is matched. Each stage with
+   proposals therefore matches a node, and a run has no more proposal
+   rounds than matched type-2 nodes. A type-2 node proposing to its own
+   singleton component used to be heard by nobody, so it proposed in
+   every stage up to the cap. A pass-through fault hook counts the
+   proposal rounds: those whose every message is four words ending in
+   the sender's id. *)
+let proposal_rounds_within_matches ~seeds run g =
+  List.iter
+    (fun seed ->
+      let net = vnet g in
+      let proposals = ref 0 and traffic = ref false and all4 = ref true in
+      let close () =
+        if !traffic && !all4 then incr proposals;
+        traffic := false;
+        all4 := true
+      in
+      Congest.Net.install_faults net
+        {
+          Congest.Net.on_round_start = (fun _ -> close ());
+          node_alive = (fun _ -> true);
+          deliver =
+            (fun ~src ~dst:_ ~edge:_ m ->
+              traffic := true;
+              if not (Array.length m = 4 && m.(3) = src) then all4 := false;
+              true);
+          reset = ignore;
+          save = (fun () () -> ());
+        };
+      let res = run ~seed net in
+      close ();
+      let matched =
+        List.fold_left (fun a (_, m) -> a + m) 0
+          res.Cds_packing.stats.Cds_packing.matched_per_layer
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: %d proposal rounds <= %d matched" seed
+           !proposals matched)
+        true (!proposals <= matched))
+    seeds
+
+let test_dist_pack_every_stage_matches () =
+  let seeds = List.init 10 (fun i -> i + 1) in
+  proposal_rounds_within_matches ~seeds
+    (fun ~seed net ->
+      Dist_packing.run ~seed ~jumpstart:1 net ~classes:12 ~layers:14)
+    (Gen.clique_path ~k:5 ~len:6);
+  proposal_rounds_within_matches ~seeds
+    (fun ~seed net -> Dist_packing.run ~seed net ~classes:5 ~layers:2)
+    (Gen.harary ~k:8 ~n:64)
+
 (* ------------------------------------------------------------------ *)
 (* Vertex-connectivity approximation *)
 
@@ -1573,19 +1495,41 @@ let test_vc_approx_distributed () =
 
 (* ------------------------------------------------------------------ *)
 
-let prop_vc_dist_close_to_central =
-  QCheck.Test.make
-    ~name:"distributed and centralized vc estimates agree within 4x" ~count:5
+(* Both ladders pack with {!Cds_packing.run_on} and test with the same
+   draws, so a fault-free distributed run reaches the central verdicts. *)
+let prop_vc_dist_equals_central =
+  QCheck.Test.make ~name:"distributed and centralized vc runs are equal"
+    ~count:5
     QCheck.(int_range 3 6)
     (fun k2 ->
       let k = 2 * k2 in
       let g = Gen.harary ~k ~n:(5 * k) in
       let c = Vc_approx.centralized ~seed:k g in
-      let net = vnet g in
-      let d = Vc_approx.distributed ~seed:k net in
-      let hi = float_of_int (max c.Vc_approx.estimate d.Vc_approx.estimate) in
-      let lo = float_of_int (min c.Vc_approx.estimate d.Vc_approx.estimate) in
-      hi /. Float.max 1. lo <= 4.)
+      let d = Vc_approx.distributed ~seed:k (vnet g) in
+      let memberships (r : Vc_approx.result) =
+        List.map (fun t -> t.Packing.vertices) r.Vc_approx.packing.Packing.trees
+      in
+      c.Vc_approx.estimate = d.Vc_approx.estimate
+      && c.Vc_approx.accepted_guess = d.Vc_approx.accepted_guess
+      && c.Vc_approx.attempts = d.Vc_approx.attempts
+      && memberships c = memberships d)
+
+let prop_reliable_dist_equals_central =
+  QCheck.Test.make
+    ~name:"fault-free distributed and central ladders are equal" ~count:8
+    QCheck.(pair small_int (int_range 0 1))
+    (fun (seed, repair) ->
+      let policy = if repair = 0 then `Retry else `Repair in
+      let k = 4 + (2 * (seed mod 3)) in
+      let g = Gen.harary ~k ~n:(6 * k) in
+      let c = Reliable.pack_verified ~seed ~policy g ~k in
+      let d = Reliable.pack_verified_distributed ~seed ~policy (vnet g) ~k in
+      let verdicts (r : Reliable.result) =
+        List.map (fun a -> a.Reliable.outcome) r.Reliable.attempts
+      in
+      c.Reliable.verified = d.Reliable.verified
+      && verdicts c = verdicts d
+      && c.Reliable.memberships = d.Reliable.memberships)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -1611,7 +1555,6 @@ let () =
         ] );
       qsuite "cds_packing.props" [ prop_pack_classes_cover_all_vnodes ];
       qsuite "packing.fuzz" [ prop_verifier_catches_mutations ];
-      qsuite "bridging.props" [ prop_bridging_rules_sound ];
       ( "packing",
         [
           Alcotest.test_case "extraction valid" `Quick test_extract_valid_packing;
@@ -1640,14 +1583,6 @@ let () =
           Alcotest.test_case "Proposition 4.2" `Quick test_proposition_4_2;
           Alcotest.test_case "abundance (Lemma 4.3)" `Quick
             test_connector_abundance;
-        ] );
-      ( "bridging",
-        [
-          Alcotest.test_case "rules (a)(c)" `Quick test_bridging_rules;
-          Alcotest.test_case "rule (b) deactivation" `Quick
-            test_bridging_deactivation;
-          Alcotest.test_case "no witness, no edge" `Quick
-            test_bridging_no_witness_no_edge;
         ] );
       ( "cgk_baseline",
         [
@@ -1744,6 +1679,8 @@ let () =
             test_dist_extract_trees;
           Alcotest.test_case "bandwidth respected" `Quick
             test_dist_pack_respects_bandwidth;
+          Alcotest.test_case "every proposal stage matches" `Quick
+            test_dist_pack_every_stage_matches;
           Alcotest.test_case "n = 2^15" `Slow test_dist_packing_large_n;
         ] );
       ( "vc_approx",
@@ -1751,6 +1688,7 @@ let () =
           Alcotest.test_case "families" `Quick test_vc_approx_families;
           Alcotest.test_case "distributed" `Quick test_vc_approx_distributed;
         ] );
-      qsuite "vc_approx.props" [ prop_vc_dist_close_to_central ];
+      qsuite "vc_approx.props" [ prop_vc_dist_equals_central ];
       qsuite "repair.props" [ prop_repair_sides_agree ];
+      qsuite "reliable.props" [ prop_reliable_dist_equals_central ];
     ]
