@@ -1,8 +1,9 @@
 (** Distributed fractional spanning-tree packing (Theorem 1.3) on the
-    E-CONGEST runtime.
+    E-CONGEST runtime: {!Lagrangian.run_on} and {!Sampling_pack.run_on}
+    on the distributed side, so [run] returns {!Lagrangian.run}'s
+    packing and [run_sampled] {!Sampling_pack.run}'s, bit for bit.
 
-    The §5.1 loop is {!Lagrangian.iterate}'s; only its MST runs on the
-    runtime. Each iteration runs the distributed MST of
+    Each §5.1 iteration runs the distributed MST of
     {!Congest.Dist_mst} with edge weights z_e rounded to multiples of
     1/n (the footnote-6 encoding), then the leader decides continuation
     via a convergecast / broadcast over the BFS tree (charged as rounds
@@ -18,8 +19,11 @@
 
 type result = {
   packing : Spacking.t;
-  iterations : int;  (** total §5.1 iterations across parts *)
-  measured_rounds : int;  (** rounds actually consumed on the runtime *)
+  iterations : int;
+      (** total §5.1 iterations across parts; a part's initial tree is
+          not an iteration *)
+  measured_rounds : int;
+      (** rounds actually consumed on the runtime after the BFS tree *)
   parallel_rounds : int;  (** Lemma 5.1 pipelined estimate *)
   eta : int;
   cost_ratios : float list;
@@ -29,10 +33,9 @@ type result = {
 }
 
 (** [run ?eps ?max_iterations net ~lambda] — single-subgraph case
-    (λ = O(log n) regime): {!Lagrangian.iterate} on the whole graph,
-    each MST solved by {!Congest.Dist_mst.forest_ids} (Borůvka with
-    intra-fragment flooding). It is [run_sampled]'s per-part driver
-    with one part. Iterations default to Θ(log³ n). *)
+    (λ = O(log n) regime): the §5.1 loop on the whole graph, each MST
+    solved by {!Congest.Dist_mst.forest_ids} (Borůvka with
+    intra-fragment flooding). Iterations default to Θ(log³ n). *)
 val run :
   ?eps:float -> ?max_iterations:int -> Congest.Net.t -> lambda:int -> result
 

@@ -1,4 +1,5 @@
 module Graph = Graphs.Graph
+module Net = Congest.Net
 
 type trace = {
   iterations : int;
@@ -19,10 +20,13 @@ let default_iterations ~n =
   let lg = log (float_of_int (max 2 n)) /. log 2. in
   max 32 (int_of_float (ceil (lg ** 3.)))
 
-(* The §5.1 loop. Each tree is kept as its edge ids; the trees' weights
+(* The §5.1 loop on [g], from the spanning tree [initial] (edge ids,
+   ascending) with weight 1; [mst z] is the next tree, its edge ids
+   ascending. Each tree is kept as its edge ids; the trees' weights
    decay in place, [weights.(i)] being the i-th tree's, and the edge
    loads are maintained alongside. [z] and [cost] are the loop's own
-   scratch, refilled every iteration and lent to [mst] read-only. *)
+   scratch, refilled every iteration; [z] is lent to [mst] read-only.
+   Returns the raw weight-1 collection, trees oldest first. *)
 let iterate g ~lambda ~eps ~max_iterations ~mst initial =
   let n = Graph.n g in
   let m = Graph.m g in
@@ -73,7 +77,7 @@ let iterate g ~lambda ~eps ~max_iterations ~mst initial =
     for i = 0 to m - 1 do
       cost.(i) <- exp (alpha *. (z.(i) -. !zmax))
     done;
-    let tree = mst ~z ~cost in
+    let tree = mst z in
     let mst_cost = Array.fold_left (fun acc e -> acc +. cost.(e)) 0. tree in
     (* Σ_e c_e x_e, in the same shifted scale as mst_cost *)
     let sum_cx =
@@ -110,32 +114,92 @@ let iterate g ~lambda ~eps ~max_iterations ~mst initial =
       cost_ratios = List.rev !ratios;
     } )
 
+type side = Central of Graph.t | Distributed of Congest.Net.t
+
+let graph = function Central g -> g | Distributed net -> Net.graph net
+
+type part = { lambda : int; packed : result option; rounds : int list }
+
+(* Each part runs [iterate] on the whole graph from its minimum spanning
+   forest under unit weights; every later MST is solved under z rounded
+   to multiples of 1/n, as the integers a message carries (footnote 6),
+   with ties to the lower edge id. The sides differ only in that black
+   box. The central one is Kruskal. The distributed one runs Borůvka on
+   the runtime and then charges the leader's continuation decision, one
+   convergecast and one broadcast over a BFS tree all parts share, as
+   silent rounds; [rounds] collects each solve's total. *)
+let run_on side ~eps ~max_iterations parts =
+  let g = graph side in
+  let n = Graph.n g and m = Graph.m g in
+  let weights = Array.make m 1 in
+  let rounds = ref [] in
+  (* [solver mask] is the MST black box on the part's edges [mask] *)
+  let solver =
+    match side with
+    | Central _ ->
+      fun mask ->
+        let edges =
+          Array.of_seq (Seq.filter (Array.get mask) (Seq.init m Fun.id))
+        in
+        fun () -> Graphs.Mst.forest_ids g edges ~weights
+    | Distributed net ->
+      let tree0 = Congest.Primitives.bfs_tree net ~root:0 in
+      let coordination = (2 * tree0.Congest.Primitives.height) + 2 in
+      let kernel = Congest.Dist_mst.kernel net in
+      fun edges ->
+        let sub = { Congest.Components.nodes = Array.make n true; edges } in
+        let cp = ref (Net.checkpoint net) in
+        fun () ->
+          let ids = Congest.Dist_mst.forest_ids kernel sub ~weights in
+          rounds := (Net.rounds_since net !cp + coordination) :: !rounds;
+          Net.silent_rounds net coordination;
+          cp := Net.checkpoint net;
+          ids
+  in
+  List.map
+    (fun (mask, lambda) ->
+      let solve = solver mask in
+      rounds := [];
+      Array.fill weights 0 m 1;
+      let initial = solve () in
+      let packed =
+        if Array.length initial <> n - 1 then (* disconnected part *) None
+        else begin
+          let scale = float_of_int n in
+          let mst z =
+            for e = 0 to m - 1 do
+              weights.(e) <- int_of_float (Float.round (z.(e) *. scale))
+            done;
+            solve ()
+          in
+          let collection, trace =
+            iterate g ~lambda ~eps ~max_iterations ~mst initial
+          in
+          let scaled =
+            Spacking.scale collection (float_of_int (target ~lambda))
+          in
+          let packing = Spacking.normalize_to_unit_load scaled in
+          Some { packing; collection; trace }
+        end
+      in
+      { lambda; packed; rounds = List.rev !rounds })
+    parts
+
+let union g parts =
+  {
+    Spacking.graph = g;
+    trees =
+      List.concat_map
+        (fun p ->
+          match p.packed with Some r -> r.packing.Spacking.trees | None -> [])
+        parts;
+  }
+
 let run ?(eps = 0.15) ?max_iterations g ~lambda =
   if not (Graphs.Traversal.is_connected g) then
     invalid_arg "Lagrangian.run: disconnected graph";
   let max_iterations =
-    match max_iterations with
-    | Some i -> i
-    | None -> default_iterations ~n:(Graph.n g)
+    Option.value max_iterations ~default:(default_iterations ~n:(Graph.n g))
   in
-  (* initial arbitrary tree with weight 1: BFS tree of the graph *)
-  let initial =
-    let _, parent = Graphs.Traversal.bfs_tree g 0 in
-    let acc = ref [] in
-    Array.iteri
-      (fun v p ->
-        if p >= 0 && p <> v then acc := Graph.edge_index g v p :: !acc)
-      parent;
-    let ids = Array.of_list !acc in
-    Array.sort Int.compare ids;
-    ids
-  in
-  let mst ~z:_ ~cost =
-    Graphs.Mst.minimum_spanning_tree g ~weight:(fun u v ->
-        cost.(Graph.edge_index g u v))
-    |> List.map (fun (u, v) -> Graph.edge_index g u v)
-    |> Array.of_list
-  in
-  let collection, trace = iterate g ~lambda ~eps ~max_iterations ~mst initial in
-  let scaled = Spacking.scale collection (float_of_int (target ~lambda)) in
-  { packing = Spacking.normalize_to_unit_load scaled; collection; trace }
+  let parts = [ (Array.make (Graph.m g) true, lambda) ] in
+  Option.get (List.hd (run_on (Central g) ~eps ~max_iterations parts)).packed

@@ -1,5 +1,6 @@
 (** The §5.1 fractional spanning-tree packing for λ = O(log n): the
-    Lagrangian-relaxation / multiplicative-weights iteration.
+    Lagrangian-relaxation / multiplicative-weights iteration, written
+    once for the central and the distributed side.
 
     A collection of weighted trees with total weight 1 is maintained.
     Per iteration: edge loads x_e, normalized loads z_e = x_e·⌈(λ-1)/2⌉,
@@ -7,6 +8,13 @@
     the certificate to stop (Cost(MST) > (1-ε)·Σ c_e x_e, Lemma F.1:
     max z_e ≤ 1+6ε) or is blended in with weight β = Θ(1/(α log n)).
     Lemma F.2 caps the iterations at Θ(log³ n).
+
+    The MST is the loop's only black box. Both sides solve it under z
+    rounded to multiples of 1/n (footnote 6) with ties broken by edge
+    id, so they pick the same trees: the central side by Kruskal
+    ({!Graphs.Mst.forest_ids}), the distributed side by
+    {!Congest.Dist_mst.forest_ids} on the runtime. For a graph and λ,
+    {!run} and [Dist_packing.run] return equal packings, bit for bit.
 
     The final collection, scaled by ⌈(λ-1)/2⌉ and normalized to unit
     edge load, is a fractional spanning-tree packing of size
@@ -28,26 +36,45 @@ type result = {
   trace : trace;
 }
 
-(** [iterate g ~lambda ~eps ~max_iterations ~mst initial] is the §5.1
-    loop on [g], starting from the spanning tree [initial] (edge ids,
-    ascending) with weight 1. Each iteration refills z_e and the
-    shifted costs c_e = exp(α(z_e − max z)) and asks [mst ~z ~cost] for
-    the next tree as its edge ids, ascending; both arrays are indexed
-    by edge id and must not be mutated. The loop stops by the Lemma F.1
-    rule or after [max_iterations] iterations and returns the raw
-    weight-1 collection (trees oldest first) with its trace. The MST is
-    the only black box: the central packer solves it exactly, the
-    distributed one on the E-CONGEST runtime. *)
-val iterate :
-  Graphs.Graph.t -> lambda:int -> eps:float -> max_iterations:int ->
-  mst:(z:float array -> cost:float array -> int array) -> int array ->
-  Spacking.t * trace
+(** Where the MSTs are solved. *)
+type side =
+  | Central of Graphs.Graph.t  (** Kruskal; no message *)
+  | Distributed of Congest.Net.t
+      (** Borůvka on the runtime, plus the leader's continuation
+          decision per iteration: one convergecast and one broadcast
+          over a BFS tree built once and shared by all parts *)
+
+(** [graph side] is the graph the side packs. *)
+val graph : side -> Graphs.Graph.t
+
+type part = {
+  lambda : int;  (** the λ the part was packed with *)
+  packed : result option;
+      (** the part's packing, normalized within the part; [None] when
+          the part's edges do not span the graph *)
+  rounds : int list;
+      (** per MST solve, the initial tree's included: its rounds plus
+          the coordination charge; [[]] on the central side *)
+}
+
+(** [run_on side ~eps ~max_iterations parts] packs each part [(mask,
+    λ)], where [mask] marks the part's edges by edge id, in order. Each
+    part's loop starts from the part's minimum spanning forest under
+    unit weights and stops by the Lemma F.1 rule or after
+    [max_iterations] iterations. *)
+val run_on :
+  side -> eps:float -> max_iterations:int -> (bool array * int) list ->
+  part list
+
+(** [union g parts] is the parts' trees side by side, in part order.
+    Edge-disjoint parts make it a feasible packing of [g]. *)
+val union : Graphs.Graph.t -> part list -> Spacking.t
 
 (** [run ?eps ?max_iterations g ~lambda] packs connected [g] whose edge
-    connectivity (or a lower-bound estimate of it) is [lambda >= 1],
-    starting from a BFS tree and solving each MST centrally under the
-    exact costs. [eps] defaults to 0.15; iterations default to
-    Θ(log³ n). *)
+    connectivity (or a lower-bound estimate of it) is [lambda >= 1]:
+    {!run_on} on the central side with one part, all of [g]. [eps]
+    defaults to 0.15; iterations default to Θ(log³ n).
+    @raise Invalid_argument if [g] is disconnected. *)
 val run :
   ?eps:float -> ?max_iterations:int -> Graphs.Graph.t -> lambda:int -> result
 

@@ -7,51 +7,44 @@ type result = {
   parts_used : int;
 }
 
+let run_on side ~seed ~eps ~lambda =
+  let g = Lagrangian.graph side in
+  let n = Graph.n g and m = Graph.m g in
+  let eta = Graphs.Sampling.suggested_eta ~lambda ~n ~eps in
+  let parts =
+    if eta <= 1 then [ (Array.make m true, lambda) ]
+    else begin
+      let rng = Random.State.make [| seed; n; lambda; 9 |] in
+      let eu, ev = Graph.csr_endpoints g in
+      Graphs.Sampling.edge_partition rng g ~eta
+      |> Array.to_list
+      |> List.map (fun part ->
+             let lam_part =
+               if Graphs.Traversal.is_connected part then
+                 max 1 (Graphs.Connectivity.edge_connectivity part)
+               else 1
+             in
+             let mem e = Graph.mem_edge part eu.(e) ev.(e) in
+             (Array.init m mem, lam_part))
+    end
+  in
+  ( eta,
+    Lagrangian.run_on side ~eps
+      ~max_iterations:(Lagrangian.default_iterations ~n)
+      parts )
+
 let run ?(seed = 42) ?(eps = 0.15) g ~lambda =
   if not (Graphs.Traversal.is_connected g) then
     invalid_arg "Sampling_pack.run: disconnected graph";
-  let n = Graph.n g in
-  let rng = Random.State.make [| seed; n; lambda |] in
-  let eta = Graphs.Sampling.suggested_eta ~lambda ~n ~eps in
-  if eta <= 1 then begin
-    let r = Lagrangian.run ~eps g ~lambda in
-    {
-      packing = r.Lagrangian.packing;
-      eta = 1;
-      part_lambdas = [ lambda ];
-      parts_used = 1;
-    }
-  end
-  else begin
-    let parts = Graphs.Sampling.edge_partition rng g ~eta in
-    let part_lambdas = ref [] in
-    let parts_used = ref 0 in
-    let all_trees = ref [] in
-    Array.iter
-      (fun h ->
-        let lam_h =
-          if Graphs.Traversal.is_connected h then
-            Graphs.Connectivity.edge_connectivity h
-          else 0
-        in
-        part_lambdas := lam_h :: !part_lambdas;
-        if lam_h >= 1 then begin
-          incr parts_used;
-          let r = Lagrangian.run ~eps h ~lambda:lam_h in
-          (* trees of the part are spanning trees of the full vertex set
-             too (parts share the vertex set); loads stay feasible since
-             parts are edge-disjoint *)
-          all_trees :=
-            r.Lagrangian.packing.Spacking.trees @ !all_trees
-        end)
-      parts;
-    {
-      packing = { Spacking.graph = g; trees = !all_trees };
-      eta;
-      part_lambdas = List.rev !part_lambdas;
-      parts_used = !parts_used;
-    }
-  end
+  let eta, parts = run_on (Central g) ~seed ~eps ~lambda in
+  let spans p = Option.is_some p.Lagrangian.packed in
+  {
+    packing = Lagrangian.union g parts;
+    eta;
+    part_lambdas =
+      List.map (fun p -> if spans p then p.Lagrangian.lambda else 0) parts;
+    parts_used = List.length (List.filter spans parts);
+  }
 
 let run_auto ?seed ?eps g =
   let lambda = Graphs.Connectivity.edge_connectivity g in

@@ -29,15 +29,6 @@ let edge_loads p =
     p.trees;
   loads
 
-let edge_load p u v =
-  List.fold_left
-    (fun acc tr ->
-      let lo = Int.min u v and hi = Int.max u v in
-      if List.exists (fun (a, b) -> a = lo && b = hi) tr.edges then
-        acc +. tr.weight
-      else acc)
-    0. p.trees
-
 let max_edge_load p = Array.fold_left Float.max 0. (edge_loads p)
 
 let max_edge_multiplicity p =

@@ -19,9 +19,6 @@ val size : t -> float
 
 val count : t -> int
 
-(** [edge_load p u v] is the summed weight of trees using edge [{u,v}]. *)
-val edge_load : t -> int -> int -> float
-
 (** Maximum edge load over all graph edges. *)
 val max_edge_load : t -> float
 

@@ -915,6 +915,19 @@ let prop_hybrid_matches_flooding =
 (* ------------------------------------------------------------------ *)
 (* Distributed MST *)
 
+(* The central minimum spanning forest ([Mst.forest_ids]) of the edges
+   [keep] admits under [weight], as [(u, v)] pairs in edge-id order —
+   the order the distributed forests come back in. Both sides break
+   weight ties by edge id. *)
+let central_forest g ~keep ~weight =
+  let eu, ev = Graph.csr_endpoints g in
+  let weights = Array.init (Graph.m g) (fun e -> weight eu.(e) ev.(e)) in
+  let edges =
+    Array.of_seq
+      (Seq.filter (fun e -> keep eu.(e) ev.(e)) (Seq.init (Graph.m g) Fun.id))
+  in
+  Array.to_list (Array.map (Graph.edge_endpoints g) (Mst.forest_ids g edges ~weights))
+
 let test_dist_mst_is_mst () =
   let g = Gen.random_connected (rng ()) ~n:25 ~extra:30 in
   let weight u v =
@@ -925,17 +938,9 @@ let test_dist_mst_is_mst () =
   let forest = Congest.Dist_mst.minimum_spanning_forest net ~weight in
   Alcotest.(check bool) "spanning tree" true
     (Mst.is_spanning_tree ~n:25 forest);
-  let wt =
-    List.fold_left (fun acc (u, v) -> acc +. float_of_int (weight u v)) 0. forest
-  in
-  let central =
-    Mst.minimum_spanning_tree g ~weight:(fun u v -> float_of_int (weight u v))
-  in
-  let cw =
-    List.fold_left (fun acc (u, v) -> acc +. float_of_int (weight u v)) 0.
-      central
-  in
-  Alcotest.(check (float 1e-6)) "same weight as centralized MST" cw wt
+  Alcotest.(check (list (pair int int))) "the central forest"
+    (central_forest g ~keep:(fun _ _ -> true) ~weight)
+    forest
 
 let test_dist_mst_on_subgraph () =
   let g = Gen.clique 8 in
@@ -1025,20 +1030,11 @@ let prop_dist_mst_weight =
       in
       let net = vnet g in
       let forest = Congest.Dist_mst.minimum_spanning_forest net ~weight in
-      let dw =
-        List.fold_left (fun a (u, v) -> a + weight u v) 0 forest
-      in
-      let central =
-        Mst.minimum_spanning_tree g ~weight:(fun u v -> float_of_int (weight u v))
-      in
-      let cw = List.fold_left (fun a (u, v) -> a + weight u v) 0 central in
-      Mst.is_spanning_tree ~n forest && dw = cw)
+      Mst.is_spanning_tree ~n forest
+      && forest = central_forest g ~keep:(fun _ _ -> true) ~weight)
 
 (* Differential: on a random marked subgraph, the distributed forest is
-   exactly centralized Kruskal's. Kruskal sees the subgraph's edges in
-   canonical (min, max) order and breaks weight ties by input position,
-   so both break ties by (w, min u v, max u v). Small weights force
-   ties. *)
+   exactly the central one, edge for edge. Small weights force ties. *)
 let prop_dist_mst_matches_kruskal =
   QCheck.Test.make ~name:"Dist_mst on a subgraph = Kruskal edge list"
     ~count:40
@@ -1055,22 +1051,9 @@ let prop_dist_mst_matches_kruskal =
         Congest.Dist_mst.minimum_spanning_forest_on (vnet g)
           ~active:(fun v -> active.(v)) ~edge_active ~weight
       in
-      let sub_edges =
-        Graph.fold_edges
-          (fun acc u v ->
-            if active.(u) && active.(v) && edge_active u v then
-              { Mst.u; v; w = float_of_int (weight u v) } :: acc
-            else acc)
-          [] g
-        |> List.rev
-      in
-      let kruskal =
-        Mst.kruskal ~n sub_edges
-        |> List.map (fun e -> (e.Mst.u, e.Mst.v))
-        |> List.sort (fun (a1, b1) (a2, b2) ->
-               match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c)
-      in
-      List.equal (fun (a1, b1) (a2, b2) -> a1 = a2 && b1 = b2) forest kruskal)
+      forest
+      = central_forest g ~weight ~keep:(fun u v ->
+            active.(u) && active.(v) && edge_active u v))
 
 (* Differential against the re-flooding kernel in [Dist_mst_ref]: on
    random marked subgraphs (disconnected ones included) under random,

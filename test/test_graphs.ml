@@ -299,55 +299,21 @@ let prop_diameter_2approx =
 (* MST *)
 
 let test_kruskal_simple () =
-  let edges =
-    [
-      { Mst.u = 0; v = 1; w = 1. };
-      { Mst.u = 1; v = 2; w = 2. };
-      { Mst.u = 2; v = 0; w = 3. };
-    ]
-  in
-  let forest = Mst.kruskal ~n:3 edges in
-  Alcotest.(check int) "two edges" 2 (List.length forest);
-  Alcotest.(check (float 1e-9)) "weight" 3. (Mst.total_weight forest)
-
-let test_prim_matches_kruskal () =
-  let g = Gen.random_connected (rng ()) ~n:30 ~extra:40 in
-  let weight u v = float_of_int (((u * 7919) + (v * 104729)) mod 1000) in
-  let sym_weight u v = weight (min u v) (max u v) in
-  let kr =
-    Mst.kruskal ~n:(Graph.n g)
-      (Graph.fold_edges
-         (fun acc u v -> { Mst.u; v; w = sym_weight u v } :: acc)
-         [] g)
-  in
-  let pr = Mst.minimum_spanning_tree g ~weight:sym_weight in
-  let kr_weight = Mst.total_weight kr in
-  let pr_weight =
-    List.fold_left (fun acc (u, v) -> acc +. sym_weight u v) 0. pr
-  in
-  Alcotest.(check (float 1e-6)) "same weight" kr_weight pr_weight;
-  Alcotest.(check bool) "prim result is spanning tree" true
-    (Mst.is_spanning_tree ~n:(Graph.n g) pr)
-
-let prop_mst_weight_invariant =
-  QCheck.Test.make ~name:"prim weight = kruskal weight on random graphs"
-    ~count:40
-    QCheck.(pair (int_range 4 25) (int_range 0 30))
-    (fun (n, extra) ->
-      let g = Gen.random_connected (rng ()) ~n ~extra in
-      let sym_weight u v =
-        let u, v = (min u v, max u v) in
-        float_of_int (((u * 31) + (v * 17)) mod 97)
-      in
-      let kr =
-        Mst.kruskal ~n
-          (Graph.fold_edges
-             (fun acc u v -> { Mst.u; v; w = sym_weight u v } :: acc)
-             [] g)
-      in
-      let pr = Mst.minimum_spanning_tree g ~weight:sym_weight in
-      let pw = List.fold_left (fun a (u, v) -> a +. sym_weight u v) 0. pr in
-      abs_float (Mst.total_weight kr -. pw) < 1e-6)
+  (* triangle 0-1-2 plus the pendant edge 2-3 and the separate edge 4-5:
+     a two-tree forest. 1-2 is the lightest triangle edge; 0-1 and 0-2
+     tie, and the lower edge id, 0-1, wins *)
+  let g = Graph.of_edges ~n:6 [ (0, 1); (0, 2); (1, 2); (2, 3); (4, 5) ] in
+  let id = Graph.edge_index g in
+  let weights = Array.make (Graph.m g) 0 in
+  weights.(id 0 1) <- 1;
+  weights.(id 0 2) <- 1;
+  let all = Array.init (Graph.m g) Fun.id in
+  Alcotest.(check (array int)) "forest"
+    [| id 0 1; id 1 2; id 2 3; id 4 5 |]
+    (Mst.forest_ids g all ~weights);
+  Alcotest.(check (array int)) "on a subset"
+    [| id 0 1; id 2 3 |]
+    (Mst.forest_ids g [| id 0 1; id 2 3 |] ~weights)
 
 let test_is_spanning_tree () =
   Alcotest.(check bool) "path is tree" true
@@ -999,10 +965,8 @@ let () =
       ( "mst",
         [
           Alcotest.test_case "kruskal" `Quick test_kruskal_simple;
-          Alcotest.test_case "prim=kruskal" `Quick test_prim_matches_kruskal;
           Alcotest.test_case "is_spanning_tree" `Quick test_is_spanning_tree;
         ] );
-      qsuite "mst.props" [ prop_mst_weight_invariant ];
       ( "maxflow",
         [
           Alcotest.test_case "simple" `Quick test_maxflow_simple;

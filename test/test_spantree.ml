@@ -18,8 +18,7 @@ let test_spacking_size_and_load () =
   let t2 = { Spacking.edges = [ (1, 2); (2, 3); (0, 3) ]; weight = 0.5 } in
   let p = { Spacking.graph = g; trees = [ t1; t2 ] } in
   Alcotest.(check (float 1e-9)) "size" 1.0 (Spacking.size p);
-  Alcotest.(check (float 1e-9)) "shared edge load" 1.0 (Spacking.edge_load p 1 2);
-  Alcotest.(check (float 1e-9)) "solo edge load" 0.5 (Spacking.edge_load p 0 1);
+  Alcotest.(check (float 1e-9)) "shared edge load" 1.0 (Spacking.max_edge_load p);
   Alcotest.(check int) "multiplicity" 2 (Spacking.max_edge_multiplicity p);
   Alcotest.(check bool) "valid" true (Spacking.is_valid p)
 
@@ -253,6 +252,69 @@ let test_dist_packing_works_in_vcongest_rejected () =
     (Spacking.is_valid ~tolerance:1e-6 r.Dist_packing.packing)
 
 (* ------------------------------------------------------------------ *)
+(* Central = distributed: one §5.1 part loop and one §5.2 partition *)
+
+(* Everything a packing decides, bit for bit: each tree's edges and the
+   bits of its weight, in order. *)
+let trees_bits (p : Spacking.t) =
+  List.map
+    (fun tr -> (tr.Spacking.edges, Int64.bits_of_float tr.Spacking.weight))
+    p.Spacking.trees
+
+let floats_bits = List.map Int64.bits_of_float
+
+(* A harary graph (family 0) or a random λ-edge-connected one. *)
+let spantree_instance ~seed ~family ~max_lambda =
+  let rng = Random.State.make [| seed; family; 0x53 |] in
+  let lambda = 2 + Random.State.int rng (max_lambda - 1) in
+  let n = lambda + 2 + Random.State.int rng 24 in
+  let g =
+    if family = 0 then Gen.harary ~k:lambda ~n
+    else Gen.random_lambda_edge_connected rng ~n ~lambda ~extra:(n / 4)
+  in
+  (g, lambda)
+
+let prop_lagrangian_equals_dist =
+  QCheck.Test.make ~name:"Lagrangian.run = Dist_packing.run" ~count:20
+    QCheck.(triple small_int (int_range 0 1) (int_range 0 40))
+    (fun (seed, family, cap) ->
+      let g, lambda = spantree_instance ~seed ~family ~max_lambda:8 in
+      let max_iterations = if cap = 0 then None else Some cap in
+      let c = Lagrangian.run ?max_iterations g ~lambda in
+      let d = Dist_packing.run ?max_iterations (enet g) ~lambda in
+      trees_bits c.Lagrangian.packing = trees_bits d.Dist_packing.packing
+      && c.Lagrangian.trace.Lagrangian.iterations = d.Dist_packing.iterations
+      && floats_bits c.Lagrangian.trace.Lagrangian.cost_ratios
+         = floats_bits d.Dist_packing.cost_ratios)
+
+let sampled_equal ~seed ~eps g ~lambda =
+  let c = Sampling_pack.run ~seed ~eps g ~lambda in
+  let d = Dist_packing.run_sampled ~seed ~eps (enet g) ~lambda in
+  trees_bits c.Sampling_pack.packing = trees_bits d.Dist_packing.packing
+  && c.Sampling_pack.eta = d.Dist_packing.eta
+
+(* η = 1 at the default ε; at ε = 3.0 the sampling threshold is low
+   enough for η >= 2, and tripling the λ estimate drives η up further,
+   until some parts no longer span. *)
+let prop_sampling_equals_dist =
+  QCheck.Test.make ~name:"Sampling_pack.run = Dist_packing.run_sampled"
+    ~count:12
+    QCheck.(quad small_int (int_range 0 1) bool bool)
+    (fun (seed, family, sampled, over) ->
+      let g, lambda = spantree_instance ~seed ~family ~max_lambda:16 in
+      let eps = if sampled then 3.0 else 0.15 in
+      let lambda = if over then 3 * lambda else lambda in
+      sampled_equal ~seed ~eps g ~lambda)
+
+let test_sampling_disconnected_part () =
+  let g = Gen.harary ~k:6 ~n:24 in
+  let r = Sampling_pack.run ~seed:1 ~eps:3.0 g ~lambda:24 in
+  Alcotest.(check (pair int int)) "eta, parts that span" (3, 1)
+    (r.Sampling_pack.eta, r.Sampling_pack.parts_used);
+  Alcotest.(check bool) "central = distributed" true
+    (sampled_equal ~seed:1 ~eps:3.0 g ~lambda:24)
+
+(* ------------------------------------------------------------------ *)
 (* Distributed edge-connectivity estimation *)
 
 let test_dist_ec_approx_regular () =
@@ -391,6 +453,13 @@ let () =
                 (Spacking.is_valid ~tolerance:1e-6 r.Dist_packing.packing);
               Alcotest.(check bool) "nonempty" true
                 (Spacking.size r.Dist_packing.packing > 0.5));
+        ] );
+      qsuite "central=dist.props"
+        [ prop_lagrangian_equals_dist; prop_sampling_equals_dist ];
+      ( "central=dist",
+        [
+          Alcotest.test_case "a Karger part that does not span" `Quick
+            test_sampling_disconnected_part;
         ] );
       ( "dist_ec_approx",
         [
