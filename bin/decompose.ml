@@ -145,8 +145,10 @@ let edge_cmd =
               Spantree.Dist_packing.run_sampled ~seed net
                 ~lambda:(max 1 lambda))
         in
-        Format.printf "distributed run: %d rounds (pipelined estimate %d)@."
-          r.Spantree.Dist_packing.measured_rounds
+        Format.printf
+          "distributed run: %d rounds (MST and coordination %d, pipelined \
+           estimate %d)@."
+          (Congest.Net.rounds net) r.Spantree.Dist_packing.measured_rounds
           r.Spantree.Dist_packing.parallel_rounds;
         r.Spantree.Dist_packing.packing
       end
@@ -601,7 +603,8 @@ let serve_cmd =
   in
   let max_n_arg =
     Arg.(value & opt nonneg_int_conv (1 lsl 20) & info [ "max-n" ]
-           ~doc:"Admission control: largest graph (vertices) served.")
+           ~doc:"Admission control: largest graph (vertices) served. \
+                 Vertex packings reject graphs above 1,664,510 vertices.")
   in
   let chaos_p_arg =
     Arg.(value & opt probability_conv 0. & info [ "chaos-fail-p" ] ~docv:"P"

@@ -39,7 +39,8 @@ let flood_min net ~value ~rounds =
     if m.(0) < current.(v) then current.(v) <- m.(0)
   in
   for _ = 1 to rounds do
-    Net.broadcast_round net (fun u -> Some [| current.(u) |]);
+    Net.broadcast_round net (fun u ->
+        if current.(u) = max_int then None else Some [| current.(u) |]);
     Net.iter_deliveries net adopt
   done;
   current

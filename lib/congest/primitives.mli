@@ -19,7 +19,8 @@ val bfs_tree : Net.t -> root:int -> tree
 (** [flood_min net ~value ~rounds] floods per-node values, each node
     repeatedly broadcasting the smallest value heard; after [rounds]
     rounds returns each node's current minimum. With [rounds >=]
-    diameter this is the global minimum everywhere. *)
+    diameter this is the global minimum everywhere. A node holding
+    [max_int] stays silent: a minimum with it changes nothing. *)
 val flood_min : Net.t -> value:(int -> int) -> rounds:int -> int array
 
 (** [flood_min_checked] computes the same fixpoint as {!flood_min}, but

@@ -26,6 +26,10 @@ let default_layers ~n =
   let lg = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)) in
   max 4 (2 * lg)
 
+(* B.3 draws its proposal values below [proposal_range ~n] *)
+let proposal_range ~n = max 64 (n * n)
+let proposal_key ~n v who = ((proposal_range ~n - v) * n) + who
+
 (* Message tags for the single-round broadcasts of B.2 *)
 let tag_connector = 0
 let tag_one = 1
@@ -70,10 +74,9 @@ type comm = {
           delivers in sender order. The distributed side delivers every
           message in its own order. *)
   component_min :
-    unit -> Multiflood.slots -> init:(int -> int -> int * int) ->
-    int array * int array;
+    unit -> Multiflood.slots -> init:(int -> int -> int) -> int array;
       (** [component_min ()] is a {!Multiflood.flood_min} with its own
-          result arrays *)
+          result array *)
 }
 
 let distributed_comm net ~max_slots ~classes =
@@ -133,8 +136,7 @@ let central_comm g uf ~slot_of ~classes ~max_slots ~max_slice =
   let owner = Array.make max_slots 0 in
   let count = Array.make max_slice 0 in
   let from = Array.make (max_slice * max_degree) 0 in
-  let best_value = Array.make (Union_find.size uf) 0 in
-  let best_tiebreak = Array.make (Union_find.size uf) 0 in
+  let best = Array.make (Union_find.size uf) 0 in
   let key = Array.make max_slots 0 in
   {
     round =
@@ -198,36 +200,25 @@ let central_comm g uf ~slot_of ~classes ~max_slots ~max_slice =
     component_min =
       (fun () ->
         let value = Array.make max_slots 0 in
-        let tiebreak = Array.make max_slots 0 in
         fun sl ~init ->
           let off = sl.off and cls = sl.cls in
-          let nslots = Array.length cls in
           for r = 0 to n - 1 do
             for s = off.(r) to off.(r + 1) - 1 do
               let k = Union_find.find uf ((cls.(s) * n) + r) in
               key.(s) <- k;
-              best_value.(k) <- max_int;
-              best_tiebreak.(k) <- max_int
+              best.(k) <- Multiflood.neutral
             done
           done;
           for r = 0 to n - 1 do
             for s = off.(r) to off.(r + 1) - 1 do
-              let k = key.(s) in
-              let v, t = init r s in
-              if
-                v < best_value.(k)
-                || (v = best_value.(k) && t < best_tiebreak.(k))
-              then begin
-                best_value.(k) <- v;
-                best_tiebreak.(k) <- t
-              end
+              let k = key.(s) and v = init r s in
+              if v < best.(k) then best.(k) <- v
             done
           done;
-          for s = 0 to nslots - 1 do
-            value.(s) <- best_value.(key.(s));
-            tiebreak.(s) <- best_tiebreak.(key.(s))
+          for s = 0 to Array.length cls - 1 do
+            value.(s) <- best.(key.(s))
           done;
-          (value, tiebreak));
+          value);
   }
 
 let run_on side ~seed ~jumpstart ~classes ~layers =
@@ -240,6 +231,9 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
   if jumpstart < 1 || jumpstart > layers then
     invalid_arg (caller ^ ": jumpstart out of range");
   let n = Graph.n g in
+  if n > 0 && proposal_range ~n > (Congest.Model.max_word ~n - (n - 1)) / n
+  then
+    invalid_arg (caller ^ ": n too large for a one-word B.3 proposal key");
   let csr_off = Graph.csr_offsets g and csr_adj = Graph.csr_neighbors g in
   let vg = Virtual_graph.create g ~layers in
   let rng = Random.State.make [| seed; n; classes; 77 |] in
@@ -285,7 +279,6 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
   let stats_matched = ref [] in
   let stats_bridging = ref [] in
   let stages = default_layers ~n in
-  let proposal_range = max 64 (n * n) in
   (* per-run scratch. A node holds each class at most once and at most
      three classes per layer, which bounds the slots of any layer. *)
   let max_slice = min classes (3 * layers) in
@@ -359,7 +352,7 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
     done;
 
     (* B.1: component identification of old nodes *)
-    let cid, _ = component_id sl ~init:(fun r _ -> (r, r)) in
+    let cid = component_id sl ~init:(fun r _ -> r) in
     (* status sweep #1: members announce (class, cid). A node keeps, for
        its type-1 and type-3 classes, the first cid seen in its closed
        neighborhood and whether a different one turned up. *)
@@ -393,10 +386,11 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
       (fun r _ m ->
         let s = slot r m.(1) in
         if s >= 0 then deact.(s) <- true);
-    (* the deactivation flag, component-wide (flag 0 wins); only the
-       flag is read, so the tiebreak is constant *)
-    let flag, _ =
-      component_min sl ~init:(fun _ s -> ((if deact.(s) then 0 else 1), 0))
+    (* the deactivation flag, component-wide: a raised flag is 0 and
+       spreads, an unraised one is neutral and never sent *)
+    let flag =
+      component_min sl ~init:(fun _ s ->
+          if deact.(s) then 0 else Multiflood.neutral)
     in
 
     (* B.2b: type-3 messages (one round). Its messages depend only on
@@ -413,26 +407,27 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
       Option.iter (hear r) (msg3 r)
     done;
 
-    (* status sweep #2: members announce (class, cid, active?). A
-       receiver logs a delivery of (i, c) only if B.2c can list it: c is
-       not its own component of i and its B.2b witnesses c. Both depend
-       on (r, i, c) alone, so the lists read the same entries in the
-       same newest-first order as a full log. A class of one component
-       (its count is the old layers' until the layer commits) is never
-       witnessed: every B.2b message of it names that component. *)
+    (* status sweep #2: members announce (class, cid * 2 + active), the
+       word the receiver's log stores. A receiver logs a delivery of
+       (i, c) only if B.2c can list it: c is not its own component of i
+       and its B.2b witnesses c. Both depend on (r, i, c) alone, so the
+       lists read the same entries in the same newest-first order as a
+       full log. A class of one component (its count is the old layers'
+       until the layer commits) is never witnessed: every B.2b message
+       of it names that component. *)
     comm.sweep sl
-      ~payload:(fun _ s -> [| cid.(s); (if flag.(s) = 0 then 0 else 1) |])
+      ~payload:(fun _ s -> [| (cid.(s) * 2) + if flag.(s) = 0 then 0 else 1 |])
       ~listen:(fun r i ->
         wit.((r * classes) + i) <> wit_none && components.(i) > 1)
       ~ordered:true
       ~recv:(fun r _ i m ->
-        let s = slot r i and c = m.(1) in
+        let s = slot r i and c = m.(1) / 2 in
         let w = (r * classes) + i in
         if (s < 0 || c <> cid.(s)) && witnessed w c then begin
           let e = !n_log in
           log_val := grow !log_val e;
           log_next := grow !log_next e;
-          !log_val.(e) <- (c * 2) + (if m.(2) = 1 then 1 else 0);
+          !log_val.(e) <- m.(1);
           !log_next.(e) <- log_head.(w);
           log_head.(w) <- e;
           n_log := e + 1
@@ -502,11 +497,13 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
         end
       end
     in
-    (* d. r hears that component (j, c) accepted [who]'s proposal of
-       [value]: its own proposal may have won, and either way (j, c) is
-       taken now (the paper's Listv update) *)
-    let taken r j c value who =
-      if prop_cls.(r) = j && prop_cid.(r) = c && who = r && value = prop_value.(r)
+    (* d. r hears that component (j, c) accepted the proposal [key]: its
+       own proposal may have won, and either way (j, c) is taken now
+       (the paper's Listv update) *)
+    let taken r j c key =
+      if
+        prop_cls.(r) = j && prop_cid.(r) = c
+        && key = proposal_key ~n prop_value.(r) r
       then class2.(r) <- j;
       let lo = opt_off.(r) in
       let kept = ref lo in
@@ -529,7 +526,7 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
         prop_cls.(r) <- -1;
         if class2.(r) < 0 then
           for e = opt_off.(r) to opt_off.(r) + opt_len.(r) - 1 do
-            let v = Random.State.full_int rng proposal_range in
+            let v = Random.State.full_int rng (proposal_range ~n) in
             let i = opt_cls.(e) and c = opt_cid.(e) in
             let pv = prop_value.(r) and pi = prop_cls.(r) in
             if
@@ -557,13 +554,14 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
           if prop_cls.(r) >= 0 then
             offer r prop_cls.(r) prop_cid.(r) prop_value.(r) r
         done;
-        (* c. component-wide maximum via min-flood on negated values *)
-        let neg, who =
+        (* c. component-wide best proposal: a min-flood of its key *)
+        let best =
           component_min sl ~init:(fun _ s ->
-              if best_who.(s) >= 0 then (-best_value.(s), best_who.(s))
-              else (1, -1))
+              if best_who.(s) >= 0 then
+                proposal_key ~n best_value.(s) best_who.(s)
+              else Multiflood.neutral)
         in
-        let accepted s = neg.(s) <= 0 && who.(s) >= 0 in
+        let accepted s = best.(s) <> Multiflood.neutral in
         (* d. members lock their now-matched memberships and announce
            the accepted proposal; every listener, the members
            themselves included, marks the component taken *)
@@ -572,8 +570,7 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
         done;
         comm.sweep sl
           ~payload:(fun _ s ->
-            if accepted s then [| cid.(s); -neg.(s); who.(s) |]
-            else [| cid.(s); -1; -1 |])
+            [| cid.(s); (if accepted s then best.(s) else -1) |])
           ~listen:(fun r j ->
             let open_in_j = ref false in
             for e = opt_off.(r) to opt_off.(r) + opt_len.(r) - 1 do
@@ -581,10 +578,10 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
             done;
             !open_in_j)
           ~ordered:false
-          ~recv:(fun r _ j m -> if m.(3) >= 0 then taken r j m.(1) m.(2) m.(3));
+          ~recv:(fun r _ j m -> if m.(2) >= 0 then taken r j m.(1) m.(2));
         for r = 0 to n - 1 do
           for s = sl.off.(r) to sl.off.(r + 1) - 1 do
-            if accepted s then taken r sl.cls.(s) cid.(s) (-neg.(s)) who.(s)
+            if accepted s then taken r sl.cls.(s) cid.(s) best.(s)
           done
         done
       end

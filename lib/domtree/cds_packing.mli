@@ -70,10 +70,17 @@ type side =
   | Distributed of Congest.Net.t
       (** every step as messages on the network (V- or E-CONGEST) *)
 
+(** [proposal_key ~n v who] is the one word B.3c floods and announces
+    for node [who]'s proposal of value [v < max 64 (n * n)], [(max 64
+    (n * n) - v) * n + who]: the least key is the largest [v], then the
+    least [who]. *)
+val proposal_key : n:int -> int -> int -> int
+
 (** [run_on side ~seed ~jumpstart ~classes ~layers] is the one layer
     loop behind {!run} and {!Dist_packing.run}.
-    @raise Invalid_argument if [classes < 1] or [jumpstart] is outside
-    [1 .. layers]. *)
+    @raise Invalid_argument if [classes < 1], [jumpstart] is outside
+    [1 .. layers], or a {!proposal_key} of the graph's [n] can exceed
+    [Congest.Model.max_word ~n]. *)
 val run_on :
   side -> seed:int -> jumpstart:int -> classes:int -> layers:int -> t
 
@@ -81,7 +88,8 @@ val run_on :
     assignment. [jumpstart] (default [layers / 2]) is the number of
     all-random layers before the recursive merging steps begin —
     exposed so experiments can stress the Fast Merger dynamics.
-    Requires a connected base graph. *)
+    Requires a connected base graph with n ≤ 1,664,510: like {!run_on}'s
+    distributed side, it minimises one-word B.3 keys. *)
 val run :
   ?seed:int -> ?jumpstart:int -> Graphs.Graph.t -> classes:int -> layers:int -> t
 

@@ -30,7 +30,8 @@
     log and the B.2c option lists. *)
 
 (** [run ?seed ?jumpstart net ~classes ~layers] executes the distributed
-    packing on [net] (a V-CONGEST or E-CONGEST network). *)
+    packing on [net] (a V-CONGEST or E-CONGEST network) of at most
+    1,664,510 nodes, the most a one-word B.3 key can name. *)
 val run :
   ?seed:int ->
   ?jumpstart:int ->

@@ -58,27 +58,23 @@ let iter_deliveries net sl row f =
     clear_row sl row r
   done
 
+let neutral = max_int
+
 (* Per-slot flood state: [first.(s)] is the slot that holds slot [s]'s
-   pair, [row] the receiver's class->slot row. A caller that floods
+   value, [row] the receiver's class->slot row. A caller that floods
    often passes one set of its own. *)
-type buffers = {
-  first : int array;
-  value : int array;
-  tiebreak : int array;
-  row : int array;
-}
+type buffers = { first : int array; value : int array; row : int array }
 
 let buffers ~slots ~classes =
   {
     first = Array.make slots 0;
     value = Array.make slots 0;
-    tiebreak = Array.make slots 0;
     row = Array.make classes (-1);
   }
 
 (* The state both flood schedules start from: every first slot holds
-   its [init] pair. *)
-let init_pairs ?buffers:st net sl ~init =
+   its [init] value. *)
+let init_values ?buffers:st net sl ~init =
   let off = sl.off and cls = sl.cls in
   let nslots = Array.length cls in
   let st =
@@ -89,15 +85,13 @@ let init_pairs ?buffers:st net sl ~init =
       then invalid_arg "Multiflood.flood_min: buffers too small";
       st
   in
-  let { first; value; tiebreak; row } = st in
+  let { first; value; row } = st in
   for r = 0 to Net.n net - 1 do
     for s = off.(r) to off.(r + 1) - 1 do
       let i = cls.(s) in
       if row.(i) < 0 then begin
         row.(i) <- s;
-        let v, t = init r s in
-        value.(s) <- v;
-        tiebreak.(s) <- t
+        value.(s) <- init r s
       end;
       first.(s) <- row.(i)
     done;
@@ -105,13 +99,11 @@ let init_pairs ?buffers:st net sl ~init =
   done;
   st
 
-(* [improve st f v t] lowers first slot [f]'s pair to [(v, t)] if that is
+(* [improve st f v] lowers first slot [f]'s value to [v] if that is
    smaller, and says whether it did *)
-let improve st f v t =
-  let value = st.value and tiebreak = st.tiebreak in
-  if v < value.(f) || (v = value.(f) && t < tiebreak.(f)) then begin
-    value.(f) <- v;
-    tiebreak.(f) <- t;
+let improve st f v =
+  if v < st.value.(f) then begin
+    st.value.(f) <- v;
     true
   end
   else false
@@ -119,21 +111,19 @@ let improve st f v t =
 (* same-real virtual adjacency: the repeats of a class share its first
    slot's state *)
 let result st sl =
-  let { first; value; tiebreak; _ } = st in
+  let { first; value; _ } = st in
   for s = 0 to Array.length sl.cls - 1 do
-    let f = first.(s) in
-    value.(s) <- value.(f);
-    tiebreak.(s) <- tiebreak.(f)
+    value.(s) <- value.(first.(s))
   done;
-  (value, tiebreak)
+  value
 
 let flood_min ?buffers net sl ~init =
   let off = sl.off and cls = sl.cls in
-  let st = init_pairs ?buffers net sl ~init in
+  let st = init_values ?buffers net sl ~init in
   let changed = ref true in
   let adopt _ _ _ (m : Net.msg) =
     let f = st.row.(m.(0)) in
-    if f >= 0 && improve st f m.(1) m.(2) then changed := true
+    if f >= 0 && improve st f m.(1) then changed := true
   in
   let max_slots = max_slots sl in
   while !changed do
@@ -142,8 +132,8 @@ let flood_min ?buffers net sl ~init =
       Net.broadcast_round net (fun r ->
           let s = off.(r) + k in
           if s < off.(r + 1) then begin
-            let f = st.first.(s) in
-            Some [| cls.(s); st.value.(f); st.tiebreak.(f) |]
+            let v = st.value.(st.first.(s)) in
+            if v = neutral then None else Some [| cls.(s); v |]
           end
           else None);
       iter_deliveries net sl st.row adopt
@@ -153,13 +143,16 @@ let flood_min ?buffers net sl ~init =
 
 let flood_min_on_change net sl ~init =
   let off = sl.off and cls = sl.cls in
-  let st = init_pairs net sl ~init in
-  (* [pending.(f)]: first slot [f]'s pair changed since its node last
-     sent it; repeats are never pending *)
-  let pending = Array.mapi (fun s f -> f = s) st.first in
+  let st = init_values net sl ~init in
+  (* [pending.(f)]: first slot [f]'s value changed since its node last
+     sent it; repeats and neutral values are never pending *)
+  let pending =
+    Array.init (Array.length cls) (fun s ->
+        st.first.(s) = s && st.value.(s) <> neutral)
+  in
   let adopt _ _ _ (m : Net.msg) =
     let f = st.row.(m.(0)) in
-    if f >= 0 && improve st f m.(1) m.(2) then pending.(f) <- true
+    if f >= 0 && improve st f m.(1) then pending.(f) <- true
   in
   let sent = ref (Array.exists Fun.id pending) in
   while !sent do
@@ -175,7 +168,7 @@ let flood_min_on_change net sl ~init =
           let s = !s in
           pending.(s) <- false;
           sent := true;
-          Some [| cls.(s); st.value.(s); st.tiebreak.(s) |]
+          Some [| cls.(s); st.value.(s) |]
         end);
     iter_deliveries net sl st.row adopt
   done;

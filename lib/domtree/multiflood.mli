@@ -3,7 +3,7 @@
     Every real node holds one value per class membership; one virtual
     round is simulated by [max memberships] base-graph rounds (the
     meta-round of §3.1), in which each real node broadcasts one
-    (class, value, tiebreak) triple per membership slot. Values flow
+    (class, value) pair per membership slot. Values flow
     only along intra-class virtual edges, i.e. between same-class
     memberships of adjacent (or identical) real nodes.
 
@@ -69,7 +69,10 @@ val iter_deliveries :
   (int -> int -> int -> Congest.Net.msg -> unit) ->
   unit
 
-(** Caller-owned scratch of {!flood_min}: per-slot state for up to
+(** [max_int], which no flood sends: a minimum with it changes nothing. *)
+val neutral : int
+
+(** Caller-owned scratch of the floods: per-slot state for up to
     [slots] slots and a class→slot row of [classes] entries. A protocol
     that floods once per layer or per stage allocates its buffers once
     per run instead of once per call. *)
@@ -79,61 +82,60 @@ type buffers
     slots whose classes are below [classes]. *)
 val buffers : slots:int -> classes:int -> buffers
 
-(** [flood_min ?buffers net slots ~init] floods minimum (value,
-    tiebreak) pairs within every class-component simultaneously and
-    returns the fixed point as two arrays indexed by slot, [(value,
-    tiebreak)]. Every slot starts from [init r s] of the first slot [s]
-    of its class in [r]'s slice; repeats of a class end with the same
-    pair as its first slot. Pairs compare lexicographically. Termination
-    is detected by the simulator (one quiescent sweep is charged). Every
-    delivery resolves its class through a {!row} of [slots.universe]
-    entries.
+(** [flood_min ?buffers net slots ~init] floods minimum values within
+    every class-component simultaneously and returns the fixed point as
+    one array indexed by slot. Every slot starts from [init r s] of the
+    first slot [s] of its class in [r]'s slice; repeats of a class end
+    with the same value as its first slot. A slot broadcasts [(class,
+    value)] in its meta-round unless its value is {!neutral}.
+    Termination is detected by the simulator (one quiescent sweep is
+    charged). Every delivery resolves its class through a {!row} of
+    [slots.universe] entries.
 
     Without [~buffers], the row and the per-slot arrays are allocated
-    per call and the result arrays have one entry per slot. With
-    [~buffers b], nothing is allocated: the result arrays are [b]'s own,
+    per call and the result array has one entry per slot. With
+    [~buffers b], nothing is allocated: the result array is [b]'s own,
     may be longer than the slot count (entries past it are junk), and
-    are overwritten by the next call on [b]. Messages, rounds and
+    is overwritten by the next call on [b]. Messages, rounds and
     results are the same either way.
     @raise Invalid_argument if [b] holds fewer slots than [slots] or a
     row shorter than [slots.universe].
 
     Instantiations used in this repository:
-    - component identification: [init r _ = (r, r)] gives every slot
-      the minimum real id of its class-component;
-    - flag dissemination: [init _ s = (flag, 0)] with flag ∈ {0,1}
-      spreads a 0 flag to the whole component; a constant tiebreak
-      stops the flood as soon as the flags settle;
-    - maximum aggregation: negate values at the call site. *)
+    - component identification: [init r _ = r];
+    - flag dissemination: [0] for a raised flag, {!neutral} otherwise,
+      so only the raised flags and the slots they reach talk;
+    - maximum aggregation: a key that is smaller for a larger value,
+      {!neutral} for none ({!Cds_packing.proposal_key}). *)
 val flood_min :
   ?buffers:buffers ->
   Congest.Net.t ->
   slots ->
-  init:(int -> int -> int * int) ->
-  int array * int array
+  init:(int -> int -> int) ->
+  int array
 
-(** [flood_min_on_change net slots ~init] reaches the same fixed point
-    as {!flood_min} on a fault-free run, but a node sends a class only
-    when its pair has changed since it last sent it. In every base
-    round, each node broadcasts at most one such class, the first
-    pending one in its slice. Repeats of a class are never sent. The
-    first round in which no node sends is charged as the quiescence
-    detection. A layout with no slot costs no round. The result arrays
-    have one entry per slot.
+(** [flood_min_on_change net slots ~init] reaches the same
+    fixed point as {!flood_min} on a fault-free run, but a node sends a
+    class only when its value has changed since it last sent it, and
+    never a {!neutral} one. In every base round, each node broadcasts at
+    most one such class, the first pending one in its slice. Repeats of
+    a class are never sent. The first round in which no node sends is
+    charged as the quiescence detection. A layout with no slot to send
+    costs no round.
 
-    Once most pairs have settled, a meta-round of {!flood_min} spends
+    Once most values have settled, a meta-round of {!flood_min} spends
     [max memberships] rounds re-sending them; this schedule does not.
-    A dropped message is not sent again unless its pair changes once
-    more. Under drops, a member can therefore keep a larger pair than
-    its class-component's minimum. Pairs never cross between
-    class-components: every slot ends with the [init] pair of a first
+    A dropped message is not sent again unless its value changes once
+    more. Under drops, a member can therefore keep a larger value than
+    its class-component's minimum. Values never cross between
+    class-components: every slot ends with the [init] value of a first
     slot of its own class-component. [Repair] uses this schedule for
     its fragment ids. *)
 val flood_min_on_change :
   Congest.Net.t ->
   slots ->
-  init:(int -> int -> int * int) ->
-  int array * int array
+  init:(int -> int -> int) ->
+  int array
 
 (** [membership_sweep net slots ~payload ~recv] performs one meta-round
     in which every real node [r] broadcasts, for each of its slots [s],

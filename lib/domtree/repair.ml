@@ -267,9 +267,7 @@ let run_distributed ?live net ~memberships ~classes =
   let rec splice iter flooded =
     (* per-class fragment identification on the virtual graph *)
     let sl = Multiflood.layout ~n (fun r -> List.filter flooded mem.(r)) in
-    let cids, _ =
-      Multiflood.flood_min_on_change net sl ~init:(fun r _ -> (r, r))
-    in
+    let cids = Multiflood.flood_min_on_change net sl ~init:(fun r _ -> r) in
     let frag = Array.make classes 0 in
     let seen_frag = Array.make_matrix classes n false in
     Array.iteri

@@ -88,7 +88,7 @@ let run_distributed ?(seed = 11) ?(live = fun _ -> true) net ~memberships
   else begin
     (* 2. per-class component identification *)
     let sl = Multiflood.layout ~n memberships in
-    let cids, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
+    let cids = Multiflood.flood_min net sl ~init:(fun r _ -> r) in
     let cid r i =
       let s = Multiflood.find sl r i in
       if s < 0 then -1 else cids.(s)
@@ -143,8 +143,9 @@ let run_distributed ?(seed = 11) ?(live = fun _ -> true) net ~memberships
       Net.iter_deliveries net (fun r _ _ m ->
           if live r then note heard ~classes detect_at r round m.(0) m.(1))
     done;
-    (* 5. failure-flag flood: Θ(D) rounds *)
-    let flag r = if !detection <> None && r = 0 then 0 else 1 in
+    (* 5. failure-flag flood: Θ(D) rounds, silent when nothing failed
+          ([max_int] is never sent) *)
+    let flag r = if !detection <> None && r = 0 then 0 else max_int in
     ignore (Congest.Primitives.flood_min net ~value:flag ~rounds:d_bound);
     let connectivity_ok = !detection = None in
     {

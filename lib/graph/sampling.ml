@@ -1,13 +1,10 @@
 let edge_partition rng g ~eta =
   if eta < 1 then invalid_arg "Sampling.edge_partition: eta < 1";
-  let n = Graph.n g in
+  let part_of = Array.init (Graph.m g) (fun _ -> Random.State.int rng eta) in
+  let eu, ev = Graph.csr_endpoints g in
   let buckets = Array.make eta [] in
-  Graph.iter_edges
-    (fun u v ->
-      let i = Random.State.int rng eta in
-      buckets.(i) <- (u, v) :: buckets.(i))
-    g;
-  Array.map (fun es -> Graph.of_edges ~n es) buckets
+  Array.iteri (fun e i -> buckets.(i) <- (eu.(e), ev.(e)) :: buckets.(i)) part_of;
+  (Array.map (Graph.of_edges ~n:(Graph.n g)) buckets, part_of)
 
 let suggested_eta ~lambda ~n ~eps =
   let threshold = 20.0 *. log (float_of_int (max 2 n)) /. (eps *. eps) in

@@ -7,9 +7,11 @@
       integral dominating-tree packing variant. *)
 
 (** [edge_partition rng g ~eta] splits the edges of [g] uniformly into
-    [eta] spanning subgraphs (all on the same vertex set). Every edge of
-    [g] appears in exactly one subgraph. *)
-val edge_partition : Random.State.t -> Graph.t -> eta:int -> Graph.t array
+    [eta] spanning subgraphs (all on the same vertex set) and returns
+    them with the draw, [part_of]: edge id -> the index of its part.
+    Every edge of [g] appears in exactly one subgraph. *)
+val edge_partition :
+  Random.State.t -> Graph.t -> eta:int -> Graph.t array * int array
 
 (** [suggested_eta ~lambda ~n ~eps] is the η of §5.2: the largest η ≥ 1
     with λ/η >= 20 ln n / ε² (so each part keeps Θ(log n/ε²)

@@ -13,7 +13,7 @@ let run ?(seed = 42) ?(eps = 0.3) net ~lambda =
   let n = Graph.n g in
   let eta = max 1 (Graphs.Sampling.suggested_eta ~lambda ~n ~eps) in
   let rng = Random.State.make [| seed; n; lambda; 31 |] in
-  let parts = Graphs.Sampling.edge_partition rng g ~eta in
+  let parts, _ = Graphs.Sampling.edge_partition rng g ~eta in
   let start = Net.checkpoint net in
   let trees = ref [] in
   let parts_connected = ref 0 in

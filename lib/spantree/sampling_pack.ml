@@ -15,17 +15,15 @@ let run_on side ~seed ~eps ~lambda =
     if eta <= 1 then [ (Array.make m true, lambda) ]
     else begin
       let rng = Random.State.make [| seed; n; lambda; 9 |] in
-      let eu, ev = Graph.csr_endpoints g in
-      Graphs.Sampling.edge_partition rng g ~eta
-      |> Array.to_list
-      |> List.map (fun part ->
+      let parts, part_of = Graphs.Sampling.edge_partition rng g ~eta in
+      Array.to_list parts
+      |> List.mapi (fun i part ->
              let lam_part =
                if Graphs.Traversal.is_connected part then
                  max 1 (Graphs.Connectivity.edge_connectivity part)
                else 1
              in
-             let mem e = Graph.mem_edge part eu.(e) ev.(e) in
-             (Array.init m mem, lam_part))
+             (Array.map (Int.equal i) part_of, lam_part))
     end
   in
   ( eta,

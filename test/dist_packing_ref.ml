@@ -116,7 +116,7 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
     let row = Multiflood.row ~classes sl in
 
     (* B.1: component identification of old nodes *)
-    let cid, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
+    let cid, _ = Multiflood_ref.flood_min net sl ~init:(fun r _ -> (r, r)) in
     (* status sweep #1: members announce (class, cid). A node keeps, for
        its type-1 and type-3 classes, the first cid seen in its closed
        neighborhood and whether a different one turned up. *)
@@ -149,7 +149,7 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
         end);
     (* flood the deactivation flag through each component (flag 0 wins) *)
     let flag, _ =
-      Multiflood.flood_min net sl ~init:(fun r s ->
+      Multiflood_ref.flood_min net sl ~init:(fun r s ->
           ((if deact.(s) then 0 else 1), r))
     in
     (* status sweep #2: members announce (class, cid, active?). Each
@@ -290,7 +290,7 @@ let run ?(seed = 42) ?jumpstart net ~classes ~layers =
       done;
       (* c. component-wide maximum via min-flood on negated values *)
       let neg, who =
-        Multiflood.flood_min net sl ~init:(fun _ s ->
+        Multiflood_ref.flood_min net sl ~init:(fun _ s ->
             if best_who.(s) >= 0 then (-best_value.(s), best_who.(s))
             else (1, -1))
       in

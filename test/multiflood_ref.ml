@@ -1,8 +1,11 @@
-(* Reference copy of the scan-based virtual-graph flood
-   ([Multiflood.flood_min] and [Multiflood.find] before the per-receiver
-   class->slot row), kept as the oracle of a differential property. It
-   must send the same messages in the same rounds and reach the same
-   fixed point as [Domtree.Multiflood.flood_min]. *)
+(* Reference copies of the scan-based virtual-graph floods
+   ([Multiflood.flood_min], [Multiflood.flood_min_on_change] and
+   [Multiflood.find] before the per-receiver class->slot row and before
+   floods sent one value), kept as the oracles of differential
+   properties. They flood (value, tiebreak) pairs and send every pair,
+   whatever it is. Fed pairs whose tiebreak is a function of the value,
+   the one-value floods of [Domtree.Multiflood] must reach the same
+   state in the same rounds, with no more messages and words. *)
 
 module Net = Congest.Net
 module Multiflood = Domtree.Multiflood
@@ -21,7 +24,7 @@ let max_slots (sl : Multiflood.slots) =
   done;
   !best
 
-let flood_min net (sl : Multiflood.slots) ~init =
+let init_pairs net (sl : Multiflood.slots) ~init =
   let n = Net.n net in
   let off = sl.Multiflood.off and cls = sl.Multiflood.cls in
   let first = Array.make (Array.length cls) 0 in
@@ -38,17 +41,38 @@ let flood_min net (sl : Multiflood.slots) ~init =
       end
     done
   done;
-  let changed = ref true in
-  let adopt r _ _ (m : Net.msg) =
-    let f = find sl r m.(0) in
-    if f >= 0 then begin
-      let v = m.(1) and t = m.(2) in
-      if v < value.(f) || (v = value.(f) && t < tiebreak.(f)) then begin
-        value.(f) <- v;
-        tiebreak.(f) <- t;
-        changed := true
-      end
+  (first, value, tiebreak)
+
+(* [adopt sl value tiebreak r m] lowers r's pair of m's class to m's
+   pair if that is smaller, and returns the first slot it lowered or
+   -1 *)
+let adopt sl value tiebreak r (m : Net.msg) =
+  let f = find sl r m.(0) in
+  if f < 0 then -1
+  else begin
+    let v = m.(1) and t = m.(2) in
+    if v < value.(f) || (v = value.(f) && t < tiebreak.(f)) then begin
+      value.(f) <- v;
+      tiebreak.(f) <- t;
+      f
     end
+    else -1
+  end
+
+let result first value tiebreak =
+  Array.iteri
+    (fun s f ->
+      value.(s) <- value.(f);
+      tiebreak.(s) <- tiebreak.(f))
+    first;
+  (value, tiebreak)
+
+let flood_min net (sl : Multiflood.slots) ~init =
+  let off = sl.Multiflood.off and cls = sl.Multiflood.cls in
+  let first, value, tiebreak = init_pairs net sl ~init in
+  let changed = ref true in
+  let adopt r _ _ m =
+    if adopt sl value tiebreak r m >= 0 then changed := true
   in
   while !changed do
     changed := false;
@@ -63,9 +87,30 @@ let flood_min net (sl : Multiflood.slots) ~init =
       Net.iter_deliveries net adopt
     done
   done;
-  Array.iteri
-    (fun s f ->
-      value.(s) <- value.(f);
-      tiebreak.(s) <- tiebreak.(f))
-    first;
-  (value, tiebreak)
+  result first value tiebreak
+
+let flood_min_on_change net (sl : Multiflood.slots) ~init =
+  let off = sl.Multiflood.off and cls = sl.Multiflood.cls in
+  let first, value, tiebreak = init_pairs net sl ~init in
+  let pending = Array.mapi (fun s f -> f = s) first in
+  let adopt r _ _ m =
+    let f = adopt sl value tiebreak r m in
+    if f >= 0 then pending.(f) <- true
+  in
+  let sent = ref (Array.exists Fun.id pending) in
+  while !sent do
+    sent := false;
+    Net.broadcast_round net (fun r ->
+        let rec first_pending s =
+          if s >= off.(r + 1) then None
+          else if pending.(s) then begin
+            pending.(s) <- false;
+            sent := true;
+            Some [| cls.(s); value.(s); tiebreak.(s) |]
+          end
+          else first_pending (s + 1)
+        in
+        first_pending off.(r));
+    Net.iter_deliveries net adopt
+  done;
+  result first value tiebreak

@@ -458,8 +458,15 @@ let prop_dist_packing_matches_reference =
 (* Random slot layouts on random (possibly disconnected) graphs: lists
    of 0 to 4 classes drawn from the even ids below [2 * classes], so odd
    classes are never held, some lists are empty and some repeat a class.
-   [init] draws from small ranges to force ties. Fault runs drop
-   messages and crash one node mid-flood. *)
+   [init] draws from a small range to force ties, and one draw in six is
+   [Multiflood.neutral]. The reference floods pairs and sends every one,
+   so it sees neutral as [sentinel], a value above every draw, with the
+   value as its tiebreak. Fault runs drop messages and crash one node
+   mid-flood. *)
+let sentinel = 1000
+
+let to_ref v = if v = Multiflood.neutral then sentinel else v
+
 let flood_instance seed =
   let rng = Random.State.make [| seed; 0x3F |] in
   let n = 2 + Random.State.int rng 40 in
@@ -472,90 +479,94 @@ let flood_instance seed =
   in
   let sl = Multiflood.layout ~n (fun r -> mem.(r)) in
   let init r s =
-    (Hashtbl.hash (seed, r, s) mod 5, Hashtbl.hash (s, r, seed) mod 7)
+    match Hashtbl.hash (seed, r, s) mod 6 with
+    | 5 -> Multiflood.neutral
+    | v -> v
   in
   let crash = (1 + Random.State.int rng 12, Random.State.int rng n) in
-  let run ~faulty flood =
+  let fresh ~faulty =
     let net = Congest.Net.create Congest.Model.V_congest g in
     if faulty then
       Congest.Faults.install net
         (Congest.Faults.create ~seed
            [ Congest.Faults.Drop_bernoulli 0.1; Congest.Faults.Crash_at [ crash ] ]);
-    let result = flood net sl ~init in
-    (result, Congest.Net.telemetry net)
+    net
   in
-  (g, classes, sl, init, run)
+  (classes, sl, init, fresh)
+
+(* [flood] on a fresh net of the instance, and the net's telemetry *)
+let run_flood fresh ~faulty sl flood =
+  let net = fresh ~faulty in
+  let result = flood net sl in
+  (result, Congest.Net.telemetry net)
+
+(* [ref_init init] is [init] as the reference's pairs *)
+let ref_init init r s =
+  let v = to_ref (init r s) in
+  (v, v)
+
+(* the one-value run [t] against the reference's [t']: the same rounds,
+   and no more messages or words *)
+let cheaper (t : Congest.Net.telemetry) (t' : Congest.Net.telemetry) =
+  t.t_rounds = t'.t_rounds
+  && t.t_messages <= t'.t_messages
+  && t.t_words <= t'.t_words
 
 let prop_flood_min_matches_reference =
   QCheck.Test.make ~name:"Multiflood.flood_min equals the reference"
     ~count:80
     QCheck.(pair small_int bool)
     (fun (seed, faulty) ->
-      let _, classes, sl, _, run = flood_instance seed in
-      let run = run ~faulty in
-      let (value, tiebreak), t =
-        run (fun net sl ~init -> Multiflood.flood_min net sl ~init)
-      in
+      let classes, sl, init, fresh = flood_instance seed in
+      let run flood = run_flood fresh ~faulty sl flood in
+      let value, t = run (fun net sl -> Multiflood.flood_min net sl ~init) in
       (* caller-owned buffers, larger than the layout and reused *)
       let nslots = Array.length sl.Multiflood.cls in
       let buffers =
         Multiflood.buffers ~slots:(nslots + 3) ~classes:(2 * classes)
       in
-      ignore (run (Multiflood.flood_min ~buffers));
-      let (bvalue, btiebreak), bt = run (Multiflood.flood_min ~buffers) in
-      let (value', tiebreak'), t' = run Multiflood_ref.flood_min in
-      value = value' && tiebreak = tiebreak'
-      && Array.sub bvalue 0 nslots = value'
-      && Array.sub btiebreak 0 nslots = tiebreak'
-      && Congest.Net.diff_telemetry t t' = []
-      && Congest.Net.diff_telemetry bt t' = [])
+      ignore (run (Multiflood.flood_min ~buffers ~init));
+      let bvalue, bt = run (Multiflood.flood_min ~buffers ~init) in
+      let (value', _), t' =
+        run (Multiflood_ref.flood_min ~init:(ref_init init))
+      in
+      Array.map to_ref value = value'
+      && Array.sub bvalue 0 nslots = value
+      && Congest.Net.diff_telemetry t bt = []
+      && cheaper t t')
 
-(* The on-change schedule, on the same instances. Fault-free it reaches
-   the reference's fixed point. Under drops and a crash every slot still
-   ends with the initial pair of a first slot of its own
-   class-component: a pair never crosses to another component. *)
+(* The on-change schedule, on the same instances. Its values are the
+   reference schedule's, round for round, so it ends in the same state
+   after the same rounds, under drops and a crash too; with neutral
+   values it skips their sends, and it reaches the meta-round flood's
+   fixed point when nothing is lost. *)
 let prop_flood_min_on_change =
   QCheck.Test.make
     ~name:"Multiflood.flood_min_on_change: the reference's fixed point"
     ~count:80
     QCheck.(pair small_int bool)
     (fun (seed, faulty) ->
-      let g, _, sl, init, run = flood_instance seed in
-      let (value, tiebreak), _ =
-        run ~faulty (fun net sl ~init ->
-            Multiflood.flood_min_on_change net sl ~init)
+      let _, sl, init, fresh = flood_instance seed in
+      let run ~faulty flood = run_flood fresh ~faulty sl flood in
+      let sent r s = to_ref (init r s) in
+      let value, t =
+        run ~faulty (fun net sl ->
+            Multiflood.flood_min_on_change net sl ~init:sent)
       in
-      if not faulty then
-        let (value', tiebreak'), _ = run ~faulty Multiflood_ref.flood_min in
-        value = value' && tiebreak = tiebreak'
-      else begin
-        let off = sl.Multiflood.off and cls = sl.Multiflood.cls in
-        let n = Graph.n g and nslots = Array.length cls in
-        (* class-components over slots: repeats of a node, and the same
-           class on adjacent nodes *)
-        let uf = Union_find.create nslots in
-        let join u v =
-          for s = off.(u) to off.(u + 1) - 1 do
-            for s' = off.(v) to off.(v + 1) - 1 do
-              if cls.(s) = cls.(s') then ignore (Union_find.union uf s s')
-            done
-          done
+      let (value', _), t' =
+        run ~faulty (Multiflood_ref.flood_min_on_change ~init:(ref_init sent))
+      in
+      let exact = value = value' && cheaper t t' in
+      if faulty then exact
+      else
+        let neutral, _ =
+          run ~faulty (fun net sl ->
+              Multiflood.flood_min_on_change net sl ~init)
         in
-        for r = 0 to n - 1 do
-          join r r
-        done;
-        Graph.iter_edges join g;
-        List.for_all
-          (fun s ->
-            List.exists
-              (fun r ->
-                let f = Multiflood.find sl r cls.(s) in
-                f >= 0
-                && Union_find.same uf s f
-                && init r f = (value.(s), tiebreak.(s)))
-              (List.init n Fun.id))
-          (List.init nslots Fun.id)
-      end)
+        let (fixed, _), _ =
+          run ~faulty (Multiflood_ref.flood_min ~init:(ref_init init))
+        in
+        exact && Array.map to_ref neutral = fixed)
 
 (* A random candidate tree over [g]: a BFS tree of the whole graph, a
    mutation of one, or arbitrary vertex and edge lists. Vertex lists may

@@ -457,7 +457,7 @@ let test_pinned_boundary_words () =
   let c = Lowerbound.Construction.build inst ~ell:1 ~w:4 in
   let rep = Lowerbound.Simulation.distinguish_via_packing ~seed:3 c in
   Alcotest.(check string) "boundary run"
-    "rounds 304, boundary bits 2378808, estimate 6"
+    "rounds 304, boundary bits 1514688, estimate 6"
     (Printf.sprintf "rounds %d, boundary bits %d, estimate %d"
        rep.Lowerbound.Simulation.measured_rounds
        rep.Lowerbound.Simulation.boundary_bits
@@ -587,7 +587,8 @@ let pinned_routing_cases =
    the Appendix E tester, repair and the vc-approx driver), pinned the
    same way: traffic, rounds and a fingerprint of each result. Their
    per-node state may be rebuilt only if every message, every round and
-   every RNG draw stays where it is. *)
+   every RNG draw stays where it is. DESIGN.md section 7 lists each pin
+   that moved and why. *)
 
 module Cds = Domtree.Cds_packing
 
@@ -731,39 +732,39 @@ let pinned_domtree_cases =
         (fun () -> run_dist_packing ~faulty:false),
         "members 64550090, excess 149041694, matched 192120274, bridging \
          76303405, valid 6, trees 6, edges 132500885; rounds 496, messages \
-         130867, words 358069, digest 277a1752cce0e81" );
+         112486, words 217907, digest 3777617636f7c2b" );
       ( "Dist_packing.run under drop+crash",
         (fun () -> run_dist_packing ~faulty:true),
         "members 247603692, excess 176790528, matched 178245857, bridging \
          62428988, valid 6, trees 6, edges 215355191; rounds 749, messages \
-         149709, words 422997, digest 20dc3dd1cdfde9" );
+         122758, words 253235, digest 1d771345cf73496" );
       ( "Dist_packing.run, classes no node holds",
         run_dist_packing_sparse,
         "members 190655112, excess 115583919, matched 237009235, bridging \
-         112290886, valid 18; rounds 357, messages 5463, words 16128, \
-         digest 1b7057d8b456725" );
+         112290886, valid 18; rounds 357, messages 4302, words 9111, \
+         digest 1a059f8248eae9d" );
       ( "Tester.run_distributed passing",
         run_tester_valid,
         "pass true, domination true, detection none; rounds 72, \
-         messages 36480, words 77760, digest da99ea1269cc84" );
+         messages 31872, words 60672, digest 2347835f0564a60" );
       ( "Tester.run_distributed split class",
         run_tester_split,
         "pass false, domination true, detection 1; rounds 65, messages \
-         6350, words 12190, digest 31ee8cfc785dac3" );
+         6097, words 11297, digest 3b167e15c859797" );
       ( "Repair.run_distributed split class",
         run_repair_split,
         "memberships 197679492, retained 1000005, orphans 0, splices 6, \
-         rounds 15; rounds 15, messages 982, words 2460, digest \
-         14da650f8031525" );
+         rounds 15; rounds 15, messages 982, words 1778, digest \
+         d0e45d17eaee54" );
       ( "Repair.run_distributed stripped nodes",
         run_repair_stripped,
         "memberships 190213108, retained 85926418, orphans 9, splices \
-         54, rounds 29; rounds 29, messages 950, words 2562, digest \
-         19bb2803b3c4572" );
+         54, rounds 29; rounds 29, messages 950, words 1846, digest \
+         2d586e10fbefcdc" );
       ( "Vc_approx.distributed",
         run_vc_approx,
-        "estimate 4, attempts 1, guess 12; rounds 400, messages 18068, \
-         words 49312, digest 3049192cdab6520" );
+        "estimate 4, attempts 1, guess 12; rounds 400, messages 15960, \
+         words 31920, digest 3e10d69bd443788" );
     ]
 
 (* The verify-and-recover ladder (Reliable) and the guess ladder
@@ -886,13 +887,13 @@ let pinned_ladder_distributed_cases =
          false/false/true/- 74 false; 2000013 false/true/false/0 176 \
          false]; verified false, retries 2, charged 359, exhausted false, \
          retained 6, memberships 368aba81645fc5ff7ac306336735f2b9; rounds \
-         359, messages 114896, words 295368, digest 2ee6082fb64c565" );
+         359, messages 84920, words 158744, digest 30114c9451c7e1" );
       ( "run_verified_distributed Repair",
         (fun () -> run_reliable_distributed `Repair ~max_retries:2),
         "attempts [7 true/true/true/- 274 true]; verified true, retries 0, \
          charged 274, exhausted false, retained 10, memberships \
-         f070208074c1dd1b2a037e44f02088b7; rounds 274, messages 81240, \
-         words 200928, digest 25777c23214856c" );
+         f070208074c1dd1b2a037e44f02088b7; rounds 274, messages 62792, \
+         words 118352, digest f966a32b648f0" );
       ( "run_verified_distributed rollback",
         (fun () ->
           run_reliable_distributed `Repair ~max_retries:1
@@ -907,28 +908,28 @@ let pinned_ladder_distributed_cases =
         "attempts [7 false/false/true/- 160 true; 1000010 \
          false/false/true/- 154 true]; verified false, retries 1, charged \
          315, exhausted false, retained 0, memberships \
-         7d334aac42979ce0310a85f03f3dd01a; rounds 239, messages 48464, \
-         words 133192, digest 7e4fbbc2e84395" );
+         7d334aac42979ce0310a85f03f3dd01a; rounds 239, messages 29192, \
+         words 56728, digest 3b2ba25e2f376cd" );
       ( "run_verified_distributed budget",
         (fun () ->
           run_reliable_distributed ~round_budget:1 `Retry ~max_retries:4),
         "attempts [7 false/false/true/- 106 false]; verified false, retries \
          0, charged 106, exhausted true, retained 6, memberships \
-         dea53e6666593d74616f6b0fd9a5b228; rounds 106, messages 33680, \
-         words 89664, digest 34b4040220abffe" );
+         dea53e6666593d74616f6b0fd9a5b228; rounds 106, messages 19840, \
+         words 37024, digest 30d831d4b000894" );
       ( "pack_verified_distributed storm",
         run_reliable_storm,
         "attempts [7 true/true/true/- 175 false]; verified true, retries 0, \
          charged 175, exhausted false, retained 2, memberships \
-         314d8bf0906b0e8227a92b3390911eb0; rounds 175, messages 55756, \
-         words 143196, digest 1d932b4c7fb7c95" );
+         314d8bf0906b0e8227a92b3390911eb0; rounds 175, messages 47260, \
+         words 95582, digest 12560c2abca112d" );
       ( "Vc_approx.distributed cycle 96",
         (fun () ->
           let net = vnet (Gen.cycle 96) in
           let r = Domtree.Vc_approx.distributed net in
           vc_summary r ^ "; " ^ traffic net),
         "estimate 8, attempts 2, guess 24, trees 103636940; rounds 13178, \
-         messages 2332062, words 6899176, digest 2a1cce17ebadf06" );
+         messages 1403706, words 2822824, digest 1ad3020c3201b8a" );
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -495,16 +495,13 @@ let test_multiflood_component_ids () =
   let net = vnet g in
   let memberships v = if v < 3 then [ 0 ] else [ 1 ] in
   let sl = Multiflood.layout ~n:6 memberships in
-  let value, tiebreak = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
-  let at v i =
-    let s = Multiflood.find sl v i in
-    (value.(s), tiebreak.(s))
-  in
+  let value = Multiflood.flood_min net sl ~init:(fun r _ -> r) in
+  let at v i = value.(Multiflood.find sl v i) in
   for v = 0 to 2 do
-    Alcotest.(check (pair int int)) "class 0 cid" (0, 0) (at v 0)
+    Alcotest.(check int) "class 0 cid" 0 (at v 0)
   done;
   for v = 3 to 5 do
-    Alcotest.(check (pair int int)) "class 1 cid" (3, 3) (at v 1)
+    Alcotest.(check int) "class 1 cid" 3 (at v 1)
   done
 
 let test_multiflood_split_class () =
@@ -514,7 +511,7 @@ let test_multiflood_split_class () =
   let net = vnet g in
   let memberships v = if v = 0 || v = 3 then [ 0 ] else [ 1 ] in
   let sl = Multiflood.layout ~n:6 memberships in
-  let value, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
+  let value = Multiflood.flood_min net sl ~init:(fun r _ -> r) in
   Alcotest.(check int) "cid of 0" 0 value.(Multiflood.find sl 0 0);
   Alcotest.(check int) "cid of 3" 3 value.(Multiflood.find sl 3 0)
 
@@ -525,7 +522,7 @@ let test_multiflood_overlapping_memberships () =
   let net = vnet g in
   let memberships v = if v mod 2 = 1 then [ 0; 1 ] else [ 0 ] in
   let sl = Multiflood.layout ~n:5 memberships in
-  let value, _ = Multiflood.flood_min net sl ~init:(fun r _ -> (r, r)) in
+  let value = Multiflood.flood_min net sl ~init:(fun r _ -> r) in
   Alcotest.(check int) "class 0 connects everyone" 0
     value.(Multiflood.find sl 4 0);
   (* class 1 = {1, 3}: nodes 1 and 3 are not adjacent -> separate *)
@@ -543,15 +540,77 @@ let test_multiflood_repeated_class () =
   Alcotest.(check int) "first slot of class 1" 2 (Multiflood.find sl 1 1);
   Alcotest.(check int) "no class 1 at node 0" (-1) (Multiflood.find sl 0 1);
   let asked = ref [] in
-  let value, _ =
+  let value =
     Multiflood.flood_min net sl ~init:(fun r s ->
         asked := s :: !asked;
-        (10 - r, r))
+        10 - r)
   in
   Alcotest.(check (list int)) "init per first slot" [ 0; 1; 2; 4 ]
     (List.sort Int.compare !asked);
   Alcotest.(check (array int)) "every slot at its component minimum"
     [| 8; 8; 9; 8; 8 |] value
+
+let test_multiflood_neutral_silent () =
+  (* on a path of 4 in one class, only node 2 holds a value: the
+     neutral slots send nothing until they adopt it, and a flood of
+     neutral values alone is one silent meta-round *)
+  let g = Gen.path 4 in
+  let sl = Multiflood.layout ~n:4 (fun _ -> [ 0 ]) in
+  let net = vnet g in
+  let value =
+    Multiflood.flood_min net sl ~init:(fun r _ ->
+        if r = 2 then 5 else Multiflood.neutral)
+  in
+  Alcotest.(check (array int)) "the one value everywhere" [| 5; 5; 5; 5 |]
+    value;
+  (* meta-round 1: node 2 sends (2 copies); 2: nodes 1-3 (5 copies);
+     3: all four (6 copies), and nothing changes *)
+  Alcotest.(check int) "rounds" 3 (Congest.Net.rounds net);
+  Alcotest.(check int) "messages" 13 (Congest.Net.messages_sent net);
+  let net = vnet g in
+  let value =
+    Multiflood.flood_min_on_change net sl ~init:(fun _ _ -> Multiflood.neutral)
+  in
+  Alcotest.(check (array int)) "on-change: all neutral"
+    (Array.make 4 Multiflood.neutral) value;
+  Alcotest.(check int) "on-change: no round" 0 (Congest.Net.rounds net);
+  let net = vnet g in
+  ignore
+    (Multiflood.flood_min net sl ~init:(fun _ _ -> Multiflood.neutral));
+  Alcotest.(check int) "all neutral: one quiescent round" 1
+    (Congest.Net.rounds net);
+  Alcotest.(check int) "all neutral: no message" 0
+    (Congest.Net.messages_sent net)
+
+let test_proposal_key () =
+  List.iter
+    (fun n ->
+      let range = max 64 (n * n) in
+      let key = Cds_packing.proposal_key ~n in
+      List.iter
+        (fun (v, who) ->
+          let k = key v who in
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "round trip n=%d v=%d who=%d" n v who)
+            (v, who)
+            (range - (k / n), k mod n);
+          Alcotest.(check bool) "fits a word" true
+            (k <= Congest.Model.max_word ~n))
+        [ (0, 0); (0, n - 1); (range - 1, 0); (range - 1, n - 1); (range / 2, n / 2) ];
+      (* ties on the value go to the smaller proposer; a larger value
+         beats every proposer of a smaller one *)
+      Alcotest.(check bool) "tie: smaller who first" true (key 7 0 < key 7 1);
+      Alcotest.(check bool) "larger value first" true
+        (key 8 (n - 1) < key 7 0);
+      Alcotest.(check bool) "below neutral" true
+        (key 0 (n - 1) < Multiflood.neutral))
+    [ 2; 3; 48; 1 lsl 15; 1 lsl 20 ];
+  (* past ~1.6M nodes (max 64 n^2) * n no longer fits a word *)
+  let g = Graph.of_edges ~n:(1 lsl 21) [] in
+  Alcotest.check_raises "n too large"
+    (Invalid_argument
+       "Cds_packing.run: n too large for a one-word B.3 proposal key")
+    (fun () -> ignore (Cds_packing.run g ~classes:1 ~layers:4))
 
 let test_multiflood_row () =
   (* node 1 lists class 3 twice; no node holds class 1, 4 or 5 *)
@@ -612,9 +671,7 @@ let prop_flood_min_component_ids =
       let g = Gen.erdos_renyi rng ~n ~p:(Random.State.float rng 0.4) in
       let mem = random_memberships rng ~n ~classes ~len:4 in
       let sl = Multiflood.layout ~n (fun r -> mem.(r)) in
-      let value, tiebreak =
-        Multiflood.flood_min (vnet g) sl ~init:(fun r _ -> (r, r))
-      in
+      let value = Multiflood.flood_min (vnet g) sl ~init:(fun r _ -> r) in
       let member i v = List.mem i mem.(v) in
       let ufs = Array.init classes (fun _ -> Union_find.create n) in
       Graph.iter_edges
@@ -637,7 +694,7 @@ let prop_flood_min_component_ids =
         for s = sl.Multiflood.off.(r) to sl.Multiflood.off.(r + 1) - 1 do
           let i = sl.Multiflood.cls.(s) in
           let want = comp_min.(i).(Union_find.find ufs.(i) r) in
-          if value.(s) <> want || tiebreak.(s) <> want then ok := false
+          if value.(s) <> want then ok := false
         done
       done;
       !ok)
@@ -1552,6 +1609,7 @@ let () =
             test_class_size_bound;
           Alcotest.test_case "round budget (Thm B.1)" `Quick
             test_dist_rounds_budget;
+          Alcotest.test_case "B.3 proposal key" `Quick test_proposal_key;
         ] );
       qsuite "cds_packing.props" [ prop_pack_classes_cover_all_vnodes ];
       qsuite "packing.fuzz" [ prop_verifier_catches_mutations ];
@@ -1597,6 +1655,8 @@ let () =
             test_multiflood_overlapping_memberships;
           Alcotest.test_case "repeated class" `Quick
             test_multiflood_repeated_class;
+          Alcotest.test_case "neutral slots are silent" `Quick
+            test_multiflood_neutral_silent;
           Alcotest.test_case "sweep payload" `Quick test_membership_sweep_payload;
           Alcotest.test_case "class-slot row" `Quick test_multiflood_row;
         ] );

@@ -869,8 +869,9 @@ let prop_certificate_edge_cuts =
 
 let test_edge_partition_covers () =
   let g = Gen.clique 8 in
-  let parts = Sampling.edge_partition (rng ()) g ~eta:3 in
+  let parts, part_of = Sampling.edge_partition (rng ()) g ~eta:3 in
   Alcotest.(check int) "three parts" 3 (Array.length parts);
+  Alcotest.(check int) "one draw per edge" (Graph.m g) (Array.length part_of);
   let total = Array.fold_left (fun acc h -> acc + Graph.m h) 0 parts in
   Alcotest.(check int) "edges conserved" (Graph.m g) total;
   Array.iter
@@ -889,13 +890,25 @@ let prop_partition_conserves_edges =
     QCheck.(pair (int_range 4 20) (int_range 1 6))
     (fun (n, eta) ->
       let g = Gen.clique n in
-      let parts = Sampling.edge_partition (rng ()) g ~eta in
+      let parts, part_of = Sampling.edge_partition (rng ()) g ~eta in
       let seen = Hashtbl.create 64 in
       Array.iter
         (fun h -> Graph.iter_edges (fun u v -> Hashtbl.add seen (u, v) ()) h)
         parts;
+      (* the draw names, by edge id, the one part that holds the edge *)
+      let eu, ev = Graph.csr_endpoints g in
+      let drawn = ref true in
+      Array.iteri
+        (fun e i ->
+          Array.iteri
+            (fun j h ->
+              if Graph.mem_edge h eu.(e) ev.(e) <> (i = j) then drawn := false)
+            parts)
+        part_of;
       Hashtbl.length seen = Graph.m g
-      && Graph.fold_edges (fun acc u v -> acc && Hashtbl.mem seen (u, v)) true g)
+      && Graph.fold_edges (fun acc u v -> acc && Hashtbl.mem seen (u, v)) true g
+      && Array.length part_of = Graph.m g
+      && !drawn)
 
 (* ------------------------------------------------------------------ *)
 (* IO *)
