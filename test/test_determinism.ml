@@ -257,24 +257,9 @@ let test_pinned_identify_hybrid_digest () =
   check_pinned r ~rounds:16 ~messages:3994 ~words:6894
     ~digest:"2e83d7d65202d63"
 
-let test_pinned_spantree_digest () =
-  let rng = Random.State.make [| 0xD16; 24 |] in
-  let g = Gen.random_lambda_edge_connected rng ~n:24 ~lambda:4 ~extra:8 in
-  let net = Net.create Congest.Model.E_congest g in
-  let size = ref 0. in
-  let r =
-    Net.replay_check net (fun net ->
-        let res = Spantree.Dist_packing.run_sampled ~seed:3 net ~lambda:4 in
-        size := Spantree.Spacking.size res.Spantree.Dist_packing.packing)
-  in
-  Alcotest.(check string) "packing size" "0x1.15546e5a700a1p+1"
-    (Printf.sprintf "%h" !size);
-  check_pinned r ~rounds:3988 ~messages:115026 ~words:201250
-    ~digest:"2dc8124a5599974"
-
-(* The central §5.1 loop, pinned bit for bit: sizes as hex floats, and
-   MD5 fingerprints of every tree with its exact weight and of the
-   max-z history. [Dist_packing.run] returns the same packing. *)
+(* Order-sensitive MD5 fingerprints of the trees of a packing: each
+   tree's weight bits and its edges as (u, v) pairs, in order, and for a
+   dominating-tree packing each tree's class and vertices too. *)
 
 let packing_fingerprint (p : Spantree.Spacking.t) =
   let b = Buffer.create 4096 in
@@ -285,6 +270,41 @@ let packing_fingerprint (p : Spantree.Spacking.t) =
       Buffer.add_char b ';')
     p.Spantree.Spacking.trees;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+let domtree_fingerprint (p : Domtree.Packing.t) =
+  let b = Buffer.create 4096 in
+  List.iter2
+    (fun tr w ->
+      Printf.bprintf b "%d %h:" tr.Domtree.Packing.cls w;
+      Array.iter (Printf.bprintf b "%d,") tr.Domtree.Packing.vertices;
+      Buffer.add_char b '|';
+      List.iter
+        (fun (u, v) -> Printf.bprintf b "%d-%d," u v)
+        tr.Domtree.Packing.edges;
+      Buffer.add_char b ';')
+    p.Domtree.Packing.trees p.Domtree.Packing.weights;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_spantree_digest () =
+  let rng = Random.State.make [| 0xD16; 24 |] in
+  let g = Gen.random_lambda_edge_connected rng ~n:24 ~lambda:4 ~extra:8 in
+  let net = Net.create Congest.Model.E_congest g in
+  let size = ref 0. and trees = ref "" in
+  let r =
+    Net.replay_check net (fun net ->
+        let res = Spantree.Dist_packing.run_sampled ~seed:3 net ~lambda:4 in
+        size := Spantree.Spacking.size res.Spantree.Dist_packing.packing;
+        trees := packing_fingerprint res.Spantree.Dist_packing.packing)
+  in
+  Alcotest.(check string) "packing size" "0x1.15546e5a700a1p+1"
+    (Printf.sprintf "%h" !size);
+  Alcotest.(check string) "packing trees" "974911faed4bc1a67b962f7a4b6c5a94" !trees;
+  check_pinned r ~rounds:3988 ~messages:115026 ~words:201250
+    ~digest:"2dc8124a5599974"
+
+(* The central §5.1 loop, pinned bit for bit: sizes as hex floats, and
+   MD5 fingerprints of every tree with its exact weight and of the
+   max-z history. [Dist_packing.run] returns the same packing. *)
 
 let floats_fingerprint xs =
   Digest.to_hex
@@ -491,13 +511,16 @@ let routing_net_counts net r =
     (Net.messages_sent net)
     (Net.run_digest (Net.telemetry net))
 
+(* the central packing every dominating-tree case routes over *)
+let routing_packing () =
+  Domtree.Tree_extract.of_cds_packing
+    (Domtree.Cds_packing.run ~seed:1 (Gen.harary ~k:12 ~n:36) ~classes:8
+       ~layers:2)
+
 (* [specs = []] runs fault free *)
 let run_routing_pinned ~specs run =
-  let g = Gen.harary ~k:12 ~n:36 in
-  let p =
-    Domtree.Tree_extract.of_cds_packing
-      (Domtree.Cds_packing.run ~seed:1 g ~classes:8 ~layers:2)
-  in
+  let p = routing_packing () in
+  let g = p.Domtree.Packing.graph in
   let net = vnet g in
   let faults = Congest.Faults.create ~seed:9 specs in
   if specs <> [] then Congest.Faults.install net faults;
@@ -525,6 +548,33 @@ let test_pinned_spanning_routing () =
      net rounds 28, messages 2480, digest ab89162138ac37"
     (routing_net_counts net
        (routing_result (B.via_spanning_trees ~seed:4 net p ~sources)))
+
+(* The trees of the central builders, pinned as pairs: the routing
+   packing above, the random-layering integral packing and the peeled
+   integral spanning trees. *)
+let pinned_tree_cases =
+  List.map
+    (fun (name, run, want) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) "trees" want (run ())))
+    [
+      ( "Tree_extract.of_cds_packing",
+        (fun () -> domtree_fingerprint (routing_packing ())),
+        "7c5e701e74d5108e5b0ffcfea181406e" );
+      ( "Integral_layering.run",
+        (fun () ->
+          domtree_fingerprint
+            (Domtree.Integral_layering.run ~seed:21 (Gen.harary ~k:48 ~n:96)
+               ~layers:8)
+              .Domtree.Integral_layering.packing),
+        "665dd865d7c30a5ab2c3470cd2bc1a8a" );
+      ( "Integral.to_packing (Integral.peel g)",
+        (fun () ->
+          let g = Gen.harary ~k:8 ~n:48 in
+          packing_fingerprint
+            (Spantree.Integral.to_packing g (Spantree.Integral.peel g))),
+        "3c625d4fa8ee659757ca427d124c864b" );
+    ]
 
 let pinned_routing_cases =
   List.map
@@ -1031,7 +1081,9 @@ let () =
             Alcotest.test_case "boundary words" `Quick
               test_pinned_boundary_words;
           ] );
-      ("pinned central", pinned_lagrangian_cases @ pinned_ladder_central_cases);
+      ( "pinned central",
+        pinned_lagrangian_cases @ pinned_ladder_central_cases
+        @ pinned_tree_cases );
       ("pinned routing", pinned_routing_cases);
       ( "pinned domtree",
         pinned_domtree_cases @ pinned_ladder_distributed_cases );
