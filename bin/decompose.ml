@@ -94,7 +94,7 @@ let vertex_cmd =
         Format.printf "  tree %d: %d vertices, diameter %d@."
           tr.Domtree.Packing.cls
           (Array.length tr.Domtree.Packing.vertices)
-          (Domtree.Packing.tree_diameter p tr))
+          (Domtree.Packing.tree_diameter p.Domtree.Packing.graph tr))
       p.Domtree.Packing.trees;
     (match dot with
     | Some path ->

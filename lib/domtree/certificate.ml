@@ -37,7 +37,7 @@ let class_members ~live n ~memberships ~classes =
 
 (* Deterministic BFS inside one class: root = smallest member, neighbors
    scanned in Graph.neighbors' sorted order. Returns (reached, tree
-   edges sorted as (min,max) pairs). *)
+   edges as (min,max) pairs in edge-id order). *)
 let bfs_tree g ~in_class root =
   let edges = ref [] in
   let visited = Array.make (Graph.n g) false in
@@ -47,17 +47,15 @@ let bfs_tree g ~in_class root =
   let count = ref 1 in
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
-    Array.iter
-      (fun v ->
+    Graph.iter_incident g u (fun v e ->
         if in_class.(v) && not visited.(v) then begin
           visited.(v) <- true;
           incr count;
-          edges := (min u v, max u v) :: !edges;
+          edges := e :: !edges;
           Queue.add v q
         end)
-      (Graph.neighbors g u)
   done;
-  (!count, List.sort Packing.compare_edge !edges)
+  (!count, List.map (Graph.edge_endpoints g) (List.sort Int.compare !edges))
 
 let dominates ~live g ~in_class =
   let n = Graph.n g in
@@ -162,11 +160,12 @@ let check ?(seed = 11) ?(live = fun _ -> true) g ~memberships t =
         Tree_check.load tree (Array.of_list vs);
         List.iter
           (fun (u, v) ->
-            if not (Graph.mem_edge g u v) then
+            match Tree_check.edge tree u v with
+            | Off_graph ->
               err "class %d: witness edge (%d,%d) is not a graph edge" i u v
-            else if not (Tree_check.mem tree u && Tree_check.mem tree v) then
+            | Leaves_set ->
               err "class %d: witness edge (%d,%d) leaves the class" i u v
-            else ignore (Tree_check.union tree u v))
+            | Cycle | Joined -> ())
           w.w_edges;
         List.iter
           (fun v ->

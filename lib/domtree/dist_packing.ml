@@ -31,11 +31,10 @@ let extract_trees net (result : Cds_packing.t) =
         Array.iteri
           (fun e _ -> sub.edges.(e) <- active.(eu.(e)) && active.(ev.(e)))
           sub.edges;
-        let ids = Congest.Dist_mst.forest_ids kernel sub ~weights in
         {
           Packing.cls;
           vertices = result.Cds_packing.members.(cls);
-          edges = Array.fold_right (fun e acc -> (eu.(e), ev.(e)) :: acc) ids [];
+          edges = Congest.Dist_mst.forest_ids kernel sub ~weights;
         })
       valid
   in

@@ -9,28 +9,6 @@ type result = {
 let default_layers ~n =
   max 2 (int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)))
 
-let spanning_tree_in g members =
-  (* BFS tree of the induced subgraph over the member list *)
-  let arr = Array.of_list members in
-  let in_set = Hashtbl.create (Array.length arr) in
-  Array.iter (fun v -> Hashtbl.replace in_set v ()) arr;
-  let member v = Hashtbl.mem in_set v in
-  let dist = Graphs.Traversal.distances_within g member arr.(0) in
-  let edges = ref [] in
-  Array.iter
-    (fun v ->
-      if v <> arr.(0) && dist.(v) > 0 then begin
-        let parent = ref (-1) in
-        Array.iter
-          (fun u ->
-            if member u && dist.(u) = dist.(v) - 1 && !parent < 0 then
-              parent := u)
-          (Graph.neighbors g v);
-        if !parent >= 0 then edges := (min v !parent, max v !parent) :: !edges
-      end)
-    arr;
-  List.sort Packing.compare_edge !edges
-
 let run ?(seed = 42) g ~layers =
   if layers < 1 then invalid_arg "Integral_layering.run: layers < 1";
   let n = Graph.n g in
@@ -44,11 +22,12 @@ let run ?(seed = 42) g ~layers =
     | None -> ()
     | Some members ->
       incr successes;
+      let vertices = Array.of_list members in
       trees :=
         {
           Packing.cls = l;
-          vertices = Array.of_list members;
-          edges = spanning_tree_in g members;
+          vertices;
+          edges = Tree_extract.spanning_tree_of_members g vertices;
         }
         :: !trees
   done;

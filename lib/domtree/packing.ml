@@ -3,7 +3,7 @@ module Graph = Graphs.Graph
 type tree = {
   cls : int;
   vertices : int array;
-  edges : (int * int) list;
+  edges : int array;
 }
 
 type t = {
@@ -11,9 +11,6 @@ type t = {
   trees : tree list;
   weights : float list;
 }
-
-let compare_edge (u1, v1) (u2, v2) =
-  match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
 
 let size p = List.fold_left ( +. ) 0. p.weights
 let count p = List.length p.trees
@@ -53,22 +50,21 @@ let uniform graph trees =
   let w = 1. /. float_of_int mult in
   { graph; trees; weights = List.map (fun _ -> w) trees }
 
-(* BFS inside the tree's own edge set. *)
-let tree_diameter _p tree =
+(* Double-sweep BFS inside the tree's own edges, exact on trees. *)
+let tree_diameter g tree =
   let vs = tree.vertices in
   if Array.length vs <= 1 then 0
   else begin
-    let index = Hashtbl.create (Array.length vs) in
-    Array.iteri (fun i v -> Hashtbl.replace index v i) vs;
-    let adj = Array.make (Array.length vs) [] in
-    List.iter
-      (fun (u, v) ->
-        let iu = Hashtbl.find index u and iv = Hashtbl.find index v in
-        adj.(iu) <- iv :: adj.(iu);
-        adj.(iv) <- iu :: adj.(iv))
+    let us, ws = Graph.csr_endpoints g in
+    let adj = Array.make (Graph.n g) [] in
+    Array.iter
+      (fun e ->
+        let u = us.(e) and v = ws.(e) in
+        adj.(u) <- v :: adj.(u);
+        adj.(v) <- u :: adj.(v))
       tree.edges;
     let bfs src =
-      let dist = Array.make (Array.length vs) (-1) in
+      let dist = Array.make (Graph.n g) (-1) in
       let q = Queue.create () in
       dist.(src) <- 0;
       Queue.add src q;
@@ -86,14 +82,14 @@ let tree_diameter _p tree =
       done;
       (!far, dist.(!far))
     in
-    (* double sweep is exact on trees *)
-    let far, _ = bfs 0 in
-    let _, d = bfs far in
-    d
+    let far, _ = bfs vs.(0) in
+    snd (bfs far)
   end
 
 let max_tree_diameter p =
-  List.fold_left (fun acc tree -> max acc (tree_diameter p tree)) 0 p.trees
+  List.fold_left
+    (fun acc tree -> max acc (tree_diameter p.graph tree))
+    0 p.trees
 
 type violation =
   | Not_a_tree of int
@@ -119,12 +115,17 @@ let verify p =
     (fun tree w ->
       if w < 0. || w > 1. then push (Bad_weight tree.cls);
       Graphs.Tree_check.load check tree.vertices;
-      let e = Graphs.Tree_check.add_edges check tree.edges in
-      if e.off_graph then push (Edge_outside_graph tree.cls);
+      let off_graph = ref false and broken = ref false in
+      Array.iter
+        (fun e ->
+          match Graphs.Tree_check.edge_id check e with
+          | Off_graph -> off_graph := true
+          | Leaves_set | Cycle -> broken := true
+          | Joined -> ())
+        tree.edges;
+      if !off_graph then push (Edge_outside_graph tree.cls);
       (* |E| = |V| - 1 (repeats counted), inside the set, acyclic *)
-      if
-        List.length tree.edges <> Array.length tree.vertices - 1
-        || e.leaves_set || e.cycle
+      if Array.length tree.edges <> Array.length tree.vertices - 1 || !broken
       then push (Not_a_tree tree.cls);
       if not (Graphs.Tree_check.dominates check) then
         push (Not_dominating tree.cls))
@@ -137,13 +138,14 @@ let verify p =
 let is_valid p = verify p = []
 
 let write oc p =
+  let us, vs = Graph.csr_endpoints p.graph in
   List.iter2
     (fun tr w ->
       Printf.fprintf oc "tree %d %.17g\n" tr.cls w;
       Printf.fprintf oc "v";
       Array.iter (fun v -> Printf.fprintf oc " %d" v) tr.vertices;
       Printf.fprintf oc "\n";
-      List.iter (fun (u, v) -> Printf.fprintf oc "e %d %d\n" u v) tr.edges)
+      Array.iter (fun e -> Printf.fprintf oc "e %d %d\n" us.(e) vs.(e)) tr.edges)
     p.trees p.weights
 
 let save path p =
@@ -160,9 +162,9 @@ let read ic ~graph =
   let flush () =
     match !current with
     | Some (cls, w, vs, es) ->
-      trees :=
-        { cls; vertices = Array.of_list (List.rev vs); edges = List.rev es }
-        :: !trees;
+      let edges = Array.of_list es in
+      Array.sort Int.compare edges;
+      trees := { cls; vertices = Array.of_list (List.rev vs); edges } :: !trees;
       weights := w :: !weights;
       current := None
     | None -> ()
@@ -192,7 +194,12 @@ let read ic ~graph =
          | None -> failwith "Packing.load: edge line before tree header"
          | Some (cls, w, vs, es) ->
            Scanf.sscanf line "e %d %d" (fun u v ->
-               current := Some (cls, w, vs, (min u v, max u v) :: es))
+               match Graph.edge_index graph u v with
+               | e -> current := Some (cls, w, vs, e :: es)
+               | exception Not_found ->
+                 failwith
+                   (Printf.sprintf "Packing.load: %S is not an edge of the graph"
+                      line))
        end
        else failwith (Printf.sprintf "Packing.load: bad line %S" line)
      done

@@ -8,12 +8,11 @@
 type tree = {
   cls : int;  (** originating class id *)
   vertices : int array;  (** sorted distinct vertices *)
-  edges : (int * int) list;  (** tree edges, (u,v) with u < v *)
+  edges : int array;
+      (** tree edges as edge ids of the packing's graph, ascending: the
+          lexicographic order of their [(u, v)] pairs, [u < v]
+          ({!Graphs.Graph.edge_endpoints}) *)
 }
-
-(** Lexicographic order on [(u, v)] edge pairs, the order tree edge
-    lists are sorted in. *)
-val compare_edge : int * int -> int * int -> int
 
 type t = {
   graph : Graphs.Graph.t;
@@ -39,8 +38,9 @@ val max_multiplicity : t -> int
     tree extractions use. *)
 val uniform : Graphs.Graph.t -> tree list -> t
 
-(** [tree_diameter p tree] is the diameter of the tree subgraph. *)
-val tree_diameter : t -> tree -> int
+(** [tree_diameter g tree] is the diameter of the tree subgraph; the
+    tree's edges must be edge ids of [g]. *)
+val tree_diameter : Graphs.Graph.t -> tree -> int
 
 (** [max_tree_diameter p] over all trees (0 when empty). *)
 val max_tree_diameter : t -> int
@@ -55,7 +55,8 @@ type violation =
 val pp_violation : Format.formatter -> violation -> unit
 
 (** [verify p] lists all violations; a valid fractional dominating-tree
-    packing yields []. *)
+    packing yields []. An edge id outside [0 .. m-1] is an
+    [Edge_outside_graph] and joins nothing. *)
 val verify : t -> violation list
 
 val is_valid : t -> bool
@@ -65,10 +66,13 @@ val is_valid : t -> bool
     Text format: one [tree <cls> <weight>] header per tree, then a
     [v ...] vertex line and one [e u v] line per edge; [#] comments and
     blanks ignored. The graph itself is not stored — loading takes it as
-    an argument and re-verification is the caller's business. *)
+    an argument, maps each edge line to its edge id and re-verification
+    is the caller's business. *)
 
 val save : string -> t -> unit
 (** ["-"] = stdout. *)
 
 val load : string -> graph:Graphs.Graph.t -> t
-(** ["-"] = stdin. @raise Failure on malformed input. *)
+(** ["-"] = stdin. A tree's edges load ascending, whatever their order
+    in the file. @raise Failure on malformed input, or on an [e u v]
+    line that is not an edge of [graph]. *)

@@ -1,8 +1,6 @@
 module Graph = Graphs.Graph
 
 let spanning_tree_of_members g members =
-  (* BFS tree of the induced subgraph; members must induce a connected
-     subgraph *)
   let in_set = Array.make (Graph.n g) false in
   Array.iter (fun v -> in_set.(v) <- true) members;
   let member v = in_set.(v) in
@@ -11,16 +9,17 @@ let spanning_tree_of_members g members =
   Array.iter
     (fun v ->
       if v <> members.(0) then begin
-        (* connect v to any already-closer member neighbor *)
+        (* the edge to the first closer member neighbor *)
         let parent = ref (-1) in
-        Array.iter
-          (fun u -> if member u && dist.(u) = dist.(v) - 1 && !parent < 0 then parent := u)
-          (Graph.neighbors g v);
-        if !parent >= 0 then
-          edges := (min v !parent, max v !parent) :: !edges
+        Graph.iter_incident g v (fun u e ->
+            if !parent < 0 && member u && dist.(u) = dist.(v) - 1 then
+              parent := e);
+        if !parent >= 0 then edges := !parent :: !edges
       end)
     members;
-  List.sort Packing.compare_edge !edges
+  let ids = Array.of_list !edges in
+  Array.sort Int.compare ids;
+  ids
 
 let of_cds_packing (result : Cds_packing.t) =
   let g = Virtual_graph.base result.Cds_packing.vg in

@@ -2,6 +2,13 @@
     spanning tree of its induced subgraph and weight the collection into
     a fractional dominating-tree packing. *)
 
+(** [spanning_tree_of_members g members] is the BFS tree of the
+    subgraph that [members] (non-empty, inducing a connected subgraph)
+    induce in [g], rooted at [members.(0)]; each other member's parent is
+    its first closer member neighbor in {!Graphs.Graph.neighbors} order.
+    Returns the tree's edge ids, ascending. *)
+val spanning_tree_of_members : Graphs.Graph.t -> int array -> int array
+
 (** [of_cds_packing result] keeps the classes that are genuine CDSs,
     spans each with a tree (the paper's 0/1-weight MST step; we span each
     class with a BFS tree of its induced subgraph, which is also a

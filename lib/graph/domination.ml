@@ -29,8 +29,7 @@ let is_connected_dominating g member =
 let is_dominating_tree g vs es =
   let c = Tree_check.create g in
   Tree_check.load c (Array.of_list vs);
-  let e = Tree_check.add_edges c es in
-  (not (e.off_graph || e.leaves_set || e.cycle))
+  List.for_all (fun (u, v) -> Tree_check.edge c u v = Tree_check.Joined) es
   && List.length es = List.length (List.sort_uniq Int.compare vs) - 1
   && Tree_check.dominates c
 

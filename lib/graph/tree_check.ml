@@ -76,20 +76,17 @@ let dominates c =
   done;
   !covered = n
 
-type edges = {
-  off_graph : bool;
-  leaves_set : bool;
-  cycle : bool;
-}
+type edge = Off_graph | Leaves_set | Cycle | Joined
 
-let add_edges c es =
-  List.fold_left
-    (fun acc (u, v) ->
-      let acc =
-        if Graph.mem_edge c.g u v then acc else { acc with off_graph = true }
-      in
-      if not (mem c u && mem c v) then { acc with leaves_set = true }
-      else if union c u v then acc
-      else { acc with cycle = true })
-    { off_graph = false; leaves_set = false; cycle = false }
-    es
+let join c u v =
+  if not (mem c u && mem c v) then Leaves_set
+  else if union c u v then Joined
+  else Cycle
+
+let edge c u v = if Graph.mem_edge c.g u v then join c u v else Off_graph
+
+let edge_id c e =
+  if e < 0 || e >= Graph.m c.g then Off_graph
+  else
+    let us, vs = Graph.csr_endpoints c.g in
+    join c us.(e) vs.(e)

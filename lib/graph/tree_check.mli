@@ -31,12 +31,17 @@ val same : t -> int -> int -> bool
     neighbor. *)
 val dominates : t -> bool
 
-type edges = {
-  off_graph : bool;  (** some edge is not an edge of the graph *)
-  leaves_set : bool;  (** some edge has an endpoint outside the set *)
-  cycle : bool;  (** the edges inside the set close a cycle *)
-}
+(** How one candidate tree edge stands against the current set. *)
+type edge =
+  | Off_graph  (** not an edge of the graph; joins nothing *)
+  | Leaves_set  (** an endpoint is not a member; joins nothing *)
+  | Cycle  (** both endpoints were already joined *)
+  | Joined  (** joined two components of the set *)
 
-(** [add_edges c es] classifies [es] against the current set and joins
-    the endpoints of every edge inside it, in list order. *)
-val add_edges : t -> (int * int) list -> edges
+(** [edge c u v] classifies the pair [(u, v)] and joins its endpoints
+    when it is a graph edge inside the set. *)
+val edge : t -> int -> int -> edge
+
+(** [edge_id c e] is [edge] on the endpoints of edge id [e]; an id
+    outside [0 .. m-1] is [Off_graph]. *)
+val edge_id : t -> int -> edge

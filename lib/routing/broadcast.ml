@@ -43,18 +43,15 @@ let set_flag t k =
   Bytes.set t b (Char.chr (Char.code (Bytes.get t b) lor (1 lsl (k land 7))))
 
 (* [tree_edges g trees edges_of] flags edge id [e] of tree [i] at
-   [i * m + e]; a pair that is not an edge of [g] is never crossed, so
-   it gets no flag. *)
+   [i * m + e]; an id outside the graph is never crossed, so it gets no
+   flag. *)
 let tree_edges g trees edges_of =
   let m = Graph.m g in
   let t = flags (Array.length trees * m) in
   Array.iteri
     (fun i tr ->
-      List.iter
-        (fun (u, v) ->
-          match Graph.edge_index g u v with
-          | e -> set_flag t ((i * m) + e)
-          | exception Not_found -> ())
+      Array.iter
+        (fun e -> if e >= 0 && e < m then set_flag t ((i * m) + e))
         (edges_of tr))
     trees;
   t

@@ -6,7 +6,8 @@
     are edge-disjoint by construction. *)
 
 type result = {
-  trees : (int * int) list list;  (** edge-disjoint spanning trees *)
+  trees : int array list;
+      (** edge-disjoint spanning trees, each its edge ids ascending *)
   eta : int;
   rounds : int;
   parts_connected : int;  (** subgraphs that yielded a spanning tree *)

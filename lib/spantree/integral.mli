@@ -10,10 +10,11 @@
       {!Dist_integral}, and Tutte/Nash-Williams' ⌈(λ-1)/2⌉ needs
       matroid machinery that the fractional route sidesteps. *)
 
-(** [peel g] is a list of edge-disjoint spanning trees of [g] (each an
-    edge list), greedily extracted. Empty if [g] is disconnected. *)
-val peel : Graphs.Graph.t -> (int * int) list list
+(** [peel g] is a list of edge-disjoint spanning trees of [g] (each its
+    edge ids, ascending), greedily extracted. Empty if [g] is
+    disconnected. *)
+val peel : Graphs.Graph.t -> int array list
 
 (** [to_packing g trees] wraps integral trees as a weight-1 packing
     (valid because the trees are edge-disjoint). *)
-val to_packing : Graphs.Graph.t -> (int * int) list list -> Spacking.t
+val to_packing : Graphs.Graph.t -> int array list -> Spacking.t

@@ -95,15 +95,11 @@ let iterate g ~lambda ~eps ~max_iterations ~mst initial =
     end;
     history := !zmax :: !history
   done;
-  (* the trees share one (u, v) pair per edge *)
-  let eu, ev = Graph.csr_endpoints g in
-  let pairs = Array.init m (fun e -> (eu.(e), ev.(e))) in
   let ws = !weights in
   let wtrees = ref [] and i = ref !count in
   List.iter
-    (fun ids ->
+    (fun edges ->
       decr i;
-      let edges = Array.fold_right (fun e acc -> pairs.(e) :: acc) ids [] in
       wtrees := { Spacking.edges; weight = ws.(!i) } :: !wtrees)
     !trees;
   ( { Spacking.graph = g; trees = !wtrees },

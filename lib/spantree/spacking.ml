@@ -1,7 +1,7 @@
 module Graph = Graphs.Graph
 
 type wtree = {
-  edges : (int * int) list;
+  edges : int array;
   weight : float;
 }
 
@@ -10,38 +10,27 @@ type t = {
   trees : wtree list;
 }
 
-let compare_edge (u1, v1) (u2, v2) =
-  match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
-
 let size p = List.fold_left (fun acc tr -> acc +. tr.weight) 0. p.trees
 let count p = List.length p.trees
 
+(* [on_edges p f] calls [f e tr] for every edge id [e] of [g] in every
+   tree [tr], once per listing; ids outside the graph are skipped. *)
+let on_edges p f =
+  let m = Graph.m p.graph in
+  List.iter
+    (fun tr -> Array.iter (fun e -> if e >= 0 && e < m then f e tr) tr.edges)
+    p.trees
+
 let edge_loads p =
   let loads = Array.make (Graph.m p.graph) 0. in
-  List.iter
-    (fun tr ->
-      List.iter
-        (fun (u, v) ->
-          match Graph.edge_index p.graph u v with
-          | i -> loads.(i) <- loads.(i) +. tr.weight
-          | exception Not_found -> ())
-        tr.edges)
-    p.trees;
+  on_edges p (fun e tr -> loads.(e) <- loads.(e) +. tr.weight);
   loads
 
 let max_edge_load p = Array.fold_left Float.max 0. (edge_loads p)
 
 let max_edge_multiplicity p =
   let counts = Array.make (max 1 (Graph.m p.graph)) 0 in
-  List.iter
-    (fun tr ->
-      List.iter
-        (fun (u, v) ->
-          match Graph.edge_index p.graph u v with
-          | i -> counts.(i) <- counts.(i) + 1
-          | exception Not_found -> ())
-        tr.edges)
-    p.trees;
+  on_edges p (fun e _ -> counts.(e) <- counts.(e) + 1);
   Array.fold_left max 0 counts
 
 type violation =
@@ -57,17 +46,27 @@ let pp_violation ppf = function
     Format.fprintf ppf "edge (%d,%d): load %.4f > 1" u v l
   | Bad_weight i -> Format.fprintf ppf "tree %d: weight outside [0,1]" i
 
+(* n - 1 graph edges, each joining two components: a spanning tree *)
+let spans g ids =
+  let n = Graph.n g and m = Graph.m g in
+  let us, vs = Graph.csr_endpoints g in
+  let uf = Graphs.Union_find.create n in
+  Array.length ids = n - 1
+  && Array.for_all
+       (fun e -> e >= 0 && e < m && Graphs.Union_find.union uf us.(e) vs.(e))
+       ids
+
 let verify ?(tolerance = 1e-9) p =
   let g = p.graph in
-  let n = Graph.n g in
+  let m = Graph.m g in
   let violations = ref [] in
   List.iteri
     (fun idx tr ->
       if tr.weight < -.tolerance || tr.weight > 1. +. tolerance then
         violations := Bad_weight idx :: !violations;
-      if not (List.for_all (fun (u, v) -> Graph.mem_edge g u v) tr.edges) then
+      if Array.exists (fun e -> e < 0 || e >= m) tr.edges then
         violations := Edge_outside_graph idx :: !violations;
-      if not (Graphs.Mst.is_spanning_tree ~n tr.edges) then
+      if not (spans g tr.edges) then
         violations := Not_spanning idx :: !violations)
     p.trees;
   let loads = edge_loads p in

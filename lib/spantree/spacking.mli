@@ -2,7 +2,10 @@
     per-edge total weight at most 1, plus the validity checker. *)
 
 type wtree = {
-  edges : (int * int) list;  (** tree edges, (u,v), u < v *)
+  edges : int array;
+      (** tree edges as edge ids of the packing's graph, ascending: the
+          lexicographic order of their [(u, v)] pairs, [u < v]
+          ({!Graphs.Graph.edge_endpoints}) *)
   weight : float;
 }
 
@@ -10,9 +13,6 @@ type t = {
   graph : Graphs.Graph.t;
   trees : wtree list;
 }
-
-(** Lexicographic order on [(u, v)] edges, monomorphic. *)
-val compare_edge : int * int -> int * int -> int
 
 (** Packing size Σ w_τ. *)
 val size : t -> float
@@ -35,7 +35,9 @@ type violation =
 val pp_violation : Format.formatter -> violation -> unit
 
 (** [verify ?tolerance p] lists violations; [tolerance] (default 1e-9)
-    loosens the load-1 cap for floating-point slack. *)
+    loosens the load-1 cap for floating-point slack. An edge id outside
+    [0 .. m-1] is an [Edge_outside_graph], joins nothing and adds no
+    load. *)
 val verify : ?tolerance:float -> t -> violation list
 
 val is_valid : ?tolerance:float -> t -> bool

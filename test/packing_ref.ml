@@ -1,10 +1,35 @@
 (* Reference copies of the quadratic dominating-tree checkers
    ([Packing.verify] and [Domination.is_dominating_tree] before they
    shared [Graphs.Tree_check]), kept as oracles of differential
-   properties. *)
+   properties. They read tree edges as (u, v) pairs; in [verify] a pair
+   that is not an edge of the graph is reported and joins nothing, as
+   an edge id outside the graph does in [Packing.verify]. *)
 
 module Graph = Graphs.Graph
 open Domtree.Packing
+
+type tree = { cls : int; vertices : int array; edges : (int * int) list }
+type t = { graph : Graph.t; trees : tree list; weights : float list }
+
+(* The pairs of a packing's edge ids; an id [e] outside the graph
+   becomes [(e, n)], which names vertex [n] and so is no edge. *)
+let of_packing (p : Domtree.Packing.t) =
+  let g = p.graph in
+  let n = Graph.n g and m = Graph.m g in
+  let pair e = if e >= 0 && e < m then Graph.edge_endpoints g e else (e, n) in
+  {
+    graph = g;
+    trees =
+      List.map
+        (fun (tr : Domtree.Packing.tree) ->
+          {
+            cls = tr.cls;
+            vertices = tr.vertices;
+            edges = List.map pair (Array.to_list tr.edges);
+          })
+        p.trees;
+    weights = p.weights;
+  }
 
 let node_load p v =
   List.fold_left2
@@ -28,19 +53,18 @@ let verify p =
     (fun tree w ->
       if w < 0. || w > 1. then push (Bad_weight tree.cls);
       let vs = Array.to_list tree.vertices in
-      if
-        not
-          (List.for_all (fun (u, v) -> Graph.mem_edge g u v) tree.edges)
-      then push (Edge_outside_graph tree.cls);
+      let on_graph = List.filter (fun (u, v) -> Graph.mem_edge g u v) tree.edges in
+      if List.length on_graph < List.length tree.edges then
+        push (Edge_outside_graph tree.cls);
       let member v = Array.exists (fun x -> x = v) tree.vertices in
       (* tree structure: |E| = |V| - 1, connected, within vertex set *)
       let n_vs = List.length vs in
       let tree_ok =
         List.length tree.edges = n_vs - 1
-        && List.for_all (fun (u, v) -> member u && member v) tree.edges
+        && List.for_all (fun (u, v) -> member u && member v) on_graph
         &&
         let uf = Graphs.Union_find.create (Graph.n g) in
-        List.for_all (fun (u, v) -> Graphs.Union_find.union uf u v) tree.edges
+        List.for_all (fun (u, v) -> Graphs.Union_find.union uf u v) on_graph
       in
       if not tree_ok then push (Not_a_tree tree.cls);
       if not (Graphs.Domination.is_dominating g member) then

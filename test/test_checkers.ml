@@ -105,7 +105,16 @@ let wheel () =
     [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6); (6, 7); (0, 7);
       (0, 4); (2, 6) ]
 
-let tree cls vertices edges = { Packing.cls; vertices; edges }
+(* A tree over the wheel, its edges given as pairs and stored as edge
+   ids; a pair that is no wheel edge becomes id m, which names no edge. *)
+let tree cls vertices pairs =
+  let g = wheel () in
+  let id (u, v) =
+    match Graph.edge_index g u v with e -> e | exception Not_found -> Graph.m g
+  in
+  let edges = Array.of_list (List.map id pairs) in
+  Array.sort Int.compare edges;
+  { Packing.cls; vertices; edges }
 
 (* {0, 2, 4, 6} dominates the wheel; 0-4 and 2-6 are chords, 4-5-6 a path. *)
 let good = tree 0 [| 0; 2; 4; 5; 6 |] [ (0, 4); (2, 6); (4, 5); (5, 6) ]
@@ -167,7 +176,7 @@ let verify_cases =
     ( "everything at once",
       [
         good;
-        tree 6 [| 0; 1; 1 |] [ (0, 1); (1, 3) ];
+        tree 6 [| 0; 1; 1 |] [ (0, 1); (1, 2); (1, 3) ];
         tree 7 [| 3; 7 |] [ (3, 7) ];
       ],
       [ 0.5; 0.75; -0.25 ],
@@ -570,21 +579,30 @@ let prop_flood_min_on_change =
 
 (* A random candidate tree over [g]: a BFS tree of the whole graph, a
    mutation of one, or arbitrary vertex and edge lists. Vertex lists may
-   repeat entries and, rarely, name a vertex outside the graph. *)
+   repeat entries and, rarely, name a vertex outside the graph; edge ids
+   are drawn from [-1 .. m], so -1 and m name no edge. *)
 let random_tree rng g =
-  let n = Graph.n g in
+  let n = Graph.n g and m = Graph.m g in
   let pick () =
     match Random.State.int rng 20 with
     | 0 -> n + Random.State.int rng 3
     | 1 -> -1
     | _ -> Random.State.int rng n
   in
+  let edge () = Random.State.int rng (m + 2) - 1 in
+  (* an edge at [u] when it has one, else any draw *)
+  let edge_at u =
+    if u < 0 || u >= n || Graph.degree g u = 0 then edge ()
+    else
+      let nbrs = Graph.neighbors g u in
+      Graph.edge_index g u nbrs.(Random.State.int rng (Array.length nbrs))
+  in
   let _, parent = Traversal.bfs_tree g (Random.State.int rng n) in
   let bfs_edges =
     List.filter_map
       (fun v ->
         let p = parent.(v) in
-        if p >= 0 && p <> v then Some (min v p, max v p) else None)
+        if p >= 0 && p <> v then Some (Graph.edge_index g v p) else None)
       (List.init n Fun.id)
   in
   let all = Array.init n Fun.id in
@@ -595,26 +613,22 @@ let random_tree rng g =
     | 2 -> (Array.append all [| pick () |], bfs_edges)
     | 3 ->
       let u = pick () and v = pick () in
-      (Array.append all [| u; v |], (min u v, max u v) :: bfs_edges)
+      (Array.append all [| u; v |], edge () :: bfs_edges)
     | 4 ->
       (* swap a tree edge for a graph edge: the count still fits *)
-      let u = Random.State.int rng n in
-      let nbrs = Graph.neighbors g u in
-      let v = nbrs.(Random.State.int rng (Array.length nbrs)) in
-      (all, (min u v, max u v) :: List.tl bfs_edges)
+      (all, edge_at (Random.State.int rng n) :: List.tl bfs_edges)
     | _ ->
       let vs = Array.init (1 + Random.State.int rng n) (fun _ -> pick ()) in
       let some () = vs.(Random.State.int rng (Array.length vs)) in
       let es =
         List.init
           (Random.State.int rng (Array.length vs + 1))
-          (fun _ ->
-            let u = some () in
-            let v = if Random.State.bool rng then pick () else some () in
-            (min u v, max u v))
+          (fun _ -> if Random.State.bool rng then edge () else edge_at (some ()))
       in
       (vs, es)
   in
+  let edges = Array.of_list edges in
+  Array.sort Int.compare edges;
   { Packing.cls = Random.State.int rng 8; vertices; edges }
 
 let random_packing seed =
@@ -629,51 +643,33 @@ let random_packing seed =
   in
   { Packing.graph = g; trees; weights }
 
-(* The one intended verdict change: the reference raises when a tree
-   edge reaches a listed vertex outside the graph and the edge count
-   fits; such a tree is now "not a tree". Repeating the offending edge
-   breaks the count, so the reference then reports it without raising,
-   and every other verdict stays as it was. *)
-let expected_verdict p =
-  let n = Graph.n p.Packing.graph in
-  let outside v = v < 0 || v >= n in
-  let patch (tree : Packing.tree) =
-    match
-      List.find_opt (fun (u, v) -> outside u || outside v) tree.Packing.edges
-    with
-    | Some e -> { tree with Packing.edges = e :: tree.Packing.edges }
-    | None -> tree
-  in
-  match Packing_ref.verify p with
-  | v -> v
-  | exception Invalid_argument _ ->
-    Packing_ref.verify { p with Packing.trees = List.map patch p.Packing.trees }
-
 let prop_verify_matches_reference =
   QCheck.Test.make ~name:"Packing.verify equals the reference" ~count:500
     QCheck.small_int (fun seed ->
       let p = random_packing seed in
-      Packing.verify p = expected_verdict p
-      && Packing.max_node_load p = Packing_ref.max_node_load p)
+      let r = Packing_ref.of_packing p in
+      Packing.verify p = Packing_ref.verify r
+      && Packing.max_node_load p = Packing_ref.max_node_load r)
 
 let prop_dominating_tree_matches_reference =
   QCheck.Test.make ~name:"is_dominating_tree equals the reference" ~count:500
     QCheck.small_int (fun seed ->
-      let p = random_packing seed in
-      let g = p.Packing.graph in
+      let r = Packing_ref.of_packing (random_packing seed) in
+      let g = r.Packing_ref.graph in
       List.for_all
-        (fun (tree : Packing.tree) ->
-          let vs = Array.to_list tree.Packing.vertices in
-          Domination.is_dominating_tree g vs tree.Packing.edges
-          = Packing_ref.is_dominating_tree g vs tree.Packing.edges)
-        p.Packing.trees)
+        (fun (tree : Packing_ref.tree) ->
+          let vs = Array.to_list tree.Packing_ref.vertices in
+          Domination.is_dominating_tree g vs tree.Packing_ref.edges
+          = Packing_ref.is_dominating_tree g vs tree.Packing_ref.edges)
+        r.Packing_ref.trees)
 
-(* Path 0-1-2 with a tree naming vertex 5: reported, not raised. *)
+(* Path 0-1-2 with a tree naming vertex 5, its edges (0, 1) and id m:
+   reported, not raised. *)
 let test_verify_out_of_range () =
   let p =
     {
       Packing.graph = Gen.path 3;
-      trees = [ tree 0 [| 0; 5 |] [ (0, 5) ] ];
+      trees = [ { Packing.cls = 0; vertices = [| 0; 5 |]; edges = [| 0; 2 |] } ];
       weights = [ 1. ];
     }
   in

@@ -261,12 +261,19 @@ let test_pinned_identify_hybrid_digest () =
    tree's weight bits and its edges as (u, v) pairs, in order, and for a
    dominating-tree packing each tree's class and vertices too. *)
 
+(* the (u, v) pairs of edge ids, read through the graph's endpoints *)
+let pairs g ids =
+  let us, vs = Graph.csr_endpoints g in
+  Array.fold_right (fun e acc -> (us.(e), vs.(e)) :: acc) ids []
+
 let packing_fingerprint (p : Spantree.Spacking.t) =
   let b = Buffer.create 4096 in
   List.iter
     (fun tr ->
       Printf.bprintf b "%h:" tr.Spantree.Spacking.weight;
-      List.iter (fun (u, v) -> Printf.bprintf b "%d-%d," u v) tr.edges;
+      List.iter
+        (fun (u, v) -> Printf.bprintf b "%d-%d," u v)
+        (pairs p.Spantree.Spacking.graph tr.edges);
       Buffer.add_char b ';')
     p.Spantree.Spacking.trees;
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -280,7 +287,7 @@ let domtree_fingerprint (p : Domtree.Packing.t) =
       Buffer.add_char b '|';
       List.iter
         (fun (u, v) -> Printf.bprintf b "%d-%d," u v)
-        tr.Domtree.Packing.edges;
+        (pairs p.Domtree.Packing.graph tr.Domtree.Packing.edges);
       Buffer.add_char b ';')
     p.Domtree.Packing.trees p.Domtree.Packing.weights;
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -691,7 +698,10 @@ let run_dist_packing ~faulty =
     (List.fold_left
        (fun a tr ->
          ints_checksum a
-           [ tr.Domtree.Packing.cls; edges_checksum tr.Domtree.Packing.edges ])
+           [
+             tr.Domtree.Packing.cls;
+             edges_checksum (pairs (Net.graph net) tr.Domtree.Packing.edges);
+           ])
        0 p.Domtree.Packing.trees)
     (traffic net)
 
@@ -886,14 +896,18 @@ let run_reliable_storm () =
   reliable_summary r ^ "; " ^ traffic net
 
 let vc_summary (r : Domtree.Vc_approx.result) =
+  let p = r.Domtree.Vc_approx.packing in
   Printf.sprintf "estimate %d, attempts %d, guess %d, trees %d"
     r.Domtree.Vc_approx.estimate r.Domtree.Vc_approx.attempts
     r.Domtree.Vc_approx.accepted_guess
     (List.fold_left
        (fun a tr ->
          ints_checksum a
-           [ tr.Domtree.Packing.cls; edges_checksum tr.Domtree.Packing.edges ])
-       0 r.Domtree.Vc_approx.packing.Domtree.Packing.trees)
+           [
+             tr.Domtree.Packing.cls;
+             edges_checksum (pairs p.Domtree.Packing.graph tr.Domtree.Packing.edges);
+           ])
+       0 p.Domtree.Packing.trees)
 
 let pinned_ladder_cases cases =
   List.map

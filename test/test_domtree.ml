@@ -184,6 +184,12 @@ let test_extract_valid_packing () =
   Alcotest.(check bool) "size positive" true (Packing.size p > 0.);
   Alcotest.(check bool) "load <= 1" true (Packing.max_node_load p <= 1. +. 1e-9)
 
+(* the edge ids of [(u, v)] pairs of [g], ascending *)
+let ids g es =
+  let a = Array.of_list (List.map (fun (u, v) -> Graph.edge_index g u v) es) in
+  Array.sort Int.compare a;
+  a
+
 let test_verify_rejects_bad_tree () =
   let g = Gen.cycle 6 in
   (* a "tree" with a cycle *)
@@ -195,7 +201,7 @@ let test_verify_rejects_bad_tree () =
           {
             Packing.cls = 0;
             vertices = [| 0; 1; 2; 3; 4; 5 |];
-            edges = [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (0, 5) ];
+            edges = ids g [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (0, 5) ];
           };
         ];
       weights = [ 1. ];
@@ -209,7 +215,7 @@ let test_verify_rejects_non_dominating () =
     {
       Packing.graph = g;
       trees =
-        [ { Packing.cls = 0; vertices = [| 0; 1 |]; edges = [ (0, 1) ] } ];
+        [ { Packing.cls = 0; vertices = [| 0; 1 |]; edges = ids g [ (0, 1) ] } ];
       weights = [ 1. ];
     }
   in
@@ -222,7 +228,7 @@ let test_verify_rejects_overload () =
   let g = Gen.clique 4 in
   let tree =
     { Packing.cls = 0; vertices = [| 0; 1; 2; 3 |];
-      edges = [ (0, 1); (1, 2); (2, 3) ] }
+      edges = ids g [ (0, 1); (1, 2); (2, 3) ] }
   in
   let bad = { Packing.graph = g; trees = [ tree; tree ]; weights = [ 0.7; 0.7 ] } in
   let violations = Packing.verify bad in
@@ -271,9 +277,10 @@ let prop_verifier_catches_mutations =
         match mutation with
         | 0 ->
           (* drop a tree edge: disconnects the tree *)
-          (match tr.Packing.edges with
-          | _ :: rest -> { tr with Packing.edges = rest }
-          | [] -> tr)
+          let es = tr.Packing.edges in
+          if Array.length es > 0 then
+            { tr with Packing.edges = Array.sub es 1 (Array.length es - 1) }
+          else tr
         | 1 ->
           (* drop a vertex but keep its edges: edge outside the set *)
           let vs = tr.Packing.vertices in
@@ -286,9 +293,16 @@ let prop_verifier_catches_mutations =
           if Array.length vs >= 3 then
             let u = vs.(0) and v = vs.(Array.length vs - 1) in
             if Graph.mem_edge g u v
-               && not (List.mem (min u v, max u v) tr.Packing.edges)
+               && not (Array.mem (Graph.edge_index g u v) tr.Packing.edges)
             then
-              { tr with Packing.edges = (min u v, max u v) :: tr.Packing.edges }
+              {
+                tr with
+                Packing.edges =
+                  ids g
+                    ((u, v)
+                    :: List.map (Graph.edge_endpoints g)
+                         (Array.to_list tr.Packing.edges));
+              }
             else tr
           else tr
         | _ -> tr
@@ -336,7 +350,22 @@ let test_packing_serialization_roundtrip () =
   Sys.remove path;
   Alcotest.(check int) "tree count" (Packing.count p) (Packing.count q);
   Alcotest.(check (float 1e-9)) "size" (Packing.size p) (Packing.size q);
-  Alcotest.(check bool) "still valid" true (Packing.is_valid q)
+  Alcotest.(check bool) "still valid" true (Packing.is_valid q);
+  Alcotest.(check bool) "same trees" true (q.Packing.trees = p.Packing.trees);
+  let load text =
+    let path = Filename.temp_file "packing" ".txt" in
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> Packing.load path ~graph:(Gen.cycle 6))
+  in
+  (* edges in any order, either orientation, load as ascending ids *)
+  let q = load "tree 3 1\nv 0 1 2 3 4\ne 4 3\ne 0 1\ne 2 1\ne 2 3\n" in
+  Alcotest.(check (list (array int))) "ascending ids" [ [| 0; 2; 3; 4 |] ]
+    (List.map (fun tr -> tr.Packing.edges) q.Packing.trees);
+  Alcotest.check_raises "pair outside the graph"
+    (Failure "Packing.load: \"e 0 2\" is not an edge of the graph")
+    (fun () -> ignore (load "tree 0 1\nv 0 1 2\ne 0 1\ne 0 2\n"))
 
 (* ------------------------------------------------------------------ *)
 (* Connector paths *)

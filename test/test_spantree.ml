@@ -10,12 +10,19 @@ let enet g = Congest.Net.create Congest.Model.E_congest g
 (* ------------------------------------------------------------------ *)
 (* Spacking checker *)
 
-let tree_of_path n = List.init (n - 1) (fun i -> (i, i + 1))
+(* the edge ids of [(u, v)] pairs of [g], ascending *)
+let ids g es =
+  let a = Array.of_list (List.map (fun (u, v) -> Graph.edge_index g u v) es) in
+  Array.sort Int.compare a;
+  a
+
+(* the path 0-1-...-(n-1), whose edge ids in [Gen.path n] are 0 .. n-2 *)
+let tree_of_path n = Array.init (n - 1) Fun.id
 
 let test_spacking_size_and_load () =
   let g = Gen.cycle 4 in
-  let t1 = { Spacking.edges = [ (0, 1); (1, 2); (2, 3) ]; weight = 0.5 } in
-  let t2 = { Spacking.edges = [ (1, 2); (2, 3); (0, 3) ]; weight = 0.5 } in
+  let t1 = { Spacking.edges = ids g [ (0, 1); (1, 2); (2, 3) ]; weight = 0.5 } in
+  let t2 = { Spacking.edges = ids g [ (1, 2); (2, 3); (0, 3) ]; weight = 0.5 } in
   let p = { Spacking.graph = g; trees = [ t1; t2 ] } in
   Alcotest.(check (float 1e-9)) "size" 1.0 (Spacking.size p);
   Alcotest.(check (float 1e-9)) "shared edge load" 1.0 (Spacking.max_edge_load p);
@@ -26,7 +33,7 @@ let test_spacking_rejects () =
   let g = Gen.path 4 in
   let not_spanning =
     { Spacking.graph = g;
-      trees = [ { Spacking.edges = [ (0, 1) ]; weight = 1. } ] }
+      trees = [ { Spacking.edges = ids g [ (0, 1) ]; weight = 1. } ] }
   in
   Alcotest.(check bool) "non-spanning rejected" false
     (Spacking.is_valid not_spanning);
@@ -39,9 +46,11 @@ let test_spacking_rejects () =
         ] }
   in
   Alcotest.(check bool) "overload rejected" false (Spacking.is_valid overload);
+  (* id m names no edge of the graph *)
   let outside =
     { Spacking.graph = g;
-      trees = [ { Spacking.edges = [ (0, 1); (1, 2); (0, 3) ]; weight = 1. } ] }
+      trees =
+        [ { Spacking.edges = [| 0; 1; Graph.m g |]; weight = 1. } ] }
   in
   Alcotest.(check bool) "edge outside graph rejected" false
     (Spacking.is_valid outside)
@@ -146,13 +155,14 @@ let prop_spacking_catches_mutations =
       | [] -> true
       | tr :: rest ->
         if drop_edge then begin
-          match tr.Spacking.edges with
-          | _ :: es ->
+          let es = tr.Spacking.edges in
+          if Array.length es = 0 then true
+          else
+            let es = Array.sub es 1 (Array.length es - 1) in
             let bad =
               { p with Spacking.trees = { tr with Spacking.edges = es } :: rest }
             in
             not (Spacking.is_valid ~tolerance:1e-6 bad)
-          | [] -> true
         end
         else begin
           (* double one tree's weight so some edge overloads *)
