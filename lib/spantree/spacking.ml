@@ -13,8 +13,8 @@ type t = {
 let size p = List.fold_left (fun acc tr -> acc +. tr.weight) 0. p.trees
 let count p = List.length p.trees
 
-(* [on_edges p f] calls [f e tr] for every edge id [e] of [g] in every
-   tree [tr], once per listing; ids outside the graph are skipped. *)
+(* [on_edges p f] calls [f e tr] for every edge id [e] of every tree
+   [tr], once per listing; ids outside the graph are skipped. *)
 let on_edges p f =
   let m = Graph.m p.graph in
   List.iter
