@@ -556,7 +556,7 @@ let test_pinned_spanning_routing () =
     (routing_net_counts net
        (routing_result (B.via_spanning_trees ~seed:4 net p ~sources)))
 
-(* The trees of the central builders, pinned as pairs: the routing
+(* The trees the central packers return, pinned as pairs: the routing
    packing above, the random-layering integral packing and the peeled
    integral spanning trees. *)
 let pinned_tree_cases =
