@@ -728,29 +728,41 @@ let prop_flood_min_component_ids =
       done;
       !ok)
 
+(* A random graph, random multi-class memberships and a random live
+   mask: the draws of the tester properties. *)
+let tester_draw seed =
+  let rng = Random.State.make [| seed; 0xE1 |] in
+  let n = 2 + Random.State.int rng 24 in
+  let classes = 1 + Random.State.int rng 3 in
+  let g = Gen.random_connected rng ~n ~extra:(Random.State.int rng (2 * n)) in
+  let mem = random_memberships rng ~n ~classes ~len:(2 * classes + 2) in
+  let dead_p = if Random.State.bool rng then 0. else 0.1 in
+  let alive = Array.init n (fun _ -> Random.State.float rng 1. >= dead_p) in
+  (g, classes, (fun r -> mem.(r)), fun r -> alive.(r))
+
 let prop_testers_agree =
   QCheck.Test.make
     ~name:"distributed and centralized testers agree on every verdict"
     ~count:40 QCheck.small_int (fun seed ->
-      let rng = Random.State.make [| seed; 0xE1 |] in
-      let n = 2 + Random.State.int rng 24 in
-      let classes = 1 + Random.State.int rng 3 in
-      let g =
-        Gen.random_connected rng ~n ~extra:(Random.State.int rng (2 * n))
-      in
-      let mem = random_memberships rng ~n ~classes ~len:(2 * classes + 2) in
-      let memberships r = mem.(r) in
+      let g, classes, memberships, live = tester_draw seed in
       let d =
-        Tester.run_distributed ~seed (vnet g) ~memberships ~classes
+        Tester.run_distributed ~seed ~live (vnet g) ~memberships ~classes
           ~detection_rounds:12
       in
       let c =
-        Tester.run_centralized ~seed g ~memberships ~classes
+        Tester.run_centralized ~seed ~live g ~memberships ~classes
           ~detection_rounds:12
       in
-      d.Tester.domination_ok = c.Tester.domination_ok
-      && d.Tester.pass = c.Tester.pass
-      && d.Tester.detection_round = c.Tester.detection_round)
+      d = c)
+
+let prop_tester_central_ref =
+  QCheck.Test.make ~name:"run_centralized = Tester_ref" ~count:200
+    QCheck.(int_bound 99_999) (fun seed ->
+      let g, classes, memberships, live = tester_draw seed in
+      Tester.run_centralized ~seed ~live g ~memberships ~classes
+        ~detection_rounds:12
+      = Tester_ref.run ~seed ~live g ~memberships ~classes
+          ~detection_rounds:12)
 
 (* Every class is a connected dominating set: the internal nodes of a
    random spanning tree (n >= 3) plus random extras, each of which is
@@ -1219,31 +1231,35 @@ let test_repair_drops_unfixable () =
     (fun ls -> Alcotest.(check (list int)) "memberships emptied" [] ls)
     rep.Repair.r_memberships
 
-(* The two repairs run the same decision rules, one centrally and one
-   as CONGEST traffic: on random graphs, random multi-class memberships
-   and a random live mask they must return the same repair, fault-free. *)
+(* A random graph, random multi-class memberships and a random live
+   mask: the draws of the repair properties. *)
+let repair_draw seed =
+  let rng = Random.State.make [| seed; 0xA1 |] in
+  let g =
+    match Random.State.int rng 3 with
+    | 0 ->
+      let k = 2 * (1 + Random.State.int rng 3) in
+      Gen.harary ~k ~n:(k + 2 + Random.State.int rng 20)
+    | 1 -> Gen.cycle (3 + Random.State.int rng 30)
+    | _ ->
+      Gen.clique_path
+        ~k:(2 + Random.State.int rng 4)
+        ~len:(2 + Random.State.int rng 5)
+  in
+  let n = Graph.n g in
+  let classes = 1 + Random.State.int rng 4 in
+  let mem = random_memberships rng ~n ~classes ~len:(classes + 2) in
+  let dead_p = if Random.State.bool rng then 0. else 0.1 in
+  let alive = Array.init n (fun _ -> Random.State.float rng 1. >= dead_p) in
+  (g, classes, (fun r -> mem.(r)), fun r -> alive.(r))
+
+(* The central repair is the distributed one without a network: on
+   random graphs, random multi-class memberships and a random live mask
+   both return the same repair, fault-free. *)
 let prop_repair_sides_agree =
   QCheck.Test.make ~name:"central = distributed" ~count:200
     QCheck.(int_bound 99_999) (fun seed ->
-      let rng = Random.State.make [| seed; 0xA1 |] in
-      let g =
-        match Random.State.int rng 3 with
-        | 0 ->
-          let k = 2 * (1 + Random.State.int rng 3) in
-          Gen.harary ~k ~n:(k + 2 + Random.State.int rng 20)
-        | 1 -> Gen.cycle (3 + Random.State.int rng 30)
-        | _ ->
-          Gen.clique_path
-            ~k:(2 + Random.State.int rng 4)
-            ~len:(2 + Random.State.int rng 5)
-      in
-      let n = Graph.n g in
-      let classes = 1 + Random.State.int rng 4 in
-      let mem = random_memberships rng ~n ~classes ~len:(classes + 2) in
-      let memberships r = mem.(r) in
-      let dead_p = if Random.State.bool rng then 0. else 0.1 in
-      let alive = Array.init n (fun _ -> Random.State.float rng 1. >= dead_p) in
-      let live r = alive.(r) in
+      let g, classes, memberships, live = repair_draw seed in
       let c = Repair.run_centralized ~live g ~memberships ~classes in
       let d = Repair.run_distributed ~live (vnet g) ~memberships ~classes in
       c.Repair.r_memberships = d.Repair.r_memberships
@@ -1252,6 +1268,13 @@ let prop_repair_sides_agree =
       && c.Repair.r_dropped = d.Repair.r_dropped
       && c.Repair.r_orphans = d.Repair.r_orphans
       && c.Repair.r_splices = d.Repair.r_splices)
+
+let prop_repair_central_ref =
+  QCheck.Test.make ~name:"run_centralized = Repair_ref" ~count:200
+    QCheck.(int_bound 99_999) (fun seed ->
+      let g, classes, memberships, live = repair_draw seed in
+      Repair.run_centralized ~live g ~memberships ~classes
+      = Repair_ref.run ~live g ~memberships ~classes)
 
 (* ------------------------------------------------------------------ *)
 (* Certificates *)
@@ -1690,7 +1713,8 @@ let () =
           Alcotest.test_case "class-slot row" `Quick test_multiflood_row;
         ] );
       qsuite "multiflood.props" [ prop_flood_min_component_ids ];
-      qsuite "tester.props" [ prop_testers_agree; prop_testers_pass_valid ];
+      qsuite "tester.props"
+        [ prop_testers_agree; prop_testers_pass_valid; prop_tester_central_ref ];
       ( "tester",
         [
           Alcotest.test_case "passes valid" `Quick test_tester_passes_valid;
@@ -1778,6 +1802,6 @@ let () =
           Alcotest.test_case "distributed" `Quick test_vc_approx_distributed;
         ] );
       qsuite "vc_approx.props" [ prop_vc_dist_equals_central ];
-      qsuite "repair.props" [ prop_repair_sides_agree ];
+      qsuite "repair.props" [ prop_repair_sides_agree; prop_repair_central_ref ];
       qsuite "reliable.props" [ prop_reliable_dist_equals_central ];
     ]
