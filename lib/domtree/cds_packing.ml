@@ -1,5 +1,4 @@
 module Graph = Graphs.Graph
-module Net = Congest.Net
 module Union_find = Graphs.Union_find
 
 type stats = {
@@ -17,8 +16,6 @@ type t = {
   dominating : bool array;
   stats : stats;
 }
-
-type side = Central of Graph.t | Distributed of Net.t
 
 let default_classes ~k = max 1 (k / 3)
 
@@ -50,182 +47,12 @@ let grow a i =
     b
   end
 
-(* The three ways a step of Appendix B talks, on one side. A delivery
-   acts on its receiver alone, and only the order among one class's
-   deliveries to one receiver can change what it does. So the central
-   side, which sends no message, may walk the deliveries receiver by
-   receiver and class by class, each class's in the distributed order:
-   meta-round ascending, then sender ascending, never a node to
-   itself. *)
-type comm = {
-  round : (int -> Net.msg option) -> (int -> int -> Net.msg -> unit) -> unit;
-      (** one broadcast round and its deliveries [recv r sender m] *)
-  sweep :
-    Multiflood.slots ->
-    payload:(int -> int -> int array) ->
-    listen:(int -> int -> bool) ->
-    ordered:bool ->
-    recv:(int -> int -> int -> Net.msg -> unit) ->
-    unit;
-      (** {!Multiflood.membership_sweep}. [listen r i] may be [false]
-          only where [recv] ignores every delivery of class [i] to [r],
-          and [ordered] is [false] only where the order among them
-          cannot matter either: the central side then skips those, or
-          delivers in sender order. The distributed side delivers every
-          message in its own order. *)
-  component_min :
-    unit -> Multiflood.slots -> init:(int -> int -> int) -> int array;
-      (** [component_min ()] is a {!Multiflood.flood_min} with its own
-          result array *)
-}
-
-let distributed_comm net ~max_slots ~classes =
-  {
-    round =
-      (fun send recv ->
-        Net.broadcast_round net send;
-        Net.iter_deliveries net (fun r u _ m -> recv r u m));
-    sweep =
-      (fun sl ~payload ~listen:_ ~ordered:_ ~recv ->
-        Multiflood.membership_sweep net sl ~payload ~recv);
-    component_min =
-      (fun () ->
-        let buffers = Multiflood.buffers ~slots:max_slots ~classes in
-        fun sl ~init -> Multiflood.flood_min ~buffers net sl ~init);
-  }
-
-(* Central messages live in a flat staging area, one record of [width]
-   words per sender or slot (its length, then its words), and a
-   delivery hands [recv] a scratch copy of the right length: nothing a
-   round stages outlives it, so nothing is promoted. Sweeps find a
-   class's senders through [slot_of], the layer's (class, node) -> slot
-   table, and a component-wide minimum is read off the union-find [uf]
-   over (class, node) pairs. *)
-let width = 5
-
-let central_comm g uf ~slot_of ~classes ~max_slots ~max_slice =
-  let n = Graph.n g in
-  let csr_off = Graph.csr_offsets g and csr_adj = Graph.csr_neighbors g in
-  let words = Array.make (width * max max_slots n) 0 in
-  let scratch = Array.init width (fun l -> Array.make l 0) in
-  (* word loops rather than [Array.blit], which writes through
-     [caml_modify] once the arrays are in the major heap *)
-  let stage x ~first m =
-    let l = Array.length m in
-    if first + l >= width then invalid_arg "Cds_packing: message too long";
-    for j = 0 to l - 1 do
-      words.((x * width) + 1 + first + j) <- m.(j)
-    done;
-    words.(x * width) <- first + l
-  in
-  let staged x =
-    let m = scratch.(words.(x * width)) in
-    for j = 0 to Array.length m - 1 do
-      m.(j) <- words.((x * width) + 1 + j)
-    done;
-    m
-  in
-  (* one receiver's deliveries of one class, bucketed by meta-round k:
-     the slots [from.(k * max_degree + j)] for [j < count.(k)], in
-     sender order; [count] is all zero between walks *)
-  let max_degree = ref 0 in
-  for r = 0 to n - 1 do
-    max_degree := max !max_degree (csr_off.(r + 1) - csr_off.(r))
-  done;
-  let max_degree = !max_degree in
-  let owner = Array.make max_slots 0 in
-  let count = Array.make max_slice 0 in
-  let from = Array.make (max_slice * max_degree) 0 in
-  let best = Array.make (Union_find.size uf) 0 in
-  let key = Array.make max_slots 0 in
-  {
-    round =
-      (fun send recv ->
-        let any = ref false in
-        for u = 0 to n - 1 do
-          match send u with
-          | Some m ->
-            stage u ~first:0 m;
-            any := true
-          | None -> words.(u * width) <- 0
-        done;
-        if !any then
-          for r = 0 to n - 1 do
-            for e = csr_off.(r) to csr_off.(r + 1) - 1 do
-              let u = csr_adj.(e) in
-              if words.(u * width) > 0 then recv r u (staged u)
-            done
-          done);
-    sweep =
-      (fun sl ~payload ~listen ~ordered ~recv ->
-        let off = sl.off and cls = sl.cls in
-        for u = 0 to n - 1 do
-          for s = off.(u) to off.(u + 1) - 1 do
-            owner.(s) <- u;
-            words.((s * width) + 1) <- cls.(s);
-            stage s ~first:1 (payload u s)
-          done
-        done;
-        for r = 0 to n - 1 do
-          for i = 0 to classes - 1 do
-            let row = i * n in
-            if not (listen r i) then ()
-            else if not ordered then
-              for e = csr_off.(r) to csr_off.(r + 1) - 1 do
-                let s = slot_of.(row + csr_adj.(e)) in
-                if s >= 0 then recv r csr_adj.(e) i (staged s)
-              done
-            else begin
-              let lo = ref max_int and hi = ref (-1) in
-              for e = csr_off.(r) to csr_off.(r + 1) - 1 do
-                let s = slot_of.(row + csr_adj.(e)) in
-                if s >= 0 then begin
-                  let k = s - off.(csr_adj.(e)) in
-                  from.((k * max_degree) + count.(k)) <- s;
-                  count.(k) <- count.(k) + 1;
-                  if k < !lo then lo := k;
-                  if k > !hi then hi := k
-                end
-              done;
-              for k = !lo to !hi do
-                for j = k * max_degree to (k * max_degree) + count.(k) - 1 do
-                  let s = from.(j) in
-                  recv r owner.(s) i (staged s)
-                done;
-                count.(k) <- 0
-              done
-            end
-          done
-        done);
-    component_min =
-      (fun () ->
-        let value = Array.make max_slots 0 in
-        fun sl ~init ->
-          let off = sl.off and cls = sl.cls in
-          for r = 0 to n - 1 do
-            for s = off.(r) to off.(r + 1) - 1 do
-              let k = Union_find.find uf ((cls.(s) * n) + r) in
-              key.(s) <- k;
-              best.(k) <- Multiflood.neutral
-            done
-          done;
-          for r = 0 to n - 1 do
-            for s = off.(r) to off.(r + 1) - 1 do
-              let k = key.(s) and v = init r s in
-              if v < best.(k) then best.(k) <- v
-            done
-          done;
-          for s = 0 to Array.length cls - 1 do
-            value.(s) <- best.(key.(s))
-          done;
-          value);
-  }
-
 let run_on side ~seed ~jumpstart ~classes ~layers =
-  let g, caller =
+  let g = Comm.graph side in
+  let caller =
     match side with
-    | Central g -> (g, "Cds_packing.run")
-    | Distributed net -> (Net.graph net, "Dist_packing.run")
+    | Comm.Central _ -> "Cds_packing.run"
+    | Comm.Distributed _ -> "Dist_packing.run"
   in
   if classes < 1 then invalid_arg (caller ^ ": classes < 1");
   if jumpstart < 1 || jumpstart > layers then
@@ -284,14 +111,13 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
   let max_slice = min classes (3 * layers) in
   let max_slots = n * max_slice in
   (* [slot_of.(i * n + r)]: r's slot of class i in this layer's layout,
-     [-1] if r holds no virtual node of class i. Memberships only grow,
-     so each layout overwrites every entry the last one set. *)
+     [-1] if r holds no virtual node of class i *)
   let slot_of = Array.make (classes * n) (-1) in
   let slot r i = slot_of.((i * n) + r) in
   let comm =
-    match side with
-    | Central g -> central_comm g uf ~slot_of ~classes ~max_slots ~max_slice
-    | Distributed net -> distributed_comm net ~max_slots ~classes
+    Comm.make side
+      ~component:(fun x -> Union_find.find uf x)
+      ~slot_of ~classes ~max_slots ~max_slice
   in
   let component_id = comm.component_min () in
   let component_min = comm.component_min () in
@@ -345,11 +171,7 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
     (* the old nodes' memberships are fixed until the layer commits *)
     let sl = Multiflood.layout ~n memberships in
     let nslots = Array.length sl.cls in
-    for r = 0 to n - 1 do
-      for s = sl.off.(r) to sl.off.(r + 1) - 1 do
-        slot_of.((sl.cls.(s) * n) + r) <- s
-      done
-    done;
+    Comm.fill_slots slot_of ~n sl;
 
     (* B.1: component identification of old nodes *)
     let cid = component_id sl ~init:(fun r _ -> r) in
@@ -383,6 +205,7 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
     comm.round
       (fun r ->
         if many1.(r) then Some [| tag_connector; class1.(r) |] else None)
+      ~listen:(fun _ -> true)
       (fun r _ m ->
         let s = slot r m.(1) in
         if s >= 0 then deact.(s) <- true);
@@ -402,7 +225,7 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
       else if many3.(r) then Some [| tag_connector; i |]
       else Some [| tag_one; i; first3.(r) |]
     in
-    comm.round msg3 (fun r _ m -> hear r m);
+    comm.round msg3 ~listen:(fun _ -> true) (fun r _ m -> hear r m);
     for r = 0 to n - 1 do
       Option.iter (hear r) (msg3 r)
     done;
@@ -548,6 +371,7 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
           if prop_cls.(r) >= 0 then
             Some [| prop_cls.(r); prop_cid.(r); prop_value.(r); r |]
           else None)
+        ~listen:(fun _ -> true)
         (fun r _ m -> offer r m.(0) m.(1) m.(2) m.(3));
       if !proposers > 0 then begin
         for r = 0 to n - 1 do

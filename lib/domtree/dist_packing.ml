@@ -3,7 +3,7 @@ module Net = Congest.Net
 
 let run ?(seed = 42) ?jumpstart net ~classes ~layers =
   let jumpstart = Option.value jumpstart ~default:(layers / 2) in
-  Cds_packing.run_on (Distributed net) ~seed ~jumpstart ~classes ~layers
+  Cds_packing.run_on (Comm.Distributed net) ~seed ~jumpstart ~classes ~layers
 
 let extract_trees net (result : Cds_packing.t) =
   let g = Net.graph net in

@@ -56,12 +56,19 @@ let run ?(seed = 42) ?(max_retries = default_max_retries)
   let g = side.graph and live = side.live in
   let n = Graph.n g in
   let k = match k with Some k -> k | None -> 3 * classes in
+  let test ~seed ~memberships ~classes =
+    Tester.run_on side.side ~seed ~live ~memberships ~classes
+      ~detection_rounds:(Tester.default_detection_rounds ~n)
+  in
   let rec go attempt acc =
     let a_start = side.charged () in
     let s = reseed seed attempt in
-    let res = side.pack ~seed:s ~classes ~layers in
+    let res =
+      Cds_packing.run_on side.side ~seed:s ~jumpstart:(layers / 2) ~classes
+        ~layers
+    in
     let memfn = Array.get (Cds_packing.real_classes res) in
-    let outcome = side.test ~seed:s ~memberships:memfn ~classes in
+    let outcome = test ~seed:s ~memberships:memfn ~classes in
     let record ~repaired outcome =
       let attempt_rounds = side.charged () - a_start in
       { attempt_seed = s; outcome; attempt_rounds; repaired } :: acc
@@ -100,12 +107,14 @@ let run ?(seed = 42) ?(max_retries = default_max_retries)
              through to a reseeded retry, as if the repair had never
              run; its rounds stay charged *)
           side.region (fun () ->
-              let rep = side.repair ~memberships:memfn ~classes in
+              let rep =
+                Repair.run_on side.side ~live ~memberships:memfn ~classes
+              in
               match rep.Repair.r_retained with
               | [] -> None
               | retained ->
                 let o =
-                  side.test ~seed:(s + 7919)
+                  test ~seed:(s + 7919)
                     ~memberships:
                       (remap ~classes retained rep.Repair.r_memberships)
                     ~classes:(List.length retained)

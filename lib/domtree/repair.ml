@@ -27,12 +27,21 @@ let pp ppf t =
     t.r_rounds
 
 (* Sanitized working state: per-node sorted unique in-range class lists,
-   empty on dead nodes. *)
+   empty on dead nodes. A list that is so already is kept as it is. *)
 let sanitize ~live n ~memberships ~classes =
+  let rec clean = function
+    | [] -> true
+    | [ i ] -> i >= 0 && i < classes
+    | i :: (j :: _ as rest) -> i >= 0 && i < j && clean rest
+  in
   Array.init n (fun r ->
-      if live r then
-        List.sort_uniq Int.compare
-          (List.filter (fun i -> i >= 0 && i < classes) (memberships r))
+      if live r then begin
+        let ls = memberships r in
+        if clean ls then ls
+        else
+          List.sort_uniq Int.compare
+            (List.filter (fun i -> i >= 0 && i < classes) ls)
+      end
       else [])
 
 let live_member_counts mem ~classes =
@@ -42,7 +51,7 @@ let live_member_counts mem ~classes =
     mem;
   counts
 
-(* The simultaneous-bridge join rule, shared verbatim by both variants.
+(* The simultaneous-bridge join rule.
    [nc.(i).(x)]: sorted distinct fragment ids of class [i] that live
    non-member [x] sees at distance 1 (empty when none, or when [x] is a
    member / dead / the class is inactive). [relayed.(i).(x)]: nearest
@@ -92,143 +101,15 @@ let finalize mem ~classes ~dropped ~touched ~orphans ~splices ~rounds =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Centralized repair *)
+(* The one repair. Distributed, component ids come from per-class
+   on-change floods and fragment ids and relays from membership sweeps,
+   all delivered CONGEST traffic (so rounds are charged and faults
+   during repair are felt); central, the same steps send nothing. *)
 
-let run_centralized ?(live = fun _ -> true) g ~memberships ~classes =
+let run_on side ~live ~memberships ~classes =
+  let g = Comm.graph side in
   let n = Graph.n g in
-  let mem = sanitize ~live n ~memberships ~classes in
-  let dropped = Array.make classes false in
-  let touched = Array.make classes false in
-  let orphans = ref 0 in
-  let splices = ref 0 in
-  (* 1. extinction: no surviving member, nothing to splice *)
-  let counts = live_member_counts mem ~classes in
-  Array.iteri (fun i c -> if c = 0 then dropped.(i) <- true) counts;
-  let member_matrix () =
-    let m = Array.make_matrix classes n false in
-    Array.iteri
-      (fun r ls -> List.iter (fun i -> m.(i).(r) <- true) ls)
-      mem;
-    m
-  in
-  (* 2. domination fix: orphaned nodes reassign themselves *)
-  let in_class = member_matrix () in
-  for r = 0 to n - 1 do
-    if live r then
-      for i = 0 to classes - 1 do
-        if
-          (not dropped.(i))
-          && (not in_class.(i).(r))
-          && not (Array.exists (fun u -> in_class.(i).(u)) (Graph.neighbors g r))
-        then begin
-          mem.(r) <- List.sort_uniq Int.compare (i :: mem.(r));
-          incr orphans;
-          touched.(i) <- true
-        end
-      done
-  done;
-  (* 3. splice loop: all bridges fire simultaneously, Boruvka-style *)
-  let max_iter = ceil_lg n + 2 in
-  let comps in_class =
-    (* fragment id = min member id, via BFS in ascending root order *)
-    let comp = Array.make_matrix classes n (-1) in
-    let frag = Array.make classes 0 in
-    for i = 0 to classes - 1 do
-      if not dropped.(i) then
-        for r = 0 to n - 1 do
-          if in_class.(i).(r) && comp.(i).(r) < 0 then begin
-            frag.(i) <- frag.(i) + 1;
-            let q = Queue.create () in
-            comp.(i).(r) <- r;
-            Queue.add r q;
-            while not (Queue.is_empty q) do
-              let u = Queue.pop q in
-              Array.iter
-                (fun v ->
-                  if in_class.(i).(v) && comp.(i).(v) < 0 then begin
-                    comp.(i).(v) <- r;
-                    Queue.add v q
-                  end)
-                (Graph.neighbors g u)
-            done
-          end
-        done
-    done;
-    (comp, frag)
-  in
-  let active frag =
-    let a = ref [] in
-    for i = classes - 1 downto 0 do
-      if (not dropped.(i)) && frag.(i) > 1 then a := i :: !a
-    done;
-    !a
-  in
-  let rec splice iter =
-    let in_class = member_matrix () in
-    let comp, frag = comps in_class in
-    match active frag with
-    | [] -> ()
-    | act ->
-      if iter >= max_iter then List.iter (fun i -> dropped.(i) <- true) act
-      else begin
-        (* radius-1 view *)
-        let nc = Array.make_matrix classes n [] in
-        for x = 0 to n - 1 do
-          if live x then
-            for i = 0 to classes - 1 do
-              if (not dropped.(i)) && not in_class.(i).(x) then
-                nc.(i).(x) <-
-                  Array.fold_left
-                    (fun acc u ->
-                      if in_class.(i).(u) then comp.(i).(u) :: acc else acc)
-                    [] (Graph.neighbors g x)
-                  |> List.sort_uniq Int.compare
-            done
-        done;
-        (* relays: nearest fragment id, one hop further *)
-        let relayed = Array.make_matrix classes n [] in
-        for x = 0 to n - 1 do
-          if live x then
-            for i = 0 to classes - 1 do
-              if (not dropped.(i)) && not in_class.(i).(x) then
-                relayed.(i).(x) <-
-                  Array.fold_left
-                    (fun acc y ->
-                      if live y && not in_class.(i).(y) then
-                        match nc.(i).(y) with
-                        | [] -> acc
-                        | c :: _ -> c :: acc
-                      else acc)
-                    [] (Graph.neighbors g x)
-                  |> List.sort_uniq Int.compare
-            done
-        done;
-        match joins_of ~classes ~n nc relayed with
-        | [] -> List.iter (fun i -> dropped.(i) <- true) act
-        | joins ->
-          List.iter
-            (fun (x, i) ->
-              mem.(x) <- List.sort_uniq Int.compare (i :: mem.(x));
-              incr splices;
-              touched.(i) <- true)
-            joins;
-          splice (iter + 1)
-      end
-  in
-  splice 0;
-  finalize mem ~classes ~dropped ~touched ~orphans:!orphans ~splices:!splices
-    ~rounds:0
-
-(* ------------------------------------------------------------------ *)
-(* Distributed repair: the same decision rules, driven by delivered
-   CONGEST traffic (so rounds are charged and faults during repair are
-   felt), in the repository's simulation idiom — global arrays fed only
-   by messages the runtime actually delivered. *)
-
-let run_distributed ?live net ~memberships ~classes =
-  let n = Net.n net in
-  let live = match live with Some f -> f | None -> Net.node_alive net in
-  let cp = Net.checkpoint net in
+  let start = Comm.rounds side in
   let mem = sanitize ~live n ~memberships ~classes in
   let dropped = Array.make classes false in
   let touched = Array.make classes false in
@@ -237,25 +118,40 @@ let run_distributed ?live net ~memberships ~classes =
   (* 1. extinction *)
   let counts = live_member_counts mem ~classes in
   Array.iteri (fun i c -> if c = 0 then dropped.(i) <- true) counts;
-  let memfn r = mem.(r) in
-  let in_range i = i >= 0 && i < classes in
+  (* memberships by (class, node) = [i * n + r] *)
+  let member = Array.make (classes * n) false in
+  Array.iteri
+    (fun r ls -> List.iter (fun i -> member.((i * n) + r) <- true) ls)
+    mem;
+  let join x i =
+    mem.(x) <- List.sort_uniq Int.compare (i :: mem.(x));
+    member.((i * n) + x) <- true;
+    touched.(i) <- true
+  in
+  let slot_of = Array.make (classes * n) (-1) in
+  let label = Array.make (classes * n) (-1) in
+  let comm =
+    Comm.make side ~component:(Array.get label) ~slot_of ~classes
+      ~max_slots:(classes * n) ~max_slice:classes
+  in
   (* 2. domination fix off one membership sweep *)
-  let seen = Array.make_matrix n classes false in
-  Multiflood.membership_sweep net (Multiflood.layout ~n memfn)
+  let seen = Array.make (classes * n) false in
+  let sl = Multiflood.layout ~n (Array.get mem) in
+  Comm.fill_slots slot_of ~n sl;
+  comm.sweep sl
     ~payload:(fun _ _ -> [||])
-    ~recv:(fun r _ i _ -> if in_range i then seen.(r).(i) <- true);
+    ~listen:(fun r i -> (not member.((i * n) + r)) && live r)
+    ~ordered:false
+    ~recv:(fun r _ i _ -> seen.((i * n) + r) <- true);
   for r = 0 to n - 1 do
-    if live r then begin
-      let seen = seen.(r) in
-      List.iter (fun i -> seen.(i) <- true) mem.(r);
+    if live r then
       for i = 0 to classes - 1 do
-        if (not dropped.(i)) && not seen.(i) then begin
-          mem.(r) <- List.sort_uniq Int.compare (i :: mem.(r));
-          incr orphans;
-          touched.(i) <- true
+        if (not dropped.(i)) && not (member.((i * n) + r) || seen.((i * n) + r))
+        then begin
+          join r i;
+          incr orphans
         end
       done
-    end
   done;
   (* 3. splice loop. Joins only add members to classes that are still
         split, so a class one flood found whole stays whole (barring a
@@ -264,10 +160,11 @@ let run_distributed ?live net ~memberships ~classes =
         only the classes the previous one found split, and the
         announcements and relays carry split classes alone. *)
   let max_iter = ceil_lg n + 2 in
-  let rec splice iter flooded =
+  let rec splice iter sl =
     (* per-class fragment identification on the virtual graph *)
-    let sl = Multiflood.layout ~n (fun r -> List.filter flooded mem.(r)) in
-    let cids = Multiflood.flood_min_on_change net sl ~init:(fun r _ -> r) in
+    Comm.fill_slots slot_of ~n sl;
+    Comm.label_components g ~slot_of sl label;
+    let cids = comm.component_min_on_change sl ~init:(fun r _ -> r) in
     let frag = Array.make classes 0 in
     let seen_frag = Array.make_matrix classes n false in
     Array.iteri
@@ -288,16 +185,18 @@ let run_distributed ?live net ~memberships ~classes =
     | act ->
       if iter >= max_iter then List.iter (fun i -> dropped.(i) <- true) act
       else begin
-        let member = Array.make_matrix classes n false in
-        Array.iteri
-          (fun r ls -> List.iter (fun i -> member.(i).(r) <- true) ls)
-          mem;
-        (* one sweep; what each non-member hears of class i, sorted and
-           unique (a node that did not survive the sweep heard nothing) *)
+        (* one sweep; what each live non-member of a split class hears
+           of it, sorted and unique (a node that did not survive the
+           sweep heard nothing) *)
         let sweep_ids sl ~payload =
           let ids = Array.make_matrix classes n [] in
-          Multiflood.membership_sweep net sl ~payload ~recv:(fun x _ i m ->
-              if in_range i && not member.(i).(x) then
+          Comm.fill_slots slot_of ~n sl;
+          comm.sweep sl ~payload
+            ~listen:(fun x i ->
+              split.(i) && (not member.((i * n) + x)) && live x)
+            ~ordered:false
+            ~recv:(fun x _ i m ->
+              if not member.((i * n) + x) then
                 ids.(i).(x) <- m.(1) :: ids.(i).(x));
           Array.iter
             (fun row ->
@@ -310,9 +209,8 @@ let run_distributed ?live net ~memberships ~classes =
           ids
         in
         (* sweep 1: members of split classes announce their fragment id *)
-        let al =
-          Multiflood.layout ~n (fun r -> List.filter (Array.get split) mem.(r))
-        in
+        let split_classes r = List.filter (Array.get split) mem.(r) in
+        let al = Multiflood.layout ~n split_classes in
         let nc =
           sweep_ids al ~payload:(fun r s ->
               [| cids.(Multiflood.find sl r al.Multiflood.cls.(s)) |])
@@ -323,7 +221,10 @@ let run_distributed ?live net ~memberships ~classes =
           else begin
             let cs = ref [] in
             for i = classes - 1 downto 0 do
-              if (not dropped.(i)) && (not member.(i).(x)) && nc.(i).(x) <> []
+              if
+                (not dropped.(i))
+                && (not member.((i * n) + x))
+                && nc.(i).(x) <> []
               then cs := i :: !cs
             done;
             !cs
@@ -339,21 +240,26 @@ let run_distributed ?live net ~memberships ~classes =
         | joins ->
           List.iter
             (fun (x, i) ->
-              mem.(x) <- List.sort_uniq Int.compare (i :: mem.(x));
-              incr splices;
-              touched.(i) <- true)
+              join x i;
+              incr splices)
             joins;
-          splice (iter + 1) (Array.get split)
+          splice (iter + 1) (Multiflood.layout ~n split_classes)
       end
   in
-  splice 0 (fun i -> not dropped.(i));
+  (* every surviving class: the layout of the domination sweep, unless
+     an orphan joined (an extinct class has no member to lay out) *)
+  splice 0 (if !orphans = 0 then sl else Multiflood.layout ~n (Array.get mem));
   (* 4. dropped-class dissemination: Θ(D) flood, as the tester's
         failure flag, bounded by a BFS tree built only when it is
         needed *)
-  if Array.exists (fun b -> b) dropped then begin
-    let tree = Congest.Primitives.bfs_tree net ~root:0 in
-    let d_bound = max 1 (2 * tree.Congest.Primitives.height) in
-    ignore (Congest.Primitives.flood_min net ~value:(fun r -> r) ~rounds:d_bound)
-  end;
+  if Array.exists (fun b -> b) dropped then
+    Comm.failure_flood side (fun r -> r);
   finalize mem ~classes ~dropped ~touched ~orphans:!orphans ~splices:!splices
-    ~rounds:(Net.rounds_since net cp)
+    ~rounds:(Comm.rounds side - start)
+
+let run_centralized ?(live = fun _ -> true) g ~memberships ~classes =
+  run_on (Comm.Central g) ~live ~memberships ~classes
+
+let run_distributed ?live net ~memberships ~classes =
+  let live = match live with Some f -> f | None -> Net.node_alive net in
+  run_on (Comm.Distributed net) ~live ~memberships ~classes

@@ -24,19 +24,22 @@
       disconnected live graph) is dropped, and the survivors stand —
       certified by {!Certificate} rather than discarded.
 
-    The distributed variant drives the same decision rules with actual
-    CONGEST traffic — component ids by per-class
-    {!Multiflood.flood_min_on_change}, fragment ids and relays by
-    membership sweeps — so its rounds are charged to the clock ({e only}
+    The repair is written once ({!run_on}) over a {!Comm.side}.
+    Distributed ({!run_distributed}), component ids come from per-class
+    {!Multiflood.flood_min_on_change}, fragment ids and relays from
+    membership sweeps, so its rounds are charged to the clock ({e only}
     the repair's rounds, the point of the exercise), it runs unmodified
     under an installed fault adversary, and it stays
-    replay-deterministic. It pays only for work that can change its
-    output: the first splice iteration floods every surviving class,
-    later ones only the classes still split, the announcements and
-    relays carry split classes alone, and the BFS tree that bounds the
-    dissemination flood is built only when a class is dropped. Repaired classes are no longer
-    vertex-disjoint in general (connectors may serve several classes);
-    the certificate's [c_max_load] reports the overlap honestly. *)
+    replay-deterministic. Central ({!run_centralized}), the same body
+    sends nothing and reads fragment ids off a union-find over (class,
+    node) pairs. It pays only for work that can change its output: the
+    first splice iteration floods every surviving class, later ones only
+    the classes still split, the announcements and relays carry split
+    classes alone, and the BFS tree that bounds the dissemination flood
+    is built only when a class is dropped. Repaired classes are no
+    longer vertex-disjoint in general (connectors may serve several
+    classes); the certificate's [c_max_load] reports the overlap
+    honestly. *)
 
 type class_status =
   | Healthy  (** untouched: was already connected + dominating *)
@@ -57,9 +60,19 @@ type t = {
 
 val pp : Format.formatter -> t -> unit
 
-(** [run_centralized ?live g ~memberships ~classes] repairs the packing
-    against the live subgraph ([live] defaults to everyone). Membership
-    lists of dead nodes are discarded. *)
+(** [run_on side ~live ~memberships ~classes] is the one repair behind
+    {!run_centralized} and {!run_distributed}: it repairs the packing
+    against the live subgraph. Membership lists of dead nodes and
+    classes outside [0 .. classes - 1] are discarded. *)
+val run_on :
+  Comm.side ->
+  live:(int -> bool) ->
+  memberships:(int -> int list) ->
+  classes:int ->
+  t
+
+(** [run_centralized ?live g ~memberships ~classes] is {!run_on}'s
+    central side ([live] defaults to everyone). *)
 val run_centralized :
   ?live:(int -> bool) ->
   Graphs.Graph.t ->
@@ -67,8 +80,8 @@ val run_centralized :
   classes:int ->
   t
 
-(** [run_distributed ?live net ~memberships ~classes] is the
-    message-driven variant; [live] defaults to
+(** [run_distributed ?live net ~memberships ~classes] is {!run_on}'s
+    distributed side; [live] defaults to
     {!Congest.Net.node_alive} (the installed adversary's crash set).
     Rounds for the sweeps, per-class floods, and, when a class is
     dropped, the BFS tree and the dissemination flood are charged to

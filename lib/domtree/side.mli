@@ -3,18 +3,15 @@
 
     {!Reliable}'s verify-and-recover ladder and {!Vc_approx}'s guess
     ladder are each written once over a side; a side carries only what
-    differs between the two runs. A distributed side belongs to one
-    ladder run: it charges rounds from the moment it is built. *)
+    differs between the two runs. Both pack with {!Cds_packing.run_on},
+    test with {!Tester.run_on} and repair with {!Repair.run_on} on its
+    {!Comm.side}. A distributed side belongs to one ladder run: it
+    charges rounds from the moment it is built. *)
 
 type t = {
   graph : Graphs.Graph.t;
+  side : Comm.side;
   live : int -> bool;  (** the nodes the tester and repair consider *)
-  pack : seed:int -> classes:int -> layers:int -> Cds_packing.t;
-      (** {!Cds_packing.run} or {!Dist_packing.run} *)
-  test :
-    seed:int -> memberships:(int -> int list) -> classes:int -> Tester.outcome;
-      (** the Appendix E tester at {!Tester.default_detection_rounds} *)
-  repair : memberships:(int -> int list) -> classes:int -> Repair.t;
   charged : unit -> int;
       (** rounds charged since the side was built, rolled-back regions
           included; always 0 central *)

@@ -14,7 +14,16 @@
       class is disconnected, detection happens w.h.p.
 
     A passing test is always sound for domination and sound w.h.p. for
-    connectivity; a valid partition always passes. *)
+    connectivity; a valid partition always passes.
+
+    The test is written once ({!run_on}) over a {!Comm.side}. The
+    distributed side ({!run_distributed}) exchanges every message on the
+    network and charges its rounds, including a BFS tree that bounds
+    the final Θ(D) failure-flag flood. The central side
+    ({!run_centralized}) is the same body without a network: it sends
+    nothing, builds no BFS tree, and names components by a union-find
+    over (class, node) pairs. Both draw the same random numbers, so a
+    seed gives the same outcome on either side, fault-free. *)
 
 type outcome = {
   pass : bool;
@@ -23,6 +32,19 @@ type outcome = {
   detection_round : int option;
       (** first random round at which a disconnect was detected *)
 }
+
+(** [run_on side ~seed ~live ~memberships ~classes ~detection_rounds]
+    is the one tester behind {!run_distributed} and {!run_centralized}.
+    @raise Invalid_argument if a live node holds a class outside
+    [0 .. classes - 1]. *)
+val run_on :
+  Comm.side ->
+  seed:int ->
+  live:(int -> bool) ->
+  memberships:(int -> int list) ->
+  classes:int ->
+  detection_rounds:int ->
+  outcome
 
 (** [run_distributed ?seed ?live net ~memberships ~classes
     ~detection_rounds] executes the test over the CONGEST runtime
@@ -45,8 +67,8 @@ val run_distributed :
   outcome
 
 (** [run_centralized ?seed ?live g ~memberships ~classes
-    ~detection_rounds] is the O(m log n)-step centralized counterpart
-    simulating the same random process, with the same [live] semantics. *)
+    ~detection_rounds] is {!run_on}'s central side: O(m log n) steps and
+    no message, with the same [live] semantics. *)
 val run_centralized :
   ?seed:int ->
   ?live:(int -> bool) ->

@@ -29,15 +29,17 @@ let run ~seed (side : Side.t) =
     | [] -> assert false (* guess 1 always yields classes = 1 *)
     | guess :: rest ->
       let seed = seed + attempts in
+      let layers = Cds_packing.default_layers ~n in
       let res =
-        side.pack ~seed
+        Cds_packing.run_on side.side ~seed ~jumpstart:(layers / 2)
           ~classes:(Cds_packing.default_classes ~k:guess)
-          ~layers:(Cds_packing.default_layers ~n)
+          ~layers
       in
       let t =
-        side.test ~seed
+        Tester.run_on side.side ~seed ~live:side.live
           ~memberships:(Array.get (Cds_packing.real_classes res))
           ~classes:res.Cds_packing.classes
+          ~detection_rounds:(Tester.default_detection_rounds ~n)
       in
       if t.Tester.pass || rest = [] then finish ~attempts:(attempts + 1) ~guess res
       else try_guess (attempts + 1) rest
