@@ -11,7 +11,9 @@ let failure_flood = function
   | Distributed net ->
     let tree = Congest.Primitives.bfs_tree net ~root:0 in
     let rounds = max 1 (2 * tree.Congest.Primitives.height) in
-    fun value -> ignore (Congest.Primitives.flood_min net ~value ~rounds)
+    fun raised ->
+      let value r = if raised && r = 0 then 0 else max_int in
+      ignore (Congest.Primitives.flood_min net ~value ~rounds)
 
 type t = {
   round :

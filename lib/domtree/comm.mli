@@ -28,10 +28,13 @@ val graph : side -> Graphs.Graph.t
 val rounds : side -> int
 
 (** [failure_flood side] builds the BFS tree from node 0 that bounds the
-    Θ(D) floods of a run and returns the flood: [flood value] is a
-    {!Congest.Primitives.flood_min} of [value] for twice the tree's
-    height in rounds. Central, it builds and floods nothing. *)
-val failure_flood : side -> (int -> int) -> unit
+    Θ(D) failure floods of a run and returns the flood: [flood raised]
+    is a {!Congest.Primitives.flood_min} for twice the tree's height in
+    rounds in which node 0 holds 0 when [raised] and every other value
+    is [max_int], which is never sent: a raised flag reaches every node,
+    and an unraised one costs silent rounds. Central, it builds and
+    floods nothing. *)
+val failure_flood : side -> bool -> unit
 
 type t = {
   round :

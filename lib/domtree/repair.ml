@@ -249,11 +249,9 @@ let run_on side ~live ~memberships ~classes =
   (* every surviving class: the layout of the domination sweep, unless
      an orphan joined (an extinct class has no member to lay out) *)
   splice 0 (if !orphans = 0 then sl else Multiflood.layout ~n (Array.get mem));
-  (* 4. dropped-class dissemination: Θ(D) flood, as the tester's
-        failure flag, bounded by a BFS tree built only when it is
-        needed *)
-  if Array.exists (fun b -> b) dropped then
-    Comm.failure_flood side (fun r -> r);
+  (* 4. dropped-class dissemination: the tester's Θ(D) failure-flag
+        flood, bounded by a BFS tree built only when it is needed *)
+  if Array.exists (fun b -> b) dropped then Comm.failure_flood side true;
   finalize mem ~classes ~dropped ~touched ~orphans:!orphans ~splices:!splices
     ~rounds:(Comm.rounds side - start)
 

@@ -98,8 +98,8 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
       done
   done;
   if not !domination_ok then begin
-    (* 'domination-failure' flood: Θ(D) rounds *)
-    failure_flood (fun r -> r);
+    (* domination-failure flag flood: Θ(D) rounds *)
+    failure_flood true;
     {
       pass = false;
       domination_ok = false;
@@ -166,9 +166,8 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
         ~listen:live
         (fun r _ m -> note heard ~classes detect_at r round m.(0) m.(1))
     done;
-    (* 5. failure-flag flood: Θ(D) rounds, silent when nothing failed
-          ([max_int] is never sent) *)
-    failure_flood (fun r -> if !detection <> None && r = 0 then 0 else max_int);
+    (* 5. failure-flag flood: Θ(D) rounds, silent when nothing failed *)
+    failure_flood (!detection <> None);
     let connectivity_ok = !detection = None in
     {
       pass = connectivity_ok;

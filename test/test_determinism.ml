@@ -951,13 +951,13 @@ let pinned_ladder_distributed_cases =
          false/false/true/- 74 false; 2000013 false/true/false/0 176 \
          false]; verified false, retries 2, charged 359, exhausted false, \
          retained 6, memberships 368aba81645fc5ff7ac306336735f2b9; rounds \
-         359, messages 84920, words 158744, digest 30114c9451c7e1" );
+         359, messages 82328, words 156152, digest fcc586e3496e01" );
       ( "run_verified_distributed Repair",
         (fun () -> run_reliable_distributed `Repair ~max_retries:2),
         "attempts [7 true/true/true/- 274 true]; verified true, retries 0, \
          charged 274, exhausted false, retained 10, memberships \
-         f070208074c1dd1b2a037e44f02088b7; rounds 274, messages 62792, \
-         words 118352, digest f966a32b648f0" );
+         f070208074c1dd1b2a037e44f02088b7; rounds 274, messages 61496, \
+         words 117056, digest 9b56b4e015e8fe" );
       ( "run_verified_distributed rollback",
         (fun () ->
           run_reliable_distributed `Repair ~max_retries:1
@@ -972,15 +972,15 @@ let pinned_ladder_distributed_cases =
         "attempts [7 false/false/true/- 160 true; 1000010 \
          false/false/true/- 154 true]; verified false, retries 1, charged \
          315, exhausted false, retained 0, memberships \
-         7d334aac42979ce0310a85f03f3dd01a; rounds 239, messages 29192, \
-         words 56728, digest 3b2ba25e2f376cd" );
+         7d334aac42979ce0310a85f03f3dd01a; rounds 239, messages 27896, \
+         words 55432, digest 34bdaf636ccbfaf" );
       ( "run_verified_distributed budget",
         (fun () ->
           run_reliable_distributed ~round_budget:1 `Retry ~max_retries:4),
         "attempts [7 false/false/true/- 106 false]; verified false, retries \
          0, charged 106, exhausted true, retained 6, memberships \
-         dea53e6666593d74616f6b0fd9a5b228; rounds 106, messages 19840, \
-         words 37024, digest 30d831d4b000894" );
+         dea53e6666593d74616f6b0fd9a5b228; rounds 106, messages 18544, \
+         words 35728, digest 3fedca92ba7b372" );
       ( "pack_verified_distributed storm",
         run_reliable_storm,
         "attempts [7 true/true/true/- 175 false]; verified true, retries 0, \
