@@ -54,7 +54,8 @@ let peel g =
       Array.iter (fun e -> free.(e) <- false) tree;
       go (tree :: acc)
   in
-  go []
+  (* one vertex: the empty tree spans it, and taking it frees no edge *)
+  if Graph.n g < 2 then [] else go []
 
 let to_packing g trees =
   {

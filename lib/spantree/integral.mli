@@ -12,7 +12,8 @@
 
 (** [peel g] is a list of edge-disjoint spanning trees of [g] (each its
     edge ids, ascending), greedily extracted. Empty if [g] is
-    disconnected. *)
+    disconnected or has fewer than two vertices (a one-vertex graph's
+    empty tree would span it without end). *)
 val peel : Graphs.Graph.t -> int array list
 
 (** [to_packing g trees] wraps integral trees as a weight-1 packing

@@ -225,6 +225,15 @@ let test_peel_disconnected () =
   let g = Graph.of_edges ~n:4 [ (0, 1); (2, 3) ] in
   Alcotest.(check int) "no trees" 0 (List.length (Integral.peel g))
 
+let test_peel_trivial () =
+  List.iter
+    (fun n ->
+      Alcotest.(check int)
+        (Printf.sprintf "no trees on %d vertices" n)
+        0
+        (List.length (Integral.peel (Graph.of_edges ~n []))))
+    [ 0; 1 ]
+
 let prop_peel_edge_disjoint =
   QCheck.Test.make ~name:"peeled trees are always edge-disjoint spanning trees"
     ~count:15
@@ -419,6 +428,7 @@ let () =
         [
           Alcotest.test_case "achieves target" `Quick test_peel_achieves_target;
           Alcotest.test_case "disconnected" `Quick test_peel_disconnected;
+          Alcotest.test_case "under two vertices" `Quick test_peel_trivial;
         ] );
       qsuite "integral.props" [ prop_peel_edge_disjoint ];
       ( "dist_packing",
