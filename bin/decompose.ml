@@ -381,10 +381,10 @@ let verified_cmd =
           a.Domtree.Reliable.repaired a.Domtree.Reliable.attempt_rounds)
       r.Domtree.Reliable.attempts;
     (match r.Domtree.Reliable.repair with
-    | Some rep -> Format.printf "repair: %a@." Domtree.Repair.pp rep
+    | Some rep -> Format.printf "%a@." Domtree.Repair.pp rep
     | None -> ());
     let cert = r.Domtree.Reliable.certificate in
-    Format.printf "certificate: %a@." Domtree.Certificate.pp cert;
+    Format.printf "%a@." Domtree.Certificate.pp cert;
     (match
        Domtree.Certificate.check ~seed:(seed + 1) ~live:!live g
          ~memberships:(fun v -> r.Domtree.Reliable.memberships.(v))

@@ -54,7 +54,7 @@ let () =
          ~memberships:(fun v -> r.Reliable.memberships.(v))
          r.Reliable.certificate
      with
-    | Ok () -> Format.printf "  certificate: %a — checks@." Certificate.pp r.Reliable.certificate
+    | Ok () -> Format.printf "  %a — checks@." Certificate.pp r.Reliable.certificate
     | Error es -> List.iter (Format.printf "  certificate REJECTED: %s@.") es);
     r
   in
