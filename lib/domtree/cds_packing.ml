@@ -108,16 +108,13 @@ let run_on side ~seed ~jumpstart ~classes ~layers =
   let stages = default_layers ~n in
   (* per-run scratch. A node holds each class at most once and at most
      three classes per layer, which bounds the slots of any layer. *)
-  let max_slice = min classes (3 * layers) in
-  let max_slots = n * max_slice in
+  let max_slots = n * min classes (3 * layers) in
   (* [slot_of.(i * n + r)]: r's slot of class i in this layer's layout,
      [-1] if r holds no virtual node of class i *)
   let slot_of = Array.make (classes * n) (-1) in
   let slot r i = slot_of.((i * n) + r) in
   let comm =
-    Comm.make side
-      ~component:(fun x -> Union_find.find uf x)
-      ~slot_of ~classes ~max_slots ~max_slice
+    Comm.make side ~component:(Union_find.find uf) ~slot_of ~classes ~max_slots
   in
   let component_id = comm.component_min () in
   let component_min = comm.component_min () in

@@ -19,13 +19,13 @@
       B.3's proposal matching, which ends at its first silent proposal
       round or after [default_layers ~n] stages.
 
-    {!run_on} is that one layer loop over a {!Comm.side}, talking
-    through a {!Comm.t}. The distributed side exchanges every step's
-    messages on a {!Congest.Net.t} ({!Dist_packing.run}). The central
-    side ({!run}) sends nothing: it hands each receiver the same
-    deliveries in the same order by walking the graph, and reads
-    component-wide minima off a union-find over (class, node) pairs
-    that both sides keep for the statistics. Both draw from one RNG stream, so a seed gives equal
+    {!run_on} is that one layer loop over a {!Comm.side}. The
+    distributed side exchanges every step's messages on a
+    {!Congest.Net.t} ({!Dist_packing.run}). The central side ({!run})
+    sends nothing: it hands each receiver the same deliveries in the
+    same order by walking the graph, and reads component-wide minima
+    off a union-find over (class, node) pairs that both sides keep for
+    the statistics. Both draw from one RNG stream, so a seed gives equal
     packings, statistics included, on either side. A central layer
     costs O(n·t + Σ_r deg(r)·ℓ(r)) array operations, where ℓ(r) <= 2
     classes in status sweep #1 and the classes r heard of in B.2b that
@@ -69,9 +69,7 @@ val default_layers : n:int -> int
 val proposal_key : n:int -> int -> int -> int
 
 (** [run_on side ~seed ~jumpstart ~classes ~layers] is the one layer
-    loop behind {!run} and {!Dist_packing.run}. Both sides deliver in
-    one order and draw the same random numbers, so they return equal
-    packings.
+    loop behind {!run} and {!Dist_packing.run}.
     @raise Invalid_argument if [classes < 1], [jumpstart] is outside
     [1 .. layers], or a {!proposal_key} of the graph's [n] can exceed
     [Congest.Model.max_word ~n]. *)

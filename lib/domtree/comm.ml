@@ -50,18 +50,14 @@ let distributed net ~max_slots ~classes =
     component_min_on_change = Multiflood.flood_min_on_change net;
   }
 
-(* A central round hands each sender's message to its receivers as soon
-   as it is sent. Sweep messages live in a flat staging area, one record
-   of [width] words per slot (its length, -1 until it is staged, then
-   its words), and a delivery hands [recv] a scratch copy of the right
-   length: nothing a round or sweep sends outlives it, so nothing is
-   promoted. Sweeps find a
-   class's senders through [slot_of], the swept layout's (class, node)
-   -> slot table, and a component-wide minimum is read off the
-   union-find [uf] over (class, node) pairs. *)
+(* Sweep messages live in a flat staging area, one record of [width]
+   words per slot (its length, -1 until it is staged, then its words),
+   and a delivery hands [recv] a scratch copy of the right length:
+   nothing a round or sweep sends outlives it, so nothing is
+   promoted. *)
 let width = 4
 
-let central g ~component ~slot_of ~classes ~max_slots ~max_slice =
+let central g ~component ~slot_of ~classes ~max_slots =
   let n = Graph.n g in
   let csr_off = Graph.csr_offsets g and csr_adj = Graph.csr_neighbors g in
   let words = Array.make (width * max_slots) 0 in
@@ -97,9 +93,9 @@ let central g ~component ~slot_of ~classes ~max_slots ~max_slice =
     max_degree := max !max_degree (csr_off.(r + 1) - csr_off.(r))
   done;
   let max_degree = !max_degree in
-  let count = Array.make max_slice 0 in
-  let from = Array.make (max_slice * max_degree) 0 in
-  let sender = Array.make (max_slice * max_degree) 0 in
+  let count = Array.make classes 0 in
+  let from = Array.make (classes * max_degree) 0 in
+  let sender = Array.make (classes * max_degree) 0 in
   let listening = Array.make n false in
   let best = Array.make (classes * n) 0 in
   let component_min () =
@@ -185,9 +181,9 @@ let central g ~component ~slot_of ~classes ~max_slots ~max_slice =
     component_min_on_change = (fun sl ~init -> component_min () sl ~init);
   }
 
-let make side ~component ~slot_of ~classes ~max_slots ~max_slice =
+let make side ~component ~slot_of ~classes ~max_slots =
   match side with
-  | Central g -> central g ~component ~slot_of ~classes ~max_slots ~max_slice
+  | Central g -> central g ~component ~slot_of ~classes ~max_slots
   | Distributed net -> distributed net ~max_slots ~classes
 
 let fill_slots slot_of ~n (sl : Multiflood.slots) =
@@ -206,8 +202,7 @@ let label_components g ~slot_of (sl : Multiflood.slots) label =
   for r = 0 to n - 1 do
     for s = sl.off.(r) to sl.off.(r + 1) - 1 do
       let row = sl.cls.(s) * n in
-      (* a breadth-first search from the least node of each
-         class-component *)
+      (* a breadth-first search from each class-component's least node *)
       if label.(row + r) < 0 then begin
         label.(row + r) <- row + r;
         queue.(0) <- r;

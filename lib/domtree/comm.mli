@@ -1,39 +1,29 @@
 (** How a step of Appendix B talks, on either side.
 
     {!Cds_packing}, {!Tester} and {!Repair} are each written once over a
-    {!side}: their bodies exchange messages only through a {!t}, so the
-    central run is the distributed one without a network. The
-    distributed side sends every message on a {!Congest.Net.t}. The
-    central side sends none: it hands each receiver the same deliveries
-    by walking the graph, and reads component-wide minima off the
-    caller's names of the class-components of (class, node) pairs: a
-    union-find in {!Cds_packing}, {!label_components} in {!Tester} and
-    {!Repair}. A
-    delivery acts on its receiver alone, and only the order among one
-    class's deliveries to one receiver can change what it does, so the
-    central side may walk the deliveries receiver by receiver and class
-    by class, each class's in the distributed order: meta-round
-    ascending, then sender ascending, never a node to itself. *)
+    {!side} and send only through a {!t}, so the central run is the
+    distributed one without a network. The central side sends nothing:
+    it hands each receiver the same deliveries by walking the graph, and
+    reads component-wide minima off the caller's names for the
+    class-components of (class, node) pairs. A delivery acts on its
+    receiver alone, and only the order among one class's deliveries to
+    one receiver can change what it does, so the central side keeps
+    that order alone: meta-round ascending, then sender ascending. *)
 
-(** Where a protocol runs. *)
 type side =
-  | Central of Graphs.Graph.t
-      (** every step by direct graph walks and union-find; no message *)
-  | Distributed of Congest.Net.t
-      (** every step as messages on the network (V- or E-CONGEST) *)
+  | Central of Graphs.Graph.t  (** graph walks; no message *)
+  | Distributed of Congest.Net.t  (** messages on the network *)
 
 val graph : side -> Graphs.Graph.t
 
 (** [rounds side] is the network's round count; always 0 central. *)
 val rounds : side -> int
 
-(** [failure_flood side] builds the BFS tree from node 0 that bounds the
-    Θ(D) failure floods of a run and returns the flood: [flood raised]
-    is a {!Congest.Primitives.flood_min} for twice the tree's height in
-    rounds in which node 0 holds 0 when [raised] and every other value
-    is [max_int], which is never sent: a raised flag reaches every node,
-    and an unraised one costs silent rounds. Central, it builds and
-    floods nothing. *)
+(** [failure_flood side] builds the BFS tree from node 0 that bounds a
+    run's Θ(D) failure floods, and returns the flood: [flood raised]
+    runs {!Congest.Primitives.flood_min} for twice the tree's height in
+    rounds, from 0 at node 0 when [raised] and [max_int] (never sent)
+    elsewhere. Central, it builds and floods nothing. *)
 val failure_flood : side -> bool -> unit
 
 type t = {
@@ -42,12 +32,10 @@ type t = {
     listen:(int -> bool) ->
     (int -> int -> Congest.Net.msg -> unit) ->
     unit;
-      (** [round send ~listen recv] is one broadcast round and its
-          deliveries [recv r sender m] to the receivers [r] for which
-          [listen r] holds when the round's messages arrive. [send] must
-          not read what [recv] writes: the central side reads [listen]
-          once per receiver, then sends and delivers sender by
-          sender. *)
+      (** [round send ~listen recv]: one broadcast round, delivered as
+          [recv r sender m] to each [r] for which [listen r] holds when
+          the messages arrive. [send] must not read what [recv] writes:
+          central, each sender's message is delivered as it is sent. *)
   sweep :
     Multiflood.slots ->
     payload:(int -> int -> int array) ->
@@ -57,14 +45,12 @@ type t = {
     unit;
       (** {!Multiflood.membership_sweep}. [listen r i] may be [false]
           only where [recv] ignores every delivery of class [i] to [r],
-          and [ordered] is [false] only where the order among them
-          cannot matter either: the central side then skips those, or
-          delivers in sender order. The distributed side delivers every
-          message in its own order. [payload] must not read what [recv]
-          writes: the central side stages a slot's message at its
-          first delivery, and finds a class's senders through
-          [slot_of] ({!fill_slots}), which must index the swept
-          layout. A message holds at most three words. *)
+          and [ordered] only where their order cannot matter either:
+          central, those are skipped, or delivered in sender order.
+          [payload] (at most two words) must not read what [recv]
+          writes: central, a slot's message is staged at its first
+          delivery, and [slot_of] ({!fill_slots}) must index the
+          layout. *)
   component_min :
     unit -> Multiflood.slots -> init:(int -> int -> int) -> int array;
       (** [component_min ()] is a {!Multiflood.flood_min} with its own
@@ -74,32 +60,28 @@ type t = {
       (** {!Multiflood.flood_min_on_change}, with a fresh result array *)
 }
 
-(** [make side ~component ~slot_of ~classes ~max_slots ~max_slice]
-    talks on [side] for layouts of at most [max_slots] slots, at most
-    [max_slice] on one node, of classes below [classes]. Central, a
-    component-wide minimum groups the slots by [component (i * n + r)],
-    a pair in [0 .. classes * n - 1] that names the class-component of
-    node [r]'s membership of class [i] in the flooded layout, and sweeps
-    read [slot_of]. The distributed side reads neither. *)
+(** [make side ~component ~slot_of ~classes ~max_slots] talks on [side]
+    for layouts of at most [max_slots] slots of classes below
+    [classes]; an ordered sweep's slices must not repeat a class.
+    Central, a component minimum groups the slots of the flooded layout
+    by [component (i * n + r)], a pair below [classes * n] that names
+    the class-component of [r]'s membership of class [i]. The
+    distributed side reads neither [component] nor [slot_of]. *)
 val make :
   side ->
   component:(int -> int) ->
   slot_of:int array ->
   classes:int ->
   max_slots:int ->
-  max_slice:int ->
   t
 
 (** [fill_slots slot_of ~n sl] makes [slot_of.(i * n + r)] the first
-    slot of class [i] in node [r]'s slice of [sl], [-1] where [r] holds
-    no slot of [i]. *)
+    slot of class [i] in node [r]'s slice of [sl], or [-1]. *)
 val fill_slots : int array -> n:int -> Multiflood.slots -> unit
 
-(** [label_components g ~slot_of sl label] sets [label.(i * n + r)] to
-    [i * n + r0], where [r0] is the least node of the class-component of
-    [r]'s membership of class [i] in the layout [sl], which [slot_of]
-    indexes; [-1] for the pairs that [sl] holds no slot of. A label is
-    then a [component] for {!make}, and [r0] the component's
-    {!Multiflood.flood_min} of [init r _ = r]. *)
+(** [label_components g ~slot_of sl label] makes [label.(i * n + r)]
+    the pair [i * n + r0] of the least node [r0] of [r]'s
+    class-component of [i] in [sl], which [slot_of] indexes, or [-1]:
+    a [component] for {!make}. *)
 val label_components :
   Graphs.Graph.t -> slot_of:int array -> Multiflood.slots -> int array -> unit

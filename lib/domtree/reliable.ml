@@ -53,7 +53,7 @@ let snapshot_memberships ~live n memfn =
 let run ?(seed = 42) ?(max_retries = default_max_retries)
     ?(policy = (`Retry : policy)) ?round_budget ?k (side : Side.t) ~classes
     ~layers =
-  let g = side.graph and live = side.live in
+  let g = Comm.graph side.side and live = side.live in
   let n = Graph.n g in
   let k = match k with Some k -> k | None -> 3 * classes in
   let test ~seed ~memberships ~classes =

@@ -44,13 +44,6 @@ let sanitize ~live n ~memberships ~classes =
       end
       else [])
 
-let live_member_counts mem ~classes =
-  let counts = Array.make classes 0 in
-  Array.iter
-    (fun ls -> List.iter (fun i -> counts.(i) <- counts.(i) + 1) ls)
-    mem;
-  counts
-
 (* The simultaneous-bridge join rule.
    [nc.(i).(x)]: sorted distinct fragment ids of class [i] that live
    non-member [x] sees at distance 1 (empty when none, or when [x] is a
@@ -111,17 +104,20 @@ let run_on side ~live ~memberships ~classes =
   let n = Graph.n g in
   let start = Comm.rounds side in
   let mem = sanitize ~live n ~memberships ~classes in
-  let dropped = Array.make classes false in
   let touched = Array.make classes false in
   let orphans = ref 0 in
   let splices = ref 0 in
-  (* 1. extinction *)
-  let counts = live_member_counts mem ~classes in
-  Array.iteri (fun i c -> if c = 0 then dropped.(i) <- true) counts;
-  (* memberships by (class, node) = [i * n + r] *)
+  (* memberships by (class, node) = [i * n + r]; 1. extinction: a class
+     no live node holds is dropped *)
   let member = Array.make (classes * n) false in
+  let dropped = Array.make classes true in
   Array.iteri
-    (fun r ls -> List.iter (fun i -> member.((i * n) + r) <- true) ls)
+    (fun r ls ->
+      List.iter
+        (fun i ->
+          member.((i * n) + r) <- true;
+          dropped.(i) <- false)
+        ls)
     mem;
   let join x i =
     mem.(x) <- List.sort_uniq Int.compare (i :: mem.(x));
@@ -132,7 +128,7 @@ let run_on side ~live ~memberships ~classes =
   let label = Array.make (classes * n) (-1) in
   let comm =
     Comm.make side ~component:(Array.get label) ~slot_of ~classes
-      ~max_slots:(classes * n) ~max_slice:classes
+      ~max_slots:(classes * n)
   in
   (* 2. domination fix off one membership sweep *)
   let seen = Array.make (classes * n) false in

@@ -25,21 +25,18 @@
       certified by {!Certificate} rather than discarded.
 
     The repair is written once ({!run_on}) over a {!Comm.side}.
-    Distributed ({!run_distributed}), component ids come from per-class
-    {!Multiflood.flood_min_on_change}, fragment ids and relays from
-    membership sweeps, so its rounds are charged to the clock ({e only}
-    the repair's rounds, the point of the exercise), it runs unmodified
-    under an installed fault adversary, and it stays
-    replay-deterministic. Central ({!run_centralized}), the same body
-    sends nothing and reads fragment ids off a union-find over (class,
-    node) pairs. It pays only for work that can change its output: the
-    first splice iteration floods every surviving class, later ones only
-    the classes still split, the announcements and relays carry split
-    classes alone, and the BFS tree that bounds the dissemination flood
-    is built only when a class is dropped. Repaired classes are no
-    longer vertex-disjoint in general (connectors may serve several
-    classes); the certificate's [c_max_load] reports the overlap
-    honestly. *)
+    Distributed, fragment ids come from per-class
+    {!Multiflood.flood_min_on_change}, announcements and relays from
+    membership sweeps, so {e only} the repair's rounds are charged, it
+    runs unmodified under an installed fault adversary, and it stays
+    replay-deterministic. Central, the same body sends nothing. It pays
+    only for work that can change its output: the first splice
+    iteration floods every surviving class, later ones only the classes
+    still split, the announcements and relays carry split classes
+    alone, and the BFS tree that bounds the dissemination flood is built
+    only when a class is dropped. Repaired classes are no longer
+    vertex-disjoint in general (connectors may serve several classes);
+    the certificate's [c_max_load] reports the overlap honestly. *)
 
 type class_status =
   | Healthy  (** untouched: was already connected + dominating *)
@@ -60,10 +57,9 @@ type t = {
 
 val pp : Format.formatter -> t -> unit
 
-(** [run_on side ~live ~memberships ~classes] is the one repair behind
-    {!run_centralized} and {!run_distributed}: it repairs the packing
-    against the live subgraph. Membership lists of dead nodes and
-    classes outside [0 .. classes - 1] are discarded. *)
+(** [run_on side ~live ~memberships ~classes] repairs the packing
+    against the live subgraph, discarding dead nodes' memberships and
+    classes outside [0 .. classes - 1]. *)
 val run_on :
   Comm.side ->
   live:(int -> bool) ->

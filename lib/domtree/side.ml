@@ -1,8 +1,6 @@
-module Graph = Graphs.Graph
 module Net = Congest.Net
 
 type t = {
-  graph : Graph.t;
   side : Comm.side;
   live : int -> bool;
   charged : unit -> int;
@@ -12,7 +10,6 @@ type t = {
 
 let central ?(live = fun _ -> true) g =
   {
-    graph = g;
     side = Comm.Central g;
     live;
     charged = (fun () -> 0);
@@ -26,7 +23,6 @@ let distributed net =
      clock, honest accounting adds them back *)
   let discarded = ref 0 in
   {
-    graph = Net.graph net;
     side = Comm.Distributed net;
     live = Net.node_alive net;
     charged = (fun () -> Net.rounds_since net start + !discarded);

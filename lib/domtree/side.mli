@@ -9,7 +9,6 @@
     charges rounds from the moment it is built. *)
 
 type t = {
-  graph : Graphs.Graph.t;
   side : Comm.side;
   live : int -> bool;  (** the nodes the tester and repair consider *)
   charged : unit -> int;

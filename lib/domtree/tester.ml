@@ -53,9 +53,8 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
     | Some (at, sl) when at = now -> sl
     | _ ->
       let sl = Multiflood.layout ~n memberships in
-      Array.iter
-        (fun i -> if i >= classes then invalid_arg "Tester: class out of range")
-        sl.Multiflood.cls;
+      if sl.Multiflood.universe > classes then
+        invalid_arg "Tester: class out of range";
       last := Some (now, sl);
       sl
   in
@@ -63,25 +62,19 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
         failure-flag floods *)
   let failure_flood = Comm.failure_flood side in
   let sl1 = layout () in
-  let off1 = sl1.Multiflood.off and cls1 = sl1.Multiflood.cls in
-  let max_slice = ref 0 in
-  for r = 0 to n - 1 do
-    max_slice := max !max_slice (off1.(r + 1) - off1.(r))
-  done;
   let slot_of = Array.make (classes * n) (-1) in
   let label = Array.make (classes * n) (-1) in
   let comm =
     Comm.make side ~component:(Array.get label) ~slot_of ~classes
-      ~max_slots:(Array.length cls1)
-      ~max_slice:!max_slice
+      ~max_slots:(Array.length sl1.Multiflood.cls)
   in
   (* 1. domination: every class must appear in every closed
         neighborhood. A node sees its own classes first, so it listens
         only for the others. *)
   let seen = Array.make (n * classes) false in
   for r = 0 to n - 1 do
-    for s = off1.(r) to off1.(r + 1) - 1 do
-      seen.((r * classes) + cls1.(s)) <- true
+    for s = sl1.Multiflood.off.(r) to sl1.Multiflood.off.(r + 1) - 1 do
+      seen.((r * classes) + sl1.Multiflood.cls.(s)) <- true
     done
   done;
   Comm.fill_slots slot_of ~n sl1;

@@ -16,14 +16,10 @@
     A passing test is always sound for domination and sound w.h.p. for
     connectivity; a valid partition always passes.
 
-    The test is written once ({!run_on}) over a {!Comm.side}. The
-    distributed side ({!run_distributed}) exchanges every message on the
-    network and charges its rounds, including a BFS tree that bounds
-    the final Θ(D) failure-flag flood. The central side
-    ({!run_centralized}) is the same body without a network: it sends
-    nothing, builds no BFS tree, and names components by a union-find
-    over (class, node) pairs. Both draw the same random numbers, so a
-    seed gives the same outcome on either side, fault-free. *)
+    The test is written once ({!run_on}) over a {!Comm.side}; the
+    central side sends nothing and builds no BFS tree. Both draw the
+    same random numbers, so a seed gives one outcome on either side,
+    fault-free. *)
 
 type outcome = {
   pass : bool;
@@ -34,7 +30,6 @@ type outcome = {
 }
 
 (** [run_on side ~seed ~live ~memberships ~classes ~detection_rounds]
-    is the one tester behind {!run_distributed} and {!run_centralized}.
     @raise Invalid_argument if a live node holds a class outside
     [0 .. classes - 1]. *)
 val run_on :

@@ -24,7 +24,7 @@ let finish ~attempts ~guess res =
 (* The one guess ladder: pack at guess n/2^j, accept the first packing
    the tester passes, or the last guess. *)
 let run ~seed (side : Side.t) =
-  let n = Graph.n side.graph in
+  let n = Graph.n (Comm.graph side.side) in
   let rec try_guess attempts = function
     | [] -> assert false (* guess 1 always yields classes = 1 *)
     | guess :: rest ->
