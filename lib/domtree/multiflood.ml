@@ -174,7 +174,7 @@ let flood_min_on_change net sl ~init =
   done;
   result st sl
 
-let membership_sweep ?row net sl ~payload ~recv =
+let membership_sweep net sl ~payload ~recv =
   let off = sl.off and cls = sl.cls in
   let deliver r sender _ (m : Net.msg) = recv r sender m.(0) m in
   for k = 0 to max_slots sl - 1 do
@@ -192,7 +192,5 @@ let membership_sweep ?row net sl ~payload ~recv =
           Some m
         end
         else None);
-    match row with
-    | None -> Net.iter_deliveries net deliver
-    | Some row -> iter_deliveries net sl row deliver
+    Net.iter_deliveries net deliver
   done

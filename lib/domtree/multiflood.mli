@@ -144,11 +144,8 @@ val flood_min_on_change :
     whole message ([m.(0) = cls], the payload from index 1): meta-round
     by meta-round, receivers [r] ascending, and each receiver's
     deliveries of one slot round in increasing sender order. Nothing is
-    kept across rounds; [m] is valid only during the call. With [~row],
-    deliveries are walked by {!iter_deliveries}, so [recv r] may read
-    [row] as [r]'s class→slot row. *)
+    kept across rounds; [m] is valid only during the call. *)
 val membership_sweep :
-  ?row:int array ->
   Congest.Net.t ->
   slots ->
   payload:(int -> int -> int array) ->
