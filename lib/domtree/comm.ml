@@ -50,18 +50,18 @@ let distributed net ~max_slots ~classes =
     component_min_on_change = Multiflood.flood_min_on_change net;
   }
 
-(* Sweep messages live in a flat staging area, one record of [width]
-   words per slot (its length, -1 until it is staged, then its words),
-   and a delivery hands [recv] a scratch copy of the right length:
-   nothing a round or sweep sends outlives it, so nothing is
-   promoted. *)
-let width = 4
+(* Sweep payloads live in a flat staging area, one record of [width]
+   words per slot (the payload's length, -1 until it is staged, then its
+   words), and a delivery hands [recv] a scratch copy of the message of
+   the right length: nothing a round or sweep sends outlives it, so
+   nothing is promoted. *)
+let width = 3
 
 let central g ~component ~slot_of ~classes ~max_slots =
   let n = Graph.n g in
   let csr_off = Graph.csr_offsets g and csr_adj = Graph.csr_neighbors g in
   let words = Array.make (width * max_slots) 0 in
-  let scratch = Array.init width (fun l -> Array.make l 0) in
+  let scratch = Array.init (width + 1) (fun l -> Array.make l 0) in
   (* slot [s] of node [u]: its message, the class [cls.(s)] and then
      [payload u s], staged at its first delivery. Word loops rather than
      [Array.blit], which writes through [caml_modify] once the arrays
@@ -71,16 +71,16 @@ let central g ~component ~slot_of ~classes ~max_slots =
     if words.(x) < 0 then begin
       let p = payload u s in
       let l = Array.length p in
-      if l + 1 >= width then invalid_arg "Comm: message too long";
-      words.(x + 1) <- cls.(s);
+      if l >= width then invalid_arg "Comm: message too long";
       for j = 0 to l - 1 do
-        words.(x + 2 + j) <- p.(j)
+        words.(x + 1 + j) <- p.(j)
       done;
-      words.(x) <- l + 1
+      words.(x) <- l
     end;
-    let m = scratch.(words.(x)) in
-    for j = 0 to Array.length m - 1 do
-      m.(j) <- words.(x + 1 + j)
+    let m = scratch.(words.(x) + 1) in
+    m.(0) <- cls.(s);
+    for j = 1 to Array.length m - 1 do
+      m.(j) <- words.(x + j)
     done;
     m
   in

@@ -149,10 +149,12 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
           if not (member3 r i) then heard.((r * classes) + i) <- -1
         done
     done;
-    (* 4. random announcement rounds (Lemma E.1's detector-path process) *)
+    (* 4. random announcement rounds (Lemma E.1's detector-path process);
+          from here on, the comm's sweep scratch is garbage *)
+    let announce = comm.round in
     for round = 1 to detection_rounds do
       let choice = Array.init n (fun r -> choose rng heard ~classes r) in
-      comm.round
+      announce
         (fun r ->
           let i = choice.(r) in
           if i >= 0 then Some [| i; heard.((r * classes) + i) |] else None)
