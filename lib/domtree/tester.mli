@@ -30,6 +30,7 @@ type outcome = {
 }
 
 (** [run_on side ~seed ~live ~memberships ~classes ~detection_rounds]
+    runs the test on [side].
     @raise Invalid_argument if a live node holds a class outside
     [0 .. classes - 1]. *)
 val run_on :
