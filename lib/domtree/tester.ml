@@ -122,7 +122,6 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
     let sl3 = layout () in
     let cls3 = sl3.Multiflood.cls in
     Comm.fill_slots slot_of ~n sl3;
-    let member3 r i = slot_of.((i * n) + r) >= 0 in
     for r = 0 to n - 1 do
       for s = sl3.Multiflood.off.(r) to sl3.Multiflood.off.(r + 1) - 1 do
         note heard ~classes detect_at r 0 cls3.(s) (cid r cls3.(s))
@@ -139,14 +138,14 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
         if h < 0 then heard.(k) <- c
         else begin
           if h <> c then conflict.(r) <- true;
-          if not (member3 r i) then heard.(k) <- c
+          if slot_of.((i * n) + r) < 0 then heard.(k) <- c
         end);
     (* a node that did not survive the sweep observed nothing in it *)
     for r = 0 to n - 1 do
       if live r then (if conflict.(r) then detect_at 0)
       else
         for i = 0 to classes - 1 do
-          if not (member3 r i) then heard.((r * classes) + i) <- -1
+          if slot_of.((i * n) + r) < 0 then heard.((r * classes) + i) <- -1
         done
     done;
     (* 4. random announcement rounds (Lemma E.1's detector-path process);
