@@ -37,7 +37,8 @@ let check_arg =
   Arg.(value & flag & info [ "check" ]
          ~doc:"Run the distributed protocol twice from the same seed and \
                fail (exit 3, replay divergence) unless telemetry — rounds, \
-               words, loads, per-round traffic digests — is bit-identical. \
+               messages, words, losses, per-round traffic digests — is \
+               bit-identical. \
                Requires $(b,--distributed).")
 
 (* Under --check, run [f] through Net.replay_check and report; otherwise

@@ -101,19 +101,15 @@ type t = {
   mutable words : int;
   mutable messages_lost : int;
   mutable words_lost : int;
-  mutable max_node_load : int;
-  mutable max_edge_load : int;
   mutable last : last_round;
       (* the kind of the last round, hence where its inbox view reads *)
-  (* broadcast round, per sender: its message and that message's
-     length (-1 = silent this round) *)
+  (* broadcast round, per sender: its message and, in a fault-free
+     round, that message's length (-1 = silent this round) *)
   sent : msg array;
   sent_len : int array;
-  (* per receiver, during a round: the hash of its in-traffic so far
-     (seeded with its id) and the words delivered to it; [end_round]
-     reads both and resets them *)
+  (* per receiver, during a round: the hash of its in-traffic so far,
+     seeded with its id; [end_round] reads and resets it *)
   rh : int array;
-  rw : int array;
   mutable arenas : arenas option;
   mutable tag : int;  (* one fresh stamp per round *)
   mutable boundary : (int -> bool) option;
@@ -150,13 +146,10 @@ let create model g =
     words = 0;
     messages_lost = 0;
     words_lost = 0;
-    max_node_load = 0;
-    max_edge_load = 0;
     last = No_round;
     sent = Array.make n [||];
     sent_len = Array.make n (-1);
     rh = Array.init n Fun.id;
-    rw = Array.make n 0;
     arenas = None;
     tag = 0;
     boundary = None;
@@ -269,13 +262,12 @@ let arenas net =
 
 let begin_round net =
   net.tag <- net.tag + 1;
-  (* a round that raised left its partial per-receiver tallies behind
+  (* a round that raised left its partial per-receiver hashes behind
      (and no view): start from clean ones *)
   (match net.last with
   | No_round ->
     for v = 0 to Array.length net.rh - 1 do
-      net.rh.(v) <- v;
-      net.rw.(v) <- 0
+      net.rh.(v) <- v
     done
   | Broadcast | Faulty_broadcast _ | Edge _ -> ());
   (* the previous round's view ends here; a round that raises leaves
@@ -291,27 +283,20 @@ let begin_round net =
   | None -> ()
 
 (* Close the round: one pass over the receivers, ascending, folds each
-   receiver's hash into the round digest, reads the node loads, and
-   resets both for the next round; then the walk's tallies go into the
-   net's counters. *)
-let end_round net ~msgs ~lost ~wlost ~emax ~cross =
-  let rh = net.rh and rw = net.rw in
-  let digest = ref 0 and words = ref 0 and nmax = ref 0 in
+   receiver's hash into the round digest and resets it for the next
+   round; then the walk's tallies go into the net's counters. *)
+let end_round net ~msgs ~words ~lost ~wlost ~cross =
+  let rh = net.rh in
+  let digest = ref 0 in
   for v = 0 to Array.length rh - 1 do
     digest := mix !digest rh.(v);
-    rh.(v) <- v;
-    let w = rw.(v) in
-    words := !words + w;
-    if w > !nmax then nmax := w;
-    rw.(v) <- 0
+    rh.(v) <- v
   done;
   net.messages <- net.messages + msgs;
-  net.words <- net.words + !words;
+  net.words <- net.words + words;
   net.messages_lost <- net.messages_lost + lost;
   net.words_lost <- net.words_lost + wlost;
   net.boundary_words <- net.boundary_words + cross;
-  net.max_node_load <- max net.max_node_load !nmax;
-  net.max_edge_load <- max net.max_edge_load emax;
   net.rounds <- net.rounds + 1;
   if net.trace_len = trace_chunk then begin
     net.trace_full <- net.trace_cur :: net.trace_full;
@@ -345,29 +330,22 @@ let end_round net ~msgs ~lost ~wlost ~emax ~cross =
    in [sent]; the first violation, the highest offending sender's,
    raises before anything reaches the net's counters. The sender then
    walks its own out-slots only: each copy is folded into its
-   receiver's [rh] and [rw] and tallied. Under a fault hook a crashed
-   sender is not asked, and [deliver] (a pure function of the copy,
-   DESIGN.md §6) decides each copy, its fate recorded in the sender's
-   slot. Silent senders cost nothing but their [send] call.
+   receiver's [rh]. Words are counted at the sender: [len] times its
+   degree when every copy is delivered, [len] per delivered copy under
+   a fault hook. There a crashed sender is not asked, and [deliver] (a
+   pure function of the copy, DESIGN.md §6) decides each copy, its fate
+   recorded in the sender's slot. Silent senders cost nothing but their
+   [send] call.
 
    A receiver's slice is ascending, so the senders reaching it in this
    walk come in the order a descending walk of its slice would meet
    them: [rh] gets the same folds as a receiver-major walk would make.
-   Edge loads: on a slot to v > u the copy v sent back to u is already
-   decided, so the sum is exact; on a slot to v < u the copy is a lower
-   bound, which v's own walk replaces by the sum if v sends back.
 
    The inbox view ({!iter_inbox}) then reads [sent] (and [fate]) in
    place: nothing is copied per delivery. *)
 let broadcast_round net send =
   let hook = net.faults in
-  let mirror, fate =
-    match hook with
-    | None -> ([||], [||])
-    | Some _ ->
-      let a = arenas net in
-      (a.mirror, a.fate)
-  in
+  let fate = match hook with None -> [||] | Some _ -> (arenas net).fate in
   begin_round net;
   let tag = net.tag in
   let bounded, side =
@@ -375,10 +353,10 @@ let broadcast_round net send =
   in
   let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
   let sent = net.sent and sent_len = net.sent_len in
-  let rh = net.rh and rw = net.rw in
+  let rh = net.rh in
   let n = Array.length sent in
-  let msgs = ref 0 and lost = ref 0 and wlost = ref 0 in
-  let emax = ref 0 and cross = ref 0 in
+  let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
+  let cross = ref 0 in
   (match hook with
   | None ->
     for u = n - 1 downto 0 do
@@ -390,15 +368,10 @@ let broadcast_round net send =
         sent_len.(u) <- len;
         let lo = off.(u) and hi = off.(u + 1) in
         msgs := !msgs + (hi - lo);
-        (* every copy is delivered: [len] bounds each incident edge's
-           load, and a silent v > u (length -1) adds nothing to it *)
-        if hi > lo && len > !emax then emax := len;
+        words := !words + (len * (hi - lo));
         for s = lo to hi - 1 do
           let v = adj.(s) in
-          rh.(v) <- digest_in rh.(v) ~tag:1 ~src:u hm;
-          rw.(v) <- rw.(v) + len;
-          if v > u && len + sent_len.(v) > !emax then
-            emax := len + sent_len.(v)
+          rh.(v) <- digest_in rh.(v) ~tag:1 ~src:u hm
         done;
         if bounded then
           for s = lo to hi - 1 do
@@ -408,38 +381,28 @@ let broadcast_round net send =
   | Some h ->
     for u = n - 1 downto 0 do
       match if h.node_alive u then send u else None with
-      | None -> sent_len.(u) <- -1
+      | None -> ()
       | Some m ->
         let hm = validate net ~node:u m and len = Array.length m in
         sent.(u) <- m;
-        sent_len.(u) <- len;
         for s = off.(u) to off.(u + 1) - 1 do
           let v = adj.(s) in
-          let load =
-            if h.deliver ~src:u ~dst:v ~edge:ids.(s) m then begin
-              fate.(s) <- tag;
-              rh.(v) <- digest_in rh.(v) ~tag:1 ~src:u hm;
-              rw.(v) <- rw.(v) + len;
-              incr msgs;
-              if bounded && side u <> side v then cross := !cross + len;
-              len
-            end
-            else begin
-              fate.(s) <- -tag;
-              rh.(v) <- digest_in rh.(v) ~tag:2 ~src:u hm;
-              incr lost;
-              wlost := !wlost + len;
-              0
-            end
-          in
-          let load =
-            if v > u && fate.(mirror.(s)) = tag then load + sent_len.(v)
-            else load
-          in
-          if load > !emax then emax := load
+          if h.deliver ~src:u ~dst:v ~edge:ids.(s) m then begin
+            fate.(s) <- tag;
+            rh.(v) <- digest_in rh.(v) ~tag:1 ~src:u hm;
+            incr msgs;
+            words := !words + len;
+            if bounded && side u <> side v then cross := !cross + len
+          end
+          else begin
+            fate.(s) <- -tag;
+            rh.(v) <- digest_in rh.(v) ~tag:2 ~src:u hm;
+            incr lost;
+            wlost := !wlost + len
+          end
         done
     done);
-  end_round net ~msgs:!msgs ~lost:!lost ~wlost:!wlost ~emax:!emax
+  end_round net ~msgs:!msgs ~words:!words ~lost:!lost ~wlost:!wlost
     ~cross:!cross;
   net.last <-
     (match hook with
@@ -467,16 +430,16 @@ let edge_round net send =
   if net.model = Model.V_congest then
     violate net "edge_round: per-edge messages illegal in V-CONGEST";
   let hook = net.faults in
-  let { mirror; out_msg; fate } = arenas net in
+  let { out_msg; fate; _ } = arenas net in
   begin_round net;
   let tag = net.tag in
   let bounded, side =
     match net.boundary with Some f -> (true, f) | None -> (false, fun _ -> false)
   in
   let off = net.csr_off and adj = net.csr_adj and ids = net.csr_ids in
-  let rh = net.rh and rw = net.rw in
-  let msgs = ref 0 and lost = ref 0 and wlost = ref 0 in
-  let emax = ref 0 and cross = ref 0 in
+  let rh = net.rh in
+  let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
+  let cross = ref 0 in
   for u = Array.length rh - 1 downto 0 do
     let alive = match hook with Some h -> h.node_alive u | None -> true in
     let out = ref (if alive then send u else []) in
@@ -502,31 +465,21 @@ let edge_round net send =
         fate.(s) <- tag;
         let hm = validate net ~node:u m and len = Array.length m in
         out_msg.(s) <- m;
-        let load =
-          match hook with
-          | Some h when not (h.deliver ~src:u ~dst:v ~edge:ids.(s) m) ->
-            fate.(s) <- -tag;
-            rh.(v) <- digest_in rh.(v) ~tag:2 ~src:u hm;
-            incr lost;
-            wlost := !wlost + len;
-            0
-          | _ ->
-            rh.(v) <- digest_in rh.(v) ~tag:1 ~src:u hm;
-            rw.(v) <- rw.(v) + len;
-            incr msgs;
-            if bounded && side u <> side v then cross := !cross + len;
-            len
-        in
-        let load =
-          if v > u && fate.(mirror.(s)) = tag then
-            load + Array.length out_msg.(mirror.(s))
-          else load
-        in
-        if load > !emax then emax := load;
+        (match hook with
+        | Some h when not (h.deliver ~src:u ~dst:v ~edge:ids.(s) m) ->
+          fate.(s) <- -tag;
+          rh.(v) <- digest_in rh.(v) ~tag:2 ~src:u hm;
+          incr lost;
+          wlost := !wlost + len
+        | _ ->
+          rh.(v) <- digest_in rh.(v) ~tag:1 ~src:u hm;
+          incr msgs;
+          words := !words + len;
+          if bounded && side u <> side v then cross := !cross + len);
         next := s + 1
     done
   done;
-  end_round net ~msgs:!msgs ~lost:!lost ~wlost:!wlost ~emax:!emax
+  end_round net ~msgs:!msgs ~words:!words ~lost:!lost ~wlost:!wlost
     ~cross:!cross;
   net.last <- Edge (arenas net)
 
@@ -576,8 +529,6 @@ let messages_sent net = net.messages
 let words_sent net = net.words
 let messages_lost net = net.messages_lost
 let words_lost net = net.words_lost
-let max_node_load net = net.max_node_load
-let max_edge_load net = net.max_edge_load
 
 let reset_stats net =
   net.rounds <- 0;
@@ -585,8 +536,6 @@ let reset_stats net =
   net.words <- 0;
   net.messages_lost <- 0;
   net.words_lost <- 0;
-  net.max_node_load <- 0;
-  net.max_edge_load <- 0;
   net.boundary_words <- 0;
   net.trace_full <- [];
   net.trace_len <- 0;
@@ -616,8 +565,6 @@ type barrier = {
   b_words : int;
   b_messages_lost : int;
   b_words_lost : int;
-  b_max_node_load : int;
-  b_max_edge_load : int;
   b_boundary_words : int;
   b_trace_full : int array list;
   b_trace_cur : int array;  (* a copy of the partial chunk *)
@@ -631,8 +578,6 @@ let barrier net =
     b_words = net.words;
     b_messages_lost = net.messages_lost;
     b_words_lost = net.words_lost;
-    b_max_node_load = net.max_node_load;
-    b_max_edge_load = net.max_edge_load;
     b_boundary_words = net.boundary_words;
     b_trace_full = net.trace_full;
     b_trace_cur = Array.sub net.trace_cur 0 net.trace_len;
@@ -645,8 +590,6 @@ let rollback net b =
   net.words <- b.b_words;
   net.messages_lost <- b.b_messages_lost;
   net.words_lost <- b.b_words_lost;
-  net.max_node_load <- b.b_max_node_load;
-  net.max_edge_load <- b.b_max_edge_load;
   net.boundary_words <- b.b_boundary_words;
   net.trace_full <- b.b_trace_full;
   net.trace_cur <- Array.make trace_chunk 0;
@@ -675,8 +618,6 @@ type telemetry = {
   t_words : int;
   t_messages_lost : int;
   t_words_lost : int;
-  t_max_node_load : int;
-  t_max_edge_load : int;
   t_boundary_words : int;
   t_digests : int array; (* per message round, chronological *)
 }
@@ -688,8 +629,6 @@ let telemetry net =
     t_words = net.words;
     t_messages_lost = net.messages_lost;
     t_words_lost = net.words_lost;
-    t_max_node_load = net.max_node_load;
-    t_max_edge_load = net.max_edge_load;
     t_boundary_words = net.boundary_words;
     t_digests = trace net;
   }
@@ -699,10 +638,9 @@ let run_digest t = Array.fold_left mix (mix 0 t.t_rounds) t.t_digests
 let pp_telemetry ppf t =
   Format.fprintf ppf
     "%d rounds (%d message rounds), %d messages, %d words, %d/%d lost, \
-     loads %d/%d, digest %x"
+     digest %x"
     t.t_rounds (Array.length t.t_digests) t.t_messages t.t_words
-    t.t_messages_lost t.t_words_lost t.t_max_node_load t.t_max_edge_load
-    (run_digest t)
+    t.t_messages_lost t.t_words_lost (run_digest t)
 
 let diff_telemetry a b =
   let d = ref [] in
@@ -715,8 +653,6 @@ let diff_telemetry a b =
   cmp "words" (fun t -> t.t_words);
   cmp "messages_lost" (fun t -> t.t_messages_lost);
   cmp "words_lost" (fun t -> t.t_words_lost);
-  cmp "max_node_load" (fun t -> t.t_max_node_load);
-  cmp "max_edge_load" (fun t -> t.t_max_edge_load);
   cmp "boundary_words" (fun t -> t.t_boundary_words);
   (if Array.length a.t_digests <> Array.length b.t_digests then
      d :=

@@ -9,7 +9,6 @@
     - rejects messages exceeding the model's word budget or word width,
     - rejects [edge_round] under V-CONGEST,
     - counts rounds, messages and words,
-    - tracks per-node and per-edge received-word loads (congestion),
     - consults an optional fault hook ({!install_faults}) that can
       silence crashed nodes and destroy messages in flight.
 
@@ -49,7 +48,7 @@ type t
     A net runs every round on the calling domain: one walk over the
     senders, descending, in which each sender that sends walks its own
     out-slots only, then one pass over the receivers, ascending, that
-    closes the round's digest and loads (DESIGN.md §10). A round costs
+    closes the round's digest (DESIGN.md §10). A round costs
     O(n + messages), not O(n + m). Nets share nothing, so an
     [Exec.Pool] runs one whole simulation per domain. *)
 val create : Model.t -> Graphs.Graph.t -> t
@@ -81,10 +80,10 @@ val n : t -> int
       invoked by {!replay_reset} / {!replay_check}, never by ordinary
       rounds.
 
-    Destroyed traffic is {e not} counted in [messages_sent]/[words_sent]
-    or the load maxima; it is tallied in {!messages_lost} and
-    {!words_lost}. With no hook installed (or the null adversary) the
-    runtime behaves bit-identically to the fault-free semantics. *)
+    Destroyed traffic is {e not} counted in [messages_sent]/[words_sent];
+    it is tallied in {!messages_lost} and {!words_lost}. With no hook
+    installed (or the null adversary) the runtime behaves
+    bit-identically to the fault-free semantics. *)
 
 type fault_hook = {
   on_round_start : int -> unit;
@@ -114,8 +113,8 @@ val node_alive : t -> int -> bool
 
     A round is counted only once every message of it has validated. A
     round that raises [Protocol_violation] therefore counts nothing:
-    rounds, messages, words, losses, load maxima, boundary words and the
-    digest trace are exactly as they were when the round began, and it
+    rounds, messages, words, losses, boundary words and the digest
+    trace are exactly as they were when the round began, and it
     leaves an empty inbox view. The sender walk visits senders
     descending, so the violation raised is the highest offending
     sender's. (An installed fault hook has still seen [on_round_start]
@@ -194,16 +193,9 @@ val messages_lost : t -> int
 
 val words_lost : t -> int
 
-(** Maximum words received by any single node during any single round. *)
-val max_node_load : t -> int
-
-(** Maximum words that crossed any single edge (both directions summed)
-    during any single round. *)
-val max_edge_load : t -> int
-
 (** [reset_stats net] zeroes every counter: the clock ([rounds]),
-    [messages_sent], [words_sent], [messages_lost], [words_lost], the
-    load maxima, [boundary_words], and the per-round digest trace.
+    [messages_sent], [words_sent], [messages_lost], [words_lost],
+    [boundary_words], and the per-round digest trace.
 
     Counter-reset contract: {e configuration} survives a reset — the
     boundary predicate stays set and an installed fault hook stays
@@ -305,8 +297,6 @@ type telemetry = {
   t_words : int;
   t_messages_lost : int;
   t_words_lost : int;
-  t_max_node_load : int;
-  t_max_edge_load : int;
   t_boundary_words : int;
   t_digests : int array;
       (** one digest per message round ([broadcast_round]/[edge_round]),

@@ -3,8 +3,8 @@
    CSR slice (senders descending), hashing each receiver's in-traffic as
    it goes. Each round scans all 2m adjacency slots, whatever its
    traffic. Kept as the oracle of a differential property: [Congest.Net]
-   must produce the same telemetry (counters, load maxima, boundary
-   words, digest trace) and the same inbox view, round for round, with
+   must produce the same telemetry (counters, boundary words, digest
+   trace) and the same inbox view, round for round, with
    and without a fault hook. Only the round engine is copied; barriers,
    obs and the replay sanitizer are not. *)
 
@@ -39,8 +39,6 @@ type t = {
   mutable words : int;
   mutable messages_lost : int;
   mutable words_lost : int;
-  mutable max_node_load : int;
-  mutable max_edge_load : int;
   mutable last : last_round;
   sent : msg array;
   sent_len : int array;
@@ -68,8 +66,6 @@ let create model g =
     words = 0;
     messages_lost = 0;
     words_lost = 0;
-    max_node_load = 0;
-    max_edge_load = 0;
     last = No_round;
     sent = Array.make n [||];
     sent_len = Array.make n (-1);
@@ -148,14 +144,12 @@ let begin_round net =
   | Some h -> h.Net.on_round_start net.rounds
   | None -> ()
 
-let end_round net ~digest ~msgs ~words ~lost ~wlost ~nmax ~emax ~cross =
+let end_round net ~digest ~msgs ~words ~lost ~wlost ~cross =
   net.messages <- net.messages + msgs;
   net.words <- net.words + words;
   net.messages_lost <- net.messages_lost + lost;
   net.words_lost <- net.words_lost + wlost;
   net.boundary_words <- net.boundary_words + cross;
-  net.max_node_load <- max net.max_node_load nmax;
-  net.max_edge_load <- max net.max_edge_load emax;
   net.rounds <- net.rounds + 1;
   net.digests <- digest :: net.digests
 
@@ -200,40 +194,29 @@ let broadcast_round net send =
         done)
   done;
   let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
-  let nmax = ref 0 and emax = ref 0 and cross = ref 0 and dig = ref 0 in
+  let cross = ref 0 and dig = ref 0 in
   for v = 0 to n - 1 do
-    let len_v = max 0 sent_len.(v) in
-    let w_in = ref 0 and h = ref v in
+    let h = ref v in
     for s' = off.(v + 1) - 1 downto off.(v) do
       let u = adj.(s') in
       let len = sent_len.(u) in
-      let len_in =
-        if len < 0 then 0
-        else if faulty && fate.(mirror.(s')) <> tag then begin
-          h := digest_in !h ~tag:2 ~src:u sent_hash.(u);
-          incr lost;
-          wlost := !wlost + len;
-          0
-        end
-        else begin
-          h := digest_in !h ~tag:1 ~src:u sent_hash.(u);
-          incr msgs;
-          w_in := !w_in + len;
-          if bounded && side u <> side v then cross := !cross + len;
-          len
-        end
-      in
-      if u > v then begin
-        let len_out = if faulty && fate.(s') <> tag then 0 else len_v in
-        if len_in + len_out > !emax then emax := len_in + len_out
+      if len < 0 then ()
+      else if faulty && fate.(mirror.(s')) <> tag then begin
+        h := digest_in !h ~tag:2 ~src:u sent_hash.(u);
+        incr lost;
+        wlost := !wlost + len
+      end
+      else begin
+        h := digest_in !h ~tag:1 ~src:u sent_hash.(u);
+        incr msgs;
+        words := !words + len;
+        if bounded && side u <> side v then cross := !cross + len
       end
     done;
-    dig := mix !dig !h;
-    words := !words + !w_in;
-    if !w_in > !nmax then nmax := !w_in
+    dig := mix !dig !h
   done;
   end_round net ~digest:!dig ~msgs:!msgs ~words:!words ~lost:!lost
-    ~wlost:!wlost ~nmax:!nmax ~emax:!emax ~cross:!cross;
+    ~wlost:!wlost ~cross:!cross;
   net.last <- (if faulty then Faulty_broadcast (arenas net) else Broadcast)
 
 let slot_in off adj u v =
@@ -285,45 +268,30 @@ let edge_round net send =
     | _ -> stage u off.(u) (send u)
   done;
   let msgs = ref 0 and words = ref 0 and lost = ref 0 and wlost = ref 0 in
-  let nmax = ref 0 and emax = ref 0 and cross = ref 0 and dig = ref 0 in
+  let cross = ref 0 and dig = ref 0 in
   for v = 0 to n - 1 do
-    let w_in = ref 0 and h = ref v in
+    let h = ref v in
     for s' = off.(v + 1) - 1 downto off.(v) do
       let u = adj.(s') in
       let s = mirror.(s') in
       let st = fate.(s) in
-      let len_in =
-        if st = tag then begin
-          let m = out_msg.(s) in
-          let len = Array.length m in
-          h := digest_in !h ~tag:1 ~src:u out_hash.(s);
-          incr msgs;
-          w_in := !w_in + len;
-          if bounded && side u <> side v then cross := !cross + len;
-          len
-        end
-        else begin
-          if st = -tag then begin
-            h := digest_in !h ~tag:2 ~src:u out_hash.(s);
-            incr lost;
-            wlost := !wlost + Array.length out_msg.(s)
-          end;
-          0
-        end
-      in
-      if u > v then begin
-        let len_out =
-          if fate.(s') = tag then Array.length out_msg.(s') else 0
-        in
-        if len_in + len_out > !emax then emax := len_in + len_out
+      if st = tag then begin
+        let len = Array.length out_msg.(s) in
+        h := digest_in !h ~tag:1 ~src:u out_hash.(s);
+        incr msgs;
+        words := !words + len;
+        if bounded && side u <> side v then cross := !cross + len
+      end
+      else if st = -tag then begin
+        h := digest_in !h ~tag:2 ~src:u out_hash.(s);
+        incr lost;
+        wlost := !wlost + Array.length out_msg.(s)
       end
     done;
-    dig := mix !dig !h;
-    words := !words + !w_in;
-    if !w_in > !nmax then nmax := !w_in
+    dig := mix !dig !h
   done;
   end_round net ~digest:!dig ~msgs:!msgs ~words:!words ~lost:!lost
-    ~wlost:!wlost ~nmax:!nmax ~emax:!emax ~cross:!cross;
+    ~wlost:!wlost ~cross:!cross;
   net.last <- Edge (arenas net)
 
 let iter_inbox net v f =
@@ -354,8 +322,6 @@ let telemetry net =
     t_words = net.words;
     t_messages_lost = net.messages_lost;
     t_words_lost = net.words_lost;
-    t_max_node_load = net.max_node_load;
-    t_max_edge_load = net.max_edge_load;
     t_boundary_words = net.boundary_words;
     t_digests = Array.of_list (List.rev net.digests);
   }

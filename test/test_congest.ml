@@ -83,21 +83,43 @@ let test_edge_round_in_econgest () =
 
 let test_congestion_accounting () =
   let g = Gen.clique 4 in
+  let two_words _ = Some [| 1; 2 |] in
   let net = vnet g in
-  ignore (Congest.Net.broadcast_round net (fun _ -> Some [| 1; 2 |]));
-  (* every node receives 3 messages x 2 words = 6 words *)
-  Alcotest.(check int) "node load" 6 (Congest.Net.max_node_load net);
-  (* each edge carries 2 words in each direction = 4 *)
-  Alcotest.(check int) "edge load" 4 (Congest.Net.max_edge_load net)
+  Congest.Net.broadcast_round net two_words;
+  (* 4 senders x 3 copies, each of 2 words *)
+  Alcotest.(check int) "broadcast messages" 12 (Congest.Net.messages_sent net);
+  Alcotest.(check int) "broadcast words" 24 (Congest.Net.words_sent net);
+  (* under drops a copy's words count where the copy goes *)
+  let net = vnet g in
+  Congest.Faults.install net
+    (Congest.Faults.create ~seed:3 [ Congest.Faults.Drop_bernoulli 0.5 ]);
+  Congest.Net.broadcast_round net two_words;
+  let sent = Congest.Net.messages_sent net
+  and lost = Congest.Net.messages_lost net in
+  Alcotest.(check int) "sent + lost" 12 (sent + lost);
+  Alcotest.(check bool) "some dropped, some delivered" true
+    (sent > 0 && lost > 0);
+  Alcotest.(check int) "delivered words" (2 * sent)
+    (Congest.Net.words_sent net);
+  Alcotest.(check int) "lost words" (2 * lost) (Congest.Net.words_lost net);
+  (* an edge round: u sends v - u words to each v > u *)
+  let net = enet g in
+  Congest.Net.edge_round net (fun u ->
+      List.filter_map
+        (fun v -> if v > u then Some (v, Array.make (v - u) 0) else None)
+        [ 0; 1; 2; 3 ]);
+  Alcotest.(check int) "edge messages" 6 (Congest.Net.messages_sent net);
+  Alcotest.(check int) "edge words" (1 + 2 + 3 + 1 + 2 + 1)
+    (Congest.Net.words_sent net)
 
 let test_reset_and_checkpoint () =
   let g = Gen.path 4 in
   let net = vnet g in
   ignore (Congest.Net.broadcast_round net (fun _ -> Some [| 0 |]));
-  let cp = Congest.Net.checkpoint net in
+  let before = Congest.Net.rounds net in
   ignore (Congest.Net.broadcast_round net (fun _ -> Some [| 0 |]));
   Congest.Net.silent_rounds net 3;
-  Alcotest.(check int) "rounds since" 4 (Congest.Net.rounds_since net cp);
+  Alcotest.(check int) "rounds elapsed" 4 (Congest.Net.rounds net - before);
   Congest.Net.reset_stats net;
   Alcotest.(check int) "reset" 0 (Congest.Net.rounds net)
 
@@ -448,8 +470,7 @@ let counters net =
   Congest.Net.
     [
       rounds net; messages_sent net; words_sent net; messages_lost net;
-      words_lost net; max_node_load net; max_edge_load net;
-      boundary_words net;
+      words_lost net; boundary_words net;
     ]
 
 let test_violation_leaves_counters () =
@@ -719,10 +740,10 @@ let test_pipelined_downcast_rounds () =
   let g = Gen.path 5 in
   let net = vnet g in
   let tree = Congest.Primitives.bfs_tree net ~root:0 in
-  let cp = Congest.Net.checkpoint net in
+  let start = Congest.Net.rounds net in
   Congest.Primitives.pipelined_downcast net tree [ [| 1 |]; [| 2 |]; [| 3 |] ];
   Alcotest.(check int) "rounds = items + height" (3 + 4)
-    (Congest.Net.rounds_since net cp)
+    (Congest.Net.rounds net - start)
 
 (* ------------------------------------------------------------------ *)
 (* Component identification *)
@@ -982,10 +1003,10 @@ let test_pipelined_converge_rounds () =
   let keys = 8 in
   let values u = [ (u mod keys, [| u |]) ] in
   let better (a : Congest.Net.msg) b = a.(0) < b.(0) in
-  let cp = Congest.Net.checkpoint net in
+  let start = Congest.Net.rounds net in
   let result = Congest.Primitives.pipelined_converge net tree ~values ~better in
   Alcotest.(check int) "all keys arrive" keys (List.length result);
-  let rounds = Congest.Net.rounds_since net cp in
+  let rounds = Congest.Net.rounds net - start in
   Alcotest.(check bool)
     (Printf.sprintf "pipelined: %d rounds <= 3*(height+keys)" rounds)
     true

@@ -402,12 +402,11 @@ let fault_summary r faults =
   let t = r.Net.r_second in
   let evs = Congest.Faults.events faults in
   Printf.sprintf
-    "deterministic %b, rounds %d, messages %d, words %d, lost %d/%d, loads \
-     %d/%d, digest %x, events %d/%d"
+    "deterministic %b, rounds %d, messages %d, words %d, lost %d/%d, \
+     digest %x, events %d/%d"
     (Net.deterministic r) t.Net.t_rounds t.Net.t_messages t.Net.t_words
-    t.Net.t_messages_lost t.Net.t_words_lost t.Net.t_max_node_load
-    t.Net.t_max_edge_load (Net.run_digest t) (List.length evs)
-    (events_checksum evs)
+    t.Net.t_messages_lost t.Net.t_words_lost (Net.run_digest t)
+    (List.length evs) (events_checksum evs)
 
 let pinned_fault_specs g =
   let e = Graph.edge_endpoints g in
@@ -453,13 +452,13 @@ let pinned_broadcast_fault_cases =
     pinned_broadcast_protocol
     [
       "deterministic true, rounds 20, messages 6946, words 10441, lost \
-       2025/3029, loads 22/4, digest 37a3b6c3461bbf1, events 2/146288110";
+       2025/3029, digest 37a3b6c3461bbf1, events 2/146288110";
       "deterministic true, rounds 20, messages 7613, words 11514, lost \
-       749/1082, loads 24/4, digest 3a141072e61d520, events 7/248004015";
+       749/1082, digest 3a141072e61d520, events 7/248004015";
       "deterministic true, rounds 20, messages 9159, words 13742, lost \
-       89/130, loads 24/4, digest af8cbcbb74e9a9, events 3/52248856";
+       89/130, digest af8cbcbb74e9a9, events 3/52248856";
       "deterministic true, rounds 20, messages 9144, words 13728, lost \
-       104/144, loads 24/4, digest 144646bcc30b867, events 4/226617350";
+       104/144, digest 144646bcc30b867, events 4/226617350";
     ]
 
 let pinned_edge_fault_cases =
@@ -467,13 +466,13 @@ let pinned_edge_fault_cases =
     pinned_edge_protocol
     [
       "deterministic true, rounds 8, messages 3512, words 3512, lost \
-       1014/1014, loads 16/2, digest 267502ba5215b57, events 2/146288110";
+       1014/1014, digest 267502ba5215b57, events 2/146288110";
       "deterministic true, rounds 8, messages 3982, words 3982, lost \
-       299/299, loads 16/2, digest 1e7155cac99c038, events 7/248004015";
+       299/299, digest 1e7155cac99c038, events 7/248004015";
       "deterministic true, rounds 8, messages 4586, words 4586, lost 38/38, \
-       loads 16/2, digest 288d0d60acf826e, events 3/52248856";
+       digest 288d0d60acf826e, events 3/52248856";
       "deterministic true, rounds 8, messages 4592, words 4592, lost 32/32, \
-       loads 16/2, digest 106ec590e5de2c0, events 4/226617342";
+       digest 106ec590e5de2c0, events 4/226617342";
     ]
 
 (* the Appendix G distinguisher runs the vc-approx pipeline with the
