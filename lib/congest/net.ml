@@ -548,11 +548,6 @@ let set_boundary net side = net.boundary <- Some side
 let clear_boundary net = net.boundary <- None
 let boundary_words net = net.boundary_words
 
-type checkpoint = int
-
-let checkpoint net = net.rounds
-let rounds_since net cp = net.rounds - cp
-
 let node_alive net u =
   match net.faults with None -> true | Some h -> h.node_alive u
 

@@ -200,8 +200,8 @@ val words_lost : t -> int
     Counter-reset contract: {e configuration} survives a reset — the
     boundary predicate stays set and an installed fault hook stays
     installed (with whatever internal state it has accumulated; crashed
-    nodes stay crashed). Checkpoints taken before a reset are
-    invalidated. Use {!replay_reset} when accumulated fault state must
+    nodes stay crashed). Round counts read before a reset are not
+    comparable with those after it. Use {!replay_reset} when accumulated fault state must
     {e not} survive. *)
 val reset_stats : t -> unit
 
@@ -241,13 +241,6 @@ val make_obs : ?spans:Obs.Span.t -> Obs.Metrics.t -> obs
 
 val attach_obs : t -> obs -> unit
 val detach_obs : t -> unit
-
-(** [checkpoint net] snapshots the counters; [rounds_since net cp] is the
-    rounds elapsed since. *)
-type checkpoint
-
-val checkpoint : t -> checkpoint
-val rounds_since : t -> checkpoint -> int
 
 (** {1 Barriers and rollback}
 

@@ -18,14 +18,14 @@ let central ?(live = fun _ -> true) g =
   }
 
 let distributed net =
-  let start = Net.checkpoint net in
+  let start = Net.rounds net in
   (* rounds of rolled-back regions: the rollback erases them from the
      clock, honest accounting adds them back *)
   let discarded = ref 0 in
   {
     side = Comm.Distributed net;
     live = Net.node_alive net;
-    charged = (fun () -> Net.rounds_since net start + !discarded);
+    charged = (fun () -> Net.rounds net - start + !discarded);
     region =
       (fun f ->
         let b = Net.barrier net in

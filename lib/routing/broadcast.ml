@@ -119,7 +119,7 @@ end
 (* A run's result. [rounds] is the real count: a run with nothing to
    send takes none, and its throughput is 0. *)
 let finish net start ~messages ~relays ~edge_crossings =
-  let rounds = Net.rounds_since net start in
+  let rounds = Net.rounds net - start in
   {
     rounds;
     messages;
@@ -250,7 +250,7 @@ let via_spanning_trees ?(seed = 42) net (packing : Spantree.Spacking.t)
   List.iter (fun (id, origin) -> learn origin id ~from:(-1)) msgs;
   let relays = Array.make n 0 in
   let edge_crossings = Array.make m 0 in
-  let start = Net.checkpoint net in
+  let start = Net.rounds net in
   let receive v sender _ (msg : Net.msg) = learn v msg.(1) ~from:sender in
   let guard = ref 0 in
   while (not (all_done d)) && !guard < 100 * (total + n) do
@@ -324,7 +324,7 @@ let fault_sync d faults ~on_crash ~on_kill =
 
 type run = {
   d : delivery;
-  start : Net.checkpoint;
+  start : int;  (* [Net.rounds] when the run began *)
   relays : int array;
   edge_crossings : int array;
 }
@@ -364,7 +364,7 @@ let run_rounds ?repair_every net d ~sync ~rng ~cap ~width ~resend ~pick
   let out = Array.map Option.some buf in
   let sends = Array.make n false in
   let send v = if sends.(v) then out.(v) else None in
-  let start = Net.checkpoint net in
+  let start = Net.rounds net in
   let round = ref 0 in
   while (not (all_done d)) && !round < cap do
     incr round;
@@ -402,7 +402,7 @@ let fault_free net run ~failure =
 
 let with_faults net run ~dead_trees =
   let d = run.d in
-  let rounds = Net.rounds_since net run.start in
+  let rounds = Net.rounds net - run.start in
   let delivered = ref 0 and pairs = ref 0 in
   for id = 0 to d.total - 1 do
     pairs := !pairs + d.heard_alive.(id);

@@ -105,10 +105,10 @@ let rlnc_broadcast ?(seed = 42) ?(coeff_words_per_round = 6) net ~sources =
   let budget = max 1 (min 6 coeff_words_per_round) in
   let words_per_packet = nlimbs + payload_words in
   let chunks = (words_per_packet + budget - 1) / budget in
-  let start = Net.checkpoint net in
+  let start = Net.rounds net in
   let transmissions = ref 0 in
   let all_decoded () = Array.for_all (fun s -> s.rank = total) spans in
-  let rounds_used () = Net.rounds_since net start in
+  let rounds_used () = Net.rounds net - start in
   while (not (all_decoded ())) && rounds_used () < max_rounds do
     (* each node draws one random packet of its span for this slot *)
     let packet = Array.map (fun s -> random_of_span rng s) spans in

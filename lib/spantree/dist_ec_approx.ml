@@ -31,7 +31,7 @@ let connected_under_sampling net ~p ~seed ~trial =
 let run ?(seed = 42) ?(trials = 3) net =
   let g = Net.graph net in
   let n = Graph.n g in
-  let start = Net.checkpoint net in
+  let start = Net.rounds net in
   let c_log_n = 2.0 *. log (float_of_int (max 2 n)) in
   (* doubling search downward: the largest guess whose samples all stay
      connected. Guess = min degree is an upper bound on lambda, learned
@@ -51,4 +51,4 @@ let run ?(seed = 42) ?(trials = 3) net =
     end
   in
   let estimate, guesses_tried = search (max 1 min_deg) 0 in
-  { estimate; guesses_tried; rounds = Net.rounds_since net start }
+  { estimate; guesses_tried; rounds = Net.rounds net - start }

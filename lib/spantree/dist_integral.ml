@@ -14,7 +14,7 @@ let run ?(seed = 42) ?(eps = 0.3) net ~lambda =
   let eta = max 1 (Graphs.Sampling.suggested_eta ~lambda ~n ~eps) in
   let rng = Random.State.make [| seed; n; lambda; 31 |] in
   let _, part_of = Graphs.Sampling.edge_partition rng g ~eta in
-  let start = Net.checkpoint net in
+  let start = Net.rounds net in
   (* one kernel and one marked subgraph, refilled per part *)
   let kernel = Congest.Dist_mst.kernel net in
   let weights = Array.make m 1 in
@@ -34,6 +34,6 @@ let run ?(seed = 42) ?(eps = 0.3) net ~lambda =
   {
     trees = List.rev !trees;
     eta;
-    rounds = Net.rounds_since net start;
+    rounds = Net.rounds net - start;
     parts_connected = !parts_connected;
   }

@@ -144,12 +144,12 @@ let run_on side ~eps ~max_iterations parts =
       let kernel = Congest.Dist_mst.kernel net in
       fun edges ->
         let sub = { Congest.Components.nodes = Array.make n true; edges } in
-        let cp = ref (Net.checkpoint net) in
+        let cp = ref (Net.rounds net) in
         fun () ->
           let ids = Congest.Dist_mst.forest_ids kernel sub ~weights in
-          rounds := (Net.rounds_since net !cp + coordination) :: !rounds;
+          rounds := (Net.rounds net - !cp + coordination) :: !rounds;
           Net.silent_rounds net coordination;
-          cp := Net.checkpoint net;
+          cp := Net.rounds net;
           ids
   in
   List.map
