@@ -57,7 +57,10 @@ let distributed net ~max_slots ~classes =
    nothing is promoted. *)
 let width = 3
 
-let central g ~component ~slot_of ~classes ~max_slots =
+(* [slots sl] is the slot table ({!fill_slots}) of layout [sl] and
+   [component sl] the names of its class-components, both read only
+   here. *)
+let central g ~component ~slots ~classes ~max_slots =
   let n = Graph.n g in
   let csr_off = Graph.csr_offsets g and csr_adj = Graph.csr_neighbors g in
   let words = Array.make (width * max_slots) 0 in
@@ -101,6 +104,7 @@ let central g ~component ~slot_of ~classes ~max_slots =
   let component_min () =
     let value = Array.make max_slots 0 in
     fun (sl : Multiflood.slots) ~init ->
+      let component = component sl in
       let off = sl.off and cls = sl.cls in
       (* [value.(s)] is first the component of slot [s]'s pair *)
       for r = 0 to n - 1 do
@@ -140,6 +144,7 @@ let central g ~component ~slot_of ~classes ~max_slots =
         done);
     sweep =
       (fun sl ~payload ~listen ~ordered ~recv ->
+        let slot_of = slots sl in
         let off = sl.off and cls = sl.cls in
         for s = 0 to Array.length cls - 1 do
           words.(s * width) <- -1
@@ -183,7 +188,11 @@ let central g ~component ~slot_of ~classes ~max_slots =
 
 let make side ~component ~slot_of ~classes ~max_slots =
   match side with
-  | Central g -> central g ~component ~slot_of ~classes ~max_slots
+  | Central g ->
+    central g
+      ~component:(fun _ -> component)
+      ~slots:(fun _ -> slot_of)
+      ~classes ~max_slots
   | Distributed net -> distributed net ~max_slots ~classes
 
 let fill_slots slot_of ~n (sl : Multiflood.slots) =
@@ -194,6 +203,8 @@ let fill_slots slot_of ~n (sl : Multiflood.slots) =
     done
   done
 
+(* [label.(i * n + r)] := the pair [i * n + r0] of the least node [r0]
+   of [r]'s class-component of [i] in [sl], or [-1] *)
 let label_components g ~slot_of (sl : Multiflood.slots) label =
   let n = Graph.n g in
   let csr_off = Graph.csr_offsets g and csr_adj = Graph.csr_neighbors g in
@@ -222,3 +233,20 @@ let label_components g ~slot_of (sl : Multiflood.slots) label =
       end
     done
   done
+
+let make_labelled side ~classes ~max_slots =
+  match side with
+  | Distributed net -> distributed net ~max_slots ~classes
+  | Central g ->
+    let n = Graph.n g in
+    let slot_of = Array.make (classes * n) (-1) in
+    let label = Array.make (classes * n) (-1) in
+    let slots sl =
+      fill_slots slot_of ~n sl;
+      slot_of
+    in
+    let component sl =
+      label_components g ~slot_of:(slots sl) sl label;
+      Array.get label
+    in
+    central g ~component ~slots ~classes ~max_slots

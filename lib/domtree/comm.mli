@@ -4,8 +4,9 @@
     {!side} and send only through a {!t}, so the central run is the
     distributed one without a network. The central side sends nothing:
     it hands each receiver the same deliveries by walking the graph, and
-    reads component-wide minima off the caller's names for the
-    class-components of (class, node) pairs. A delivery acts on its
+    reads component-wide minima off names for the class-components of
+    (class, node) pairs, the caller's ({!make}) or its own
+    ({!make_labelled}). A delivery acts on its
     receiver alone, and only the order among one class's deliveries to
     one receiver can change what it does, so the central side keeps
     that order alone: meta-round ascending, then sender ascending. *)
@@ -75,13 +76,14 @@ val make :
   max_slots:int ->
   t
 
+(** [make_labelled side ~classes ~max_slots] is {!make} for callers
+    whose class-components are those of the layout itself: central, a
+    component minimum names them by a breadth-first search of the
+    flooded layout, and a sweep indexes the swept layout, in two
+    [classes * n] tables of its own, rebuilt at every call. The
+    distributed side builds neither. *)
+val make_labelled : side -> classes:int -> max_slots:int -> t
+
 (** [fill_slots slot_of ~n sl] makes [slot_of.(i * n + r)] the first
     slot of class [i] in node [r]'s slice of [sl], or [-1]. *)
 val fill_slots : int array -> n:int -> Multiflood.slots -> unit
-
-(** [label_components g ~slot_of sl label] makes [label.(i * n + r)]
-    the pair [i * n + r0] of the least node [r0] of [r]'s
-    class-component of [i] in [sl], which [slot_of] indexes, or [-1]:
-    a [component] for {!make}. *)
-val label_components :
-  Graphs.Graph.t -> slot_of:int array -> Multiflood.slots -> int array -> unit

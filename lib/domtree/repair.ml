@@ -100,8 +100,7 @@ let finalize mem ~classes ~dropped ~touched ~orphans ~splices ~rounds =
    during repair are felt); central, the same steps send nothing. *)
 
 let run_on side ~live ~memberships ~classes =
-  let g = Comm.graph side in
-  let n = Graph.n g in
+  let n = Graph.n (Comm.graph side) in
   let start = Comm.rounds side in
   let mem = sanitize ~live n ~memberships ~classes in
   let touched = Array.make classes false in
@@ -124,16 +123,10 @@ let run_on side ~live ~memberships ~classes =
     member.((i * n) + x) <- true;
     touched.(i) <- true
   in
-  let slot_of = Array.make (classes * n) (-1) in
-  let label = Array.make (classes * n) (-1) in
-  let comm =
-    Comm.make side ~component:(Array.get label) ~slot_of ~classes
-      ~max_slots:(classes * n)
-  in
+  let comm = Comm.make_labelled side ~classes ~max_slots:(classes * n) in
   (* 2. domination fix off one membership sweep *)
   let seen = Array.make (classes * n) false in
   let sl = Multiflood.layout ~n (Array.get mem) in
-  Comm.fill_slots slot_of ~n sl;
   comm.sweep sl
     ~payload:(fun _ _ -> [||])
     ~listen:(fun r i -> (not member.((i * n) + r)) && live r)
@@ -158,8 +151,6 @@ let run_on side ~live ~memberships ~classes =
   let max_iter = ceil_lg n + 2 in
   let rec splice iter sl =
     (* per-class fragment identification on the virtual graph *)
-    Comm.fill_slots slot_of ~n sl;
-    Comm.label_components g ~slot_of sl label;
     let cids = comm.component_min_on_change sl ~init:(fun r _ -> r) in
     let frag = Array.make classes 0 in
     let seen_frag = Array.make_matrix classes n false in
@@ -186,7 +177,6 @@ let run_on side ~live ~memberships ~classes =
            sweep heard nothing) *)
         let sweep_ids sl ~payload =
           let ids = Array.make_matrix classes n [] in
-          Comm.fill_slots slot_of ~n sl;
           comm.sweep sl ~payload
             ~listen:(fun x i ->
               split.(i) && (not member.((i * n) + x)) && live x)

@@ -39,8 +39,7 @@ let choose rng heard ~classes r =
 (* The one tester. The distributed side charges every round; the
    central side sends nothing and builds no BFS tree. *)
 let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
-  let g = Comm.graph side in
-  let n = Graph.n g in
+  let n = Graph.n (Comm.graph side) in
   let rng = Random.State.make [| seed; n; classes |] in
   (* a crashed node holds no memberships and owes no coverage *)
   let memberships r = if live r then memberships r else [] in
@@ -62,10 +61,8 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
         failure-flag floods *)
   let failure_flood = Comm.failure_flood side in
   let sl1 = layout () in
-  let slot_of = Array.make (classes * n) (-1) in
-  let label = Array.make (classes * n) (-1) in
   let comm =
-    Comm.make side ~component:(Array.get label) ~slot_of ~classes
+    Comm.make_labelled side ~classes
       ~max_slots:(Array.length sl1.Multiflood.cls)
   in
   (* 1. domination: every class must appear in every closed
@@ -77,7 +74,6 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
       seen.((r * classes) + sl1.Multiflood.cls.(s)) <- true
     done
   done;
-  Comm.fill_slots slot_of ~n sl1;
   comm.sweep sl1
     ~payload:(fun _ _ -> [||])
     ~listen:(fun r i -> (not seen.((r * classes) + i)) && live r)
@@ -103,8 +99,6 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
   else begin
     (* 2. per-class component identification *)
     let sl = layout () in
-    Comm.fill_slots slot_of ~n sl;
-    Comm.label_components g ~slot_of sl label;
     let cids = comm.component_min () sl ~init:(fun r _ -> r) in
     let cid r i =
       let s = Multiflood.find sl r i in
@@ -121,9 +115,13 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
     let detect_at round = if !detection = None then detection := Some round in
     let sl3 = layout () in
     let cls3 = sl3.Multiflood.cls in
-    Comm.fill_slots slot_of ~n sl3;
+    (* step 1 is done with [seen]: it now marks each node's own classes
+       in [sl3] *)
+    let own = seen in
+    Array.fill own 0 (n * classes) false;
     for r = 0 to n - 1 do
       for s = sl3.Multiflood.off.(r) to sl3.Multiflood.off.(r + 1) - 1 do
+        own.((r * classes) + cls3.(s)) <- true;
         note heard ~classes detect_at r 0 cls3.(s) (cid r cls3.(s))
       done
     done;
@@ -138,14 +136,14 @@ let run_on side ~seed ~live ~memberships ~classes ~detection_rounds =
         if h < 0 then heard.(k) <- c
         else begin
           if h <> c then conflict.(r) <- true;
-          if slot_of.((i * n) + r) < 0 then heard.(k) <- c
+          if not own.(k) then heard.(k) <- c
         end);
     (* a node that did not survive the sweep observed nothing in it *)
     for r = 0 to n - 1 do
       if live r then (if conflict.(r) then detect_at 0)
       else
-        for i = 0 to classes - 1 do
-          if slot_of.((i * n) + r) < 0 then heard.((r * classes) + i) <- -1
+        for k = r * classes to ((r + 1) * classes) - 1 do
+          if not own.(k) then heard.(k) <- -1
         done
     done;
     (* 4. random announcement rounds (Lemma E.1's detector-path process);
